@@ -38,7 +38,7 @@ RACE_PKGS = . \
 # no-op when nothing changed).
 REPOLINT = bin/repolint
 
-.PHONY: check build vet lint lint-test fmt-check test short race ci bench bench-json net-smoke wal-smoke soak FORCE
+.PHONY: check build vet lint lint-test fmt-check test short race ci bench bench-json bench-check microbench net-smoke wal-smoke soak FORCE
 
 check: vet lint lint-test fmt-check build test
 
@@ -161,10 +161,28 @@ soak:
 	$$tmp/kvsoak -server $$tmp/kvserver -dur $${SOAK_DUR:-60s} -seed $${SOAK_SEED:-1} || { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp
 
+# bench-check keeps the repository's benchmark buildable: benchmark/ is
+# a module of its own (`replace repro => ../`), so the root
+# `go build ./... && go test ./...` never compiles it, and a program
+# change that renames something it calls — or breaks its output checks,
+# such as the corrupted-stamp test — would otherwise surface only when
+# the benchmark is next run.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -race . && $(GO) build -o /dev/null .
+
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
-# short smoke paths, and the network smoke. wal-smoke and soak are
-# separate non-gating jobs in the workflow.
-ci: check race short net-smoke
+# short smoke paths, the nested benchmark module's build and tests, and
+# the network smoke. wal-smoke and soak are separate non-gating jobs in
+# the workflow.
+ci: check race short bench-check net-smoke
+
+# microbench runs the layer microbenchmarks (ROADMAP 1c) with
+# allocations reported: the wire codec and a served scan in
+# internal/kvserver, the store's scan and batch paths in
+# internal/shardedkv. MICRO_COUNT repeats each row for benchstat.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
+		./internal/kvserver ./internal/shardedkv
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

@@ -583,7 +583,9 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 			keys := make([]uint64, cfg.batch)
 			// doOp mirrors run()'s operation unit accounting; it
 			// returns (ops covered, fatal error). Admission-rejected
-			// bulk requests count as one completed (shed) op.
+			// bulk requests count as one completed (shed) op. Read
+			// results are counted and dropped at once: nothing here
+			// writes to or keeps a value that aliases a response frame.
 			doOp := func() (uint64, error) {
 				kind := mix.mix.Draw(rng.Uint64())
 				if mix.batched {

@@ -81,6 +81,8 @@ func main() {
 	case "verify":
 		var broken, lostBulk, held uint64
 		for k := uint64(0); k < *n; k++ {
+			// v aliases this call's response frame; it is compared and
+			// dropped before the next Get.
 			v, ok, err := c.Get(kvserver.ClassInteractive, k)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "kvcheck: get %d: %v\n", k, err)

@@ -39,7 +39,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,7 +51,6 @@ import (
 	"repro/internal/kvmodel"
 	"repro/internal/kvserver"
 	"repro/internal/prng"
-	"repro/internal/shardedkv"
 )
 
 func main() {
@@ -271,6 +270,8 @@ func (h *harness) worker(wi int, stop <-chan struct{}, done *sync.WaitGroup, sta
 	base := uint64(wi * h.keysPer)
 	key := func(j int) uint64 { return base + uint64(j) }
 
+	// checkRead decodes v on the spot: v aliases its call's response
+	// frame, and neither it nor a slice of it outlives this function.
 	checkRead := func(k uint64, v []byte, present bool, via string) {
 		ks := states[k-base]
 		if !present {
@@ -526,28 +527,34 @@ func (h *harness) finalSweep(states [][]*keyState) {
 	// An ordered range over the whole modeled space double-checks the
 	// store's scan path post-recovery (and that splits survived replay).
 	total := uint64(h.workers * h.keysPer)
-	kvs, _, err := rangeAll(cl, total)
+	keys, err := rangeAllKeys(cl, total)
 	if err != nil {
 		h.report("final sweep: Range failed: %v", err)
 		return
 	}
-	if !sort.SliceIsSorted(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key }) {
+	if !slices.IsSorted(keys) {
 		h.report("final sweep: Range emitted keys out of order")
 	}
-	h.logf("final sweep: %d keys checked, %d live", checked, len(kvs))
+	h.logf("final sweep: %d keys checked, %d live", checked, len(keys))
 }
 
-func rangeAll(cl *kvclient.Retrying, hi uint64) ([]shardedkv.Pair, bool, error) {
-	var all []shardedkv.Pair
+// rangeAllKeys pages through [0, hi] and returns the keys in emission
+// order. Only the keys are kept: a returned value aliases its page's
+// response frame, so accumulating the pairs would hold every page of
+// the scan in memory until the sweep ends.
+func rangeAllKeys(cl *kvclient.Retrying, hi uint64) ([]uint64, error) {
+	var keys []uint64
 	lo := uint64(0)
 	for {
 		kvs, more, err := cl.Range(kvserver.ClassInteractive, lo, hi, 0)
 		if err != nil {
-			return all, false, err
+			return keys, err
 		}
-		all = append(all, kvs...)
+		for _, kv := range kvs {
+			keys = append(keys, kv.Key)
+		}
 		if !more || len(kvs) == 0 {
-			return all, false, nil
+			return keys, nil
 		}
 		lo = kvs[len(kvs)-1].Key + 1
 	}

@@ -11,6 +11,16 @@
 // kvserver.ClassBulk to little-class plus the bulk admission gate — so
 // the caller's latency contract rides on each request, not on any
 // connection-level state.
+//
+// Buffer ownership: every response frame is read into a buffer of its
+// own, and that buffer belongs to the call it completes. The values Get,
+// MultiGet and Range return are not copies — they alias that frame
+// (capacity clipped to length, so an append reallocates rather than
+// running into the neighbouring pair). They stay valid for as long as
+// the caller holds them and no later call touches them, but holding ONE
+// value keeps its whole frame reachable: a caller that retains a few
+// values out of a large scan should copy them. Request values (Put,
+// MultiPut) are only read, and not retained after the call returns.
 package kvclient
 
 import (
@@ -98,9 +108,13 @@ func IsAdmissionRejected(err error) bool {
 	return errors.As(err, &se) && se.Status == kvserver.StatusErrAdmission
 }
 
-// pending is one in-flight call's completion slot.
+// pending is one in-flight call's completion slot. Slots are pooled,
+// and with a RequestTimeout the slot carries the call's deadline timer
+// too: built on first use and Reset per call, so a timed client
+// allocates no timer per round trip.
 type pending struct {
-	ch chan result
+	ch    chan result
+	timer *time.Timer
 }
 
 type result struct {
@@ -218,7 +232,9 @@ func (c *Client) teardown(cause error) {
 
 // readLoop is the response matcher: it owns the read side, pairing
 // response frames to pending calls by id. Each frame is read into a
-// fresh buffer whose ownership passes to the completed call.
+// fresh buffer whose ownership passes to the completed call — the
+// decoded values the call returns alias it, so this must never become a
+// buffer the loop reuses.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
@@ -298,11 +314,18 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	if c.timeout <= 0 {
 		res = <-p.ch
 	} else {
-		timer := time.NewTimer(c.timeout)
+		if p.timer == nil {
+			p.timer = time.NewTimer(c.timeout)
+		} else {
+			// Every earlier use either stopped the timer or received its
+			// tick, and a Go 1.23+ timer channel holds no stale tick
+			// after Stop or Reset, so the slot's timer re-arms clean.
+			p.timer.Reset(c.timeout)
+		}
 		select {
 		case res = <-p.ch:
-			timer.Stop()
-		case <-timer.C:
+			p.timer.Stop()
+		case <-p.timer.C:
 			c.mu.Lock()
 			if _, registered := c.pending[req.ID]; registered {
 				// Still ours: unregister so no late response or
@@ -332,7 +355,8 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	return res.resp, nil
 }
 
-// Get reads key k under class.
+// Get reads key k under class. The value aliases the response frame,
+// which this call owns (see the package doc).
 func (c *Client) Get(class uint8, k uint64) ([]byte, bool, error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpGet, Class: class, Key: k})
 	if err != nil {
@@ -360,7 +384,8 @@ func (c *Client) Delete(class uint8, k uint64) (bool, error) {
 	return kvserver.DecodeBoolPayload(resp.Payload)
 }
 
-// MultiGet reads all keys in one request under class.
+// MultiGet reads all keys in one request under class. The values alias
+// the one response frame: retaining any of them retains all of it.
 func (c *Client) MultiGet(class uint8, keys []uint64) ([][]byte, []bool, error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiGet, Class: class, Keys: keys})
 	if err != nil {
@@ -381,7 +406,8 @@ func (c *Client) MultiPut(class uint8, kvs []shardedkv.Pair) (int, error) {
 
 // Range returns pairs in [lo, hi] in ascending key order, at most
 // limit of them (limit 0 = the server's cap). more reports a
-// truncated emission — continue from kvs[len(kvs)-1].Key+1.
+// truncated emission — continue from kvs[len(kvs)-1].Key+1. The values
+// alias the one response frame: retaining any of them retains all of it.
 func (c *Client) Range(class uint8, lo, hi uint64, limit int) (kvs []shardedkv.Pair, more bool, err error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpRange, Class: class, Lo: lo, Hi: hi, Limit: uint32(limit)})
 	if err != nil {

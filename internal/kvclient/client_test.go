@@ -2,6 +2,7 @@ package kvclient
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/kvserver"
+	"repro/internal/shardedkv"
 )
 
 // fakeServer is a scriptable single-connection peer: it accepts,
@@ -254,5 +256,111 @@ func TestIsRetryableClassification(t *testing.T) {
 		if got := IsRetryable(tc.err); got != tc.want {
 			t.Errorf("IsRetryable(%v) = %v, want %v", tc.err, got, tc.want)
 		}
+	}
+}
+
+// echoServer answers Get, MultiGet and Range with values derived from
+// the request id, and everything else with a true bool.
+func echoServer(t *testing.T) *fakeServer {
+	return newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
+		val := bytes.Repeat([]byte{byte(req.ID)}, 32)
+		var out []byte
+		var err error
+		switch req.Op {
+		case kvserver.OpGet:
+			out, err = kvserver.AppendGetResponse(nil, req.ID, val, true)
+		case kvserver.OpMultiGet:
+			out, err = kvserver.AppendMultiGetResponse(nil, req.ID, [][]byte{val, val}, []bool{true, true})
+		case kvserver.OpRange:
+			out, err = kvserver.AppendRangeResponse(nil, req.ID, []shardedkv.Pair{{Key: 1, Value: val}, {Key: 2, Value: val}}, false)
+		default:
+			out = okBool(req.ID)
+		}
+		if err != nil {
+			panic(err)
+		}
+		return out, false
+	})
+}
+
+// TestSuccessiveResponsesOwnTheirMemory: decoded values alias the frame
+// their response arrived in, so that frame must belong to its call
+// alone. Values a caller holds from one call stay intact through every
+// later call on the same Client, and scribbling over them reaches no
+// later result — which is what would break if readLoop ever read into a
+// buffer it reuses.
+func TestSuccessiveResponsesOwnTheirMemory(t *testing.T) {
+	c, err := Dial(echoServer(t).addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	// held[i] is every value call i returned; call i is request id i+1.
+	var held [][][]byte
+	for round := 0; round < 4; round++ {
+		v, _, err := c.Get(kvserver.ClassInteractive, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, [][]byte{v})
+		vals, _, err := c.MultiGet(kvserver.ClassInteractive, []uint64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, vals)
+		kvs, _, err := c.Range(kvserver.ClassBulk, 0, 9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, [][]byte{kvs[0].Value, kvs[1].Value})
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, vals := range held {
+			for _, v := range vals {
+				if !bytes.Equal(v, bytes.Repeat([]byte{byte(i + 1)}, 32)) {
+					t.Fatalf("pass %d: a value of call %d changed under a later call or a neighbour's overwrite: %x", pass, i+1, v)
+				}
+			}
+			if pass == 0 && i%2 == 0 {
+				// Overwrite every other call's values; the second pass
+				// shows the rest untouched.
+				for _, v := range vals {
+					clear(v)
+				}
+				held[i] = nil
+			}
+		}
+	}
+}
+
+// TestRequestTimeoutAllocatesNoTimer: a client with a RequestTimeout
+// keeps its deadline timer on the pooled pending slot, so a timed round
+// trip allocates what an untimed one does (a time.NewTimer per call
+// would show as three allocations more).
+func TestRequestTimeoutAllocatesNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	fs := echoServer(t)
+	perCall := func(opts Options) float64 {
+		c, err := DialOpts(fs.addr(), opts)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		val := []byte("v")
+		// AllocsPerRun counts the whole process, the fake server's side
+		// of the round trip included; that side is the same for both.
+		return testing.AllocsPerRun(500, func() {
+			if _, err := c.Put(kvserver.ClassInteractive, 1, val); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	untimed := perCall(Options{})
+	timed := perCall(Options{RequestTimeout: 5 * time.Second})
+	if timed > untimed+0.5 {
+		t.Fatalf("a round trip with a RequestTimeout allocates %.1f, without %.1f: the timer is not reused", timed, untimed)
 	}
 }

@@ -45,6 +45,10 @@ type RetryConfig struct {
 // last-writer-wins: a duplicate apply of the same value is
 // indistinguishable from a single one. A caller that cannot accept
 // "maybe applied twice" must not retry — use Client directly.
+//
+// Returned values carry Client's ownership (see the package doc): they
+// alias the response frame of the attempt that succeeded, which a retry
+// neither reuses nor touches. Nothing here keeps a result past the call.
 type Retrying struct {
 	addr string
 	cfg  RetryConfig

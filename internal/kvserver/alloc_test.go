@@ -1,0 +1,192 @@
+package kvserver
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/shardedkv"
+	"repro/internal/stats"
+)
+
+// payloadOf strips the length prefix and header off an encoded response.
+func payloadOf(t testing.TB, wire []byte, err error) []byte {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire[4+headerLen:]
+}
+
+// allocsPerRun is testing.AllocsPerRun, skipped under the race detector.
+func allocsPerRun(t *testing.T, f func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	return testing.AllocsPerRun(200, f)
+}
+
+// TestDecodePayloadAllocs pins the ownership contract by its cost: the
+// decoders allocate the slices they return and nothing per value, because
+// values alias the payload.
+func TestDecodePayloadAllocs(t *testing.T) {
+	val := bytes.Repeat([]byte{7}, 64)
+	vals, found := make([][]byte, 16), make([]bool, 16)
+	kvs := make([]shardedkv.Pair, 513)
+	for i := range vals {
+		vals[i], found[i] = val, true
+	}
+	for i := range kvs {
+		kvs[i] = shardedkv.Pair{Key: uint64(i), Value: val}
+	}
+	wire, err := AppendGetResponse(nil, 1, val, true)
+	get := payloadOf(t, wire, err)
+	wire, err = AppendMultiGetResponse(nil, 2, vals, found)
+	multi := payloadOf(t, wire, err)
+	wire, err = AppendRangeResponse(nil, 3, kvs, false)
+	rng := payloadOf(t, wire, err)
+
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"DecodeGetPayload", 0, func() { _, _, _ = DecodeGetPayload(get) }},
+		{"DecodeMultiGetPayload (vals, found)", 2, func() { _, _, _ = DecodeMultiGetPayload(multi) }},
+		{"DecodeRangePayload (kvs)", 1, func() { _, _ = DecodeRangePayload(rng) }},
+	} {
+		if got := allocsPerRun(t, c.f); got != c.want {
+			t.Errorf("%s: %v allocations per call, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// newExecFixture is a server over a preloaded 2-shard btree store plus
+// what execute needs of a connection, with no socket in the way.
+func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *core.Worker, *serverConn) {
+	t.Helper()
+	st := shardedkv.New(shardedkv.Config{Shards: 2, NewEngine: func(int) shardedkv.Engine { return shardedkv.NewBTreeEngine() }})
+	s, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	for k := 0; k < keys; k++ {
+		if _, err := st.Put(w, uint64(k), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, w, &serverConn{rec: stats.NewClassedRecorder()}
+}
+
+// TestExecuteAllocs pins what serving one request allocates, the buffer
+// it encodes into being warm. A point Get allocates nothing and a Put
+// only the copy of its value the store retains: Range's streaming
+// callback lives in appendRange so that execute's out stays off the heap
+// (written inline in execute, the closure costs every request one
+// allocation). A 513-pair Range allocates the callback's state, the
+// store's collect closure and shard worklist, and nothing per pair.
+func TestExecuteAllocs(t *testing.T) {
+	s, w, sc := newExecFixture(t, 1024, bytes.Repeat([]byte{7}, 64))
+	out := make([]byte, 0, 64<<10)
+	run := func(req Request) func() {
+		return func() {
+			res, err := s.execute(w, sc, &req, out[:0])
+			if err != nil || len(res) == 0 {
+				t.Fatalf("execute op 0x%02x: %d bytes, %v", req.Op, len(res), err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		req  Request
+	}{
+		{"Get", 0, Request{ID: 1, Op: OpGet, Class: ClassInteractive, Key: 5}},
+		{"Put", 1, Request{ID: 2, Op: OpPut, Class: ClassInteractive, Key: 5, Value: bytes.Repeat([]byte{9}, 64)}},
+		{"Range of 513", 4, Request{ID: 3, Op: OpRange, Class: ClassBulk, Lo: 100, Hi: 612}},
+	} {
+		if got := allocsPerRun(t, run(c.req)); got > c.max {
+			t.Errorf("%s: %v allocations per request, want at most %v", c.name, got, c.max)
+		}
+	}
+}
+
+// TestAppendRangeMatchesAppendRangeResponse: the streamed frame is byte
+// for byte the one AppendRangeResponse builds from the same pairs, More
+// flag and an existing prefix in out included.
+func TestAppendRangeMatchesAppendRangeResponse(t *testing.T) {
+	s, w, _ := newExecFixture(t, 64, []byte("value"))
+	for _, c := range []struct {
+		lo, hi uint64
+		limit  uint32
+		pairs  int
+		more   bool
+	}{
+		{0, 63, 0, 64, false},
+		{10, 40, 8, 8, true},
+		{10, 17, 8, 8, false},
+		{500, 600, 0, 0, false},
+	} {
+		var kvs []shardedkv.Pair
+		for k := c.lo; k <= c.hi && len(kvs) < c.pairs; k++ {
+			kvs = append(kvs, shardedkv.Pair{Key: k, Value: []byte("value")})
+		}
+		want, err := AppendRangeResponse([]byte("prefix"), 9, kvs, c.more)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{ID: 9, Op: OpRange, Class: ClassBulk, Lo: c.lo, Hi: c.hi, Limit: c.limit}
+		got, pairs, err := s.appendRange(w, &req, []byte("prefix"))
+		if err != nil || pairs != c.pairs || !bytes.Equal(got, want) {
+			t.Errorf("Range [%d,%d] limit %d: %d pairs, err %v, frame differs: %v", c.lo, c.hi, c.limit, pairs, err, !bytes.Equal(got, want))
+		}
+	}
+}
+
+// TestAppendRangeStopsAtMaxFrame: values sized so the scan crosses
+// MaxFrame mid-way. The callback must stop before the pair that would
+// pass the limit — the frame under construction never exceeds MaxFrame —
+// and hand back out as it was given, with the error execute turns into
+// StatusErrTooLarge.
+func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
+	val := make([]byte, MaxValueLen)
+	const keys = MaxFrame/MaxValueLen + 1
+	s, w, sc := newExecFixture(t, keys, val)
+	fits := (MaxFrame - headerLen - 4) / (12 + MaxValueLen)
+
+	req := Request{ID: 4, Op: OpRange, Class: ClassBulk, Lo: 0, Hi: keys}
+	out, pairs, err := s.appendRange(w, &req, []byte("prefix"))
+	if err == nil || string(out) != "prefix" || pairs != fits {
+		t.Fatalf("over-large scan: %d pairs (want %d), out reset to %d bytes, err %v", pairs, fits, len(out), err)
+	}
+	if c := cap(out); c > MaxFrame+MaxFrame/4+MaxValueLen {
+		t.Fatalf("buffer grew to %d bytes building a frame that may not pass %d", c, MaxFrame)
+	}
+
+	out, err = s.execute(w, sc, &req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(out[4:])
+	if err != nil || resp.Status != StatusErrTooLarge || resp.ID != 4 || binary.BigEndian.Uint32(out) != uint32(len(out)-4) {
+		t.Fatalf("over-large scan answered %+v, %v", resp, err)
+	}
+	if got := s.errs[core.Little].Load(); got != 1 {
+		t.Fatalf("bulk error responses = %d, want 1", got)
+	}
+
+	// The same scan under a limit that fits is served whole.
+	req.Limit = uint32(fits)
+	out, err = s.execute(w, sc, &req, out[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _ = DecodeResponse(out[4:])
+	kvs, err := DecodeRangePayload(resp.Payload)
+	if err != nil || resp.Status != StatusOK || resp.Flags&FlagMore == 0 || len(kvs) != fits || len(out)-4 > MaxFrame {
+		t.Fatalf("limited scan: status %d, flags %d, %d pairs, frame %d bytes, %v", resp.Status, resp.Flags, len(kvs), len(out)-4, err)
+	}
+}

@@ -107,6 +107,31 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 	}
 }
 
+// TestDocsCarryBufferOwnershipTable pins the buffer-ownership table in
+// both documents that state it: who owns the request frame, the
+// response frame and a stored value, and what aliases each. The codec's
+// no-copy decoders are only safe under exactly these rules.
+func TestDocsCarryBufferOwnershipTable(t *testing.T) {
+	for _, rel := range []string{"docs/protocol.md", "ARCHITECTURE.md"} {
+		doc := repoFile(t, rel)
+		for _, want := range []string{
+			"| buffer | owner | rule |",
+			"| request frame | connection-owned, reused |",
+			"values are copied before the store retains them",
+			"| response frame | caller-owned |",
+			"decoded values alias it",
+			"retaining one value retains the frame",
+			"| store values | immutable once stored |",
+			"aliased by scans after the lock drops",
+			"MaxFrame",
+		} {
+			if !strings.Contains(doc, want) {
+				t.Errorf("%s: buffer-ownership table lacks %q", rel, want)
+			}
+		}
+	}
+}
+
 // TestProtocolDocCoversSyncPolicy pins the durable-server semantics
 // the spec promises: the per-class sync policy section and the
 // OpFlush durability-barrier note.

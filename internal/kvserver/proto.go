@@ -170,11 +170,15 @@ func (r *rd) u64() (uint64, error) {
 	return v, nil
 }
 
+// bytes returns the next n bytes as a slice of the frame with its
+// capacity clipped to its length: every decoded value aliases the frame,
+// and an append through one must reallocate rather than overwrite the
+// bytes that follow it.
 func (r *rd) bytes(n int) ([]byte, error) {
 	if n < 0 || r.remain() < n {
 		return nil, wireErr("truncated frame: want %d bytes at %d, len %d", n, r.off, len(r.b))
 	}
-	b := r.b[r.off : r.off+n]
+	b := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b, nil
 }
@@ -510,9 +514,14 @@ func DecodeResponse(frame []byte) (Response, error) {
 }
 
 // Payload decoders (client side). Each consumes a StatusOK payload of
-// the corresponding op; results are copied out of the frame buffer.
+// the corresponding op. Decoded values are NOT copied: they alias p
+// (capacity clipped to length), so they live exactly as long as the
+// frame does and retaining one value retains the whole frame. kvclient
+// reads every response into a buffer of its own that passes to the
+// completed call, so its callers may keep what they get; a caller that
+// decodes out of a buffer it reuses must copy what it keeps.
 
-// DecodeGetPayload returns (value, found).
+// DecodeGetPayload returns (value, found); value aliases p.
 func DecodeGetPayload(p []byte) ([]byte, bool, error) {
 	r := &rd{b: p}
 	f, err := r.u8()
@@ -529,7 +538,7 @@ func DecodeGetPayload(p []byte) ([]byte, bool, error) {
 	if f == 0 {
 		return nil, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	return v, true, nil
 }
 
 // DecodeBoolPayload returns the single result byte.
@@ -545,7 +554,8 @@ func DecodeBoolPayload(p []byte) (bool, error) {
 	return b != 0, nil
 }
 
-// DecodeMultiGetPayload returns per-key values and presence.
+// DecodeMultiGetPayload returns per-key values and presence; the values
+// alias p.
 func DecodeMultiGetPayload(p []byte) ([][]byte, []bool, error) {
 	r := &rd{b: p}
 	n, err := r.u32()
@@ -572,7 +582,7 @@ func DecodeMultiGetPayload(p []byte) ([][]byte, []bool, error) {
 		}
 		if f != 0 {
 			found[i] = true
-			vals[i] = append([]byte(nil), v...)
+			vals[i] = v
 		}
 	}
 	if err := r.done(); err != nil {
@@ -594,7 +604,7 @@ func DecodeMultiPutPayload(p []byte) (int, error) {
 	return int(n), nil
 }
 
-// DecodeRangePayload returns the pairs (copied out of the frame).
+// DecodeRangePayload returns the pairs; their values alias p.
 func DecodeRangePayload(p []byte) ([]shardedkv.Pair, error) {
 	r := &rd{b: p}
 	n, err := r.u32()
@@ -613,11 +623,9 @@ func DecodeRangePayload(p []byte) ([]shardedkv.Pair, error) {
 		if kvs[i].Key, err = r.u64(); err != nil {
 			return nil, err
 		}
-		v, err := r.value()
-		if err != nil {
+		if kvs[i].Value, err = r.value(); err != nil {
 			return nil, err
 		}
-		kvs[i].Value = append([]byte(nil), v...)
 	}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -22,6 +22,30 @@ func readBack(t *testing.T, wire []byte) []byte {
 	return frame
 }
 
+// assertAliases fails unless v is a view of frame whose capacity is
+// clipped to its length: the decoders hand out the frame's own bytes
+// (flipping the frame flips v), and an append through v reallocates
+// instead of overwriting the pair that follows it.
+func assertAliases(t *testing.T, what string, frame, v []byte) {
+	t.Helper()
+	if cap(v) != len(v) {
+		t.Fatalf("%s: decoded value has len %d, cap %d: an append would write into the frame", what, len(v), cap(v))
+	}
+	before := bytes.Clone(v)
+	flip := func() {
+		for i := range frame {
+			frame[i] ^= 0xff
+		}
+	}
+	flip()
+	for i := range v {
+		if v[i] != before[i]^0xff {
+			t.Fatalf("%s: decoded value does not lie inside the frame it was decoded from", what)
+		}
+	}
+	flip()
+}
+
 // TestRequestRoundTrip encodes one request of every opcode, reads it
 // back through the framing layer, decodes it, and compares.
 func TestRequestRoundTrip(t *testing.T) {
@@ -43,9 +67,14 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op 0x%02x: AppendRequest: %v", want.Op, err)
 		}
-		got, err := DecodeRequest(readBack(t, wire))
+		frame := readBack(t, wire)
+		got, err := DecodeRequest(frame)
 		if err != nil {
 			t.Fatalf("op 0x%02x: DecodeRequest: %v", want.Op, err)
+		}
+		assertAliases(t, "request value", frame, got.Value)
+		for _, kv := range got.KVs {
+			assertAliases(t, "request batch value", frame, kv.Value)
 		}
 		// Empty and nil slices compare equal on the wire.
 		normalize := func(r *Request) {
@@ -94,6 +123,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !found || string(v) != "v" {
 		t.Fatalf("get payload: %q %v", v, found)
 	}
+	assertAliases(t, "get value", resp.Payload, v)
 
 	wire, err = AppendGetResponse(nil, 2, nil, false)
 	check(err)
@@ -119,6 +149,10 @@ func TestResponseRoundTrip(t *testing.T) {
 	if len(vals) != 2 || !founds[0] || founds[1] || string(vals[0]) != "a" {
 		t.Fatalf("multiget payload: %v %v", vals, founds)
 	}
+	assertAliases(t, "multiget value", resp.Payload, vals[0])
+	if vals[1] != nil {
+		t.Fatalf("missing key decoded to a value: %q", vals[1])
+	}
 
 	wire, err = AppendMultiPutResponse(nil, 5, 17)
 	check(err)
@@ -140,6 +174,15 @@ func TestResponseRoundTrip(t *testing.T) {
 	check(err)
 	if !reflect.DeepEqual(kvs, got) {
 		t.Fatalf("range payload: %v", got)
+	}
+	for _, kv := range got {
+		assertAliases(t, "range value", resp.Payload, kv.Value)
+	}
+	// The contract's point: growing one decoded value leaves its
+	// neighbour in the frame alone.
+	_ = append(got[0].Value, "overrun"...)
+	if string(got[1].Value) != "y" || got[1].Key != 2 {
+		t.Fatalf("append through pair 0 reached pair 1: %v", got[1])
 	}
 
 	wire, err = AppendErrorResponse(nil, 7, StatusErrAdmission, "busy")
@@ -222,12 +265,17 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		frame = bytes.Clone(frame) // assertAliases writes to it; the engine's bytes are read-only
 		req, err := DecodeRequest(frame)
 		if err != nil {
 			return
 		}
 		if _, err := AppendRequest(nil, &req); err != nil {
 			t.Fatalf("decoded request fails to re-encode: %v (%+v)", err, req)
+		}
+		assertAliases(t, "request value", frame, req.Value)
+		for _, kv := range req.KVs {
+			assertAliases(t, "request batch value", frame, kv.Value)
 		}
 	})
 }
@@ -236,17 +284,30 @@ func FuzzDecodeRequest(f *testing.F) {
 // over arbitrary bytes: errors allowed, panics not.
 func FuzzDecodeResponsePayloads(f *testing.F) {
 	okGet, _ := AppendGetResponse(nil, 1, []byte("v"), true)
-	okRange, _ := AppendRangeResponse(nil, 2, []shardedkv.Pair{{Key: 9, Value: []byte("z")}}, false)
+	okRange, _ := AppendRangeResponse(nil, 2, []shardedkv.Pair{{Key: 9, Value: []byte("z")}, {Key: 10, Value: []byte("zz")}}, false)
+	okMulti, _ := AppendMultiGetResponse(nil, 3, [][]byte{[]byte("a"), nil, []byte("bc")}, []bool{true, false, true})
 	f.Add(okGet[14:])   // strip prefix+header: payload bytes
 	f.Add(okRange[14:]) //
+	f.Add(okMulti[14:]) //
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 32))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		_, _, _ = DecodeGetPayload(p)
+		p = bytes.Clone(p) // assertAliases writes to it; the engine's bytes are read-only
+		if v, _, err := DecodeGetPayload(p); err == nil {
+			assertAliases(t, "get value", p, v)
+		}
 		_, _ = DecodeBoolPayload(p)
-		_, _, _ = DecodeMultiGetPayload(p)
+		if vals, _, err := DecodeMultiGetPayload(p); err == nil {
+			for _, v := range vals {
+				assertAliases(t, "multiget value", p, v)
+			}
+		}
 		_, _ = DecodeMultiPutPayload(p)
-		_, _ = DecodeRangePayload(p)
+		if kvs, err := DecodeRangePayload(p); err == nil {
+			for _, kv := range kvs {
+				assertAliases(t, "range value", p, kv.Value)
+			}
+		}
 		if _, err := DecodeResponse(p); err == nil && len(p) < 10 {
 			t.Fatal("short frame decoded as response")
 		}

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -362,26 +363,9 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 			out, encErr = AppendMultiPutResponse(out, req.ID, inserted)
 		}
 	case OpRange:
-		limit := int(req.Limit)
-		if limit <= 0 || limit > MaxRangePairs {
-			limit = MaxRangePairs
-		}
-		kvs := make([]shardedkv.Pair, 0, min(limit, 64))
-		more := false
-		collect := func(k uint64, v []byte) bool {
-			if len(kvs) == limit {
-				more = true
-				return false
-			}
-			kvs = append(kvs, shardedkv.Pair{Key: k, Value: v})
-			return true
-		}
-		s.kv.Range(w, req.Lo, req.Hi, collect)
-		if more {
-			s.truncates.Add(1)
-		}
-		ops = uint64(max(len(kvs), 1))
-		out, encErr = AppendRangeResponse(out, req.ID, kvs, more)
+		var pairs int
+		out, pairs, encErr = s.appendRange(w, req, out)
+		ops = uint64(max(pairs, 1))
 	case OpFlush:
 		// KV.Flush is the write AND durability barrier: on the async
 		// front end it drains the rings first; on either front end it
@@ -423,6 +407,68 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 	}
 	sc.record(lc, lat, ops)
 	return out, nil
+}
+
+// rangeFrame is one Range response under construction: the store's
+// emission is appended to out pair by pair, and the pair count and the
+// More flag are backfilled once the scan ends.
+type rangeFrame struct {
+	out      []byte
+	start    int // offset of the frame's length prefix in out
+	pairs    int
+	limit    int
+	more     bool // a pair past limit exists
+	tooLarge bool // the next pair would carry the frame past MaxFrame
+}
+
+// add appends one pair as key u64 | vlen u32 | v. It stops the scan at
+// the pair limit, and BEFORE the pair that would take the frame past
+// MaxFrame, so an over-large scan never grows the connection's buffer
+// beyond the limit it is about to be refused for.
+func (f *rangeFrame) add(k uint64, v []byte) bool {
+	if f.pairs == f.limit {
+		f.more = true
+		return false
+	}
+	if len(f.out)-f.start-4+12+len(v) > MaxFrame {
+		f.tooLarge = true
+		return false
+	}
+	f.out = binary.BigEndian.AppendUint64(f.out, k)
+	f.out = appendValue(f.out, v)
+	f.pairs++
+	return true
+}
+
+// appendRange executes a Range and streams the emission into the
+// response frame: n u32 | n × (key u64 | vlen u32 | v), as
+// AppendRangeResponse lays it out, with no []Pair staged in between. The
+// store calls add only after every shard lock is released, so the value
+// copies are not lock hold time. It is a method of its own so that the
+// callback's captured state stays out of execute: a closure over
+// execute's out would move that variable to the heap on every request,
+// point ops included. A scan whose encoding would exceed MaxFrame
+// returns out as it was given, plus the error execute answers with
+// StatusErrTooLarge.
+func (s *Server) appendRange(w *core.Worker, req *Request, out []byte) ([]byte, int, error) {
+	f := rangeFrame{limit: int(req.Limit)}
+	if f.limit <= 0 || f.limit > MaxRangePairs {
+		f.limit = MaxRangePairs
+	}
+	f.out, f.start = beginFrame(out, req.ID, StatusOK, 0)
+	count := len(f.out)
+	f.out = append(f.out, 0, 0, 0, 0)
+	s.kv.Range(w, req.Lo, req.Hi, f.add)
+	if f.tooLarge {
+		return f.out[:f.start], f.pairs, wireErr("range response exceeds MaxFrame %d after %d pairs", MaxFrame, f.pairs)
+	}
+	if f.more {
+		s.truncates.Add(1)
+		f.out[f.start+4+headerLen-1] |= FlagMore
+	}
+	binary.BigEndian.PutUint32(f.out[count:], uint32(f.pairs))
+	res, err := endFrame(f.out, f.start)
+	return res, f.pairs, err
 }
 
 // ClassServerStats is one SLO class's server-side view.

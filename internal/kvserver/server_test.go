@@ -3,6 +3,7 @@
 package kvserver_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -491,5 +492,38 @@ func TestBadHandshakeAndOversizeFrame(t *testing.T) {
 	v, found, err := cl.Get(kvserver.ClassBulk, 2)
 	if err != nil || !found || len(v) != kvserver.MaxValueLen {
 		t.Fatalf("max-size value round trip: len=%d found=%v err=%v", len(v), found, err)
+	}
+}
+
+// TestOversizeRangeOverWire: a scan whose encoding would pass MaxFrame
+// is refused in-stream with StatusErrTooLarge — on the plain store and
+// through the pipeline — and the connection goes on serving, the same
+// scan under a limit that fits included.
+func TestOversizeRangeOverWire(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipeline=%v", pipelined), func(t *testing.T) {
+			_, addr := startServer(t, shardedkv.Config{Shards: 2}, func(cfg *kvserver.Config) {
+				if pipelined {
+					cfg.Async = shardedkv.NewAsync(cfg.Store, shardedkv.AsyncConfig{})
+				}
+			})
+			cl := dial(t, addr)
+			big := make([]byte, kvserver.MaxValueLen)
+			const keys = kvserver.MaxFrame/kvserver.MaxValueLen + 1
+			for k := uint64(0); k < keys; k++ {
+				if _, err := cl.Put(kvserver.ClassBulk, k, big); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := cl.Range(kvserver.ClassBulk, 0, keys, 0)
+			var se *kvclient.StatusError
+			if !errors.As(err, &se) || se.Status != kvserver.StatusErrTooLarge {
+				t.Fatalf("over-large scan: %v, want StatusErrTooLarge", err)
+			}
+			kvs, more, err := cl.Range(kvserver.ClassBulk, 0, keys, 8)
+			if err != nil || !more || len(kvs) != 8 || len(kvs[7].Value) != kvserver.MaxValueLen {
+				t.Fatalf("limited scan after the refusal: %d pairs, more=%v, err=%v", len(kvs), more, err)
+			}
+		})
 	}
 }

@@ -646,7 +646,7 @@ func (a *AsyncStore) execRangeMulti(w *core.Worker, work []*shard, r *request) {
 		for j, parts := range per {
 			lists[j] = parts[i]
 		}
-		r.parts[i] = mergeKV(lists)
+		r.parts[i] = mergedPairs(lists)
 	}
 }
 
@@ -1045,14 +1045,13 @@ func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 }
 
 // collectRanges pushes one opRange request per live shard (each
-// carrying the whole span set), awaits them all, and merges the
-// per-shard slices per request. out[i] is reqs[i]'s result in
-// ascending key order. The view matches Store.MultiRange: per-shard
-// consistent, all spans seeing each shard at the same instant. A shard
-// that splits mid-flight serves its request from the live children
-// (see execForwarded), so the union still covers the key space exactly
-// once.
-func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][]Pair {
+// carrying the whole span set) and awaits them all. runs[i] holds
+// reqs[i]'s per-shard slices, each in ascending key order, ready for
+// mergeRuns. The view matches Store.MultiRange: per-shard consistent,
+// all spans seeing each shard at the same instant. A shard that splits
+// mid-flight serves its request from the live children (see
+// execForwarded), so the union still covers the key space exactly once.
+func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][][]Pair {
 	m := a.st.smap.Load()
 	rs := make([]*request, len(m.shards))
 	qs := make([]*pipeShard, len(m.shards))
@@ -1064,49 +1063,45 @@ func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][]Pair {
 		qs[si] = sh.pipe.Load()
 		a.submit(w, qs[si], r)
 	}
-	parts := make([][][]Pair, len(reqs)) // parts[request][shard]
-	for ri := range parts {
-		parts[ri] = make([][]Pair, len(rs))
+	runs := make([][][]Pair, len(reqs))
+	for ri := range runs {
+		runs[ri] = make([][]Pair, len(rs))
 	}
 	for si, r := range rs {
 		if !r.isDone() {
 			a.await(w, qs[si], r)
 		}
 		for ri := range reqs {
-			parts[ri][si] = r.parts[ri]
+			runs[ri][si] = r.parts[ri]
 		}
 		a.putReq(r)
 	}
-	out := make([][]Pair, len(reqs))
-	for ri := range reqs {
-		out[ri] = mergeKV(parts[ri])
-	}
-	return out
+	return runs
 }
 
 // Range calls fn for every key in [lo, hi] in ascending key order.
 // Collection runs through the pipeline (one combiner-executed request
 // per shard, so shards are collected in parallel when combiners are
-// active); fn runs in the CALLER, strictly after every shard lock has
-// been released — a combiner never executes user callbacks.
+// active); the per-shard runs merge straight into fn, which runs in the
+// CALLER, strictly after every shard lock has been released — a
+// combiner never executes user callbacks.
 func (a *AsyncStore) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	a.checkOpen()
-	res := a.collectRanges(w, []RangeReq{{Lo: lo, Hi: hi}})
-	for _, kv := range res[0] {
-		if !fn(kv.Key, kv.Value) {
-			return
-		}
-	}
+	mergeRuns(a.collectRanges(w, []RangeReq{{Lo: lo, Hi: hi}})[0], fn)
 }
 
 // MultiRange executes all range requests through the pipeline; out[i]
 // is request i's result in ascending key order.
 func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 	a.checkOpen()
+	out := make([][]Pair, len(reqs))
 	if len(reqs) == 0 {
-		return make([][]Pair, 0)
+		return out
 	}
-	return a.collectRanges(w, reqs)
+	for ri, runs := range a.collectRanges(w, reqs) {
+		out[ri] = mergedPairs(runs)
+	}
+	return out
 }
 
 // Flush blocks until every request enqueued before the call has

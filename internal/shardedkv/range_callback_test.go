@@ -45,6 +45,115 @@ func TestStoreRangeCallbackLockFree(t *testing.T) {
 	}
 }
 
+// rangers builds the two front ends of one store; the scan contract
+// below holds on both.
+func rangers(spec EngineSpec) map[string]KV {
+	st := New(Config{Shards: 4, NewEngine: spec.New})
+	ast := New(Config{Shards: 4, NewEngine: spec.New})
+	return map[string]KV{"store": st, "async": NewAsync(ast, AsyncConfig{})}
+}
+
+// TestRangeReentryEarlyStopEmptySpan pins the scan scratch's contract on
+// Store and AsyncStore: a callback that re-enters Range while the outer
+// scan's buffer is checked out must neither see nor disturb it (a nested
+// scan sharing the buffer would overwrite the pairs the outer merge has
+// yet to emit), false from fn ends the emission at once and leaves the
+// next scan whole, and an empty span calls fn not at all.
+func TestRangeReentryEarlyStopEmptySpan(t *testing.T) {
+	for _, spec := range AllEngines() {
+		for name, kv := range rangers(spec) {
+			t.Run(spec.Name+"/"+name, func(t *testing.T) {
+				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+				for k := uint64(0); k < 256; k++ {
+					if _, err := kv.Put(w, k, stressValue(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan := func(lo, hi uint64, each func(k uint64)) (n int) {
+					next := lo
+					kv.Range(w, lo, hi, func(k uint64, v []byte) bool {
+						if k != next {
+							t.Fatalf("scan [%d,%d]: got key %d, want %d", lo, hi, k, next)
+						}
+						checkStressValue(t, k, v)
+						next++
+						n++
+						if each != nil {
+							each(k)
+						}
+						return true
+					})
+					return n
+				}
+				// Every outer pair runs a nested scan of a different,
+				// larger span (and one of those nests a third).
+				nested := 0
+				outer := scan(0, 63, func(k uint64) {
+					nested += scan(64+k, 255, func(k2 uint64) {
+						if k == 7 && k2 == 100 {
+							nested += scan(0, 31, nil)
+						}
+					})
+				})
+				want := 32
+				for k := 0; k < 64; k++ {
+					want += 256 - (64 + k)
+				}
+				if outer != 64 || nested != want {
+					t.Fatalf("outer %d pairs (want 64), nested %d (want %d)", outer, nested, want)
+				}
+
+				seen := 0
+				kv.Range(w, 0, 255, func(k uint64, v []byte) bool {
+					seen++
+					return seen < 5
+				})
+				if seen != 5 {
+					t.Fatalf("fn returned false on its 5th pair and was called %d times", seen)
+				}
+				if n := scan(0, 255, nil); n != 256 {
+					t.Fatalf("scan after an early stop saw %d pairs, want 256", n)
+				}
+
+				kv.Range(w, 1_000, 2_000, func(uint64, []byte) bool {
+					t.Fatal("fn called for an empty span")
+					return false
+				})
+				if n := scan(100, 100, nil); n != 1 {
+					t.Fatalf("single-key span saw %d pairs", n)
+				}
+			})
+		}
+	}
+}
+
+// TestScanScratchReleasePinsNothing: a pooled scratch holds no value
+// reference, and one grown past the retained bound is dropped.
+func TestScanScratchReleasePinsNothing(t *testing.T) {
+	sc := new(scanScratch)
+	for k := uint64(0); k < 100; k++ {
+		sc.pairs = append(sc.pairs, Pair{Key: k, Value: stressValue(k)})
+	}
+	sc.ends = append(sc.ends, 60, 100)
+	sc.runs = append(sc.runs, sc.pairs[:60], sc.pairs[60:])
+	sc.release()
+	if len(sc.pairs) != 0 || len(sc.ends) != 0 || len(sc.runs) != 0 {
+		t.Fatalf("released scratch not reset: %d pairs, %d ends, %d runs", len(sc.pairs), len(sc.ends), len(sc.runs))
+	}
+	for i, p := range sc.pairs[:100] {
+		if p.Value != nil {
+			t.Fatalf("released scratch still references the value of pair %d", i)
+		}
+	}
+
+	big := &scanScratch{pairs: make([]Pair, scanScratchMaxPairs+1)}
+	big.pairs[0].Value = stressValue(1)
+	big.release()
+	if big.pairs[0].Value == nil {
+		t.Fatal("a scratch past the retained bound was reset for reuse instead of dropped")
+	}
+}
+
 // TestStoreMultiRangeReleasesLocks runs MultiRange (batchRanger path
 // on hashkv, fallback path elsewhere) and immediately re-enters the
 // store, proving no shard lock leaks out of the call.

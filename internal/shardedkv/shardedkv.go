@@ -481,30 +481,62 @@ func (s *Store) Len(w *core.Worker) int {
 // Keys are hash-distributed, so each shard holds an interleaved slice
 // of the range; Range visits one shard at a time — each shard lock
 // taken exactly once, held only while that shard's slice is collected
-// — then merges the per-shard results in key order before emitting.
-// The view is per-shard consistent, not globally atomic: a writer may
-// land on an unvisited shard mid-scan, the usual contract for sharded
-// scans. fn returning false stops the emission (the collection cost is
-// already paid).
+// into a pooled scratch — then merges the per-shard runs in key order
+// straight into fn, strictly after the last lock is released. The view
+// is per-shard consistent, not globally atomic: a writer may land on an
+// unvisited shard mid-scan, the usual contract for sharded scans. fn
+// returning false stops the emission (the collection cost is already
+// paid). fn may re-enter the store, Range included: a nested scan
+// checks out a scratch of its own.
 func (s *Store) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
-	var lists [][]Pair
+	sc := scanPool.Get().(*scanScratch)
+	collect := func(k uint64, v []byte) bool {
+		sc.pairs = append(sc.pairs, Pair{Key: k, Value: v})
+		return true
+	}
 	s.forEachLive(w, func(sh *shard) {
-		var l []Pair
-		sh.eng.Range(lo, hi, func(k uint64, v []byte) bool {
-			l = append(l, Pair{Key: k, Value: v})
-			return true
-		})
+		sh.eng.Range(lo, hi, collect)
 		s.pad(w)
 		sh.scans.Add(1)
-		if len(l) > 0 {
-			lists = append(lists, l)
-		}
+		sc.ends = append(sc.ends, len(sc.pairs))
 	})
-	for _, kv := range mergeKV(lists) {
-		if !fn(kv.Key, kv.Value) {
-			return
-		}
+	from := 0
+	for _, end := range sc.ends {
+		sc.runs = append(sc.runs, sc.pairs[from:end])
+		from = end
 	}
+	mergeRuns(sc.runs, fn)
+	sc.release()
+}
+
+// scanScratch is one Range's collection buffer. Every visited shard
+// appends its run to pairs (ends[i] is where run i stops), so in steady
+// state a scan allocates nothing and no append regrows while a shard
+// lock is held: the buffer a previous scan grew is the one the next
+// scan fills.
+type scanScratch struct {
+	pairs []Pair
+	ends  []int
+	runs  [][]Pair // pairs cut at ends: mergeRuns' input
+}
+
+// scanScratchMaxPairs bounds the buffer the pool keeps (256 KiB of
+// Pairs): one huge scan must not pin its high-water mark for the life
+// of the process.
+const scanScratchMaxPairs = 8192
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// release returns sc to the pool with every Pair zeroed — a pooled
+// scratch must not keep stored values reachable — or drops it when it
+// grew past the retained bound.
+func (sc *scanScratch) release() {
+	if cap(sc.pairs) > scanScratchMaxPairs {
+		return
+	}
+	clear(sc.pairs)
+	sc.pairs, sc.ends, sc.runs = sc.pairs[:0], sc.ends[:0], sc.runs[:0]
+	scanPool.Put(sc)
 }
 
 // RangeReq is one [Lo, Hi] scan of a batched MultiRange.
@@ -574,34 +606,65 @@ func (s *Store) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 		for si, parts := range perShard {
 			lists[si] = parts[ri]
 		}
-		out[ri] = mergeKV(lists)
+		out[ri] = mergedPairs(lists)
 	}
 	return out
 }
 
-// mergeKV merges per-shard sorted KV lists into one ascending list.
+// mergeRuns emits the ascending merge of the sorted runs to fn until fn
+// returns false — the one merge behind every scan, so no caller
+// materialises a merged slice it does not have to return. Equal keys
+// (runs of one store never share one) emit in run order. It consumes
+// runs: the slice is compacted and its elements advanced in place.
 // Shard counts are small, so a select-the-min pass beats heap
 // bookkeeping.
-func mergeKV(lists [][]Pair) []Pair {
+func mergeRuns(runs [][]Pair, fn func(k uint64, v []byte) bool) {
+	live := runs[:0]
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+		}
+	}
+	for len(live) > 1 {
+		best := 0
+		for i := 1; i < len(live); i++ {
+			if live[i][0].Key < live[best][0].Key {
+				best = i
+			}
+		}
+		p := live[best][0]
+		if !fn(p.Key, p.Value) {
+			return
+		}
+		if live[best] = live[best][1:]; len(live[best]) == 0 {
+			live = append(live[:best], live[best+1:]...)
+		}
+	}
+	if len(live) == 1 {
+		for _, p := range live[0] {
+			if !fn(p.Key, p.Value) {
+				return
+			}
+		}
+	}
+}
+
+// mergedPairs is mergeRuns into one exactly-sized slice, for the
+// callers that must return a []Pair (MultiRange, a split-forwarded
+// pipeline scan). nil when the runs are empty.
+func mergedPairs(runs [][]Pair) []Pair {
 	total := 0
-	for _, l := range lists {
-		total += len(l)
+	for _, r := range runs {
+		total += len(r)
 	}
 	if total == 0 {
 		return nil
 	}
 	out := make([]Pair, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if idx[i] < len(l) && (best < 0 || l[idx[i]].Key < lists[best][idx[best]].Key) {
-				best = i
-			}
-		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
-	}
+	mergeRuns(runs, func(k uint64, v []byte) bool {
+		out = append(out, Pair{Key: k, Value: v})
+		return true
+	})
 	return out
 }
 
