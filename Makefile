@@ -38,9 +38,9 @@ RACE_PKGS = . \
 # no-op when nothing changed).
 REPOLINT = bin/repolint
 
-.PHONY: check build vet lint lint-test fmt-check test short race ci bench bench-json bench-check microbench net-smoke wal-smoke soak FORCE
+.PHONY: check build vet lint lint-test fmt-check sh-check test short race ci bench bench-json bench-check bench-pairs microbench net-smoke wal-smoke soak FORCE
 
-check: vet lint lint-test fmt-check build test
+check: vet lint lint-test fmt-check sh-check build test
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,10 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# sh-check parses every script under scripts/ without running it.
+sh-check:
+	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -170,6 +174,17 @@ soak:
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test -race . && $(GO) build -o /dev/null .
 
+# bench-pairs is the before/after procedure of a performance PR:
+# `make bench-pairs W=batch-large N=10` runs the benchmark on the parent
+# commit (checked out into a temporary git worktree) and on this
+# checkout for N seeds, alternating which goes first, one run at a time,
+# and prints q1/median/q3, delta of medians, pairs won and failed
+# requests per end-to-end metric (scripts/bench-pairs.sh has the
+# knobs). About 75 s per pair on a quiet host, so it is not part of ci.
+bench-pairs:
+	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10]"; exit 2; }
+	bash scripts/bench-pairs.sh $(W) $(or $(N),10)
+
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
 # short smoke paths, the nested benchmark module's build and tests, and
 # the network smoke. wal-smoke and soak are separate non-gating jobs in
@@ -178,8 +193,10 @@ ci: check race short bench-check net-smoke
 
 # microbench runs the layer microbenchmarks (ROADMAP 1c) with
 # allocations reported: the wire codec and a served scan in
-# internal/kvserver, the store's scan and batch paths in
-# internal/shardedkv. MICRO_COUNT repeats each row for benchstat.
+# internal/kvserver; the store's scan and batch paths, the pipeline's
+# batch paths per caller class, the request ring and the future's
+# park/complete handoff in internal/shardedkv. MICRO_COUNT repeats each
+# row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
 		./internal/kvserver ./internal/shardedkv

@@ -364,3 +364,52 @@ func TestRequestTimeoutAllocatesNoTimer(t *testing.T) {
 		t.Fatalf("a round trip with a RequestTimeout allocates %.1f, without %.1f: the timer is not reused", timed, untimed)
 	}
 }
+
+// TestWriteBufferDropsHighWaterMark: the encode buffer is reused from
+// one request to the next, but one oversized request must not pin its
+// size on the client for life.
+func TestWriteBufferDropsHighWaterMark(t *testing.T) {
+	fs := newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
+		if req.Op == kvserver.OpMultiPut {
+			out, err := kvserver.AppendMultiPutResponse(nil, req.ID, len(req.KVs))
+			if err != nil {
+				panic(err)
+			}
+			return out, false
+		}
+		return okBool(req.ID), false
+	})
+	c, err := Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wbufCap := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return cap(c.wbuf)
+	}
+	if _, err := c.Put(kvserver.ClassBulk, 1, make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	steady := wbufCap()
+	if steady < 64<<10 {
+		t.Fatalf("a 64 KiB request left a %d-byte encode buffer: steady traffic would reallocate per request", steady)
+	}
+	kvs := make([]shardedkv.Pair, 5)
+	for i := range kvs {
+		kvs[i] = shardedkv.Pair{Key: uint64(i), Value: make([]byte, kvserver.MaxValueLen)}
+	}
+	if _, err := c.MultiPut(kvserver.ClassBulk, kvs); err != nil {
+		t.Fatal(err)
+	}
+	if got := wbufCap(); got > 4<<20 {
+		t.Fatalf("a 5 MiB request left a %d-byte encode buffer on the client", got)
+	}
+	if _, err := c.Put(kvserver.ClassBulk, 1, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if got := wbufCap(); got > 4<<20 {
+		t.Fatalf("encode buffer is %d bytes after a small request", got)
+	}
+}

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -189,4 +190,115 @@ func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
 	if err != nil || resp.Status != StatusOK || resp.Flags&FlagMore == 0 || len(kvs) != fits || len(out)-4 > MaxFrame {
 		t.Fatalf("limited scan: status %d, flags %d, %d pairs, frame %d bytes, %v", resp.Status, resp.Flags, len(kvs), len(out)-4, err)
 	}
+}
+
+// TestAppendMultiGetBoundedBeforeBuilt: values that sum past MaxFrame
+// are refused before a byte of them is copied — dst comes back as it
+// went in, backing array included.
+func TestAppendMultiGetBoundedBeforeBuilt(t *testing.T) {
+	val := make([]byte, MaxValueLen)
+	const n = MaxFrame/MaxValueLen + 1
+	vals, found := make([][]byte, n), make([]bool, n)
+	for i := range vals {
+		vals[i], found[i] = val, true
+	}
+	dst := append(make([]byte, 0, 64), "prefix"...)
+	out, err := AppendMultiGetResponse(dst, 9, vals, found)
+	if err == nil || string(out) != "prefix" || &out[0] != &dst[0] || cap(out) != cap(dst) {
+		t.Fatalf("over-large MultiGet response: err %v, out %q with capacity %d; want dst untouched", err, out, cap(out))
+	}
+	// Absent keys carry no value: the same count fits when none is found.
+	clear(found)
+	if out, err = AppendMultiGetResponse(dst, 9, vals, found); err != nil || len(out) != len(dst)+4+headerLen+4+5*n {
+		t.Fatalf("all-absent MultiGet response: %d bytes, %v", len(out), err)
+	}
+	// One value under the limit still encodes.
+	found[0] = true
+	if out, err = AppendMultiGetResponse(nil, 9, vals[:MaxFrame/MaxValueLen-1], found[:MaxFrame/MaxValueLen-1]); err != nil {
+		t.Fatalf("MultiGet response under MaxFrame refused: %v", err)
+	}
+	if got, err := DecodeResponse(out[4:]); err != nil || got.ID != 9 {
+		t.Fatalf("decode: %+v, %v", got, err)
+	}
+}
+
+// serveFrames feeds reqs to serveOne one at a time through in-memory
+// buffers and hands each response frame, with the connection state as
+// the request left it, to check.
+func serveFrames(t *testing.T, s *Server, w *core.Worker, sc *serverConn, reqs []Request, check func(i int, resp Response)) {
+	t.Helper()
+	var in, out bytes.Buffer
+	br, bw := bufio.NewReaderSize(&in, requestReadBuf), bufio.NewWriter(&out)
+	for i := range reqs {
+		wire, err := AppendRequest(nil, &reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(wire)
+		if !s.serveOne(w, sc, br, bw) {
+			t.Fatalf("request %d dropped the connection", i)
+		}
+		bw.Flush()
+		resp, err := DecodeResponse(out.Bytes()[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(i, resp)
+		out.Reset()
+	}
+}
+
+// TestConnBuffersDropHighWaterMark: one oversized request must not pin
+// its frame and response buffers on the connection — after it, and
+// after the small request that follows, both are back under the
+// retained bound — while steady 64 KiB batch traffic keeps reusing the
+// same two buffers.
+func TestConnBuffersDropHighWaterMark(t *testing.T) {
+	s, w, sc := newExecFixture(t, 0, nil)
+	big := make([]byte, MaxValueLen)
+	keys := []uint64{1, 2, 3, 4, 5}
+	kvs := make([]shardedkv.Pair, len(keys))
+	for i, k := range keys {
+		kvs[i] = shardedkv.Pair{Key: k, Value: big}
+	}
+	serveFrames(t, s, w, sc, []Request{
+		{ID: 1, Op: OpMultiPut, Class: ClassBulk, KVs: kvs},   // 5 MiB frame
+		{ID: 2, Op: OpMultiGet, Class: ClassBulk, Keys: keys}, // 5 MiB response
+		{ID: 3, Op: OpGet, Class: ClassInteractive, Key: 77},
+	}, func(i int, resp Response) {
+		if resp.Status != StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.Status)
+		}
+		if cap(sc.frame) > connBufRetain || cap(sc.out) > connBufRetain {
+			t.Fatalf("after request %d the connection holds a %d-byte frame and a %d-byte response buffer; bound %d",
+				i, cap(sc.frame), cap(sc.out), connBufRetain)
+		}
+	})
+
+	val := make([]byte, 4096)
+	batch := make([]shardedkv.Pair, 16)
+	bkeys := make([]uint64, len(batch))
+	for i := range batch {
+		bkeys[i] = uint64(100 + i)
+		batch[i] = shardedkv.Pair{Key: bkeys[i], Value: val}
+	}
+	steady := make([]Request, 12)
+	for i := range steady {
+		steady[i] = Request{ID: uint64(10 + i), Op: OpMultiGet, Class: ClassBulk, Keys: bkeys}
+		if i%2 == 0 {
+			steady[i] = Request{ID: uint64(10 + i), Op: OpMultiPut, Class: ClassBulk, KVs: batch}
+		}
+	}
+	var frame0, out0 *byte
+	serveFrames(t, s, w, sc, steady, func(i int, resp Response) {
+		if resp.Status != StatusOK {
+			t.Fatalf("steady request %d: status %d", i, resp.Status)
+		}
+		switch {
+		case i == 1: // one 64 KiB request and one 64 KiB response seen
+			frame0, out0 = &sc.frame[:1][0], &sc.out[:1][0]
+		case i > 1 && (&sc.frame[:1][0] != frame0 || &sc.out[:1][0] != out0):
+			t.Fatalf("steady 64 KiB request %d reallocated a connection buffer", i)
+		}
+	})
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/shardedkv"
 )
@@ -202,6 +203,23 @@ func (r *rd) done() error {
 		return wireErr("frame has %d trailing bytes", r.remain())
 	}
 	return nil
+}
+
+// connBufRetain bounds the capacity of a frame buffer a connection
+// keeps from one request to the next: a quarter of MaxFrame, room for
+// steady batch traffic up to a 256-pair load of 4 KiB values (1 MiB
+// frames, which a 1 MiB bound made every request reallocate).
+const connBufRetain = 4 << 20
+
+// RetainBuf returns b for reuse by the connection's next request, or
+// nil when b grew past connBufRetain: buffers only ever grow, so
+// without this one 16 MiB request would pin its high-water mark — on
+// the server twice, frame and response — until the connection closes.
+func RetainBuf(b []byte) []byte {
+	if cap(b) > connBufRetain {
+		return nil
+	}
+	return b
 }
 
 // ReadFrame reads one length-prefixed frame from br into buf (grown as
@@ -424,7 +442,19 @@ func AppendBoolResponse(dst []byte, id uint64, ok bool) ([]byte, error) {
 
 // AppendMultiGetResponse: n u32 | n × (found u8 | vlen u32 | v).
 func AppendMultiGetResponse(dst []byte, id uint64, vals [][]byte, found []bool) ([]byte, error) {
-	out, start := beginFrame(dst, id, StatusOK, 0)
+	// Bound the frame BEFORE building it: 65 536 keys over 1 MiB values
+	// would otherwise be copied into dst — gigabytes — for endFrame to
+	// refuse.
+	n := headerLen + 4 + 5*len(vals)
+	for i, v := range vals {
+		if found[i] {
+			n += len(v)
+		}
+	}
+	if n > MaxFrame {
+		return dst, wireErr("encoded frame length %d exceeds MaxFrame %d", n, MaxFrame)
+	}
+	out, start := beginFrame(slices.Grow(dst, 4+n), id, StatusOK, 0)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(vals)))
 	for i, v := range vals {
 		out = append(out, boolByte(found[i]))

@@ -181,6 +181,9 @@ type serverConn struct {
 	c   net.Conn
 	mu  sync.Mutex
 	rec *stats.ClassedRecorder
+	// frame and out are the handler's request and response buffers,
+	// reused from one request to the next (handler-only, no lock).
+	frame, out []byte
 }
 
 func (sc *serverConn) record(class core.Class, latencyNs int64, ops uint64) {
@@ -188,6 +191,17 @@ func (sc *serverConn) record(class core.Class, latencyNs int64, ops uint64) {
 	sc.rec.RecordBatch(class, latencyNs, ops)
 	sc.mu.Unlock()
 }
+
+// requestReadBuf sizes the bufio.Reader a connection's requests are
+// read through: room for length prefixes and small frames (45 pipelined
+// 90-byte requests still arrive in one read), and deliberately no more.
+// bufio hands a Read at least as large as its buffer straight to the
+// connection, so ReadFrame's io.ReadFull lands a large request body in
+// its frame with one copy, kernel to frame, where a 64 KiB buffer
+// slurped up to 64 KiB of every large body first and copied it a second
+// time. The price is one more read call for a request between 4 and
+// 64 KiB. The client does not make this trade (kvclient.readLoop).
+const requestReadBuf = 4 << 10
 
 // handle runs one connection to completion.
 func (s *Server) handle(sc *serverConn) {
@@ -203,7 +217,7 @@ func (s *Server) handle(sc *serverConn) {
 		s.mu.Unlock()
 	}()
 
-	br := bufio.NewReaderSize(sc.c, 64<<10)
+	br := bufio.NewReaderSize(sc.c, requestReadBuf)
 	bw := bufio.NewWriterSize(sc.c, 64<<10)
 
 	var magic [4]byte
@@ -216,7 +230,6 @@ func (s *Server) handle(sc *serverConn) {
 	// request installs its own class hint before touching the store.
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
-	var frame, out []byte
 	for {
 		// Classic pipelining flush: only pay the syscall when about to
 		// block on an empty input buffer.
@@ -225,33 +238,41 @@ func (s *Server) handle(sc *serverConn) {
 				return
 			}
 		}
-		var err error
-		frame, err = ReadFrame(br, frame)
-		if err != nil {
-			// Clean EOF or any framing violation: drop the connection
-			// (a broken length prefix poisons the whole stream — there
-			// is no resynchronising inside it).
-			if !errors.Is(err, io.EOF) {
-				s.badConns.Add(1)
-			}
-			return
-		}
-		req, err := DecodeRequest(frame)
-		if err != nil {
-			// The stream is still framed (the frame read fine), so a
-			// malformed PAYLOAD gets an in-stream error response.
-			s.errs[lockClassOf(req.Class)].Add(1)
-			out, err = AppendErrorResponse(out[:0], req.ID, StatusErrMalformed, err.Error())
-			if err != nil || writeAll(bw, out) != nil {
-				return
-			}
-			continue
-		}
-		out, err = s.execute(w, sc, &req, out[:0])
-		if err != nil || writeAll(bw, out) != nil {
+		if !s.serveOne(w, sc, br, bw) {
 			return
 		}
 	}
+}
+
+// serveOne reads one request frame from br, executes it and writes the
+// response to bw (unflushed). It reports false when the connection is
+// done: clean EOF, a framing violation, or a failed write.
+func (s *Server) serveOne(w *core.Worker, sc *serverConn, br *bufio.Reader, bw *bufio.Writer) bool {
+	var err error
+	sc.frame, err = ReadFrame(br, sc.frame)
+	if err != nil {
+		// Clean EOF or any framing violation: drop the connection
+		// (a broken length prefix poisons the whole stream — there
+		// is no resynchronising inside it).
+		if !errors.Is(err, io.EOF) {
+			s.badConns.Add(1)
+		}
+		return false
+	}
+	req, err := DecodeRequest(sc.frame)
+	if err != nil {
+		// The stream is still framed (the frame read fine), so a
+		// malformed PAYLOAD gets an in-stream error response.
+		s.errs[lockClassOf(req.Class)].Add(1)
+		sc.out, err = AppendErrorResponse(sc.out[:0], req.ID, StatusErrMalformed, err.Error())
+	} else {
+		sc.out, err = s.execute(w, sc, &req, sc.out[:0])
+	}
+	ok := err == nil && writeAll(bw, sc.out) == nil
+	// One oversized request must not pin its buffers on the connection
+	// for life (see RetainBuf).
+	sc.frame, sc.out = RetainBuf(sc.frame), RetainBuf(sc.out)
+	return ok
 }
 
 func writeAll(bw *bufio.Writer, b []byte) error {

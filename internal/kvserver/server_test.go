@@ -527,3 +527,40 @@ func TestOversizeRangeOverWire(t *testing.T) {
 		})
 	}
 }
+
+// TestOversizeMultiGetOverWire: a MultiGet whose values sum past
+// MaxFrame is refused in-stream with StatusErrTooLarge before the
+// response is assembled — on the plain store and through the pipeline —
+// and the connection goes on serving, the same keys in two halves
+// included.
+func TestOversizeMultiGetOverWire(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipeline=%v", pipelined), func(t *testing.T) {
+			_, addr := startServer(t, shardedkv.Config{Shards: 2}, func(cfg *kvserver.Config) {
+				if pipelined {
+					cfg.Async = shardedkv.NewAsync(cfg.Store, shardedkv.AsyncConfig{})
+				}
+			})
+			cl := dial(t, addr)
+			big := make([]byte, kvserver.MaxValueLen)
+			keys := make([]uint64, kvserver.MaxFrame/kvserver.MaxValueLen+1)
+			for i := range keys {
+				keys[i] = uint64(i)
+				if _, err := cl.Put(kvserver.ClassBulk, keys[i], big); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := cl.MultiGet(kvserver.ClassBulk, keys)
+			var se *kvclient.StatusError
+			if !errors.As(err, &se) || se.Status != kvserver.StatusErrTooLarge {
+				t.Fatalf("over-large MultiGet: %v, want StatusErrTooLarge", err)
+			}
+			for _, half := range [][]uint64{keys[:8], keys[8:]} {
+				vals, found, err := cl.MultiGet(kvserver.ClassBulk, half)
+				if err != nil || len(vals) != len(half) || !found[0] || len(vals[len(half)-1]) != kvserver.MaxValueLen {
+					t.Fatalf("MultiGet of %d keys after the refusal: %d values, %v", len(half), len(vals), err)
+				}
+			}
+		})
+	}
+}

@@ -230,3 +230,67 @@ func TestDurableCrashMidRecovery(t *testing.T) {
 		t.Errorf("%d generation directories left after recovery; want 1", gens)
 	}
 }
+
+// TestDurableBatchCrashAfterSplit kills the store right after batches
+// that crossed a split: a sync-waited MultiPut that went to the
+// children's own rings, then one whose sub-batches were drained from
+// retired rings (routed under the pre-split map, re-routed pair by pair
+// to the children, one commit per child log). With no Flush and no
+// clean Close, recovery must still return every acked pair at its last
+// acked value — a child log left uncommitted would lose its share here.
+func TestDurableBatchCrashAfterSplit(t *testing.T) {
+	for _, spec := range AllEngines() {
+		t.Run(spec.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := New(durCfg(dir, spec.New))
+			a := NewAsync(st, AsyncConfig{})
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			span := func(lo, hi, ver uint64) []Pair {
+				kvs := make([]Pair, 0, hi-lo)
+				for k := lo; k < hi; k++ {
+					kvs = append(kvs, Pair{Key: k, Value: verValue(k, ver)})
+				}
+				return kvs
+			}
+			if _, err := a.MultiPut(w, span(0, 200, 1)); err != nil {
+				t.Fatal(err)
+			}
+			stale := st.smap.Load()
+			for _, k := range []uint64{0, 1, 2, 0} {
+				if !st.ForceSplit(w, k) {
+					t.Fatalf("forced split at key %d refused", k)
+				}
+			}
+			if _, err := a.MultiPut(w, span(50, 150, 2)); err != nil {
+				t.Fatal(err)
+			}
+			// Last, so that no later commit covers for a missed one.
+			b := routed(a, stale, nil, span(0, 100, 3))
+			b.syncWait = true
+			for _, r := range b.reqs {
+				r.syncWait = true
+			}
+			a.runBatch(w, b)
+			if b.err != nil {
+				t.Fatal(b.err)
+			}
+			a.freeBatch(b)
+			st.CrashDrop()
+
+			st2 := New(durCfg(dir, spec.New))
+			for k := uint64(0); k < 200; k++ {
+				ver := uint64(1)
+				switch {
+				case k < 100:
+					ver = 3
+				case k < 150:
+					ver = 2
+				}
+				if v, ok := st2.Get(w, k); !ok || !bytes.Equal(v, verValue(k, ver)) {
+					t.Errorf("Get(%d) after the crash = %x,%v; want acked version %d", k, v, ok, ver)
+				}
+			}
+			st2.Close(w)
+		})
+	}
+}

@@ -19,6 +19,8 @@ import (
 // Every shard gets a lock-free MPSC request ring. Callers build a
 // request (Get/Put/Delete/Range plus a future), enqueue it, and wait
 // for completion — spinning or parking according to their core class.
+// A batch (MultiGet/MultiPut) delegates per shard, not per key: one
+// request carries a shard's whole share of the batch (see batch).
 // Whoever wins the shard lock's TryAcquire becomes the combiner and
 // drains the ring: up to the drain bound, queued operations execute
 // against the engine under ONE Acquire/Release, completing futures as
@@ -69,6 +71,8 @@ const (
 	opPut
 	opDelete
 	opRange
+	opMultiGet // one shard's share of a MultiGet: bat.keys at idx
+	opMultiPut // one shard's share of a MultiPut: bat.kvs at idx
 )
 
 // Future states. A request starts pending, is flipped to done by
@@ -92,6 +96,17 @@ type request struct {
 	val  []byte     // Put value (retained by reference, as in Store.Put)
 	rng  []RangeReq // opRange: spans to collect on one shard
 
+	// A batch request (opMultiGet/opMultiPut) carries positions, not
+	// payload: idx lists the positions of bat's keys that routed to this
+	// ring, in batch order. idx keeps its capacity across recycling, so
+	// grouping a batch allocates nothing in steady state. q is the ring
+	// the request was grouped for, next chains the batch's requests of
+	// one base group while it is being grouped (see route).
+	bat  *batch
+	idx  []int
+	q    *pipeShard
+	next *request
+
 	// syncWait marks a waited write whose class demands group commit:
 	// the executor appends to the shard's log as usual but the drain
 	// holds the future back (in its pend list) and completes it only
@@ -104,10 +119,13 @@ type request struct {
 	rval  []byte   // Get: stored value
 	rok   bool     // Get: found / Put: inserted / Delete: was present
 	parts [][]Pair // opRange: parts[i] is rng[i]'s slice of this shard
-	lg    *wal.Log // log the write was appended to (nil without durability)
-	lsn   uint64   // its LSN in lg
-	sh    *shard   // executing shard of a logged write (degrade target)
+	ins   int      // opMultiPut: keys newly inserted
 	err   error    // write failure (degraded shard / log error)
+	// marks are the group commits a logged write is owed: one entry, the
+	// executing shard's log — or one per child log when a sub-batch was
+	// drained from a retired ring and re-routed to the split's children.
+	// Empty without durability. Capacity survives recycling.
+	marks []walMark
 
 	state atomic.Uint32
 	wake  chan struct{} // buffered(1); one token per park/wake pair
@@ -116,6 +134,26 @@ type request struct {
 
 // isDone reports completion.
 func (r *request) isDone() bool { return r.state.Load() == futDone }
+
+// weight is the number of operations r stands for: a batch request's
+// positions, 1 otherwise. Drains charge it against their bound.
+func (r *request) weight() int {
+	if r.bat != nil {
+		return len(r.idx)
+	}
+	return 1
+}
+
+// logged records that r's write reached lsn in sh's log.
+func (r *request) logged(sh *shard, lsn uint64) {
+	for i := range r.marks {
+		if r.marks[i].sh == sh {
+			r.marks[i].lsn = lsn
+			return
+		}
+	}
+	r.marks = append(r.marks, walMark{sh: sh, lsn: lsn})
+}
 
 // complete publishes the result and wakes a parked owner. This is the
 // completer's LAST touch of r: the owner may recycle it immediately
@@ -184,6 +222,12 @@ const (
 	// arriving meanwhile.
 	lingerSpins    = 384
 	lingerMinDepth = 4
+	// batchKeyCap bounds the keys one batch request carries. A shard's
+	// larger share of a batch becomes consecutive requests on its ring
+	// (FIFO keeps batch order), so however large the batch, a drain
+	// overshoots its bound by less than one request and no shard lock is
+	// held longer than a drain of point requests would hold it.
+	batchKeyCap = adaptiveInitBatch
 )
 
 // pipeSpinner mirrors the locks package's internal spin helper: short
@@ -204,8 +248,8 @@ func (s *pipeSpinner) spin() {
 
 // AsyncConfig configures an AsyncStore.
 type AsyncConfig struct {
-	// MaxBatch bounds the operations a combiner executes under one
-	// lock take. 0 (the default) selects the adaptive per-shard bound
+	// MaxBatch bounds the operations (keys) a combiner executes under
+	// one lock take. 0 (the default) selects the adaptive per-shard bound
 	// described above; a positive value fixes the bound for every
 	// shard. Reaching the bound releases the lock (so big-core FIFO
 	// entrants and sync-path users get their turn) and re-elects if
@@ -227,16 +271,17 @@ type pipeShard struct {
 	// fixed is the configured MaxBatch (0 = adaptive via bound).
 	fixed int
 	bound atomic.Int64
-	// hwRecent is a decaying queue-depth estimate: raised like depthHW
-	// at enqueue, decayed by idle drains. The adaptive bound grows
-	// toward it, never past it.
+	// hwRecent is a decaying queue-depth estimate (ring slots): raised
+	// like depthHW at enqueue, decayed by idle drains. The adaptive
+	// bound grows toward it, never past it.
 	hwRecent atomic.Uint64
 	// executed counts ring requests applied to the engine (and logged,
 	// under durability), i.e. the ring position up to which effects are
-	// real. It trails the ring's head cursor, which advances at dequeue
-	// time: Flush/Close must wait on executed, not head, or a request a
-	// concurrent combiner has dequeued but not yet run would count as
-	// flushed. A sync-wait request's FUTURE may complete after the
+	// real — per ring slot whatever a request weighs, because Flush,
+	// execDirect and submit compare it with ring positions. It trails
+	// the ring's head cursor, which advances at dequeue time: Flush/Close
+	// must wait on executed, not head, or a request a concurrent combiner
+	// has dequeued but not yet run would count as flushed. A sync-wait request's FUTURE may complete after the
 	// cursor covers it (the combiner commits post-release); only its
 	// owner waits on that.
 	executed  atomic.Uint64
@@ -354,9 +399,10 @@ type CombineStats struct {
 	// LockTakes counts shard-lock acquisitions made on the async path
 	// (combiner elections won plus ring-full direct takes).
 	LockTakes uint64
-	// Combined counts operations executed on the async path. Combined
-	// / LockTakes is the ops-per-lock-take the pipeline exists to
-	// raise above 1.
+	// Combined counts operations executed on the async path, in keys: a
+	// batch request adds the keys it carries, not 1. Combined /
+	// LockTakes is the ops-per-lock-take the pipeline exists to raise
+	// above 1.
 	Combined uint64
 	// Direct counts ring-full fallbacks (executed solo under a
 	// blocking acquire; their ops and takes are included above).
@@ -364,11 +410,13 @@ type CombineStats struct {
 	// Handoffs counts lock takes won by a different worker than the
 	// previous combiner — combiner identity churn.
 	Handoffs uint64
-	// DepthHW is the queue-depth high-water mark observed at enqueue.
+	// DepthHW is the queue-depth high-water mark observed at enqueue,
+	// in ring slots: a batch's whole share of the shard is one request.
 	DepthHW uint64
-	// MaxBatchEff is the drain bound currently in effect: the
+	// MaxBatchEff is the drain bound currently in effect, in keys: the
 	// configured fixed MaxBatch, or the adaptive bound the shard has
-	// grown/decayed to.
+	// grown/decayed to. A drain stops at the first request that reaches
+	// it, so it overshoots by less than batchKeyCap.
 	MaxBatchEff uint64
 	// BigTakes and LittleTakes split LockTakes by the elector's class;
 	// under mixed traffic the election bias should keep BigTakes well
@@ -413,7 +461,8 @@ type AsyncStore struct {
 	st       *Store
 	fixed    int
 	ringSize int
-	pool     sync.Pool
+	pool     sync.Pool // *request
+	batches  sync.Pool // *batch
 	closed   atomic.Bool
 	// mu guards all: the append-only list of every pipeShard ever
 	// attached, retired parents included — Flush and the stats
@@ -434,6 +483,7 @@ func NewAsync(st *Store, cfg AsyncConfig) *AsyncStore {
 	}
 	a := &AsyncStore{st: st, fixed: cfg.MaxBatch, ringSize: cfg.RingSize}
 	a.pool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
+	a.batches.New = func() any { return new(batch) }
 	st.attachAsync(a)
 	return a
 }
@@ -498,7 +548,10 @@ func (a *AsyncStore) newReq(kind opKind) *request {
 func (a *AsyncStore) putReq(r *request) {
 	r.val, r.rval, r.rng, r.parts = nil, nil, nil, nil
 	r.rok, r.ff, r.syncWait = false, false, false
-	r.lg, r.lsn, r.sh, r.err = nil, 0, nil, nil
+	r.bat, r.idx, r.q, r.next = nil, r.idx[:0], nil, nil
+	r.ins, r.err = 0, nil
+	clear(r.marks)
+	r.marks = r.marks[:0]
 	a.pool.Put(r)
 }
 
@@ -517,7 +570,7 @@ func (a *AsyncStore) finish(r *request) {
 // wait for group commit. Called with the executing shard's lock held;
 // the deferral is what keeps wal.Commit off the locked path.
 func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
-	if r.syncWait && r.lg != nil {
+	if r.syncWait && len(r.marks) > 0 {
 		*pend = append(*pend, r)
 		return
 	}
@@ -535,9 +588,7 @@ func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
 func (s *Store) completePending(pend []*request) {
 	for _, r := range pend {
 		if r.err == nil {
-			if err := r.lg.Commit(r.lsn); err != nil {
-				r.err = s.degrade(r.sh, err)
-			}
+			r.err = s.commitMarks(r.marks)
 		}
 		r.complete()
 	}
@@ -566,33 +617,15 @@ func (a *AsyncStore) exec(w *core.Worker, sh *shard, r *request) {
 		a.st.pad(w)
 		sh.gets.Add(1)
 	case opPut:
-		if sh.wal != nil {
-			if de := sh.degraded.Load(); de != nil {
-				r.err = de
-				return
-			}
-			lsn, err := sh.wal.Append(wal.KindPut, r.key, r.val)
-			if err != nil {
-				r.err = a.st.degrade(sh, err)
-				return
-			}
-			r.lsn, r.lg, r.sh = lsn, sh.wal, sh
+		if !a.logPoint(sh, r, wal.KindPut) {
+			return
 		}
 		r.rok = sh.eng.Put(r.key, r.val)
 		a.st.pad(w)
 		sh.puts.Add(1)
 	case opDelete:
-		if sh.wal != nil {
-			if de := sh.degraded.Load(); de != nil {
-				r.err = de
-				return
-			}
-			lsn, err := sh.wal.Append(wal.KindDelete, r.key, nil)
-			if err != nil {
-				r.err = a.st.degrade(sh, err)
-				return
-			}
-			r.lsn, r.lg, r.sh = lsn, sh.wal, sh
+		if !a.logPoint(sh, r, wal.KindDelete) {
+			return
 		}
 		r.rok = sh.eng.Delete(r.key)
 		a.st.pad(w)
@@ -603,23 +636,71 @@ func (a *AsyncStore) exec(w *core.Worker, sh *shard, r *request) {
 		// execute user code while it holds the shard lock (the same
 		// collect-then-emit contract as Store.Range).
 		a.st.collectShardRanges(w, sh, r.rng, r.parts)
+	case opMultiGet, opMultiPut:
+		a.execMany(w, sh, r, r.idx)
+	}
+}
+
+// logPoint runs the store's log step for point write r (r.val is nil
+// on a delete) and records the commit it is owed; false means the shard
+// refused, r.err says why, and r must not be applied.
+func (a *AsyncStore) logPoint(sh *shard, r *request, kind wal.Kind) bool {
+	lsn, err := a.st.logWrite(sh, kind, r.key, r.val)
+	if err != nil {
+		r.err = err
+		return false
+	}
+	if lsn != 0 {
+		r.logged(sh, lsn)
+	}
+	return true
+}
+
+// execMany runs the positions idx of batch request r against sh through
+// the store's per-shard sub-batch helpers — the whole of r.idx under
+// the combiner's one lock take, or one position at a time when r is
+// being re-routed to a split's children. The caller holds sh's lock.
+func (a *AsyncStore) execMany(w *core.Worker, sh *shard, r *request, idx []int) {
+	b := r.bat
+	if r.kind == opMultiGet {
+		a.st.getMany(w, sh, b.keys, idx, b.vals, b.oks)
+		return
+	}
+	ins, lsn, err := a.st.putMany(w, sh, b.kvs, idx)
+	r.ins += ins
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+	if lsn != 0 {
+		r.logged(sh, lsn)
 	}
 }
 
 // execForwarded executes a request drained from a retired (split)
 // shard's ring: the request was routed before the split, so its data
-// now lives in the children. The caller holds the retired shard's
-// lock; descendant locks are taken ancestor→descendant, which splits
-// only ever extend, so the order is acyclic.
+// now lives in the children. Descendant locks are taken
+// ancestor→descendant, which splits only ever extend, so the order is
+// acyclic whether or not the caller still holds the retired shard's
+// lock (a drain does, the ring-full direct path does not). A batch
+// request re-routes position by position — its keys no longer share a
+// shard — and collects one commit mark per child log it wrote.
 func (a *AsyncStore) execForwarded(w *core.Worker, f *splitRecord, r *request) {
-	if r.kind == opRange {
+	switch r.kind {
+	case opRange:
 		a.execRangeMulti(w, []*shard{f.kids[0], f.kids[1]}, r)
-		return
+	case opMultiGet, opMultiPut:
+		for j, i := range r.idx {
+			h := hashOf(r.bat.keyAt(i))
+			sh := a.st.acquireLiveFrom(w, f.child(h), h)
+			a.execMany(w, sh, r, r.idx[j:j+1])
+			sh.lock.Release(w)
+		}
+	default:
+		h := hashOf(r.key)
+		sh := a.st.acquireLiveFrom(w, f.child(h), h)
+		a.exec(w, sh, r)
+		sh.lock.Release(w)
 	}
-	h := hashOf(r.key)
-	sh := a.st.acquireLiveFrom(w, f.child(h), h)
-	a.exec(w, sh, r)
-	sh.lock.Release(w)
 }
 
 // execRangeMulti collects an opRange request across every live shard
@@ -650,16 +731,34 @@ func (a *AsyncStore) execRangeMulti(w *core.Worker, work []*shard, r *request) {
 	}
 }
 
-// drain executes queued requests up to the drain bound; the caller
-// holds q's shard lock. On a retired ring every request forwards to
-// the live children. An adaptive combiner whose ring runs momentarily
-// dry on a hot shard lingers briefly for in-flight producers before
-// giving the lock up. Returns the number executed. Sync-wait writes
+// execDrained runs r, just dequeued from q's ring by the holder of q's
+// shard lock — against the shard itself, or through the forward record
+// f when the ring is retired — hands it back and advances the executed
+// cursor by its one ring slot. Returns r's weight, read before the hand
+// back: a completed request belongs to its owner again.
+func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, f *splitRecord, r *request, pend *[]*request) int {
+	n := r.weight()
+	if f == nil {
+		a.exec(w, q.sh, r)
+	} else {
+		a.execForwarded(w, f, r)
+	}
+	a.finishOrDefer(r, pend)
+	q.executed.Add(1)
+	return n
+}
+
+// drain executes queued requests until the operations they stand for
+// reach the drain bound (a batch request counts its keys, so the last
+// one may overshoot by less than batchKeyCap); the caller holds q's
+// shard lock. On a retired ring every request forwards to the live
+// children. An adaptive combiner whose ring runs momentarily dry on a
+// hot shard lingers briefly for in-flight producers before giving the
+// lock up. Returns the number of operations executed. Sync-wait writes
 // are applied and logged here but their futures land on pend; the
 // caller completes them after release (see completePending).
 func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
-	sh := q.sh
-	f := sh.forward.Load() // stable: forward only changes under this lock
+	f := q.sh.forward.Load() // stable: forward only changes under this lock
 	bound := q.drainBound(w)
 	adaptive := q.fixed == 0
 	n, linger := 0, 0
@@ -674,14 +773,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 			}
 			break
 		}
-		if f == nil {
-			a.exec(w, sh, r)
-		} else {
-			a.execForwarded(w, f, r)
-		}
-		a.finishOrDefer(r, pend)
-		q.executed.Add(1)
-		n++
+		n += a.execDrained(w, q, f, r, pend)
 	}
 	if n > 0 {
 		q.combined.Add(uint64(n))
@@ -763,14 +855,7 @@ func (a *AsyncStore) drainForSplit(w *core.Worker, sh *shard, pend *[]*request) 
 			}
 			break
 		}
-		if f == nil {
-			a.exec(w, sh, r)
-		} else {
-			a.execForwarded(w, f, r)
-		}
-		a.finishOrDefer(r, pend)
-		q.executed.Add(1)
-		n++
+		n += a.execDrained(w, q, f, r, pend)
 	}
 	if n > 0 {
 		q.combined.Add(uint64(n))
@@ -779,10 +864,10 @@ func (a *AsyncStore) drainForSplit(w *core.Worker, sh *shard, pend *[]*request) 
 }
 
 // execDirect is the ring-full fallback: execute r solo under a
-// blocking acquire of the LIVE shard (hopping split forwards like the
-// synchronous path), then drain whatever is queued there — the ring
-// was full a moment ago, so there is combining work to amortise the
-// take over.
+// blocking acquire of its shard, then drain whatever is queued there —
+// the ring was full a moment ago, so there is combining work to
+// amortise the take over. If the shard split meanwhile, r is re-routed
+// to the live children like any request drained from a retired ring.
 //
 // Before executing r, everything enqueued on q before the failed ring
 // claim is driven to execution. Without this, the direct path could
@@ -798,78 +883,83 @@ func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 			sp.spin()
 		}
 	}
-	sh := q.sh
-	for {
-		sh.lock.Acquire(w)
-		f := sh.forward.Load()
-		if f == nil {
-			break
-		}
-		sh.lock.Release(w)
-		if r.kind == opRange {
-			// The shard's span coverage split under us: collect across
-			// the live descendants instead of hopping (a range belongs
-			// to the whole subtree, not one child).
-			a.execRangeMulti(w, []*shard{f.kids[0], f.kids[1]}, r)
-			q.noteTake(w)
-			q.direct.Add(1)
-			q.combined.Add(1)
-			a.finish(r)
-			return
-		}
-		sh = f.child(hashOf(r.key))
-	}
-	lq := sh.pipe.Load()
-	lq.noteTake(w)
-	lq.direct.Add(1)
-	a.exec(w, sh, r)
-	lq.combined.Add(1)
 	var pend []*request
-	a.drain(w, lq, &pend)
-	sh.lock.Release(w)
+	sh := q.sh
+	sh.lock.Acquire(w)
+	q.noteTake(w)
+	q.direct.Add(1)
+	q.combined.Add(uint64(r.weight()))
+	if f := sh.forward.Load(); f != nil {
+		sh.lock.Release(w)
+		a.execForwarded(w, f, r)
+	} else {
+		a.exec(w, sh, r)
+		a.drain(w, q, &pend)
+		sh.lock.Release(w)
+	}
 	a.finishOrDefer(r, &pend)
 	a.st.completePending(pend)
 }
 
-// await drives the waiting side of one enqueued request: spin, attempt
-// combiner election at the class's cadence, park when patience runs
-// out. Parks are timed, so even a worst-case interleaving (combiner
-// released just before we parked, nobody else awake) only costs one
-// park slice, not liveness.
-func (a *AsyncStore) await(w *core.Worker, q *pipeShard, r *request) {
-	big := w.Class() == core.Big
+// awaitAll drives the waiting side of every request in reqs (each
+// enqueued on its r.q) with ONE election cadence, however many there
+// are: every pass re-checks the oldest outstanding future, an election
+// pass tries every ring that still holds an outstanding request, when
+// patience runs out the owner parks on the oldest, and once the oldest
+// completes every completed request is handed to reap.
+// Parks are timed, so even a worst-case interleaving (combiner released
+// just before we parked, nobody else awake) only costs one park slice,
+// not liveness. reqs is compacted in place as futures complete.
+func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*request)) {
 	elect, parkAfter := littleElect, littleParkAfter
-	if big {
+	if w.Class() == core.Big {
 		elect, parkAfter = bigElect, bigParkAfter
 	}
 	slice := minParkSlice
 	var s pipeSpinner
-	for pass := 0; ; pass++ {
-		if r.isDone() {
-			return
+	pass := 0
+	for len(reqs) > 0 {
+		// The wait cannot end before the oldest request completes, so a
+		// pass looks at that one future only — the stand-back is counted
+		// in passes, and a pass costs what it did when every wait was for
+		// one request.
+		head := reqs[0]
+		for ; !head.isDone(); pass++ {
+			// Both classes sit out one cadence before their first try —
+			// a request enqueued while a combiner is active is usually
+			// drained within a few passes, and electing before that just
+			// buys a singleton batch. Bigs re-try every few passes
+			// (strong cores combine); littles wait out a much longer
+			// cadence, giving any big-core waiter the win before serving
+			// themselves.
+			if pass%elect == elect-1 {
+				drained := false
+				for _, r := range reqs {
+					if !r.isDone() && a.tryCombine(w, r.q) {
+						drained = true
+					}
+				}
+				if drained {
+					continue
+				}
+			}
+			if pass >= parkAfter {
+				if !head.parkWait(slice) && slice < maxParkSlice {
+					slice *= 2
+				}
+				continue
+			}
+			s.spin()
 		}
-		// Both classes sit out one cadence before their first try —
-		// a request enqueued while a combiner is active is usually
-		// drained within a few passes, and electing before that just
-		// buys a singleton batch. Bigs re-try every few passes
-		// (strong cores combine); littles wait out a much longer
-		// cadence, giving any big-core waiter the win before serving
-		// themselves.
-		if pass%elect == elect-1 {
-			if a.tryCombine(w, q) && r.isDone() {
-				return
+		out := reqs[:0]
+		for _, r := range reqs {
+			if r.isDone() {
+				reap(r)
+			} else {
+				out = append(out, r)
 			}
 		}
-		if pass >= parkAfter {
-			if r.parkWait(slice) {
-				return
-			}
-			if slice < maxParkSlice {
-				slice *= 2
-			}
-			continue
-		}
-		s.spin()
+		reqs = out
 	}
 }
 
@@ -905,9 +995,11 @@ func (a *AsyncStore) submit(w *core.Worker, q *pipeShard, r *request) {
 
 // run submits r on q and waits for it.
 func (a *AsyncStore) run(w *core.Worker, q *pipeShard, r *request) {
+	r.q = q
 	a.submit(w, q, r)
 	if !r.isDone() {
-		a.await(w, q, r)
+		one := [1]*request{r}
+		a.awaitAll(w, one[:], func(*request) {})
 	}
 }
 
@@ -981,101 +1073,173 @@ func (a *AsyncStore) DeleteAsync(w *core.Worker, k uint64) {
 	a.submit(w, a.pipeOf(k), r)
 }
 
-// MultiGet reads all keys through the pipeline: every request is
-// enqueued up front (one per key, fanned out across the shard rings so
-// combiners on different shards work in parallel), then awaited.
-// vals[i] and ok[i] correspond to keys[i].
+// batch is one MultiGet or MultiPut in flight: the caller's payload,
+// which the batch's requests address by position, plus the grouping
+// scratch. Pooled; the owner frees it after reaping its last request,
+// so an executor may read the payload through request.bat for as long
+// as it holds an uncompleted request.
+type batch struct {
+	kind     opKind
+	syncWait bool
+	keys     []uint64 // opMultiGet: the caller's keys
+	vals     [][]byte // opMultiGet: results, written by position
+	oks      []bool
+	kvs      []Pair // opMultiPut: the caller's pairs
+
+	// open[g] heads the chain (request.next) of the requests grouped so
+	// far for shards of base group g, newest first; one entry on a store
+	// that never split. reqs lists every request in creation order,
+	// which for the requests of one ring is batch order.
+	open []*request
+	reqs []*request
+
+	inserted int
+	err      error
+}
+
+// keyAt returns the key at batch position i.
+func (b *batch) keyAt(i int) uint64 {
+	if b.kind == opMultiGet {
+		return b.keys[i]
+	}
+	return b.kvs[i].Key
+}
+
+// newBatch checks a batch out of the pool, its grouping table sized
+// for map m.
+func (a *AsyncStore) newBatch(kind opKind, m *shardMap) *batch {
+	b := a.batches.Get().(*batch)
+	b.kind = kind
+	if n := len(m.groups); cap(b.open) < n {
+		b.open = make([]*request, n)
+	} else {
+		b.open = b.open[:n]
+	}
+	return b
+}
+
+// route adds position i, whose key is k, to the batch's request for
+// the ring owning k under m — the newest one, found through the base
+// group's chain — opening a request when the ring has none yet or its
+// newest is full.
+func (a *AsyncStore) route(b *batch, m *shardMap, k uint64, i int) {
+	sh := m.locate(hashOf(k))
+	q := sh.pipe.Load()
+	r := b.open[sh.group]
+	for r != nil && r.q != q {
+		r = r.next
+	}
+	if r == nil || len(r.idx) == batchKeyCap {
+		r = a.newReq(b.kind)
+		r.bat, r.q, r.syncWait = b, q, b.syncWait
+		r.next, b.open[sh.group] = b.open[sh.group], r
+		b.reqs = append(b.reqs, r)
+	}
+	r.idx = append(r.idx, i)
+}
+
+// runBatch submits the grouped requests in creation order, waits for
+// them under one election cadence, folds their results into b, and
+// recycles them.
+func (a *AsyncStore) runBatch(w *core.Worker, b *batch) {
+	for _, r := range b.reqs {
+		a.submit(w, r.q, r)
+	}
+	a.awaitAll(w, b.reqs, func(r *request) {
+		b.inserted += r.ins
+		if r.err != nil && b.err == nil {
+			b.err = r.err
+		}
+		a.putReq(r)
+	})
+}
+
+// freeBatch returns b to the pool holding no caller memory.
+func (a *AsyncStore) freeBatch(b *batch) {
+	clear(b.open)
+	clear(b.reqs)
+	*b = batch{open: b.open[:0], reqs: b.reqs[:0]}
+	a.batches.Put(b)
+}
+
+// MultiGet reads all keys through the pipeline, one request per
+// touched shard: the batch positions are grouped by ring under the
+// current map, each ring gets its share as ONE request (consecutive
+// requests of at most batchKeyCap keys when the share is larger), and a
+// combiner reads a request's keys under a single lock take — combiners
+// on different shards working in parallel — while the caller waits for
+// all of them under one election cadence. vals[i] and ok[i] correspond
+// to keys[i].
 func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
 	a.checkOpen()
 	vals = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
-	reqs := make([]*request, len(keys))
-	qs := make([]*pipeShard, len(keys))
+	m := a.st.smap.Load()
+	b := a.newBatch(opMultiGet, m)
+	b.keys, b.vals, b.oks = keys, vals, ok
 	for i, k := range keys {
-		r := a.newReq(opGet)
-		r.key = k
-		reqs[i] = r
-		qs[i] = a.pipeOf(k)
-		a.submit(w, qs[i], r)
+		a.route(b, m, k, i)
 	}
-	for i, r := range reqs {
-		if !r.isDone() {
-			a.await(w, qs[i], r)
-		}
-		vals[i], ok[i] = r.rval, r.rok
-		a.putReq(r)
-	}
+	a.runBatch(w, b)
+	a.freeBatch(b)
 	return vals, ok
 }
 
-// MultiPut writes all pairs through the pipeline (submit all, then
-// await all); returns the number of newly inserted keys. Unlike
-// Store.MultiPut, duplicate keys within the batch may execute in any
-// order relative to each other — the pipeline preserves per-ring FIFO,
-// which is per-shard arrival order, not batch order.
+// MultiPut writes all pairs through the pipeline, grouped by shard
+// like MultiGet; returns the number of newly inserted keys. Duplicate
+// keys within the batch apply in batch order (last wins, as in
+// Store.MultiPut): they share a ring, a ring's requests are enqueued in
+// batch order, and the ring is FIFO. With durability on and a sync-wait
+// class, each touched shard's share rides one group commit. A non-nil
+// error means at least one shard refused its share (Store.MultiPut's
+// contract); shares on healthy shards still applied.
 func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	a.checkOpen()
-	reqs := make([]*request, len(kvs))
-	qs := make([]*pipeShard, len(kvs))
-	sw := a.st.syncWaitFor(w)
-	for i, kv := range kvs {
-		r := a.newReq(opPut)
-		r.key, r.val = kv.Key, kv.Value
-		r.syncWait = sw
-		reqs[i] = r
-		qs[i] = a.pipeOf(kv.Key)
-		a.submit(w, qs[i], r)
+	m := a.st.smap.Load()
+	b := a.newBatch(opMultiPut, m)
+	b.kvs, b.syncWait = kvs, a.st.syncWaitFor(w)
+	for i := range kvs {
+		a.route(b, m, kvs[i].Key, i)
 	}
-	inserted := 0
-	var firstErr error
-	for i, r := range reqs {
-		if !r.isDone() {
-			a.await(w, qs[i], r)
-		}
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		} else if r.rok {
-			inserted++
-		}
-		a.putReq(r)
-	}
-	return inserted, firstErr
+	a.runBatch(w, b)
+	inserted, err := b.inserted, b.err
+	a.freeBatch(b)
+	return inserted, err
 }
 
 // collectRanges pushes one opRange request per live shard (each
-// carrying the whole span set) and awaits them all. runs[i] holds
-// reqs[i]'s per-shard slices, each in ascending key order, ready for
-// mergeRuns. The view matches Store.MultiRange: per-shard consistent,
-// all spans seeing each shard at the same instant. A shard that splits
-// mid-flight serves its request from the live children (see
-// execForwarded), so the union still covers the key space exactly once.
+// carrying the whole span set) and awaits them all under one election
+// cadence. runs[i] holds reqs[i]'s per-shard slices, each in ascending
+// key order, ready for mergeRuns. The view matches Store.MultiRange:
+// per-shard consistent, all spans seeing each shard at the same
+// instant. A shard that splits mid-flight serves its request from the
+// live children (see execForwarded), so the union still covers the key
+// space exactly once.
 func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][][]Pair {
 	m := a.st.smap.Load()
 	rs := make([]*request, len(m.shards))
-	qs := make([]*pipeShard, len(m.shards))
 	for si, sh := range m.shards {
 		r := a.newReq(opRange)
 		r.rng = reqs
 		r.parts = make([][]Pair, len(reqs))
+		r.q = sh.pipe.Load()
 		rs[si] = r
-		qs[si] = sh.pipe.Load()
-		a.submit(w, qs[si], r)
+		a.submit(w, r.q, r)
 	}
 	runs := make([][][]Pair, len(reqs))
 	for ri := range runs {
 		runs[ri] = make([][]Pair, len(rs))
 	}
-	for si, r := range rs {
-		if !r.isDone() {
-			a.await(w, qs[si], r)
-		}
+	// Completion order is as good as shard order: mergeRuns orders by
+	// key, and no two shards hold the same one.
+	done := 0
+	a.awaitAll(w, rs, func(r *request) {
 		for ri := range reqs {
-			runs[ri][si] = r.parts[ri]
+			runs[ri][done] = r.parts[ri]
 		}
+		done++
 		a.putReq(r)
-	}
+	})
 	return runs
 }
 

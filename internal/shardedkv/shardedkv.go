@@ -152,8 +152,12 @@ type ShardStats struct {
 	// are the data-dependent-length op class, so they are tallied
 	// apart from the point counters (and excluded from Ops).
 	Scans uint64
-	// BatchLocks counts lock acquisitions made on behalf of batched
-	// operations: one per (batch, touched shard), not one per key.
+	// BatchLocks counts the per-shard shares of batched operations
+	// executed here: one per (batch, touched shard), not one per key. On
+	// the plain store each is a lock acquisition of its own; on the
+	// pipeline a share is one ring request (two or more when it exceeds
+	// the per-request key cap) and may share its combiner's lock take
+	// with other requests — CombineStats.LockTakes counts the takes.
 	BatchLocks uint64
 	// LockAttempts and LockContended mirror the shard lock's
 	// locks.ContentionStats — every acquire/try attempt, and the
@@ -413,56 +417,58 @@ func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
 // means no durability ack, whatever the bool says.
 func (s *Store) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 	sh := s.acquireLive(w, hashOf(k))
-	lg := sh.wal
-	var lsn uint64
-	if lg != nil {
-		if de := sh.degraded.Load(); de != nil {
-			sh.lock.Release(w)
-			return false, de
-		}
-		var err error
-		if lsn, err = lg.Append(wal.KindPut, k, v); err != nil {
-			de := s.degrade(sh, err)
-			sh.lock.Release(w)
-			return false, de
-		}
+	lsn, err := s.logWrite(sh, wal.KindPut, k, v)
+	if err != nil {
+		sh.lock.Release(w)
+		return false, err
 	}
 	inserted := sh.eng.Put(k, v)
 	s.pad(w)
 	sh.lock.Release(w)
 	sh.puts.Add(1)
-	if lg != nil && s.syncWaitFor(w) {
-		if err := lg.Commit(lsn); err != nil {
+	if lsn != 0 && s.syncWaitFor(w) {
+		if err := sh.wal.Commit(lsn); err != nil {
 			return inserted, s.degrade(sh, err)
 		}
 	}
 	return inserted, nil
 }
 
+// logWrite is the one log step every write path runs ahead of its
+// engine apply, with sh's lock held: refuse on a degraded shard, append
+// the record (buffered, no fsync), degrade the shard when the append
+// fails. It returns the record's LSN — 0, which no record carries, when
+// the store is volatile — or the typed error, in which case the caller
+// must not apply.
+func (s *Store) logWrite(sh *shard, kind wal.Kind, k uint64, v []byte) (uint64, error) {
+	if sh.wal == nil {
+		return 0, nil
+	}
+	if de := sh.degraded.Load(); de != nil {
+		return 0, de
+	}
+	lsn, err := sh.wal.Append(kind, k, v)
+	if err != nil {
+		return 0, s.degrade(sh, err)
+	}
+	return lsn, nil
+}
+
 // Delete removes k on behalf of worker w; reports presence. Sync
 // policy and degraded-mode behaviour as in Put.
 func (s *Store) Delete(w *core.Worker, k uint64) (bool, error) {
 	sh := s.acquireLive(w, hashOf(k))
-	lg := sh.wal
-	var lsn uint64
-	if lg != nil {
-		if de := sh.degraded.Load(); de != nil {
-			sh.lock.Release(w)
-			return false, de
-		}
-		var err error
-		if lsn, err = lg.Append(wal.KindDelete, k, nil); err != nil {
-			de := s.degrade(sh, err)
-			sh.lock.Release(w)
-			return false, de
-		}
+	lsn, err := s.logWrite(sh, wal.KindDelete, k, nil)
+	if err != nil {
+		sh.lock.Release(w)
+		return false, err
 	}
 	present := sh.eng.Delete(k)
 	s.pad(w)
 	sh.lock.Release(w)
 	sh.deletes.Add(1)
-	if lg != nil && s.syncWaitFor(w) {
-		if err := lg.Commit(lsn); err != nil {
+	if lsn != 0 && s.syncWaitFor(w) {
+		if err := sh.wal.Commit(lsn); err != nil {
 			return present, s.degrade(sh, err)
 		}
 	}
@@ -726,18 +732,74 @@ func (s *Store) execGrouped(w *core.Worker, n int, hash func(i int) uint64, exec
 	}
 }
 
+// getMany reads keys[i] for every position i of idx from sh's engine
+// into vals[i], ok[i]: one shard's share of a batched read. The caller
+// holds sh's lock. Store.MultiGet's visitor and the pipeline's exec
+// both run it, so there is one copy of the loop; it tallies one
+// BatchLocks per call.
+func (s *Store) getMany(w *core.Worker, sh *shard, keys []uint64, idx []int, vals [][]byte, ok []bool) {
+	for _, i := range idx {
+		vals[i], ok[i] = sh.eng.Get(keys[i])
+		s.pad(w)
+	}
+	sh.gets.Add(uint64(len(idx)))
+	sh.batches.Add(1)
+}
+
+// putMany writes kvs[i] for every position i of idx to sh, in idx
+// order, each record logged before it is applied: one shard's share of
+// a batched write, shared like getMany. The caller holds sh's lock. It
+// stops at the first log failure, so memory equals the appended prefix.
+// lsn is the last record appended (0 when nothing was logged) — what a
+// sync-wait caller commits once the lock is released.
+func (s *Store) putMany(w *core.Worker, sh *shard, kvs []Pair, idx []int) (inserted int, lsn uint64, err error) {
+	applied := 0
+	for _, i := range idx {
+		l, lerr := s.logWrite(sh, wal.KindPut, kvs[i].Key, kvs[i].Value)
+		if lerr != nil {
+			err = lerr
+			break
+		}
+		lsn = l
+		if sh.eng.Put(kvs[i].Key, kvs[i].Value) {
+			inserted++
+		}
+		s.pad(w)
+		applied++
+	}
+	sh.puts.Add(uint64(applied))
+	sh.batches.Add(1)
+	return inserted, lsn, err
+}
+
+// walMark is a group commit owed: everything up to lsn in sh's log.
+type walMark struct {
+	sh  *shard
+	lsn uint64
+}
+
+// commitMarks pays the marks, one Commit per log, and returns the
+// first failure after degrading the shard it happened on. Commit
+// fsyncs: no shard lock may be held.
+func (s *Store) commitMarks(marks []walMark) error {
+	var first error
+	for _, m := range marks {
+		if err := m.sh.wal.Commit(m.lsn); err != nil {
+			if de := s.degrade(m.sh, err); first == nil {
+				first = de
+			}
+		}
+	}
+	return first
+}
+
 // MultiGet reads all keys in one pass, taking each touched shard's
 // lock exactly once. vals[i] and ok[i] correspond to keys[i].
 func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
 	vals = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
 	s.execGrouped(w, len(keys), func(i int) uint64 { return hashOf(keys[i]) }, func(sh *shard, idx []int) {
-		for _, i := range idx {
-			vals[i], ok[i] = sh.eng.Get(keys[i])
-			s.pad(w)
-		}
-		sh.gets.Add(uint64(len(idx)))
-		sh.batches.Add(1)
+		s.getMany(w, sh, keys, idx, vals, ok)
 	})
 	return vals, ok
 }
@@ -754,61 +816,22 @@ func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []boo
 // pair) carry no durability ack; pairs on healthy shards still
 // applied.
 func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
-	type walMark struct {
-		sh  *shard
-		lsn uint64
-	}
 	inserted := 0
 	var firstErr error
 	var marks []walMark
 	s.execGrouped(w, len(kvs), func(i int) uint64 { return hashOf(kvs[i].Key) }, func(sh *shard, idx []int) {
-		applied := 0
-		if sh.wal != nil {
-			if de := sh.degraded.Load(); de != nil {
-				if firstErr == nil {
-					firstErr = de
-				}
-				return
-			}
-			var lsn uint64
-			for _, i := range idx {
-				l, err := sh.wal.Append(wal.KindPut, kvs[i].Key, kvs[i].Value)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = s.degrade(sh, err)
-					}
-					break
-				}
-				lsn = l
-				if sh.eng.Put(kvs[i].Key, kvs[i].Value) {
-					inserted++
-				}
-				s.pad(w)
-				applied++
-			}
-			if applied > 0 {
-				marks = append(marks, walMark{sh: sh, lsn: lsn})
-			}
-		} else {
-			for _, i := range idx {
-				if sh.eng.Put(kvs[i].Key, kvs[i].Value) {
-					inserted++
-				}
-				s.pad(w)
-				applied++
-			}
+		ins, lsn, err := s.putMany(w, sh, kvs, idx)
+		inserted += ins
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		sh.puts.Add(uint64(applied))
-		sh.batches.Add(1)
+		if lsn != 0 {
+			marks = append(marks, walMark{sh: sh, lsn: lsn})
+		}
 	})
 	if len(marks) > 0 && s.syncWaitFor(w) {
-		for _, m := range marks {
-			if err := m.sh.wal.Commit(m.lsn); err != nil {
-				de := s.degrade(m.sh, err)
-				if firstErr == nil {
-					firstErr = de
-				}
-			}
+		if err := s.commitMarks(marks); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return inserted, firstErr
