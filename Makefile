@@ -38,7 +38,7 @@ RACE_PKGS = . \
 # no-op when nothing changed).
 REPOLINT = bin/repolint
 
-.PHONY: check build vet lint lint-test fmt-check sh-check test short race ci bench bench-json bench-check bench-pairs microbench net-smoke wal-smoke soak FORCE
+.PHONY: check build vet lint lint-test fmt-check sh-check test short race ci bench bench-check bench-pairs microbench net-smoke wal-smoke soak FORCE
 
 check: vet lint lint-test fmt-check sh-check build test
 
@@ -68,9 +68,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# sh-check parses every script under scripts/ without running it.
+# sh-check parses every script under scripts/, and the benchmark's
+# entry point, without running them.
 sh-check:
-	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
+	@for f in scripts/*.sh benchmark/run.sh; do bash -n "$$f" || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -85,17 +86,20 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # net-smoke proves the network front end end to end with the REAL
-# binaries: build cmd/kvserver, serve, drive a short mixed-class
-# client mix through kvbench -net -netaddr (big workers interactive,
-# little workers bulk), then SIGTERM the server and assert it exits
-# cleanly (the graceful-shutdown contract).
+# binaries: serve a volatile cmd/kvserver, write a deterministic keyset
+# through cmd/kvcheck (1500 interactive + 500 bulk puts), read every
+# key back (2000 gets), then SIGTERM the server and assert the
+# graceful-shutdown contract: exit 0, "clean shutdown", and a final
+# stats line with non-zero ops and "errors":0 for both classes.
 # The server binds port 0 and reports the kernel-chosen address on
 # stderr, so concurrent jobs on a shared runner can never collide on
 # (or accidentally smoke-test) each other's listener.
 net-smoke:
 	@set -e; \
-	tmp=$$(mktemp -d); \
+	tmp=$$(mktemp -d); pid=""; \
+	fail() { echo "net-smoke: $$1"; cat $$tmp/server.log; kill $$pid 2>/dev/null || true; rm -rf $$tmp; exit 1; }; \
 	$(GO) build -o $$tmp/kvserver ./cmd/kvserver; \
+	$(GO) build -o $$tmp/kvcheck ./cmd/kvcheck; \
 	$$tmp/kvserver -addr 127.0.0.1:0 -engine hashkv -lock asl 2>$$tmp/server.log & pid=$$!; \
 	addr=""; \
 	for i in $$(seq 1 100); do \
@@ -103,11 +107,18 @@ net-smoke:
 		[ -n "$$addr" ] && break; \
 		sleep 0.1; \
 	done; \
-	[ -n "$$addr" ] || { echo "net-smoke: server never reported its address"; cat $$tmp/server.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	$(GO) run ./cmd/kvbench -net -netaddr $$addr -mixes zipfw \
-		-dur 200ms -warmup 50ms -keys 4096 || { cat $$tmp/server.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
+	[ -n "$$addr" ] || fail "server never reported its address"; \
+	$$tmp/kvcheck -addr $$addr -n 2000 -mode fill || fail "fill failed"; \
+	held=$$($$tmp/kvcheck -addr $$addr -n 2000 -mode verify) || fail "verify failed"; \
+	echo "$$held"; \
+	case "$$held" in *"2000/2000 keys held"*) ;; *) fail "a live server lost keys";; esac; \
 	kill -TERM $$pid; \
-	wait $$pid; \
+	wait $$pid || fail "server exited non-zero after SIGTERM"; \
+	grep -q 'kvserver: clean shutdown' $$tmp/server.log || fail "no clean shutdown line"; \
+	stats=$$(grep 'kvserver: stats ' $$tmp/server.log | tail -1); \
+	for class in interactive bulk; do \
+		echo "$$stats" | grep -Eq "\"$$class\":\{\"ops\":[1-9][0-9]*,\"errors\":0," || fail "final stats: $$class class has no ops, or errors"; \
+	done; \
 	cat $$tmp/server.log; \
 	rm -rf $$tmp; \
 	echo "net-smoke: clean shutdown"
@@ -203,43 +214,3 @@ microbench:
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms
-
-# bench-json appends one trajectory record per row to
-# BENCH_kvbench.json (CI uploads it as an artifact). The configuration
-# is deliberately contended — few shards, a microsecond critical
-# section, the write-heavy zipfian mix — so the pipe-* rows show real
-# combining (ops_per_lock_take > 1), the rs-* rows reshard mid-run
-# (splits/reshard_events in the records), and the pipe-ff-* rows show
-# the fire-and-forget write path. The second run is the mixed-class
-# NETWORK smoke load: a heavy critical section (so service time
-# dominates scheduler noise on small runners) and a one-slot bulk
-# admission gate — on the asl rows the interactive class's p99 should
-# sit at or below the bulk class's (p99_interactive <= p99_bulk in the
-# records), while the class-oblivious mutex rows show no separation.
-# rs-* and net-* rows are trend data like everything else here: split
-# counts and queueing depend on how fast skew accumulates inside the
-# short measured window. The third run adds the durable rows: wal-*
-# (plain store, group commit via commit leader election) and
-# wal-pipe-* (pipeline, whole combiner batch per fsync) both carry
-# ops_per_fsync — the group-commit figure of merit, which should sit
-# well above 1 on wal-pipe-* and climb with the combine batch size.
-# The fourth run is the biased-lock leg: a single big worker owning
-# hot shards, so the bias-* and rs-pipe-bias-* rows carry the
-# adopt/revoke counters (bias_adoptions, bias_revocations,
-# bias_fast_acquires) and their ops_per_lock_take should hold level
-# with the corresponding rs-pipe-* rows — the owner's fast path
-# removes the RMW without costing the combiner its batching.
-bench-json:
-	$(GO) run ./cmd/kvbench -engines hashkv,lsm -mixes zipfw,zipf \
-		-locks asl,mutex -pipeline -reshard -ff -shards 4 -cs 1us \
-		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
-	$(GO) run ./cmd/kvbench -net -engines hashkv -mixes zipfw \
-		-locks asl,mutex -pipeline -shards 4 -cs 100us -bulkinflight 1 \
-		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
-	$(GO) run ./cmd/kvbench -engines hashkv -mixes zipfw \
-		-locks asl -pipeline -wal -shards 4 -cs 1us \
-		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
-	$(GO) run ./cmd/kvbench -engines hashkv -mixes zipfw \
-		-locks asl -pipeline -reshard -bias -shards 4 -threads 8 \
-		-bigs 1 -cs 1us -dur 500ms -warmup 150ms \
-		-json BENCH_kvbench.json

@@ -42,8 +42,8 @@ import (
 	"repro/internal/workload"
 )
 
-// lockFactories names the serving lock choices (the kvbench comparison
-// set minus nothing: any WLock can guard a shard).
+// lockFactories names the serving lock choices — the same set
+// cmd/kvbench compares in process; any WLock can guard a shard.
 func lockFactories() map[string]locks.Factory {
 	return map[string]locks.Factory{
 		"asl":          locks.FactoryASL(),

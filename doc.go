@@ -21,8 +21,9 @@
 // lock waits, locks.ClassProbe records the class each acquisition was
 // observed under. internal/sim + internal/amp + internal/simlock form
 // the deterministic discrete-event AMP simulator that regenerates the
-// paper's figures; DESIGN.md inventories the system, EXPERIMENTS.md
-// the paper-vs-measured results.
+// paper's figures; the internal/figures tests state the shape each
+// figure must reproduce, the internal/amp package doc what the model
+// substitutes for the paper's M1.
 //
 // # Serving layer
 //
@@ -33,8 +34,9 @@
 // emit after release. Placement is dynamic: a copy-on-write shard map
 // with stable ids and forward pointers lets a skew detector split
 // sustained-hot shards without stalling the rest of the store.
-// Store.As / AsyncStore.As provide op-level class-override views —
-// the library face of the ClassHint path.
+// Store.As / AsyncStore.As return the one op-level class-override
+// view (shardedkv.Classed, itself a KV) — the library face of the
+// ClassHint path.
 //
 // shardedkv.AsyncStore is the flat-combining front end: per-shard
 // lock-free MPSC rings, futures with class-aware spin/park waiting,
@@ -56,20 +58,22 @@
 // epochs feed the ASL window controllers from per-request latencies.
 // internal/kvclient is the concurrent pipelining client (one
 // multiplexed connection, calls matched by request id).
-// cmd/kvserver is the standalone binary (clean SIGTERM shutdown);
-// kvbench -net drives the whole grid over the wire.
+// cmd/kvserver is the standalone binary (clean SIGTERM shutdown).
 //
 // # Benchmarks and CI
 //
-// cmd/kvbench benchmarks the serving layer across engines, workload
-// mixes (internal/workload) and locks — locally and over the network
-// — and appends {commit, engine, mix, lock, ops_per_sec, p99, ...}
-// records to BENCH_kvbench.json (cmd/kvbench/README.md documents
-// every flag, row family and the record schema).
+// benchmark/ (a Go module of its own; contract in BENCHMARK.json, run
+// with `bash benchmark/run.sh`) is the repository's benchmark: the
+// served stack over loopback TCP, end-to-end metrics as medians with
+// spread, output checks, per-layer attribution; `make bench-pairs` is
+// the before/after procedure for a performance claim. cmd/kvbench is
+// the in-process engine × mix × lock grid the benchmark cannot run
+// (internal/workload mixes; cmd/kvbench/README.md has its flags).
 // .github/workflows/ci.yml gates every push on `make ci`: vet, the
 // repolint contract checkers, gofmt, build, tests, the race detector
-// over RACE_PKGS, the -short smoke paths, and net-smoke (a real
-// server driven by a real client and shut down by SIGTERM).
+// over RACE_PKGS, the -short smoke paths, the benchmark module's own
+// vet/test/build, and net-smoke (a real server filled and read back
+// by cmd/kvcheck and shut down by SIGTERM).
 //
 // internal/analysis + cmd/repolint machine-check the concurrency
 // contracts the layers above rely on: ClassHint set/clear pairing,

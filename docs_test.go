@@ -1,0 +1,74 @@
+package repro
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// docsSkip are the files whose mentions are not this tree's to keep
+// true: the append-only history, the roadmap's history sections, and
+// the paper / related-work / exemplar digests that cite other repos.
+var docsSkip = map[string]bool{
+	"CHANGES.md": true, "ROADMAP.md": true, "PAPER.md": true,
+	"PAPERS.md": true, "SNIPPETS.md": true, "ISSUE.md": true,
+}
+
+var (
+	// mdLink is a markdown link target; mdMention any path-like token
+	// ending in .md (a glob such as *.md has no name and does not match).
+	mdLink    = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	mdMention = regexp.MustCompile(`[A-Za-z0-9_./:-]*[A-Za-z0-9_-]\.md\b`)
+)
+
+// TestDocPointersResolve fails on a pointer to a document that is not
+// there: a relative markdown link in a *.md file, or the name of a .md
+// file mentioned in a *.md or *.go file, must be an existing file —
+// relative to the repository root or to the mentioning file's directory.
+func TestDocPointersResolve(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch path {
+			case ".git", ".bench_build", "bin", "benchmark":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		ext := filepath.Ext(path)
+		if (ext != ".md" && ext != ".go") || docsSkip[path] {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			var targets []string
+			if ext == ".md" {
+				for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
+					if target, _, _ := strings.Cut(m[1], "#"); target != "" {
+						targets = append(targets, target)
+					}
+				}
+			}
+			targets = append(targets, mdMention.FindAllString(line, -1)...)
+			for _, target := range targets {
+				_, atRoot := os.Stat(target)
+				_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))
+				if !strings.Contains(target, "://") && atRoot != nil && beside != nil {
+					t.Errorf("%s:%d: %s does not exist", path, i+1, target)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,11 +1,11 @@
 // Package amp models an asymmetric multicore processor (AMP) on top of
 // the discrete-event kernel in internal/sim. It is the stand-in for the
-// paper's Apple M1 testbed (see DESIGN.md, substitutions): cores carry a
-// class (big or little) and per-class slowdown factors for critical and
-// non-critical work; threads consume CPU time on their core; cores can
-// be over-subscribed, in which case a round-robin scheduler with a
-// CFS-like quantum, context-switch cost and wake-up latency arbitrates
-// — the ingredients Bench-6 (Fig. 8h/8i) depends on.
+// paper's Apple M1 testbed: cores carry a class (big or little) and
+// per-class slowdown factors for critical and non-critical work;
+// threads consume CPU time on their core; cores can be over-subscribed,
+// in which case a round-robin scheduler with a CFS-like quantum,
+// context-switch cost and wake-up latency arbitrates — the ingredients
+// Bench-6 (Fig. 8h/8i) depends on.
 //
 // The model is deliberately minimal: the paper's collapse phenomena are
 // functions of (a) the ratio of critical-section durations between core

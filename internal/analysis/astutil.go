@@ -74,9 +74,8 @@ const (
 //
 // Matching is by method name and arity only (no package check), so
 // the passes work identically on the real tree and on import-free
-// fixture stand-ins. Helpers that acquire under other names (electTry,
-// LockCohort) are covered by the lockorder pass's per-function
-// summaries instead.
+// fixture stand-ins. Helpers that acquire under other names (electTry)
+// are covered by the lockorder pass's per-function summaries instead.
 func LockCall(call *ast.CallExpr) (recv ast.Expr, verb LockVerb, ok bool) {
 	recv, name, isMethod := MethodCall(call)
 	if !isMethod {

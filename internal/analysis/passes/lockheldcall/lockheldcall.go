@@ -11,10 +11,9 @@
 //   - a channel send (completing a future wakes a waiter into a world
 //     where this goroutine still holds the lock; the pipeline
 //     completes futures only after release);
-//   - calling an exported method on a Store / AsyncStore /
-//     ClassedStore / ClassedAsync value (re-entering the public API
-//     acquires shard locks and can self-deadlock or invert the
-//     ancestor→descendant split order);
+//   - calling an exported method on a Store / AsyncStore / Classed
+//     value (re-entering the public API acquires shard locks and can
+//     self-deadlock or invert the ancestor→descendant split order);
 //   - calling an fsync-issuing method on a wal.Log (Commit, Sync,
 //     WriteCheckpoint, Close): the durability contract is append
 //     (buffered) under the lock, ONE group commit after release —
@@ -65,10 +64,9 @@ var Analyzer = &analysis.Analyzer{
 // the re-entrant public store API (matched by type name so fixtures
 // can declare local stand-ins).
 var storeTypes = map[string]bool{
-	"Store":        true,
-	"AsyncStore":   true,
-	"ClassedStore": true,
-	"ClassedAsync": true,
+	"Store":      true,
+	"AsyncStore": true,
+	"Classed":    true,
 }
 
 // walSyncMethods are the wal.Log methods that issue fsync (or block on

@@ -12,8 +12,7 @@
 // per-function summaries (AcquiresFact) — the classes a function may
 // acquire, may release, and may still hold when it returns — computed
 // to a fixpoint within the package and exported as object facts, so
-// sh.electTry(w) (which returns holding sh.lock) and Cohort.Lock
-// (which returns holding both cohort levels) shape their callers'
+// sh.electTry(w) (which returns holding sh.lock) shapes its callers'
 // held-sets across package boundaries. Every acquire that happens
 // while classes are held contributes held→acquired edges; the
 // per-package union rides a cumulative GraphFact package fact along
@@ -29,8 +28,8 @@
 //	rank 1  *.shard.lock     shard locks; ancestor before descendant,
 //	                         same-class nesting only under splitMu
 //	rank 2  everything else  engine/pipeline/server-internal locks
-//	                         (AsyncStore.mu, Cohort.global, Server.mu,
-//	                         serverConn.mu, ...): innermost, must not
+//	                         (AsyncStore.mu, Server.mu, serverConn.mu,
+//	                         ...): innermost, must not
 //	                         wrap back around a shard lock
 //
 // Ranks are matched by class-name suffix so fixture stand-ins rank the
@@ -84,9 +83,8 @@ type AcquiresFact struct {
 	// via defer).
 	Releases []string
 	// ReturnsHeld lists classes that may still be held when the
-	// function returns — for a bool-returning function (electTry,
-	// TryLockCohort) callers treat these as held on the true branch
-	// only.
+	// function returns — for a bool-returning function (electTry)
+	// callers treat these as held on the true branch only.
 	ReturnsHeld []string
 }
 

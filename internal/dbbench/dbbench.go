@@ -29,8 +29,8 @@ type DB interface {
 
 // Padder injects the emulated little-core slowdown: on a symmetric
 // host, little-class workers execute extra calibrated work so the
-// critical-section duration ratio matches the paper's AMP (DESIGN.md
-// substitutions). Engines call CS while holding their locks.
+// critical-section duration ratio matches the paper's AMP
+// (workload.AsymmetryShim). Engines call CS while holding their locks.
 type Padder struct {
 	Shim workload.AsymmetryShim
 }

@@ -1,8 +1,9 @@
 // Package figures reproduces every figure of the paper's evaluation
 // (§4) on the discrete-event AMP simulator, plus real-engine variants
 // where meaningful. Each FigXX function returns a harness.Figure whose
-// rows/series correspond one-to-one to the paper's plots; integration
-// tests assert the qualitative shape targets listed in DESIGN.md §4.
+// rows/series correspond one-to-one to the paper's plots; the
+// integration tests in figures_test.go state and assert each figure's
+// qualitative shape targets.
 package figures
 
 import (

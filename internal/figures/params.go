@@ -6,8 +6,8 @@ import (
 	"repro/internal/simlock"
 )
 
-// Calibration constants for the simulated M1 (see EXPERIMENTS.md for
-// the rationale). All durations are big-core nanoseconds; little-core
+// Calibration constants for the simulated M1; each carries its
+// rationale. All durations are big-core nanoseconds; little-core
 // durations follow from the machine's class factors.
 const (
 	// LineRMWNs is the cost of read-modify-writing one contended

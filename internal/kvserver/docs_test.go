@@ -99,7 +99,7 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 		"statustext",
 		// Biased locking (§6a) and its load-bearing names.
 		"Biased locking", "locks.Biased", "revocation", "HintAdopt",
-		"Revoke", "bias_revocations",
+		"Revoke",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md does not mention %q", want)

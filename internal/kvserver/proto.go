@@ -16,8 +16,8 @@
 // can at worst get its own connection closed.
 //
 // internal/kvclient implements the matching concurrent, pipelining
-// client; cmd/kvserver is the standalone binary; cmd/kvbench -net
-// drives the whole engine×mix×lock grid over the wire.
+// client; cmd/kvserver is the standalone binary; benchmark/ measures
+// the served stack over loopback.
 package kvserver
 
 import (

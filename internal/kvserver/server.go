@@ -495,7 +495,7 @@ func (s *Server) appendRange(w *core.Worker, req *Request, out []byte) ([]byte, 
 // ClassServerStats is one SLO class's server-side view.
 type ClassServerStats struct {
 	// Ops counts completed operations (batch elements and scanned
-	// pairs count individually, like kvbench's ops/s unit).
+	// pairs count individually).
 	Ops uint64 `json:"ops"`
 	// Errors counts error-status responses sent to this class.
 	Errors uint64 `json:"errors"`

@@ -30,7 +30,6 @@ func tryFactories() []struct {
 		{"proportional", FactoryProportional(2)},
 		{"asl", FactoryASL()},
 		{"asl-blocking", FactoryASLBlocking()},
-		{"cohort", func() WLock { return WrapCohort(NewCohortAMP()) }},
 	}
 }
 

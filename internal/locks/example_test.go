@@ -57,16 +57,3 @@ func ExampleASLMutex_bind() {
 	fmt.Println("ok")
 	// Output: ok
 }
-
-// ExampleFlatCombining contrasts the delegation API (§5 of the paper):
-// critical sections become closures executed by the combiner.
-func ExampleFlatCombining() {
-	var fc locks.FlatCombining
-	total := 0
-	for i := 1; i <= 4; i++ {
-		i := i
-		fc.Do(func() { total += i })
-	}
-	fmt.Println(total)
-	// Output: 10
-}

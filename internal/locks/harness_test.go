@@ -14,10 +14,9 @@ import (
 // This file is the shared lock torture harness: one parameterized
 // mutual-exclusion + progress + TryAcquire-consistency checker applied
 // uniformly to every lock family in the package (and to the wrapper
-// stacks the store actually deploys), replacing the per-family ad-hoc
-// copies that used to live in locks_test.go and tryacquire_test.go.
-// Run with -race: the intentionally non-atomic shared counter turns
-// any exclusion bug into both a lost update and a detector hit.
+// stacks the store actually deploys). Run with -race: the intentionally
+// non-atomic shared counter turns any exclusion bug into both a lost
+// update and a detector hit.
 
 // harnessFamily is one lock family under test.
 type harnessFamily struct {
@@ -37,16 +36,13 @@ func harnessFamilies() []harnessFamily {
 		{"pthread", FactoryPthread()},
 		{"tas", FactoryTAS(core.Big, 0)},
 		{"ttas", func() WLock { return Wrap(new(TTAS)) }},
-		{"backoff", func() WLock { return Wrap(new(Backoff)) }},
 		{"ticket", FactoryTicket()},
-		{"clh", func() WLock { return Wrap(new(CLH)) }},
 		{"mcs", FactoryMCS()},
 		{"mcspark", func() WLock { return Wrap(new(MCSPark)) }},
 		{"proportional", FactoryProportional(2)},
 		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
 		{"asl", FactoryASL()},
 		{"asl-blocking", FactoryASLBlocking()},
-		{"cohort", func() WLock { return WrapCohort(NewCohortAMP()) }},
 		{"contended", FactoryContended(FactoryMCS())},
 		{"biased", FactoryBiased(FactorySyncMutex(), bcfg)},
 		{"biased-asl", FactoryBiased(FactoryASL(), bcfg)},

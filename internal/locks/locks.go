@@ -1,11 +1,11 @@
 // Package locks implements the real (non-simulated) lock algorithms of
 // the paper and its baselines, all usable from ordinary Go code:
 //
-//   - TAS, TTAS and exponential-backoff test-and-set spinlocks
+//   - TAS and TTAS test-and-set spinlocks
 //   - Ticket lock
 //   - MCS queue lock (spin) and MCS spin-then-park
 //   - BargingMutex, a futex-style unfair blocking mutex standing in for
-//     pthread_mutex_lock (see DESIGN.md substitutions)
+//     pthread_mutex_lock
 //   - Proportional, a two-queue lock equivalent to the paper's
 //     ShflLock with the proportional-based static policy (SHFL-PBn)
 //   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
@@ -75,27 +75,5 @@ func (s *spinner) spin() {
 	// hammering the contended cache line.
 	for i := 0; i < 4; i++ {
 		_ = i
-	}
-}
-
-// backoff is a bounded exponential backoff helper.
-type backoff struct {
-	cur, max uint
-}
-
-func newBackoff(initial, max uint) backoff { return backoff{cur: initial, max: max} }
-
-// wait busy-waits for the current backoff duration (in spin units) and
-// doubles it, saturating at max.
-func (b *backoff) wait() {
-	var s spinner
-	for i := uint(0); i < b.cur; i++ {
-		s.spin()
-	}
-	if b.cur < b.max {
-		b.cur <<= 1
-		if b.cur > b.max {
-			b.cur = b.max
-		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // asymmetric hardware, systematically biased toward one core class.
 //
 // Because this reproduction runs on symmetric hardware, the hardware
-// bias does not arise by itself; SetAffinity injects it (see DESIGN.md).
+// bias does not arise by itself; SetAffinity injects it (see affinity).
 // With no affinity configured, TAS behaves like a regular unfair
 // spinlock.
 type TAS struct {
@@ -107,45 +107,3 @@ func (t *TTAS) IsFree() bool { return t.state.Load() == 0 }
 
 // Unlock releases the lock.
 func (t *TTAS) Unlock() { t.state.Store(0) }
-
-// Backoff is a test-and-set lock with bounded exponential backoff
-// between attempts. §3.4 of the paper notes that LibASL's standby
-// competitors make little cores behave like a backoff spinlock, which
-// is scalable among same-class competitors; this is that baseline.
-type Backoff struct {
-	_     pad
-	state atomic.Uint32
-	_     pad
-	// MinSpin/MaxSpin bound the backoff in spin units; zero values get
-	// defaults.
-	MinSpin, MaxSpin uint
-}
-
-// Lock acquires the lock.
-func (b *Backoff) Lock() {
-	minS, maxS := b.MinSpin, b.MaxSpin
-	if minS == 0 {
-		minS = 4
-	}
-	if maxS == 0 {
-		maxS = 4096
-	}
-	bo := newBackoff(minS, maxS)
-	for {
-		if b.state.Load() == 0 && b.state.CompareAndSwap(0, 1) {
-			return
-		}
-		bo.wait()
-	}
-}
-
-// TryLock acquires the lock iff it is free.
-func (b *Backoff) TryLock() bool {
-	return b.state.Load() == 0 && b.state.CompareAndSwap(0, 1)
-}
-
-// IsFree reports whether the lock is currently free.
-func (b *Backoff) IsFree() bool { return b.state.Load() == 0 }
-
-// Unlock releases the lock.
-func (b *Backoff) Unlock() { b.state.Store(0) }

@@ -2,12 +2,12 @@ package shardedkv
 
 import "repro/internal/core"
 
-// This file provides the op-level class override surface: views of
-// Store and AsyncStore whose every operation runs under a fixed
-// core.Class regardless of the worker's base class. The mechanism is
-// the per-operation ClassHint on core.Worker — the view installs the
-// hint, runs the operation, and restores the worker's previous hint
-// state — so the override reaches every class consumer on the path:
+// This file provides the op-level class override surface: a view of a
+// KV whose every operation runs under a fixed core.Class regardless of
+// the worker's base class. The mechanism is the per-operation
+// ClassHint on core.Worker — the view installs the hint, runs the
+// operation, and restores the worker's previous hint state — so the
+// override reaches every class consumer on the path:
 // the shard lock's acquire policy (ASL big/little admission), combiner
 // election cadence and spin-vs-park waiting in the pipeline, epoch
 // feedback, and the CSPad keying.
@@ -15,8 +15,8 @@ import "repro/internal/core"
 // This is the serving-boundary contract of the network front end
 // (internal/kvserver): one connection-handler goroutine owns one
 // worker but serves requests of BOTH SLO classes, so class must ride
-// on the operation, not the goroutine. Views are values (two words);
-// make them on the fly: st.As(core.Little).Put(w, k, v).
+// on the operation, not the goroutine. Views are small values; make
+// them on the fly: st.As(core.Little).Put(w, k, v).
 
 // classScope saves a worker's hint state and installs an override.
 // Restore with restore() — NOT a defer in hot paths; call it on every
@@ -29,7 +29,7 @@ type classScope struct {
 
 func enterClass(w *core.Worker, c core.Class) classScope {
 	s := classScope{w: w, hinted: w.ClassHinted(), prev: w.Class()}
-	//lint:ignore classhintpair enterClass IS the set half of the pair; every caller is a single-return Classed* method that calls restore() before returning, which the ops below make structurally obvious.
+	//lint:ignore classhintpair enterClass IS the set half of the pair; every caller is a single-return Classed method that calls restore() before returning, which the ops below make structurally obvious.
 	w.SetClassHint(c)
 	return s
 }
@@ -43,201 +43,97 @@ func (s classScope) restore() {
 	}
 }
 
-// ClassedStore is a Store view whose operations run as a fixed class.
-type ClassedStore struct {
-	s *Store
-	c core.Class
+// Classed is a view of a KV whose operations run as a fixed class:
+// each installs the class as the worker's hint, calls through, and
+// restores the previous hint state. Over an AsyncStore the class
+// governs election cadence, spin-vs-park waiting and the drain bound
+// if this worker combines — what distinguishes an interactive request
+// (elect/combine/spin) from a bulk one (enqueue/park).
+type Classed struct {
+	kv KV
+	c  core.Class
 }
 
 // As returns a view of the store whose operations run with the
 // worker's class overridden to c for the operation's duration.
-func (s *Store) As(c core.Class) ClassedStore { return ClassedStore{s: s, c: c} }
+func (s *Store) As(c core.Class) Classed { return Classed{kv: s, c: c} }
 
-// Store returns the underlying store.
-func (v ClassedStore) Store() *Store { return v.s }
-
-// Class returns the view's class.
-func (v ClassedStore) Class() core.Class { return v.c }
+// As returns a view of the async store whose operations run with the
+// worker's class overridden to c.
+func (a *AsyncStore) As(c core.Class) Classed { return Classed{kv: a, c: c} }
 
 // Get reads k as the view's class.
-func (v ClassedStore) Get(w *core.Worker, k uint64) ([]byte, bool) {
+func (v Classed) Get(w *core.Worker, k uint64) ([]byte, bool) {
 	sc := enterClass(w, v.c)
-	val, ok := v.s.Get(w, k)
+	val, ok := v.kv.Get(w, k)
 	sc.restore()
 	return val, ok
 }
 
 // Put stores k=v as the view's class; reports insert-vs-replace.
-func (v ClassedStore) Put(w *core.Worker, k uint64, val []byte) (bool, error) {
+func (v Classed) Put(w *core.Worker, k uint64, val []byte) (bool, error) {
 	sc := enterClass(w, v.c)
-	ok, err := v.s.Put(w, k, val)
+	ok, err := v.kv.Put(w, k, val)
 	sc.restore()
 	return ok, err
 }
 
 // Delete removes k as the view's class; reports presence.
-func (v ClassedStore) Delete(w *core.Worker, k uint64) (bool, error) {
+func (v Classed) Delete(w *core.Worker, k uint64) (bool, error) {
 	sc := enterClass(w, v.c)
-	ok, err := v.s.Delete(w, k)
+	ok, err := v.kv.Delete(w, k)
 	sc.restore()
 	return ok, err
 }
 
 // MultiGet reads all keys as the view's class.
-func (v ClassedStore) MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool) {
+func (v Classed) MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool) {
 	sc := enterClass(w, v.c)
-	vals, ok := v.s.MultiGet(w, keys)
+	vals, ok := v.kv.MultiGet(w, keys)
 	sc.restore()
 	return vals, ok
 }
 
 // MultiPut writes all pairs as the view's class.
-func (v ClassedStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
+func (v Classed) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	sc := enterClass(w, v.c)
-	n, err := v.s.MultiPut(w, kvs)
+	n, err := v.kv.MultiPut(w, kvs)
 	sc.restore()
 	return n, err
 }
 
 // Range scans [lo, hi] as the view's class. fn runs inside the scope
 // (collection has already released every shard lock when it runs).
-func (v ClassedStore) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
+func (v Classed) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	sc := enterClass(w, v.c)
-	v.s.Range(w, lo, hi, fn)
+	v.kv.Range(w, lo, hi, fn)
 	sc.restore()
 }
 
 // MultiRange executes all range requests as the view's class.
-func (v ClassedStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
+func (v Classed) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 	sc := enterClass(w, v.c)
-	out := v.s.MultiRange(w, reqs)
+	out := v.kv.MultiRange(w, reqs)
 	sc.restore()
 	return out
 }
 
-// Flush drives the durability barrier as the view's class.
-func (v ClassedStore) Flush(w *core.Worker) error {
+// Flush drives the write/durability barrier as the view's class (over
+// an AsyncStore the class governs the combining the flush performs).
+func (v Classed) Flush(w *core.Worker) error {
 	sc := enterClass(w, v.c)
-	err := v.s.Flush(w)
+	err := v.kv.Flush(w)
 	sc.restore()
 	return err
 }
 
-// Close shuts the shared underlying store down (see Store.Close).
-func (v ClassedStore) Close(w *core.Worker) {
+// Close shuts the shared underlying front end down (see Store.Close,
+// AsyncStore.Close).
+func (v Classed) Close(w *core.Worker) {
 	sc := enterClass(w, v.c)
-	v.s.Close(w)
+	v.kv.Close(w)
 	sc.restore()
 }
 
 // Stats snapshots the underlying store's per-shard counters.
-func (v ClassedStore) Stats() []ShardStats { return v.s.Stats() }
-
-// ClassedAsync is an AsyncStore view whose submissions run as a fixed
-// class: the class governs election cadence, spin-vs-park waiting and
-// the drain bound if this worker combines — exactly what distinguishes
-// an interactive request (elect/combine/spin) from a bulk one
-// (enqueue/park) at the serving boundary.
-type ClassedAsync struct {
-	a *AsyncStore
-	c core.Class
-}
-
-// As returns a view of the async store whose operations run with the
-// worker's class overridden to c.
-func (a *AsyncStore) As(c core.Class) ClassedAsync { return ClassedAsync{a: a, c: c} }
-
-// Async returns the underlying AsyncStore.
-func (v ClassedAsync) Async() *AsyncStore { return v.a }
-
-// Class returns the view's class.
-func (v ClassedAsync) Class() core.Class { return v.c }
-
-// Get reads k through the pipeline as the view's class.
-func (v ClassedAsync) Get(w *core.Worker, k uint64) ([]byte, bool) {
-	sc := enterClass(w, v.c)
-	val, ok := v.a.Get(w, k)
-	sc.restore()
-	return val, ok
-}
-
-// Put stores k=v through the pipeline as the view's class.
-func (v ClassedAsync) Put(w *core.Worker, k uint64, val []byte) (bool, error) {
-	sc := enterClass(w, v.c)
-	ok, err := v.a.Put(w, k, val)
-	sc.restore()
-	return ok, err
-}
-
-// Delete removes k through the pipeline as the view's class.
-func (v ClassedAsync) Delete(w *core.Worker, k uint64) (bool, error) {
-	sc := enterClass(w, v.c)
-	ok, err := v.a.Delete(w, k)
-	sc.restore()
-	return ok, err
-}
-
-// PutAsync submits a fire-and-forget put as the view's class.
-func (v ClassedAsync) PutAsync(w *core.Worker, k uint64, val []byte) {
-	sc := enterClass(w, v.c)
-	v.a.PutAsync(w, k, val)
-	sc.restore()
-}
-
-// DeleteAsync submits a fire-and-forget delete as the view's class.
-func (v ClassedAsync) DeleteAsync(w *core.Worker, k uint64) {
-	sc := enterClass(w, v.c)
-	v.a.DeleteAsync(w, k)
-	sc.restore()
-}
-
-// MultiGet reads all keys through the pipeline as the view's class.
-func (v ClassedAsync) MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool) {
-	sc := enterClass(w, v.c)
-	vals, ok := v.a.MultiGet(w, keys)
-	sc.restore()
-	return vals, ok
-}
-
-// MultiPut writes all pairs through the pipeline as the view's class.
-func (v ClassedAsync) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
-	sc := enterClass(w, v.c)
-	n, err := v.a.MultiPut(w, kvs)
-	sc.restore()
-	return n, err
-}
-
-// Range scans [lo, hi] through the pipeline as the view's class.
-func (v ClassedAsync) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
-	sc := enterClass(w, v.c)
-	v.a.Range(w, lo, hi, fn)
-	sc.restore()
-}
-
-// MultiRange executes all range requests through the pipeline as the
-// view's class.
-func (v ClassedAsync) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
-	sc := enterClass(w, v.c)
-	out := v.a.MultiRange(w, reqs)
-	sc.restore()
-	return out
-}
-
-// Flush drives the write barrier as the view's class (the class
-// governs the combining the flush itself performs).
-func (v ClassedAsync) Flush(w *core.Worker) error {
-	sc := enterClass(w, v.c)
-	err := v.a.Flush(w)
-	sc.restore()
-	return err
-}
-
-// Close shuts the shared pipeline down (see AsyncStore.Close).
-func (v ClassedAsync) Close(w *core.Worker) {
-	sc := enterClass(w, v.c)
-	v.a.Close(w)
-	sc.restore()
-}
-
-// Stats snapshots the underlying store's per-shard counters.
-func (v ClassedAsync) Stats() []ShardStats { return v.a.st.Stats() }
+func (v Classed) Stats() []ShardStats { return v.kv.Stats() }

@@ -32,87 +32,105 @@ func probeStore(t *testing.T) (*Store, *locks.ClassProbe) {
 	return st, probes[0]
 }
 
-// TestClassedStoreOverridesLockClass asserts the core serving-boundary
-// property: an op issued through As(c) is observed at the shard lock
-// as class c, whatever the worker's base class.
-func TestClassedStoreOverridesLockClass(t *testing.T) {
-	st, probe := probeStore(t)
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+// classedFrontEnd is one KV front end over a one-shard probe store.
+// queue leaves a write on the pipeline's ring, so that Flush has
+// something to combine under the shard lock; it is nil where Flush
+// takes no shard lock at all (the plain store without durability).
+type classedFrontEnd struct {
+	name  string
+	as    func(core.Class) Classed
+	queue func(w *core.Worker)
+	probe *locks.ClassProbe
+}
 
-	st.As(core.Little).Put(w, 1, []byte("a"))
-	st.As(core.Little).Get(w, 1)
-	st.As(core.Little).Delete(w, 1)
-	after := probe.Stats()
-	if after.LittleAcquires != 3 {
-		t.Fatalf("little-class view: little acquires = %d, want 3 (stats %+v)", after.LittleAcquires, after)
+func classedFrontEnds(t *testing.T) []classedFrontEnd {
+	st, sp := probeStore(t)
+	ast, ap := probeStore(t)
+	a := NewAsync(ast, AsyncConfig{})
+	return []classedFrontEnd{
+		{"store", st.As, nil, sp},
+		{"async", a.As, func(w *core.Worker) { a.PutAsync(w, 100, []byte("ff")) }, ap},
 	}
-	if after.BigAcquires != 0 {
-		t.Fatalf("little-class view leaked %d big acquires", after.BigAcquires)
-	}
+}
 
-	st.As(core.Big).Put(w, 2, []byte("b"))
-	st.As(core.Big).MultiGet(w, []uint64{1, 2})
-	end := probe.Stats()
-	if got := end.BigAcquires; got != 2 {
-		t.Fatalf("big-class view: big acquires = %d, want 2", got)
-	}
-
-	// The override must not outlive the op.
-	if w.ClassHinted() || w.Class() != core.Big {
-		t.Fatalf("hint leaked: hinted=%v class=%v", w.ClassHinted(), w.Class())
+// TestClassedViewOverridesLockClass asserts the core serving-boundary
+// property on both front ends: every op issued through As(c) is
+// observed at the shard lock as class c, whatever the worker's base
+// class, and the override does not outlive the op. One worker drives
+// the pipeline, so it is its own combiner and the probe sees its hint.
+func TestClassedViewOverridesLockClass(t *testing.T) {
+	for _, fe := range classedFrontEnds(t) {
+		t.Run(fe.name, func(t *testing.T) {
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			for _, c := range []core.Class{core.Little, core.Big} {
+				v := fe.as(c)
+				ops := []struct {
+					name  string
+					locks bool
+					run   func() bool // reports whether the result was right
+				}{
+					{"Put", true, func() bool { ins, err := v.Put(w, 1, []byte("a")); return ins && err == nil }},
+					{"Get", true, func() bool { val, ok := v.Get(w, 1); return ok && string(val) == "a" }},
+					{"MultiPut", true, func() bool {
+						n, err := v.MultiPut(w, []Pair{{Key: 2, Value: []byte("b")}, {Key: 3, Value: []byte("c")}})
+						return n == 2 && err == nil
+					}},
+					{"MultiGet", true, func() bool { _, oks := v.MultiGet(w, []uint64{1, 2, 9}); return oks[0] && oks[1] && !oks[2] }},
+					{"Range", true, func() bool {
+						n := 0
+						v.Range(w, 0, 50, func(uint64, []byte) bool { n++; return true })
+						return n == 3
+					}},
+					{"Flush", fe.queue != nil, func() bool {
+						if fe.queue != nil {
+							fe.queue(w)
+						}
+						return v.Flush(w) == nil
+					}},
+					{"Delete", true, func() bool {
+						for k := uint64(1); k <= 3; k++ { // leave the store empty for the next class
+							if had, err := v.Delete(w, k); !had || err != nil {
+								return false
+							}
+						}
+						return true
+					}},
+				}
+				for _, op := range ops {
+					before := fe.probe.Stats()
+					if !op.run() {
+						t.Fatalf("%s as %v: wrong result", op.name, c)
+					}
+					after := fe.probe.Stats()
+					own := after.LittleAcquires - before.LittleAcquires
+					other := after.BigAcquires - before.BigAcquires
+					if c == core.Big {
+						own, other = other, own
+					}
+					if other != 0 || (op.locks && own == 0) {
+						t.Fatalf("%s as %v: %d acquires as the view's class, %d as the other", op.name, c, own, other)
+					}
+					if w.ClassHinted() || w.Class() != core.Big {
+						t.Fatalf("%s as %v: hint leaked: hinted=%v class=%v", op.name, c, w.ClassHinted(), w.Class())
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestClassedViewRestoresOuterHint checks nesting: a view call inside
 // an already-hinted scope restores the OUTER hint, not the base class.
 func TestClassedViewRestoresOuterHint(t *testing.T) {
-	st, _ := probeStore(t)
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	w.SetClassHint(core.Little)
-	st.As(core.Big).Put(w, 7, []byte("x"))
-	if !w.ClassHinted() || w.Class() != core.Little {
-		t.Fatalf("outer hint lost: hinted=%v class=%v", w.ClassHinted(), w.Class())
+	for _, fe := range classedFrontEnds(t) {
+		t.Run(fe.name, func(t *testing.T) {
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			w.SetClassHint(core.Little)
+			fe.as(core.Big).Put(w, 7, []byte("x"))
+			if !w.ClassHinted() || w.Class() != core.Little {
+				t.Fatalf("outer hint lost: hinted=%v class=%v", w.ClassHinted(), w.Class())
+			}
+			w.ClearClassHint()
+		})
 	}
-	w.ClearClassHint()
-}
-
-// TestClassedAsyncOverride drives the pipeline through classed views
-// on both classes and checks results plus hint restoration. The lock
-// class of the executing combiner is not asserted here (a concurrent
-// combiner of either class may execute any op — that is the point of
-// combining); what must hold is correctness and hint hygiene.
-func TestClassedAsyncOverride(t *testing.T) {
-	st := New(Config{Shards: 2})
-	a := NewAsync(st, AsyncConfig{})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-
-	bulk := a.As(core.Little)
-	inter := a.As(core.Big)
-	for k := uint64(0); k < 64; k++ {
-		if k%2 == 0 {
-			bulk.Put(w, k, []byte{byte(k)})
-		} else {
-			inter.Put(w, k, []byte{byte(k)})
-		}
-	}
-	bulk.PutAsync(w, 100, []byte("ff"))
-	bulk.Flush(w)
-	for k := uint64(0); k < 64; k++ {
-		v, ok := inter.Get(w, k)
-		if !ok || len(v) != 1 || v[0] != byte(k) {
-			t.Fatalf("key %d: got %v ok=%v", k, v, ok)
-		}
-	}
-	if v, ok := bulk.Get(w, 100); !ok || string(v) != "ff" {
-		t.Fatalf("fire-and-forget write lost: %q ok=%v", v, ok)
-	}
-	n := 0
-	bulk.Range(w, 0, 200, func(uint64, []byte) bool { n++; return true })
-	if n != 65 {
-		t.Fatalf("range saw %d keys, want 65", n)
-	}
-	if w.ClassHinted() {
-		t.Fatal("hint leaked out of async view ops")
-	}
-	a.Close(w)
 }

@@ -4,7 +4,7 @@ import "repro/internal/core"
 
 // KV is the one store surface every front end implements: the plain
 // synchronous Store, the combining AsyncStore, and the fixed-class
-// views either returns from As. Consumers that do not care which
+// view (Classed) either returns from As. Consumers that do not care which
 // concurrency front end (or SLO class binding) they are handed — the
 // network server's request loop, the benchmark driver, the model
 // checker's harness — program against this and let the caller pick
@@ -45,12 +45,11 @@ type KV interface {
 	Stats() []ShardStats
 }
 
-// The four front ends below are the complete implementation set; the
+// The three front ends below are the complete implementation set; the
 // asserts keep interface drift a compile error rather than a runtime
 // surprise in whichever consumer noticed last.
 var (
 	_ KV = (*Store)(nil)
 	_ KV = (*AsyncStore)(nil)
-	_ KV = ClassedStore{}
-	_ KV = ClassedAsync{}
+	_ KV = Classed{}
 )

@@ -110,8 +110,9 @@ func (s *Store) ReshardStats() ReshardStats {
 
 // ForceSplit splits the shard currently owning k, regardless of skew.
 // Reports whether a split happened (false when the shard budget is
-// spent or the shard moved concurrently). Exposed for tests, the
-// kvbench smoke path, and operators that know a hotspot in advance.
+// spent or the shard moved concurrently). Exposed for tests,
+// cmd/kvserver's -force-split-every (the kvsoak chaos path), and
+// operators that know a hotspot in advance.
 func (s *Store) ForceSplit(w *core.Worker, k uint64) bool {
 	sh := s.smap.Load().locate(hashOf(k))
 	if !s.split(w, sh) {

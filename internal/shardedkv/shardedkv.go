@@ -112,8 +112,8 @@ type Config struct {
 	// CSPad, if non-nil, runs once per engine operation while the
 	// shard lock is held. Benchmarks on symmetric hosts use it with
 	// workload.AsymmetryShim to emulate the paper's AMP regime, where
-	// a little-core holder keeps the lock proportionally longer (see
-	// DESIGN.md substitutions). Leave nil in production use.
+	// a little-core holder keeps the lock proportionally longer. Leave
+	// nil in production use.
 	CSPad func(w *core.Worker)
 	// Reshard, if non-nil, enables dynamic resharding: shard locks are
 	// wrapped with contention counters and a skew detector splits

@@ -3,7 +3,7 @@
 // cache-line read-modify-write critical sections, calibrated NOP-style
 // delay loops, and the asymmetry shim that makes a symmetric host
 // behave like an AMP (little-class workers execute proportionally more
-// work per logical unit — see DESIGN.md substitutions).
+// work per logical unit — see AsymmetryShim).
 package workload
 
 import (
