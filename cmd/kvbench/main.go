@@ -5,7 +5,7 @@
 // baselines such as plain sync.Mutex. The served path (TCP, admission,
 // WAL) is measured by the repository's benchmark, benchmark/; this
 // grid covers what that cannot: every engine, every lock family, the
-// combining pipeline, resharding and biased shard locks side by side.
+// combining pipeline and resharding side by side.
 //
 // Usage:
 //
@@ -14,8 +14,6 @@
 //	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s -shardstats
 //	kvbench -pipeline -mixes zipfw           # ASL vs combining vs plain, one grid
 //	kvbench -pipeline -reshard -ff           # + rs-*, rs-pipe-*, pipe-ff-* rows
-//	kvbench -bias -bigs 1 -mixes zipfw       # + bias-* biased-shard-lock rows
-//	kvbench -bias -reshard                   # + rs-pipe-bias-* (splits revoke bias)
 //
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
 // zipfian keys), zipfw (write-heavy 80% put over zipfian keys — the
@@ -24,13 +22,12 @@
 // scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
 // -batch ranges per request grouped by shard).
 // Locks: asl, asl-blocking (for hosts with more workers than cores),
-// mutex, mcs, pthread. -pipeline, -ff, -reshard and -bias each add a
-// sibling row family per lock (pipe-*, pipe-ff-*, rs-*, bias-*) so
-// handoff policy, combining, shard fission and single-owner bias answer
-// the same contention in one grid run; cmd/kvbench/README.md documents
-// every flag, row family and stderr counter line. A row is one short
-// run on a shared host: compare rows of one invocation, never single
-// rows across runs.
+// mutex, mcs, pthread. -pipeline, -ff and -reshard each add a sibling
+// row family per lock (pipe-*, pipe-ff-*, rs-*) so handoff policy,
+// combining and shard fission answer the same contention in one grid
+// run; cmd/kvbench/README.md documents every flag, row family and
+// stderr counter line. A row is one short run on a shared host: compare
+// rows of one invocation, never single rows across runs.
 package main
 
 import (
@@ -128,14 +125,6 @@ type lockSpec struct {
 	ff bool
 	// reshard runs the row on a store with the skew detector live.
 	reshard bool
-	// bias wraps every shard lock with locks.Biased: a shard whose
-	// combining pipeline sees one worker take essentially every lock
-	// acquisition adopts that worker (plain-atomic fast path, no
-	// contended RMW per op) until foreign traffic — or a split —
-	// revokes the bias through the epoch/handshake grace period. Bias
-	// rows route through the pipeline (the adoption signal is the
-	// combiner take streak) and report adoption/revocation counts.
-	bias bool
 }
 
 // expandLocks grows each base lock into its comparison family: the
@@ -143,7 +132,7 @@ type lockSpec struct {
 // fire-and-forget sibling (-ff), and rs-*/rs-pipe-* dynamic-reshard
 // siblings (-reshard) — so handoff policy, combining, and shard
 // fission all answer the same contention in one grid run.
-func expandLocks(lks []lockSpec, pipeline, ff, reshard, bias bool) []lockSpec {
+func expandLocks(lks []lockSpec, pipeline, ff, reshard bool) []lockSpec {
 	var out []lockSpec
 	for _, lk := range lks {
 		out = append(out, lk)
@@ -157,18 +146,6 @@ func expandLocks(lks []lockSpec, pipeline, ff, reshard, bias bool) []lockSpec {
 			out = append(out, lockSpec{name: "rs-" + lk.name, f: lk.f, slo: lk.slo, reshard: true})
 			if pipeline {
 				out = append(out, lockSpec{name: "rs-pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, reshard: true})
-			}
-		}
-		if bias {
-			// bias-<lock> is a pipeline row by construction: the
-			// combiner take streak is the adoption signal, and the
-			// ops-per-lock-take column stays unit-compatible with the
-			// pipe-*/rs-pipe-* rows it is compared against. With
-			// -reshard a rs-pipe-bias-<lock> sibling adds splits — every
-			// split of a biased shard revokes the parent's bias first.
-			out = append(out, lockSpec{name: "bias-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, bias: true})
-			if reshard {
-				out = append(out, lockSpec{name: "rs-pipe-bias-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, reshard: true, bias: true})
 			}
 		}
 	}
@@ -225,9 +202,9 @@ func (f ffAPI) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 }
 
 // run executes one configuration and returns its summary row, the
-// store's per-shard counters, and (for pipe/rs/bias rows) the
-// aggregate combining, resharding, and biased-lock stats.
-func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats, *shardedkv.ReshardStats, *locks.BiasStats) {
+// store's per-shard counters, and (for pipe/rs rows) the aggregate
+// combining and resharding stats.
+func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats, *shardedkv.ReshardStats) {
 	// The critical-section pad emulates the paper's AMP regime on a
 	// symmetric host: a little-class holder keeps the shard lock
 	// CSFactor times longer, exactly the condition under which FIFO
@@ -240,7 +217,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		CSPad: func(w *core.Worker) {
 			workload.Spin(shim.CSUnits(cfg.csUnits, w.Class()))
 		},
-		Bias: lk.bias,
 	}
 	if lk.reshard {
 		// An aggressive detector relative to the run length: several
@@ -390,14 +366,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		r := st.ReshardStats()
 		rs = &r
 	}
-	var bs *locks.BiasStats
-	if lk.bias {
-		// Snapshot after the pipeline Flush above so the counters cover
-		// every settled op (split-retired parents included).
-		b := st.AggregateBiasStats()
-		bs = &b
-	}
-	return merged.Summarize(name, cfg.dur), st.Stats(), comb, rs, bs
+	return merged.Summarize(name, cfg.dur), st.Stats(), comb, rs
 }
 
 // pick filters specs by a comma-separated name list ("all" keeps all).
@@ -430,7 +399,6 @@ func main() {
 	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
 	ff := flag.Bool("ff", false, "also run a pipe-ff-<lock> row per lock: writes submitted fire-and-forget (PutAsync)")
 	reshard := flag.Bool("reshard", false, "also run rs-<lock> (and, with -pipeline, rs-pipe-<lock>) rows with the skew detector splitting hot shards mid-run")
-	bias := flag.Bool("bias", false, "also run bias-<lock> (and, with -reshard, rs-pipe-bias-<lock>) rows with biased shard locks: the dominant combiner is adopted as single owner until revoked; rows report bias_adoptions/bias_revocations")
 	skew := flag.Float64("skew", 1.2, "reshard skew factor: a shard splits after sustaining this multiple of its fair ops share")
 	pipeBatch := flag.Int("pipebatch", 0, "max ops a pipeline combiner executes per lock take; 0 = adaptive per-shard bound")
 	shards := flag.Int("shards", 16, "shard count")
@@ -483,7 +451,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvbench: -locks: %v\n", err)
 		os.Exit(2)
 	}
-	lks = expandLocks(lks, *pipeline, *ff, *reshard, *bias)
+	lks = expandLocks(lks, *pipeline, *ff, *reshard)
 
 	cal := workload.Calibrate()
 	fmt.Fprintf(os.Stderr, "calibration: %.2f ns/spin-unit\n", cal.NsPerUnit)
@@ -504,7 +472,7 @@ func main() {
 					mixName = fmt.Sprintf("%s%d", mix.name, cfg.batch)
 				}
 				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
-				row, shardStats, comb, rs, bs := run(name, eng, mix, lk, cfg)
+				row, shardStats, comb, rs := run(name, eng, mix, lk, cfg)
 				lastShards = shardStats
 				rows = append(rows, row)
 				fmt.Fprintf(os.Stderr, "done: %s\n", name)
@@ -518,11 +486,6 @@ func main() {
 					fmt.Fprintf(os.Stderr,
 						"  reshard: %d splits over %d events, %d -> %d shards (map epoch %d)\n",
 						rs.Splits, rs.Events, cfg.shards, rs.Shards, rs.Epoch)
-				}
-				if bs != nil {
-					fmt.Fprintf(os.Stderr,
-						"  bias: %d adoptions / %d revocations, %d fast + %d slow acquires (%d foreign tries)\n",
-						bs.Adoptions, bs.Revocations, bs.FastAcquires, bs.SlowAcquires, bs.ForeignTries)
 				}
 			}
 		}

@@ -12,18 +12,16 @@ import (
 func TestExpandLocksRowNames(t *testing.T) {
 	base := []lockSpec{{name: "asl", slo: true}, {name: "mutex"}}
 	for _, tc := range []struct {
-		name                        string
-		pipeline, ff, reshard, bias bool
-		want                        string // per base lock, "X" standing for its name
+		name                  string
+		pipeline, ff, reshard bool
+		want                  string // per base lock, "X" standing for its name
 	}{
-		{"plain", false, false, false, false, "X"},
-		{"pipeline", true, false, false, false, "X pipe-X"},
-		{"ff", false, true, false, false, "X pipe-ff-X"},
-		{"reshard", false, false, true, false, "X rs-X"},
-		{"pipeline+reshard", true, false, true, false, "X pipe-X rs-X rs-pipe-X"},
-		{"bias", false, false, false, true, "X bias-X"},
-		{"bias+reshard", false, false, true, true, "X rs-X bias-X rs-pipe-bias-X"},
-		{"everything", true, true, true, true, "X pipe-X pipe-ff-X rs-X rs-pipe-X bias-X rs-pipe-bias-X"},
+		{"plain", false, false, false, "X"},
+		{"pipeline", true, false, false, "X pipe-X"},
+		{"ff", false, true, false, "X pipe-ff-X"},
+		{"reshard", false, false, true, "X rs-X"},
+		{"pipeline+reshard", true, false, true, "X pipe-X rs-X rs-pipe-X"},
+		{"everything", true, true, true, "X pipe-X pipe-ff-X rs-X rs-pipe-X"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []string
@@ -31,12 +29,12 @@ func TestExpandLocksRowNames(t *testing.T) {
 				want = append(want, strings.Fields(strings.ReplaceAll(tc.want, "X", b.name))...)
 			}
 			var names []string
-			for _, lk := range expandLocks(base, tc.pipeline, tc.ff, tc.reshard, tc.bias) {
+			for _, lk := range expandLocks(base, tc.pipeline, tc.ff, tc.reshard) {
 				names = append(names, lk.name)
 				has := func(part string) bool { return strings.Contains(lk.name, part) }
-				type flags struct{ slo, pipe, ff, reshard, bias bool }
-				got := flags{lk.slo, lk.pipe, lk.ff, lk.reshard, lk.bias}
-				named := flags{strings.HasSuffix(lk.name, "asl"), has("pipe-") || has("bias-"), has("-ff-"), has("rs-"), has("bias-")}
+				type flags struct{ slo, pipe, ff, reshard bool }
+				got := flags{lk.slo, lk.pipe, lk.ff, lk.reshard}
+				named := flags{strings.HasSuffix(lk.name, "asl"), has("pipe-"), has("-ff-"), has("rs-")}
 				if got != named {
 					t.Errorf("%s: %+v, but its name says %+v", lk.name, got, named)
 				}

@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -70,5 +73,60 @@ func TestDocPointersResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goIdent is a backticked exported Go identifier; a qualified name such
+// as `sync.Mutex` is not one and is left alone.
+var goIdent = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*)`")
+
+// TestLockFamilyTableNamesExportedTypes ties ARCHITECTURE.md's
+// lock-family table to internal/locks: every backticked identifier in
+// it must be an exported type the package declares, so deleting a
+// family cannot leave its row behind.
+func TestLockFamilyTableNamesExportedTypes(t *testing.T) {
+	files, err := filepath.Glob("internal/locks/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := map[string]bool{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					types[spec.(*ast.TypeSpec).Name.Name] = true
+				}
+			}
+		}
+	}
+	doc, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := strings.Cut(string(doc), "| family | role |\n")
+	if !found {
+		t.Fatal("ARCHITECTURE.md has no `| family | role |` table")
+	}
+	named := 0
+	for _, row := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		for _, m := range goIdent.FindAllStringSubmatch(row, -1) {
+			named++
+			if !types[m[1]] {
+				t.Errorf("lock-family table names `%s`, which is not an exported type of internal/locks", m[1])
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("lock-family table names no type")
 	}
 }

@@ -2,7 +2,7 @@
 // release contract from the sharded store: while a shard lock is held
 // — a region bracketed by X.Acquire(w)/X.Release(w), or opened by a
 // successful X.TryAcquire(w)/X.electTry(w) — the critical section must
-// stay pure engine work. Three call shapes are flagged inside a held
+// stay pure engine work. Four call shapes are flagged inside a held
 // region:
 //
 //   - invoking a func-typed parameter of the enclosing function (a
@@ -19,12 +19,7 @@
 //     (buffered) under the lock, ONE group commit after release —
 //     an fsync inside the critical section would serialize every
 //     writer on the disk. Append and Rotate never sync and stay
-//     legal under the lock;
-//   - calling Revoke on a locks.Biased: revocation waits out the
-//     owner's grace period, which is unbounded if the owner is parked
-//     mid-critical-section — the same never-under-a-shard-lock class
-//     as fsync. Split revokes before its rendezvous acquire, holding
-//     only splitMu.
+//     legal under the lock.
 //
 // Held-region tracking runs on the control-flow graph from
 // internal/analysis/cfg as a may-held dataflow: an Acquire adds the
@@ -213,8 +208,6 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 		c.pass.Reportf(call.Pos(), "re-entrant %s.%s call while a shard lock is held risks self-deadlock or lock-order inversion", n.Obj().Name(), name)
 	case n.Obj().Name() == "Log" && walSyncMethods[name] && (p.Name() == "wal" || local):
 		c.pass.Reportf(call.Pos(), "wal.Log.%s issues fsync while a shard lock is held; append under the lock, group-commit after Release", name)
-	case n.Obj().Name() == "Biased" && name == "Revoke" && (p.Name() == "locks" || local):
-		c.pass.Reportf(call.Pos(), "locks.Biased.Revoke waits out the owner's grace period while a shard lock is held; revoke before acquiring")
 	}
 }
 

@@ -39,16 +39,6 @@ func (l *Log) Sync() error                                           { return ni
 func (l *Log) WriteCheckpoint(b uint64) error                        { return nil }
 func (l *Log) Close() error                                          { return nil }
 
-// Biased is the fixture's stand-in for locks.Biased: Revoke waits out
-// the owner's grace period (fsync-class) and must never run under a
-// shard lock; the plain lock methods delegate and are fine.
-type Biased struct{ inner WLock }
-
-func (b *Biased) Acquire(w *Worker)         { b.inner.Acquire(w) }
-func (b *Biased) Release(w *Worker)         { b.inner.Release(w) }
-func (b *Biased) TryAcquire(w *Worker) bool { return b.inner.TryAcquire(w) }
-func (b *Biased) Revoke(w *Worker)          {}
-
 // --- violations ---
 
 func badCallback(sh *shard, w *Worker, fn func(int)) {
@@ -130,20 +120,6 @@ func badLogCloseUnderLock(sh *shard, w *Worker, lg *Log) {
 	sh.lock.Release(w)
 }
 
-func badRevokeUnderLock(sh *shard, w *Worker, b *Biased) {
-	sh.lock.Acquire(w)
-	b.Revoke(w) // want `locks\.Biased\.Revoke waits out the owner's grace period while a shard lock is held`
-	sh.lock.Release(w)
-}
-
-func badRevokeUnderElection(sh *shard, w *Worker, b *Biased) {
-	if !sh.electTry(w) {
-		return
-	}
-	b.Revoke(w) // want `locks\.Biased\.Revoke waits out the owner's grace period while a shard lock is held`
-	sh.lock.Release(w)
-}
-
 // --- conforming ---
 
 func okAppendUnderLockCommitAfter(sh *shard, w *Worker, lg *Log) {
@@ -204,20 +180,6 @@ func okReleasedInBranchTaken(sh *shard, w *Worker, ch chan int, cond bool) {
 		sh.lock.Release(w)
 		ch <- 1 // released on this branch
 		return
-	}
-	sh.lock.Release(w)
-}
-
-func okRevokeBeforeAcquire(sh *shard, w *Worker, b *Biased) {
-	b.Revoke(w) // split's shape: revoke first, then the rendezvous acquire
-	sh.lock.Acquire(w)
-	sh.lock.Release(w)
-}
-
-func okBiasedLockMethodsUnderLock(sh *shard, w *Worker, b *Biased) {
-	sh.lock.Acquire(w)
-	if b.TryAcquire(w) { // delegating lock methods carry no contract
-		b.Release(w)
 	}
 	sh.lock.Release(w)
 }

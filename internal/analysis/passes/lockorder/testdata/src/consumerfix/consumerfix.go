@@ -54,25 +54,25 @@ func Invert(w *locksfix.Worker, p *locksfix.Pair) {
 	p.B.Release(w)
 }
 
-// ReenterBiased double-acquires through the biased wrapper from two
+// ReenterCounted double-acquires through the counting wrapper from two
 // packages away: both held-set entries come from locksfix's imported
 // summaries, and the self-deadlock is reported against the delegated
 // inner class even though no lock field is named at this call site.
-func ReenterBiased(w *locksfix.Worker, b *locksfix.Biased) {
-	b.Acquire(w)
-	b.Acquire(w) // want `locksfix\.Biased\.inner acquired in ReenterBiased while already held \(self-deadlock\)`
-	b.Release(w)
-	b.Release(w)
+func ReenterCounted(w *locksfix.Worker, c *locksfix.Counted) {
+	c.Acquire(w)
+	c.Acquire(w) // want `locksfix\.Counted\.inner acquired in ReenterCounted while already held \(self-deadlock\)`
+	c.Release(w)
+	c.Release(w)
 }
 
-// TryBiasedRefined exercises the try-branch refinement through the
+// TryCountedRefined exercises the try-branch refinement through the
 // wrapper's summary: on the failed-try path nothing is held, so the
 // Pair acquisition there is clean.
-func TryBiasedRefined(w *locksfix.Worker, b *locksfix.Biased, p *locksfix.Pair) {
-	if !b.TryAcquire(w) {
+func TryCountedRefined(w *locksfix.Worker, c *locksfix.Counted, p *locksfix.Pair) {
+	if !c.TryAcquire(w) {
 		p.LockBoth(w)
 		p.UnlockBoth(w)
 		return
 	}
-	b.Release(w)
+	c.Release(w)
 }

@@ -37,29 +37,19 @@ func (p *Pair) UnlockBoth(w *Worker) {
 	p.A.Release(w)
 }
 
-// Biased stands in for the biased single-owner wrapper: every lock
-// method delegates to the wrapped inner lock, so the wrapper mints no
-// lock class of its own — callers' held-sets carry locksfix.Biased.inner
-// through the exported summaries, and violations through the wrapper
-// are diagnosed against the inner field's class.
-type Biased struct{ inner WLock }
+// Counted stands in for a counting wrapper such as locks.Contended:
+// every lock method delegates to the wrapped inner lock, so the wrapper
+// mints no lock class of its own — callers' held-sets carry
+// locksfix.Counted.inner through the exported summaries, and violations
+// through the wrapper are diagnosed against the inner field's class.
+type Counted struct{ inner WLock }
 
-// Acquire delegates to the inner lock (the real fast path skips the
-// inner RMW, but either way the caller holds the inner class).
-func (b *Biased) Acquire(w *Worker) { b.inner.Acquire(w) }
+// Acquire delegates to the inner lock: the caller holds the inner class.
+func (c *Counted) Acquire(w *Worker) { c.inner.Acquire(w) }
 
 // Release delegates to the inner lock.
-func (b *Biased) Release(w *Worker) { b.inner.Release(w) }
+func (c *Counted) Release(w *Worker) { c.inner.Release(w) }
 
 // TryAcquire delegates; on success the caller holds the inner class
 // (ReturnsHeld in the exported summary).
-func (b *Biased) TryAcquire(w *Worker) bool { return b.inner.TryAcquire(w) }
-
-// Revoke tears the bias down. The inner acquire/release pair stands in
-// for the grace-period wait that serializes with the parked owner; the
-// summary says Revoke may acquire the inner class and returns holding
-// nothing.
-func (b *Biased) Revoke(w *Worker) {
-	b.inner.Acquire(w)
-	b.inner.Release(w)
-}
+func (c *Counted) TryAcquire(w *Worker) bool { return c.inner.TryAcquire(w) }

@@ -89,25 +89,14 @@ func (s *Store) maybeSplit(w *locksfix.Worker, sh *shard) {
 	sh.lock.Release(w)
 }
 
-// revokeBeforeSplit is the conforming biased-split shape: the bias is
-// revoked while nothing is held (Revoke's summary acquires and releases
-// the wrapper's inner class), then the rendezvous runs as usual.
-func (s *Store) revokeBeforeSplit(w *locksfix.Worker, b *locksfix.Biased, sh *shard) {
-	b.Revoke(w)
-	s.splitMu.Acquire(w)
-	sh.lock.Acquire(w)
-	sh.lock.Release(w)
-	s.splitMu.Release(w)
-}
-
-// splitUnderBias takes splitMu while holding the biased wrapper. The
+// splitUnderWrapper takes splitMu while holding the counting wrapper. The
 // held-set tracks the wrapper's delegated class — the diagnostic names
-// locksfix.Biased.inner (engine-internal rank), not the wrapper call
+// locksfix.Counted.inner (engine-internal rank), not the wrapper call
 // site — so the inversion against rank-0 splitMu is caught through one
 // level of delegation.
-func (s *Store) splitUnderBias(w *locksfix.Worker, b *locksfix.Biased) {
-	b.Acquire(w)
-	s.splitMu.Acquire(w) // want `lock-order inversion in splitUnderBias: acquiring storefix\.Store\.splitMu \(splitMu\) while holding locksfix\.Biased\.inner \(engine-internal\)`
+func (s *Store) splitUnderWrapper(w *locksfix.Worker, c *locksfix.Counted) {
+	c.Acquire(w)
+	s.splitMu.Acquire(w) // want `lock-order inversion in splitUnderWrapper: acquiring storefix\.Store\.splitMu \(splitMu\) while holding locksfix\.Counted\.inner \(engine-internal\)`
 	s.splitMu.Release(w)
-	b.Release(w)
+	c.Release(w)
 }

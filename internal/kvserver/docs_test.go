@@ -97,9 +97,6 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 		"wal.FaultFS", "ErrInjected", "DegradedError", "IsDegraded",
 		"StatusErrUnavailable", "IsRetryable", "kvsoak", "make soak",
 		"statustext",
-		// Biased locking (§6a) and its load-bearing names.
-		"Biased locking", "locks.Biased", "revocation", "HintAdopt",
-		"Revoke",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md does not mention %q", want)

@@ -9,36 +9,12 @@ import (
 	"repro/internal/core"
 )
 
-// tryFactories is the base comparison set whose TryAcquire is a real
-// try (success iff the lock was free), so the Contended counter
-// arithmetic below is exact. Biased sits outside this set — its
-// foreign-try semantics are pinned separately by
-// TestContentionCountsBiasedForeignTry.
-func tryFactories() []struct {
-	name string
-	f    Factory
-} {
-	return []struct {
-		name string
-		f    Factory
-	}{
-		{"pthread", FactoryPthread()},
-		{"sync-mutex", FactorySyncMutex()},
-		{"ticket", FactoryTicket()},
-		{"mcs", FactoryMCS()},
-		{"tas", FactoryTAS(core.Big, 0)},
-		{"proportional", FactoryProportional(2)},
-		{"asl", FactoryASL()},
-		{"asl-blocking", FactoryASLBlocking()},
-	}
-}
-
 // TestContentionCountsFreeAndHeld checks the counter semantics on
 // every lock family: an acquire of a free lock is an uncontended
 // attempt, a failed try on a held lock is a contended attempt, and a
 // blocking acquire that had to wait is a contended attempt.
 func TestContentionCountsFreeAndHeld(t *testing.T) {
-	for _, tf := range tryFactories() {
+	for _, tf := range harnessFamilies() {
 		t.Run(tf.name, func(t *testing.T) {
 			c := WithContention(tf.f())
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
@@ -97,7 +73,7 @@ func TestContentionMutualExclusion(t *testing.T) {
 		workers = 8
 		rounds  = 1500
 	)
-	for _, tf := range tryFactories() {
+	for _, tf := range harnessFamilies() {
 		t.Run(tf.name, func(t *testing.T) {
 			c := WithContention(tf.f())
 			var counter int
@@ -143,61 +119,6 @@ func TestContentionMutualExclusion(t *testing.T) {
 				t.Fatalf("ContendedFrac = %v out of [0,1]", f)
 			}
 		})
-	}
-}
-
-// TestContentionCountsBiasedForeignTry closes the seed-carried gap:
-// the Contended counters must also cover the wrapped-TryAcquire-
-// failure path where the inner lock is FREE but refuses the try —
-// exactly what a live foreign bias does (the probe is absorbed). This
-// is Biased's revoke-on-contention signal into the shardedkv skew
-// detector: a biased shard under real foreign traffic accumulates
-// contended attempts even though no one is queued, so the detector
-// sees it without any special-casing. Pinned by test, not convention.
-func TestContentionCountsBiasedForeignTry(t *testing.T) {
-	owner := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	foreign := core.NewWorker(core.WorkerConfig{Class: core.Little})
-
-	b := NewBiased(FactorySyncMutex()(), BiasedConfig{AdoptWindow: 64, RevokeTries: 100})
-	c := WithContention(b)
-
-	// One hinted slow take adopts the owner.
-	b.HintAdopt(owner)
-	c.Acquire(owner)
-	c.Release(owner)
-	if b.Owner() != owner {
-		t.Fatal("owner not adopted at the hinted release")
-	}
-	if s := c.Stats(); s.Attempts != 1 || s.Contended != 0 {
-		t.Fatalf("after adopting Acquire: %+v, want 1 attempt, 0 contended", s)
-	}
-
-	// The bias is live and the lock is FREE; a foreign TryAcquire
-	// through Contended still fails (absorbed probe) and must count
-	// as a contended attempt — the skew-detector feed.
-	if c.TryAcquire(foreign) {
-		t.Fatal("foreign TryAcquire succeeded against a live bias under the revoke budget")
-	}
-	if s := c.Stats(); s.Attempts != 2 || s.Contended != 1 {
-		t.Fatalf("after absorbed foreign try: %+v, want 2 attempts, 1 contended", s)
-	}
-	if b.Owner() != owner {
-		t.Fatal("absorbed probe must not revoke the bias")
-	}
-
-	// A foreign blocking Acquire routes through the same failed
-	// opening try (contended++), then revokes on the slow path.
-	c.Acquire(foreign)
-	if s := c.Stats(); s.Attempts != 3 || s.Contended != 2 {
-		t.Fatalf("after foreign blocking Acquire: %+v, want 3 attempts, 2 contended", s)
-	}
-	if b.Owner() != nil {
-		t.Fatal("foreign blocking Acquire must revoke the bias")
-	}
-	c.Release(foreign)
-
-	if bs := b.Stats(); bs.Adoptions != 1 || bs.Revocations != 1 || bs.ForeignTries != 2 {
-		t.Fatalf("bias stats %+v, want 1 adoption, 1 revocation, 2 foreign tries", bs)
 	}
 }
 

@@ -24,13 +24,10 @@ type harnessFamily struct {
 	f    Factory
 }
 
-// harnessFamilies enumerates every family. Wrapper stacks appear both
-// bare and composed the way shardedkv composes them (Contended over
-// Biased over a base lock).
+// harnessFamilies enumerates every family, plus the Contended wrapper
+// the way shardedkv composes it over a base lock. Every family's
+// TryAcquire succeeds iff the lock was free.
 func harnessFamilies() []harnessFamily {
-	// Small bias windows so the torture run actually crosses
-	// adopt/revoke transitions many times, not just once.
-	bcfg := BiasedConfig{AdoptWindow: 16, RevokeTries: 4}
 	return []harnessFamily{
 		{"plain", FactorySyncMutex()},
 		{"pthread", FactoryPthread()},
@@ -44,9 +41,6 @@ func harnessFamilies() []harnessFamily {
 		{"asl", FactoryASL()},
 		{"asl-blocking", FactoryASLBlocking()},
 		{"contended", FactoryContended(FactoryMCS())},
-		{"biased", FactoryBiased(FactorySyncMutex(), bcfg)},
-		{"biased-asl", FactoryBiased(FactoryASL(), bcfg)},
-		{"contended-biased", FactoryContended(FactoryBiased(FactoryMCS(), bcfg))},
 	}
 }
 
@@ -83,8 +77,7 @@ func tortureLock(t *testing.T, f Factory, workers, rounds int) {
 				switch wi % 3 {
 				case 0:
 					// Spin-on-try competitor. Queue-based locks fail
-					// the try whenever waiters are queued, and a
-					// biased lock absorbs foreign probes, so yield
+					// the try whenever waiters are queued, so yield
 					// between tries.
 					for !l.TryAcquire(w) {
 						runtime.Gosched()
@@ -154,9 +147,7 @@ func TestTortureMutualExclusion(t *testing.T) {
 // TestTortureTryConsistency pins the TryAcquire contract for every
 // family and both worker classes: a try on a fresh lock wins, a try
 // while the lock is held fails without blocking, a failed try leaves
-// the lock intact, and a released lock is acquirable again. (A biased
-// lock satisfies the same contract: pre-adoption it is a plain try,
-// and a foreign try against a live bias reports failure.)
+// the lock intact, and a released lock is acquirable again.
 func TestTortureTryConsistency(t *testing.T) {
 	for _, fam := range harnessFamilies() {
 		t.Run(fam.name, func(t *testing.T) {

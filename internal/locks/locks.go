@@ -11,11 +11,6 @@
 //   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
 //   - ASLMutex, the paper's Algorithm 3 binding Reorderable to the
 //     epoch/SLO feedback in internal/core
-//   - Biased, a single-owner wrapper over any WLock: once a worker's
-//     take-share crosses the adoption threshold its acquires become
-//     plain atomic stores, and any other worker revokes the bias
-//     through an epoch/handshake grace period before falling back to
-//     the wrapped lock
 //
 // Locks here favour clarity and faithfulness to the published
 // algorithms over absolute peak performance, but all avoid allocation

@@ -294,23 +294,8 @@ type pipeShard struct {
 	// core.Class (Big = 0, Little = 1).
 	takesBy [2]atomic.Uint64
 	last    atomic.Pointer[core.Worker]
-	// streak counts consecutive lock takes by the same worker — the
-	// adoption signal for a biased shard lock (Config.Bias). Guarded by
-	// the shard lock: every noteTake caller holds it.
-	streak uint64
-	_      [64]byte
+	_       [64]byte
 }
-
-// biasAdoptStreak is how many consecutive async-path lock takes by one
-// worker stage a bias-adoption hint on the shard's biased lock. A
-// worker that wins this many takes in a row with nobody interleaving
-// is the per-shard CombineStats expression of the ROADMAP's ">90% of
-// lock takes from one worker" signal — each take here is a whole
-// combining batch, so 16 consecutive takes is hundreds to thousands of
-// uncontested operations. The hint is consumed by the very Release
-// that follows the drain (adoption happens in the biased lock's
-// slow-path release, which the hinting worker is about to run).
-const biasAdoptStreak = 16
 
 // noteTake records one async-path lock take by worker w.
 func (q *pipeShard) noteTake(w *core.Worker) {
@@ -318,13 +303,6 @@ func (q *pipeShard) noteTake(w *core.Worker) {
 	q.takesBy[w.Class()].Add(1)
 	if prev := q.last.Swap(w); prev != nil && prev != w {
 		q.handoffs.Add(1)
-		q.streak = 0
-	}
-	if b := q.sh.biased; b != nil {
-		q.streak++
-		if q.streak >= biasAdoptStreak && b.Owner() != w {
-			b.HintAdopt(w)
-		}
 	}
 }
 

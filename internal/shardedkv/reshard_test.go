@@ -159,10 +159,11 @@ func TestAggregateStatsSurviveSplits(t *testing.T) {
 	}
 }
 
-// TestTrackContentionStats checks the contention plumbing without
-// resharding: TrackContention populates the ShardStats lock counters.
+// TestTrackContentionStats checks the contention plumbing without a
+// split: a manual-reshard store wraps its locks and populates the
+// ShardStats lock counters.
 func TestTrackContentionStats(t *testing.T) {
-	st := New(Config{Shards: 2, TrackContention: true})
+	st := New(Config{Shards: 2, Reshard: manualReshard()})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	for k := uint64(0); k < 64; k++ {
 		st.Put(w, k, stressValue(k))

@@ -120,22 +120,6 @@ type Config struct {
 	// sustained hot shards (see reshard.go). Nil keeps the static seed
 	// behaviour bit for bit.
 	Reshard *ReshardConfig
-	// TrackContention wraps shard locks with locks.Contended counters
-	// (populating ShardStats.LockAttempts/LockContended) without
-	// enabling resharding. Implied by Reshard.
-	TrackContention bool
-	// Bias wraps every shard lock with locks.Biased under the Contended
-	// counter: a shard whose combining pipeline observes one worker
-	// taking essentially every lock acquisition adopts that worker as
-	// the bias owner (plain-atomic fast path, no contended RMW per op),
-	// and any other worker's blocking acquire revokes the bias through
-	// the epoch/handshake grace period. Splits revoke the parent's bias
-	// before the children take over (the split rendezvous is itself a
-	// foreign blocking acquire). See Store.AggregateBiasStats.
-	Bias bool
-	// BiasConfig tunes adoption and revocation when Bias is set; the
-	// zero value picks the locks.BiasedConfig defaults.
-	BiasConfig locks.BiasedConfig
 	// Durability, if non-nil, gives every shard a write-ahead log under
 	// Dir (durable.go): writes append under the shard lock and group-
 	// commit one fsync per batch after release, with the sync policy
@@ -162,7 +146,7 @@ type ShardStats struct {
 	// LockAttempts and LockContended mirror the shard lock's
 	// locks.ContentionStats — every acquire/try attempt, and the
 	// subset that found the lock held. Zero unless the store wraps
-	// its locks (Reshard or TrackContention); the skew detector reads
+	// its locks (Config.Reshard); the skew detector reads
 	// the contended fraction to tell a convoy from mere traffic.
 	LockAttempts, LockContended uint64
 }
@@ -179,11 +163,6 @@ type shard struct {
 	// cont is the lock's contention counter when the store wraps its
 	// locks; nil otherwise.
 	cont *locks.Contended
-	// biased is the lock's bias wrapper when Config.Bias is set; nil
-	// otherwise. It sits under cont in the stack (Contended over Biased
-	// over the base lock), so election probes reach it via cont.Inner()
-	// and real foreign waits against a live bias feed the skew detector.
-	biased *locks.Biased
 	// id is the shard's creation ordinal: stable across map swaps,
 	// ascending in Stats order. group/depth place the shard in the
 	// map's extendible directory (shardmap.go).
@@ -253,8 +232,6 @@ type Store struct {
 	newLock   locks.Factory
 	newEngine func(shard int) Engine
 	contend   bool
-	bias      bool
-	biasCfg   locks.BiasedConfig
 	maxShards int
 	splitMu   sync.Mutex
 	nextID    int
@@ -274,11 +251,6 @@ type Store struct {
 type retiredStats struct {
 	gets, puts, deletes, scans, batches atomic.Uint64
 	lockAttempts, lockContended         atomic.Uint64
-	// Bias counters of retired shards (Config.Bias only): a split
-	// parent's adoptions/revocations must survive the map swap for
-	// AggregateBiasStats to stay monotone.
-	biasAdoptions, biasRevocations  atomic.Uint64
-	biasFast, biasSlow, biasForeign atomic.Uint64
 }
 
 // foldRetired folds a split parent's counters into the retired
@@ -292,14 +264,6 @@ func (s *Store) foldRetired(sh *shard) {
 	s.retired.batches.Add(st.BatchLocks)
 	s.retired.lockAttempts.Add(st.LockAttempts)
 	s.retired.lockContended.Add(st.LockContended)
-	if sh.biased != nil {
-		bs := sh.biased.Stats()
-		s.retired.biasAdoptions.Add(bs.Adoptions)
-		s.retired.biasRevocations.Add(bs.Revocations)
-		s.retired.biasFast.Add(bs.FastAcquires)
-		s.retired.biasSlow.Add(bs.SlowAcquires)
-		s.retired.biasForeign.Add(bs.ForeignTries)
-	}
 }
 
 // New builds a store from cfg. With Config.Durability set it panics
@@ -330,9 +294,7 @@ func Open(cfg Config) (*Store, error) {
 		csPad:     cfg.CSPad,
 		newLock:   cfg.NewLock,
 		newEngine: cfg.NewEngine,
-		contend:   cfg.Reshard != nil || cfg.TrackContention,
-		bias:      cfg.Bias,
-		biasCfg:   cfg.BiasConfig,
+		contend:   cfg.Reshard != nil,
 	}
 	if d := cfg.Durability; d != nil {
 		gen, err := readCurrentGen(d.Dir)
@@ -879,39 +841,6 @@ func (s *Store) AggregateStats() ShardStats {
 		agg.BatchLocks += st.BatchLocks
 		agg.LockAttempts += st.LockAttempts
 		agg.LockContended += st.LockContended
-	}
-	return agg
-}
-
-// BiasStats snapshots every live shard's bias counters in ascending
-// shard-id order. All-zero snapshots (and an empty aggregate) when
-// Config.Bias is off.
-func (s *Store) BiasStats() []locks.BiasStats {
-	m := s.smap.Load()
-	out := make([]locks.BiasStats, len(m.shards))
-	for i, sh := range m.shards {
-		if sh.biased != nil {
-			out[i] = sh.biased.Stats()
-		}
-	}
-	return out
-}
-
-// AggregateBiasStats sums bias counters across live shards plus every
-// shard that split away, under splitMu for the same no-double-count
-// reason as AggregateStats.
-func (s *Store) AggregateBiasStats() locks.BiasStats {
-	s.splitMu.Lock()
-	defer s.splitMu.Unlock()
-	agg := locks.BiasStats{
-		Adoptions:    s.retired.biasAdoptions.Load(),
-		Revocations:  s.retired.biasRevocations.Load(),
-		FastAcquires: s.retired.biasFast.Load(),
-		SlowAcquires: s.retired.biasSlow.Load(),
-		ForeignTries: s.retired.biasForeign.Load(),
-	}
-	for _, bs := range s.BiasStats() {
-		agg.Add(bs)
 	}
 	return agg
 }

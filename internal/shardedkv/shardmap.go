@@ -139,21 +139,10 @@ func (m *shardMap) withSplit(parent *shard, kids [2]*shard) *shardMap {
 // split children).
 func (s *Store) newShard(id, group int, depth uint) (*shard, error) {
 	sh := &shard{id: id, group: group, depth: depth}
-	inner := s.newLock()
-	if s.bias {
-		// Bias sits UNDER the contention counter: a foreign acquire
-		// against a live bias must fail the counter's opening try (the
-		// absorbed probe) so the skew detector sees the traffic, and
-		// electTry's probes must reach the bias fast path directly.
-		b := locks.NewBiased(inner, s.biasCfg)
-		sh.biased = b
-		inner = b
-	}
+	sh.lock = s.newLock()
 	if s.contend {
-		c := locks.WithContention(inner)
-		sh.lock, sh.cont = c, c
-	} else {
-		sh.lock = inner
+		sh.cont = locks.WithContention(sh.lock)
+		sh.lock = sh.cont
 	}
 	sh.eng = s.newEngine(id)
 	if s.dur != nil {
@@ -243,20 +232,6 @@ func (s *Store) split(w *core.Worker, sh *shard) bool {
 	}
 	if sh.depth >= maxSplitDepth {
 		return false
-	}
-	// Revoke the parent's bias before the rendezvous: Revoke is
-	// fsync-class (it waits the epoch/handshake grace period out, so it
-	// must never run under a shard lock — here we hold only splitMu),
-	// and doing it explicitly covers the one case the rendezvous
-	// acquire would not — the splitter itself being the adopted owner,
-	// whose fast path would carry the cookie across the handoff. Any
-	// bias re-adopted between here and the acquire belongs to another
-	// worker, and the foreign blocking acquire below tears that one
-	// down through the same handshake. Either way the parent's bias is
-	// provably dead before any key moves to a child; children start
-	// unbiased and learn their own owner from their own traffic.
-	if sh.biased != nil {
-		sh.biased.Revoke(w)
 	}
 	sh.lock.Acquire(w)
 	if sh.forward.Load() != nil {

@@ -127,14 +127,19 @@ func (s Summary) String() string {
 }
 
 // FormatSummaries renders rows as an aligned table with a header,
-// mirroring the layout of the paper's comparison figures.
+// mirroring the layout of the paper's comparison figures. The name
+// column is as wide as the longest name (at least 14).
 func FormatSummaries(rows []Summary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %14s %12s %12s %12s %10s %10s\n",
-		"lock", "thr(ops/s)", "bigP99", "littleP99", "overallP99", "bigOps", "littleOps")
+	nameW := 14
 	for _, s := range rows {
-		fmt.Fprintf(&b, "%-14s %14.0f %12s %12s %12s %10d %10d\n",
-			s.Name, s.Throughput,
+		nameW = max(nameW, len(s.Name))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-*s %14s %12s %12s %12s %10s %10s\n",
+		nameW, "lock", "thr(ops/s)", "bigP99", "littleP99", "overallP99", "bigOps", "littleOps")
+	for _, s := range rows {
+		fmt.Fprintf(&b, "%-*s %14.0f %12s %12s %12s %10d %10d\n",
+			nameW, s.Name, s.Throughput,
 			time.Duration(s.BigP99), time.Duration(s.LittleP99), time.Duration(s.OverallP99),
 			s.BigOps, s.LittleOps)
 	}

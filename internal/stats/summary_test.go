@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,16 +64,46 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestFormatSummaries checks the table carries every row and that a
+// name longer than the default column (kvbench's engine/mix/lock rows
+// are) widens it for every line: each right-aligned column ends at the
+// same offset in the header and in every row.
 func TestFormatSummaries(t *testing.T) {
+	long := strings.Repeat("x", 30)
 	rows := []Summary{
-		{Name: "mcs", Throughput: 100, BigP99: 1000, LittleP99: 2000, OverallP99: 1500},
+		{Name: "mcs", Throughput: 100, BigP99: 1000, LittleP99: 2000, OverallP99: 1500, BigOps: 7, LittleOps: 9},
 		{Name: "tas", Throughput: 200, BigP99: 500, LittleP99: 9000, OverallP99: 8000},
+		{Name: long, Throughput: 123456, BigP99: 500, LittleP99: 9_000_000, OverallP99: 8000, BigOps: 70, LittleOps: 90000},
 	}
 	out := FormatSummaries(rows)
-	if !strings.Contains(out, "mcs") || !strings.Contains(out, "tas") {
-		t.Errorf("missing rows in output:\n%s", out)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("expected header + 3 rows:\n%s", out)
 	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 3 {
-		t.Errorf("expected header + 2 rows:\n%s", out)
+	for i, r := range rows {
+		if !strings.HasPrefix(lines[i+1], r.Name+" ") {
+			t.Errorf("row %d does not start with %q:\n%s", i, r.Name, out)
+		}
+	}
+	// colEnds returns where each field after the name ends, in runes
+	// (durations print a two-byte µ).
+	colEnds := func(line string) []int {
+		var ends []int
+		r := []rune(line)
+		for i := range r {
+			if r[i] != ' ' && (i+1 == len(r) || r[i+1] == ' ') {
+				ends = append(ends, i+1)
+			}
+		}
+		return ends[1:]
+	}
+	want := colEnds(lines[0])
+	if len(want) != 6 {
+		t.Fatalf("header has %d columns after the name, want 6:\n%s", len(want), out)
+	}
+	for _, line := range lines[1:] {
+		if got := colEnds(line); !slices.Equal(got, want) {
+			t.Errorf("columns end at %v, header's at %v:\n%s", got, want, out)
+		}
 	}
 }
