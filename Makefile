@@ -77,8 +77,8 @@ test:
 	$(GO) test ./...
 
 # Reduced smoke paths (figures run scaled-down reproductions; the
-# shardedkv reshard tests force splits mid-stress even under -short,
-# so every ci run exercises the shard-map swap path).
+# shardedkv model-equivalence tests still drive every engine on both
+# front ends under -short).
 short:
 	$(GO) test -short ./...
 

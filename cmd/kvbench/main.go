@@ -4,8 +4,8 @@
 // configuration, comparing ASL shard locks against class-oblivious
 // baselines such as plain sync.Mutex. The served path (TCP, admission,
 // WAL) is measured by the repository's benchmark, benchmark/; this
-// grid covers what that cannot: every engine, every lock family, the
-// combining pipeline and resharding side by side.
+// grid covers what that cannot: every engine, every lock family and the
+// combining pipeline side by side.
 //
 // Usage:
 //
@@ -13,19 +13,19 @@
 //	kvbench -engines hashkv,btree -mixes zipf -locks all
 //	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s -shardstats
 //	kvbench -pipeline -mixes zipfw           # ASL vs combining vs plain, one grid
-//	kvbench -pipeline -reshard -ff           # + rs-*, rs-pipe-*, pipe-ff-* rows
+//	kvbench -pipeline -ff                    # + pipe-*, pipe-ff-* rows
 //
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
 // zipfian keys), zipfw (write-heavy 80% put over zipfian keys — the
-// hot-shard regime combining and resharding target), batch
+// hot-shard regime combining targets), batch
 // (MultiGet/MultiPut, keys sorted by shard), scan (YCSB-E 95% range
 // scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
 // -batch ranges per request grouped by shard).
 // Locks: asl, asl-blocking (for hosts with more workers than cores),
-// mutex, mcs, pthread. -pipeline, -ff and -reshard each add a sibling
-// row family per lock (pipe-*, pipe-ff-*, rs-*) so handoff policy,
-// combining and shard fission answer the same contention in one grid
-// run; cmd/kvbench/README.md documents every flag, row family and
+// mutex, mcs, pthread. -pipeline and -ff each add a sibling row family
+// per lock (pipe-*, pipe-ff-*) so handoff policy and combining answer
+// the same contention in one grid run; cmd/kvbench/README.md documents
+// every flag, row family and
 // stderr counter line. A row is one short run on a shared host: compare
 // rows of one invocation, never single rows across runs.
 package main
@@ -62,13 +62,15 @@ type benchConfig struct {
 	ncsUnits  int64
 	csUnits   int64
 	pipeBatch int
-	skew      float64
 }
 
 // validate rejects flag values the grid cannot run: each would panic,
-// divide by zero, or print a row that measured nothing.
+// divide by zero, print a row that measured nothing, or label a row
+// with a configuration it did not run.
 func validate(cfg benchConfig) error {
 	switch {
+	case cfg.shards < 1:
+		return fmt.Errorf("-shards must be >= 1 (got %d)", cfg.shards)
 	case cfg.threads < 1:
 		return fmt.Errorf("-threads must be >= 1 (got %d)", cfg.threads)
 	case cfg.bigs < 0 || cfg.bigs > cfg.threads:
@@ -85,8 +87,6 @@ func validate(cfg benchConfig) error {
 		return fmt.Errorf("-zipf theta must be in (0, 1) (got %g)", cfg.zipfS)
 	case cfg.pipeBatch < 0:
 		return fmt.Errorf("-pipebatch must be >= 0 (got %d; 0 = adaptive)", cfg.pipeBatch)
-	case cfg.skew <= 1:
-		return fmt.Errorf("-skew must be > 1 (got %g)", cfg.skew)
 	}
 	return nil
 }
@@ -123,16 +123,13 @@ type lockSpec struct {
 	// ff additionally routes writes through the fire-and-forget
 	// PutAsync path (implies pipe's AsyncStore).
 	ff bool
-	// reshard runs the row on a store with the skew detector live.
-	reshard bool
 }
 
 // expandLocks grows each base lock into its comparison family: the
-// plain row, a pipe-* combining sibling (-pipeline), a pipe-ff-*
-// fire-and-forget sibling (-ff), and rs-*/rs-pipe-* dynamic-reshard
-// siblings (-reshard) — so handoff policy, combining, and shard
-// fission all answer the same contention in one grid run.
-func expandLocks(lks []lockSpec, pipeline, ff, reshard bool) []lockSpec {
+// plain row, a pipe-* combining sibling (-pipeline) and a pipe-ff-*
+// fire-and-forget sibling (-ff) — so handoff policy and combining
+// answer the same contention in one grid run.
+func expandLocks(lks []lockSpec, pipeline, ff bool) []lockSpec {
 	var out []lockSpec
 	for _, lk := range lks {
 		out = append(out, lk)
@@ -141,12 +138,6 @@ func expandLocks(lks []lockSpec, pipeline, ff, reshard bool) []lockSpec {
 		}
 		if ff {
 			out = append(out, lockSpec{name: "pipe-ff-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, ff: true})
-		}
-		if reshard {
-			out = append(out, lockSpec{name: "rs-" + lk.name, f: lk.f, slo: lk.slo, reshard: true})
-			if pipeline {
-				out = append(out, lockSpec{name: "rs-pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, reshard: true})
-			}
 		}
 	}
 	return out
@@ -202,9 +193,9 @@ func (f ffAPI) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 }
 
 // run executes one configuration and returns its summary row, the
-// store's per-shard counters, and (for pipe/rs rows) the aggregate
-// combining and resharding stats.
-func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats, *shardedkv.ReshardStats) {
+// store's per-shard counters, and (for pipe rows) the aggregate
+// combining stats.
+func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats) {
 	// The critical-section pad emulates the paper's AMP regime on a
 	// symmetric host: a little-class holder keeps the shard lock
 	// CSFactor times longer, exactly the condition under which FIFO
@@ -217,23 +208,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		CSPad: func(w *core.Worker) {
 			workload.Spin(shim.CSUnits(cfg.csUnits, w.Class()))
 		},
-	}
-	if lk.reshard {
-		// An aggressive detector relative to the run length: several
-		// observation windows fit in the measured duration, so a
-		// sustained zipf hot shard splits while the row is recording.
-		window := cfg.dur / 10
-		if window < 20*time.Millisecond {
-			window = 20 * time.Millisecond
-		}
-		scfg.Reshard = &shardedkv.ReshardConfig{
-			SkewFactor:    cfg.skew,
-			Window:        window,
-			Sustain:       2,
-			MinOps:        256,
-			MinContention: 0.005,
-			MaxShards:     cfg.shards * 8,
-		}
 	}
 	st := shardedkv.New(scfg)
 	preload(st, cfg)
@@ -360,13 +334,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		c := async.AggregateCombineStats()
 		comb = &c
 	}
-	var rs *shardedkv.ReshardStats
-	if lk.reshard {
-		st.StopReshard()
-		r := st.ReshardStats()
-		rs = &r
-	}
-	return merged.Summarize(name, cfg.dur), st.Stats(), comb, rs
+	return merged.Summarize(name, cfg.dur), st.Stats(), comb
 }
 
 // pick filters specs by a comma-separated name list ("all" keeps all).
@@ -398,8 +366,6 @@ func main() {
 	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|asl-blocking|mutex|mcs|pthread, or all")
 	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
 	ff := flag.Bool("ff", false, "also run a pipe-ff-<lock> row per lock: writes submitted fire-and-forget (PutAsync)")
-	reshard := flag.Bool("reshard", false, "also run rs-<lock> (and, with -pipeline, rs-pipe-<lock>) rows with the skew detector splitting hot shards mid-run")
-	skew := flag.Float64("skew", 1.2, "reshard skew factor: a shard splits after sustaining this multiple of its fair ops share")
 	pipeBatch := flag.Int("pipebatch", 0, "max ops a pipeline combiner executes per lock take; 0 = adaptive per-shard bound")
 	shards := flag.Int("shards", 16, "shard count")
 	threads := flag.Int("threads", 8, "total workers (first -bigs are big-class)")
@@ -430,7 +396,6 @@ func main() {
 		span:      *span,
 		zipfS:     *zipfS,
 		pipeBatch: *pipeBatch,
-		skew:      *skew,
 	}
 	if err := validate(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "kvbench: %v\n", err)
@@ -451,7 +416,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvbench: -locks: %v\n", err)
 		os.Exit(2)
 	}
-	lks = expandLocks(lks, *pipeline, *ff, *reshard)
+	lks = expandLocks(lks, *pipeline, *ff)
 
 	cal := workload.Calibrate()
 	fmt.Fprintf(os.Stderr, "calibration: %.2f ns/spin-unit\n", cal.NsPerUnit)
@@ -472,7 +437,7 @@ func main() {
 					mixName = fmt.Sprintf("%s%d", mix.name, cfg.batch)
 				}
 				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
-				row, shardStats, comb, rs := run(name, eng, mix, lk, cfg)
+				row, shardStats, comb := run(name, eng, mix, lk, cfg)
 				lastShards = shardStats
 				rows = append(rows, row)
 				fmt.Fprintf(os.Stderr, "done: %s\n", name)
@@ -481,11 +446,6 @@ func main() {
 						"  combining: %d ops / %d takes = %.2f ops/take (direct %d, handoffs %d, depthHW %d, maxbatch %d, big/little takes %d/%d)\n",
 						comb.Combined, comb.LockTakes, comb.OpsPerLockTake(),
 						comb.Direct, comb.Handoffs, comb.DepthHW, comb.MaxBatchEff, comb.BigTakes, comb.LittleTakes)
-				}
-				if rs != nil {
-					fmt.Fprintf(os.Stderr,
-						"  reshard: %d splits over %d events, %d -> %d shards (map epoch %d)\n",
-						rs.Splits, rs.Events, cfg.shards, rs.Shards, rs.Epoch)
 				}
 			}
 		}

@@ -12,16 +12,14 @@ import (
 func TestExpandLocksRowNames(t *testing.T) {
 	base := []lockSpec{{name: "asl", slo: true}, {name: "mutex"}}
 	for _, tc := range []struct {
-		name                  string
-		pipeline, ff, reshard bool
-		want                  string // per base lock, "X" standing for its name
+		name         string
+		pipeline, ff bool
+		want         string // per base lock, "X" standing for its name
 	}{
-		{"plain", false, false, false, "X"},
-		{"pipeline", true, false, false, "X pipe-X"},
-		{"ff", false, true, false, "X pipe-ff-X"},
-		{"reshard", false, false, true, "X rs-X"},
-		{"pipeline+reshard", true, false, true, "X pipe-X rs-X rs-pipe-X"},
-		{"everything", true, true, true, "X pipe-X pipe-ff-X rs-X rs-pipe-X"},
+		{"plain", false, false, "X"},
+		{"pipeline", true, false, "X pipe-X"},
+		{"ff", false, true, "X pipe-ff-X"},
+		{"everything", true, true, "X pipe-X pipe-ff-X"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []string
@@ -29,12 +27,12 @@ func TestExpandLocksRowNames(t *testing.T) {
 				want = append(want, strings.Fields(strings.ReplaceAll(tc.want, "X", b.name))...)
 			}
 			var names []string
-			for _, lk := range expandLocks(base, tc.pipeline, tc.ff, tc.reshard) {
+			for _, lk := range expandLocks(base, tc.pipeline, tc.ff) {
 				names = append(names, lk.name)
 				has := func(part string) bool { return strings.Contains(lk.name, part) }
-				type flags struct{ slo, pipe, ff, reshard bool }
-				got := flags{lk.slo, lk.pipe, lk.ff, lk.reshard}
-				named := flags{strings.HasSuffix(lk.name, "asl"), has("pipe-"), has("-ff-"), has("rs-")}
+				type flags struct{ slo, pipe, ff bool }
+				got := flags{lk.slo, lk.pipe, lk.ff}
+				named := flags{strings.HasSuffix(lk.name, "asl"), has("pipe-"), has("-ff-")}
 				if got != named {
 					t.Errorf("%s: %+v, but its name says %+v", lk.name, got, named)
 				}
@@ -92,7 +90,7 @@ func TestSpanHiClampsAtTopOfKeySpace(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := benchConfig{threads: 8, bigs: 4, vsize: 64, keys: 1 << 16, batch: 16, span: 256, zipfS: 0.99, skew: 1.2}
+	good := benchConfig{shards: 16, threads: 8, bigs: 4, vsize: 64, keys: 1 << 16, batch: 16, span: 256, zipfS: 0.99}
 	for _, tc := range []struct {
 		flag string // the flag the error must name; "" = must be accepted
 		edit func(*benchConfig)
@@ -102,6 +100,9 @@ func TestValidate(t *testing.T) {
 		{"", func(c *benchConfig) { c.bigs = c.threads }},
 		{"", func(c *benchConfig) { c.vsize = 0 }},
 		{"", func(c *benchConfig) { c.keys = 1 }},
+		{"", func(c *benchConfig) { c.shards = 1 }},
+		{"-shards", func(c *benchConfig) { c.shards = 0 }},
+		{"-shards", func(c *benchConfig) { c.shards = -3 }},
 		{"-threads", func(c *benchConfig) { c.threads, c.bigs = 0, 0 }},
 		{"-bigs", func(c *benchConfig) { c.bigs = 9 }},
 		{"-bigs", func(c *benchConfig) { c.bigs = -1 }},
@@ -112,7 +113,6 @@ func TestValidate(t *testing.T) {
 		{"-zipf", func(c *benchConfig) { c.zipfS = 0 }},
 		{"-zipf", func(c *benchConfig) { c.zipfS = 1 }},
 		{"-pipebatch", func(c *benchConfig) { c.pipeBatch = -1 }},
-		{"-skew", func(c *benchConfig) { c.skew = 1 }},
 	} {
 		c := good
 		tc.edit(&c)

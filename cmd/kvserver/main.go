@@ -71,8 +71,12 @@ func main() {
 	statsEvery := flag.Duration("stats-every", 0, "dump server stats to stderr at this interval; 0 disables")
 	faults := flag.String("faults", "", "fault-injection spec, e.g. 'wal.fsync:nth=3:error' (see internal/fault.Parse); chaos harness only")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for probabilistic fault triggers")
-	forceSplitEvery := flag.Duration("force-split-every", 0, "force a shard split at this interval, cycling target keys; 0 disables (chaos harness only)")
 	flag.Parse()
+
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "kvserver: -shards must be >= 1 (got %d)\n", *shards)
+		os.Exit(2)
+	}
 
 	var engSpec *shardedkv.EngineSpec
 	for _, e := range shardedkv.AllEngines() {
@@ -123,12 +127,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "kvserver: wal %s — recovering\n", *walDir)
 	}
-	if *forceSplitEvery > 0 {
-		// The chaos harness wants splits mid-traffic without waiting for
-		// the skew detector; manual mode with a budget keeps them
-		// deterministic-ish and bounded.
-		scfg.Reshard = &shardedkv.ReshardConfig{Manual: true, MaxShards: *shards * 4}
-	}
 	st := shardedkv.New(scfg)
 	var async *shardedkv.AsyncStore
 	if *pipeline {
@@ -154,17 +152,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "kvserver: serving %s/%s (%d shards, pipeline=%v) on %s\n",
-		*engine, *lock, *shards, *pipeline, srv.Addr())
-
-	if *forceSplitEvery > 0 {
-		go func() {
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			for i := uint64(0); ; i++ {
-				time.Sleep(*forceSplitEvery)
-				st.ForceSplit(w, i%1024)
-			}
-		}()
-	}
+		*engine, *lock, st.NumShards(), *pipeline, srv.Addr())
 
 	if *statsEvery > 0 {
 		go func() {

@@ -3,9 +3,9 @@
 // mixed-SLO-class traffic through retrying clients, and keeps breaking
 // things underneath — kill -9 and restart on a seeded schedule,
 // injected WAL fsync faults (degraded-mode incarnations), injected
-// client-connection faults, forced shard splits, and a protocol fuzzer
-// spraying garbage frames — while checking every read against a
-// wire-level single-writer-per-key model.
+// client-connection faults, and a protocol fuzzer spraying garbage
+// frames — while checking every read against a wire-level
+// single-writer-per-key model.
 //
 // The model: each worker owns a contiguous key block and is its only
 // writer, so valid read values are exactly predictable. Values encode
@@ -161,7 +161,6 @@ func (h *harness) startServer(faults string) {
 		"-addr", h.addr,
 		"-wal", h.walDir,
 		"-shards", "4",
-		"-force-split-every", "25ms",
 	}
 	if faults != "" {
 		args = append(args, "-faults", faults, "-fault-seed", fmt.Sprint(h.rng.Uint64()|1))
@@ -525,7 +524,7 @@ func (h *harness) finalSweep(states [][]*keyState) {
 		}
 	}
 	// An ordered range over the whole modeled space double-checks the
-	// store's scan path post-recovery (and that splits survived replay).
+	// store's scan path post-recovery.
 	total := uint64(h.workers * h.keysPer)
 	keys, err := rangeAllKeys(cl, total)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Command repolint is the repository's multichecker: it bundles the
 // custom concurrency-contract analyzers (classhintpair, lockheldcall,
-// lockorder, atomicfield, electprobe, wireconst, statustext) plus the
+// lockorder, atomicfield, wireconst, statustext) plus the
 // stock-but-off-by-default shadow pass into one `go vet -vettool`
 // binary, so the contracts documented in ARCHITECTURE.md ("Enforced
 // invariants") gate every `make check` / `make ci` run. The
@@ -29,7 +29,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/atomicfield"
 	"repro/internal/analysis/passes/classhintpair"
-	"repro/internal/analysis/passes/electprobe"
 	"repro/internal/analysis/passes/lockheldcall"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/shadow"
@@ -43,7 +42,6 @@ var Analyzers = []*analysis.Analyzer{
 	lockheldcall.Analyzer,
 	lockorder.Analyzer,
 	atomicfield.Analyzer,
-	electprobe.Analyzer,
 	wireconst.Analyzer,
 	statustext.Analyzer,
 	shadow.Analyzer,

@@ -17,9 +17,8 @@
 // re-classing the goroutine. internal/locks holds the real lock
 // algorithms (TAS/ticket/MCS/ShflLock-proportional baselines, the
 // reorderable lock, ASLMutex) behind the worker-aware WLock
-// interface, plus observability wrappers: locks.Contended counts real
-// lock waits, locks.ClassProbe records the class each acquisition was
-// observed under. internal/sim + internal/amp + internal/simlock form
+// interface, plus an observability wrapper: locks.ClassProbe records
+// the class each acquisition was observed under. internal/sim + internal/amp + internal/simlock form
 // the deterministic discrete-event AMP simulator that regenerates the
 // paper's figures; the internal/figures tests state the shape each
 // figure must reproduce, the internal/amp package doc what the model
@@ -31,9 +30,9 @@
 // WLock (ASLMutex by default) with one pluggable single-writer engine
 // (internal/storage/{hashkv,btree,lsm,skiplist}). Batched ops take
 // each shard lock once; ordered scans collect under the lock and
-// emit after release. Placement is dynamic: a copy-on-write shard map
-// with stable ids and forward pointers lets a skew detector split
-// sustained-hot shards without stalling the rest of the store.
+// emit after release. Placement is fixed: key k lives on shard
+// Mix64(k) % Shards for the store's life, and no path holds two shard
+// locks at once.
 // Store.As / AsyncStore.As return the one op-level class-override
 // view (shardedkv.Classed, itself a KV) — the library face of the
 // ClassHint path.
@@ -77,8 +76,8 @@
 //
 // internal/analysis + cmd/repolint machine-check the concurrency
 // contracts the layers above rely on: ClassHint set/clear pairing,
-// the no-callbacks-under-a-shard-lock rule, the election-probe
-// convention, and append-only wire enums. `make lint` runs the suite
+// the no-callbacks-under-a-shard-lock rule, the lock order (shard
+// locks never nest), and append-only wire enums. `make lint` runs the suite
 // as a `go vet -vettool`; ARCHITECTURE.md ("Enforced invariants")
 // maps each pass to its prose rule.
 package repro

@@ -1,7 +1,6 @@
-// ShardedKV walkthrough: the same sharded KV service run four ways —
-// with plain sync.Mutex shard locks, with ASL shard locks, with the
-// flat-combining pipeline (AsyncStore) over ASL locks, and with
-// skew-adaptive resharding on top of the pipeline — under an
+// ShardedKV walkthrough: the same sharded KV service run three ways —
+// with plain sync.Mutex shard locks, with ASL shard locks, and with the
+// flat-combining pipeline (AsyncStore) over ASL locks — under an
 // asymmetric big/little worker pool on a zipfian-skewed YCSB-A mix,
 // then served over TCP (kvserver/kvclient) with per-request SLO
 // classes standing in for the per-goroutine classing.
@@ -47,11 +46,8 @@ const (
 // operations run through the flat-combining AsyncStore front end:
 // callers enqueue onto per-shard rings and whoever wins the shard
 // lock's try — big cores preferentially — executes the whole queue
-// under one lock take. With reshard set, a skew detector watches the
-// per-shard traffic share and lock-wait fraction and splits sustained
-// hot shards mid-run (the zipf head concentrates on a couple of
-// shards; fission spreads the convoy).
-func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bool, threads, bigsN int, cal workload.Calibration) stats.Summary {
+// under one lock take.
+func runService(name string, factory locks.Factory, useSLO, pipeline bool, threads, bigsN int, cal workload.Calibration) stats.Summary {
 	shim := workload.DefaultShim()
 	csUnits := cal.Units(2 * time.Microsecond)
 	cfg := shardedkv.Config{
@@ -60,13 +56,6 @@ func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bo
 		// Emulate the AMP: little-class holders keep the shard lock
 		// CSFactor (3.75x) longer, as on the paper's M1 testbed.
 		CSPad: func(w *core.Worker) { workload.Spin(shim.CSUnits(csUnits, w.Class())) },
-	}
-	if reshard {
-		cfg.Reshard = &shardedkv.ReshardConfig{
-			SkewFactor: 1.2,
-			Window:     50 * time.Millisecond,
-			MaxShards:  4 * numShards,
-		}
 	}
 	st := shardedkv.New(cfg)
 	// Both front ends satisfy the one shardedkv.KV surface; the service
@@ -146,12 +135,6 @@ func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bo
 			name+":", c.Combined, c.LockTakes, c.OpsPerLockTake(),
 			c.Handoffs, c.DepthHW, c.BigTakes, c.LittleTakes)
 	}
-	if reshard {
-		st.StopReshard()
-		rs := st.ReshardStats()
-		fmt.Printf("  %-12s reshard: %d splits over %d events, %d -> %d shards (map epoch %d)\n",
-			name+":", rs.Splits, rs.Events, numShards, rs.Shards, rs.Epoch)
-	}
 	rng := prng.NewXoshiro256(12345)
 	batchKeys := make([]uint64, 64)
 	for i := range batchKeys {
@@ -212,10 +195,9 @@ func main() {
 	}
 
 	rows := []stats.Summary{
-		runService("sync-mutex", locks.FactorySyncMutex(), false, false, false, threads, bigsN, cal),
-		runService("libasl", aslFactory, true, false, false, threads, bigsN, cal),
-		runService("pipe-asl", aslFactory, true, true, false, threads, bigsN, cal),
-		runService("rs-pipe-asl", aslFactory, true, true, true, threads, bigsN, cal),
+		runService("sync-mutex", locks.FactorySyncMutex(), false, false, threads, bigsN, cal),
+		runService("libasl", aslFactory, true, false, threads, bigsN, cal),
+		runService("pipe-asl", aslFactory, true, true, threads, bigsN, cal),
 	}
 	fmt.Println()
 	fmt.Print(stats.FormatSummaries(rows))
@@ -260,10 +242,6 @@ func main() {
 		"lock. pipe-asl pushes the same trade further: little cores enqueue\n" +
 		"and big cores combine, so the hot shard serves whole queues per\n" +
 		"lock take (ops/take above 1) instead of one handoff per op.\n" +
-		"rs-pipe-asl adds skew-adaptive resharding: a shard that sustains a\n" +
-		"convoy despite combining (deep queues, high lock-wait fraction)\n" +
-		"splits in place — zero splits here simply means combining absorbed\n" +
-		"the skew on this host. On a small or heavily loaded host the\n" +
-		"wall-clock numbers are noisy; use cmd/kvbench -pipeline -reshard\n" +
-		"for longer, repeated sweeps.\n")
+		"On a small or heavily loaded host the wall-clock numbers are noisy;\n" +
+		"use cmd/kvbench -pipeline for longer, repeated sweeps.\n")
 }

@@ -2,8 +2,8 @@
 // golang.org/x/tools/go/analysis, sized for this repository's needs.
 //
 // The repo's concurrency contracts — ClassHint never leaks across a
-// return, user callbacks never run under a shard lock, election probes
-// bypass locks.Contended, wire constants are append-only — lived in
+// return, user callbacks never run under a shard lock, shard locks
+// never nest, wire constants are append-only — lived in
 // ARCHITECTURE.md prose and spot tests until PR 6. This package turns
 // them into compiler-adjacent checks: each contract is an Analyzer, the
 // cmd/repolint multichecker runs them over every package via

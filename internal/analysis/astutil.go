@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MethodCall destructures a call of the form recv.Name(args...).
@@ -25,17 +24,16 @@ func MethodCall(call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
 }
 
 // ExprKey renders e as a canonical lock identity string: selector
-// chains print as written ("q.sh.lock"), and a trailing ".lock" field
-// is stripped so a region opened by sh.electTry(w) (which acquires
-// sh.lock) matches the closing sh.lock.Release(w). Expressions that
-// are not pure ident/selector chains (calls, indexing) get a unique
-// key and therefore never pair.
+// chains print as written ("q.sh.lock"), so the receiver of an
+// Acquire/TryAcquire and of its closing Release pair up. Expressions
+// that are not pure ident/selector chains (calls, indexing) get a
+// unique key and therefore never pair.
 func ExprKey(e ast.Expr) string {
 	s, pure := renderChain(e)
 	if !pure {
 		return fmt.Sprintf("<expr@%d>", e.Pos())
 	}
-	return strings.TrimSuffix(s, ".lock")
+	return s
 }
 
 func renderChain(e ast.Expr) (string, bool) {
@@ -74,8 +72,8 @@ const (
 //
 // Matching is by method name and arity only (no package check), so
 // the passes work identically on the real tree and on import-free
-// fixture stand-ins. Helpers that acquire under other names (electTry)
-// are covered by the lockorder pass's per-function summaries instead.
+// fixture stand-ins. Helpers that acquire under other names are covered
+// by the lockorder pass's per-function summaries instead.
 func LockCall(call *ast.CallExpr) (recv ast.Expr, verb LockVerb, ok bool) {
 	recv, name, isMethod := MethodCall(call)
 	if !isMethod {
@@ -107,7 +105,7 @@ func LockCall(call *ast.CallExpr) (recv ast.Expr, verb LockVerb, ok bool) {
 // LockClass resolves a lock-bearing receiver expression to its lock
 // class — the granularity at which the lockorder pass states facts and
 // ranks orders. Struct fields class as "pkgname.Type.field"
-// ("shardedkv.shard.lock", "shardedkv.Store.splitMu"), package-level
+// ("shardedkv.shard.lock", "shardedkv.durability.ckptMu"), package-level
 // vars as "pkgname.var". Locals, parameters and call results return ""
 // (untracked: a lock that never outlives a function cannot participate
 // in a cross-function ordering violation).

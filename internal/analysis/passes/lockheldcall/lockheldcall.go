@@ -1,7 +1,7 @@
 // Package lockheldcall enforces the collect-under-lock / emit-after-
 // release contract from the sharded store: while a shard lock is held
 // — a region bracketed by X.Acquire(w)/X.Release(w), or opened by a
-// successful X.TryAcquire(w)/X.electTry(w) — the critical section must
+// successful X.TryAcquire(w) — the critical section must
 // stay pure engine work. Four call shapes are flagged inside a held
 // region:
 //
@@ -13,7 +13,7 @@
 //     completes futures only after release);
 //   - calling an exported method on a Store / AsyncStore / Classed
 //     value (re-entering the public API acquires shard locks and can
-//     self-deadlock or invert the ancestor→descendant split order);
+//     self-deadlock or nest one shard lock inside another);
 //   - calling an fsync-issuing method on a wal.Log (Commit, Sync,
 //     WriteCheckpoint, Close): the durability contract is append
 //     (buffered) under the lock, ONE group commit after release —
@@ -23,18 +23,17 @@
 //
 // Held-region tracking runs on the control-flow graph from
 // internal/analysis/cfg as a may-held dataflow: an Acquire adds the
-// lock's canonical key ("sh.lock" and the "sh" of sh.electTry(w)
-// canonicalize to the same key), a Release removes it, and states join
-// by union at merge points, so a lock held on *any* path into a
-// statement flags that statement. TryAcquire/electTry used as a branch
-// condition adds the key only on the success edge — both the
+// lock's canonical key (its receiver chain, "sh.lock"), a Release
+// removes it, and states join by union at merge points, so a lock held
+// on *any* path into a statement flags that statement. TryAcquire used
+// as a branch condition adds the key only on the success edge — both the
 // `if X.TryAcquire(w) {...}` form and the negated early-return form
 // `if !X.TryAcquire(w) { return }` fall out of edge refinement, as do
 // acquisitions that survive a labeled break or goto out of a loop.
 // `defer X.Release(w)` keeps the region open to function end — which
 // "never remove" already models — and the deferred call itself runs
 // after every scanned statement, so it is not scanned. A helper that
-// returns with the lock held (acquireLive) still opens no region here
+// returns with the lock held (lockShard) still opens no region here
 // — an accepted false negative; those call sites are covered by
 // convention and tests, and the cross-function case is the lockorder
 // pass's territory.
@@ -101,9 +100,9 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 		Entry:    map[string]bool{},
 		Transfer: c.transfer,
 		Branch: func(cond ast.Expr, st map[string]bool) (map[string]bool, map[string]bool) {
-			// X.TryAcquire(w) / X.electTry(w): held only on the true
-			// edge. The builder normalizes `!cond` by swapping edges,
-			// so the early-return form needs no special case.
+			// X.TryAcquire(w): held only on the true edge. The builder
+			// normalizes `!cond` by swapping edges, so the early-return
+			// form needs no special case.
 			if key, ok := tryAcquireCond(cond, c.pass.TypesInfo); ok {
 				t := clone(st)
 				t[key] = true
@@ -225,15 +224,15 @@ func lockOp(e ast.Expr) (key, kind string, ok bool) {
 	return analysis.ExprKey(recv), name, true
 }
 
-// tryAcquireCond matches X.TryAcquire(w) or X.electTry(w) used as a
-// condition and returns the canonical lock key.
+// tryAcquireCond matches X.TryAcquire(w) used as a condition and
+// returns the canonical lock key.
 func tryAcquireCond(e ast.Expr, info *types.Info) (string, bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 1 {
 		return "", false
 	}
 	recv, name, ok := analysis.MethodCall(call)
-	if !ok || (name != "TryAcquire" && name != "electTry") {
+	if !ok || name != "TryAcquire" {
 		return "", false
 	}
 	return analysis.ExprKey(recv), true

@@ -14,8 +14,6 @@ func (l *WLock) TryAcquire(w *Worker) bool { return !l.held }
 
 type shard struct{ lock WLock }
 
-func (sh *shard) electTry(w *Worker) bool { return sh.lock.TryAcquire(w) }
-
 // Store is the fixture's stand-in for the re-entrant public API.
 type Store struct{}
 
@@ -73,7 +71,7 @@ func badTrySuccessBranch(sh *shard, w *Worker, fn func(int)) {
 }
 
 func badElectEarlyReturn(sh *shard, w *Worker, ch chan int) {
-	if !sh.electTry(w) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	ch <- 1 // want `channel send while a shard lock is held`
@@ -101,7 +99,7 @@ func badCommitUnderLock(sh *shard, w *Worker, lg *Log) {
 }
 
 func badSyncUnderElection(sh *shard, w *Worker, lg *Log) {
-	if !sh.electTry(w) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	_ = lg.Sync() // want `wal\.Log\.Sync issues fsync while a shard lock is held`
@@ -159,7 +157,7 @@ func okUnexportedHelper(sh *shard, w *Worker, st *Store) {
 }
 
 func okElectedThenReleased(sh *shard, w *Worker, fn func(int)) {
-	if !sh.electTry(w) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	v := 2

@@ -11,9 +11,10 @@
 // condition adds it only along the true edge. Calls compose through
 // per-function summaries (AcquiresFact) — the classes a function may
 // acquire, may release, and may still hold when it returns — computed
-// to a fixpoint within the package and exported as object facts, so
-// sh.electTry(w) (which returns holding sh.lock) shapes its callers'
-// held-sets across package boundaries. Every acquire that happens
+// to a fixpoint within the package and exported as object facts, so a
+// helper that returns holding a lock (Store.lockShard returns holding
+// its shard's lock) shapes its callers' held-sets across package
+// boundaries. Every acquire that happens
 // while classes are held contributes held→acquired edges; the
 // per-package union rides a cumulative GraphFact package fact along
 // the import DAG, so by the time kvserver is analyzed the graph spans
@@ -24,37 +25,29 @@
 // This table is THE declaration of the repository's lock order —
 // ARCHITECTURE.md ("Lock ordering") cites it rather than restating it:
 //
-//	rank 0  *.splitMu        Store.splitMu, the split rendezvous
-//	rank 1  *.shard.lock     shard locks; ancestor before descendant,
-//	                         same-class nesting only under splitMu
-//	rank 2  everything else  engine/pipeline/server-internal locks
-//	                         (AsyncStore.mu, Server.mu, serverConn.mu,
-//	                         ...): innermost, must not
-//	                         wrap back around a shard lock
+//	rank 0  *.shard.lock     shard locks; never nested — a path that
+//	                         needs several shards visits them one at
+//	                         a time
+//	rank 1  everything else  engine/pipeline/server-internal locks
+//	                         (Server.mu, serverConn.mu, ...):
+//	                         innermost, must not wrap back around a
+//	                         shard lock
 //
 // Ranks are matched by class-name suffix so fixture stand-ins rank the
 // same as the real tree. Three checks run on every edge added by the
 // package under analysis:
 //
-//   - rank inversion: an edge from a higher-rank class to a strictly
-//     lower-rank one (e.g. acquiring splitMu while holding a shard
-//     lock) inverts the table;
-//   - same-class nesting: a shard.lock→shard.lock edge is legal only
-//     under splitMu (the split rendezvous walks ancestor→descendant);
-//     any other class acquired while already held is a self-deadlock
-//     with itself;
+//   - rank inversion: an edge from an engine-internal class to a shard
+//     lock inverts the table;
+//   - same-class nesting: a shard lock acquired while a shard lock is
+//     held is a finding (class-level tracking cannot tell the two
+//     shards apart, and no path needs two at once); any other class
+//     acquired while already held is a self-deadlock with itself;
 //   - cycles: an edge whose target can already reach its source in the
 //     accumulated whole-program graph closes a deadlock-capable cycle.
-//
-// Static class-level tracking cannot tell shard instances apart, so
-// the deliberately ordered ancestor→descendant hops the pipeline
-// performs outside splitMu (execForwarded and friends) are reported
-// and carry //lint:ignore justifications citing the protocol that
-// makes them acyclic — the suppression is the reviewable artifact.
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -68,7 +61,7 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "check every lock acquired while another is held against the canonical splitMu → shard → engine-internal order",
+	Doc:       "check every lock acquired while another is held against the canonical shard → engine-internal order",
 	Run:       run,
 	FactTypes: []analysis.Fact{&AcquiresFact{}, &GraphFact{}},
 }
@@ -83,8 +76,8 @@ type AcquiresFact struct {
 	// via defer).
 	Releases []string
 	// ReturnsHeld lists classes that may still be held when the
-	// function returns — for a bool-returning function (electTry)
-	// callers treat these as held on the true branch only.
+	// function returns — for a bool-returning try helper callers treat
+	// these as held on the true branch only.
 	ReturnsHeld []string
 }
 
@@ -103,9 +96,6 @@ func (*GraphFact) AFact() {}
 // Edge records one "From held while acquiring To" observation.
 type Edge struct {
 	From, To string
-	// UnderSplitMu is true when a rank-0 class was also held, i.e. the
-	// acquire happened inside the split rendezvous.
-	UnderSplitMu bool
 	// Pos is the acquire site ("file:line:col") and Fn the enclosing
 	// function, for cross-package cycle reports.
 	Pos, Fn string
@@ -113,25 +103,18 @@ type Edge struct {
 
 // rankOf positions a class in the canonical table (see package doc).
 func rankOf(class string) int {
-	if strings.HasSuffix(class, ".splitMu") {
+	if strings.HasSuffix(class, ".shard.lock") {
 		return 0
 	}
-	if strings.HasSuffix(class, ".shard.lock") {
-		return 1
-	}
-	return 2
+	return 1
 }
 
 // rankName names a rank in diagnostics.
 func rankName(r int) string {
-	switch r {
-	case 0:
-		return "splitMu"
-	case 1:
+	if r == 0 {
 		return "shard lock"
-	default:
-		return "engine-internal"
 	}
+	return "engine-internal"
 }
 
 // summary is the in-flight (set-form) AcquiresFact.
@@ -184,8 +167,8 @@ type runner struct {
 	// sums holds this package's summaries (fixpoint state) and caches
 	// imported ones; missing entries are cached as nil.
 	sums map[*types.Func]*summary
-	// edges collects held→acquired observations keyed From|To|under
-	// (nil during the summary phase).
+	// edges collects held→acquired observations keyed From|To (nil
+	// during the summary phase).
 	edges map[string]*localEdge
 	// fn is the function currently being analyzed (for Edge.Fn).
 	fn string
@@ -279,7 +262,7 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, e := range gf.Edges {
-			k := e.From + "|" + e.To + "|" + fmt.Sprint(e.UnderSplitMu)
+			k := e.From + "|" + e.To
 			if _, ok := merged[k]; !ok {
 				merged[k] = e
 			}
@@ -318,17 +301,15 @@ func run(pass *analysis.Pass) error {
 	// checked when their package was analyzed).
 	for _, e := range local {
 		if e.From == e.To {
-			if rankOf(e.From) == 1 {
-				if !e.UnderSplitMu {
-					pass.Reportf(e.pos, "shard lock acquired in %s while a shard lock is already held outside the splitMu rendezvous; ancestor→descendant nesting is only proven safe under splitMu", e.Fn)
-				}
+			if rankOf(e.From) == 0 {
+				pass.Reportf(e.pos, "shard lock acquired in %s while a shard lock is already held; shard locks never nest — visit shards one at a time", e.Fn)
 				continue
 			}
 			pass.Reportf(e.pos, "%s acquired in %s while already held (self-deadlock)", e.From, e.Fn)
 			continue
 		}
 		if rf, rt := rankOf(e.From), rankOf(e.To); rt < rf {
-			pass.Reportf(e.pos, "lock-order inversion in %s: acquiring %s (%s) while holding %s (%s); the canonical order is splitMu → ancestor shard → descendant shard → engine-internal (see package lockorder)", e.Fn, e.To, rankName(rt), e.From, rankName(rf))
+			pass.Reportf(e.pos, "lock-order inversion in %s: acquiring %s (%s) while holding %s (%s); the canonical order is shard → engine-internal (see package lockorder)", e.Fn, e.To, rankName(rt), e.From, rankName(rf))
 			continue
 		}
 		if path := findPath(adj, e.To, e.From); path != nil {
@@ -338,7 +319,7 @@ func run(pass *analysis.Pass) error {
 
 	// Export the cumulative graph for dependents.
 	for _, e := range local {
-		k := e.From + "|" + e.To + "|" + fmt.Sprint(e.UnderSplitMu)
+		k := e.From + "|" + e.To
 		if _, ok := merged[k]; !ok {
 			merged[k] = e.Edge
 		}
@@ -352,10 +333,7 @@ func run(pass *analysis.Pass) error {
 		if a.From != b.From {
 			return a.From < b.From
 		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return !a.UnderSplitMu && b.UnderSplitMu
+		return a.To < b.To
 	})
 	pass.ExportPackageFact(&out)
 	return nil
@@ -483,21 +461,14 @@ func (r *runner) noteAcquire(pos token.Pos, class string, held map[string]bool) 
 	if r.edges == nil || len(held) == 0 {
 		return
 	}
-	under := false
 	for h := range held {
-		if rankOf(h) == 0 {
-			under = true
-			break
-		}
-	}
-	for h := range held {
-		k := h + "|" + class + "|" + fmt.Sprint(under)
+		k := h + "|" + class
 		if _, ok := r.edges[k]; ok {
 			continue
 		}
 		r.edges[k] = &localEdge{
 			Edge: Edge{
-				From: h, To: class, UnderSplitMu: under,
+				From: h, To: class,
 				Pos: r.pass.Fset.Position(pos).String(), Fn: r.fn,
 			},
 			pos: pos,
@@ -507,7 +478,7 @@ func (r *runner) noteAcquire(pos token.Pos, class string, held map[string]bool) 
 
 // tryClasses returns the classes conditionally held by a branch
 // condition: a direct TryAcquire/TryLock's class, or the callee's
-// ReturnsHeld for helpers like electTry that return holding a lock.
+// ReturnsHeld for try helpers that return holding a lock.
 func (r *runner) tryClasses(cond ast.Expr) []string {
 	call, ok := ast.Unparen(cond).(*ast.CallExpr)
 	if !ok {

@@ -37,8 +37,8 @@ func (p *Pair) UnlockBoth(w *Worker) {
 	p.A.Release(w)
 }
 
-// Counted stands in for a counting wrapper such as locks.Contended:
-// every lock method delegates to the wrapped inner lock, so the wrapper
+// Counted stands in for a generic counting wrapper (a lock type that
+// decorates another with counters): every lock method delegates to the wrapped inner lock, so the wrapper
 // mints no lock class of its own — callers' held-sets carry
 // locksfix.Counted.inner through the exported summaries, and violations
 // through the wrapper are diagnosed against the inner field's class.

@@ -1,26 +1,28 @@
-// Package storefix is the fixture stand-in for internal/shardedkv:
-// a Store with splitMu and shard locks, a conforming split rendezvous,
-// and the two in-package violations the canonical order forbids — the
-// inverted child-held-while-taking-parent acquire and a shard lock
-// held while taking splitMu.
+// Package storefix is the fixture stand-in for internal/shardedkv: a
+// Store with shard locks and an engine-internal mutex, conforming
+// one-shard-at-a-time paths, and the in-package violations the
+// canonical order forbids — a shard lock taken while another is held,
+// and a shard lock taken under an engine-internal lock, directly and
+// through the counting wrapper. Edges are recorded once per class
+// pair, so the conforming functions come first: a false edge there
+// would be reported at their position, not hidden behind a violation's.
 package storefix
 
 import "locksfix"
 
 type shard struct {
-	lock  locksfix.WLock
-	depth int
+	lock locksfix.WLock
 }
 
 // Store stands in for the sharded store.
 type Store struct {
-	splitMu locksfix.WLock
-	shards  []*shard
+	mu     locksfix.WLock
+	shards []*shard
 }
 
-// electTry stands in for the combiner election probe: on success it
-// returns holding sh.lock (ReturnsHeld in its exported summary).
-func (sh *shard) electTry(w *locksfix.Worker) bool {
+// tryLock stands in for a try helper: on success it returns holding
+// sh.lock (ReturnsHeld in its exported summary).
+func (sh *shard) tryLock(w *locksfix.Worker) bool {
 	return sh.lock.TryAcquire(w)
 }
 
@@ -31,72 +33,71 @@ func (s *Store) Get(w *locksfix.Worker, k uint64) {
 	sh.lock.Release(w)
 }
 
-// split is the conforming rendezvous: splitMu, then the parent shard,
-// then the child — the ancestor→descendant nesting is legal because
-// splitMu is held.
-func (s *Store) split(w *locksfix.Worker, sh *shard) {
-	s.splitMu.Acquire(w)
+// logUnderShard is the conforming nesting: the engine-internal mutex
+// taken inside a shard lock, innermost as the table demands.
+func (s *Store) logUnderShard(w *locksfix.Worker, sh *shard) {
 	sh.lock.Acquire(w)
-	child := s.shards[0]
-	child.lock.Acquire(w)
-	child.lock.Release(w)
-	sh.lock.Release(w)
-	s.splitMu.Release(w)
-}
-
-// splitDeferred is split with the defer idiom: the deferred Release is
-// an exit effect, so splitMu is still held at the nested shard
-// acquires — the same-class nesting stays under the rendezvous and the
-// function must stay clean. (A pass that applied the defer's release
-// immediately would flag the nesting as outside splitMu.)
-func (s *Store) splitDeferred(w *locksfix.Worker, sh *shard) {
-	s.splitMu.Acquire(w)
-	defer s.splitMu.Release(w)
-	sh.lock.Acquire(w)
-	child := s.shards[0]
-	child.lock.Acquire(w)
-	child.lock.Release(w)
+	s.mu.Acquire(w)
+	s.mu.Release(w)
 	sh.lock.Release(w)
 }
 
-// adopt inverts the rendezvous: the child's lock is taken first, then
-// the parent's, with splitMu never held.
-func (s *Store) adopt(w *locksfix.Worker, parent, child *shard) {
-	child.lock.Acquire(w)
-	parent.lock.Acquire(w) // want `shard lock acquired in adopt while a shard lock is already held outside the splitMu rendezvous`
-	parent.lock.Release(w)
-	child.lock.Release(w)
-}
-
-// splitFromShard takes splitMu while holding a shard lock — backwards
-// through the rank table.
-func (s *Store) splitFromShard(w *locksfix.Worker, sh *shard) {
+// lockDeferred holds one shard lock with the defer idiom: the deferred
+// Release is an exit effect, folded into the summary's releases, so the
+// summary returns nothing held.
+func (s *Store) lockDeferred(w *locksfix.Worker, sh *shard) {
 	sh.lock.Acquire(w)
-	s.splitMu.Acquire(w) // want `lock-order inversion in splitFromShard: acquiring storefix\.Store\.splitMu \(splitMu\) while holding storefix\.shard\.lock \(shard lock\)`
-	s.splitMu.Release(w)
-	sh.lock.Release(w)
+	defer sh.lock.Release(w)
 }
 
-// maybeSplit exercises the try-branch refinement through a callee
-// summary: when electTry fails nothing is held, so taking splitMu on
-// that path is clean — a flow-insensitive pass would flag it.
-func (s *Store) maybeSplit(w *locksfix.Worker, sh *shard) {
-	if !sh.electTry(w) {
-		s.splitMu.Acquire(w)
-		s.splitMu.Release(w)
+// scan visits every shard through lockDeferred, one at a time, and must
+// stay clean. (A pass that left the deferred release out of
+// lockDeferred's summary would see each visit still holding the
+// previous shard's lock and flag the next one as nested.)
+func (s *Store) scan(w *locksfix.Worker) {
+	for _, sh := range s.shards {
+		s.lockDeferred(w, sh)
+	}
+}
+
+// combineOrServe exercises the try-branch refinement through a callee
+// summary: when tryLock fails nothing is held, so taking another
+// shard's lock on that path is clean — a flow-insensitive pass would
+// flag it as nested.
+func (s *Store) combineOrServe(w *locksfix.Worker, sh, other *shard) {
+	if !sh.tryLock(w) {
+		other.lock.Acquire(w)
+		other.lock.Release(w)
 		return
 	}
 	sh.lock.Release(w)
 }
 
-// splitUnderWrapper takes splitMu while holding the counting wrapper. The
-// held-set tracks the wrapper's delegated class — the diagnostic names
-// locksfix.Counted.inner (engine-internal rank), not the wrapper call
-// site — so the inversion against rank-0 splitMu is caught through one
-// level of delegation.
-func (s *Store) splitUnderWrapper(w *locksfix.Worker, c *locksfix.Counted) {
+// adopt takes a second shard's lock while holding the first.
+func (s *Store) adopt(w *locksfix.Worker, from, to *shard) {
+	from.lock.Acquire(w)
+	to.lock.Acquire(w) // want `shard lock acquired in adopt while a shard lock is already held; shard locks never nest`
+	to.lock.Release(w)
+	from.lock.Release(w)
+}
+
+// shardUnderMu takes a shard lock while holding the engine-internal
+// mutex — backwards through the rank table.
+func (s *Store) shardUnderMu(w *locksfix.Worker, sh *shard) {
+	s.mu.Acquire(w)
+	sh.lock.Acquire(w) // want `lock-order inversion in shardUnderMu: acquiring storefix\.shard\.lock \(shard lock\) while holding storefix\.Store\.mu \(engine-internal\)`
+	sh.lock.Release(w)
+	s.mu.Release(w)
+}
+
+// shardUnderWrapper takes a shard lock while holding the counting
+// wrapper. The held-set tracks the wrapper's delegated class — the
+// diagnostic names locksfix.Counted.inner (engine-internal rank), not
+// the wrapper call site — so the inversion is caught through one level
+// of delegation.
+func (s *Store) shardUnderWrapper(w *locksfix.Worker, c *locksfix.Counted, sh *shard) {
 	c.Acquire(w)
-	s.splitMu.Acquire(w) // want `lock-order inversion in splitUnderWrapper: acquiring storefix\.Store\.splitMu \(splitMu\) while holding locksfix\.Counted\.inner \(engine-internal\)`
-	s.splitMu.Release(w)
+	sh.lock.Acquire(w) // want `lock-order inversion in shardUnderWrapper: acquiring storefix\.shard\.lock \(shard lock\) while holding locksfix\.Counted\.inner \(engine-internal\)`
+	sh.lock.Release(w)
 	c.Release(w)
 }

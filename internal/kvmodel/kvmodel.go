@@ -5,7 +5,7 @@
 // harness worker owns a private key stripe (key = (i%128)*workers+wi)
 // and mirrors every operation on a private map; with no cross-worker
 // key sharing, every return value is exactly predictable no matter
-// what splits, combiners, checkpoints, or crashes happen underneath.
+// what combiners, checkpoints, or crashes happen underneath.
 //
 // The package lives outside shardedkv's test files so that external
 // consumers (package shardedkv_test, the soak binary's future unit
@@ -146,8 +146,8 @@ func Drive(t TB, kv shardedkv.KV, ff func(w *core.Worker, k uint64, v []byte), w
 						}
 					} else {
 						// Ordered scan across every worker's stripe (all
-						// owned keys are < 128*workers): order must hold
-						// whatever fissions underneath.
+						// owned keys are < 128*workers): the merge across
+						// shards must emit in key order.
 						prev, first := uint64(0), true
 						kv.Range(w, 0, 128*uint64(workers), func(sk uint64, sv []byte) bool {
 							if !first && sk <= prev {

@@ -1,9 +1,6 @@
 package kvserver
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Class-aware admission at the serving boundary. Dice & Kogan's
 // concurrency-restriction argument is that a saturated lock serves
@@ -41,9 +38,6 @@ type AdmissionConfig struct {
 // so a handful of concurrent bulk entrants saturate a shard.
 const DefaultBulkPerShard = 4
 
-// globalGate keys the gate shared by multi-shard ops.
-const globalGate = -1
-
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.BulkPerShard == 0 {
 		c.BulkPerShard = DefaultBulkPerShard
@@ -61,47 +55,38 @@ type gate struct {
 	waiters atomic.Int64
 }
 
-// admission is the server-wide gate set, one gate per shard id plus
-// the global gate. Gates are created lazily (resharding grows the id
-// space at runtime).
+// admission is the server-wide gate set: gates[i] for shard i, and
+// one more, the global gate, for multi-shard ops. Placement is fixed
+// for the store's life, so the set is built once, sized from the
+// store's shard count.
 type admission struct {
-	limit     int
 	waiterCap int
-	mu        sync.Mutex
-	gates     map[int]*gate
+	gates     []gate
 	rejected  atomic.Uint64
 	waited    atomic.Uint64
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
+func newAdmission(cfg AdmissionConfig, shards int) *admission {
 	cfg = cfg.withDefaults()
 	if cfg.BulkPerShard < 0 {
 		return nil // gate disabled
 	}
-	return &admission{
-		limit:     cfg.BulkPerShard,
-		waiterCap: cfg.BulkWaiters,
-		gates:     make(map[int]*gate),
+	a := &admission{waiterCap: cfg.BulkWaiters, gates: make([]gate, shards+1)}
+	for i := range a.gates {
+		a.gates[i].tokens = make(chan struct{}, cfg.BulkPerShard)
 	}
+	return a
 }
 
-func (a *admission) gateFor(shard int) *gate {
-	a.mu.Lock()
-	g := a.gates[shard]
-	if g == nil {
-		g = &gate{tokens: make(chan struct{}, a.limit)}
-		a.gates[shard] = g
-	}
-	a.mu.Unlock()
-	return g
-}
+// global returns the index of the gate shared by multi-shard ops.
+func (a *admission) global() int { return len(a.gates) - 1 }
 
-// enter admits one bulk op on shard (globalGate for multi-shard ops):
-// immediately when an in-flight slot is free, after a passive wait
-// when the waiter bound allows, not at all otherwise. The returned
-// gate must be released via exit iff admitted.
-func (a *admission) enter(shard int) (*gate, bool) {
-	g := a.gateFor(shard)
+// enter admits one bulk op through gate i (a shard index, or global()
+// for multi-shard ops): immediately when an in-flight slot is free,
+// after a passive wait when the waiter bound allows, not at all
+// otherwise. The returned gate must be released via exit iff admitted.
+func (a *admission) enter(i int) (*gate, bool) {
+	g := &a.gates[i]
 	select {
 	case g.tokens <- struct{}{}:
 		return g, true
@@ -136,11 +121,9 @@ func (a *admission) stats() AdmissionStats {
 		Waited:   a.waited.Load(),
 		Rejected: a.rejected.Load(),
 	}
-	a.mu.Lock()
-	for _, g := range a.gates {
-		st.InFlight += int64(len(g.tokens))
-		st.Waiting += g.waiters.Load()
+	for i := range a.gates {
+		st.InFlight += int64(len(a.gates[i].tokens))
+		st.Waiting += a.gates[i].waiters.Load()
 	}
-	a.mu.Unlock()
 	return st
 }

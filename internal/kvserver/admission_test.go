@@ -12,7 +12,7 @@ import (
 // once. Run under -race this also exercises the gate's memory safety.
 func TestAdmissionInFlightBound(t *testing.T) {
 	const limit = 3
-	a := newAdmission(AdmissionConfig{BulkPerShard: limit, BulkWaiters: 1 << 20})
+	a := newAdmission(AdmissionConfig{BulkPerShard: limit, BulkWaiters: 1 << 20}, 2)
 	var inFlight, maxSeen atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -51,7 +51,7 @@ func TestAdmissionInFlightBound(t *testing.T) {
 // allowed, arrivals beyond the in-flight bound are rejected and
 // counted.
 func TestAdmissionRejects(t *testing.T) {
-	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: -1})
+	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: -1}, 2)
 	g, ok := a.enter(0)
 	if !ok {
 		t.Fatal("first entry rejected")
@@ -59,12 +59,14 @@ func TestAdmissionRejects(t *testing.T) {
 	if _, ok := a.enter(0); ok {
 		t.Fatal("second entry admitted past the bound with waiting disabled")
 	}
-	// A different shard's gate is independent.
-	g2, ok := a.enter(1)
-	if !ok {
-		t.Fatal("other shard's gate coupled")
+	// A different shard's gate, and the global gate, are independent.
+	for _, i := range []int{1, a.global()} {
+		g2, ok := a.enter(i)
+		if !ok {
+			t.Fatalf("gate %d coupled to gate 0", i)
+		}
+		a.exit(g2)
 	}
-	a.exit(g2)
 	a.exit(g)
 	if _, ok := a.enter(0); !ok {
 		t.Fatal("rejected after release")
@@ -78,7 +80,7 @@ func TestAdmissionRejects(t *testing.T) {
 // TestAdmissionWaits checks the passive-wait path: a second entrant
 // within the waiter bound blocks until the first releases.
 func TestAdmissionWaits(t *testing.T) {
-	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: 4})
+	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: 4}, 2)
 	g, _ := a.enter(0)
 	entered := make(chan struct{})
 	go func() {
@@ -109,7 +111,7 @@ func TestAdmissionWaits(t *testing.T) {
 // TestAdmissionDisabled: a negative per-shard bound turns the gate
 // off entirely.
 func TestAdmissionDisabled(t *testing.T) {
-	if a := newAdmission(AdmissionConfig{BulkPerShard: -1}); a != nil {
+	if a := newAdmission(AdmissionConfig{BulkPerShard: -1}, 2); a != nil {
 		t.Fatal("negative BulkPerShard should disable the gate")
 	}
 }

@@ -53,7 +53,7 @@ type Config struct {
 // so one connection may interleave interactive and bulk operations and
 // each still reaches the shard lock under its own class.
 type Server struct {
-	// st answers placement queries (ShardOf, NumShards, MapEpoch); kv
+	// st answers placement queries (ShardOf, NumShards); kv
 	// is the operation surface — the plain store, or the combining
 	// pipeline when Config.Async is set. Every request path goes
 	// through kv, so the server is front-end-agnostic past New.
@@ -93,7 +93,7 @@ func New(cfg Config) (*Server, error) {
 		kv:      kv,
 		sloI:    int64(cfg.SLOInteractive),
 		sloB:    int64(cfg.SLOBulk),
-		adm:     newAdmission(cfg.Admission),
+		adm:     newAdmission(cfg.Admission, cfg.Store.NumShards()),
 		conns:   make(map[*serverConn]struct{}),
 		retired: stats.NewClassedRecorder(),
 	}, nil
@@ -311,12 +311,12 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 	// Class-aware admission: bulk ops pass the bounded gate,
 	// interactive ops bypass it.
 	if s.adm != nil && req.Class == ClassBulk {
-		shard := globalGate
+		gi := s.adm.global()
 		switch req.Op {
 		case OpGet, OpPut, OpDelete:
-			shard = s.st.ShardOf(req.Key)
+			gi = s.st.ShardOf(req.Key)
 		}
-		g, ok := s.adm.enter(shard)
+		g, ok := s.adm.enter(gi)
 		if !ok {
 			s.errs[lc].Add(1)
 			return AppendErrorResponse(out, req.ID, StatusErrAdmission, StatusText(StatusErrAdmission))
@@ -525,9 +525,8 @@ type ServerStats struct {
 	// RangeTruncations counts Range responses clamped to
 	// MaxRangePairs.
 	RangeTruncations uint64 `json:"range_truncations"`
-	// Shards/MapEpoch snapshot the served store's placement.
-	Shards   int    `json:"shards"`
-	MapEpoch uint64 `json:"map_epoch"`
+	// Shards is the served store's shard count.
+	Shards int `json:"shards"`
 }
 
 // Stats snapshots the server's counters: per-class ops and latency
@@ -563,7 +562,6 @@ func (s *Server) Stats() ServerStats {
 		BadConns:         s.badConns.Load(),
 		RangeTruncations: s.truncates.Load(),
 		Shards:           s.st.NumShards(),
-		MapEpoch:         s.st.MapEpoch(),
 	}
 	if s.adm != nil {
 		a := s.adm.stats()

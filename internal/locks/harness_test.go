@@ -24,9 +24,8 @@ type harnessFamily struct {
 	f    Factory
 }
 
-// harnessFamilies enumerates every family, plus the Contended wrapper
-// the way shardedkv composes it over a base lock. Every family's
-// TryAcquire succeeds iff the lock was free.
+// harnessFamilies enumerates every family. Every family's TryAcquire
+// succeeds iff the lock was free.
 func harnessFamilies() []harnessFamily {
 	return []harnessFamily{
 		{"plain", FactorySyncMutex()},
@@ -40,7 +39,6 @@ func harnessFamilies() []harnessFamily {
 		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
 		{"asl", FactoryASL()},
 		{"asl-blocking", FactoryASLBlocking()},
-		{"contended", FactoryContended(FactoryMCS())},
 	}
 }
 

@@ -14,26 +14,25 @@ import (
 // The grouped batch path, pinned: a MultiGet/MultiPut crosses the
 // pipeline as one request per touched shard (pipeline.go: batch, route,
 // execMany), and these tests hold down what that must not change —
-// batch order, split forwarding, degraded shards, ring overflow, group
-// commit — and what it must: counters count keys, requests stay under
-// the key cap, grouping allocates nothing.
+// batch order, degraded shards, ring overflow, group commit — and what
+// it must: counters count keys, requests stay under the key cap,
+// grouping allocates nothing.
 
-// routed groups kvs (or keys, when kvs is nil) under map m without
-// submitting: the requests exactly as MultiPut/MultiGet would enqueue
-// them.
-func routed(a *AsyncStore, m *shardMap, keys []uint64, kvs []Pair) *batch {
+// routed groups kvs (or keys, when kvs is nil) without submitting: the
+// requests exactly as MultiPut/MultiGet would enqueue them.
+func routed(a *AsyncStore, keys []uint64, kvs []Pair) *batch {
 	if kvs != nil {
-		b := a.newBatch(opMultiPut, m)
+		b := a.newBatch(opMultiPut)
 		b.kvs = kvs
 		for i := range kvs {
-			a.route(b, m, kvs[i].Key, i)
+			a.route(b, kvs[i].Key, i)
 		}
 		return b
 	}
-	b := a.newBatch(opMultiGet, m)
+	b := a.newBatch(opMultiGet)
 	b.keys, b.vals, b.oks = keys, make([][]byte, len(keys)), make([]bool, len(keys))
 	for i, k := range keys {
-		a.route(b, m, k, i)
+		a.route(b, k, i)
 	}
 	return b
 }
@@ -105,16 +104,14 @@ func TestAsyncMultiPutDuplicateKeysBatchOrder(t *testing.T) {
 // one request, and the requests of one ring hold ascending positions in
 // creation order (FIFO then keeps batch order).
 func TestBatchRouteCapsRequests(t *testing.T) {
-	st := New(Config{Shards: 3, Reshard: manualReshard()})
+	st := New(Config{Shards: 3})
 	a := NewAsync(st, AsyncConfig{})
 	w := newTestWorker()
-	st.ForceSplit(w, 1) // one base group now chains two shards
 	keys := make([]uint64, 4096)
 	for i := range keys {
 		keys[i] = uint64(i) * 7
 	}
-	m := st.smap.Load()
-	b := routed(a, m, keys, nil)
+	b := routed(a, keys, nil)
 	seen := make([]bool, len(keys))
 	last := map[*pipeShard]int{}
 	for _, r := range b.reqs {
@@ -126,7 +123,7 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 				t.Fatalf("position %d routed twice", i)
 			}
 			seen[i] = true
-			if q := m.locate(hashOf(keys[i])).pipe.Load(); q != r.q {
+			if q := a.pipeOf(keys[i]); q != r.q {
 				t.Fatalf("position %d grouped on the wrong ring", i)
 			}
 			if prev, ok := last[r.q]; ok && i < prev {
@@ -140,7 +137,7 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 			t.Fatalf("position %d not routed", i)
 		}
 	}
-	if want := len(m.shards); len(last) != want {
+	if want := st.NumShards(); len(last) != want {
 		t.Fatalf("batch touched %d rings, want %d", len(last), want)
 	}
 	a.runBatch(w, b)
@@ -159,7 +156,7 @@ func TestDrainChargesKeys(t *testing.T) {
 	for i := range kvs {
 		kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), 1)}
 	}
-	b := routed(a, st.smap.Load(), nil, kvs)
+	b := routed(a, nil, kvs)
 	q := b.reqs[0].q
 	for _, r := range b.reqs {
 		if !q.ring.enqueue(r) {
@@ -246,116 +243,6 @@ func TestBatchRingOverflowKeepsProgramOrder(t *testing.T) {
 	}
 }
 
-// splitUnder returns a durable store whose single seed shard has split
-// twice AFTER the returned map snapshot was taken: requests routed
-// under the stale snapshot land on the retired root's ring and are
-// forwarded, one of the root's children being retired itself.
-func splitUnder(t *testing.T, dir string) (*Store, *AsyncStore, *core.Worker, *shardMap) {
-	t.Helper()
-	cfg := durCfg(dir, nil)
-	cfg.Shards = 1
-	st := New(cfg)
-	a := NewAsync(st, AsyncConfig{})
-	w := newTestWorker()
-	stale := st.smap.Load()
-	if !st.ForceSplit(w, 0) || !st.ForceSplit(w, 0) {
-		t.Fatal("forced split refused")
-	}
-	if got := st.NumShards(); got != 3 {
-		t.Fatalf("%d live shards after two splits, want 3", got)
-	}
-	return st, a, w, stale
-}
-
-// TestForwardedBatchOneMarkPerChild executes one sub-batch through a
-// retired shard's forward record: every pair lands on the live child
-// that owns its key, the request owes exactly one group commit per
-// child log it wrote, and the retired logs are not written.
-func TestForwardedBatchOneMarkPerChild(t *testing.T) {
-	st, a, w, stale := splitUnder(t, t.TempDir())
-	defer st.CrashDrop()
-	kvs := make([]Pair, batchKeyCap)
-	for i := range kvs {
-		kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), 1)}
-	}
-	b := routed(a, stale, nil, kvs)
-	if len(b.reqs) != 1 {
-		t.Fatalf("%d requests for one retired ring under the cap", len(b.reqs))
-	}
-	r := b.reqs[0]
-	root := stale.shards[0]
-	before := root.wal.Stats().Appended
-	a.execForwarded(w, root.forward.Load(), r)
-
-	live := st.smap.Load()
-	if r.err != nil || r.ins != len(kvs) || len(r.marks) != len(live.shards) {
-		t.Fatalf("forwarded sub-batch: err %v, inserted %d, %d marks; want %d inserts, one mark per %d children",
-			r.err, r.ins, len(r.marks), len(kvs), len(live.shards))
-	}
-	for _, mk := range r.marks {
-		if mk.sh.forward.Load() != nil || mk.lsn != mk.sh.wal.Stats().Appended {
-			t.Fatalf("mark on shard %d at LSN %d: want a live child's last record (%d)", mk.sh.id, mk.lsn, mk.sh.wal.Stats().Appended)
-		}
-	}
-	if root.wal.Stats().Appended != before {
-		t.Fatal("a forwarded write was logged on the retired shard")
-	}
-	for _, kv := range kvs {
-		if v, ok := live.locate(hashOf(kv.Key)).eng.Get(kv.Key); !ok || !bytes.Equal(v, kv.Value) {
-			t.Fatalf("key %d is not on the child that owns it", kv.Key)
-		}
-	}
-	a.putReq(r)
-	a.freeBatch(b)
-}
-
-// TestStaleBatchDrainsFromRetiredRing runs whole batches routed under a
-// pre-split snapshot: submit finds the ring retired and drives it dry,
-// so the sub-batches drain through the forward record — reads and
-// writes answer as if the split had not happened, and a sync-wait batch
-// pays at most one fsync per live child.
-func TestStaleBatchDrainsFromRetiredRing(t *testing.T) {
-	st, a, w, stale := splitUnder(t, t.TempDir())
-	defer st.CrashDrop()
-	kvs := make([]Pair, 100) // four requests on the one retired ring
-	keys := make([]uint64, len(kvs))
-	for i := range kvs {
-		keys[i] = uint64(i % 60) // duplicates: batch order must hold
-		kvs[i] = Pair{Key: keys[i], Value: verValue(keys[i], uint64(i))}
-	}
-	before := st.WalStats()
-	b := routed(a, stale, nil, kvs)
-	b.syncWait = true
-	for _, r := range b.reqs {
-		r.syncWait = true
-	}
-	a.runBatch(w, b)
-	if b.inserted != 60 || b.err != nil {
-		t.Fatalf("stale MultiPut = %d, %v; want 60 inserts", b.inserted, b.err)
-	}
-	a.freeBatch(b)
-	after := st.WalStats()
-	if d := after.Appended - before.Appended; d != uint64(len(kvs)) {
-		t.Fatalf("%d records appended for %d pairs", d, len(kvs))
-	}
-	// Each of the four requests commits each child log at most once.
-	if d := after.Syncs - before.Syncs; d == 0 || d > uint64(4*st.NumShards()) {
-		t.Fatalf("%d fsyncs for four forwarded requests over %d children", d, st.NumShards())
-	}
-	g := routed(a, stale, keys, nil)
-	a.runBatch(w, g)
-	for i, k := range keys {
-		want := verValue(k, uint64(i))
-		if i+60 < len(kvs) {
-			want = verValue(k, uint64(i+60))
-		}
-		if !g.oks[i] || !bytes.Equal(g.vals[i], want) {
-			t.Fatalf("stale MultiGet position %d (key %d) = %x,%v; want the batch's last write %x", i, k, g.vals[i], g.oks[i], want)
-		}
-	}
-	a.freeBatch(g)
-}
-
 // TestSyncWaitBatchOneFsyncPerShard: a sync-wait MultiPut over k shards
 // raises wal.Stats.Syncs by at most k — each shard's share records one
 // (log, LSN) and rides one Commit.
@@ -405,7 +292,7 @@ func TestBatchDegradedShardMidBatch(t *testing.T) {
 		if _, err := a.MultiPut(w, v1); err != nil {
 			t.Fatal(err)
 		}
-		sick := st.smap.Load().locate(hashOf(0))
+		sick := st.shardFor(0)
 		st.degrade(sick, errors.New("disk on fire"))
 		v2, _ := kvsAt(2)
 		_, err := a.MultiPut(w, v2)
@@ -416,7 +303,7 @@ func TestBatchDegradedShardMidBatch(t *testing.T) {
 		vals, _ := a.MultiGet(w, keys)
 		for i, k := range keys {
 			want := uint64(2)
-			if st.smap.Load().locate(hashOf(k)) == sick {
+			if st.shardFor(k) == sick {
 				want = 1
 			}
 			if !bytes.Equal(vals[i], verValue(k, want)) {

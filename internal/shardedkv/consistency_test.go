@@ -267,9 +267,9 @@ func TestRangeConsistencyAfterDeletes(t *testing.T) {
 	}
 }
 
-// TestMultiRangeMatchesSingleRanges pins MultiRange semantics: each
-// request's result equals the equivalent standalone Range, and the
-// whole batch takes each shard lock once.
+// TestMultiRangeMatchesSingleRanges pins MultiRange semantics on both
+// front ends: each request's result equals the equivalent standalone
+// Range, and the plain store's batch takes each shard lock once.
 func TestMultiRangeMatchesSingleRanges(t *testing.T) {
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -307,6 +307,11 @@ func TestMultiRangeMatchesSingleRanges(t *testing.T) {
 			}
 			if len(got[2]) != 0 || len(got[3]) != 0 {
 				t.Fatalf("empty-span requests returned %d and %d pairs", len(got[2]), len(got[3]))
+			}
+			for i, res := range NewAsync(st, AsyncConfig{}).MultiRange(w, reqs) {
+				if !sameKVs(res, got[i]) {
+					t.Fatalf("request %d: AsyncStore.MultiRange and Store.MultiRange disagree (%d vs %d pairs)", i, len(res), len(got[i]))
+				}
 			}
 		})
 	}
@@ -407,9 +412,21 @@ func TestMultiGetAlignment(t *testing.T) {
 	}
 }
 
-// TestShardOfSpreads sanity-checks the shard mapping: sequential keys
+// TestShardOfSpreads pins the shard mapping — ShardOf(k) is
+// Mix64(k) % Shards for any shard count, the placement recovery, the
+// benchmark's per-shard distribution and the server's admission gate
+// index all rely on — and sanity-checks its spread: sequential keys
 // must not pile onto one shard.
 func TestShardOfSpreads(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 16, 17, 64} {
+		st := New(Config{Shards: n})
+		for k := uint64(0); k < 4096; k++ {
+			k := k * 0x9e3779b97f4a7c15 // spread the probe over the key space
+			if got, want := st.ShardOf(k), int(prng.Mix64(k)%uint64(n)); got != want {
+				t.Fatalf("%d shards: ShardOf(%d) = %d, want Mix64(k) %% n = %d", n, k, got, want)
+			}
+		}
+	}
 	st := New(Config{Shards: 16})
 	counts := make([]int, st.NumShards())
 	const n = 16_000

@@ -60,6 +60,6 @@ func (s *Store) degrade(sh *shard, cause error) *DegradedError {
 }
 
 // DegradedShards counts the shards that have flipped read-only over
-// the store's lifetime (split-retired ones included). Zero on a
-// healthy store; the soak harness and server stats watch it.
+// the store's lifetime. Zero on a healthy store; the soak harness and
+// server stats watch it.
 func (s *Store) DegradedShards() uint64 { return s.degradeEvents.Load() }

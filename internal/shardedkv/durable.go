@@ -38,11 +38,12 @@ import (
 // streams in ascending shard id into the fresh store's engines,
 // checkpoints the result into a NEW generation, flips CURRENT, and
 // deletes the old one — so a crash at any recovery point restarts
-// cleanly from whichever generation CURRENT names. Ascending-id
-// replay is correct across splits because ids are creation ordinals:
-// a parent's records (everything up to its split) always apply before
-// its children's (everything after), preserving per-key last-write-
-// wins without fence records.
+// cleanly from whichever generation CURRENT names. Per-key
+// last-write-wins needs no fence records: placement is fixed while a
+// generation is written, so every record of a key sits in one shard
+// stream, in log order. Replay routes each record by its key, so a
+// store reopened with a different shard count still lands every key on
+// its owner.
 
 // SyncPolicy says when a write acks relative to its group commit.
 type SyncPolicy uint8
@@ -93,32 +94,6 @@ type durability struct {
 	// Snapshot/Release pair, which is the external synchronisation
 	// storage.Snapshot requires for its refcount.
 	ckptMu sync.Mutex
-
-	// mu guards logs, the append-only list of every shard log ever
-	// opened (split-retired parents included — their files are part of
-	// the durable history until the next generation flip). Each entry
-	// keeps its owning shard so a Flush-time sync failure can degrade
-	// the right shard (degraded.go).
-	mu   sync.Mutex
-	logs []logRef
-}
-
-// logRef pairs a shard with its log in the durability tracking list.
-type logRef struct {
-	sh *shard
-	lg *wal.Log
-}
-
-func (d *durability) track(sh *shard, lg *wal.Log) {
-	d.mu.Lock()
-	d.logs = append(d.logs, logRef{sh: sh, lg: lg})
-	d.mu.Unlock()
-}
-
-func (d *durability) allLogs() []logRef {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append(make([]logRef, 0, len(d.logs)), d.logs...)
 }
 
 // resolveWait maps a class's configured policy to wait-or-not.
@@ -204,7 +179,7 @@ func genDirName(root string, n int) string {
 	return filepath.Join(root, fmt.Sprintf("gen-%d", n))
 }
 
-// openDurable is called from New after the shard map is built but
+// openDurable is called from New after the shards are built but
 // before the store is published: it replays the previous generation
 // (if any) into the engines, opens this generation's logs via the
 // shards already created, checkpoints the recovered state, and flips
@@ -246,8 +221,7 @@ func openDurable(s *Store, cfg *DurabilityConfig) error {
 }
 
 // replayGeneration streams every shard directory of gen (ascending
-// shard id — parents strictly before their split children) into the
-// unpublished store's engines. Checkpoint records of one shard hold
+// shard id) into the unpublished store's engines. Checkpoint records of one shard hold
 // distinct keys, so they are buffered per target shard and bulk-loaded
 // through the storage.Snapshotter capability where the engine has it;
 // segment records apply one by one in log order.
@@ -269,7 +243,6 @@ func (s *Store) replayGeneration(gen string) error {
 		}
 	}
 	sort.Ints(ids)
-	m := s.smap.Load()
 	for _, id := range ids {
 		dir := shardWalDir(gen, id)
 		// Buffer the checkpoint prefix per target shard for bulk load;
@@ -300,7 +273,7 @@ func (s *Store) replayGeneration(gen string) error {
 		}
 		flushed := false
 		_, err := wal.Replay(dir, func(kind wal.Kind, key uint64, val []byte, fromCkpt bool) error {
-			sh := m.locate(hashOf(key))
+			sh := s.shardFor(key)
 			if fromCkpt {
 				b := ckpt[sh]
 				if b == nil {
@@ -332,10 +305,10 @@ func (s *Store) replayGeneration(gen string) error {
 	return nil
 }
 
-// checkpointAll rotates and checkpoints every live shard. Pre-publish
-// only (no locks); the concurrent path is Store.Checkpoint.
+// checkpointAll rotates and checkpoints every shard. Pre-publish only
+// (no locks); the concurrent path is Store.Checkpoint.
 func (s *Store) checkpointAll() error {
-	for _, sh := range s.smap.Load().shards {
+	for _, sh := range s.shards {
 		if sh.wal == nil {
 			continue
 		}
@@ -358,7 +331,7 @@ func (s *Store) checkpointAll() error {
 	return nil
 }
 
-// Checkpoint dumps every live shard's state into its log directory
+// Checkpoint dumps every shard's state into its log directory
 // and truncates the segments the dump covers. Per shard it holds the
 // lock only for the cheap half — segment rotation plus snapshot
 // acquisition (storage.Snapshotter) or, for engines without that
@@ -381,8 +354,8 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 	}
 	var tasks []task
 	var lockErr error
-	//lint:ignore lockorder ckptMu is an outer coordination mutex, not an engine-internal lock: it is only ever taken lock-free at the top of Checkpoint (never under a shard lock or splitMu), so ckptMu → shard-lock cannot form a cycle with the canonical splitMu → shard → engine-internal chain.
-	s.forEachLive(w, func(sh *shard) {
+	//lint:ignore lockorder ckptMu is an outer coordination mutex, not an engine-internal lock: it is only ever taken lock-free at the top of Checkpoint (never under a shard lock), so ckptMu → shard lock cannot form a cycle with the canonical shard → engine-internal order.
+	s.forEachShard(w, func(sh *shard) {
 		if sh.wal == nil || lockErr != nil {
 			return
 		}
@@ -438,8 +411,7 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 }
 
 // Flush is the durability barrier of the plain store: it group-
-// commits every record appended so far on every shard log (live and
-// split-retired). Async-acked (bulk) writes are durable once it
+// commits every record appended so far on every shard log. Async-acked (bulk) writes are durable once it
 // returns nil. A sync failure degrades the owning shard and is
 // reported here — this is where fire-and-forget write errors surface.
 // Without Config.Durability it is a no-op.
@@ -447,17 +419,17 @@ func (s *Store) Flush(w *core.Worker) error {
 	return s.syncLogs()
 }
 
-// syncLogs fsyncs every log ever opened, degrading the shard behind
-// any log whose sync fails, and returns the first failure. Never
-// called under a shard lock.
+// syncLogs fsyncs every shard log, degrading the shard behind any log
+// whose sync fails, and returns the first failure. Never called under
+// a shard lock.
 func (s *Store) syncLogs() error {
 	if s.dur == nil {
 		return nil
 	}
 	var first error
-	for _, ref := range s.dur.allLogs() {
-		if err := ref.lg.Sync(); err != nil {
-			de := s.degrade(ref.sh, err)
+	for _, sh := range s.shards {
+		if err := sh.wal.Sync(); err != nil {
+			de := s.degrade(sh, err)
 			if first == nil {
 				first = de
 			}
@@ -466,30 +438,29 @@ func (s *Store) syncLogs() error {
 	return first
 }
 
-// Close stops the reshard loop (if running) and syncs and closes
-// every shard log; the store must be quiesced. I/O errors are sticky
-// inside the logs and surface through Checkpoint and Flush — Close
-// itself is best-effort, matching the KV interface shape.
+// Close syncs and closes every shard log; the store must be quiesced.
+// I/O errors are sticky inside the logs and surface through Checkpoint
+// and Flush — Close itself is best-effort, matching the KV interface
+// shape.
 func (s *Store) Close(w *core.Worker) {
-	s.StopReshard()
 	if s.dur == nil {
 		return
 	}
-	for _, ref := range s.dur.allLogs() {
-		_ = ref.lg.Close()
+	for _, sh := range s.shards {
+		_ = sh.wal.Close()
 	}
 }
 
-// WalStats aggregates the wal counters across every shard log ever
-// opened. Zero when durability is off. Appended/Syncs is the
-// ops-per-fsync the group commit exists to raise above 1.
+// WalStats aggregates the wal counters across every shard log. Zero
+// when durability is off. Appended/Syncs is the ops-per-fsync the
+// group commit exists to raise above 1.
 func (s *Store) WalStats() wal.Stats {
 	var agg wal.Stats
 	if s.dur == nil {
 		return agg
 	}
-	for _, ref := range s.dur.allLogs() {
-		agg.Add(ref.lg.Stats())
+	for _, sh := range s.shards {
+		agg.Add(sh.wal.Stats())
 	}
 	return agg
 }
@@ -498,11 +469,10 @@ func (s *Store) WalStats() wal.Stats {
 // the chaos harness: every log drops its user-space buffers and closes
 // without a final sync. Test hook; see wal.Log.CrashDrop.
 func (s *Store) CrashDrop() {
-	s.StopReshard()
 	if s.dur == nil {
 		return
 	}
-	for _, ref := range s.dur.allLogs() {
-		ref.lg.CrashDrop()
+	for _, sh := range s.shards {
+		sh.wal.CrashDrop()
 	}
 }

@@ -6,20 +6,12 @@ package shardedkv_test
 // internal test package cannot use it without an import cycle).
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvmodel"
 	"repro/internal/shardedkv"
 )
-
-// modelReshard mirrors the internal tests' manualReshard: detector
-// off, split points deterministic, budget bounded.
-func modelReshard() *shardedkv.ReshardConfig {
-	return &shardedkv.ReshardConfig{Manual: true, MaxShards: 48}
-}
 
 // modelDurCfg builds a store config over dir with every write
 // sync-waited, so the model is exact after a crash with no Flush:
@@ -28,7 +20,6 @@ func modelDurCfg(dir string, eng func(int) shardedkv.Engine) shardedkv.Config {
 	return shardedkv.Config{
 		Shards:    4,
 		NewEngine: eng,
-		Reshard:   modelReshard(),
 		Durability: &shardedkv.DurabilityConfig{
 			Dir:         dir,
 			Interactive: shardedkv.SyncWait,
@@ -38,11 +29,9 @@ func modelDurCfg(dir string, eng func(int) shardedkv.Engine) shardedkv.Config {
 }
 
 // TestDurableRecoveryVsModel is the headline crash check on all four
-// engines: the shared KV-model harness hammers a durable store while a
-// splitter keeps forcing splits (so children's fresh logs and retired
-// parents' logs both carry live history), then the store either closes
-// cleanly or is killed; the reopened store must match the merged model
-// key for key. Run with -race.
+// engines: the shared KV-model harness hammers a durable store, then
+// the store either closes cleanly or is killed; the reopened store must
+// match the merged model key for key. Run with -race.
 func TestDurableRecoveryVsModel(t *testing.T) {
 	const workers = 4
 	opsPer := 1_500
@@ -54,28 +43,7 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 			t.Run(spec.Name+"/"+kill, func(t *testing.T) {
 				dir := t.TempDir()
 				st := shardedkv.New(modelDurCfg(dir, spec.New))
-				stop := make(chan struct{})
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-					for i := uint64(0); ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						st.ForceSplit(w, i%64)
-						time.Sleep(300 * time.Microsecond)
-					}
-				}()
 				final := kvmodel.Drive(t, st, nil, workers, opsPer)
-				close(stop)
-				wg.Wait()
-				if st.ReshardStats().Splits == 0 {
-					t.Error("no split fired; the split-vs-WAL interaction went untested")
-				}
 				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 				if kill == "close" {
 					st.Close(w)
@@ -94,7 +62,7 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 
 // TestDurableAsyncPipelineRecovery runs the same model equivalence
 // through the combining AsyncStore — fire-and-forget writes included —
-// with splits firing mid-stress, then kills the store after a Flush
+// then kills the store after a Flush
 // (the pipeline write barrier, which also group-commits every log) and
 // verifies the replayed store against the model. This is the
 // batch-append-one-fsync path of the tentpole under crash. Run with
@@ -116,25 +84,7 @@ func TestDurableAsyncPipelineRecovery(t *testing.T) {
 			cfg.Durability.Bulk = shardedkv.SyncDefault
 			st := shardedkv.New(cfg)
 			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-				for i := uint64(0); ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					st.ForceSplit(w, i%64)
-					time.Sleep(400 * time.Microsecond)
-				}
-			}()
 			final := kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
-			close(stop)
-			wg.Wait()
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			if err := a.Flush(w); err != nil {
 				t.Fatalf("flush: %v", err)

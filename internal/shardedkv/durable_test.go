@@ -26,7 +26,7 @@ func seqPut(st *Store, w *core.Worker, n uint64, ver uint64, lastPerShard map[*s
 	for k := uint64(0); k < n; k++ {
 		st.Put(w, k, verValue(k, ver))
 		if lastPerShard != nil {
-			lastPerShard[st.smap.Load().locate(hashOf(k))] = k
+			lastPerShard[st.shardFor(k)] = k
 		}
 	}
 }
@@ -50,7 +50,6 @@ func durCfg(dir string, eng func(int) Engine) Config {
 	return Config{
 		Shards:    4,
 		NewEngine: eng,
-		Reshard:   manualReshard(),
 		Durability: &DurabilityConfig{
 			Dir:         dir,
 			Interactive: SyncWait,
@@ -68,10 +67,9 @@ func TestDurableTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
 	st := New(durCfg(dir, nil))
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	shards := st.smap.Load().shards
 	seqPut(st, w, n, 1, nil)
 	st.CrashDrop()
-	for _, sh := range shards {
+	for _, sh := range st.shards {
 		seg := newestSegment(t, sh.wal.Dir())
 		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
@@ -105,7 +103,7 @@ func TestDurableCorruptChecksumTruncates(t *testing.T) {
 	st.CrashDrop()
 	// Corrupt exactly one shard's tail record: the last key written to
 	// the shard that owns key 0.
-	victimShard := st.smap.Load().locate(hashOf(0))
+	victimShard := st.shardFor(0)
 	victim := lastPerShard[victimShard]
 	seg := newestSegment(t, victimShard.wal.Dir())
 	data, err := os.ReadFile(seg)
@@ -146,7 +144,7 @@ func TestDurableCrashMidCheckpoint(t *testing.T) {
 	if err := st.Checkpoint(w); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	shards := st.smap.Load().shards
+	shards := st.shards
 	for _, sh := range shards {
 		if cks, _ := filepath.Glob(filepath.Join(sh.wal.Dir(), "ckpt-*.ck")); len(cks) == 0 {
 			t.Fatalf("shard %d has no checkpoint file after Checkpoint", sh.id)
@@ -231,14 +229,12 @@ func TestDurableCrashMidRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableBatchCrashAfterSplit kills the store right after batches
-// that crossed a split: a sync-waited MultiPut that went to the
-// children's own rings, then one whose sub-batches were drained from
-// retired rings (routed under the pre-split map, re-routed pair by pair
-// to the children, one commit per child log). With no Flush and no
-// clean Close, recovery must still return every acked pair at its last
-// acked value — a child log left uncommitted would lose its share here.
-func TestDurableBatchCrashAfterSplit(t *testing.T) {
+// TestDurableBatchCrash kills the store right after sync-waited
+// MultiPuts through the pipeline, each shard's share riding one group
+// commit. With no Flush and no clean Close, recovery must still return
+// every acked pair at its last acked value — a share whose commit the
+// pipeline skipped would be lost here.
+func TestDurableBatchCrash(t *testing.T) {
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -252,29 +248,11 @@ func TestDurableBatchCrashAfterSplit(t *testing.T) {
 				}
 				return kvs
 			}
-			if _, err := a.MultiPut(w, span(0, 200, 1)); err != nil {
-				t.Fatal(err)
-			}
-			stale := st.smap.Load()
-			for _, k := range []uint64{0, 1, 2, 0} {
-				if !st.ForceSplit(w, k) {
-					t.Fatalf("forced split at key %d refused", k)
+			for _, kvs := range [][]Pair{span(0, 200, 1), span(50, 150, 2), span(0, 100, 3)} {
+				if _, err := a.MultiPut(w, kvs); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if _, err := a.MultiPut(w, span(50, 150, 2)); err != nil {
-				t.Fatal(err)
-			}
-			// Last, so that no later commit covers for a missed one.
-			b := routed(a, stale, nil, span(0, 100, 3))
-			b.syncWait = true
-			for _, r := range b.reqs {
-				r.syncWait = true
-			}
-			a.runBatch(w, b)
-			if b.err != nil {
-				t.Fatal(b.err)
-			}
-			a.freeBatch(b)
 			st.CrashDrop()
 
 			st2 := New(durCfg(dir, spec.New))

@@ -41,9 +41,9 @@ func (e *hashEngine) Range(lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	e.t.Range(lo, hi, fn)
 }
 
-// Scan walks every pair in chain order — no sort. Split partitioning
-// (shardmap.go) uses it so rehoming a hash shard's keys costs one
-// walk, not a full collect-and-sort.
+// Scan walks every pair in chain order — no sort. No store path calls
+// it; it stays because benchmark/wrappers.go forwards it and pins the
+// hash engine's capability set.
 func (e *hashEngine) Scan(fn func(k uint64, v []byte) bool) {
 	e.t.Scan(fn)
 }

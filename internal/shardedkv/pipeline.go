@@ -53,15 +53,6 @@ import (
 // shard also lingers a bounded few microseconds when its ring runs
 // momentarily dry, picking up in-flight producers instead of paying
 // them a fresh lock take each.
-//
-// Resharding (shardmap.go) threads through the pipeline: rings follow
-// the shard map. A split drains the parent's ring under the split
-// rendezvous, spawns rings for the children before they are reachable,
-// and installs a forward pointer; a combiner that later drains a
-// request from the retired parent's ring routes it to the live child
-// (point ops hop by key hash; ranges collect across all live
-// descendants and merge), so no enqueued op is ever lost or executed
-// against a stale engine.
 
 // opKind is a pipeline request type.
 type opKind uint8
@@ -100,12 +91,10 @@ type request struct {
 	// payload: idx lists the positions of bat's keys that routed to this
 	// ring, in batch order. idx keeps its capacity across recycling, so
 	// grouping a batch allocates nothing in steady state. q is the ring
-	// the request was grouped for, next chains the batch's requests of
-	// one base group while it is being grouped (see route).
-	bat  *batch
-	idx  []int
-	q    *pipeShard
-	next *request
+	// the request is submitted to.
+	bat *batch
+	idx []int
+	q   *pipeShard
 
 	// syncWait marks a waited write whose class demands group commit:
 	// the executor appends to the shard's log as usual but the drain
@@ -121,11 +110,10 @@ type request struct {
 	parts [][]Pair // opRange: parts[i] is rng[i]'s slice of this shard
 	ins   int      // opMultiPut: keys newly inserted
 	err   error    // write failure (degraded shard / log error)
-	// marks are the group commits a logged write is owed: one entry, the
-	// executing shard's log — or one per child log when a sub-batch was
-	// drained from a retired ring and re-routed to the split's children.
-	// Empty without durability. Capacity survives recycling.
-	marks []walMark
+	// mark is the group commit a logged write is owed: the executing
+	// shard's log up to the request's last record. lsn 0 (no record)
+	// without durability and for reads.
+	mark walMark
 
 	state atomic.Uint32
 	wake  chan struct{} // buffered(1); one token per park/wake pair
@@ -142,17 +130,6 @@ func (r *request) weight() int {
 		return len(r.idx)
 	}
 	return 1
-}
-
-// logged records that r's write reached lsn in sh's log.
-func (r *request) logged(sh *shard, lsn uint64) {
-	for i := range r.marks {
-		if r.marks[i].sh == sh {
-			r.marks[i].lsn = lsn
-			return
-		}
-	}
-	r.marks = append(r.marks, walMark{sh: sh, lsn: lsn})
 }
 
 // complete publishes the result and wakes a parked owner. This is the
@@ -262,9 +239,8 @@ type AsyncConfig struct {
 }
 
 // pipeShard is one shard's pipeline state: the request ring plus
-// combining counters and the adaptive drain bound. It follows the
-// shard, not a fixed index: splits retire a pipeShard along with its
-// shard and attach fresh ones to the children.
+// combining counters and the adaptive drain bound. NewAsync builds one
+// per shard.
 type pipeShard struct {
 	sh   *shard
 	ring *reqRing
@@ -337,12 +313,16 @@ func (q *pipeShard) drainBound(w *core.Worker) int {
 }
 
 // adapt updates the adaptive bound after a drain of n ops ran with the
-// given bound. Only full-bound (big-class) drains grow the shared
-// bound; any dry drain decays it (the recent-depth estimate decays in
-// decayDepth, fixed-bound pipelines included). Runs under the shard
-// lock, so updates are serialised; the plain stores racing a
-// concurrent noteDepth CAS are advisory-only.
+// given bound. A drain that ran the ring dry ages the recent-depth
+// estimate (integer decay that reaches 0, so one burst does not read as
+// lasting depth); only full-bound (big-class) drains grow the shared
+// bound, and any dry drain decays it. Runs under the shard lock, so
+// updates are serialised; the plain stores racing a concurrent
+// noteDepth CAS are advisory-only.
 func (q *pipeShard) adapt(n, used int) {
+	if q.ring.Empty() && n < used {
+		q.hwRecent.Store(q.hwRecent.Load() * 3 / 4)
+	}
 	b := int(q.bound.Load())
 	if used != b {
 		return
@@ -359,17 +339,6 @@ func (q *pipeShard) adapt(n, used int) {
 			q.bound.Store(int64(max(b/2, adaptiveMinBatch)))
 		}
 	}
-}
-
-// decayDepth ages the recent-depth estimate after a drain that ran the
-// ring dry. Runs under the shard lock for every drain, fixed bound or
-// adaptive — the skew detector's queue-pressure gate reads hwRecent,
-// so it must subside on idle rings either way, or one startup burst
-// would read as permanent saturation. The plain store racing a
-// concurrent producer's CAS-max is advisory-only, like noteDepth's.
-func (q *pipeShard) decayDepth() {
-	hw := q.hwRecent.Load()
-	q.hwRecent.Store(hw * 3 / 4) // integer decay that reaches 0
 }
 
 // CombineStats is a snapshot of one shard's combining counters.
@@ -432,26 +401,20 @@ func (q *pipeShard) stats() CombineStats {
 // its shard locks, so async and plain synchronous calls on the same
 // Store interleave safely (sync holders simply delay the combiner).
 // All methods are safe for concurrent use; as everywhere in this
-// repository, each goroutine must own its *core.Worker. A Store
-// accepts at most one AsyncStore over its lifetime (the rings are
-// threaded through the shard map).
+// repository, each goroutine must own its *core.Worker.
 type AsyncStore struct {
 	st       *Store
 	fixed    int
 	ringSize int
-	pool     sync.Pool // *request
-	batches  sync.Pool // *batch
-	closed   atomic.Bool
-	// mu guards all: the append-only list of every pipeShard ever
-	// attached, retired parents included — Flush and the stats
-	// aggregates walk history, not just the live map.
-	mu  sync.Mutex
-	all []*pipeShard
+	// rings[i] is shard i's pipeline state, fixed at NewAsync.
+	rings   []*pipeShard
+	pool    sync.Pool // *request
+	batches sync.Pool // *batch
+	closed  atomic.Bool
 }
 
-// NewAsync builds a combining front end over st and attaches it to
-// the store's shard map (so dynamic resharding threads the rings
-// through splits). Panics if st already has an AsyncStore.
+// NewAsync builds a combining front end over st: one request ring per
+// shard.
 func NewAsync(st *Store, cfg AsyncConfig) *AsyncStore {
 	if cfg.MaxBatch < 0 {
 		cfg.MaxBatch = 0
@@ -462,48 +425,13 @@ func NewAsync(st *Store, cfg AsyncConfig) *AsyncStore {
 	a := &AsyncStore{st: st, fixed: cfg.MaxBatch, ringSize: cfg.RingSize}
 	a.pool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	a.batches.New = func() any { return new(batch) }
-	st.attachAsync(a)
+	a.rings = make([]*pipeShard, len(st.shards))
+	for i, sh := range st.shards {
+		q := &pipeShard{sh: sh, ring: newReqRing(cfg.RingSize), fixed: cfg.MaxBatch}
+		q.bound.Store(adaptiveInitBatch)
+		a.rings[i] = q
+	}
 	return a
-}
-
-// attachAsync registers a as st's pipeline front end and threads a
-// pipeShard onto every live shard. splitMu serialises this against
-// splits, so every shard reachable from any map has a ring from here
-// on.
-func (s *Store) attachAsync(a *AsyncStore) {
-	s.splitMu.Lock()
-	defer s.splitMu.Unlock()
-	if !s.async.CompareAndSwap(nil, a) {
-		panic("shardedkv: Store already has an AsyncStore attached")
-	}
-	for _, sh := range s.smap.Load().shards {
-		a.attachShard(sh, nil)
-	}
-}
-
-// attachShard threads a fresh pipeShard onto sh. Called under splitMu
-// (from attachAsync, or from split before the children are published).
-// A split child inherits its parent's adaptive state — the hot shard's
-// grown bound and depth estimate carry over instead of re-learning
-// from cold, since the children split the same traffic.
-func (a *AsyncStore) attachShard(sh *shard, parent *pipeShard) {
-	q := &pipeShard{sh: sh, ring: newReqRing(a.ringSize), fixed: a.fixed}
-	q.bound.Store(adaptiveInitBatch)
-	if parent != nil {
-		q.bound.Store(parent.bound.Load())
-		q.hwRecent.Store(parent.hwRecent.Load())
-	}
-	sh.pipe.Store(q)
-	a.mu.Lock()
-	a.all = append(a.all, q)
-	a.mu.Unlock()
-}
-
-// pipes snapshots the all list.
-func (a *AsyncStore) pipes() []*pipeShard {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append(make([]*pipeShard, 0, len(a.all)), a.all...)
 }
 
 // Store returns the wrapped synchronous store (for Stats, Len, or
@@ -526,10 +454,8 @@ func (a *AsyncStore) newReq(kind opKind) *request {
 func (a *AsyncStore) putReq(r *request) {
 	r.val, r.rval, r.rng, r.parts = nil, nil, nil, nil
 	r.rok, r.ff, r.syncWait = false, false, false
-	r.bat, r.idx, r.q, r.next = nil, r.idx[:0], nil, nil
-	r.ins, r.err = 0, nil
-	clear(r.marks)
-	r.marks = r.marks[:0]
+	r.bat, r.idx, r.q = nil, r.idx[:0], nil
+	r.ins, r.err, r.mark = 0, nil, walMark{}
 	a.pool.Put(r)
 }
 
@@ -548,7 +474,7 @@ func (a *AsyncStore) finish(r *request) {
 // wait for group commit. Called with the executing shard's lock held;
 // the deferral is what keeps wal.Commit off the locked path.
 func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
-	if r.syncWait && len(r.marks) > 0 {
+	if r.syncWait && r.mark.lsn != 0 {
 		*pend = append(*pend, r)
 		return
 	}
@@ -566,7 +492,7 @@ func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
 func (s *Store) completePending(pend []*request) {
 	for _, r := range pend {
 		if r.err == nil {
-			r.err = s.commitMarks(r.marks)
+			r.err = s.commit(r.mark)
 		}
 		r.complete()
 	}
@@ -578,16 +504,16 @@ func (a *AsyncStore) checkOpen() {
 	}
 }
 
-// pipeOf returns the pipeShard owning key k under the current map.
+// pipeOf returns the pipeShard owning key k.
 func (a *AsyncStore) pipeOf(k uint64) *pipeShard {
-	return a.st.smap.Load().locate(hashOf(k)).pipe.Load()
+	return a.rings[a.st.ShardOf(k)]
 }
 
 // exec runs one request against the shard's engine; the caller holds
-// the shard lock and sh is live (not forwarded). The CSPad and the
-// store's per-shard counters apply exactly as on the synchronous path,
-// with the pad keyed to the EXECUTING worker's class: combining by a
-// big core makes a little core's op cheap, which is the point.
+// the shard lock. The CSPad and the store's per-shard counters apply
+// exactly as on the synchronous path, with the pad keyed to the
+// EXECUTING worker's class: combining by a big core makes a little
+// core's op cheap, which is the point.
 func (a *AsyncStore) exec(w *core.Worker, sh *shard, r *request) {
 	switch r.kind {
 	case opGet:
@@ -615,7 +541,7 @@ func (a *AsyncStore) exec(w *core.Worker, sh *shard, r *request) {
 		// collect-then-emit contract as Store.Range).
 		a.st.collectShardRanges(w, sh, r.rng, r.parts)
 	case opMultiGet, opMultiPut:
-		a.execMany(w, sh, r, r.idx)
+		a.execMany(w, sh, r)
 	}
 }
 
@@ -629,98 +555,34 @@ func (a *AsyncStore) logPoint(sh *shard, r *request, kind wal.Kind) bool {
 		return false
 	}
 	if lsn != 0 {
-		r.logged(sh, lsn)
+		r.mark = walMark{sh: sh, lsn: lsn}
 	}
 	return true
 }
 
-// execMany runs the positions idx of batch request r against sh through
-// the store's per-shard sub-batch helpers — the whole of r.idx under
-// the combiner's one lock take, or one position at a time when r is
-// being re-routed to a split's children. The caller holds sh's lock.
-func (a *AsyncStore) execMany(w *core.Worker, sh *shard, r *request, idx []int) {
+// execMany runs batch request r's positions against sh through the
+// store's per-shard sub-batch helpers, the whole of r.idx under the
+// combiner's one lock take. The caller holds sh's lock.
+func (a *AsyncStore) execMany(w *core.Worker, sh *shard, r *request) {
 	b := r.bat
 	if r.kind == opMultiGet {
-		a.st.getMany(w, sh, b.keys, idx, b.vals, b.oks)
+		a.st.getMany(w, sh, b.keys, r.idx, b.vals, b.oks)
 		return
 	}
-	ins, lsn, err := a.st.putMany(w, sh, b.kvs, idx)
-	r.ins += ins
-	if err != nil && r.err == nil {
-		r.err = err
-	}
+	ins, lsn, err := a.st.putMany(w, sh, b.kvs, r.idx)
+	r.ins, r.err = ins, err
 	if lsn != 0 {
-		r.logged(sh, lsn)
-	}
-}
-
-// execForwarded executes a request drained from a retired (split)
-// shard's ring: the request was routed before the split, so its data
-// now lives in the children. Descendant locks are taken
-// ancestor→descendant, which splits only ever extend, so the order is
-// acyclic whether or not the caller still holds the retired shard's
-// lock (a drain does, the ring-full direct path does not). A batch
-// request re-routes position by position — its keys no longer share a
-// shard — and collects one commit mark per child log it wrote.
-func (a *AsyncStore) execForwarded(w *core.Worker, f *splitRecord, r *request) {
-	switch r.kind {
-	case opRange:
-		a.execRangeMulti(w, []*shard{f.kids[0], f.kids[1]}, r)
-	case opMultiGet, opMultiPut:
-		for j, i := range r.idx {
-			h := hashOf(r.bat.keyAt(i))
-			sh := a.st.acquireLiveFrom(w, f.child(h), h)
-			a.execMany(w, sh, r, r.idx[j:j+1])
-			sh.lock.Release(w)
-		}
-	default:
-		h := hashOf(r.key)
-		sh := a.st.acquireLiveFrom(w, f.child(h), h)
-		a.exec(w, sh, r)
-		sh.lock.Release(w)
-	}
-}
-
-// execRangeMulti collects an opRange request across every live shard
-// reachable from work (descending through further splits) and merges
-// the per-engine slices so r.parts keeps its ascending-key contract.
-func (a *AsyncStore) execRangeMulti(w *core.Worker, work []*shard, r *request) {
-	var per [][][]Pair // per visited live shard: parts per span
-	for len(work) > 0 {
-		sh := work[len(work)-1]
-		work = work[:len(work)-1]
-		sh.lock.Acquire(w)
-		if f := sh.forward.Load(); f != nil {
-			sh.lock.Release(w)
-			work = append(work, f.kids[0], f.kids[1])
-			continue
-		}
-		parts := make([][]Pair, len(r.rng))
-		a.st.collectShardRanges(w, sh, r.rng, parts)
-		sh.lock.Release(w)
-		per = append(per, parts)
-	}
-	lists := make([][]Pair, len(per))
-	for i := range r.rng {
-		for j, parts := range per {
-			lists[j] = parts[i]
-		}
-		r.parts[i] = mergedPairs(lists)
+		r.mark = walMark{sh: sh, lsn: lsn}
 	}
 }
 
 // execDrained runs r, just dequeued from q's ring by the holder of q's
-// shard lock — against the shard itself, or through the forward record
-// f when the ring is retired — hands it back and advances the executed
-// cursor by its one ring slot. Returns r's weight, read before the hand
-// back: a completed request belongs to its owner again.
-func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, f *splitRecord, r *request, pend *[]*request) int {
+// shard lock, hands it back and advances the executed cursor by its one
+// ring slot. Returns r's weight, read before the hand back: a completed
+// request belongs to its owner again.
+func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, r *request, pend *[]*request) int {
 	n := r.weight()
-	if f == nil {
-		a.exec(w, q.sh, r)
-	} else {
-		a.execForwarded(w, f, r)
-	}
+	a.exec(w, q.sh, r)
 	a.finishOrDefer(r, pend)
 	q.executed.Add(1)
 	return n
@@ -729,14 +591,12 @@ func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, f *splitRecord, r
 // drain executes queued requests until the operations they stand for
 // reach the drain bound (a batch request counts its keys, so the last
 // one may overshoot by less than batchKeyCap); the caller holds q's
-// shard lock. On a retired ring every request forwards to the live
-// children. An adaptive combiner whose ring runs momentarily dry on a
+// shard lock. An adaptive combiner whose ring runs momentarily dry on a
 // hot shard lingers briefly for in-flight producers before giving the
 // lock up. Returns the number of operations executed. Sync-wait writes
 // are applied and logged here but their futures land on pend; the
 // caller completes them after release (see completePending).
 func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
-	f := q.sh.forward.Load() // stable: forward only changes under this lock
 	bound := q.drainBound(w)
 	adaptive := q.fixed == 0
 	n, linger := 0, 0
@@ -751,13 +611,10 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 			}
 			break
 		}
-		n += a.execDrained(w, q, f, r, pend)
+		n += a.execDrained(w, q, r, pend)
 	}
 	if n > 0 {
 		q.combined.Add(uint64(n))
-	}
-	if q.ring.Empty() && n < bound {
-		q.decayDepth()
 	}
 	if adaptive {
 		q.adapt(n, bound)
@@ -781,13 +638,12 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	if q.ring.Empty() {
 		return false
 	}
-	if !q.sh.electTry(w) {
+	if !q.sh.lock.TryAcquire(w) {
 		return false
 	}
 	// Count the take only when it drains something: empty takes must
 	// not dilute the ops-per-lock-take metric.
 	var pend []*request
-	//lint:ignore lockorder drain hops retired→descendant shard locks in the order splits created them (see execForwarded); class-level tracking cannot see the instance order that makes this acyclic
 	n := a.drain(w, q, &pend)
 	if n > 0 {
 		q.noteTake(w)
@@ -797,62 +653,17 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	return n > 0
 }
 
-// drainForSplit empties sh's ring inside the split rendezvous (the
-// splitter holds sh's lock). It runs twice per split: before the keys
-// move (forward unset — ops execute against sh's still-authoritative
-// engine) and again after the forward pointer is installed (requests
-// that slipped into the ring meanwhile execute against the live
-// children, still in FIFO order, before the map swap makes the
-// children reachable). Requests that land even later are driven by
-// their own submitters (see submit). Sync-wait futures accumulate on
-// pend for the splitter to complete once the rendezvous lock drops.
-func (a *AsyncStore) drainForSplit(w *core.Worker, sh *shard, pend *[]*request) {
-	q := sh.pipe.Load()
-	if q == nil {
-		return
-	}
-	f := sh.forward.Load()
-	// The post-forward pass must clear every request published before
-	// the forward store (those producers read forward == nil and rely
-	// on THIS drain). A producer's claim precedes its publish, so all
-	// of them sit below the tail read here — drain to that position,
-	// spinning through a slot whose producer is between claim and
-	// publish rather than treating it as empty (a later slot may
-	// already be published behind it, and breaking would strand it).
-	// Claims landing after this tail read observe the forward pointer
-	// post-publish and drive themselves (see submit).
-	target := q.ring.tailPos()
-	n := 0
-	var sp pipeSpinner
-	for {
-		r := q.ring.dequeue()
-		if r == nil {
-			if f != nil && q.ring.headPos() < target {
-				sp.spin()
-				continue
-			}
-			break
-		}
-		n += a.execDrained(w, q, f, r, pend)
-	}
-	if n > 0 {
-		q.combined.Add(uint64(n))
-		q.noteTake(w)
-	}
-}
-
 // execDirect is the ring-full fallback: execute r solo under a
 // blocking acquire of its shard, then drain whatever is queued there —
 // the ring was full a moment ago, so there is combining work to
-// amortise the take over. If the shard split meanwhile, r is re-routed
-// to the live children like any request drained from a retired ring.
+// amortise the take over.
 //
 // Before executing r, everything enqueued on q before the failed ring
 // claim is driven to execution. Without this, the direct path could
 // overtake the SAME worker's still-queued fire-and-forget predecessor
 // on this ring and break its program order (same-key ops always
-// resolve to the same ring, split forwarding included, so this local
-// guard is the whole FIFO story).
+// resolve to the same ring, so this local guard is the whole FIFO
+// story).
 func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 	target := q.ring.tailPos()
 	var sp pipeSpinner
@@ -867,14 +678,9 @@ func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 	q.noteTake(w)
 	q.direct.Add(1)
 	q.combined.Add(uint64(r.weight()))
-	if f := sh.forward.Load(); f != nil {
-		sh.lock.Release(w)
-		a.execForwarded(w, f, r)
-	} else {
-		a.exec(w, sh, r)
-		a.drain(w, q, &pend)
-		sh.lock.Release(w)
-	}
+	a.exec(w, sh, r)
+	a.drain(w, q, &pend)
+	sh.lock.Release(w)
 	a.finishOrDefer(r, &pend)
 	a.st.completePending(pend)
 }
@@ -941,34 +747,16 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 	}
 }
 
-// submit enqueues r on q (or executes it directly when the ring is
-// full) without waiting for completion — except onto a ring whose
-// shard split under us: then submit drives the retired ring dry
-// before returning, so r (and everything queued before it) has
-// executed and no later op of this worker can overtake it via the
-// children's fresh rings. The check is a post-publish re-read of the
-// forward pointer: if it reads nil here, the enqueue is ordered
-// before the split's own final drain (seq-cst), which will execute r;
-// if it reads non-nil, this worker drains. Either way program order
-// per worker survives resharding — the property PutAsync's FIFO
-// contract leans on. After the drive loop r may already be recycled
-// (fire-and-forget requests are freed by whoever executes them), so
-// r is not touched again.
+// submit enqueues r on q, or executes it directly when the ring is
+// full, without waiting for completion. Once published, r belongs to
+// whichever combiner executes it (a fire-and-forget request is
+// recycled there), so submit does not touch it again.
 func (a *AsyncStore) submit(w *core.Worker, q *pipeShard, r *request) {
 	if !q.ring.enqueue(r) {
 		a.execDirect(w, q, r)
 		return
 	}
 	q.noteDepth()
-	if q.sh.forward.Load() == nil {
-		return
-	}
-	var s pipeSpinner
-	for !q.ring.Empty() || q.executed.Load() < q.ring.headPos() {
-		if !a.tryCombine(w, q) {
-			s.spin()
-		}
-	}
 }
 
 // run submits r on q and waits for it.
@@ -1027,10 +815,9 @@ func (a *AsyncStore) Delete(w *core.Worker, k uint64) (bool, error) {
 // the call returns without waiting for execution. The future recycles
 // the moment a combiner executes it, so sustained writers pay zero
 // wait and zero completion traffic; ordering with this worker's later
-// ops on the same key is preserved in every path — the ring is FIFO,
-// the ring-overflow fallback drives queued predecessors first, and a
-// shard split drains its ring before the children become reachable —
-// so a worker always reads its own async write. v is retained by
+// ops on the same key is preserved in every path — the ring is FIFO
+// and the ring-overflow fallback drives queued predecessors first — so
+// a worker always reads its own async write. v is retained by
 // reference until execution — do not reuse the buffer. Flush (or
 // Close) is the write barrier: after it returns, every PutAsync
 // submitted before it is applied.
@@ -1064,10 +851,9 @@ type batch struct {
 	oks      []bool
 	kvs      []Pair // opMultiPut: the caller's pairs
 
-	// open[g] heads the chain (request.next) of the requests grouped so
-	// far for shards of base group g, newest first; one entry on a store
-	// that never split. reqs lists every request in creation order,
-	// which for the requests of one ring is batch order.
+	// open[i] is the request ring i is being grouped into: its newest,
+	// the only one not yet full. reqs lists every request in creation
+	// order, which for the requests of one ring is batch order.
 	open []*request
 	reqs []*request
 
@@ -1075,20 +861,12 @@ type batch struct {
 	err      error
 }
 
-// keyAt returns the key at batch position i.
-func (b *batch) keyAt(i int) uint64 {
-	if b.kind == opMultiGet {
-		return b.keys[i]
-	}
-	return b.kvs[i].Key
-}
-
 // newBatch checks a batch out of the pool, its grouping table sized
-// for map m.
-func (a *AsyncStore) newBatch(kind opKind, m *shardMap) *batch {
+// for one entry per ring.
+func (a *AsyncStore) newBatch(kind opKind) *batch {
 	b := a.batches.Get().(*batch)
 	b.kind = kind
-	if n := len(m.groups); cap(b.open) < n {
+	if n := len(a.rings); cap(b.open) < n {
 		b.open = make([]*request, n)
 	} else {
 		b.open = b.open[:n]
@@ -1096,21 +874,16 @@ func (a *AsyncStore) newBatch(kind opKind, m *shardMap) *batch {
 	return b
 }
 
-// route adds position i, whose key is k, to the batch's request for
-// the ring owning k under m — the newest one, found through the base
-// group's chain — opening a request when the ring has none yet or its
-// newest is full.
-func (a *AsyncStore) route(b *batch, m *shardMap, k uint64, i int) {
-	sh := m.locate(hashOf(k))
-	q := sh.pipe.Load()
-	r := b.open[sh.group]
-	for r != nil && r.q != q {
-		r = r.next
-	}
+// route adds position i, whose key is k, to the batch's open request
+// for the ring owning k, opening a new one when the ring has none yet
+// or its open one is full.
+func (a *AsyncStore) route(b *batch, k uint64, i int) {
+	si := a.st.ShardOf(k)
+	r := b.open[si]
 	if r == nil || len(r.idx) == batchKeyCap {
 		r = a.newReq(b.kind)
-		r.bat, r.q, r.syncWait = b, q, b.syncWait
-		r.next, b.open[sh.group] = b.open[sh.group], r
+		r.bat, r.q, r.syncWait = b, a.rings[si], b.syncWait
+		b.open[si] = r
 		b.reqs = append(b.reqs, r)
 	}
 	r.idx = append(r.idx, i)
@@ -1141,22 +914,20 @@ func (a *AsyncStore) freeBatch(b *batch) {
 }
 
 // MultiGet reads all keys through the pipeline, one request per
-// touched shard: the batch positions are grouped by ring under the
-// current map, each ring gets its share as ONE request (consecutive
-// requests of at most batchKeyCap keys when the share is larger), and a
-// combiner reads a request's keys under a single lock take — combiners
-// on different shards working in parallel — while the caller waits for
-// all of them under one election cadence. vals[i] and ok[i] correspond
-// to keys[i].
+// touched shard: the batch positions are grouped by ring, each ring
+// gets its share as ONE request (consecutive requests of at most
+// batchKeyCap keys when the share is larger), and a combiner reads a
+// request's keys under a single lock take — combiners on different
+// shards working in parallel — while the caller waits for all of them
+// under one election cadence. vals[i] and ok[i] correspond to keys[i].
 func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
 	a.checkOpen()
 	vals = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
-	m := a.st.smap.Load()
-	b := a.newBatch(opMultiGet, m)
+	b := a.newBatch(opMultiGet)
 	b.keys, b.vals, b.oks = keys, vals, ok
 	for i, k := range keys {
-		a.route(b, m, k, i)
+		a.route(b, k, i)
 	}
 	a.runBatch(w, b)
 	a.freeBatch(b)
@@ -1173,11 +944,10 @@ func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok 
 // contract); shares on healthy shards still applied.
 func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	a.checkOpen()
-	m := a.st.smap.Load()
-	b := a.newBatch(opMultiPut, m)
+	b := a.newBatch(opMultiPut)
 	b.kvs, b.syncWait = kvs, a.st.syncWaitFor(w)
 	for i := range kvs {
-		a.route(b, m, kvs[i].Key, i)
+		a.route(b, kvs[i].Key, i)
 	}
 	a.runBatch(w, b)
 	inserted, err := b.inserted, b.err
@@ -1185,22 +955,19 @@ func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	return inserted, err
 }
 
-// collectRanges pushes one opRange request per live shard (each
+// collectRanges pushes one opRange request per shard (each
 // carrying the whole span set) and awaits them all under one election
 // cadence. runs[i] holds reqs[i]'s per-shard slices, each in ascending
 // key order, ready for mergeRuns. The view matches Store.MultiRange:
 // per-shard consistent, all spans seeing each shard at the same
-// instant. A shard that splits mid-flight serves its request from the
-// live children (see execForwarded), so the union still covers the key
-// space exactly once.
+// instant.
 func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][][]Pair {
-	m := a.st.smap.Load()
-	rs := make([]*request, len(m.shards))
-	for si, sh := range m.shards {
+	rs := make([]*request, len(a.rings))
+	for si, q := range a.rings {
 		r := a.newReq(opRange)
 		r.rng = reqs
 		r.parts = make([][]Pair, len(reqs))
-		r.q = sh.pipe.Load()
+		r.q = q
 		rs[si] = r
 		a.submit(w, r.q, r)
 	}
@@ -1250,13 +1017,11 @@ func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 // executed, combining on the caller's worker where it can. This is the
 // PutAsync/DeleteAsync write barrier. Concurrent enqueuers may extend
 // the drain (their requests slot in behind the cut-off), but the
-// pre-Flush prefix is guaranteed done on return — rings retired by
-// splits included, since the walk covers every ring ever attached.
-// With durability on it is a durability barrier too, and the place
+// pre-Flush prefix is guaranteed done on return. With durability on it is a durability barrier too, and the place
 // fire-and-forget write failures surface: a failed sync degrades the
 // shard and returns the typed error.
 func (a *AsyncStore) Flush(w *core.Worker) error {
-	for _, q := range a.pipes() {
+	for _, q := range a.rings {
 		target := q.ring.tailPos()
 		var s pipeSpinner
 		// Wait on the executed cursor, not the ring head: a request a
@@ -1275,27 +1040,17 @@ func (a *AsyncStore) Flush(w *core.Worker) error {
 // Close flushes the rings and marks the pipeline closed: subsequent
 // pipeline calls panic. Callers must have quiesced (a submitter racing
 // Close keeps its own liveness — owners always self-serve — but its op
-// may execute after Close returns). The underlying Store stays usable,
-// resharding included (splits after Close attach rings that simply
-// stay empty).
+// may execute after Close returns). The underlying Store stays usable.
 func (a *AsyncStore) Close(w *core.Worker) {
 	if a.closed.Swap(true) {
 		return
 	}
-	for {
-		qs := a.pipes()
-		for _, q := range qs {
-			var s pipeSpinner
-			for !q.ring.Empty() || q.executed.Load() < q.ring.headPos() {
-				if !a.tryCombine(w, q) {
-					s.spin()
-				}
+	for _, q := range a.rings {
+		var s pipeSpinner
+		for !q.ring.Empty() || q.executed.Load() < q.ring.headPos() {
+			if !a.tryCombine(w, q) {
+				s.spin()
 			}
-		}
-		// A split during the drain may have attached fresh rings;
-		// sweep again until the set is stable.
-		if len(a.pipes()) == len(qs) {
-			break
 		}
 	}
 	// Drained writes are applied but possibly only buffered in the
@@ -1304,13 +1059,11 @@ func (a *AsyncStore) Close(w *core.Worker) {
 	a.st.syncLogs()
 }
 
-// CombineStats snapshots every ring's combining counters in attach
-// order: the seed shards first, then split children as they were
-// created (rings retired by splits keep their history here).
+// CombineStats snapshots every ring's combining counters in shard
+// index order.
 func (a *AsyncStore) CombineStats() []CombineStats {
-	qs := a.pipes()
-	out := make([]CombineStats, len(qs))
-	for i, q := range qs {
+	out := make([]CombineStats, len(a.rings))
+	for i, q := range a.rings {
 		out[i] = q.stats()
 	}
 	return out
@@ -1344,5 +1097,5 @@ func (a *AsyncStore) String() string {
 		batch = fmt.Sprint(a.fixed)
 	}
 	return fmt.Sprintf("shardedkv.AsyncStore{rings: %d, maxBatch: %s, ringSize: %d}",
-		len(a.pipes()), batch, a.ringSize)
+		len(a.rings), batch, a.ringSize)
 }

@@ -463,3 +463,99 @@ func TestAsyncRangeCallbackLockFree(t *testing.T) {
 		t.Fatalf("visited %d keys, want 64", visited)
 	}
 }
+
+// TestPutAsyncFireAndForget pins the fire-and-forget contract: the
+// call returns without waiting, Flush is the write barrier, the ops
+// are fully accounted in the combining stats, and DeleteAsync composes.
+func TestPutAsyncFireAndForget(t *testing.T) {
+	st := New(Config{Shards: 4})
+	a := NewAsync(st, AsyncConfig{})
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	const n = 512
+	for k := uint64(0); k < n; k++ {
+		a.PutAsync(w, k, stressValue(k))
+	}
+	a.Flush(w)
+	if got := st.Len(w); got != n {
+		t.Fatalf("Len after Flush = %d, want %d", got, n)
+	}
+	for k := uint64(0); k < n; k++ {
+		v, ok := a.Get(w, k)
+		if !ok {
+			t.Fatalf("key %d missing after PutAsync+Flush", k)
+		}
+		checkStressValue(t, k, v)
+	}
+	for k := uint64(0); k < n; k += 2 {
+		a.DeleteAsync(w, k)
+	}
+	a.Flush(w)
+	if got := st.Len(w); got != n/2 {
+		t.Fatalf("Len after DeleteAsync+Flush = %d, want %d", got, n/2)
+	}
+	agg := a.AggregateCombineStats()
+	wantOps := uint64(n + n/2 + n) // ff puts + ff deletes + waited gets
+	if agg.Combined != wantOps {
+		t.Fatalf("Combined = %d, want %d (every async op accounted once)", agg.Combined, wantOps)
+	}
+}
+
+// TestAdaptiveMaxBatch drives one hot shard with an adaptive pipeline
+// and checks the bound machinery: the effective bound is exposed, and
+// under real parallelism with deep queues it grows past the old fixed
+// default on the hot shard while drains keep every op accounted.
+func TestAdaptiveMaxBatch(t *testing.T) {
+	const workers = 8
+	opsPer := 2_000
+	if testing.Short() {
+		opsPer = 500
+	}
+	st := New(Config{
+		Shards: 1,
+		CSPad:  func(w *core.Worker) { workload.Spin(2_000) },
+	})
+	a := NewAsync(st, AsyncConfig{RingSize: 256})
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			// All big: the little cap must not hide the growth.
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			rng := prng.NewSplitMix64(uint64(wi)*3 + 1)
+			for op := 0; op < opsPer; op++ {
+				k := rng.Uint64() % 1024
+				if rng.Uint64()&1 == 0 {
+					a.Put(w, k, stressValue(k))
+				} else {
+					a.Get(w, k)
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	agg := a.AggregateCombineStats()
+	if want := uint64(workers * opsPer); agg.Combined != want {
+		t.Fatalf("Combined = %d, want exactly %d", agg.Combined, want)
+	}
+	if agg.MaxBatchEff == 0 {
+		t.Fatal("MaxBatchEff not exposed")
+	}
+	t.Logf("adaptive: %d ops / %d takes = %.2f ops/take, depthHW %d, effective bound %d",
+		agg.Combined, agg.LockTakes, agg.OpsPerLockTake(), agg.DepthHW, agg.MaxBatchEff)
+	// Growth needs queues deeper than the initial bound, which needs
+	// real parallelism; only assert where the scheduler can provide it.
+	if runtime.GOMAXPROCS(0) >= 4 && agg.DepthHW >= 2*adaptiveInitBatch {
+		if agg.MaxBatchEff <= adaptiveInitBatch {
+			t.Errorf("bound stayed at %d despite depthHW %d", agg.MaxBatchEff, agg.DepthHW)
+		}
+	}
+	// A fixed-batch store must report the fixed bound.
+	st2 := New(Config{Shards: 1})
+	a2 := NewAsync(st2, AsyncConfig{MaxBatch: 16})
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	a2.Put(w, 1, stressValue(1))
+	if eff := a2.AggregateCombineStats().MaxBatchEff; eff != 16 {
+		t.Fatalf("fixed MaxBatchEff = %d, want 16", eff)
+	}
+}

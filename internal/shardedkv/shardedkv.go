@@ -4,10 +4,9 @@
 //
 // Layering (top to bottom):
 //
-//	Store            — key → shard routing through a copy-on-write
-//	                   shard map, batched MultiGet/MultiPut, ordered
-//	                   Range/MultiRange scans merged across shards,
-//	                   skew-adaptive shard splitting (reshard.go)
+//	Store            — key → shard routing (Mix64(k) % Shards),
+//	                   batched MultiGet/MultiPut, ordered
+//	                   Range/MultiRange scans merged across shards
 //	locks.WLock      — one lock per shard; ASLMutex by default, so
 //	                   big-core workers take the FIFO fast path and
 //	                   little-core workers stand by within their
@@ -24,13 +23,12 @@
 // (compare "Fissile Locks" and Dice & Kogan's concurrency-restriction
 // argument for keeping such decisions cheap and per-lock).
 //
-// Placement is no longer a fixed modulo: lookups go through an
-// immutable shard-map snapshot (shardmap.go) swapped atomically when a
-// skew detector (reshard.go) splits a shard whose measured traffic
-// share and lock-wait fraction say the zipf head has made it a convoy.
-// Snapshot readers re-validate after acquiring the shard lock: a split
-// parent forwards to its children, so a stale snapshot costs one extra
-// lock hop, never a wrong answer.
+// Placement is fixed for the store's life: key k lives on shard
+// Mix64(k) % Shards (splitmix64's finalizer, so adjacent keys spread
+// across shards). The shard a lookup locates is the shard that owns
+// the key, so every path locks it directly, and no path ever holds two
+// shard locks at once — multi-shard operations visit one shard at a
+// time.
 //
 // Batched operations sort keys by shard so each shard lock is taken at
 // most once per batch, turning k point-lookups into one acquisition
@@ -65,6 +63,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/locks"
+	"repro/internal/prng"
 	"repro/internal/wal"
 )
 
@@ -102,8 +101,7 @@ type Config struct {
 	// Shards is the shard count; 0 means 16.
 	Shards int
 	// NewEngine builds shard i's storage engine; nil means hash-table
-	// engines (NewHashEngine). Split children call it with fresh ids
-	// past the initial count.
+	// engines (NewHashEngine).
 	NewEngine func(shard int) Engine
 	// NewLock builds one shard lock; nil means the paper's default
 	// ASL stack (locks.FactoryASL). Use locks.Factory wrappers to
@@ -115,11 +113,6 @@ type Config struct {
 	// a little-core holder keeps the lock proportionally longer. Leave
 	// nil in production use.
 	CSPad func(w *core.Worker)
-	// Reshard, if non-nil, enables dynamic resharding: shard locks are
-	// wrapped with contention counters and a skew detector splits
-	// sustained hot shards (see reshard.go). Nil keeps the static seed
-	// behaviour bit for bit.
-	Reshard *ReshardConfig
 	// Durability, if non-nil, gives every shard a write-ahead log under
 	// Dir (durable.go): writes append under the shard lock and group-
 	// commit one fsync per batch after release, with the sync policy
@@ -143,38 +136,19 @@ type ShardStats struct {
 	// the per-request key cap) and may share its combiner's lock take
 	// with other requests — CombineStats.LockTakes counts the takes.
 	BatchLocks uint64
-	// LockAttempts and LockContended mirror the shard lock's
-	// locks.ContentionStats — every acquire/try attempt, and the
-	// subset that found the lock held. Zero unless the store wraps
-	// its locks (Config.Reshard); the skew detector reads
-	// the contended fraction to tell a convoy from mere traffic.
-	LockAttempts, LockContended uint64
 }
 
 // Ops returns the total point-operation count (scans excluded).
 func (s ShardStats) Ops() uint64 { return s.Gets + s.Puts + s.Deletes }
 
-// shard is one lock+engine pair plus its place in the shard map. The
-// trailing pad keeps adjacent shards' hot counters off each other's
-// cache lines.
+// shard is one lock+engine pair. The trailing pad keeps adjacent
+// shards' hot counters off each other's cache lines.
 type shard struct {
 	lock locks.WLock
 	eng  Engine
-	// cont is the lock's contention counter when the store wraps its
-	// locks; nil otherwise.
-	cont *locks.Contended
-	// id is the shard's creation ordinal: stable across map swaps,
-	// ascending in Stats order. group/depth place the shard in the
-	// map's extendible directory (shardmap.go).
-	id    int
-	group int
-	depth uint
-	// forward, once set (under lock, by split), says this shard's keys
-	// moved to two children; it never reverts to nil.
-	forward atomic.Pointer[splitRecord]
-	// pipe is the shard's combining-pipeline state when an AsyncStore
-	// is attached (pipeline.go); nil otherwise.
-	pipe atomic.Pointer[pipeShard]
+	// id is the shard's index in Store.shards: what ShardOf returns for
+	// its keys, and the name of its log directory.
+	id int
 	// wal is the shard's append-only log when Config.Durability is set;
 	// nil otherwise. Appends run under the shard lock (buffered, no
 	// fsync); Commit/Sync run strictly after release (durable.go).
@@ -191,79 +165,27 @@ type shard struct {
 	_        [64]byte
 }
 
-// electTry is the combiner-election TryAcquire: on a
-// contention-wrapped lock it probes the inner lock directly, because
-// election probes fail BY DESIGN whenever another combiner is serving
-// the ring — counting them would saturate the skew detector's wait
-// signal and make every pipelined shard look convoyed. Real waits
-// (blocking acquires, ring-full fallbacks) stay counted.
-func (sh *shard) electTry(w *core.Worker) bool {
-	if sh.cont != nil {
-		return sh.cont.Inner().TryAcquire(w)
-	}
-	return sh.lock.TryAcquire(w)
-}
-
 // stats snapshots this shard's counters.
 func (sh *shard) stats() ShardStats {
-	st := ShardStats{
+	return ShardStats{
 		Gets:       sh.gets.Load(),
 		Puts:       sh.puts.Load(),
 		Deletes:    sh.deletes.Load(),
 		Scans:      sh.scans.Load(),
 		BatchLocks: sh.batches.Load(),
 	}
-	if sh.cont != nil {
-		cs := sh.cont.Stats()
-		st.LockAttempts, st.LockContended = cs.Attempts, cs.Contended
-	}
-	return st
 }
 
 // Store is the sharded KV service layer.
 type Store struct {
-	smap  atomic.Pointer[shardMap]
-	csPad func(w *core.Worker)
-
-	// Split machinery (shardmap.go / reshard.go). newLock/newEngine
-	// build children; splitMu serialises splits, map swaps, and
-	// AsyncStore attachment; retired accumulates counters of shards
-	// that split away so aggregates never lose history.
-	newLock   locks.Factory
-	newEngine func(shard int) Engine
-	contend   bool
-	maxShards int
-	splitMu   sync.Mutex
-	nextID    int
-	splits    atomic.Uint64
-	events    atomic.Uint64
-	async     atomic.Pointer[AsyncStore]
-	retired   retiredStats
-	detector  *reshardDetector
+	// shards is fixed at Open: key k lives on shards[ShardOf(k)].
+	shards []*shard
+	csPad  func(w *core.Worker)
 	// dur is the durability state when Config.Durability is set
 	// (durable.go); nil otherwise.
 	dur *durability
 	// degradeEvents counts shards flipped read-only (degraded.go).
 	degradeEvents atomic.Uint64
-}
-
-// retiredStats accumulates the counters of split-away shards.
-type retiredStats struct {
-	gets, puts, deletes, scans, batches atomic.Uint64
-	lockAttempts, lockContended         atomic.Uint64
-}
-
-// foldRetired folds a split parent's counters into the retired
-// accumulator (caller holds splitMu and the shard's lock).
-func (s *Store) foldRetired(sh *shard) {
-	st := sh.stats()
-	s.retired.gets.Add(st.Gets)
-	s.retired.puts.Add(st.Puts)
-	s.retired.deletes.Add(st.Deletes)
-	s.retired.scans.Add(st.Scans)
-	s.retired.batches.Add(st.BatchLocks)
-	s.retired.lockAttempts.Add(st.LockAttempts)
-	s.retired.lockContended.Add(st.LockContended)
 }
 
 // New builds a store from cfg. With Config.Durability set it panics
@@ -290,12 +212,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.NewLock == nil {
 		cfg.NewLock = locks.FactoryASL()
 	}
-	s := &Store{
-		csPad:     cfg.CSPad,
-		newLock:   cfg.NewLock,
-		newEngine: cfg.NewEngine,
-		contend:   cfg.Reshard != nil,
-	}
+	s := &Store{csPad: cfg.CSPad, shards: make([]*shard, cfg.Shards)}
 	if d := cfg.Durability; d != nil {
 		gen, err := readCurrentGen(d.Dir)
 		if err != nil {
@@ -311,44 +228,59 @@ func Open(cfg Config) (*Store, error) {
 			},
 		}
 	}
-	m := &shardMap{groups: make([][]*shard, cfg.Shards), shards: make([]*shard, cfg.Shards)}
-	for i := 0; i < cfg.Shards; i++ {
-		sh, err := s.newShard(i, i, 0)
+	for i := range s.shards {
+		sh, err := s.newShard(i, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m.groups[i] = []*shard{sh}
-		m.shards[i] = sh
+		s.shards[i] = sh
 	}
-	s.nextID = cfg.Shards
-	s.smap.Store(m)
 	if cfg.Durability != nil {
 		if err := openDurable(s, cfg.Durability); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.Reshard != nil {
-		s.startReshard(*cfg.Reshard)
-	}
 	return s, nil
 }
 
-// NumShards returns the current live shard count (grows with splits).
-func (s *Store) NumShards() int { return len(s.smap.Load().shards) }
+// newShard builds shard id. With durability on it also opens the
+// shard's log in the live generation directory.
+func (s *Store) newShard(id int, cfg Config) (*shard, error) {
+	sh := &shard{id: id, lock: cfg.NewLock(), eng: cfg.NewEngine(id)}
+	if s.dur != nil {
+		lg, err := wal.Open(shardWalDir(s.dur.genDir, id), s.dur.opts)
+		if err != nil {
+			return nil, err
+		}
+		sh.wal = lg
+	}
+	return sh, nil
+}
 
-// MapEpoch returns the shard map's generation: 0 at creation, +1 per
-// split. Callers comparing epochs across two reads can tell whether
-// placement moved between them.
-func (s *Store) MapEpoch() uint64 { return s.smap.Load().epoch }
+// NumShards returns the shard count (Config.Shards, or its default).
+func (s *Store) NumShards() int { return len(s.shards) }
 
-// ShardOf maps a key to its shard's stable id under the current map
-// (splitmix64's finalizer, so adjacent keys spread across shards). On
-// a store that has never split, ids coincide with the seed's 0..N-1
-// indices; after splits, ids identify shards across map epochs but a
-// concurrent split may retire the returned id before the caller uses
-// it — treat it as a routing hint, not a handle.
+// MapEpoch always returns 0: placement never changes after Open, so
+// there is no map generation to count. It stays because benchmark/
+// reports it as shardedkv.map_epoch.
+func (s *Store) MapEpoch() uint64 { return 0 }
+
+// ShardOf returns the index of the shard owning k: Mix64(k) %
+// NumShards() (splitmix64's finalizer, so adjacent keys spread across
+// shards). Placement is fixed for the store's life, so the index is a
+// stable handle — the serving layer's admission gate is indexed by it.
 func (s *Store) ShardOf(k uint64) int {
-	return s.smap.Load().locate(hashOf(k)).id
+	return int(prng.Mix64(k) % uint64(len(s.shards)))
+}
+
+// shardFor returns the shard owning k.
+func (s *Store) shardFor(k uint64) *shard { return s.shards[s.ShardOf(k)] }
+
+// lockShard acquires and returns the shard owning k.
+func (s *Store) lockShard(w *core.Worker, k uint64) *shard {
+	sh := s.shardFor(k)
+	sh.lock.Acquire(w)
+	return sh
 }
 
 // pad runs the configured critical-section padding, if any.
@@ -360,7 +292,7 @@ func (s *Store) pad(w *core.Worker) {
 
 // Get reads k on behalf of worker w.
 func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
-	sh := s.acquireLive(w, hashOf(k))
+	sh := s.lockShard(w, k)
 	v, ok := sh.eng.Get(k)
 	s.pad(w)
 	sh.lock.Release(w)
@@ -378,7 +310,7 @@ func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
 // shard (degraded.go) and returns the typed error; a non-nil error
 // means no durability ack, whatever the bool says.
 func (s *Store) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
-	sh := s.acquireLive(w, hashOf(k))
+	sh := s.lockShard(w, k)
 	lsn, err := s.logWrite(sh, wal.KindPut, k, v)
 	if err != nil {
 		sh.lock.Release(w)
@@ -419,7 +351,7 @@ func (s *Store) logWrite(sh *shard, kind wal.Kind, k uint64, v []byte) (uint64, 
 // Delete removes k on behalf of worker w; reports presence. Sync
 // policy and degraded-mode behaviour as in Put.
 func (s *Store) Delete(w *core.Worker, k uint64) (bool, error) {
-	sh := s.acquireLive(w, hashOf(k))
+	sh := s.lockShard(w, k)
 	lsn, err := s.logWrite(sh, wal.KindDelete, k, nil)
 	if err != nil {
 		sh.lock.Release(w)
@@ -441,7 +373,7 @@ func (s *Store) Delete(w *core.Worker, k uint64) (bool, error) {
 // (the answer is a consistent per-shard sum, like Kyoto's count).
 func (s *Store) Len(w *core.Worker) int {
 	n := 0
-	s.forEachLive(w, func(sh *shard) { n += sh.eng.Len() })
+	s.forEachShard(w, func(sh *shard) { n += sh.eng.Len() })
 	return n
 }
 
@@ -462,7 +394,7 @@ func (s *Store) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte)
 		sc.pairs = append(sc.pairs, Pair{Key: k, Value: v})
 		return true
 	}
-	s.forEachLive(w, func(sh *shard) {
+	s.forEachShard(w, func(sh *shard) {
 		sh.eng.Range(lo, hi, collect)
 		s.pad(w)
 		sh.scans.Add(1)
@@ -519,13 +451,6 @@ type batchRanger interface {
 	BatchRange(reqs []RangeReq, emit func(req int, k uint64, v []byte))
 }
 
-// unorderedScanner is an optional Engine extension: a full walk with
-// no ordering guarantee, cheaper than Range(0, ^0) on engines that
-// sort (the hash table). Split partitioning prefers it.
-type unorderedScanner interface {
-	Scan(fn func(k uint64, v []byte) bool)
-}
-
 // collectShardRanges collects every request's slice of one shard's
 // engine into parts (parts[i] extends with request i's in-range pairs,
 // in ascending key order). Caller holds the shard lock; one pad per
@@ -563,7 +488,7 @@ func (s *Store) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 		return out
 	}
 	var perShard [][][]Pair // per visited shard: parts per request
-	s.forEachLive(w, func(sh *shard) {
+	s.forEachShard(w, func(sh *shard) {
 		parts := make([][]Pair, len(reqs))
 		s.collectShardRanges(w, sh, reqs, parts)
 		sh.batches.Add(1)
@@ -618,8 +543,8 @@ func mergeRuns(runs [][]Pair, fn func(k uint64, v []byte) bool) {
 }
 
 // mergedPairs is mergeRuns into one exactly-sized slice, for the
-// callers that must return a []Pair (MultiRange, a split-forwarded
-// pipeline scan). nil when the runs are empty.
+// callers that must return a []Pair (both front ends' MultiRange). nil
+// when the runs are empty.
 func mergedPairs(runs [][]Pair) []Pair {
 	total := 0
 	for _, r := range runs {
@@ -636,61 +561,39 @@ func mergedPairs(runs [][]Pair) []Pair {
 	return out
 }
 
-// idxGroup is one batched-op work unit: the batch indices routed to
-// one shard. Groups re-split along the forward chain when the shard
-// moved (see execGrouped).
-type idxGroup struct {
-	sh  *shard
-	idx []int
+// forEachShard visits every shard in index order, running fn with the
+// shard's lock held; it never holds two shard locks at once.
+func (s *Store) forEachShard(w *core.Worker, fn func(sh *shard)) {
+	for _, sh := range s.shards {
+		sh.lock.Acquire(w)
+		//lint:ignore lockheldcall fn is forEachShard's internal per-shard visitor and must run under the shard lock (that is the helper's contract); the public Range/MultiRange callers pass collect-only closures and emit after release.
+		fn(sh)
+		sh.lock.Release(w)
+	}
 }
 
-// execGrouped routes batch indices to shards under the current map
-// snapshot and runs exec once per touched live shard with its lock
-// held. A group whose shard split re-partitions along the forward
-// record's hash bit and requeues on the children, so every index
-// executes on the engine that owns its key — the batched analogue of
-// acquireLive's hop. Groups are visited in ascending shard-id order
-// (children after their parents); within a group, batch order is
-// preserved, so later puts of a duplicate key win as in sequential
-// semantics.
-func (s *Store) execGrouped(w *core.Worker, n int, hash func(i int) uint64, exec func(sh *shard, idx []int)) {
+// execGrouped groups batch indices by the shard owning key(i) and runs
+// exec once per touched shard with its lock held, in shard index
+// order; within a group batch order is preserved, so later puts of a
+// duplicate key win as in sequential semantics.
+func (s *Store) execGrouped(w *core.Worker, n int, key func(i int) uint64, exec func(sh *shard, idx []int)) {
 	if n == 0 {
 		return
 	}
-	m := s.smap.Load()
-	hs := make([]uint64, n)
-	byShard := make(map[*shard][]int, 8)
+	groups := make([][]int, len(s.shards))
 	for i := 0; i < n; i++ {
-		hs[i] = hash(i)
-		sh := m.locate(hs[i])
-		byShard[sh] = append(byShard[sh], i)
+		si := s.ShardOf(key(i))
+		groups[si] = append(groups[si], i)
 	}
-	work := make([]idxGroup, 0, len(byShard))
-	for _, sh := range m.shards {
-		if idx, ok := byShard[sh]; ok {
-			work = append(work, idxGroup{sh: sh, idx: idx})
-		}
-	}
-	for len(work) > 0 {
-		g := work[0]
-		work = work[1:]
-		g.sh.lock.Acquire(w)
-		if f := g.sh.forward.Load(); f != nil {
-			g.sh.lock.Release(w)
-			var kidIdx [2][]int
-			for _, i := range g.idx {
-				kidIdx[(subIdx(hs[i])>>f.bit)&1] = append(kidIdx[(subIdx(hs[i])>>f.bit)&1], i)
-			}
-			for b, idx := range kidIdx {
-				if len(idx) > 0 {
-					work = append(work, idxGroup{sh: f.kids[b], idx: idx})
-				}
-			}
+	for si, idx := range groups {
+		if len(idx) == 0 {
 			continue
 		}
+		sh := s.shards[si]
+		sh.lock.Acquire(w)
 		//lint:ignore lockheldcall exec is execGrouped's internal per-shard visitor, not user code: MultiGet/MultiPut pass engine-only closures that collect into preallocated slices, and the public emit happens after this loop releases.
-		exec(g.sh, g.idx)
-		g.sh.lock.Release(w)
+		exec(sh, idx)
+		sh.lock.Release(w)
 	}
 }
 
@@ -740,16 +643,22 @@ type walMark struct {
 	lsn uint64
 }
 
+// commit pays one mark — Commit on its log — and degrades the shard
+// when that fails. Commit fsyncs: no shard lock may be held.
+func (s *Store) commit(m walMark) error {
+	if err := m.sh.wal.Commit(m.lsn); err != nil {
+		return s.degrade(m.sh, err)
+	}
+	return nil
+}
+
 // commitMarks pays the marks, one Commit per log, and returns the
-// first failure after degrading the shard it happened on. Commit
-// fsyncs: no shard lock may be held.
+// first failure.
 func (s *Store) commitMarks(marks []walMark) error {
 	var first error
 	for _, m := range marks {
-		if err := m.sh.wal.Commit(m.lsn); err != nil {
-			if de := s.degrade(m.sh, err); first == nil {
-				first = de
-			}
+		if err := s.commit(m); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -760,7 +669,7 @@ func (s *Store) commitMarks(marks []walMark) error {
 func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
 	vals = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
-	s.execGrouped(w, len(keys), func(i int) uint64 { return hashOf(keys[i]) }, func(sh *shard, idx []int) {
+	s.execGrouped(w, len(keys), func(i int) uint64 { return keys[i] }, func(sh *shard, idx []int) {
 		s.getMany(w, sh, keys, idx, vals, ok)
 	})
 	return vals, ok
@@ -781,7 +690,7 @@ func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	inserted := 0
 	var firstErr error
 	var marks []walMark
-	s.execGrouped(w, len(kvs), func(i int) uint64 { return hashOf(kvs[i].Key) }, func(sh *shard, idx []int) {
+	s.execGrouped(w, len(kvs), func(i int) uint64 { return kvs[i].Key }, func(sh *shard, idx []int) {
 		ins, lsn, err := s.putMany(w, sh, kvs, idx)
 		inserted += ins
 		if err != nil && firstErr == nil {
@@ -799,54 +708,31 @@ func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	return inserted, firstErr
 }
 
-// Stats snapshots every live shard's counters under the current map,
-// in ascending shard-id order (seed shards first, split children
-// after). The snapshot is not atomic across shards (counters advance
+// Stats snapshots every shard's counters in shard index order. The
+// snapshot is not atomic across shards (counters advance
 // concurrently), which is fine for the throughput reporting it feeds.
-// Counters of shards that have split away are NOT here — they live in
-// the retired accumulator AggregateStats folds back in.
 func (s *Store) Stats() []ShardStats {
-	m := s.smap.Load()
-	out := make([]ShardStats, len(m.shards))
-	for i, sh := range m.shards {
+	out := make([]ShardStats, len(s.shards))
+	for i, sh := range s.shards {
 		out[i] = sh.stats()
 	}
 	return out
 }
 
-// AggregateStats sums Stats across live shards plus every shard that
-// has split away, so totals survive any number of map swaps. It
-// serialises with splits (splitMu): a split folds the retired shard's
-// counters moments before the map swap drops the shard, and an
-// unserialised reader in that window would count the shard's whole
-// history twice. Splits hold the mutex across the rendezvous, so this
-// can block for a split's duration (~ms) — it is a reporting call.
+// AggregateStats sums Stats across shards.
 func (s *Store) AggregateStats() ShardStats {
-	s.splitMu.Lock()
-	defer s.splitMu.Unlock()
-	agg := ShardStats{
-		Gets:          s.retired.gets.Load(),
-		Puts:          s.retired.puts.Load(),
-		Deletes:       s.retired.deletes.Load(),
-		Scans:         s.retired.scans.Load(),
-		BatchLocks:    s.retired.batches.Load(),
-		LockAttempts:  s.retired.lockAttempts.Load(),
-		LockContended: s.retired.lockContended.Load(),
-	}
+	var agg ShardStats
 	for _, st := range s.Stats() {
 		agg.Gets += st.Gets
 		agg.Puts += st.Puts
 		agg.Deletes += st.Deletes
 		agg.Scans += st.Scans
 		agg.BatchLocks += st.BatchLocks
-		agg.LockAttempts += st.LockAttempts
-		agg.LockContended += st.LockContended
 	}
 	return agg
 }
 
 // String summarises the shard layout.
 func (s *Store) String() string {
-	m := s.smap.Load()
-	return fmt.Sprintf("shardedkv.Store{shards: %d, epoch: %d}", len(m.shards), m.epoch)
+	return fmt.Sprintf("shardedkv.Store{shards: %d}", len(s.shards))
 }

@@ -16,8 +16,8 @@
 //   - Compactor: fold storage to its minimal footprint before a
 //     checkpoint dump (the LSM's major compaction).
 //
-// shardedkv's own batch capabilities (batchRanger, unorderedScanner)
-// follow the same pattern but live next to their single caller.
+// shardedkv's own batch capability (batchRanger) follows the same
+// pattern but lives next to its single caller.
 package storage
 
 // Snapshot is a stable, point-in-time view of an engine's live
