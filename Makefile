@@ -9,7 +9,7 @@ GOFMT ?= gofmt
 # under shared locks: the root benchmarks, the lock algorithms and
 # their core feedback state, the sharded KV layer (including the
 # flat-combining pipeline), the storage engines the shard locks guard,
-# the workload/stats/harness/db plumbing the benches drive, and the
+# the workload/stats/harness plumbing the benches drive, and the
 # discrete-event kernel (goroutine-backed simulated threads) with the
 # AMP cost model that runs on it.
 RACE_PKGS = . \
@@ -24,8 +24,6 @@ RACE_PKGS = . \
 	./internal/workload \
 	./internal/stats \
 	./internal/harness \
-	./internal/dbs \
-	./internal/dbbench \
 	./internal/simlock \
 	./internal/sim \
 	./internal/amp
@@ -86,20 +84,27 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # net-smoke proves the network front end end to end with the REAL
-# binaries: serve a volatile cmd/kvserver, write a deterministic keyset
-# through cmd/kvcheck (1500 interactive + 500 bulk puts), read every
-# key back (2000 gets), then SIGTERM the server and assert the
-# graceful-shutdown contract: exit 0, "clean shutdown", and a final
-# stats line with non-zero ops and "errors":0 for both classes.
-# The server binds port 0 and reports the kernel-chosen address on
-# stderr, so concurrent jobs on a shared runner can never collide on
-# (or accidentally smoke-test) each other's listener.
+# binaries. Startup first: -wal naming a regular file must exit 1 with
+# a one-line "open store" error, not a panic. Then serve a volatile
+# cmd/kvserver, write a deterministic keyset through cmd/kvcheck
+# (1500 interactive + 500 bulk puts), read every key back (2000 gets),
+# then SIGTERM the server and assert the graceful-shutdown contract:
+# exit 0, "clean shutdown", and a final stats line with non-zero ops
+# and "errors":0 for both classes. The server binds port 0 and reports
+# the kernel-chosen address on stderr, so concurrent jobs on a shared
+# runner can never collide on (or accidentally smoke-test) each other's
+# listener.
 net-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
 	fail() { echo "net-smoke: $$1"; cat $$tmp/server.log; kill $$pid 2>/dev/null || true; rm -rf $$tmp; exit 1; }; \
 	$(GO) build -o $$tmp/kvserver ./cmd/kvserver; \
 	$(GO) build -o $$tmp/kvcheck ./cmd/kvcheck; \
+	touch $$tmp/file; rc=0; \
+	timeout 10 $$tmp/kvserver -addr 127.0.0.1:0 -wal $$tmp/file 2>$$tmp/server.log || rc=$$?; \
+	[ $$rc -eq 1 ] || fail "-wal on a regular file: exit $$rc, want 1"; \
+	grep -q '^kvserver: open store: ' $$tmp/server.log || fail "-wal on a regular file: no open store error"; \
+	! grep -q 'panic:' $$tmp/server.log || fail "-wal on a regular file panicked"; \
 	$$tmp/kvserver -addr 127.0.0.1:0 -engine hashkv -lock asl 2>$$tmp/server.log & pid=$$!; \
 	addr=""; \
 	for i in $$(seq 1 100); do \

@@ -77,6 +77,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvserver: -shards must be >= 1 (got %d)\n", *shards)
 		os.Exit(2)
 	}
+	if *pipeBatch < 0 {
+		fmt.Fprintf(os.Stderr, "kvserver: -pipebatch must be >= 0 (got %d; 0 = adaptive)\n", *pipeBatch)
+		os.Exit(2)
+	}
 
 	var engSpec *shardedkv.EngineSpec
 	for _, e := range shardedkv.AllEngines() {
@@ -127,7 +131,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "kvserver: wal %s — recovering\n", *walDir)
 	}
-	st := shardedkv.New(scfg)
+	st, err := shardedkv.Open(scfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kvserver: open store: %v\n", err)
+		os.Exit(1)
+	}
 	var async *shardedkv.AsyncStore
 	if *pipeline {
 		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: *pipeBatch})

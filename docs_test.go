@@ -27,11 +27,11 @@ var (
 	mdMention = regexp.MustCompile(`[A-Za-z0-9_./:-]*[A-Za-z0-9_-]\.md\b`)
 )
 
-// TestDocPointersResolve fails on a pointer to a document that is not
-// there: a relative markdown link in a *.md file, or the name of a .md
-// file mentioned in a *.md or *.go file, must be an existing file —
-// relative to the repository root or to the mentioning file's directory.
-func TestDocPointersResolve(t *testing.T) {
+// eachDocLine calls fn for every line of every *.md and *.go file in
+// the tree, except docsSkip and the directories that hold no source of
+// this module (the benchmark module keeps its own docs).
+func eachDocLine(t *testing.T, fn func(path string, line int, text string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,28 +51,85 @@ func TestDocPointersResolve(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(data), "\n") {
-			var targets []string
-			if ext == ".md" {
-				for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
-					if target, _, _ := strings.Cut(m[1], "#"); target != "" {
-						targets = append(targets, target)
-					}
-				}
-			}
-			targets = append(targets, mdMention.FindAllString(line, -1)...)
-			for _, target := range targets {
-				_, atRoot := os.Stat(target)
-				_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))
-				if !strings.Contains(target, "://") && atRoot != nil && beside != nil {
-					t.Errorf("%s:%d: %s does not exist", path, i+1, target)
-				}
-			}
+		for i, text := range strings.Split(string(data), "\n") {
+			fn(path, i+1, text)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDocPointersResolve fails on a pointer to a document that is not
+// there: a relative markdown link in a *.md file, or the name of a .md
+// file mentioned in a *.md or *.go file, must be an existing file —
+// relative to the repository root or to the mentioning file's directory.
+func TestDocPointersResolve(t *testing.T) {
+	eachDocLine(t, func(path string, line int, text string) {
+		var targets []string
+		if filepath.Ext(path) == ".md" {
+			for _, m := range mdLink.FindAllStringSubmatch(text, -1) {
+				if target, _, _ := strings.Cut(m[1], "#"); target != "" {
+					targets = append(targets, target)
+				}
+			}
+		}
+		targets = append(targets, mdMention.FindAllString(text, -1)...)
+		for _, target := range targets {
+			_, atRoot := os.Stat(target)
+			_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))
+			if !strings.Contains(target, "://") && atRoot != nil && beside != nil {
+				t.Errorf("%s:%d: %s does not exist", path, line, target)
+			}
+		}
+	})
+}
+
+var (
+	// goRun is the package directory of a `go run ./<dir>` command;
+	// cmdMention a program directory one level under ./cmd or
+	// ./examples, the form docs use to name a binary's source.
+	goRun      = regexp.MustCompile(`go run (\./[A-Za-z0-9_./-]*[A-Za-z0-9_-])`)
+	cmdMention = regexp.MustCompile(`\./(?:cmd|examples)/[A-Za-z0-9_-]+`)
+)
+
+// TestRunCommandsNameMains fails on a run command that would not run:
+// every `go run ./<dir>`, and every program directory named under
+// ./cmd or ./examples, in the files TestDocPointersResolve reads must
+// hold a main package.
+func TestRunCommandsNameMains(t *testing.T) {
+	mainDir := func(dir string) bool {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
+			if err == nil && f.Name.Name == "main" {
+				return true
+			}
+		}
+		return false
+	}
+	checked := 0
+	eachDocLine(t, func(path string, line int, text string) {
+		dirs := map[string]bool{}
+		for _, dir := range cmdMention.FindAllString(text, -1) {
+			dirs[dir] = true
+		}
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			dirs[m[1]] = true
+		}
+		for dir := range dirs {
+			checked++
+			if !mainDir(dir) {
+				t.Errorf("%s:%d: %s holds no main package", path, line, dir)
+			}
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no run command found; the patterns no longer match the docs")
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // This file reproduces the database evaluation (Figs. 9 and 10) on the
 // simulator. Each database is modelled by its lock topology from
-// Table 1 and per-operation critical-section costs; the same real lock
-// topologies are implemented executably in internal/dbs (run by
-// cmd/dbbench), while these simulator templates regenerate the paper's
-// figure shapes on an AMP-faithful substrate.
+// Table 1 and per-operation critical-section costs; these templates are
+// the figures' one implementation, regenerating their shapes on an
+// AMP-faithful substrate (TestDBComparisonShapes and TestDBCDFWellFormed
+// assert them, `ampsim -fig <db>-cmp|-slos|-cdf` prints them).
 
 // DBTemplate describes one database's locking behaviour per epoch
 // (request): the number of distinct locks and a generator that draws
@@ -187,7 +187,7 @@ func DBConfig(t DBTemplate, kind LockKind, slo int64, seed uint64) MicroConfig {
 func DBComparison(t DBTemplate) *harness.Figure { return DBComparisonScaled(t, 1) }
 
 // DBComparisonScaled is DBComparison with the virtual duration divided
-// by scale (scale <= 1 runs the full figure). The -short smoke path
+// by scale (scale <= 1 runs the full figure). TestDBComparisonShapes
 // uses it: the figure's qualitative orderings are already stable at a
 // fraction of the published duration, since the simulator's virtual
 // time makes the reduced run deterministic too.

@@ -8,9 +8,10 @@ import (
 
 // WLock is a worker-aware lock: the acquire path may depend on the
 // worker's core class (ASLMutex, class-biased TAS, the proportional
-// lock), while plain locks ignore it. Database engines are written
-// against this interface so any lock of the evaluation can be injected
-// (paper §4.2 swaps the lock under five databases).
+// lock), while plain locks ignore it. The sharded store and the lock
+// benchmarks are written against this interface so any lock of the
+// evaluation can be injected (paper §4.2 swaps the lock under five
+// databases).
 type WLock interface {
 	Acquire(w *core.Worker)
 	Release(w *core.Worker)
@@ -101,9 +102,8 @@ func (a aslW) TryAcquire(w *core.Worker) bool { return a.m.TryLock(w) }
 // WrapASL adapts an ASLMutex.
 func WrapASL(m *ASLMutex) WLock { return aslW{m} }
 
-// Factory builds one lock instance per call; database engines call it
-// once per lock in their topology (Table 1: slot locks, method locks,
-// global locks, metadata locks...).
+// Factory builds one lock instance per call; the sharded store calls it
+// once per shard.
 type Factory func() WLock
 
 // Named lock factories covering the evaluation's comparison set.

@@ -2,6 +2,7 @@ package locks_test
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -24,6 +25,54 @@ func ExampleASLMutex() {
 
 	fmt.Println(counter, latency >= 0)
 	// Output: 1 true
+}
+
+// Example_requestHandler is Fig. 6 on a request handler: each request
+// is one epoch with a latency SLO, and the handler takes a different
+// set of ASL mutexes on each code path. Neither lock is told the SLO;
+// the epoch's feedback sizes both locks' reorder windows.
+func Example_requestHandler() {
+	const requestEpoch = 5 // the epoch id of the paper's Fig. 6
+	slo := int64(500 * time.Microsecond)
+	sessions := locks.NewASLMutexDefault() // lock_1: the session table
+	audit := locks.NewASLMutexDefault()    // lock_2: the audit log
+	table := map[uint64]int{}
+	var log []uint64
+
+	serve := func(w *core.Worker, id uint64) {
+		sessions.Lock(w)
+		table[id]++
+		sessions.Unlock(w)
+		if id%4 == 0 { // only this code path takes lock_2
+			audit.Lock(w)
+			log = append(log, id)
+			audit.Unlock(w)
+		}
+	}
+
+	// Two big-class and two little-class handlers serve 256 distinct
+	// request ids each.
+	var wg sync.WaitGroup
+	for h := 0; h < 4; h++ {
+		class := core.Big
+		if h >= 2 {
+			class = core.Little
+		}
+		wg.Add(1)
+		go func(h int, class core.Class) {
+			defer wg.Done()
+			w := core.NewWorker(core.WorkerConfig{Class: class})
+			for i := 0; i < 256; i++ {
+				w.EpochStart(requestEpoch)
+				serve(w, uint64(h*256+i))
+				w.EpochEnd(requestEpoch, slo)
+			}
+		}(h, class)
+	}
+	wg.Wait()
+
+	fmt.Println(len(table), "sessions,", len(log), "audit records")
+	// Output: 1024 sessions, 256 audit records
 }
 
 // ExampleReorderable demonstrates the two acquisition paths of the

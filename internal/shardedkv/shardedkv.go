@@ -69,7 +69,7 @@ import (
 
 // Engine is the per-shard storage interface. Implementations are NOT
 // required to be concurrency-safe: the shard lock serialises all
-// access, exactly as the slot locks do in the Kyoto-like engine.
+// access, exactly as Kyoto Cabinet's slot locks do (paper Table 1).
 type Engine interface {
 	// Get reads k. The returned slice is the stored one: read-only
 	// for the caller.
@@ -321,9 +321,7 @@ func (s *Store) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 	sh.lock.Release(w)
 	sh.puts.Add(1)
 	if lsn != 0 && s.syncWaitFor(w) {
-		if err := sh.wal.Commit(lsn); err != nil {
-			return inserted, s.degrade(sh, err)
-		}
+		return inserted, s.commit(walMark{sh: sh, lsn: lsn})
 	}
 	return inserted, nil
 }
@@ -362,9 +360,7 @@ func (s *Store) Delete(w *core.Worker, k uint64) (bool, error) {
 	sh.lock.Release(w)
 	sh.deletes.Add(1)
 	if lsn != 0 && s.syncWaitFor(w) {
-		if err := sh.wal.Commit(lsn); err != nil {
-			return present, s.degrade(sh, err)
-		}
+		return present, s.commit(walMark{sh: sh, lsn: lsn})
 	}
 	return present, nil
 }

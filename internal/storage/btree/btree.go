@@ -1,9 +1,7 @@
 // Package btree implements an in-memory B+ tree with linked leaves:
-// the ordered-map substrate under the upscaledb-like engine (and, in
-// its copy-on-write variant, the LMDB-like engine). Keys and values
-// are uint64/[]byte; the tree itself is unsynchronised — the database
-// layers place locks around it exactly where Table 1 of the paper says
-// each system locks.
+// the ordered-map substrate of shardedkv's btree engine. Keys and
+// values are uint64/[]byte; the tree itself is unsynchronised — the
+// shard lock serialises access.
 package btree
 
 // degree is the maximum number of keys per node; chosen so nodes span

@@ -1,8 +1,8 @@
-// Package hashkv is a chained hash table partitioned into fixed slots:
-// the storage substrate of the Kyoto-Cabinet-like engine, whose lock
-// topology (paper Table 1) is a slot-level lock per partition plus a
-// global method lock. The table itself is unsynchronised; the engine
-// layer locks the slot that owns a key.
+// Package hashkv is a chained hash table partitioned into fixed slots,
+// laid out like Kyoto Cabinet's hash DB (paper Table 1: a slot-level
+// lock per partition): the storage substrate of shardedkv's hashkv
+// engine, which uses one growing slot per shard. The table itself is
+// unsynchronised; the caller locks the slot that owns a key.
 package hashkv
 
 import (
@@ -57,8 +57,7 @@ type Table struct {
 // New builds a table with the given slot count and per-slot bucket
 // count. Kyoto Cabinet's hash DB similarly divides its bucket array
 // into lockable regions; like Kyoto's, the bucket count is fixed for
-// life, so the figure engines built on New keep the cost profile the
-// paper measures. Use NewGrowing where chains must stay bounded.
+// life. Use NewGrowing where chains must stay bounded.
 func New(slots, bucketsPerSlot int) *Table {
 	t := &Table{slots: make([]Slot, slots)}
 	for i := range t.slots {

@@ -1,10 +1,9 @@
 // Package lsm is a miniature log-structured merge store: an active
 // memtable (skiplist), frozen immutable runs, and reference-counted
 // versions used for LevelDB-style snapshots. It is the substrate of
-// the LevelDB-like engine; the paper's db_bench randomread workload
-// takes "a snapshot of internal database structures" under a global
-// metadata lock — this package supplies the version/snapshot machinery
-// and the engine in internal/dbs/ldb supplies the locking.
+// shardedkv's lsm engine: the store is unsynchronised, the shard lock
+// supplies the locking, and a pinned Version is what a checkpoint
+// dumps after that lock is released.
 //
 // Deletes are first-class: Delete writes a tombstone that shadows any
 // older value of the key through Get and Range, and compaction drops
@@ -359,9 +358,8 @@ func (s *Store) Load(keys []uint64, values [][]byte) {
 	s.versions = &Version{runs: append([]*run{r}, s.versions.runs...), seq: s.seq}
 }
 
-// Acquire pins and returns the current version (snapshot acquisition;
-// LevelDB's db_bench randomread does this per read under the global
-// mutex).
+// Acquire pins and returns the current version as it stands, without
+// freezing the memtable first (Snapshot does both).
 func (s *Store) Acquire() *Version {
 	s.versions.refs++
 	return s.versions

@@ -1,9 +1,9 @@
 // Package skiplist implements a deterministic-height skiplist keyed by
-// uint64: the memtable substrate of the LevelDB-like engine. Heights
-// are drawn from a per-list seeded PRNG, so a given insertion sequence
-// always builds the same structure (the repository-wide reproducibility
-// rule). The list itself is unsynchronised; the LSM layer arranges
-// locking per Table 1 of the paper.
+// uint64: the memtable of internal/storage/lsm and, on its own,
+// shardedkv's skiplist engine. Heights are drawn from a per-list seeded
+// PRNG, so a given insertion sequence always builds the same structure
+// (the repository-wide reproducibility rule). The list itself is
+// unsynchronised; the shard lock serialises access.
 package skiplist
 
 import (

@@ -131,7 +131,7 @@ func (a AsymmetryShim) NCSUnits(base int64, c core.Class) int64 {
 	return int64(float64(base) * a.NCSFactor)
 }
 
-// OpKind is a database benchmark operation type.
+// OpKind is a KV benchmark operation type.
 type OpKind int
 
 const (
@@ -139,14 +139,6 @@ const (
 	OpPut OpKind = iota
 	// OpGet reads a key.
 	OpGet
-	// OpInsert is a SQL-style row insert.
-	OpInsert
-	// OpPointSelect is an indexed point query.
-	OpPointSelect
-	// OpRangeSelect is a range query with a non-indexed filter.
-	OpRangeSelect
-	// OpFullScan is a full-table scan.
-	OpFullScan
 	// OpScan is a KV range scan: an ordered walk of [lo, hi] whose
 	// critical-section length depends on how many keys the range
 	// holds.
@@ -160,14 +152,6 @@ func (k OpKind) String() string {
 		return "put"
 	case OpGet:
 		return "get"
-	case OpInsert:
-		return "insert"
-	case OpPointSelect:
-		return "point-select"
-	case OpRangeSelect:
-		return "range-select"
-	case OpFullScan:
-		return "full-scan"
 	case OpScan:
 		return "scan"
 	default:
@@ -180,31 +164,10 @@ type Mix struct {
 	kinds []OpKind
 }
 
-// NewMix builds a mix from (kind, weight) pairs; weights are relative
-// integer proportions.
-func NewMix(pairs ...struct {
-	Kind   OpKind
-	Weight int
-}) *Mix {
-	m := &Mix{}
-	for _, p := range pairs {
-		for i := 0; i < p.Weight; i++ {
-			m.kinds = append(m.kinds, p.Kind)
-		}
-	}
-	return m
-}
-
 // YCSBA returns the 50% put / 50% get mix the paper uses for the
 // KV-store benchmarks (referencing YCSB-A).
 func YCSBA() *Mix {
 	return &Mix{kinds: []OpKind{OpPut, OpGet}}
-}
-
-// SQLiteMix returns the paper's SQLite mix: 1/3 insert, 1/3 simple
-// (point) select, 1/3 complex (range) select.
-func SQLiteMix() *Mix {
-	return &Mix{kinds: []OpKind{OpInsert, OpPointSelect, OpRangeSelect}}
 }
 
 // Draw picks an operation using the caller's PRNG value.

@@ -67,37 +67,10 @@ func TestMixes(t *testing.T) {
 	if counts[OpPut] < 4500 || counts[OpGet] < 4500 {
 		t.Fatalf("YCSB-A mix skewed: %v", counts)
 	}
-	sm := SQLiteMix()
-	counts = map[OpKind]int{}
-	for i := 0; i < 30000; i++ {
-		counts[sm.Draw(rng.Uint64())]++
-	}
-	for _, k := range []OpKind{OpInsert, OpPointSelect, OpRangeSelect} {
-		if counts[k] < 9000 {
-			t.Fatalf("SQLite mix skewed: %v", counts)
-		}
-	}
-}
-
-func TestNewMixWeights(t *testing.T) {
-	type pair = struct {
-		Kind   OpKind
-		Weight int
-	}
-	m := NewMix(pair{OpGet, 3}, pair{OpPut, 1})
-	rng := prng.NewXoshiro256(9)
-	counts := map[OpKind]int{}
-	for i := 0; i < 40000; i++ {
-		counts[m.Draw(rng.Uint64())]++
-	}
-	ratio := float64(counts[OpGet]) / float64(counts[OpPut])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weighted mix ratio = %v, want ~3", ratio)
-	}
 }
 
 func TestOpKindStrings(t *testing.T) {
-	for _, k := range []OpKind{OpPut, OpGet, OpInsert, OpPointSelect, OpRangeSelect, OpFullScan} {
+	for _, k := range []OpKind{OpPut, OpGet, OpScan} {
 		if k.String() == "unknown" || k.String() == "" {
 			t.Fatalf("missing name for op %d", int(k))
 		}
