@@ -211,11 +211,12 @@ ci: check race short bench-check net-smoke
 # allocations reported: the wire codec and a served scan in
 # internal/kvserver; the store's scan and batch paths, the pipeline's
 # batch paths per caller class, the request ring and the future's
-# park/complete handoff in internal/shardedkv. MICRO_COUNT repeats each
-# row for benchstat.
+# park/complete handoff in internal/shardedkv; the shard lock's
+# uncontended acquire/release pair per class in internal/locks.
+# MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
-		./internal/kvserver ./internal/shardedkv
+		./internal/kvserver ./internal/shardedkv ./internal/locks
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

@@ -213,16 +213,6 @@ func BenchmarkRealLockTicket(b *testing.B)  { benchRealLock(b, new(locks.Ticket)
 func BenchmarkRealLockMCS(b *testing.B)     { benchRealLock(b, new(locks.MCS)) }
 func BenchmarkRealLockBarging(b *testing.B) { benchRealLock(b, new(locks.BargingMutex)) }
 
-func BenchmarkRealLockASLUncontended(b *testing.B) {
-	m := locks.NewASLMutexDefault()
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Lock(w)
-		m.Unlock(w)
-	}
-}
-
 func BenchmarkEpochOverhead(b *testing.B) {
 	// The paper reports ~93 cycles per epoch pair; this measures our
 	// EpochStart/EpochEnd cost.

@@ -101,15 +101,13 @@ func factoryByName(name string) (locks.Factory, int64, bool) {
 		return locks.FactoryProportional(10), -1, true
 	case "libasl":
 		return locks.FactoryASL(), 0, true // SLO overridden by flag
-	case "libasl-blocking":
-		return locks.FactoryASLBlocking(), 0, true
 	default:
 		return nil, 0, false
 	}
 }
 
 func main() {
-	lockName := flag.String("lock", "libasl", "pthread|tas|ticket|mcs|shfl-pb10|libasl|libasl-blocking")
+	lockName := flag.String("lock", "libasl", "pthread|tas|ticket|mcs|shfl-pb10|libasl")
 	threads := flag.Int("threads", 8, "total workers (first half big-class)")
 	bigs := flag.Int("bigs", 4, "big-class workers")
 	dur := flag.Duration("dur", 2*time.Second, "duration per configuration")
@@ -151,7 +149,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.slo = defSLO
-	if *lockName == "libasl" || *lockName == "libasl-blocking" {
+	if *lockName == "libasl" {
 		cfg.slo = int64(*slo)
 	}
 	fmt.Println(run(*lockName, f(), cfg).String())

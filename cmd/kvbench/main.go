@@ -21,7 +21,7 @@
 // (MultiGet/MultiPut, keys sorted by shard), scan (YCSB-E 95% range
 // scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
 // -batch ranges per request grouped by shard).
-// Locks: asl, asl-blocking (for hosts with more workers than cores),
+// Locks: asl (one stack for dedicated and over-subscribed cores),
 // mutex, mcs, pthread. -pipeline and -ff each add a sibling row family
 // per lock (pipe-*, pipe-ff-*) so handoff policy and combining answer
 // the same contention in one grid run; cmd/kvbench/README.md documents
@@ -145,12 +145,9 @@ func expandLocks(lks []lockSpec, pipeline, ff bool) []lockSpec {
 
 func allLocks() []lockSpec {
 	return []lockSpec{
-		// asl is the paper's default spinning stack (reorderable over
-		// MCS); asl-blocking is the Bench-6 flavour (sleeping standby
-		// over the barging mutex) for hosts with more workers than
-		// cores — use it when GOMAXPROCS < -threads.
+		// asl is the reorderable lock over Fissile, for dedicated and
+		// over-subscribed cores alike.
 		{name: "asl", f: locks.FactoryASL(), slo: true},
-		{name: "asl-blocking", f: locks.FactoryASLBlocking(), slo: true},
 		{name: "mutex", f: locks.FactorySyncMutex()},
 		{name: "mcs", f: locks.FactoryMCS()},
 		{name: "pthread", f: locks.FactoryPthread()},
@@ -363,7 +360,7 @@ func pick[T any](sel string, specs []T, name func(T) string) ([]T, error) {
 func main() {
 	engines := flag.String("engines", "all", "comma list of hashkv|btree|skiplist|lsm, or all")
 	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
-	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|asl-blocking|mutex|mcs|pthread, or all")
+	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|mutex|mcs|pthread, or all")
 	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
 	ff := flag.Bool("ff", false, "also run a pipe-ff-<lock> row per lock: writes submitted fire-and-forget (PutAsync)")
 	pipeBatch := flag.Int("pipebatch", 0, "max ops a pipeline combiner executes per lock take; 0 = adaptive per-shard bound")

@@ -46,18 +46,17 @@ import (
 // cmd/kvbench compares in process; any WLock can guard a shard.
 func lockFactories() map[string]locks.Factory {
 	return map[string]locks.Factory{
-		"asl":          locks.FactoryASL(),
-		"asl-blocking": locks.FactoryASLBlocking(),
-		"mutex":        locks.FactorySyncMutex(),
-		"mcs":          locks.FactoryMCS(),
-		"pthread":      locks.FactoryPthread(),
+		"asl":     locks.FactoryASL(),
+		"mutex":   locks.FactorySyncMutex(),
+		"mcs":     locks.FactoryMCS(),
+		"pthread": locks.FactoryPthread(),
 	}
 }
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7877", "listen address")
 	engine := flag.String("engine", "hashkv", "storage engine: hashkv|btree|skiplist|lsm")
-	lock := flag.String("lock", "asl", "shard lock: asl|asl-blocking|mutex|mcs|pthread")
+	lock := flag.String("lock", "asl", "shard lock: asl|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
 	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
 	pipeBatch := flag.Int("pipebatch", 0, "combiner drain bound; 0 = adaptive")

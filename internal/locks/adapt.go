@@ -25,40 +25,24 @@ type WLock interface {
 	TryAcquire(w *core.Worker) bool
 }
 
-// tryLocker is the optional try capability of a wrapped Locker
-// (sync.Mutex has had it since Go 1.18; every lock in this package
-// implements it).
-type tryLocker interface{ TryLock() bool }
-
-// plainW adapts any sync.Locker-style lock. try is resolved once at
-// wrap time; nil means the wrapped lock cannot try.
+// plainW adapts any sync.Locker-style lock that can try.
 type plainW struct {
-	l   Locker
-	try func() bool
-}
-
-func (p plainW) Acquire(w *core.Worker) { p.l.Lock() }
-func (p plainW) Release(w *core.Worker) { p.l.Unlock() }
-
-// TryAcquire tries the wrapped lock. A Locker without TryLock degrades
-// to a blocking acquire that always reports success: mutual exclusion
-// is preserved and combiner election still terminates, it just loses
-// its non-blocking fast-fail (no such lock exists in this repository).
-func (p plainW) TryAcquire(w *core.Worker) bool {
-	if p.try != nil {
-		return p.try()
+	l interface {
+		Locker
+		TryLock() bool
 	}
-	p.l.Lock()
-	return true
 }
+
+func (p plainW) Acquire(w *core.Worker)         { p.l.Lock() }
+func (p plainW) Release(w *core.Worker)         { p.l.Unlock() }
+func (p plainW) TryAcquire(w *core.Worker) bool { return p.l.TryLock() }
 
 // Wrap adapts a class-oblivious lock to WLock.
-func Wrap(l Locker) WLock {
-	p := plainW{l: l}
-	if tl, ok := l.(tryLocker); ok {
-		p.try = tl.TryLock
-	}
-	return p
+func Wrap(l interface {
+	Locker
+	TryLock() bool
+}) WLock {
+	return plainW{l}
 }
 
 // tasW routes through TAS.LockClass so the emulated atomic-success
@@ -135,15 +119,9 @@ func FactoryProportional(n int) Factory {
 	return func() WLock { return WrapProportional(&Proportional{N: n}) }
 }
 
-// FactoryASL returns LibASL over MCS (the paper's default stack). The
+// FactoryASL returns the one ASL stack, NewASLMutexDefault. The
 // returned locks share nothing; each epoch's window lives in the
 // worker, exactly as in the paper.
 func FactoryASL() Factory {
 	return func() WLock { return WrapASL(NewASLMutexDefault()) }
-}
-
-// FactoryASLBlocking returns the blocking LibASL used under
-// over-subscription: sleeping standby over the barging mutex.
-func FactoryASLBlocking() Factory {
-	return func() WLock { return WrapASL(NewASLMutex(new(BargingMutex), true)) }
 }

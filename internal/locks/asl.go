@@ -20,19 +20,15 @@ type ASLMutex struct {
 	r *Reorderable
 }
 
-// NewASLMutex builds LibASL over the given FIFO lock (MCS in the
-// paper's default configuration; a blocking lock such as BargingMutex
-// for over-subscribed deployments, in which case set sleeping).
-func NewASLMutex(fifo FIFOLock, sleeping bool) *ASLMutex {
-	r := NewReorderable(fifo)
-	r.Sleeping = sleeping
-	return &ASLMutex{r: r}
+// NewASLMutex builds LibASL over the given FIFO lock.
+func NewASLMutex(fifo FIFOLock) *ASLMutex {
+	return &ASLMutex{r: NewReorderable(fifo)}
 }
 
-// NewASLMutexDefault builds the paper's default stack: spinning
-// reorderable lock over MCS.
+// NewASLMutexDefault builds the one ASL stack: the reorderable lock over
+// Fissile.
 func NewASLMutexDefault() *ASLMutex {
-	return NewASLMutex(new(MCS), false)
+	return NewASLMutex(new(Fissile))
 }
 
 // Reorderable exposes the underlying reorderable lock (for tests and

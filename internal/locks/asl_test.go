@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,60 +35,78 @@ func TestReorderableFreeFastPath(t *testing.T) {
 	r.Unlock()
 }
 
+// fifoBases are the FIFO locks the ordering tests run Reorderable over:
+// the paper's MCS and the Fissile base ASLMutex uses.
+var fifoBases = []struct {
+	name string
+	mk   func() FIFOLock
+}{
+	{"mcs", func() FIFOLock { return new(MCS) }},
+	{"fissile", func() FIFOLock { return new(Fissile) }},
+}
+
 func TestReorderableWindowDelaysStandby(t *testing.T) {
 	// While the lock is held, a standby competitor with a window waits
 	// (up to the window) before enqueueing; an immediate competitor
 	// that arrives during the window overtakes it.
-	r := NewReorderable(new(MCS))
-	r.LockImmediately()
+	for _, base := range fifoBases {
+		t.Run(base.name, func(t *testing.T) {
+			r := NewReorderable(base.mk())
+			r.LockImmediately()
 
-	var order []string
-	var mu sync.Mutex
-	record := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
+			var order []string
+			var mu sync.Mutex
+			record := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	standbyEntered := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		close(standbyEntered)
-		r.LockReorder(int64(500 * time.Millisecond))
-		record("standby")
-		r.Unlock()
-	}()
-	<-standbyEntered
-	time.Sleep(20 * time.Millisecond) // the standby is now polling
-	go func() {
-		defer wg.Done()
-		r.LockImmediately()
-		record("immediate")
-		r.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond) // the immediate competitor is queued
-	r.Unlock()
-	wg.Wait()
-	if len(order) != 2 || order[0] != "immediate" || order[1] != "standby" {
-		t.Fatalf("order = %v, want immediate before standby (reordering)", order)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			standbyEntered := make(chan struct{})
+			go func() {
+				defer wg.Done()
+				close(standbyEntered)
+				r.LockReorder(int64(500 * time.Millisecond))
+				record("standby")
+				r.Unlock()
+			}()
+			<-standbyEntered
+			time.Sleep(20 * time.Millisecond) // the standby is now polling
+			go func() {
+				defer wg.Done()
+				r.LockImmediately()
+				record("immediate")
+				r.Unlock()
+			}()
+			time.Sleep(20 * time.Millisecond) // the immediate competitor is queued
+			r.Unlock()
+			wg.Wait()
+			if len(order) != 2 || order[0] != "immediate" || order[1] != "standby" {
+				t.Fatalf("order = %v, want immediate before standby (reordering)", order)
+			}
+		})
 	}
 }
 
 func TestReorderableWindowExpiry(t *testing.T) {
 	// Once the window expires the standby enqueues and acquires even if
 	// the holder keeps the lock until then (bounded reordering).
-	r := NewReorderable(new(MCS))
-	r.LockImmediately()
-	acquired := make(chan struct{})
-	go func() {
-		r.LockReorder(int64(30 * time.Millisecond))
-		close(acquired)
-		r.Unlock()
-	}()
-	time.Sleep(60 * time.Millisecond) // well past the window
-	r.Unlock()
-	select {
-	case <-acquired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("standby competitor never acquired after window expiry")
+	for _, base := range fifoBases {
+		t.Run(base.name, func(t *testing.T) {
+			r := NewReorderable(base.mk())
+			r.LockImmediately()
+			acquired := make(chan struct{})
+			go func() {
+				r.LockReorder(int64(30 * time.Millisecond))
+				close(acquired)
+				r.Unlock()
+			}()
+			time.Sleep(60 * time.Millisecond) // well past the window
+			r.Unlock()
+			select {
+			case <-acquired:
+			case <-time.After(5 * time.Second):
+				t.Fatal("standby competitor never acquired after window expiry")
+			}
+		})
 	}
 }
 
@@ -110,21 +129,29 @@ func TestReorderableMaxWindowClamp(t *testing.T) {
 	}
 }
 
-func TestReorderableSleepingVariant(t *testing.T) {
-	r := NewReorderable(new(BargingMutex))
-	r.Sleeping = true
+// TestReorderableStandbySleeps covers the standby's sleep leg: the
+// lock is held well past standbySpin and then released inside a long
+// window, and the standby, now sleeping between checks, must notice the
+// free lock and take it long before its window ends.
+func TestReorderableStandbySleeps(t *testing.T) {
+	r := NewReorderable(new(Fissile))
 	r.LockImmediately()
-	done := make(chan struct{})
+	const window = 10 * time.Second
+	done := make(chan time.Time)
 	go func() {
-		r.LockReorder(int64(20 * time.Millisecond))
-		close(done)
+		r.LockReorder(int64(window))
+		done <- time.Now()
 		r.Unlock()
 	}()
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(time.Duration(100 * standbySpin))
+	released := time.Now()
 	r.Unlock()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	case acquired := <-done:
+		if wait := acquired.Sub(released); wait > window/2 {
+			t.Fatalf("sleeping standby took %v after release, window %v", wait, window)
+		}
+	case <-time.After(window):
 		t.Fatal("sleeping standby never acquired")
 	}
 }
@@ -306,6 +333,86 @@ func TestASLFeedbackConvergesUnderContention(t *testing.T) {
 	wg.Wait()
 	if w := little.EpochWindow(0); w >= int64(time.Millisecond) {
 		t.Fatalf("window never shrank under violations: %d", w)
+	}
+}
+
+// TestASLNoOversubscriptionCliff is the oversubscription gate: a fixed
+// number of FactoryASL acquisitions, half by big and half by little
+// workers in interactive-SLO epochs, must not take more than twice as
+// long at 16×GOMAXPROCS goroutines as at GOMAXPROCS. A lock that hands
+// over to a waiter the scheduler has not run — FIFO over a spinning
+// queue — takes an order of magnitude longer at 16×.
+func TestASLNoOversubscriptionCliff(t *testing.T) {
+	acquisitions := 240_000
+	if raceEnabled {
+		acquisitions = 60_000
+	}
+	p := max(runtime.GOMAXPROCS(0), 2)
+	// Best of 3 at each size, interleaved so that a burst of host noise
+	// lands on both sizes rather than on all three runs of one.
+	atP, at16P := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		atP = min(atP, aslFixedWork(t, p, acquisitions/p))
+		at16P = min(at16P, aslFixedWork(t, 16*p, acquisitions/(16*p)))
+	}
+	ratio := float64(at16P) / float64(atP)
+	t.Logf("%d acquisitions: %v at %d goroutines, %v at %d: %.1fx", acquisitions, atP, p, at16P, 16*p, ratio)
+	if ratio > 2 {
+		t.Fatalf("oversubscription cliff: %.1fx slower at %d goroutines than at %d", ratio, 16*p, p)
+	}
+}
+
+// aslFixedWork runs rounds acquisitions on each of goroutines workers,
+// alternating big and little, over one FactoryASL lock and returns the
+// wall time from a common start.
+func aslFixedWork(t *testing.T, goroutines, rounds int) time.Duration {
+	l := FactoryASL()()
+	slo := int64(100 * time.Microsecond)
+	counter := 0
+	var wg sync.WaitGroup
+	gate := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(class core.Class) {
+			defer wg.Done()
+			w := core.NewWorker(core.WorkerConfig{Class: class})
+			<-gate
+			for i := 0; i < rounds; i++ {
+				w.EpochStart(0)
+				l.Acquire(w)
+				counter++
+				l.Release(w)
+				w.EpochEnd(0, slo)
+			}
+		}(core.Class(g % 2))
+	}
+	start := time.Now()
+	close(gate)
+	wg.Wait()
+	elapsed := time.Since(start)
+	if counter != goroutines*rounds {
+		t.Fatalf("lost updates: %d, want %d", counter, goroutines*rounds)
+	}
+	return elapsed
+}
+
+// BenchmarkASLUncontended is the uncontended acquire/release pair of
+// the one ASL stack for each class: the cost every served operation
+// pays at its shard lock.
+func BenchmarkASLUncontended(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		class core.Class
+	}{{"big", core.Big}, {"little", core.Little}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := FactoryASL()()
+			w := core.NewWorker(core.WorkerConfig{Class: c.class})
+			b.ReportAllocs()
+			for b.Loop() {
+				l.Acquire(w)
+				l.Release(w)
+			}
+		})
 	}
 }
 

@@ -41,12 +41,12 @@ func (m *BargingMutex) Lock() {
 	m.init()
 	// Brief adaptive spin before sleeping, as glibc's adaptive mutex
 	// and the Go runtime both do.
-	var s spinner
+	var s Spinner
 	for i := 0; i < 32; i++ {
 		if m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) {
 			return
 		}
-		s.spin()
+		s.Spin()
 	}
 	for {
 		// Mark contended; if the lock was free we now own it (in the

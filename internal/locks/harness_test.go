@@ -35,10 +35,10 @@ func harnessFamilies() []harnessFamily {
 		{"ticket", FactoryTicket()},
 		{"mcs", FactoryMCS()},
 		{"mcspark", func() WLock { return Wrap(new(MCSPark)) }},
+		{"fissile", func() WLock { return Wrap(new(Fissile)) }},
 		{"proportional", FactoryProportional(2)},
 		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
 		{"asl", FactoryASL()},
-		{"asl-blocking", FactoryASLBlocking()},
 	}
 }
 

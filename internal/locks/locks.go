@@ -8,9 +8,15 @@
 //     pthread_mutex_lock
 //   - Proportional, a two-queue lock equivalent to the paper's
 //     ShflLock with the proportional-based static policy (SHFL-PBn)
+//   - Fissile, a test-and-set word in front of the spin-then-park MCS
+//     queue (Dice & Kogan's Fissile Locks), the base ASLMutex runs on
 //   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
 //   - ASLMutex, the paper's Algorithm 3 binding Reorderable to the
 //     epoch/SLO feedback in internal/core
+//
+// The paper ships LibASL twice, spinning over MCS and blocking over
+// pthread_mutex; here ASLMutex is one stack for dedicated and
+// over-subscribed cores alike: Reorderable over Fissile.
 //
 // Locks here favour clarity and faithfulness to the published
 // algorithms over absolute peak performance, but all avoid allocation
@@ -28,7 +34,8 @@ type Locker = sync.Locker
 
 // FIFOLock is a lock that admits waiters in arrival order and can
 // report whether it is currently free. The reorderable lock (Algorithm
-// 1) is built on this interface; MCS and Ticket implement it.
+// 1) is built on this interface; MCS and Ticket implement it, and so
+// does Fissile, FIFO up to its bounded bypass.
 type FIFOLock interface {
 	Locker
 	// TryLock acquires the lock iff it is free, without queueing.
@@ -44,19 +51,21 @@ type pad [128]byte
 
 // yieldEvery controls how often busy-wait loops yield to the Go
 // scheduler. Pure spinning deadlocks when GOMAXPROCS is smaller than
-// the number of spinners, so every spin loop in this package calls
-// runtime.Gosched periodically.
+// the number of spinners, so every spin loop calls runtime.Gosched
+// periodically.
 const yieldEvery = 64
 
-// spinner is a tiny busy-wait helper with periodic scheduler yields.
-type spinner struct{ n uint }
+// Spinner is the busy-wait helper every spin loop in the repository
+// uses: short delays with periodic scheduler yields. The zero value is
+// ready; keep one per wait loop.
+type Spinner struct{ n uint }
 
 // singleP caches whether the runtime has only one processor, in which
 // case busy-waiting can never make progress and every spin must yield.
 var singleP = runtime.GOMAXPROCS(0) == 1
 
-// spin performs one wait iteration.
-func (s *spinner) spin() {
+// Spin performs one wait iteration.
+func (s *Spinner) Spin() {
 	if singleP {
 		runtime.Gosched()
 		return

@@ -29,6 +29,7 @@ func allLocks() map[string]func() full {
 		"ticket":  func() full { return new(Ticket) },
 		"mcs":     func() full { return new(MCS) },
 		"mcspark": func() full { return new(MCSPark) },
+		"fissile": func() full { return new(Fissile) },
 		"barging": func() full { return new(BargingMutex) },
 		"prop":    func() full { return new(Proportional) },
 		"reorder": func() full { return NewReorderable(new(MCS)) },

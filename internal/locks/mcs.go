@@ -49,9 +49,9 @@ func (m *MCS) Lock() {
 	prev := m.tail.Swap(n)
 	if prev != nil {
 		prev.next.Store(n)
-		var s spinner
+		var s Spinner
 		for n.locked.Load() {
-			s.spin()
+			s.Spin()
 		}
 	}
 	m.holder = n
@@ -85,12 +85,12 @@ func (m *MCS) Unlock() {
 			m.pool.Put(n)
 			return
 		}
-		var s spinner
+		var s Spinner
 		for {
 			if next = n.next.Load(); next != nil {
 				break
 			}
-			s.spin()
+			s.Spin()
 		}
 	}
 	next.locked.Store(false)

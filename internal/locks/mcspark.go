@@ -27,10 +27,13 @@ type MCSPark struct {
 	_      pad
 	holder *mcsParkNode
 	pool   sync.Pool
-	// SpinBudget is how many spin iterations a waiter burns before
-	// parking; 0 means a small default.
-	SpinBudget uint
 }
+
+// parkAfterSpins is how many spin iterations an MCSPark waiter burns
+// before parking. Under Fissile it is how long the waiter behind the
+// queue head stays runnable: long enough to catch a quick head
+// turnover, short enough that deeper waiters leave their CPUs.
+const parkAfterSpins = 128
 
 func (m *MCSPark) getNode() *mcsParkNode {
 	n, ok := m.pool.Get().(*mcsParkNode)
@@ -60,17 +63,13 @@ func (m *MCSPark) Lock() {
 	prev := m.tail.Swap(n)
 	if prev != nil {
 		prev.next.Store(n)
-		budget := m.SpinBudget
-		if budget == 0 {
-			budget = 128
-		}
-		var s spinner
-		for i := uint(0); i < budget; i++ {
+		var s Spinner
+		for i := 0; i < parkAfterSpins; i++ {
 			if !n.locked.Load() {
 				m.holder = n
 				return
 			}
-			s.spin()
+			s.Spin()
 		}
 		// Park on the node's lifetime channel (created once in getNode
 		// and drained on reuse, so it is never reassigned while a slow
@@ -109,12 +108,12 @@ func (m *MCSPark) Unlock() {
 			m.pool.Put(n)
 			return
 		}
-		var s spinner
+		var s Spinner
 		for {
 			if next = n.next.Load(); next != nil {
 				break
 			}
-			s.spin()
+			s.Spin()
 		}
 	}
 	next.locked.Store(false)

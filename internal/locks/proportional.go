@@ -101,9 +101,9 @@ func (p *Proportional) LockClass(c core.Class) {
 		p.littleQ.push(w)
 	}
 	p.guard.Unlock()
-	var s spinner
+	var s Spinner
 	for !w.granted.Load() {
-		s.spin()
+		s.Spin()
 	}
 	p.pool.Put(w)
 }

@@ -12,7 +12,7 @@ import (
 //
 //   - LockImmediately appends the caller to the FIFO queue right away.
 //   - LockReorder makes the caller a standby competitor: it polls the
-//     lock's free state with binary-exponential back-off for at most
+//     lock's free state, briefly and then between sleeps, for at most
 //     the given window, then enqueues. Competitors that arrive through
 //     LockImmediately during that window therefore overtake it —
 //     reordering bounded by the window.
@@ -29,18 +29,13 @@ type Reorderable struct {
 	// Clock supplies nanosecond time; nil means a process-monotonic
 	// clock. Tests inject deterministic clocks here.
 	Clock core.Clock
-	// Sleeping selects the blocking flavour (footnote 3): standby
-	// competitors yield via nanosleep-style time.Sleep in a back-off
-	// manner instead of busy-waiting. Used for the over-subscription
-	// experiments (Bench-6) where busy-waiting wastes a co-located
-	// thread's CPU.
-	Sleeping bool
 }
 
-// NewReorderable wraps the given FIFO lock. MCS is the paper's default.
-// The clock is installed here, not lazily on first standby wait: two
-// standby competitors racing to initialise it would be a data race
-// (callers may still replace Clock before sharing the lock).
+// NewReorderable wraps the given FIFO lock: MCS in the paper, Fissile
+// under ASLMutex. The clock is installed here, not lazily on first
+// standby wait: two standby competitors racing to initialise it would
+// be a data race (callers may still replace Clock before sharing the
+// lock).
 func NewReorderable(fifo FIFOLock) *Reorderable {
 	return &Reorderable{fifo: fifo, Clock: core.NowFunc()}
 }
@@ -78,63 +73,42 @@ func (r *Reorderable) LockReorder(windowNs int64) {
 		return
 	}
 	if windowNs > 0 {
-		if r.Sleeping {
-			r.standbySleeping(windowNs)
-		} else {
-			r.standbySpinning(windowNs)
-		}
+		r.standby(windowNs)
 	}
 	r.fifo.Lock()
 }
 
-// standbySpinning is the busy-waiting standby loop of Algorithm 1
-// (lines 8–14): spin until the window ends, checking the lock's free
-// state at binary-exponentially spaced intervals to keep contention on
-// the lock word low.
-func (r *Reorderable) standbySpinning(windowNs int64) {
-	clock := r.clock()
-	windowEnd := clock() + windowNs
-	var cnt, nextCheck uint64 = 0, 1
-	var s spinner
-	for clock() < windowEnd {
-		cnt++
-		if cnt == nextCheck {
-			if r.fifo.IsFree() {
-				return
-			}
-			nextCheck <<= 1
-		}
-		s.spin()
-	}
-}
+// standbySpin bounds the polling half of a standby: long enough to see
+// a short critical section end without sleeping, short enough that a
+// long window costs little CPU.
+const standbySpin = int64(20 * time.Microsecond)
 
-// standbySleeping is the blocking flavour: the standby competitor
-// sleeps in exponentially growing slices instead of spinning, leaving
-// the CPU to co-located threads (Bench-6).
-func (r *Reorderable) standbySleeping(windowNs int64) {
+// The standby's sleep slices double from standbyMinSleep to
+// standbyMaxSleep.
+const (
+	standbyMinSleep = int64(10 * time.Microsecond)
+	standbyMaxSleep = int64(time.Millisecond)
+)
+
+// standby is the standby loop of Algorithm 1 (lines 8–14): wait until
+// the window ends or the lock is free. For the first standbySpin it
+// polls, yielding the processor between polls so that when goroutines
+// outnumber CPUs a standby never keeps the holder or a big competitor
+// off one; after that it sleeps in doubling slices, the paper's
+// blocking flavour (footnote 3), so a long window costs no CPU.
+func (r *Reorderable) standby(windowNs int64) {
 	clock := r.clock()
-	windowEnd := clock() + windowNs
-	const minSleep = int64(10 * time.Microsecond)
-	const maxSleep = int64(time.Millisecond)
-	d := minSleep
-	for {
-		now := clock()
-		if now >= windowEnd {
-			return
-		}
+	now := clock()
+	windowEnd, spinEnd := now+windowNs, now+min(windowNs, standbySpin)
+	for ; now < spinEnd; now = clock() {
 		if r.fifo.IsFree() {
 			return
 		}
-		remaining := windowEnd - now
-		slice := d
-		if slice > remaining {
-			slice = remaining
-		}
-		time.Sleep(time.Duration(slice))
-		if d < maxSleep {
-			d <<= 1
-		}
 		runtime.Gosched()
+	}
+	for d := standbyMinSleep; now < windowEnd && !r.fifo.IsFree(); now = clock() {
+		time.Sleep(time.Duration(min(d, windowEnd-now)))
+		d = min(2*d, standbyMaxSleep)
 	}
 }
 

@@ -55,7 +55,7 @@ func (t *TAS) LockClass(c core.Class) {
 }
 
 func (t *TAS) lockBiased(handicapped bool) {
-	var s spinner
+	var s Spinner
 	n := uint(0)
 	for {
 		n++
@@ -64,7 +64,7 @@ func (t *TAS) lockBiased(handicapped bool) {
 				return
 			}
 		}
-		s.spin()
+		s.Spin()
 	}
 }
 
@@ -88,12 +88,12 @@ type TTAS struct {
 
 // Lock acquires the lock.
 func (t *TTAS) Lock() {
-	var s spinner
+	var s Spinner
 	for {
 		if t.state.Load() == 0 && t.state.CompareAndSwap(0, 1) {
 			return
 		}
-		s.spin()
+		s.Spin()
 	}
 }
 

@@ -18,9 +18,9 @@ type Ticket struct {
 // Lock takes a ticket and waits for its turn.
 func (t *Ticket) Lock() {
 	me := t.next.Add(1) - 1
-	var s spinner
+	var s Spinner
 	for t.owner.Load() != me {
-		s.spin()
+		s.Spin()
 	}
 }
 

@@ -2,12 +2,12 @@ package shardedkv
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/locks"
 	"repro/internal/wal"
 )
 
@@ -206,22 +206,6 @@ const (
 	// held longer than a drain of point requests would hold it.
 	batchKeyCap = adaptiveInitBatch
 )
-
-// pipeSpinner mirrors the locks package's internal spin helper: short
-// busy loops with periodic scheduler yields, so waiters make progress
-// even when GOMAXPROCS is smaller than the worker count.
-type pipeSpinner struct{ n uint }
-
-func (s *pipeSpinner) spin() {
-	s.n++
-	if s.n%64 == 0 {
-		runtime.Gosched()
-		return
-	}
-	for i := 0; i < 4; i++ {
-		_ = i
-	}
-}
 
 // AsyncConfig configures an AsyncStore.
 type AsyncConfig struct {
@@ -600,13 +584,13 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 	bound := q.drainBound(w)
 	adaptive := q.fixed == 0
 	n, linger := 0, 0
-	var s pipeSpinner
+	var s locks.Spinner
 	for n < bound {
 		r := q.ring.dequeue()
 		if r == nil {
 			if adaptive && n > 0 && linger < lingerSpins && q.hwRecent.Load() >= lingerMinDepth {
 				linger++
-				s.spin()
+				s.Spin()
 				continue
 			}
 			break
@@ -666,10 +650,10 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 // story).
 func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 	target := q.ring.tailPos()
-	var sp pipeSpinner
+	var sp locks.Spinner
 	for q.executed.Load() < target {
 		if !a.tryCombine(w, q) {
-			sp.spin()
+			sp.Spin()
 		}
 	}
 	var pend []*request
@@ -700,7 +684,7 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 		elect, parkAfter = bigElect, bigParkAfter
 	}
 	slice := minParkSlice
-	var s pipeSpinner
+	var s locks.Spinner
 	pass := 0
 	for len(reqs) > 0 {
 		// The wait cannot end before the oldest request completes, so a
@@ -733,7 +717,7 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 				}
 				continue
 			}
-			s.spin()
+			s.Spin()
 		}
 		out := reqs[:0]
 		for _, r := range reqs {
@@ -1023,13 +1007,13 @@ func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 func (a *AsyncStore) Flush(w *core.Worker) error {
 	for _, q := range a.rings {
 		target := q.ring.tailPos()
-		var s pipeSpinner
+		var s locks.Spinner
 		// Wait on the executed cursor, not the ring head: a request a
 		// concurrent combiner has dequeued but not yet run is not
 		// flushed.
 		for q.executed.Load() < target {
 			if !a.tryCombine(w, q) {
-				s.spin()
+				s.Spin()
 			}
 		}
 	}
@@ -1046,10 +1030,10 @@ func (a *AsyncStore) Close(w *core.Worker) {
 		return
 	}
 	for _, q := range a.rings {
-		var s pipeSpinner
+		var s locks.Spinner
 		for !q.ring.Empty() || q.executed.Load() < q.ring.headPos() {
 			if !a.tryCombine(w, q) {
-				s.spin()
+				s.Spin()
 			}
 		}
 	}
