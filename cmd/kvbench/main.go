@@ -13,7 +13,6 @@
 //	kvbench -engines hashkv,btree -mixes zipf -locks all
 //	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s -shardstats
 //	kvbench -pipeline -mixes zipfw           # ASL vs combining vs plain, one grid
-//	kvbench -pipeline -ff                    # + pipe-*, pipe-ff-* rows
 //
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
 // zipfian keys), zipfw (write-heavy 80% put over zipfian keys — the
@@ -22,9 +21,9 @@
 // scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
 // -batch ranges per request grouped by shard).
 // Locks: asl (one stack for dedicated and over-subscribed cores),
-// mutex, mcs, pthread. -pipeline and -ff each add a sibling row family
-// per lock (pipe-*, pipe-ff-*) so handoff policy and combining answer
-// the same contention in one grid run; cmd/kvbench/README.md documents
+// mutex, mcs, pthread. -pipeline adds a sibling row per lock (pipe-*)
+// so handoff policy and combining answer the same contention in one
+// grid run; cmd/kvbench/README.md documents
 // every flag, row family and
 // stderr counter line. A row is one short run on a shared host: compare
 // rows of one invocation, never single rows across runs.
@@ -48,20 +47,19 @@ import (
 )
 
 type benchConfig struct {
-	shards    int
-	threads   int
-	bigs      int
-	dur       time.Duration
-	warmup    time.Duration
-	slo       int64
-	keys      uint64
-	vsize     int
-	batch     int
-	span      uint64
-	zipfS     float64
-	ncsUnits  int64
-	csUnits   int64
-	pipeBatch int
+	shards   int
+	threads  int
+	bigs     int
+	dur      time.Duration
+	warmup   time.Duration
+	slo      int64
+	keys     uint64
+	vsize    int
+	batch    int
+	span     uint64
+	zipfS    float64
+	ncsUnits int64
+	csUnits  int64
 }
 
 // validate rejects flag values the grid cannot run: each would panic,
@@ -85,8 +83,6 @@ func validate(cfg benchConfig) error {
 		return fmt.Errorf("-span must be >= 1 (got %d)", cfg.span)
 	case cfg.zipfS <= 0 || cfg.zipfS >= 1:
 		return fmt.Errorf("-zipf theta must be in (0, 1) (got %g)", cfg.zipfS)
-	case cfg.pipeBatch < 0:
-		return fmt.Errorf("-pipebatch must be >= 0 (got %d; 0 = adaptive)", cfg.pipeBatch)
 	}
 	return nil
 }
@@ -120,24 +116,18 @@ type lockSpec struct {
 	// pipe routes operations through the flat-combining AsyncStore
 	// front end over the same shard locks.
 	pipe bool
-	// ff additionally routes writes through the fire-and-forget
-	// PutAsync path (implies pipe's AsyncStore).
-	ff bool
 }
 
 // expandLocks grows each base lock into its comparison family: the
-// plain row, a pipe-* combining sibling (-pipeline) and a pipe-ff-*
-// fire-and-forget sibling (-ff) — so handoff policy and combining
-// answer the same contention in one grid run.
-func expandLocks(lks []lockSpec, pipeline, ff bool) []lockSpec {
+// plain row and, with -pipeline, a pipe-* combining sibling — so
+// handoff policy and combining answer the same contention in one grid
+// run.
+func expandLocks(lks []lockSpec, pipeline bool) []lockSpec {
 	var out []lockSpec
 	for _, lk := range lks {
 		out = append(out, lk)
 		if pipeline {
 			out = append(out, lockSpec{name: "pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true})
-		}
-		if ff {
-			out = append(out, lockSpec{name: "pipe-ff-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, ff: true})
 		}
 	}
 	return out
@@ -178,17 +168,6 @@ func preload(st *shardedkv.Store, cfg benchConfig) {
 // locking) and AsyncStore (flat-combining pipeline) both implement
 // it, so one worker loop serves both rows.
 
-// ffAPI routes point writes through the fire-and-forget PutAsync path
-// (submit without waiting); everything else stays on the waited
-// pipeline. The insert-vs-replace answer is unknowable without
-// waiting, so Put reports false — the bench ignores it.
-type ffAPI struct{ *shardedkv.AsyncStore }
-
-func (f ffAPI) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
-	f.AsyncStore.PutAsync(w, k, v)
-	return false, nil
-}
-
 // run executes one configuration and returns its summary row, the
 // store's per-shard counters, and (for pipe rows) the aggregate
 // combining stats.
@@ -211,12 +190,8 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 	var api shardedkv.KV = st
 	var async *shardedkv.AsyncStore
 	if lk.pipe {
-		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: cfg.pipeBatch})
-		if lk.ff {
-			api = ffAPI{async}
-		} else {
-			api = async
-		}
+		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
+		api = async
 	}
 	var keygen workload.KeyGen = workload.NewUniform(cfg.keys)
 	if mix.zipf {
@@ -325,9 +300,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 	}
 	var comb *shardedkv.CombineStats
 	if async != nil {
-		// Settle in-flight (fire-and-forget) requests so the combining
-		// counters account for every submitted op.
-		async.Flush(core.NewWorker(core.WorkerConfig{Class: core.Big}))
 		c := async.AggregateCombineStats()
 		comb = &c
 	}
@@ -362,8 +334,6 @@ func main() {
 	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
 	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|mutex|mcs|pthread, or all")
 	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
-	ff := flag.Bool("ff", false, "also run a pipe-ff-<lock> row per lock: writes submitted fire-and-forget (PutAsync)")
-	pipeBatch := flag.Int("pipebatch", 0, "max ops a pipeline combiner executes per lock take; 0 = adaptive per-shard bound")
 	shards := flag.Int("shards", 16, "shard count")
 	threads := flag.Int("threads", 8, "total workers (first -bigs are big-class)")
 	bigs := flag.Int("bigs", 4, "big-class workers")
@@ -381,18 +351,17 @@ func main() {
 	flag.Parse()
 
 	cfg := benchConfig{
-		shards:    *shards,
-		threads:   *threads,
-		bigs:      *bigs,
-		dur:       *dur,
-		warmup:    *warmup,
-		slo:       int64(*slo),
-		keys:      *keys,
-		vsize:     *vsize,
-		batch:     *batch,
-		span:      *span,
-		zipfS:     *zipfS,
-		pipeBatch: *pipeBatch,
+		shards:  *shards,
+		threads: *threads,
+		bigs:    *bigs,
+		dur:     *dur,
+		warmup:  *warmup,
+		slo:     int64(*slo),
+		keys:    *keys,
+		vsize:   *vsize,
+		batch:   *batch,
+		span:    *span,
+		zipfS:   *zipfS,
 	}
 	if err := validate(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "kvbench: %v\n", err)
@@ -413,7 +382,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvbench: -locks: %v\n", err)
 		os.Exit(2)
 	}
-	lks = expandLocks(lks, *pipeline, *ff)
+	lks = expandLocks(lks, *pipeline)
 
 	cal := workload.Calibrate()
 	fmt.Fprintf(os.Stderr, "calibration: %.2f ns/spin-unit\n", cal.NsPerUnit)

@@ -12,14 +12,12 @@ import (
 func TestExpandLocksRowNames(t *testing.T) {
 	base := []lockSpec{{name: "asl", slo: true}, {name: "mutex"}}
 	for _, tc := range []struct {
-		name         string
-		pipeline, ff bool
-		want         string // per base lock, "X" standing for its name
+		name     string
+		pipeline bool
+		want     string // per base lock, "X" standing for its name
 	}{
-		{"plain", false, false, "X"},
-		{"pipeline", true, false, "X pipe-X"},
-		{"ff", false, true, "X pipe-ff-X"},
-		{"everything", true, true, "X pipe-X pipe-ff-X"},
+		{"plain", false, "X"},
+		{"pipeline", true, "X pipe-X"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []string
@@ -27,12 +25,11 @@ func TestExpandLocksRowNames(t *testing.T) {
 				want = append(want, strings.Fields(strings.ReplaceAll(tc.want, "X", b.name))...)
 			}
 			var names []string
-			for _, lk := range expandLocks(base, tc.pipeline, tc.ff) {
+			for _, lk := range expandLocks(base, tc.pipeline) {
 				names = append(names, lk.name)
-				has := func(part string) bool { return strings.Contains(lk.name, part) }
-				type flags struct{ slo, pipe, ff bool }
-				got := flags{lk.slo, lk.pipe, lk.ff}
-				named := flags{strings.HasSuffix(lk.name, "asl"), has("pipe-"), has("-ff-")}
+				type flags struct{ slo, pipe bool }
+				got := flags{lk.slo, lk.pipe}
+				named := flags{strings.HasSuffix(lk.name, "asl"), strings.HasPrefix(lk.name, "pipe-")}
 				if got != named {
 					t.Errorf("%s: %+v, but its name says %+v", lk.name, got, named)
 				}
@@ -112,7 +109,6 @@ func TestValidate(t *testing.T) {
 		{"-span", func(c *benchConfig) { c.span = 0 }},
 		{"-zipf", func(c *benchConfig) { c.zipfS = 0 }},
 		{"-zipf", func(c *benchConfig) { c.zipfS = 1 }},
-		{"-pipebatch", func(c *benchConfig) { c.pipeBatch = -1 }},
 	} {
 		c := good
 		tc.edit(&c)

@@ -59,7 +59,6 @@ func main() {
 	lock := flag.String("lock", "asl", "shard lock: asl|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
 	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
-	pipeBatch := flag.Int("pipebatch", 0, "combiner drain bound; 0 = adaptive")
 	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
 	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard (0 = default, negative disables the gate)")
@@ -74,10 +73,6 @@ func main() {
 
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "kvserver: -shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(2)
-	}
-	if *pipeBatch < 0 {
-		fmt.Fprintf(os.Stderr, "kvserver: -pipebatch must be >= 0 (got %d; 0 = adaptive)\n", *pipeBatch)
 		os.Exit(2)
 	}
 
@@ -137,7 +132,7 @@ func main() {
 	}
 	var async *shardedkv.AsyncStore
 	if *pipeline {
-		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: *pipeBatch})
+		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
 	}
 
 	srv, err := kvserver.New(kvserver.Config{

@@ -32,17 +32,14 @@
 // each shard lock once; ordered scans collect under the lock and
 // emit after release. Placement is fixed: key k lives on shard
 // Mix64(k) % Shards for the store's life, and no path holds two shard
-// locks at once.
-// Store.As / AsyncStore.As return the one op-level class-override
-// view (shardedkv.Classed, itself a KV) — the library face of the
-// ClassHint path.
+// locks at once. A library caller re-classes one operation the way
+// the server does: a ClassHint set around the call.
 //
 // shardedkv.AsyncStore is the flat-combining front end: per-shard
 // lock-free MPSC rings, futures with class-aware spin/park waiting,
 // combiner election via TryAcquire with big-class preference, and an
 // adaptive drain bound — weak cores enqueue, strong cores combine.
-// PutAsync/DeleteAsync submit fire-and-forget writes; Flush is the
-// write barrier.
+// Every call returns once its requests have executed.
 //
 // # Network front end
 //

@@ -22,9 +22,11 @@ var docsSkip = map[string]bool{
 
 var (
 	// mdLink is a markdown link target; mdMention any path-like token
-	// ending in .md (a glob such as *.md has no name and does not match).
+	// ending in .md (a glob such as *.md has no name and does not match);
+	// goMention a Go source file under one of this tree's code roots.
 	mdLink    = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	mdMention = regexp.MustCompile(`[A-Za-z0-9_./:-]*[A-Za-z0-9_-]\.md\b`)
+	goMention = regexp.MustCompile(`\b(?:internal|cmd|benchmark)/[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.go\b`)
 )
 
 // eachDocLine calls fn for every line of every *.md and *.go file in
@@ -61,10 +63,11 @@ func eachDocLine(t *testing.T, fn func(path string, line int, text string)) {
 	}
 }
 
-// TestDocPointersResolve fails on a pointer to a document that is not
+// TestDocPointersResolve fails on a pointer to a file that is not
 // there: a relative markdown link in a *.md file, or the name of a .md
-// file mentioned in a *.md or *.go file, must be an existing file —
-// relative to the repository root or to the mentioning file's directory.
+// file or of a .go file under internal/, cmd/ or benchmark/ mentioned
+// in a *.md or *.go file, must be an existing file — relative to the
+// repository root or to the mentioning file's directory.
 func TestDocPointersResolve(t *testing.T) {
 	eachDocLine(t, func(path string, line int, text string) {
 		var targets []string
@@ -76,6 +79,7 @@ func TestDocPointersResolve(t *testing.T) {
 			}
 		}
 		targets = append(targets, mdMention.FindAllString(text, -1)...)
+		targets = append(targets, goMention.FindAllString(text, -1)...)
 		for _, target := range targets {
 			_, atRoot := os.Stat(target)
 			_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))

@@ -11,8 +11,8 @@
 //   - a channel send (completing a future wakes a waiter into a world
 //     where this goroutine still holds the lock; the pipeline
 //     completes futures only after release);
-//   - calling an exported method on a Store / AsyncStore / Classed
-//     value (re-entering the public API acquires shard locks and can
+//   - calling an exported method on a Store / AsyncStore value
+//     (re-entering the public API acquires shard locks and can
 //     self-deadlock or nest one shard lock inside another);
 //   - calling an fsync-issuing method on a wal.Log (Commit, Sync,
 //     WriteCheckpoint, Close): the durability contract is append
@@ -60,7 +60,6 @@ var Analyzer = &analysis.Analyzer{
 var storeTypes = map[string]bool{
 	"Store":      true,
 	"AsyncStore": true,
-	"Classed":    true,
 }
 
 // walSyncMethods are the wal.Log methods that issue fsync (or block on

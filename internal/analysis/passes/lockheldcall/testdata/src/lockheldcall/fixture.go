@@ -20,11 +20,6 @@ type Store struct{}
 func (s *Store) Get(w *Worker, k uint64) int { return 0 }
 func (s *Store) internalGet(k uint64) int    { return 0 }
 
-// Classed is the stand-in for the fixed-class view of that API.
-type Classed struct{ s *Store }
-
-func (v Classed) Get(w *Worker, k uint64) int { return v.s.Get(w, k) }
-
 // Log is the fixture's stand-in for wal.Log: Append/Rotate buffer and
 // are legal under the shard lock; Commit/Sync/WriteCheckpoint/Close
 // issue fsync and are not.
@@ -54,12 +49,6 @@ func badSend(sh *shard, w *Worker, ch chan int) {
 func badReentrantStore(sh *shard, w *Worker, st *Store) {
 	sh.lock.Acquire(w)
 	_ = st.Get(w, 1) // want `re-entrant Store.Get call while a shard lock is held`
-	sh.lock.Release(w)
-}
-
-func badReentrantView(sh *shard, w *Worker, v Classed) {
-	sh.lock.Acquire(w)
-	_ = v.Get(w, 1) // want `re-entrant Classed.Get call while a shard lock is held`
 	sh.lock.Release(w)
 }
 

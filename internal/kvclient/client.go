@@ -424,8 +424,9 @@ func (c *Client) Range(class uint8, lo, hi uint64, limit int) (kvs []shardedkv.P
 	return kvs, resp.Flags&kvserver.FlagMore != 0, err
 }
 
-// Flush drives the server-side write barrier (meaningful when the
-// server runs the combining pipeline).
+// Flush drives the server-side durability barrier (meaningful when the
+// server runs with a write-ahead log): bulk writes acked before it are
+// durable once it returns nil.
 func (c *Client) Flush(class uint8) error {
 	_, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpFlush, Class: class})
 	return err

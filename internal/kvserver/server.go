@@ -388,11 +388,10 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 		out, pairs, encErr = s.appendRange(w, req, out)
 		ops = uint64(max(pairs, 1))
 	case OpFlush:
-		// KV.Flush is the write AND durability barrier: on the async
-		// front end it drains the rings first; on either front end it
+		// KV.Flush is the durability barrier: on either front end it
 		// group-commits every shard log when durability is configured.
-		// A sync failure here is how fire-and-forget (bulk) write
-		// errors reach the wire.
+		// A sync failure here is how async-acked (bulk) write errors
+		// reach the wire.
 		if ferr := s.kv.Flush(w); ferr != nil {
 			kvErr = ferr
 		} else {

@@ -150,7 +150,8 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 func TestDrainChargesKeys(t *testing.T) {
 	const bound = 40
 	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{MaxBatch: bound})
+	a := NewAsync(st, AsyncConfig{})
+	a.rings[0].bound.Store(bound)
 	w := newTestWorker()
 	kvs := make([]Pair, 8*batchKeyCap)
 	for i := range kvs {
@@ -211,35 +212,35 @@ func TestBatchCountersCountKeys(t *testing.T) {
 	}
 }
 
-// TestBatchRingOverflowKeepsProgramOrder: with a two-slot ring a
-// 4 096-key batch overflows into the direct path and splits every
-// shard's share into capped requests; a same-worker PutAsync queued
-// just before the batch must still apply BEFORE the batch's write to
-// that key.
+// TestBatchRingOverflowKeepsProgramOrder: one shard, a two-slot ring
+// and a batch of three capped requests whose last pair rewrites key 0.
+// The first two requests fill the ring and the third overflows into the
+// direct path, which must drive its queued predecessors first — or the
+// batch's earlier write to key 0 lands last. Once the caller has
+// returned, every ring's executed cursor has reached its tail: nothing
+// is left queued, which is what lets Flush and Close skip the rings.
 func TestBatchRingOverflowKeepsProgramOrder(t *testing.T) {
-	st := New(Config{Shards: 2})
+	st := New(Config{Shards: 1})
 	a := NewAsync(st, AsyncConfig{RingSize: 2})
 	w := newTestWorker()
-	kvs := make([]Pair, 4096)
-	for round := uint64(1); round <= 20; round++ {
-		for i := range kvs {
-			kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), round)}
-		}
-		// Predecessors on both rings, one of them late in batch order.
-		for _, k := range []uint64{0, 1, 2, 3, 4000, 4001} {
-			a.PutAsync(w, k, verValue(k, 1<<40+round))
-		}
-		if _, err := a.MultiPut(w, kvs); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []uint64{0, 1, 2, 3, 4000, 4001, 17} {
-			if v, ok := a.Get(w, k); !ok || !bytes.Equal(v, verValue(k, round)) {
-				t.Fatalf("round %d: key %d = %x; the batch's write was overtaken", round, k, v)
-			}
-		}
+	kvs := make([]Pair, 3*batchKeyCap)
+	for i := range kvs {
+		kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), 1)}
+	}
+	kvs[len(kvs)-1] = Pair{Key: 0, Value: verValue(0, 2)}
+	if ins, err := a.MultiPut(w, kvs); ins != len(kvs)-1 || err != nil {
+		t.Fatalf("MultiPut = %d, %v; want %d new keys", ins, err, len(kvs)-1)
+	}
+	if v, _ := a.Get(w, 0); !bytes.Equal(v, verValue(0, 2)) {
+		t.Fatalf("key 0 = %x; the direct request overtook its queued predecessors", v)
 	}
 	if cs := a.AggregateCombineStats(); cs.Direct == 0 {
 		t.Fatal("a two-slot ring never overflowed into the direct path")
+	}
+	for i, q := range a.rings {
+		if ex, tail := q.executed.Load(), q.ring.tailPos(); ex != tail {
+			t.Fatalf("ring %d: executed %d, tail %d after every caller returned", i, ex, tail)
+		}
 	}
 }
 

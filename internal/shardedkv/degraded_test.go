@@ -109,7 +109,7 @@ func TestDegradedPipelineSyncWaiters(t *testing.T) {
 	reg := fault.New(1)
 	reg.MustAdd(fault.Rule{Point: "wal.fsync", Nth: 2, Act: fault.ActError})
 	st := New(degCfg(dir, reg))
-	a := NewAsync(st, AsyncConfig{MaxBatch: 8, RingSize: 32})
+	a := NewAsync(st, AsyncConfig{RingSize: 32})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
 	failures := 0
@@ -135,9 +135,9 @@ func TestDegradedPipelineSyncWaiters(t *testing.T) {
 	a.Close(w)
 }
 
-// TestDegradedBulkSurfacesAtFlush: fire-and-forget (bulk-policy)
-// writes cannot return their commit error inline; the contract is that
-// the failure surfaces at the next Flush.
+// TestDegradedBulkSurfacesAtFlush: bulk-policy (SyncAsync) writes ack
+// before their fsync, so they cannot return a commit error inline; the
+// contract is that the failure surfaces at the next Flush.
 func TestDegradedBulkSurfacesAtFlush(t *testing.T) {
 	dir := t.TempDir()
 	reg := fault.New(1)

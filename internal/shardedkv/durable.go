@@ -411,9 +411,10 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 }
 
 // Flush is the durability barrier of the plain store: it group-
-// commits every record appended so far on every shard log. Async-acked (bulk) writes are durable once it
+// commits every record appended so far on every shard log.
+// Async-acked (bulk-policy, SyncAsync) writes are durable once it
 // returns nil. A sync failure degrades the owning shard and is
-// reported here — this is where fire-and-forget write errors surface.
+// reported here — this is where those writes' fsync errors surface.
 // Without Config.Durability it is a no-op.
 func (s *Store) Flush(w *core.Worker) error {
 	return s.syncLogs()

@@ -43,7 +43,7 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 			t.Run(spec.Name+"/"+kill, func(t *testing.T) {
 				dir := t.TempDir()
 				st := shardedkv.New(modelDurCfg(dir, spec.New))
-				final := kvmodel.Drive(t, st, nil, workers, opsPer)
+				final := kvmodel.Drive(t, st, workers, opsPer)
 				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 				if kill == "close" {
 					st.Close(w)
@@ -61,12 +61,10 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 }
 
 // TestDurableAsyncPipelineRecovery runs the same model equivalence
-// through the combining AsyncStore — fire-and-forget writes included —
-// then kills the store after a Flush
-// (the pipeline write barrier, which also group-commits every log) and
-// verifies the replayed store against the model. This is the
-// batch-append-one-fsync path of the tentpole under crash. Run with
-// -race.
+// through the combining AsyncStore, then kills the store after a Flush
+// (the durability barrier, which group-commits every log) and verifies
+// the replayed store against the model. This is the pipeline's
+// batch-append-one-fsync path under crash. Run with -race.
 func TestDurableAsyncPipelineRecovery(t *testing.T) {
 	const workers = 4
 	opsPer := 1_000
@@ -83,8 +81,8 @@ func TestDurableAsyncPipelineRecovery(t *testing.T) {
 			cfg.Durability.Interactive = shardedkv.SyncDefault
 			cfg.Durability.Bulk = shardedkv.SyncDefault
 			st := shardedkv.New(cfg)
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
-			final := kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
+			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{RingSize: 32})
+			final := kvmodel.Drive(t, a, workers, opsPer)
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			if err := a.Flush(w); err != nil {
 				t.Fatalf("flush: %v", err)

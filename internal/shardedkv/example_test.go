@@ -37,14 +37,19 @@ func ExampleStore() {
 
 // ExampleStore_classOverride shows op-level class overrides: the same
 // worker issues one op little-class (standing by within the reorder
-// window at a contended ASL shard lock) and one big-class, via As
-// views — the serving boundary's per-request classing.
+// window at a contended ASL shard lock) and one big-class, each under a
+// class hint set around the call — the serving boundary's per-request
+// classing.
 func ExampleStore_classOverride() {
 	st := shardedkv.New(shardedkv.Config{Shards: 2})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
-	st.As(core.Little).Put(w, 7, []byte("bulk write"))
-	v, _ := st.As(core.Big).Get(w, 7)
+	w.SetClassHint(core.Little)
+	st.Put(w, 7, []byte("bulk write"))
+	w.ClearClassHint()
+	w.SetClassHint(core.Big)
+	v, _ := st.Get(w, 7)
+	w.ClearClassHint()
 	fmt.Printf("interactive read = %s\n", v)
 	fmt.Printf("base class unchanged = %v\n", w.Class())
 	// Output:
@@ -52,17 +57,15 @@ func ExampleStore_classOverride() {
 	// base class unchanged = big
 }
 
-// ExampleAsyncStore shows the combining pipeline: waited ops,
-// fire-and-forget writes with Flush as the barrier, and combining
-// stats proving batched execution.
+// ExampleAsyncStore shows the combining pipeline: point ops, a batch
+// delegated per shard, and combining stats counting every key.
 func ExampleAsyncStore() {
 	st := shardedkv.New(shardedkv.Config{Shards: 2})
 	async := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
-	async.Put(w, 1, []byte("waited"))
-	async.PutAsync(w, 2, []byte("fire-and-forget"))
-	async.Flush(w) // write barrier: the PutAsync is applied after this
+	async.Put(w, 1, []byte("point"))
+	async.MultiPut(w, []shardedkv.Pair{{Key: 2, Value: []byte("batched")}, {Key: 3, Value: []byte("batched")}})
 
 	if v, ok := async.Get(w, 2); ok {
 		fmt.Printf("get 2 = %s\n", v)
@@ -74,6 +77,6 @@ func ExampleAsyncStore() {
 	fmt.Printf("ops through the combiner = %d\n", total)
 	async.Close(w)
 	// Output:
-	// get 2 = fire-and-forget
-	// ops through the combiner = 3
+	// get 2 = batched
+	// ops through the combiner = 4
 }

@@ -2,13 +2,14 @@ package shardedkv
 
 import "repro/internal/core"
 
-// KV is the one store surface every front end implements: the plain
-// synchronous Store, the combining AsyncStore, and the fixed-class
-// view (Classed) either returns from As. Consumers that do not care which
-// concurrency front end (or SLO class binding) they are handed — the
-// network server's request loop, the benchmark driver, the model
-// checker's harness — program against this and let the caller pick
-// the implementation.
+// KV is the one store surface both front ends implement: the plain
+// synchronous Store and the combining AsyncStore. Consumers that do
+// not care which concurrency front end they are handed — the network
+// server's request loop, the benchmark driver, the model checker's
+// harness — program against this and let the caller pick the
+// implementation. A caller that wants one operation to run as another
+// class sets core.Worker.SetClassHint around the call, as the network
+// server does.
 //
 // Contracts shared by all implementations:
 //
@@ -23,15 +24,15 @@ import "repro/internal/core"
 //     the owning shard's log has failed (degraded.go). A non-nil
 //     error is never a durability ack, whatever the other results
 //     say; reads keep serving on a degraded shard.
-//   - Flush is the write/durability barrier: every operation submitted
-//     before it is applied, and with durability configured, fsynced.
-//     Fire-and-forget write failures surface here.
-//   - Close makes the handle (and for AsyncStore-backed handles, the
-//     pipeline) unusable; it does NOT imply the underlying engines are
-//     gone — split views share one Store, and closing one view closes
-//     the shared front end exactly once.
-//   - Stats snapshots the underlying Store's per-shard counters; views
-//     and the async front end report the same store-level numbers.
+//   - Every write is applied before its call returns. Flush is the
+//     durability barrier: with durability configured, every write
+//     that returned before it is fsynced once it returns nil. The
+//     fsync failures of bulk-policy (SyncAsync) acks surface here.
+//   - Close makes the handle (and for an AsyncStore, the pipeline)
+//     unusable; it does NOT imply the underlying engines are gone — an
+//     AsyncStore shares its Store, and closing it leaves the Store open.
+//   - Stats snapshots the underlying Store's per-shard counters; both
+//     front ends report the same store-level numbers.
 type KV interface {
 	Get(w *core.Worker, k uint64) ([]byte, bool)
 	Put(w *core.Worker, k uint64, v []byte) (bool, error)
@@ -45,11 +46,10 @@ type KV interface {
 	Stats() []ShardStats
 }
 
-// The three front ends below are the complete implementation set; the
+// The two front ends below are the complete implementation set; the
 // asserts keep interface drift a compile error rather than a runtime
 // surprise in whichever consumer noticed last.
 var (
 	_ KV = (*Store)(nil)
 	_ KV = (*AsyncStore)(nil)
-	_ KV = Classed{}
 )

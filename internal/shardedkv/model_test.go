@@ -26,16 +26,15 @@ func TestStoreVsModel(t *testing.T) {
 	for _, spec := range shardedkv.AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			st := shardedkv.New(shardedkv.Config{Shards: 4, NewEngine: spec.New})
-			kvmodel.Drive(t, st, nil, workers, opsPer)
+			kvmodel.Drive(t, st, workers, opsPer)
 		})
 	}
 }
 
 // TestAsyncStoreVsModel runs the same model equivalence through the
-// combining pipeline, with PutAsync as the fire-and-forget hook so the
-// per-worker read-your-write FIFO contract is pinned too. A small ring
-// and a small fixed batch make wraps, elections and ring-full direct
-// paths part of every run. Run with -race.
+// combining pipeline, its ordered Range included. A small ring makes
+// wraps, elections and ring-full direct paths part of every run. Run
+// with -race.
 func TestAsyncStoreVsModel(t *testing.T) {
 	const workers = 6
 	opsPer := 3_000
@@ -45,8 +44,8 @@ func TestAsyncStoreVsModel(t *testing.T) {
 	for _, spec := range shardedkv.AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			st := shardedkv.New(shardedkv.Config{Shards: 4, NewEngine: spec.New})
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
-			kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
+			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{RingSize: 32})
+			kvmodel.Drive(t, a, workers, opsPer)
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			if err := a.Flush(w); err != nil {
 				t.Fatalf("flush: %v", err)

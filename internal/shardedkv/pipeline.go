@@ -42,17 +42,27 @@ import (
 // little workers still elect (and always serve themselves eventually),
 // so the pipeline is live with no big cores at all.
 //
-// The drain bound is adaptive by default (AsyncConfig.MaxBatch == 0):
-// each shard's bound starts at the old fixed default of 32 and doubles
-// while drains saturate it and the observed queue depth keeps up,
-// decaying back when the ring runs dry — so a zipf-hot shard's
-// combiner drains deeper per lock take while cold shards stay
-// latency-lean. Big-class combiners use the full bound; little-class
-// combiners cap at the old default, the drain-side mirror of the
-// election bias (big cores do the deep batches). A combiner on a hot
-// shard also lingers a bounded few microseconds when its ring runs
-// momentarily dry, picking up in-flight producers instead of paying
-// them a fresh lock take each.
+// The drain bound adapts per shard: it starts at 32 and doubles while
+// drains saturate it and the observed queue depth keeps up, decaying
+// back when the ring runs dry — so a zipf-hot shard's combiner drains
+// deeper per lock take while cold shards stay latency-lean. Big-class
+// combiners use the full bound; little-class combiners cap at 32, the
+// drain-side mirror of the election bias (big cores do the deep
+// batches). A combiner on a hot shard also lingers a bounded few
+// microseconds when its ring runs momentarily dry, picking up in-flight
+// producers instead of paying them a fresh lock take each.
+//
+// The bound and the linger are coupled, which is why the bound adapts
+// instead of being a constant. The linger is gated on hwRecent, the
+// decaying depth estimate, and a drain that runs the ring dry short of
+// its bound ages that estimate. So the gate stays open only while
+// lingering drains fill the bound. A constant the lingering drains
+// cannot fill (16 on a zipf-hot shard) ages hwRecent below
+// lingerMinDepth and shuts the linger, and the little class's p99
+// leaves its SLO; a constant low enough to be filled (8) keeps the
+// linger but caps the drains of batched traffic, whose little-class
+// p99 then loses. The adaptive bound decays to what drains do fill and
+// grows with the queue.
 
 // opKind is a pipeline request type.
 type opKind uint8
@@ -77,12 +87,9 @@ const (
 
 // request is one queued operation plus its future. Requests are
 // pooled: the completer's complete() call is its last touch, after
-// which the owner is free to read the results and recycle it. A
-// fire-and-forget request (ff) has no waiting owner; the completer
-// recycles it instead of completing the future.
+// which the owner is free to read the results and recycle it.
 type request struct {
 	kind opKind
-	ff   bool       // fire-and-forget: recycle on execution, nobody waits
 	key  uint64     // Get/Put/Delete key
 	val  []byte     // Put value (retained by reference, as in Store.Put)
 	rng  []RangeReq // opRange: spans to collect on one shard
@@ -183,11 +190,11 @@ const (
 	maxParkSlice    = time.Millisecond
 )
 
-// Adaptive drain-bound tuning (AsyncConfig.MaxBatch == 0). The bound
-// starts at the old fixed default, doubles while drains saturate it
-// (and the recent queue depth justifies it), and halves when the ring
-// runs dry. Little-class combiners cap their drains at the old
-// default; deep batches belong to big cores.
+// Adaptive drain-bound tuning. The bound starts at adaptiveInitBatch,
+// doubles while drains saturate it (and the recent queue depth
+// justifies it), and halves when the ring runs dry. Little-class
+// combiners cap their drains at adaptiveLittleCap; deep batches belong
+// to big cores.
 const (
 	adaptiveInitBatch = 32
 	adaptiveMinBatch  = 8
@@ -209,13 +216,6 @@ const (
 
 // AsyncConfig configures an AsyncStore.
 type AsyncConfig struct {
-	// MaxBatch bounds the operations (keys) a combiner executes under
-	// one lock take. 0 (the default) selects the adaptive per-shard bound
-	// described above; a positive value fixes the bound for every
-	// shard. Reaching the bound releases the lock (so big-core FIFO
-	// entrants and sync-path users get their turn) and re-elects if
-	// the ring is still non-empty.
-	MaxBatch int
 	// RingSize is the per-shard queue capacity, rounded up to a power
 	// of two; 0 means 256. A full ring falls back to direct execution
 	// under the shard lock, so enqueue never blocks on space.
@@ -228,8 +228,9 @@ type AsyncConfig struct {
 type pipeShard struct {
 	sh   *shard
 	ring *reqRing
-	// fixed is the configured MaxBatch (0 = adaptive via bound).
-	fixed int
+	// bound is the adaptive drain bound in keys. Reaching it releases
+	// the lock (so big-core FIFO entrants and sync-path users get their
+	// turn) and re-elects if the ring is still non-empty.
 	bound atomic.Int64
 	// hwRecent is a decaying queue-depth estimate (ring slots): raised
 	// like depthHW at enqueue, decayed by idle drains. The adaptive
@@ -237,13 +238,15 @@ type pipeShard struct {
 	hwRecent atomic.Uint64
 	// executed counts ring requests applied to the engine (and logged,
 	// under durability), i.e. the ring position up to which effects are
-	// real — per ring slot whatever a request weighs, because Flush,
-	// execDirect and submit compare it with ring positions. It trails
-	// the ring's head cursor, which advances at dequeue time: Flush/Close
-	// must wait on executed, not head, or a request a concurrent combiner
-	// has dequeued but not yet run would count as flushed. A sync-wait request's FUTURE may complete after the
-	// cursor covers it (the combiner commits post-release); only its
-	// owner waits on that.
+	// real — per ring slot whatever a request weighs, because execDirect
+	// compares it with ring positions. It trails the ring's head cursor,
+	// which advances at dequeue time, so execDirect waits on executed,
+	// not head: a request a concurrent combiner has dequeued but not yet
+	// run has no effect yet. Every caller waits for its own requests, so
+	// once all callers have returned executed equals the ring's tail —
+	// what lets Flush and Close skip the rings. A sync-wait request's
+	// FUTURE may complete after the cursor covers it (the combiner
+	// commits post-release); only its owner waits on that.
 	executed  atomic.Uint64
 	lockTakes atomic.Uint64
 	combined  atomic.Uint64
@@ -286,9 +289,6 @@ func (q *pipeShard) noteDepth() {
 
 // drainBound returns the bound this combiner's drain should use.
 func (q *pipeShard) drainBound(w *core.Worker) int {
-	if q.fixed > 0 {
-		return q.fixed
-	}
 	b := int(q.bound.Load())
 	if w.Class() == core.Little && b > adaptiveLittleCap {
 		b = adaptiveLittleCap
@@ -345,9 +345,9 @@ type CombineStats struct {
 	// in ring slots: a batch's whole share of the shard is one request.
 	DepthHW uint64
 	// MaxBatchEff is the drain bound currently in effect, in keys: the
-	// configured fixed MaxBatch, or the adaptive bound the shard has
-	// grown/decayed to. A drain stops at the first request that reaches
-	// it, so it overshoots by less than batchKeyCap.
+	// adaptive bound the shard has grown/decayed to. A drain stops at
+	// the first request that reaches it, so it overshoots by less than
+	// batchKeyCap.
 	MaxBatchEff uint64
 	// BigTakes and LittleTakes split LockTakes by the elector's class;
 	// under mixed traffic the election bias should keep BigTakes well
@@ -365,17 +365,13 @@ func (c CombineStats) OpsPerLockTake() float64 {
 
 // stats snapshots this pipeShard's counters.
 func (q *pipeShard) stats() CombineStats {
-	eff := uint64(q.fixed)
-	if q.fixed == 0 {
-		eff = uint64(q.bound.Load())
-	}
 	return CombineStats{
 		LockTakes:   q.lockTakes.Load(),
 		Combined:    q.combined.Load(),
 		Direct:      q.direct.Load(),
 		Handoffs:    q.handoffs.Load(),
 		DepthHW:     q.depthHW.Load(),
-		MaxBatchEff: eff,
+		MaxBatchEff: uint64(q.bound.Load()),
 		BigTakes:    q.takesBy[core.Big].Load(),
 		LittleTakes: q.takesBy[core.Little].Load(),
 	}
@@ -388,7 +384,6 @@ func (q *pipeShard) stats() CombineStats {
 // repository, each goroutine must own its *core.Worker.
 type AsyncStore struct {
 	st       *Store
-	fixed    int
 	ringSize int
 	// rings[i] is shard i's pipeline state, fixed at NewAsync.
 	rings   []*pipeShard
@@ -400,18 +395,15 @@ type AsyncStore struct {
 // NewAsync builds a combining front end over st: one request ring per
 // shard.
 func NewAsync(st *Store, cfg AsyncConfig) *AsyncStore {
-	if cfg.MaxBatch < 0 {
-		cfg.MaxBatch = 0
-	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 256
 	}
-	a := &AsyncStore{st: st, fixed: cfg.MaxBatch, ringSize: cfg.RingSize}
+	a := &AsyncStore{st: st, ringSize: cfg.RingSize}
 	a.pool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	a.batches.New = func() any { return new(batch) }
 	a.rings = make([]*pipeShard, len(st.shards))
 	for i, sh := range st.shards {
-		q := &pipeShard{sh: sh, ring: newReqRing(cfg.RingSize), fixed: cfg.MaxBatch}
+		q := &pipeShard{sh: sh, ring: newReqRing(cfg.RingSize)}
 		q.bound.Store(adaptiveInitBatch)
 		a.rings[i] = q
 	}
@@ -437,24 +429,13 @@ func (a *AsyncStore) newReq(kind opKind) *request {
 // reference is dropped here.
 func (a *AsyncStore) putReq(r *request) {
 	r.val, r.rval, r.rng, r.parts = nil, nil, nil, nil
-	r.rok, r.ff, r.syncWait = false, false, false
+	r.rok, r.syncWait = false, false
 	r.bat, r.idx, r.q = nil, r.idx[:0], nil
 	r.ins, r.err, r.mark = 0, nil, walMark{}
 	a.pool.Put(r)
 }
 
-// finish hands a just-executed request back: waited requests complete
-// their future (the owner recycles), fire-and-forget requests recycle
-// right here — nobody is coming back for them.
-func (a *AsyncStore) finish(r *request) {
-	if r.ff {
-		a.putReq(r)
-		return
-	}
-	r.complete()
-}
-
-// finishOrDefer finishes r, or parks it on pend when its future must
+// finishOrDefer completes r, or parks it on pend when its future must
 // wait for group commit. Called with the executing shard's lock held;
 // the deferral is what keeps wal.Commit off the locked path.
 func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
@@ -462,7 +443,7 @@ func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
 		*pend = append(*pend, r)
 		return
 	}
-	a.finish(r)
+	r.complete()
 }
 
 // completePending commits and completes the sync-wait requests a drain
@@ -575,20 +556,19 @@ func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, r *request, pend 
 // drain executes queued requests until the operations they stand for
 // reach the drain bound (a batch request counts its keys, so the last
 // one may overshoot by less than batchKeyCap); the caller holds q's
-// shard lock. An adaptive combiner whose ring runs momentarily dry on a
-// hot shard lingers briefly for in-flight producers before giving the
-// lock up. Returns the number of operations executed. Sync-wait writes
-// are applied and logged here but their futures land on pend; the
-// caller completes them after release (see completePending).
+// shard lock. A combiner whose ring runs momentarily dry on a hot shard
+// lingers briefly for in-flight producers before giving the lock up.
+// Returns the number of operations executed. Sync-wait writes are
+// applied and logged here but their futures land on pend; the caller
+// completes them after release (see completePending).
 func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 	bound := q.drainBound(w)
-	adaptive := q.fixed == 0
 	n, linger := 0, 0
 	var s locks.Spinner
 	for n < bound {
 		r := q.ring.dequeue()
 		if r == nil {
-			if adaptive && n > 0 && linger < lingerSpins && q.hwRecent.Load() >= lingerMinDepth {
+			if n > 0 && linger < lingerSpins && q.hwRecent.Load() >= lingerMinDepth {
 				linger++
 				s.Spin()
 				continue
@@ -600,9 +580,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 	if n > 0 {
 		q.combined.Add(uint64(n))
 	}
-	if adaptive {
-		q.adapt(n, bound)
-	}
+	q.adapt(n, bound)
 	return n
 }
 
@@ -644,10 +622,11 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 //
 // Before executing r, everything enqueued on q before the failed ring
 // claim is driven to execution. Without this, the direct path could
-// overtake the SAME worker's still-queued fire-and-forget predecessor
-// on this ring and break its program order (same-key ops always
-// resolve to the same ring, so this local guard is the whole FIFO
-// story).
+// overtake an earlier request of the SAME batch still queued on this
+// ring — a shard's share larger than batchKeyCap is several
+// consecutive requests — and break batch order, so a duplicate key
+// would not apply last-wins (same-key ops always resolve to the same
+// ring, so this local guard is the whole FIFO story).
 func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 	target := q.ring.tailPos()
 	var sp locks.Spinner
@@ -733,8 +712,8 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 
 // submit enqueues r on q, or executes it directly when the ring is
 // full, without waiting for completion. Once published, r belongs to
-// whichever combiner executes it (a fire-and-forget request is
-// recycled there), so submit does not touch it again.
+// whichever combiner executes it until it completes, so submit does
+// not touch it again.
 func (a *AsyncStore) submit(w *core.Worker, q *pipeShard, r *request) {
 	if !q.ring.enqueue(r) {
 		a.execDirect(w, q, r)
@@ -793,33 +772,6 @@ func (a *AsyncStore) Delete(w *core.Worker, k uint64) (bool, error) {
 	ok, err := r.rok, r.err
 	a.putReq(r)
 	return ok, err
-}
-
-// PutAsync stores k=v fire-and-forget: the request is submitted and
-// the call returns without waiting for execution. The future recycles
-// the moment a combiner executes it, so sustained writers pay zero
-// wait and zero completion traffic; ordering with this worker's later
-// ops on the same key is preserved in every path — the ring is FIFO
-// and the ring-overflow fallback drives queued predecessors first — so
-// a worker always reads its own async write. v is retained by
-// reference until execution — do not reuse the buffer. Flush (or
-// Close) is the write barrier: after it returns, every PutAsync
-// submitted before it is applied.
-func (a *AsyncStore) PutAsync(w *core.Worker, k uint64, v []byte) {
-	a.checkOpen()
-	r := a.newReq(opPut)
-	r.ff = true
-	r.key, r.val = k, v
-	a.submit(w, a.pipeOf(k), r)
-}
-
-// DeleteAsync removes k fire-and-forget, with PutAsync's semantics.
-func (a *AsyncStore) DeleteAsync(w *core.Worker, k uint64) {
-	a.checkOpen()
-	r := a.newReq(opDelete)
-	r.ff = true
-	r.key = k
-	a.submit(w, a.pipeOf(k), r)
 }
 
 // batch is one MultiGet or MultiPut in flight: the caller's payload,
@@ -997,47 +949,23 @@ func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 	return out
 }
 
-// Flush blocks until every request enqueued before the call has
-// executed, combining on the caller's worker where it can. This is the
-// PutAsync/DeleteAsync write barrier. Concurrent enqueuers may extend
-// the drain (their requests slot in behind the cut-off), but the
-// pre-Flush prefix is guaranteed done on return. With durability on it is a durability barrier too, and the place
-// fire-and-forget write failures surface: a failed sync degrades the
-// shard and returns the typed error.
+// Flush is the durability barrier: every AsyncStore call returns only
+// after its requests have executed, so nothing is left on the rings and
+// Flush is the store's own (see Store.Flush). A failed sync degrades
+// the shard and returns the typed error.
 func (a *AsyncStore) Flush(w *core.Worker) error {
-	for _, q := range a.rings {
-		target := q.ring.tailPos()
-		var s locks.Spinner
-		// Wait on the executed cursor, not the ring head: a request a
-		// concurrent combiner has dequeued but not yet run is not
-		// flushed.
-		for q.executed.Load() < target {
-			if !a.tryCombine(w, q) {
-				s.Spin()
-			}
-		}
-	}
-	// One group commit per shard log covers every write applied above.
-	return a.st.syncLogs()
+	return a.st.Flush(w)
 }
 
-// Close flushes the rings and marks the pipeline closed: subsequent
-// pipeline calls panic. Callers must have quiesced (a submitter racing
-// Close keeps its own liveness — owners always self-serve — but its op
-// may execute after Close returns). The underlying Store stays usable.
+// Close marks the pipeline closed: subsequent pipeline calls panic.
+// Callers must have quiesced (a submitter racing Close keeps its own
+// liveness — owners always self-serve — but its op may execute after
+// Close returns). The underlying Store stays usable.
 func (a *AsyncStore) Close(w *core.Worker) {
 	if a.closed.Swap(true) {
 		return
 	}
-	for _, q := range a.rings {
-		var s locks.Spinner
-		for !q.ring.Empty() || q.executed.Load() < q.ring.headPos() {
-			if !a.tryCombine(w, q) {
-				s.Spin()
-			}
-		}
-	}
-	// Drained writes are applied but possibly only buffered in the
+	// Executed writes are applied but possibly only buffered in the
 	// logs; sync them so Close is a durability point. The logs stay
 	// open — the Store owns their lifecycle (Store.Close).
 	a.st.syncLogs()
@@ -1076,10 +1004,5 @@ func (a *AsyncStore) AggregateCombineStats() CombineStats {
 
 // String summarises the pipeline layout.
 func (a *AsyncStore) String() string {
-	batch := "adaptive"
-	if a.fixed > 0 {
-		batch = fmt.Sprint(a.fixed)
-	}
-	return fmt.Sprintf("shardedkv.AsyncStore{rings: %d, maxBatch: %s, ringSize: %d}",
-		len(a.rings), batch, a.ringSize)
+	return fmt.Sprintf("shardedkv.AsyncStore{rings: %d, ringSize: %d}", len(a.rings), a.ringSize)
 }

@@ -38,9 +38,9 @@ func TestAsyncLinearizableVsModel(t *testing.T) {
 		opsPer = 800
 	}
 	st := New(Config{Shards: 4})
-	// Small ring + small batch: force wraps, elections, and ring-full
-	// direct fallbacks, not just the happy path.
-	a := NewAsync(st, AsyncConfig{MaxBatch: 8, RingSize: 32})
+	// Small ring: force wraps, elections, and ring-full direct
+	// fallbacks, not just the happy path.
+	a := NewAsync(st, AsyncConfig{RingSize: 32})
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -145,7 +145,7 @@ func TestAsyncSharedStress(t *testing.T) {
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			st := New(Config{Shards: 8, NewEngine: spec.New})
-			a := NewAsync(st, AsyncConfig{MaxBatch: 8, RingSize: 64})
+			a := NewAsync(st, AsyncConfig{RingSize: 64})
 			var inserts, deletes atomic.Int64
 			var wg sync.WaitGroup
 			const keyspace = 512
@@ -255,44 +255,7 @@ func TestAsyncMultiPutInsertCount(t *testing.T) {
 	}
 }
 
-// TestAsyncFlushUnderLoad checks Flush's cut-off guarantee: it must
-// return even while other workers keep the rings busy (it drains the
-// pre-call prefix, not the world).
-func TestAsyncFlushUnderLoad(t *testing.T) {
-	st := New(Config{Shards: 4})
-	a := NewAsync(st, AsyncConfig{MaxBatch: 4, RingSize: 32})
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for wi := 0; wi < 4; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w := core.NewWorker(core.WorkerConfig{Class: core.Little})
-			rng := prng.NewSplitMix64(uint64(wi) + 17)
-			for !stop.Load() {
-				k := rng.Uint64() % 1024
-				a.Put(w, k, stressValue(k))
-			}
-		}(wi)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-		for i := 0; i < 50; i++ {
-			a.Flush(w)
-		}
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Flush did not return under sustained enqueue load")
-	}
-	stop.Store(true)
-	wg.Wait()
-}
-
-// TestAsyncCloseSemantics: Close drains, is idempotent, makes further
+// TestAsyncCloseSemantics: Close is idempotent, makes further
 // pipeline use panic, and leaves the wrapped Store usable.
 func TestAsyncCloseSemantics(t *testing.T) {
 	st := New(Config{Shards: 4})
@@ -331,7 +294,7 @@ func TestAsyncCloseSemantics(t *testing.T) {
 // throughput with little-class starvation.
 func TestAsyncCombinerStarvationBound(t *testing.T) {
 	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{MaxBatch: 8, RingSize: 64})
+	a := NewAsync(st, AsyncConfig{RingSize: 64})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for wi := 0; wi < 6; wi++ {
@@ -393,7 +356,7 @@ func TestAsyncCombiningBatches(t *testing.T) {
 		// form, as in the kvbench AMP emulation.
 		CSPad: func(w *core.Worker) { workload.Spin(2_000) },
 	})
-	a := NewAsync(st, AsyncConfig{MaxBatch: 16, RingSize: 128})
+	a := NewAsync(st, AsyncConfig{RingSize: 128})
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -464,42 +427,6 @@ func TestAsyncRangeCallbackLockFree(t *testing.T) {
 	}
 }
 
-// TestPutAsyncFireAndForget pins the fire-and-forget contract: the
-// call returns without waiting, Flush is the write barrier, the ops
-// are fully accounted in the combining stats, and DeleteAsync composes.
-func TestPutAsyncFireAndForget(t *testing.T) {
-	st := New(Config{Shards: 4})
-	a := NewAsync(st, AsyncConfig{})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	const n = 512
-	for k := uint64(0); k < n; k++ {
-		a.PutAsync(w, k, stressValue(k))
-	}
-	a.Flush(w)
-	if got := st.Len(w); got != n {
-		t.Fatalf("Len after Flush = %d, want %d", got, n)
-	}
-	for k := uint64(0); k < n; k++ {
-		v, ok := a.Get(w, k)
-		if !ok {
-			t.Fatalf("key %d missing after PutAsync+Flush", k)
-		}
-		checkStressValue(t, k, v)
-	}
-	for k := uint64(0); k < n; k += 2 {
-		a.DeleteAsync(w, k)
-	}
-	a.Flush(w)
-	if got := st.Len(w); got != n/2 {
-		t.Fatalf("Len after DeleteAsync+Flush = %d, want %d", got, n/2)
-	}
-	agg := a.AggregateCombineStats()
-	wantOps := uint64(n + n/2 + n) // ff puts + ff deletes + waited gets
-	if agg.Combined != wantOps {
-		t.Fatalf("Combined = %d, want %d (every async op accounted once)", agg.Combined, wantOps)
-	}
-}
-
 // TestAdaptiveMaxBatch drives one hot shard with an adaptive pipeline
 // and checks the bound machinery: the effective bound is exposed, and
 // under real parallelism with deep queues it grows past the old fixed
@@ -549,13 +476,5 @@ func TestAdaptiveMaxBatch(t *testing.T) {
 		if agg.MaxBatchEff <= adaptiveInitBatch {
 			t.Errorf("bound stayed at %d despite depthHW %d", agg.MaxBatchEff, agg.DepthHW)
 		}
-	}
-	// A fixed-batch store must report the fixed bound.
-	st2 := New(Config{Shards: 1})
-	a2 := NewAsync(st2, AsyncConfig{MaxBatch: 16})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	a2.Put(w, 1, stressValue(1))
-	if eff := a2.AggregateCombineStats().MaxBatchEff; eff != 16 {
-		t.Fatalf("fixed MaxBatchEff = %d, want 16", eff)
 	}
 }

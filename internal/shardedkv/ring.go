@@ -113,7 +113,6 @@ func (r *reqRing) Len() uint64 {
 	return t - h
 }
 
-// headPos and tailPos expose the cursors for Flush's
-// "everything enqueued before now" cut-off.
-func (r *reqRing) headPos() uint64 { return r.head.Load() }
+// tailPos exposes the claim cursor for execDirect's "everything
+// enqueued before now" cut-off.
 func (r *reqRing) tailPos() uint64 { return r.tail.Load() }
