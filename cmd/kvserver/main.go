@@ -59,7 +59,7 @@ func main() {
 	lock := flag.String("lock", "asl", "shard lock: asl|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
 	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
-	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class")
+	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class. Changes no lock decision: interactive requests run big-class, which never waits on or feeds a reorder window")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
 	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard (0 = default, negative disables the gate)")
 	bulkWaiters := flag.Int("bulk-waiters", 0, "max waiting bulk ops per shard before rejection (0 = 4x inflight)")

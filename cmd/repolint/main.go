@@ -1,9 +1,9 @@
 // Command repolint is the repository's multichecker: it bundles the
-// custom concurrency-contract analyzers (classhintpair, lockheldcall,
-// lockorder, atomicfield, wireconst, statustext) plus the
-// stock-but-off-by-default shadow pass into one `go vet -vettool`
-// binary, so the contracts documented in ARCHITECTURE.md ("Enforced
-// invariants") gate every `make check` / `make ci` run. The
+// custom concurrency-contract analyzers (lockheldcall, lockorder,
+// atomicfield) plus the stock-but-off-by-default shadow pass into one
+// `go vet -vettool` binary, so the contracts documented in
+// ARCHITECTURE.md ("Enforced invariants") gate every `make check` /
+// `make ci` run. The
 // fact-powered passes (lockorder, atomicfield) exchange gob-encoded
 // facts across packages through vet's .vetx files, so whole-program
 // properties — the lock-order graph, a field's atomicity discipline —
@@ -28,22 +28,16 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/atomicfield"
-	"repro/internal/analysis/passes/classhintpair"
 	"repro/internal/analysis/passes/lockheldcall"
 	"repro/internal/analysis/passes/lockorder"
 	"repro/internal/analysis/passes/shadow"
-	"repro/internal/analysis/passes/statustext"
-	"repro/internal/analysis/passes/wireconst"
 )
 
 // Analyzers is the gating suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	classhintpair.Analyzer,
 	lockheldcall.Analyzer,
 	lockorder.Analyzer,
 	atomicfield.Analyzer,
-	wireconst.Analyzer,
-	statustext.Analyzer,
 	shadow.Analyzer,
 }
 

@@ -12,9 +12,9 @@
 //
 // internal/core holds the engine-independent LibASL logic: the AIMD
 // reorder-window controller (Algorithm 2), the epoch registry, and
-// the worker/core-class model — including the per-operation ClassHint
-// that lets a serving boundary re-class a single operation without
-// re-classing the goroutine. internal/locks holds the real lock
+// the worker/core-class model — a worker's class is fixed at creation,
+// so a serving boundary that handles both classes keeps one worker per
+// class. internal/locks holds the real lock
 // algorithms (TAS/ticket/MCS/ShflLock-proportional baselines, the
 // reorderable lock, ASLMutex) behind the worker-aware WLock
 // interface, plus an observability wrapper: locks.ClassProbe records
@@ -32,8 +32,9 @@
 // each shard lock once; ordered scans collect under the lock and
 // emit after release. Placement is fixed: key k lives on shard
 // Mix64(k) % Shards for the store's life, and no path holds two shard
-// locks at once. A library caller re-classes one operation the way
-// the server does: a ClassHint set around the call.
+// locks at once. A library caller serving both classes does what the
+// server does per connection: one worker per class, each operation on
+// the worker of its class.
 //
 // shardedkv.AsyncStore is the flat-combining front end: per-shard
 // lock-free MPSC rings, futures with class-aware spin/park waiting,
@@ -46,12 +47,13 @@
 // internal/kvserver serves the store over TCP with a length-prefixed
 // binary protocol (docs/protocol.md is normative; a test pins it to
 // the code). Every request carries an SLO class byte the server maps
-// to the lock class for exactly that operation: interactive requests
-// run big-class (ASL fast path; elect/combine/spin on the pipeline),
-// bulk requests run little-class (reorder standby; enqueue/park) and
-// pass a bounded per-shard admission gate — concurrency restriction
-// at the serving boundary, with interactive bypass. Per-class SLO
-// epochs feed the ASL window controllers from per-request latencies.
+// to the lock class, running the operation on the connection's worker
+// of that class: interactive requests run big-class (ASL fast path;
+// elect/combine/spin on the pipeline), bulk requests run little-class
+// (reorder standby; enqueue/park) and pass a bounded per-shard
+// admission gate — concurrency restriction
+// at the serving boundary, with interactive bypass. Bulk SLO epochs
+// feed the ASL window controllers from per-request latencies.
 // internal/kvclient is the concurrent pipelining client (one
 // multiplexed connection, calls matched by request id).
 // cmd/kvserver is the standalone binary (clean SIGTERM shutdown).
@@ -72,11 +74,12 @@
 // by cmd/kvcheck and shut down by SIGTERM).
 //
 // internal/analysis + cmd/repolint machine-check the concurrency
-// contracts the layers above rely on: ClassHint set/clear pairing,
-// the no-callbacks-under-a-shard-lock rule, the lock order (shard
-// locks never nest), and append-only wire enums. `make lint` runs the suite
-// as a `go vet -vettool`; ARCHITECTURE.md ("Enforced invariants")
-// maps each pass to its prose rule.
+// contracts the layers above rely on: no callbacks or fsync under a
+// shard lock, the lock order (shard locks never nest), and per-field
+// atomicity. `make lint` runs the suite as a `go vet -vettool`;
+// ARCHITECTURE.md ("Enforced invariants") maps each pass to its prose
+// rule. The wire enums' append-only rule is a test
+// (internal/kvserver's TestProtocolDocMatchesCode).
 package repro
 
 // Version identifies this reproduction build.

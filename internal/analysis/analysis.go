@@ -1,9 +1,9 @@
 // Package analysis is a stdlib-only reimplementation of the core of
 // golang.org/x/tools/go/analysis, sized for this repository's needs.
 //
-// The repo's concurrency contracts — ClassHint never leaks across a
-// return, user callbacks never run under a shard lock, shard locks
-// never nest, wire constants are append-only — lived in
+// The repo's concurrency contracts — user callbacks never run under a
+// shard lock, shard locks never nest, fsync never runs under one,
+// atomically accessed fields are never touched plainly — lived in
 // ARCHITECTURE.md prose and spot tests until PR 6. This package turns
 // them into compiler-adjacent checks: each contract is an Analyzer, the
 // cmd/repolint multichecker runs them over every package via
@@ -43,7 +43,7 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:ignore directives. By convention it is a single
-	// lower-case word (classhintpair, lockheldcall, ...).
+	// lower-case word (lockheldcall, lockorder, ...).
 	Name string
 	// Doc is the analyzer's long documentation: the contract it
 	// enforces, first line a one-sentence summary.

@@ -184,33 +184,6 @@ func NamedRecvType(info *types.Info, recv ast.Expr) string {
 	return ""
 }
 
-// LeafObj resolves the object a receiver chain ends in: the variable
-// for w.SetClassHint, the field for s.w.SetClassHint.
-func LeafObj(info *types.Info, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	case *ast.ParenExpr:
-		return LeafObj(info, e.X)
-	}
-	return nil
-}
-
-// ReferencesObj reports whether any identifier under n resolves to
-// target.
-func ReferencesObj(info *types.Info, n ast.Node, target types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // FuncNodes calls fn for every function body in the file: declared
 // functions and methods (with their names) and function literals
 // (named ""). Literals nested inside a function are visited in

@@ -17,8 +17,8 @@
 //   - defer does not edge to the exit block: deferred calls are
 //     appended to CFG.Defers (in source order) and the DeferStmt node
 //     stays in its block, so analyses model "runs at every return"
-//     explicitly — which is what the classhintpair and lockorder
-//     passes want (a deferred Release/Clear covers all exits).
+//     explicitly — which is what the lockorder pass wants (a
+//     deferred Release covers all exits).
 //   - panics and calls to runtime-terminating functions are not
 //     modeled as exits; a may-analysis only becomes more conservative
 //     for it.

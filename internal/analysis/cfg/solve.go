@@ -1,7 +1,7 @@
 package cfg
 
 // The generic forward-dataflow solver. A pass instantiates Flow[T]
-// with its state type (a lock-set, a hint map, a nilness lattice),
+// with its state type (a lock-set, a nilness lattice),
 // Solve runs the classic worklist iteration to a fixpoint, and the
 // pass then replays each reachable block's nodes against the solved
 // entry states to report violations exactly once per program point.

@@ -24,9 +24,7 @@ package analysis
 // print findings to stderr as "file:line:col: analyzer: message",
 // exiting 2 if any survive.
 //
-// The per-op ClassHint is the SAL shielded-flag protocol of the paper;
-// the wrapped Acquire/Release pairs are its asymmetric lock. The whole
-// point of running as a vettool rather than a standalone walker is that
+// The whole point of running as a vettool rather than a standalone walker is that
 // `go vet` hands us fully resolved types for every package variant
 // (including test variants) with build-cache-level incrementality.
 

@@ -73,11 +73,7 @@ type WorkerConfig struct {
 // only be used from one goroutine (it is the Go analogue of the paper's
 // __thread data).
 type Worker struct {
-	class Class
-	// hinted/hint hold the per-operation class override (see
-	// SetClassHint). Worker is single-goroutine, so plain fields.
-	hinted    bool
-	hint      Class
+	class     Class
 	clock     Clock
 	cfg       WorkerConfig
 	epochs    []epochState
@@ -106,40 +102,15 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return w
 }
 
-// Class returns the worker's effective core class: the per-operation
-// hint when one is installed (SetClassHint), the base class otherwise.
-// Every consumer of class — lock acquire paths, combiner election,
-// spin-vs-park waiting, CSPad keying — reads the class through here,
-// so a hint re-classes a single operation end to end.
-func (w *Worker) Class() Class {
-	if w.hinted {
-		return w.hint
-	}
-	return w.class
-}
+// Class returns the worker's core class, fixed at NewWorker. Every
+// consumer of class — lock acquire paths, combiner election,
+// spin-vs-park waiting, CSPad keying, EpochEnd's feedback gate — reads
+// it through here. A caller that serves both classes keeps one worker
+// per class (the paper's class belongs to the thread, not the call).
+func (w *Worker) Class() Class { return w.class }
 
-// BaseClass returns the worker's underlying class, ignoring any hint.
+// BaseClass returns the worker's class; it is the same as Class.
 func (w *Worker) BaseClass() Class { return w.class }
-
-// SetClass re-classifies the worker. The paper supports thread
-// migration between asymmetric cores; the Go analogue is the
-// application re-classifying a worker when its placement changes.
-func (w *Worker) SetClass(c Class) { w.class = c }
-
-// SetClassHint installs a per-operation class override: until
-// ClearClassHint, Class() reports c instead of the base class. This is
-// the ClassHint path of the serving layer — a request boundary (e.g. a
-// network server mapping an SLO class byte) classes each operation
-// individually, where SetClass would re-class the whole worker. Hints
-// follow the worker's single-goroutine contract: install before the
-// operation, clear after, never leave one across a return to the pool.
-func (w *Worker) SetClassHint(c Class) { w.hinted, w.hint = true, c }
-
-// ClearClassHint removes the per-operation class override.
-func (w *Worker) ClearClassHint() { w.hinted = false }
-
-// ClassHinted reports whether a per-operation class hint is installed.
-func (w *Worker) ClassHinted() bool { return w.hinted }
 
 // Now returns the worker's clock reading (exposed for harness use).
 func (w *Worker) Now() int64 { return w.clock() }
@@ -181,10 +152,7 @@ func (w *Worker) EpochStart(id int) {
 // EpochEnd marks the end of epoch id with the given latency SLO in
 // nanoseconds (epoch_end). It returns the measured epoch latency.
 // Matching Algorithm 2, workers on big cores skip the window update:
-// only reordered victims (little cores) drive the feedback. The
-// effective class decides — an operation hinted Little (e.g. a
-// bulk-class network request) drives its epoch's feedback even when
-// the handling worker's base class is Big.
+// only reordered victims (little cores) drive the feedback.
 func (w *Worker) EpochEnd(id int, sloNs int64) (latencyNs int64) {
 	st := w.state(id)
 	latencyNs = w.clock() - st.start

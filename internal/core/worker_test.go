@@ -52,6 +52,32 @@ func TestWorkerLittleFeedback(t *testing.T) {
 	}
 }
 
+// TestClassDrivesEpochFeedback runs the same SLO misses through a big
+// and a little worker sharing one clock, as a connection's per-class
+// workers do: EpochEnd's window-update gate follows the class each
+// worker was built with, so only the little worker's window shrinks.
+func TestClassDrivesEpochFeedback(t *testing.T) {
+	fc := &fakeClock{}
+	big, little := newTestWorker(Big, fc), newTestWorker(Little, fc)
+	before := big.EpochWindow(0)
+	if little.EpochWindow(0) != before {
+		t.Fatalf("fresh windows differ: big %d, little %d", before, little.EpochWindow(0))
+	}
+	for i := 0; i < 8; i++ {
+		for _, w := range []*Worker{big, little} {
+			w.EpochStart(0)
+			fc.now += 1000
+			w.EpochEnd(0, 1) // latency far above SLO
+		}
+	}
+	if got := big.EpochWindow(0); got != before {
+		t.Fatalf("big-class epochs moved the window: %d -> %d", before, got)
+	}
+	if got := little.EpochWindow(0); got >= before {
+		t.Fatalf("little-class epochs left the window at %d (start %d)", got, before)
+	}
+}
+
 func TestWorkerNestedEpochs(t *testing.T) {
 	fc := &fakeClock{}
 	w := newTestWorker(Little, fc)
@@ -106,23 +132,6 @@ func TestWorkerEpochIDOutOfRangePanics(t *testing.T) {
 	}()
 	w := NewWorker(WorkerConfig{Class: Little, MaxEpochs: 4})
 	w.EpochStart(4)
-}
-
-func TestWorkerSetClass(t *testing.T) {
-	fc := &fakeClock{}
-	w := newTestWorker(Big, fc)
-	w.SetClass(Little)
-	if w.Class() != Little {
-		t.Fatal("SetClass did not take effect")
-	}
-	// After migration to a little core, feedback applies.
-	w.EpochStart(0)
-	fc.now += 1 << 30
-	w0 := w.EpochWindow(0)
-	w.EpochEnd(0, 1)
-	if w.EpochWindow(0) >= w0 {
-		t.Fatal("migrated worker must run feedback")
-	}
 }
 
 func TestWorkerCustomController(t *testing.T) {

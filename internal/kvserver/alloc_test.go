@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shardedkv"
-	"repro/internal/stats"
 )
 
 // payloadOf strips the length prefix and header off an encoded response.
@@ -66,20 +65,20 @@ func TestDecodePayloadAllocs(t *testing.T) {
 
 // newExecFixture is a server over a preloaded 2-shard btree store plus
 // what execute needs of a connection, with no socket in the way.
-func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *core.Worker, *serverConn) {
+func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *serverConn) {
 	t.Helper()
 	st := shardedkv.New(shardedkv.Config{Shards: 2, NewEngine: func(int) shardedkv.Engine { return shardedkv.NewBTreeEngine() }})
 	s, err := New(Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	sc := newServerConn(nil)
 	for k := 0; k < keys; k++ {
-		if _, err := st.Put(w, uint64(k), val); err != nil {
+		if _, err := st.Put(sc.ws[core.Big], uint64(k), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s, w, &serverConn{rec: stats.NewClassedRecorder()}
+	return s, sc
 }
 
 // TestExecuteAllocs pins what serving one request allocates, the buffer
@@ -90,11 +89,11 @@ func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *core.Worker, 
 // allocation). A 513-pair Range allocates the callback's state, the
 // store's collect closure and shard worklist, and nothing per pair.
 func TestExecuteAllocs(t *testing.T) {
-	s, w, sc := newExecFixture(t, 1024, bytes.Repeat([]byte{7}, 64))
+	s, sc := newExecFixture(t, 1024, bytes.Repeat([]byte{7}, 64))
 	out := make([]byte, 0, 64<<10)
 	run := func(req Request) func() {
 		return func() {
-			res, err := s.execute(w, sc, &req, out[:0])
+			res, err := s.execute(sc, &req, out[:0])
 			if err != nil || len(res) == 0 {
 				t.Fatalf("execute op 0x%02x: %d bytes, %v", req.Op, len(res), err)
 			}
@@ -119,7 +118,7 @@ func TestExecuteAllocs(t *testing.T) {
 // for byte the one AppendRangeResponse builds from the same pairs, More
 // flag and an existing prefix in out included.
 func TestAppendRangeMatchesAppendRangeResponse(t *testing.T) {
-	s, w, _ := newExecFixture(t, 64, []byte("value"))
+	s, sc := newExecFixture(t, 64, []byte("value"))
 	for _, c := range []struct {
 		lo, hi uint64
 		limit  uint32
@@ -140,7 +139,7 @@ func TestAppendRangeMatchesAppendRangeResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := Request{ID: 9, Op: OpRange, Class: ClassBulk, Lo: c.lo, Hi: c.hi, Limit: c.limit}
-		got, pairs, err := s.appendRange(w, &req, []byte("prefix"))
+		got, pairs, err := s.appendRange(sc.ws[core.Little], &req, []byte("prefix"))
 		if err != nil || pairs != c.pairs || !bytes.Equal(got, want) {
 			t.Errorf("Range [%d,%d] limit %d: %d pairs, err %v, frame differs: %v", c.lo, c.hi, c.limit, pairs, err, !bytes.Equal(got, want))
 		}
@@ -155,11 +154,11 @@ func TestAppendRangeMatchesAppendRangeResponse(t *testing.T) {
 func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
 	val := make([]byte, MaxValueLen)
 	const keys = MaxFrame/MaxValueLen + 1
-	s, w, sc := newExecFixture(t, keys, val)
+	s, sc := newExecFixture(t, keys, val)
 	fits := (MaxFrame - headerLen - 4) / (12 + MaxValueLen)
 
 	req := Request{ID: 4, Op: OpRange, Class: ClassBulk, Lo: 0, Hi: keys}
-	out, pairs, err := s.appendRange(w, &req, []byte("prefix"))
+	out, pairs, err := s.appendRange(sc.ws[core.Little], &req, []byte("prefix"))
 	if err == nil || string(out) != "prefix" || pairs != fits {
 		t.Fatalf("over-large scan: %d pairs (want %d), out reset to %d bytes, err %v", pairs, fits, len(out), err)
 	}
@@ -167,7 +166,7 @@ func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
 		t.Fatalf("buffer grew to %d bytes building a frame that may not pass %d", c, MaxFrame)
 	}
 
-	out, err = s.execute(w, sc, &req, nil)
+	out, err = s.execute(sc, &req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
 
 	// The same scan under a limit that fits is served whole.
 	req.Limit = uint32(fits)
-	out, err = s.execute(w, sc, &req, out[:0])
+	out, err = s.execute(sc, &req, out[:0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestAppendMultiGetBoundedBeforeBuilt(t *testing.T) {
 // serveFrames feeds reqs to serveOne one at a time through in-memory
 // buffers and hands each response frame, with the connection state as
 // the request left it, to check.
-func serveFrames(t *testing.T, s *Server, w *core.Worker, sc *serverConn, reqs []Request, check func(i int, resp Response)) {
+func serveFrames(t *testing.T, s *Server, sc *serverConn, reqs []Request, check func(i int, resp Response)) {
 	t.Helper()
 	var in, out bytes.Buffer
 	br, bw := bufio.NewReaderSize(&in, requestReadBuf), bufio.NewWriter(&out)
@@ -235,7 +234,7 @@ func serveFrames(t *testing.T, s *Server, w *core.Worker, sc *serverConn, reqs [
 			t.Fatal(err)
 		}
 		in.Write(wire)
-		if !s.serveOne(w, sc, br, bw) {
+		if !s.serveOne(sc, br, bw) {
 			t.Fatalf("request %d dropped the connection", i)
 		}
 		bw.Flush()
@@ -254,14 +253,14 @@ func serveFrames(t *testing.T, s *Server, w *core.Worker, sc *serverConn, reqs [
 // retained bound — while steady 64 KiB batch traffic keeps reusing the
 // same two buffers.
 func TestConnBuffersDropHighWaterMark(t *testing.T) {
-	s, w, sc := newExecFixture(t, 0, nil)
+	s, sc := newExecFixture(t, 0, nil)
 	big := make([]byte, MaxValueLen)
 	keys := []uint64{1, 2, 3, 4, 5}
 	kvs := make([]shardedkv.Pair, len(keys))
 	for i, k := range keys {
 		kvs[i] = shardedkv.Pair{Key: k, Value: big}
 	}
-	serveFrames(t, s, w, sc, []Request{
+	serveFrames(t, s, sc, []Request{
 		{ID: 1, Op: OpMultiPut, Class: ClassBulk, KVs: kvs},   // 5 MiB frame
 		{ID: 2, Op: OpMultiGet, Class: ClassBulk, Keys: keys}, // 5 MiB response
 		{ID: 3, Op: OpGet, Class: ClassInteractive, Key: 77},
@@ -290,7 +289,7 @@ func TestConnBuffersDropHighWaterMark(t *testing.T) {
 		}
 	}
 	var frame0, out0 *byte
-	serveFrames(t, s, w, sc, steady, func(i int, resp Response) {
+	serveFrames(t, s, sc, steady, func(i int, resp Response) {
 		if resp.Status != StatusOK {
 			t.Fatalf("steady request %d: status %d", i, resp.Status)
 		}

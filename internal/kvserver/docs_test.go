@@ -7,8 +7,10 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // repoFile reads a file relative to the repository root.
@@ -21,50 +23,35 @@ func repoFile(t *testing.T, rel string) string {
 	return string(data)
 }
 
-// TestProtocolDocMatchesCode pins docs/protocol.md to the codec: every
-// opcode, class and status byte must appear in the spec with its
-// exact value, the magic and the limits must match, and renumbering
-// anything here without touching the doc fails CI.
+// TestProtocolDocMatchesCode pins docs/protocol.md to the codec. Every
+// wire constant proto.go declares (wireConsts) is checked, so a
+// constant added to the code without a doc row fails here too: every
+// opcode, class and status has its doc row with its exact value, and
+// every response flag is named in the doc. The magic and the limits
+// must match as well.
 func TestProtocolDocMatchesCode(t *testing.T) {
 	doc := repoFile(t, "docs/protocol.md")
 
-	row := func(name string, val uint8) string {
-		return fmt.Sprintf("| `%s` | `0x%02x` |", name, val)
+	seen := make(map[string]bool)
+	for _, c := range wireConsts(t) {
+		seen[c.family] = true
+		if c.family == "Flag" {
+			if !strings.Contains(doc, "`"+c.name+"`") {
+				t.Errorf("docs/protocol.md does not name the response flag %s", c.name)
+			}
+		} else if row := fmt.Sprintf("| `%s` | `0x%02x` |", c.name, c.val); !strings.Contains(doc, row) {
+			t.Errorf("docs/protocol.md lacks the row %q — spec and code drifted", row)
+		}
 	}
-	wantRows := map[string]uint8{
-		"OpGet":                OpGet,
-		"OpPut":                OpPut,
-		"OpDelete":             OpDelete,
-		"OpMultiGet":           OpMultiGet,
-		"OpMultiPut":           OpMultiPut,
-		"OpRange":              OpRange,
-		"OpFlush":              OpFlush,
-		"OpStats":              OpStats,
-		"ClassInteractive":     ClassInteractive,
-		"ClassBulk":            ClassBulk,
-		"StatusOK":             StatusOK,
-		"StatusErrMalformed":   StatusErrMalformed,
-		"StatusErrUnknownOp":   StatusErrUnknownOp,
-		"StatusErrAdmission":   StatusErrAdmission,
-		"StatusErrTooLarge":    StatusErrTooLarge,
-		"StatusErrShutdown":    StatusErrShutdown,
-		"StatusErrUnavailable": StatusErrUnavailable,
-	}
-	for name, val := range wantRows {
-		if !strings.Contains(doc, row(name, val)) {
-			t.Errorf("docs/protocol.md lacks the row %q — spec and code drifted", row(name, val))
+	for _, fam := range wireFamilies {
+		if !seen[fam] {
+			t.Errorf("proto.go declares no %s* wire constant", fam)
 		}
 	}
 
 	if !strings.Contains(doc, fmt.Sprintf("%q", Magic)) {
 		t.Errorf("docs/protocol.md does not state the magic %q", Magic)
 	}
-	// Note the division of labour: this test pins the DOC to the code
-	// (every byte value above comes from the real constants), while the
-	// append-only/no-renumbering rule for the enum families themselves
-	// is machine-checked by the wireconst analyzer (`make lint`,
-	// internal/analysis/passes/wireconst) — it no longer needs a
-	// hand-maintained re-assertion here.
 	limits := map[string]string{
 		"MaxFrame":      "`1<<24`",
 		"MaxBatchOps":   "`1<<16`",
@@ -76,6 +63,95 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			t.Errorf("docs/protocol.md limits table lacks %s = %s", name, lit)
 		}
 	}
+}
+
+// TestWireEnumsAppendOnly requires the values of each wire family to
+// strictly increase in proto.go's declaration order: wire enums are
+// append-only, never renumbered or reused.
+func TestWireEnumsAppendOnly(t *testing.T) {
+	last := make(map[string]wireConst)
+	for _, c := range wireConsts(t) {
+		if prev, ok := last[c.family]; ok && c.val <= prev.val {
+			t.Errorf("proto.go: %s (0x%02x) is declared after %s (0x%02x); wire constants are append-only, strictly increasing per family",
+				c.name, c.val, prev.name, prev.val)
+		}
+		last[c.family] = c
+	}
+}
+
+// TestEveryStatusHasText requires a StatusText name for every Status*
+// constant in proto.go, so no error message or log line falls back to
+// a hex code.
+func TestEveryStatusHasText(t *testing.T) {
+	for _, c := range wireConsts(t) {
+		if c.family == "Status" && StatusText(c.val) == fmt.Sprintf("status 0x%02x", c.val) {
+			t.Errorf("%s has no StatusText name", c.name)
+		}
+	}
+}
+
+// wireFamilies are the name prefixes of the wire enums. A constant
+// belongs to a family when its name is the prefix followed by an
+// upper-case letter (ClassBulk is in Class; a Classify would not be).
+var wireFamilies = []string{"Op", "Class", "Status", "Flag"}
+
+// wireConst is one wire enum constant as proto.go declares it.
+type wireConst struct {
+	name, family string
+	val          uint8
+}
+
+// wireConsts reads every Op*/Class*/Status*/Flag* constant from
+// proto.go with go/parser, in declaration order. Each must be declared
+// as `Name uint8 = <integer literal>`, the shape the doc tables state.
+func wireConsts(t *testing.T) []wireConst {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "proto.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []wireConst
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				fam := wireFamily(id.Name)
+				if fam == "" {
+					continue
+				}
+				typ, _ := vs.Type.(*ast.Ident)
+				var lit *ast.BasicLit
+				if i < len(vs.Values) {
+					lit, _ = vs.Values[i].(*ast.BasicLit)
+				}
+				if typ == nil || typ.Name != "uint8" || lit == nil || lit.Kind != token.INT {
+					t.Fatalf("proto.go: wire constant %s is not declared as `%s uint8 = <integer literal>`", id.Name, id.Name)
+				}
+				v, err := strconv.ParseUint(lit.Value, 0, 8)
+				if err != nil {
+					t.Fatalf("proto.go: %s: %v", id.Name, err)
+				}
+				out = append(out, wireConst{id.Name, fam, uint8(v)})
+			}
+		}
+	}
+	return out
+}
+
+// wireFamily returns the wire enum family a constant name belongs to,
+// or "".
+func wireFamily(name string) string {
+	for _, fam := range wireFamilies {
+		rest, ok := strings.CutPrefix(name, fam)
+		if ok && rest != "" && unicode.IsUpper(rune(rest[0])) {
+			return fam
+		}
+	}
+	return ""
 }
 
 // repolintAnalyzers returns the analyzers cmd/repolint registers, read
@@ -131,7 +207,7 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 	}
 	for _, want := range []string{
 		"kvclient", "kvserver", "admission", "placement", "ASL",
-		"combiner", "docs/protocol.md", "ClassHint",
+		"combiner", "docs/protocol.md", "one worker per class",
 		// The machine-checked invariants section.
 		"Enforced invariants", "repolint", "Lock ordering",
 		// The contributor-guide sections.

@@ -17,14 +17,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Epoch ids the server uses for per-request SLO epochs: one epoch per
-// SLO class, so each class's AIMD controller learns its own reorder
-// window from its own latency feedback.
-const (
-	epochInteractive = 0
-	epochBulk        = 1
-)
-
 // Config configures a Server.
 type Config struct {
 	// Store is the served store (required).
@@ -35,9 +27,13 @@ type Config struct {
 	Async *shardedkv.AsyncStore
 	// SLOInteractive and SLOBulk are the per-class latency SLOs. A
 	// positive value wraps each request of that class in an SLO epoch
-	// (EpochStart/EpochEnd with the class's epoch id), so ASL shard
-	// locks learn a per-class reorder window from per-request
-	// feedback. 0 disables epochs for that class.
+	// (EpochStart/EpochEnd, epoch id = lock class), and 0 disables
+	// epochs for that class. Only SLOBulk steers the lock: bulk
+	// requests run little-class, so their epochs feed the reorder
+	// window ASL shard locks stand by for. Interactive requests run
+	// big-class, which never waits on a window (ASLMutex.Lock) and
+	// never feeds the controller (core.Worker.EpochEnd), so
+	// SLOInteractive changes no lock decision.
 	SLOInteractive, SLOBulk time.Duration
 	// Admission bounds in-flight bulk operations (see AdmissionConfig;
 	// the zero value enables the gate with defaults, BulkPerShard < 0
@@ -48,20 +44,20 @@ type Config struct {
 // Server serves the binary protocol over TCP. One goroutine per
 // connection decodes, executes and responds in request order;
 // concurrency across the store comes from concurrent connections.
-// Requests are executed on a per-connection core.Worker whose class is
-// HINTED per request from the wire class byte — the ClassHint path —
-// so one connection may interleave interactive and bulk operations and
+// Each connection owns one core.Worker per lock class, and every
+// request runs on the worker of its wire class byte's lock class, so
+// one connection may interleave interactive and bulk operations and
 // each still reaches the shard lock under its own class.
 type Server struct {
 	// st answers placement queries (ShardOf, NumShards); kv
 	// is the operation surface — the plain store, or the combining
 	// pipeline when Config.Async is set. Every request path goes
 	// through kv, so the server is front-end-agnostic past New.
-	st   *shardedkv.Store
-	kv   shardedkv.KV
-	sloI int64
-	sloB int64
-	adm  *admission
+	st *shardedkv.Store
+	kv shardedkv.KV
+	// slo is the epoch SLO per lock class (0: no epoch).
+	slo [2]int64
+	adm *admission
 
 	ln     net.Listener
 	closed atomic.Bool
@@ -91,8 +87,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		st:      cfg.Store,
 		kv:      kv,
-		sloI:    int64(cfg.SLOInteractive),
-		sloB:    int64(cfg.SLOBulk),
+		slo:     [2]int64{core.Big: int64(cfg.SLOInteractive), core.Little: int64(cfg.SLOBulk)},
 		adm:     newAdmission(cfg.Admission, cfg.Store.NumShards()),
 		conns:   make(map[*serverConn]struct{}),
 		retired: stats.NewClassedRecorder(),
@@ -154,7 +149,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed (Close) or fatal
 		}
-		sc := &serverConn{c: c, rec: stats.NewClassedRecorder()}
+		sc := newServerConn(c)
 		// Registration re-checks closed under the same mutex Close
 		// iterates under: Close sets the flag BEFORE it walks the
 		// conn set, so either this conn lands in the walk (and gets
@@ -184,6 +179,22 @@ type serverConn struct {
 	// frame and out are the handler's request and response buffers,
 	// reused from one request to the next (handler-only, no lock).
 	frame, out []byte
+	// ws holds the connection's workers, one per lock class, indexed
+	// by core.Class (handler-only, no lock).
+	ws [2]*core.Worker
+}
+
+// newServerConn returns the state of connection c with its two
+// workers.
+func newServerConn(c net.Conn) *serverConn {
+	return &serverConn{
+		c:   c,
+		rec: stats.NewClassedRecorder(),
+		ws: [2]*core.Worker{
+			core.Big:    core.NewWorker(core.WorkerConfig{Class: core.Big}),
+			core.Little: core.NewWorker(core.WorkerConfig{Class: core.Little}),
+		},
+	}
 }
 
 func (sc *serverConn) record(class core.Class, latencyNs int64, ops uint64) {
@@ -226,10 +237,6 @@ func (s *Server) handle(sc *serverConn) {
 		return
 	}
 
-	// The per-connection worker. Base class is irrelevant: every
-	// request installs its own class hint before touching the store.
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-
 	for {
 		// Classic pipelining flush: only pay the syscall when about to
 		// block on an empty input buffer.
@@ -238,7 +245,7 @@ func (s *Server) handle(sc *serverConn) {
 				return
 			}
 		}
-		if !s.serveOne(w, sc, br, bw) {
+		if !s.serveOne(sc, br, bw) {
 			return
 		}
 	}
@@ -247,7 +254,7 @@ func (s *Server) handle(sc *serverConn) {
 // serveOne reads one request frame from br, executes it and writes the
 // response to bw (unflushed). It reports false when the connection is
 // done: clean EOF, a framing violation, or a failed write.
-func (s *Server) serveOne(w *core.Worker, sc *serverConn, br *bufio.Reader, bw *bufio.Writer) bool {
+func (s *Server) serveOne(sc *serverConn, br *bufio.Reader, bw *bufio.Writer) bool {
 	var err error
 	sc.frame, err = ReadFrame(br, sc.frame)
 	if err != nil {
@@ -266,7 +273,7 @@ func (s *Server) serveOne(w *core.Worker, sc *serverConn, br *bufio.Reader, bw *
 		s.errs[lockClassOf(req.Class)].Add(1)
 		sc.out, err = AppendErrorResponse(sc.out[:0], req.ID, StatusErrMalformed, err.Error())
 	} else {
-		sc.out, err = s.execute(w, sc, &req, sc.out[:0])
+		sc.out, err = s.execute(sc, &req, sc.out[:0])
 	}
 	ok := err == nil && writeAll(bw, sc.out) == nil
 	// One oversized request must not pin its buffers on the connection
@@ -293,7 +300,7 @@ func lockClassOf(class uint8) core.Class {
 // execute runs one request and appends its response frame to out. The
 // error return is for encoding failures only (they poison the stream);
 // per-request errors become error-status responses.
-func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byte) ([]byte, error) {
+func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, error) {
 	if s.closed.Load() {
 		return AppendErrorResponse(out, req.ID, StatusErrShutdown, StatusText(StatusErrShutdown))
 	}
@@ -324,21 +331,14 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 		defer s.adm.exit(g)
 	}
 
-	// The ClassHint path: the request's SLO class becomes the worker's
-	// effective class for exactly this operation, steering the shard
-	// lock's admission policy, combiner election, spin-vs-park waiting
-	// and the CSPad keying. An SLO-configured class additionally runs
-	// inside its class's epoch, so ASL locks learn per-class reorder
-	// windows from per-request latency feedback.
-	w.SetClassHint(lc)
-	epoch, slo := -1, int64(0)
-	if req.Class == ClassBulk && s.sloB > 0 {
-		epoch, slo = epochBulk, s.sloB
-	} else if req.Class == ClassInteractive && s.sloI > 0 {
-		epoch, slo = epochInteractive, s.sloI
-	}
-	if epoch >= 0 {
-		w.EpochStart(epoch)
+	// The request runs on its lock class's worker, whose class steers
+	// the shard lock's admission policy, combiner election,
+	// spin-vs-park waiting, the sync policy and the CSPad keying. An
+	// SLO-configured class additionally runs inside an epoch whose id
+	// is the lock class.
+	w, slo := sc.ws[lc], s.slo[lc]
+	if slo > 0 {
+		w.EpochStart(int(lc))
 	}
 	start := w.Now()
 
@@ -398,19 +398,17 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 			out, encErr = AppendEmptyResponse(out, req.ID)
 		}
 	default:
-		if epoch >= 0 {
-			w.EpochEnd(epoch, slo)
+		if slo > 0 {
+			w.EpochEnd(int(lc), slo)
 		}
-		w.ClearClassHint()
 		s.errs[lc].Add(1)
 		return AppendErrorResponse(out, req.ID, StatusErrUnknownOp, fmt.Sprintf("opcode 0x%02x", req.Op))
 	}
 
 	lat := w.Now() - start
-	if epoch >= 0 {
-		w.EpochEnd(epoch, slo)
+	if slo > 0 {
+		w.EpochEnd(int(lc), slo)
 	}
-	w.ClearClassHint()
 	if kvErr != nil {
 		// The store refused the write's durability promise (a degraded
 		// shard). Reads keep serving; the client sees a retryable

@@ -287,61 +287,102 @@ func TestClientVsModelLinearizability(t *testing.T) {
 
 // TestClassMappingAtLock is the class-mapping contract test: every
 // interactive request must reach the shard lock as big-class and
-// every bulk request as little-class, whatever goroutine serves the
-// connection. Probe-wrapped locks observe the effective class.
+// every bulk request as little-class, on the plain store and through
+// the combining pipeline. Probe-wrapped locks observe the class of the
+// worker that acquires. One connection issues a block of each class,
+// then alternates the classes request by request: its two workers must
+// never trade requests.
 func TestClassMappingAtLock(t *testing.T) {
-	var mu sync.Mutex
-	var probes []*locks.ClassProbe
-	scfg := shardedkv.Config{
-		Shards: 4,
-		NewLock: func() locks.WLock {
-			p := locks.WithClassProbe(locks.FactoryASL()())
-			mu.Lock()
-			probes = append(probes, p)
-			mu.Unlock()
-			return p
-		},
-	}
-	_, addr := startServer(t, scfg, nil)
-	cl := dial(t, addr)
-
-	sum := func() locks.ClassProbeStats {
-		mu.Lock()
-		defer mu.Unlock()
-		var s locks.ClassProbeStats
-		for _, p := range probes {
-			st := p.Stats()
-			s.BigAcquires += st.BigAcquires
-			s.LittleAcquires += st.LittleAcquires
+	for _, pipelined := range []bool{false, true} {
+		name := "store"
+		if pipelined {
+			name = "async"
 		}
-		return s
-	}
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var probes []*locks.ClassProbe
+			scfg := shardedkv.Config{
+				Shards: 4,
+				NewLock: func() locks.WLock {
+					p := locks.WithClassProbe(locks.FactoryASL()())
+					mu.Lock()
+					probes = append(probes, p)
+					mu.Unlock()
+					return p
+				},
+			}
+			_, addr := startServer(t, scfg, func(cfg *kvserver.Config) {
+				if pipelined {
+					cfg.Async = shardedkv.NewAsync(cfg.Store, shardedkv.AsyncConfig{})
+				}
+			})
+			cl := dial(t, addr)
 
-	const n = 50
-	for i := uint64(0); i < n; i++ {
-		if _, err := cl.Put(kvserver.ClassInteractive, i, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := sum()
-	if after.BigAcquires != n {
-		t.Fatalf("interactive ops: big acquires = %d, want %d", after.BigAcquires, n)
-	}
-	if after.LittleAcquires != 0 {
-		t.Fatalf("interactive ops leaked %d little-class acquires", after.LittleAcquires)
-	}
+			sum := func() locks.ClassProbeStats {
+				mu.Lock()
+				defer mu.Unlock()
+				var s locks.ClassProbeStats
+				for _, p := range probes {
+					st := p.Stats()
+					s.BigAcquires += st.BigAcquires
+					s.LittleAcquires += st.LittleAcquires
+				}
+				return s
+			}
 
-	for i := uint64(0); i < n; i++ {
-		if _, _, err := cl.Get(kvserver.ClassBulk, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	end := sum()
-	if got := end.LittleAcquires; got != n {
-		t.Fatalf("bulk ops: little acquires = %d, want %d", got, n)
-	}
-	if end.BigAcquires != after.BigAcquires {
-		t.Fatalf("bulk ops leaked big-class acquires: %d -> %d", after.BigAcquires, end.BigAcquires)
+			const n = 50
+			for i := uint64(0); i < n; i++ {
+				if _, err := cl.Put(kvserver.ClassInteractive, i, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := sum()
+			if after.BigAcquires != n {
+				t.Fatalf("interactive ops: big acquires = %d, want %d", after.BigAcquires, n)
+			}
+			if after.LittleAcquires != 0 {
+				t.Fatalf("interactive ops leaked %d little-class acquires", after.LittleAcquires)
+			}
+
+			for i := uint64(0); i < n; i++ {
+				if _, _, err := cl.Get(kvserver.ClassBulk, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			end := sum()
+			if got := end.LittleAcquires; got != n {
+				t.Fatalf("bulk ops: little acquires = %d, want %d", got, n)
+			}
+			if end.BigAcquires != after.BigAcquires {
+				t.Fatalf("bulk ops leaked big-class acquires: %d -> %d", after.BigAcquires, end.BigAcquires)
+			}
+
+			// Interleaved: the class flips on every request, and each
+			// request's one lock take lands under its own class.
+			for i := uint64(0); i < 4*n; i++ {
+				class, wantBig, wantLittle := kvserver.ClassInteractive, uint64(1), uint64(0)
+				if i%2 == 1 {
+					class, wantBig, wantLittle = kvserver.ClassBulk, 0, 1
+				}
+				op, before := "Put", sum()
+				var err error
+				if i%4 < 2 {
+					_, err = cl.Put(class, i, []byte("w"))
+				} else {
+					op = "Get"
+					_, _, err = cl.Get(class, i-2)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := sum()
+				big, little := got.BigAcquires-before.BigAcquires, got.LittleAcquires-before.LittleAcquires
+				if big != wantBig || little != wantLittle {
+					t.Fatalf("request %d (%s, class %d): big/little acquires %d/%d, want %d/%d",
+						i, op, class, big, little, wantBig, wantLittle)
+				}
+			}
+		})
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 )
 
 // ClassProbe wraps a WLock and counts acquisitions by the class the
-// lock OBSERVES — w.Class() at Acquire/TryAcquire time, i.e. the
-// effective class after any per-operation hint (core.Worker.
-// SetClassHint). It exists for the serving layer's class-mapping
-// contract: a front end that tags each request with an SLO class must
-// be able to assert (in tests) and report (in stats) that an
-// interactive request really reached the shard lock as big-class and a
-// bulk request as little-class. Counters are atomic; the wrapper adds
+// lock OBSERVES — w.Class() at Acquire/TryAcquire time. It exists for
+// the serving layer's class-mapping contract: a front end that tags
+// each request with an SLO class must be able to assert (in tests) and
+// report (in stats) that an interactive request really reached the
+// shard lock as big-class and a bulk request as little-class. Counters are atomic; the wrapper adds
 // two uncontended atomic adds per acquisition and nothing else.
 type ClassProbe struct {
 	inner WLock
@@ -53,7 +51,7 @@ func (p *ClassProbe) Inner() WLock { return p.inner }
 // ClassProbeStats is a snapshot of a ClassProbe's counters.
 type ClassProbeStats struct {
 	// BigAcquires and LittleAcquires count successful lock entries
-	// whose worker's effective class was Big / Little.
+	// whose worker's class was Big / Little.
 	BigAcquires, LittleAcquires uint64
 	// TryFailed counts TryAcquire calls that lost.
 	TryFailed uint64

@@ -7,10 +7,10 @@ import (
 )
 
 // TestClassProbeObservesHint drives one probe-wrapped lock of every
-// factory family with a Big-based worker, hinting half the
-// acquisitions Little, and asserts the probe saw the EFFECTIVE class —
-// the per-operation ClassHint contract the serving layer's class
-// mapping rests on.
+// factory family with one worker per class, alternating them as the
+// server alternates a connection's per-class workers, and asserts the
+// probe saw each acquisition under its worker's class — the contract
+// the serving layer's class mapping rests on.
 func TestClassProbeObservesHint(t *testing.T) {
 	factories := map[string]Factory{
 		"asl":     FactoryASL(),
@@ -22,14 +22,14 @@ func TestClassProbeObservesHint(t *testing.T) {
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {
 			l := WithClassProbe(f())
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			ws := [2]*core.Worker{
+				core.Big:    core.NewWorker(core.WorkerConfig{Class: core.Big}),
+				core.Little: core.NewWorker(core.WorkerConfig{Class: core.Little}),
+			}
 			for i := 0; i < 10; i++ {
-				if i%2 == 1 {
-					w.SetClassHint(core.Little)
-				}
+				w := ws[i%2]
 				l.Acquire(w)
 				l.Release(w)
-				w.ClearClassHint()
 			}
 			st := l.Stats()
 			if st.BigAcquires != 5 || st.LittleAcquires != 5 {

@@ -33,11 +33,11 @@ func probeStore(t *testing.T) (*Store, *locks.ClassProbe) {
 }
 
 // TestClassHintReachesShardLock asserts the serving-boundary property
-// on both front ends: every op a caller issues under SetClassHint(c) is
-// observed at the shard lock as class c, whatever the worker's base
-// class, and the op leaves the caller's hint in place. One worker
-// drives the pipeline, so it is its own combiner and the probe sees its
-// hint. Flush takes no shard lock on either front end.
+// on both front ends: every op a class-c worker issues is observed at
+// the shard lock as class c, one worker per class as the server keeps
+// per connection. One worker at a time drives the pipeline, so it is
+// its own combiner and the probe sees its class. Flush takes no shard
+// lock on either front end.
 func TestClassHintReachesShardLock(t *testing.T) {
 	st, sp := probeStore(t)
 	ast, ap := probeStore(t)
@@ -50,9 +50,9 @@ func TestClassHintReachesShardLock(t *testing.T) {
 		{"async", NewAsync(ast, AsyncConfig{}), ap},
 	} {
 		t.Run(fe.name, func(t *testing.T) {
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			kv := fe.kv
 			for _, c := range []core.Class{core.Little, core.Big} {
+				w := core.NewWorker(core.WorkerConfig{Class: c})
 				ops := []struct {
 					name  string
 					locks bool
@@ -82,15 +82,8 @@ func TestClassHintReachesShardLock(t *testing.T) {
 				}
 				for _, op := range ops {
 					before := fe.probe.Stats()
-					w.SetClassHint(c)
-					ok := op.run()
-					hinted, class := w.ClassHinted(), w.Class()
-					w.ClearClassHint()
-					if !ok {
+					if !op.run() {
 						t.Fatalf("%s as %v: wrong result", op.name, c)
-					}
-					if !hinted || class != c {
-						t.Fatalf("%s as %v: the op changed the caller's hint: hinted=%v class=%v", op.name, c, hinted, class)
 					}
 					after := fe.probe.Stats()
 					own := after.LittleAcquires - before.LittleAcquires
@@ -99,7 +92,7 @@ func TestClassHintReachesShardLock(t *testing.T) {
 						own, other = other, own
 					}
 					if other != 0 || op.locks != (own != 0) {
-						t.Fatalf("%s as %v: %d acquires as the hinted class, %d as the other", op.name, c, own, other)
+						t.Fatalf("%s as %v: %d acquires as the worker's class, %d as the other", op.name, c, own, other)
 					}
 				}
 			}

@@ -73,7 +73,7 @@ type DurabilityConfig struct {
 	// Interactive and Bulk pick each SLO class's sync policy;
 	// SyncDefault means interactive=SyncWait, bulk=SyncAsync. The
 	// kvserver wire class maps to these end-to-end (class byte →
-	// ClassHint → this policy).
+	// the connection's worker of that class → this policy).
 	Interactive, Bulk SyncPolicy
 	// FS overrides the filesystem every shard log writes through
 	// (nil = the real one). wal.FaultFS threads fault injection in:
@@ -108,8 +108,8 @@ func resolveWait(p SyncPolicy, def bool) bool {
 	}
 }
 
-// syncWaitFor reports whether a write by w (under its effective
-// class, ClassHint included) must wait for group commit.
+// syncWaitFor reports whether a write by w (under its class) must
+// wait for group commit.
 func (s *Store) syncWaitFor(w *core.Worker) bool {
 	if s.dur == nil {
 		return false

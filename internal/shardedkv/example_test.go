@@ -35,26 +35,25 @@ func ExampleStore() {
 	// range 3 = three
 }
 
-// ExampleStore_classOverride shows op-level class overrides: the same
-// worker issues one op little-class (standing by within the reorder
-// window at a contended ASL shard lock) and one big-class, each under a
-// class hint set around the call — the serving boundary's per-request
-// classing.
+// ExampleStore_classOverride shows per-request classing: a caller that
+// serves both classes keeps one worker per class, as the server does
+// per connection, and issues each op on the worker of its class. The
+// little-class put stands by within the reorder window at a contended
+// ASL shard lock; the big-class read takes the fast path.
 func ExampleStore_classOverride() {
 	st := shardedkv.New(shardedkv.Config{Shards: 2})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	ws := [2]*core.Worker{
+		core.Big:    core.NewWorker(core.WorkerConfig{Class: core.Big}),
+		core.Little: core.NewWorker(core.WorkerConfig{Class: core.Little}),
+	}
 
-	w.SetClassHint(core.Little)
-	st.Put(w, 7, []byte("bulk write"))
-	w.ClearClassHint()
-	w.SetClassHint(core.Big)
-	v, _ := st.Get(w, 7)
-	w.ClearClassHint()
+	st.Put(ws[core.Little], 7, []byte("bulk write"))
+	v, _ := st.Get(ws[core.Big], 7)
 	fmt.Printf("interactive read = %s\n", v)
-	fmt.Printf("base class unchanged = %v\n", w.Class())
+	fmt.Printf("classes = %v, %v\n", ws[core.Big].Class(), ws[core.Little].Class())
 	// Output:
 	// interactive read = bulk write
-	// base class unchanged = big
+	// classes = big, little
 }
 
 // ExampleAsyncStore shows the combining pipeline: point ops, a batch

@@ -7,9 +7,9 @@ import "repro/internal/core"
 // not care which concurrency front end they are handed — the network
 // server's request loop, the benchmark driver, the model checker's
 // harness — program against this and let the caller pick the
-// implementation. A caller that wants one operation to run as another
-// class sets core.Worker.SetClassHint around the call, as the network
-// server does.
+// implementation. A worker's class is fixed, so a caller that serves
+// both classes keeps one worker per class and issues each operation on
+// the worker of its class, as the network server does per connection.
 //
 // Contracts shared by all implementations:
 //
