@@ -212,11 +212,13 @@ ci: check race short bench-check net-smoke
 # internal/kvserver; the store's scan and batch paths, the pipeline's
 # batch paths per caller class, the request ring and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
-# uncontended acquire/release pair per class in internal/locks.
-# MICRO_COUNT repeats each row for benchstat.
+# uncontended acquire/release pair per class in internal/locks; a forced
+# GC over a loaded tree, an ascending load and overwrites in
+# internal/storage/btree. MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
-		./internal/kvserver ./internal/shardedkv ./internal/locks
+		./internal/kvserver ./internal/shardedkv ./internal/locks \
+		./internal/storage/btree
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

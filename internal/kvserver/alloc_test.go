@@ -83,7 +83,9 @@ func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *serverConn) {
 
 // TestExecuteAllocs pins what serving one request allocates, the buffer
 // it encodes into being warm. A point Get allocates nothing and a Put
-// only the copy of its value the store retains: Range's streaming
+// only the server's copy of its value (the btree then copies it into
+// its leaf arena, whose growth amortises below one allocation per
+// Put, and never rewrites bytes it has handed out): Range's streaming
 // callback lives in appendRange so that execute's out stays off the heap
 // (written inline in execute, the closure costs every request one
 // allocation). A 513-pair Range allocates the callback's state, the

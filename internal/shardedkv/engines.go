@@ -97,7 +97,7 @@ func (e *hashEngine) BatchRange(reqs []RangeReq, emit func(req int, k uint64, v 
 	}
 }
 
-// btreeEngine wraps the in-place B+tree.
+// btreeEngine wraps the B+tree, which copies values into its leaf arenas.
 type btreeEngine struct{ t *btree.Tree }
 
 // NewBTreeEngine returns a B+tree engine.

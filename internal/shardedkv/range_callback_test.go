@@ -1,6 +1,10 @@
 package shardedkv
 
 import (
+	"encoding/binary"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -41,6 +45,60 @@ func TestStoreRangeCallbackLockFree(t *testing.T) {
 			if visited != 64 {
 				t.Fatalf("visited %d keys, want 64", visited)
 			}
+		})
+	}
+}
+
+// TestRangeEmissionUnderOverwrites pins "immutable once stored" where
+// it is load-bearing: Range emits values after the last shard lock
+// drops, while writers overwrite the very keys being emitted. A store
+// that rewrote bytes it had handed out (an engine compacting in place)
+// shows up as a value that changes under the callback, and under -race
+// as a data race.
+func TestRangeEmissionUnderOverwrites(t *testing.T) {
+	const keys = 128
+	value := func(k, version uint64) []byte {
+		v := make([]byte, 16)
+		binary.LittleEndian.PutUint64(v, k^0xa5a5a5a5a5a5a5a5)
+		binary.LittleEndian.PutUint64(v[8:], version)
+		return v
+	}
+	for _, spec := range AllEngines() {
+		t.Run(spec.Name, func(t *testing.T) {
+			st := New(Config{Shards: 2, NewEngine: spec.New})
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			for k := uint64(0); k < keys; k++ {
+				st.Put(w, k, value(k, 0))
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for wi := uint64(1); wi <= 2; wi++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ww := core.NewWorker(core.WorkerConfig{Class: core.Little})
+					for version := wi; !stop.Load(); version += 2 {
+						for k := uint64(0); k < keys; k++ {
+							st.Put(ww, k, value(k, version))
+						}
+					}
+				}()
+			}
+			for range 50 {
+				st.Range(w, 0, keys-1, func(k uint64, v []byte) bool {
+					want := string(v)
+					if len(v) != 16 || binary.LittleEndian.Uint64(v)^0xa5a5a5a5a5a5a5a5 != k {
+						t.Errorf("key %d: corrupt value %x", k, v)
+					}
+					runtime.Gosched() // let the writers run while v is held
+					if string(v) != want {
+						t.Errorf("key %d: emitted value changed from %x to %x", k, want, v)
+					}
+					return true
+				})
+			}
+			stop.Store(true)
+			wg.Wait()
 		})
 	}
 }

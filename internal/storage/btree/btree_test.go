@@ -2,8 +2,11 @@ package btree
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/prng"
 )
@@ -115,7 +118,7 @@ func TestScanOrdered(t *testing.T) {
 	var prev uint64
 	first := true
 	n := 0
-	tr.Scan(func(k uint64, v []byte) bool {
+	tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool {
 		if !first && k <= prev {
 			t.Fatalf("scan out of order: %d after %d", k, prev)
 		}
@@ -128,18 +131,6 @@ func TestScanOrdered(t *testing.T) {
 	})
 	if n != len(seen) {
 		t.Fatalf("scan visited %d keys, want %d", n, len(seen))
-	}
-}
-
-func TestMin(t *testing.T) {
-	tr := New()
-	if _, ok := tr.Min(); ok {
-		t.Fatal("empty tree has no min")
-	}
-	tr.Put(42, nil)
-	tr.Put(7, nil)
-	if k, ok := tr.Min(); !ok || k != 7 {
-		t.Fatalf("min = %d,%v", k, ok)
 	}
 }
 
@@ -176,7 +167,7 @@ func TestVsReferenceMap(t *testing.T) {
 			}
 		}
 		n := 0
-		tr.Scan(func(k uint64, v []byte) bool { n++; return true })
+		tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool { n++; return true })
 		return n == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -194,7 +185,7 @@ func TestLargeSequential(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	count := 0
-	tr.Scan(func(k uint64, v []byte) bool {
+	tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool {
 		if uint64(count) != k {
 			t.Fatalf("scan key %d at position %d", k, count)
 		}
@@ -203,5 +194,74 @@ func TestLargeSequential(t *testing.T) {
 	})
 	if count != n {
 		t.Fatalf("scanned %d", count)
+	}
+}
+
+// TestHandedOutValuesNeverChange pins the rule the leaf arena relies
+// on: a slice Get or Range handed out keeps its bytes, and cap == len,
+// however the leaf is overwritten, deleted from, inserted into,
+// compacted and split afterwards.
+func TestHandedOutValuesNeverChange(t *testing.T) {
+	tr := New()
+	val := func(k uint64, round int) []byte {
+		// Sizes vary with key and round, so spans land at uneven offsets.
+		return []byte(fmt.Sprintf("k%d/r%d/%s", k, round, strings.Repeat("x", int(k+uint64(round))%13)))
+	}
+	var keys []uint64 // the live keys, ascending
+	for k := uint64(0); k < 16; k += 2 {
+		tr.Put(k, val(k, 0))
+		keys = append(keys, k)
+	}
+	leaf := tr.leaf(0)
+	type held struct {
+		k         uint64
+		got, want []byte
+	}
+	var hs []held
+	hold := func(k uint64, v []byte) {
+		if cap(v) != len(v) {
+			t.Fatalf("key %d: handed out cap %d for len %d", k, cap(v), len(v))
+		}
+		hs = append(hs, held{k, v, append([]byte(nil), v...)})
+	}
+	compactions, arena := 0, unsafe.SliceData(leaf.data)
+	next := uint64(1)
+	for round := 1; round <= 100 && (compactions < 2 || leaf.next == nil); round++ {
+		for _, k := range keys {
+			v, _ := tr.Get(k)
+			hold(k, v)
+		}
+		tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool {
+			hold(k, v)
+			return true
+		})
+		for _, k := range keys {
+			tr.Put(k, val(k, round))
+			if a := unsafe.SliceData(leaf.data); a != arena {
+				if arena != nil {
+					compactions++
+				}
+				arena = a
+			}
+		}
+		// One delete and two inserts per round, so the leaf fills and
+		// splits.
+		mid := len(keys) / 2
+		tr.Delete(keys[mid])
+		keys = append(keys[:mid], keys[mid+1:]...)
+		for range 2 {
+			tr.Put(next, val(next, round))
+			keys = append(keys, next)
+			next += 2
+		}
+		slices.Sort(keys)
+		for _, h := range hs {
+			if string(h.got) != string(h.want) {
+				t.Fatalf("round %d: value of key %d handed out earlier changed from %q to %q", round, h.k, h.want, h.got)
+			}
+		}
+	}
+	if compactions < 2 || leaf.next == nil {
+		t.Fatalf("leaf compacted %d times, split %v: the test did not reach the cases it pins", compactions, leaf.next != nil)
 	}
 }

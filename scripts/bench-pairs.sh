@@ -12,7 +12,9 @@
 # both CPUs of a two-CPU host, so run nothing else meanwhile. It prints, per
 # end-to-end metric, each side's q1/median/q3, the delta of the medians, the
 # pairs the change won, whether the medians are further apart than the
-# parent's own interquartile range, and each side's failed requests.
+# parent's own interquartile range, and each side's failed requests. Beside
+# the allocation metrics it prints each side's bulk share of requests
+# (bulk_ops_per_s / ops_per_s), which moves them with no allocation added.
 #
 # Environment:
 #   BASE        the commit to compare against. Default: HEAD when the working
@@ -115,9 +117,24 @@ $1 == "dir" { order[++nm] = $2; better[$2] = $3; next }
 $3 == "failed" { failed[$1] += $4; next }
 { v[$1, $2, $3] = $4 }
 END {
+	# The class mix: a bulk request allocates far more than an interactive
+	# one, so a faster bulk class raises the per-request allocation
+	# metrics with no allocation added. Printed beside them.
+	for (i = 1; i <= pairs; i++) for (s = 0; s < 2; s++) {
+		side = s ? "change" : "parent"
+		if ((side, i, "ops_per_s") in v && v[side, i, "ops_per_s"] > 0)
+			v[side, i, "bulk_share_pct"] = 100 * v[side, i, "bulk_ops_per_s"] / v[side, i, "ops_per_s"]
+	}
 	printf "%-22s %-6s %33s %33s %8s %6s  %s\n", "metric", "better", "parent q1/median/q3", "change q1/median/q3", "delta", "won", "medians apart by more than parent IQR"
 	for (k = 1; k <= nm; k++) {
 		m = order[k]
+		if (m == "allocs_per_op") {
+			np = sorted("parent", "bulk_share_pct", P); nc = sorted("change", "bulk_share_pct", C)
+			if (np > 0 && nc > 0)
+				printf "%-22s %-6s %10.4g /%10.4g /%10.4g %10.4g /%10.4g /%10.4g %+7.1f%%\n", "bulk_share_pct", "-",
+					quart(P, np, .25), quart(P, np, .5), quart(P, np, .75), quart(C, nc, .25), quart(C, nc, .5), quart(C, nc, .75),
+					100 * (quart(C, nc, .5) - quart(P, np, .5)) / quart(P, np, .5)
+		}
 		np = sorted("parent", m, P); nc = sorted("change", m, C)
 		if (np == 0 || nc == 0) continue
 		pm = quart(P, np, .5); cm = quart(C, nc, .5); iqr = quart(P, np, .75) - quart(P, np, .25)
