@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -329,6 +330,40 @@ func pick[T any](sel string, specs []T, name func(T) string) ([]T, error) {
 	return out, nil
 }
 
+// runGrid runs every engine × mix × lock row, printing one summary
+// table per engine to out and per-row progress, with each pipe row's
+// combining counters, to progress. It returns the last row's per-shard
+// counters.
+func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec, lks []lockSpec, cfg benchConfig) []shardedkv.ShardStats {
+	var lastShards []shardedkv.ShardStats
+	for _, eng := range engs {
+		var rows []stats.Summary
+		for _, mix := range mxs {
+			for _, lk := range lks {
+				mixName := mix.name
+				if mix.batched {
+					// Make the request size visible: P99 is per
+					// batch request, ops/s is per key.
+					mixName = fmt.Sprintf("%s%d", mix.name, cfg.batch)
+				}
+				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
+				row, shardStats, comb := run(name, eng, mix, lk, cfg)
+				lastShards = shardStats
+				rows = append(rows, row)
+				fmt.Fprintf(progress, "done: %s\n", name)
+				if comb != nil {
+					fmt.Fprintf(progress,
+						"  combining: %d ops / %d takes = %.2f ops/take (direct %d, handoffs %d, depthHW %d, maxbatch %d, big/little takes %d/%d)\n",
+						comb.Combined, comb.LockTakes, comb.OpsPerLockTake(),
+						comb.Direct, comb.Handoffs, comb.DepthHW, comb.MaxBatchEff, comb.BigTakes, comb.LittleTakes)
+				}
+			}
+		}
+		fmt.Fprint(out, stats.FormatSummaries(rows))
+	}
+	return lastShards
+}
+
 func main() {
 	engines := flag.String("engines", "all", "comma list of hashkv|btree|skiplist|lsm, or all")
 	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
@@ -391,32 +426,7 @@ func main() {
 		cfg.csUnits = cal.Units(*csPad)
 	}
 
-	var lastShards []shardedkv.ShardStats
-	for _, eng := range engs {
-		var rows []stats.Summary
-		for _, mix := range mxs {
-			for _, lk := range lks {
-				mixName := mix.name
-				if mix.batched {
-					// Make the request size visible: P99 is per
-					// batch request, ops/s is per key.
-					mixName = fmt.Sprintf("%s%d", mix.name, cfg.batch)
-				}
-				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
-				row, shardStats, comb := run(name, eng, mix, lk, cfg)
-				lastShards = shardStats
-				rows = append(rows, row)
-				fmt.Fprintf(os.Stderr, "done: %s\n", name)
-				if comb != nil {
-					fmt.Fprintf(os.Stderr,
-						"  combining: %d ops / %d takes = %.2f ops/take (direct %d, handoffs %d, depthHW %d, maxbatch %d, big/little takes %d/%d)\n",
-						comb.Combined, comb.LockTakes, comb.OpsPerLockTake(),
-						comb.Direct, comb.Handoffs, comb.DepthHW, comb.MaxBatchEff, comb.BigTakes, comb.LittleTakes)
-				}
-			}
-		}
-		fmt.Print(stats.FormatSummaries(rows))
-	}
+	lastShards := runGrid(os.Stdout, os.Stderr, engs, mxs, lks, cfg)
 	if *shardstats && lastShards != nil {
 		fmt.Println("per-shard counters (last configuration):")
 		for i, s := range lastShards {

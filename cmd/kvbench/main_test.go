@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/shardedkv"
 )
 
 // TestExpandLocksRowNames pins the row family each flag combination
@@ -118,5 +123,49 @@ func TestValidate(t *testing.T) {
 		case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ")):
 			t.Errorf("%+v: error = %v, want one naming %s", c, err, tc.flag)
 		}
+	}
+}
+
+// TestRunGridPipeRowReportsCombining runs one tiny plain row and its
+// pipe- sibling: both rows must print, and only the pipe row reports
+// combining counters, with lock takes, which proves it ran through
+// the pipeline.
+func TestRunGridPipeRowReportsCombining(t *testing.T) {
+	cfg := benchConfig{shards: 2, threads: 2, bigs: 1, dur: 20 * time.Millisecond,
+		warmup: 5 * time.Millisecond, slo: int64(100 * time.Microsecond),
+		keys: 64, vsize: 8, batch: 4, span: 8, zipfS: 0.99}
+	engs, err := pick("hashkv", shardedkv.AllEngines(), func(e shardedkv.EngineSpec) string { return e.Name })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mxs, err := pick("zipf", allMixes(), func(m mixSpec) string { return m.name })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lks, err := pick("asl", allLocks(), func(l lockSpec) string { return l.name })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, progress bytes.Buffer
+	runGrid(&out, &progress, engs, mxs, expandLocks(lks, true), cfg)
+
+	for _, row := range []string{"hashkv/zipf/asl", "hashkv/zipf/pipe-asl"} {
+		if !strings.Contains(out.String(), row) {
+			t.Errorf("summary table lacks row %s:\n%s", row, out.String())
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
+	want := []string{"done: hashkv/zipf/asl", "done: hashkv/zipf/pipe-asl", "  combining: "}
+	if len(lines) != len(want) {
+		t.Fatalf("progress has %d lines, want %d:\n%s", len(lines), len(want), progress.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Fatalf("progress line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
+	var ops, takes uint64
+	if _, err := fmt.Sscanf(lines[2], "  combining: %d ops / %d takes", &ops, &takes); err != nil || ops == 0 || takes == 0 {
+		t.Fatalf("combining line %q: %d ops / %d takes (err %v), want both > 0", lines[2], ops, takes, err)
 	}
 }

@@ -3,7 +3,8 @@
 // carries an SLO class byte: interactive requests run big-class at the
 // shard lock (ASL fast path; elect/combine/spin under -pipeline), bulk
 // requests run little-class (reorder standby; enqueue/park) and pass a
-// bounded per-shard admission gate — the paper's asymmetry-aware
+// per-shard admission gate that bounds how many run at once and makes
+// the rest wait, never rejecting one — the paper's asymmetry-aware
 // admission applied per request at the serving boundary.
 //
 // Usage:
@@ -61,8 +62,7 @@ func main() {
 	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
 	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class. Changes no lock decision: interactive requests run big-class, which never waits on or feeds a reorder window")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
-	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard (0 = default, negative disables the gate)")
-	bulkWaiters := flag.Int("bulk-waiters", 0, "max waiting bulk ops per shard before rejection (0 = 4x inflight)")
+	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard; more wait for a slot, none is rejected (0 = default, negative disables the gate)")
 	csPad := flag.Duration("cs", 0, "AMP emulation: big-core critical-section pad, littles scaled by the shim; 0 disables (production)")
 	walDir := flag.String("wal", "", "write-ahead-log root directory; enables durability (recovery on start, group commit while serving)")
 	walSegment := flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes; 0 = default")
@@ -140,10 +140,7 @@ func main() {
 		Async:          async,
 		SLOInteractive: *sloInteractive,
 		SLOBulk:        *sloBulk,
-		Admission: kvserver.AdmissionConfig{
-			BulkPerShard: *bulkInflight,
-			BulkWaiters:  *bulkWaiters,
-		},
+		Admission:      kvserver.AdmissionConfig{BulkPerShard: *bulkInflight},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)

@@ -1,13 +1,12 @@
 // Command repolint is the repository's multichecker: it bundles the
-// custom concurrency-contract analyzers (lockheldcall, lockorder,
-// atomicfield) plus the stock-but-off-by-default shadow pass into one
+// two analyzers that encode this system's own lock contracts —
+// lockheldcall (no user callback, channel send or fsync under a shard
+// lock) and lockorder (shard locks never nest) — into one
 // `go vet -vettool` binary, so the contracts documented in
 // ARCHITECTURE.md ("Enforced invariants") gate every `make check` /
-// `make ci` run. The
-// fact-powered passes (lockorder, atomicfield) exchange gob-encoded
-// facts across packages through vet's .vetx files, so whole-program
-// properties — the lock-order graph, a field's atomicity discipline —
-// are checked even though vet analyzes one package at a time.
+// `make ci` run. lockorder exchanges gob-encoded facts across packages
+// through vet's .vetx files, so the whole-program lock-order graph is
+// checked even though vet analyzes one package at a time.
 //
 // Two invocation modes:
 //
@@ -27,18 +26,14 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/passes/atomicfield"
 	"repro/internal/analysis/passes/lockheldcall"
 	"repro/internal/analysis/passes/lockorder"
-	"repro/internal/analysis/passes/shadow"
 )
 
 // Analyzers is the gating suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	lockheldcall.Analyzer,
 	lockorder.Analyzer,
-	atomicfield.Analyzer,
-	shadow.Analyzer,
 }
 
 func main() {

@@ -73,10 +73,10 @@
 // vet/test/build, and net-smoke (a real server filled and read back
 // by cmd/kvcheck and shut down by SIGTERM).
 //
-// internal/analysis + cmd/repolint machine-check the concurrency
-// contracts the layers above rely on: no callbacks or fsync under a
-// shard lock, the lock order (shard locks never nest), and per-field
-// atomicity. `make lint` runs the suite as a `go vet -vettool`;
+// internal/analysis + cmd/repolint machine-check the lock contracts
+// the layers above rely on: no callbacks or fsync under a shard lock,
+// and the lock order (shard locks never nest). `make lint` runs the
+// suite as a `go vet -vettool`;
 // ARCHITECTURE.md ("Enforced invariants") maps each pass to its prose
 // rule. The wire enums' append-only rule is a test
 // (internal/kvserver's TestProtocolDocMatchesCode).

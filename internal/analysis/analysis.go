@@ -1,9 +1,8 @@
 // Package analysis is a stdlib-only reimplementation of the core of
 // golang.org/x/tools/go/analysis, sized for this repository's needs.
 //
-// The repo's concurrency contracts — user callbacks never run under a
-// shard lock, shard locks never nest, fsync never runs under one,
-// atomically accessed fields are never touched plainly — lived in
+// The repo's lock contracts — user callbacks never run under a shard
+// lock, shard locks never nest, fsync never runs under one — lived in
 // ARCHITECTURE.md prose and spot tests until PR 6. This package turns
 // them into compiler-adjacent checks: each contract is an Analyzer, the
 // cmd/repolint multichecker runs them over every package via
@@ -70,11 +69,11 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// ExportObjectFact states fact about obj. obj may belong to this
-// package or to an imported one (the atomicfield pass states facts
-// about imported fields it sees atomic access to); either way the fact
-// rides this package's vetx file to every dependent. A no-op for
-// objects that cannot carry facts (locals, anonymous-struct fields).
+// ExportObjectFact states fact about obj, a function or method (the
+// lockorder pass's acquires-summaries). The fact rides this package's
+// vetx file to every dependent. A no-op for objects that cannot carry
+// facts (anything but a package-level function or a method of a named
+// type).
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	p.facts.exportObject(obj, fact)
 }

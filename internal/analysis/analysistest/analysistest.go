@@ -18,14 +18,14 @@
 // offline there is no exported package data outside a real build, and
 // self-contained fixtures keep each case readable in one file anyway.
 //
-// Packages handles multi-package fixtures for the fact-powered passes:
+// Packages handles multi-package fixtures for the fact-powered pass:
 // sibling directories under one testdata/src root import each other by
 // directory name, are typechecked in the given (dependency) order
 // against the already-checked fixture packages, and analyzer facts
 // flow between them through the same gob encode/decode round trip the
-// go vet driver uses — so a cross-package lockorder or atomicfield
-// test exercises the real vetx serialization, not an in-memory
-// shortcut. Imports outside the fixture root stay forbidden.
+// go vet driver uses — so a cross-package lockorder test exercises
+// the real vetx serialization, not an in-memory shortcut. Imports
+// outside the fixture root stay forbidden.
 package analysistest
 
 import (

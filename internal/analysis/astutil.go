@@ -176,14 +176,6 @@ func NamedRecv(info *types.Info, recv ast.Expr) *types.Named {
 	return n
 }
 
-// NamedRecvType is NamedRecv reduced to the bare type name.
-func NamedRecvType(info *types.Info, recv ast.Expr) string {
-	if n := NamedRecv(info, recv); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 // FuncNodes calls fn for every function body in the file: declared
 // functions and methods (with their names) and function literals
 // (named ""). Literals nested inside a function are visited in

@@ -1,10 +1,10 @@
 package cfg
 
 // The generic forward-dataflow solver. A pass instantiates Flow[T]
-// with its state type (a lock-set, a nilness lattice),
-// Solve runs the classic worklist iteration to a fixpoint, and the
-// pass then replays each reachable block's nodes against the solved
-// entry states to report violations exactly once per program point.
+// with its state type (the set of locks held), Solve runs the classic
+// worklist iteration to a fixpoint, and the pass then replays each
+// reachable block's nodes against the solved entry states to report
+// violations exactly once per program point.
 
 import "go/ast"
 

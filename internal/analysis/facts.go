@@ -2,21 +2,18 @@ package analysis
 
 // Cross-package facts — the stdlib counterpart of x/tools' analysis
 // facts. A fact is a serializable statement an analyzer proves about a
-// program object (a function's acquires-summary, a field's access
-// discipline) or about a whole package (the accumulated lock graph).
-// Facts computed while analyzing package A are written to A's .vetx
-// file (gob-encoded); when go vet later analyzes a package importing A,
-// the driver hands A's facts back in through vet.cfg's PackageVetx map,
-// so analyzers compose across locks → shardedkv → kvserver without any
-// whole-program load.
+// function (its acquires-summary) or about a whole package (the
+// accumulated lock graph). Facts computed while analyzing package A are
+// written to A's .vetx file (gob-encoded); when go vet later analyzes a
+// package importing A, the driver hands A's facts back in through
+// vet.cfg's PackageVetx map, so analyzers compose across locks →
+// shardedkv → kvserver without any whole-program load.
 //
-// Objects are keyed structurally rather than by objectpath: package
-// path plus "Name" for package-level objects, "Recv.Name" for methods,
-// and "Struct.field" for struct fields (resolved by scanning the
-// owning package's scope). That covers every object this suite states
-// facts about; objects outside those shapes (locals, fields of
-// anonymous structs) simply cannot carry facts, and Export on them is
-// a silent no-op.
+// Functions are keyed structurally rather than by objectpath: package
+// path plus "Name" for package-level functions and "Recv.Name" for
+// methods. That covers every object this suite states facts about;
+// any other object cannot carry facts, and Export on it is a silent
+// no-op.
 
 import (
 	"bytes"
@@ -51,16 +48,11 @@ type factKey struct {
 // no special handling.
 type FactStore struct {
 	m map[factKey]Fact
-	// fieldKeys memoizes the per-package field → "Struct.field" scan.
-	fieldKeys map[*types.Package]map[types.Object]string
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		m:         make(map[factKey]Fact),
-		fieldKeys: make(map[*types.Package]map[types.Object]string),
-	}
+	return &FactStore{m: make(map[factKey]Fact)}
 }
 
 func factType(f Fact) string { return reflect.TypeOf(f).String() }
@@ -76,76 +68,32 @@ func RegisterFactTypes(analyzers []*Analyzer) {
 	}
 }
 
-// ObjectKey returns the structural key for obj, or "" when obj cannot
-// carry facts (locals, anonymous-struct fields, nil).
-func (s *FactStore) ObjectKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
+// objectKey returns the structural key for obj, or "" when obj cannot
+// carry facts (anything but a package-level function or a method of a
+// named type).
+func objectKey(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil {
 		return ""
 	}
-	switch obj := obj.(type) {
-	case *types.Func:
-		sig, ok := obj.Type().(*types.Signature)
-		if !ok {
-			return ""
-		}
-		if recv := sig.Recv(); recv != nil {
-			rt := recv.Type()
-			if p, ok := rt.(*types.Pointer); ok {
-				rt = p.Elem()
-			}
-			named, ok := rt.(*types.Named)
-			if !ok {
-				return ""
-			}
-			return named.Obj().Name() + "." + obj.Name()
-		}
-		return obj.Name()
-	case *types.Var:
-		if obj.IsField() {
-			return s.fieldKey(obj)
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Name()
-		}
-		return ""
-	case *types.TypeName, *types.Const:
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Name()
-		}
-		return ""
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
 	}
-	return ""
-}
-
-// fieldKey resolves a struct field to "Struct.field" by scanning the
-// owning package's scope for the named struct type declaring it.
-func (s *FactStore) fieldKey(field *types.Var) string {
-	pkg := field.Pkg()
-	keys, ok := s.fieldKeys[pkg]
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	named, ok := rt.(*types.Named)
 	if !ok {
-		keys = make(map[types.Object]string)
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				keys[st.Field(i)] = name + "." + st.Field(i).Name()
-			}
-		}
-		s.fieldKeys[pkg] = keys
+		return ""
 	}
-	return keys[field]
+	return named.Obj().Name() + "." + fn.Name()
 }
 
 // exportObject records fact about obj (no-op when obj is unkeyable).
 func (s *FactStore) exportObject(obj types.Object, fact Fact) {
-	key := s.ObjectKey(obj)
+	key := objectKey(obj)
 	if key == "" {
 		return
 	}
@@ -155,7 +103,7 @@ func (s *FactStore) exportObject(obj types.Object, fact Fact) {
 // importObject copies a stored fact about obj into fact (a pointer to
 // the matching concrete type) and reports whether one was found.
 func (s *FactStore) importObject(obj types.Object, fact Fact) bool {
-	key := s.ObjectKey(obj)
+	key := objectKey(obj)
 	if key == "" {
 		return false
 	}
@@ -233,6 +181,3 @@ func (s *FactStore) AddEncoded(data []byte) error {
 	}
 	return nil
 }
-
-// Len returns the number of stored facts (used by tests).
-func (s *FactStore) Len() int { return len(s.m) }

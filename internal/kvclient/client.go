@@ -56,8 +56,8 @@ func (e *RetryableError) Unwrap() error { return e.Err }
 // IsRetryable reports whether err is worth retrying, possibly on a new
 // connection: any transport failure (*RetryableError, including
 // per-request timeouts) and the server statuses that promise the
-// request was not applied or will succeed later — admission shedding,
-// a degraded store (StatusErrUnavailable), a draining server. ErrClosed
+// request was not applied or will succeed later — admission (no longer
+// sent), a degraded store (StatusErrUnavailable), a draining server. ErrClosed
 // and hard protocol errors (malformed, too large) are not retryable.
 func IsRetryable(err error) bool {
 	var re *RetryableError
@@ -100,9 +100,10 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("kvclient: server error: %s (%s)", kvserver.StatusText(e.Status), e.Message)
 }
 
-// IsAdmissionRejected reports whether err is the server shedding a
-// bulk request at the admission gate (retry later, or re-issue as
-// interactive if the latency contract changed).
+// IsAdmissionRejected reports whether err is StatusErrAdmission, a
+// bulk request shed at the admission gate. The server no longer sends
+// it (the gate makes bulk requests wait); the status stays because
+// wire constants are append-only.
 func IsAdmissionRejected(err error) bool {
 	var se *StatusError
 	return errors.As(err, &se) && se.Status == kvserver.StatusErrAdmission

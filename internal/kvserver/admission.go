@@ -8,12 +8,12 @@ import "sync/atomic"
 // convoy. The shard lock's ASL policy already restricts concurrency
 // among waiters; the admission gate applies the same idea one layer
 // up, before a request touches the store at all: at most BulkPerShard
-// bulk-class operations may be in flight per shard, a bounded number
-// more may wait passively, and everything beyond that is REJECTED
-// (StatusErrAdmission) so overload sheds instead of queueing without
-// bound. Interactive requests bypass the gate entirely — keeping the
-// latency-sensitive fast path free of even an uncontended semaphore
-// hop is the Fissile-Locks instinct applied to admission.
+// bulk-class operations may be in flight per shard, and the rest wait
+// passively for a slot. Nothing is shed: each connection has one
+// request in flight at the server, so the connection count already
+// bounds the waiters. Interactive requests bypass the gate entirely —
+// keeping the latency-sensitive fast path free of even an uncontended
+// semaphore hop is the Fissile-Locks instinct applied to admission.
 
 // AdmissionConfig bounds in-flight bulk operations.
 type AdmissionConfig struct {
@@ -23,14 +23,6 @@ type AdmissionConfig struct {
 	// touch many shards). 0 means DefaultBulkPerShard; negative
 	// disables the gate.
 	BulkPerShard int
-	// BulkWaiters is the max bulk ops allowed to WAIT per gate beyond
-	// the in-flight bound before new arrivals are rejected. 0 means
-	// 4 × BulkPerShard; negative means no waiting at all (reject the
-	// moment the in-flight bound is hit). The bound is enforced
-	// against a racy read of the waiter count, so it is approximate
-	// under heavy concurrent arrival — a shed-load heuristic, not a
-	// hard rail (the in-flight bound IS hard).
-	BulkWaiters int
 }
 
 // DefaultBulkPerShard is the default per-shard bulk in-flight bound.
@@ -38,42 +30,27 @@ type AdmissionConfig struct {
 // so a handful of concurrent bulk entrants saturate a shard.
 const DefaultBulkPerShard = 4
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.BulkPerShard == 0 {
-		c.BulkPerShard = DefaultBulkPerShard
-	}
-	if c.BulkWaiters == 0 && c.BulkPerShard > 0 {
-		c.BulkWaiters = 4 * c.BulkPerShard
-	}
-	return c
-}
-
-// gate is one shard's bulk admission state: a token semaphore (channel
-// capacity = in-flight bound) plus a waiter counter.
-type gate struct {
-	tokens  chan struct{}
-	waiters atomic.Int64
-}
-
 // admission is the server-wide gate set: gates[i] for shard i, and
-// one more, the global gate, for multi-shard ops. Placement is fixed
+// one more, the global gate, for multi-shard ops. Each gate is a token
+// semaphore whose capacity is the in-flight bound. Placement is fixed
 // for the store's life, so the set is built once, sized from the
 // store's shard count.
 type admission struct {
-	waiterCap int
-	gates     []gate
-	rejected  atomic.Uint64
-	waited    atomic.Uint64
+	gates  []chan struct{}
+	waited atomic.Uint64
 }
 
 func newAdmission(cfg AdmissionConfig, shards int) *admission {
-	cfg = cfg.withDefaults()
-	if cfg.BulkPerShard < 0 {
+	bound := cfg.BulkPerShard
+	if bound == 0 {
+		bound = DefaultBulkPerShard
+	}
+	if bound < 0 {
 		return nil // gate disabled
 	}
-	a := &admission{waiterCap: cfg.BulkWaiters, gates: make([]gate, shards+1)}
+	a := &admission{gates: make([]chan struct{}, shards+1)}
 	for i := range a.gates {
-		a.gates[i].tokens = make(chan struct{}, cfg.BulkPerShard)
+		a.gates[i] = make(chan struct{}, bound)
 	}
 	return a
 }
@@ -83,47 +60,36 @@ func (a *admission) global() int { return len(a.gates) - 1 }
 
 // enter admits one bulk op through gate i (a shard index, or global()
 // for multi-shard ops): immediately when an in-flight slot is free,
-// after a passive wait when the waiter bound allows, not at all
-// otherwise. The returned gate must be released via exit iff admitted.
-func (a *admission) enter(i int) (*gate, bool) {
-	g := &a.gates[i]
+// after a passive wait otherwise. The returned gate must be released
+// via exit.
+func (a *admission) enter(i int) chan struct{} {
+	g := a.gates[i]
 	select {
-	case g.tokens <- struct{}{}:
-		return g, true
+	case g <- struct{}{}:
+		return g
 	default:
 	}
-	if g.waiters.Load() >= int64(a.waiterCap) {
-		a.rejected.Add(1)
-		return nil, false
-	}
-	g.waiters.Add(1)
 	a.waited.Add(1)
-	g.tokens <- struct{}{}
-	g.waiters.Add(-1)
-	return g, true
+	g <- struct{}{}
+	return g
 }
 
 // exit releases an admitted op's slot.
-func (a *admission) exit(g *gate) { <-g.tokens }
+func (a *admission) exit(g chan struct{}) { <-g }
 
 // AdmissionStats is a snapshot of the gate set.
 type AdmissionStats struct {
-	// InFlight and Waiting are the current bulk ops holding slots and
-	// blocked on slots, summed across gates (the queue-depth signal).
-	InFlight, Waiting int64
-	// Waited counts admissions that had to block first; Rejected
-	// counts arrivals shed with StatusErrAdmission.
-	Waited, Rejected uint64
+	// InFlight is the current bulk ops holding slots, summed across
+	// gates.
+	InFlight int64
+	// Waited counts admissions that had to block first.
+	Waited uint64
 }
 
 func (a *admission) stats() AdmissionStats {
-	st := AdmissionStats{
-		Waited:   a.waited.Load(),
-		Rejected: a.rejected.Load(),
-	}
-	for i := range a.gates {
-		st.InFlight += int64(len(a.gates[i].tokens))
-		st.Waiting += a.gates[i].waiters.Load()
+	st := AdmissionStats{Waited: a.waited.Load()}
+	for _, g := range a.gates {
+		st.InFlight += int64(len(g))
 	}
 	return st
 }

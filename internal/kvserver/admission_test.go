@@ -12,7 +12,7 @@ import (
 // once. Run under -race this also exercises the gate's memory safety.
 func TestAdmissionInFlightBound(t *testing.T) {
 	const limit = 3
-	a := newAdmission(AdmissionConfig{BulkPerShard: limit, BulkWaiters: 1 << 20}, 2)
+	a := newAdmission(AdmissionConfig{BulkPerShard: limit}, 2)
 	var inFlight, maxSeen atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -20,11 +20,7 @@ func TestAdmissionInFlightBound(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				g, ok := a.enter(0)
-				if !ok {
-					t.Error("rejected despite effectively unbounded waiters")
-					return
-				}
+				g := a.enter(0)
 				cur := inFlight.Add(1)
 				for {
 					m := maxSeen.Load()
@@ -42,56 +38,34 @@ func TestAdmissionInFlightBound(t *testing.T) {
 		t.Fatalf("observed %d concurrent holders, bound is %d", m, limit)
 	}
 	st := a.stats()
-	if st.InFlight != 0 || st.Waiting != 0 {
+	if st.InFlight != 0 {
 		t.Fatalf("gate not drained: %+v", st)
 	}
 }
 
-// TestAdmissionRejects checks the shedding path: with no waiting
-// allowed, arrivals beyond the in-flight bound are rejected and
-// counted.
-func TestAdmissionRejects(t *testing.T) {
-	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: -1}, 2)
-	g, ok := a.enter(0)
-	if !ok {
-		t.Fatal("first entry rejected")
-	}
-	if _, ok := a.enter(0); ok {
-		t.Fatal("second entry admitted past the bound with waiting disabled")
-	}
-	// A different shard's gate, and the global gate, are independent.
-	for _, i := range []int{1, a.global()} {
-		g2, ok := a.enter(i)
-		if !ok {
-			t.Fatalf("gate %d coupled to gate 0", i)
-		}
-		a.exit(g2)
-	}
-	a.exit(g)
-	if _, ok := a.enter(0); !ok {
-		t.Fatal("rejected after release")
-	}
-	st := a.stats()
-	if st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
-	}
-}
-
 // TestAdmissionWaits checks the passive-wait path: a second entrant
-// within the waiter bound blocks until the first releases.
+// past the in-flight bound blocks until the first releases, while a
+// different shard's gate and the global gate stay independent.
 func TestAdmissionWaits(t *testing.T) {
-	a := newAdmission(AdmissionConfig{BulkPerShard: 1, BulkWaiters: 4}, 2)
-	g, _ := a.enter(0)
+	a := newAdmission(AdmissionConfig{BulkPerShard: 1}, 2)
+	g := a.enter(0)
+	for _, i := range []int{1, a.global()} {
+		a.exit(a.enter(i))
+	}
+	if st := a.stats(); st.Waited != 0 {
+		t.Fatalf("gates 1 and global waited on gate 0: %+v", st)
+	}
 	entered := make(chan struct{})
 	go func() {
-		g2, ok := a.enter(0)
-		if !ok {
-			t.Error("waiter rejected within bound")
-		} else {
-			a.exit(g2)
-		}
+		a.exit(a.enter(0))
 		close(entered)
 	}()
+	for deadline := time.Now().Add(2 * time.Second); a.stats().Waited == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("second entrant never blocked on the held slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	select {
 	case <-entered:
 		t.Fatal("second entrant did not wait for the slot")
@@ -103,8 +77,8 @@ func TestAdmissionWaits(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter never admitted after release")
 	}
-	if st := a.stats(); st.Waited == 0 {
-		t.Fatalf("Waited = 0 after a blocking admission: %+v", st)
+	if st := a.stats(); st.Waited != 1 || st.InFlight != 0 {
+		t.Fatalf("after one blocking admission: %+v, want Waited 1, InFlight 0", st)
 	}
 }
 

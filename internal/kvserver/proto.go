@@ -86,6 +86,9 @@ const (
 	StatusOK           uint8 = 0x00
 	StatusErrMalformed uint8 = 0x01
 	StatusErrUnknownOp uint8 = 0x02
+	// StatusErrAdmission is no longer sent: the admission gate makes
+	// bulk requests wait instead of shedding them. Wire constants are
+	// append-only, so the value stays reserved.
 	StatusErrAdmission uint8 = 0x03
 	StatusErrTooLarge  uint8 = 0x04
 	StatusErrShutdown  uint8 = 0x05

@@ -323,12 +323,7 @@ func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, erro
 		case OpGet, OpPut, OpDelete:
 			gi = s.st.ShardOf(req.Key)
 		}
-		g, ok := s.adm.enter(gi)
-		if !ok {
-			s.errs[lc].Add(1)
-			return AppendErrorResponse(out, req.ID, StatusErrAdmission, StatusText(StatusErrAdmission))
-		}
-		defer s.adm.exit(g)
+		defer s.adm.exit(s.adm.enter(gi))
 	}
 
 	// The request runs on its lock class's worker, whose class steers
@@ -508,10 +503,11 @@ type ClassServerStats struct {
 type ServerStats struct {
 	Interactive ClassServerStats `json:"interactive"`
 	Bulk        ClassServerStats `json:"bulk"`
-	// BulkInFlight/BulkWaiting are the admission gate's current queue
-	// depths; BulkWaited/BulkRejected its cumulative outcomes.
+	// BulkInFlight is the admission gate's current depth; BulkWaited
+	// counts bulk ops that blocked for a slot. BulkRejected is always
+	// 0: the gate no longer sheds (the field stays for readers of the
+	// stats body).
 	BulkInFlight int64  `json:"bulk_inflight"`
-	BulkWaiting  int64  `json:"bulk_waiting"`
 	BulkWaited   uint64 `json:"bulk_waited"`
 	BulkRejected uint64 `json:"bulk_rejected"`
 	// Conns is the live connection count; Accepted the lifetime total;
@@ -563,9 +559,7 @@ func (s *Server) Stats() ServerStats {
 	if s.adm != nil {
 		a := s.adm.stats()
 		st.BulkInFlight = a.InFlight
-		st.BulkWaiting = a.Waiting
 		st.BulkWaited = a.Waited
-		st.BulkRejected = a.Rejected
 	}
 	return st
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kvclient"
 	"repro/internal/kvserver"
 	"repro/internal/locks"
@@ -386,21 +387,22 @@ func TestClassMappingAtLock(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverServer pins one bulk op inside the (single-slot,
-// no-waiting) gate via a second in-flight bulk request and asserts a
-// concurrent one is shed with StatusErrAdmission while interactive
-// requests sail through.
+// TestAdmissionOverServer drives eight bulk writers through a
+// one-slot gate whose holder sleeps under the shard lock, so arrivals
+// find the slot taken: every bulk write must still succeed (the gate
+// makes them wait, it never sheds), and interactive writes issued
+// meanwhile bypass the gate and never fail.
 func TestAdmissionOverServer(t *testing.T) {
-	scfg := shardedkv.Config{Shards: 1}
+	scfg := shardedkv.Config{Shards: 1, CSPad: func(w *core.Worker) {
+		if w.Class() == core.Little {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}}
 	_, addr := startServer(t, scfg, func(c *kvserver.Config) {
-		c.Admission = kvserver.AdmissionConfig{BulkPerShard: 1, BulkWaiters: -1}
+		c.Admission = kvserver.AdmissionConfig{BulkPerShard: 1}
 	})
 
-	// Hold the single bulk slot by keeping a slow bulk op in flight:
-	// many concurrent bulk writers on one connection-per-goroutine.
-	const writers = 8
-	var rejected, succeeded int
-	var mu sync.Mutex
+	const writers, puts = 8, 50
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
@@ -412,47 +414,41 @@ func TestAdmissionOverServer(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			for j := 0; j < 300; j++ {
-				_, err := cl.Put(kvserver.ClassBulk, uint64(j), []byte("x"))
-				mu.Lock()
-				if err != nil {
-					if !kvclient.IsAdmissionRejected(err) {
-						mu.Unlock()
-						t.Errorf("unexpected error: %v", err)
-						return
-					}
-					rejected++
-				} else {
-					succeeded++
+			for j := 0; j < puts; j++ {
+				if _, err := cl.Put(kvserver.ClassBulk, uint64(i*puts+j), []byte("x")); err != nil {
+					t.Errorf("bulk writer %d put %d: %v", i, j, err)
+					return
 				}
-				mu.Unlock()
 			}
 		}(i)
 	}
-	wg.Wait()
-	if succeeded == 0 {
-		t.Fatal("every bulk op rejected — gate wedged")
-	}
-	if rejected == 0 {
-		t.Skip("no contention materialised (single-core runner?); gate bounds covered by unit tests")
-	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 
-	// Interactive traffic must never be shed, even with the gate full.
 	cl := dial(t, addr)
-	for i := 0; i < 100; i++ {
-		if _, err := cl.Put(kvserver.ClassInteractive, uint64(i), []byte("y")); err != nil {
-			t.Fatalf("interactive op rejected: %v", err)
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+		default:
+			if _, err := cl.Put(kvserver.ClassInteractive, uint64(i), []byte("y")); err != nil {
+				t.Fatalf("interactive op failed beside the full gate: %v", err)
+			}
+			continue
 		}
+		break
 	}
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BulkRejected == 0 {
-		t.Fatalf("server did not count its rejections: %+v", st)
+	if st.Bulk.Ops != writers*puts || st.Bulk.Errors != 0 || st.BulkRejected != 0 {
+		t.Fatalf("bulk: %+v, rejected %d; want %d ops, no errors, no rejections", st.Bulk, st.BulkRejected, writers*puts)
 	}
-	if st.Interactive.Errors != 0 {
-		t.Fatalf("interactive errors: %+v", st)
+	if st.BulkWaited == 0 {
+		t.Fatalf("no bulk op waited for the slot, so the gate was never full: %+v", st)
+	}
+	if st.Interactive.Errors != 0 || st.BulkInFlight != 0 {
+		t.Fatalf("interactive errors or a leaked slot: %+v", st)
 	}
 }
 

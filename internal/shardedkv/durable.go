@@ -141,38 +141,28 @@ func readCurrentGen(root string) (int, error) {
 	return n, nil
 }
 
-// writeCurrentGen atomically points CURRENT at gen n.
-func writeCurrentGen(root string, n int) error {
+// writeCurrentGen atomically points CURRENT at gen n, writing through
+// fs. openDurable passes the real filesystem, never DurabilityConfig.FS,
+// so fault rules that count the shard logs' calls see only those.
+func writeCurrentGen(fs wal.FS, root string, n int) error {
 	tmp := filepath.Join(root, currentFile+".tmp")
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("gen-%d\n", n)), 0o644); err != nil {
+	f, err := fs.CreateTrunc(tmp)
+	if err != nil {
 		return err
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
+	if _, err = fmt.Fprintf(f, "gen-%d\n", n); err == nil {
 		err = f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
 	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(root, currentFile)); err != nil {
-		return err
-	}
-	return syncDirFS(root)
-}
-
-func syncDirFS(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, filepath.Join(root, currentFile)); err != nil {
+		return err
+	}
+	return fs.SyncDir(root)
 }
 
 func genDirName(root string, n int) string {
@@ -199,7 +189,7 @@ func openDurable(s *Store, cfg *DurabilityConfig) error {
 			return cerr
 		}
 	}
-	if werr := writeCurrentGen(cfg.Dir, oldGen+1); werr != nil {
+	if werr := writeCurrentGen(wal.OSFS{}, cfg.Dir, oldGen+1); werr != nil {
 		return werr
 	}
 	// Every generation but the live one is garbage: older ones are

@@ -2,12 +2,15 @@ package shardedkv
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // Crash-point recovery suite: every test drives a durable store (or
@@ -269,6 +272,99 @@ func TestDurableBatchCrash(t *testing.T) {
 				}
 			}
 			st2.Close(w)
+		})
+	}
+}
+
+// TestDurableCloseKeepsBulkWrites pins the shutdown leg of the bulk
+// durability promise (docs/protocol.md: durable "with a later batch,
+// an OpFlush, or shutdown"): bulk puts acked under the class default
+// (SyncAsync), so still in the append buffers, must all read back
+// after a clean Close and a reopen.
+func TestDurableCloseKeepsBulkWrites(t *testing.T) {
+	const n = 64
+	cfg := Config{Shards: 4, Durability: &DurabilityConfig{Dir: t.TempDir()}}
+	st := New(cfg)
+	w := core.NewWorker(core.WorkerConfig{Class: core.Little})
+	seqPut(st, w, n, 1, nil)
+	st.Close(w)
+	st2 := New(cfg)
+	defer st2.Close(w)
+	for k := uint64(0); k < n; k++ {
+		if v, ok := st2.Get(w, k); !ok || !bytes.Equal(v, verValue(k, 1)) {
+			t.Errorf("Get(%d) after Close and reopen = %x,%v; want version 1", k, v, ok)
+		}
+	}
+}
+
+// TestWriteCurrentGenSurfacesFsyncError: if the fsync of CURRENT's
+// temporary fails, the flip must fail and CURRENT must stay unflipped;
+// acking it would let a crash leave CURRENT naming a generation whose
+// name never reached the disk.
+func TestWriteCurrentGenSurfacesFsyncError(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := fault.Parse(1, "wal.fsync:nth=1:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := wal.FaultFS{Reg: reg}
+	if err := writeCurrentGen(fs, dir, 7); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("writeCurrentGen = %v, want the injected fsync error", err)
+	}
+	if n, err := readCurrentGen(dir); n != 0 || err != nil {
+		t.Fatalf("CURRENT names gen %d (err %v) after its fsync failed", n, err)
+	}
+	// The nth=1 rule is spent: the retry flips.
+	if err := writeCurrentGen(fs, dir, 7); err != nil {
+		t.Fatalf("writeCurrentGen retry: %v", err)
+	}
+	if n, err := readCurrentGen(dir); n != 7 || err != nil {
+		t.Fatalf("CURRENT names gen %d (err %v), want 7", n, err)
+	}
+}
+
+// TestCheckpointSurfacesWriteFault fails every file write once each
+// shard holds more than one append buffer (64 KiB) of data, so a
+// checkpoint dump hits the fault mid-emit. Store.Checkpoint and the
+// recovery checkpoint inside Open must both return the injected error,
+// and the history a failed checkpoint leaves must replay in full.
+// hashkv checkpoints from an in-memory dump, lsm from a snapshot.
+func TestCheckpointSurfacesWriteFault(t *testing.T) {
+	for _, spec := range AllEngines() {
+		if spec.Name != "hashkv" && spec.Name != "lsm" {
+			continue
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			const n = 512
+			dir := t.TempDir()
+			reg := fault.New(1)
+			cfg := durCfg(dir, spec.New)
+			cfg.Durability.Bulk = SyncAsync
+			cfg.Durability.FS = wal.FaultFS{Reg: reg}
+			st := New(cfg)
+			w := core.NewWorker(core.WorkerConfig{Class: core.Little})
+			val := make([]byte, 1<<10)
+			for k := uint64(0); k < n; k++ {
+				st.Put(w, k, val)
+			}
+			if err := st.Flush(w); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			reg.MustAdd(fault.Rule{Point: "wal.write", Always: true, Act: fault.ActError})
+			if err := st.Checkpoint(w); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("Checkpoint = %v, want the injected write error", err)
+			}
+			st.Close(w)
+			if _, err := Open(cfg); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("Open = %v, want the recovery checkpoint's injected write error", err)
+			}
+			st2 := New(durCfg(dir, spec.New))
+			defer st2.Close(w)
+			for k := uint64(0); k < n; k++ {
+				if v, ok := st2.Get(w, k); !ok || len(v) != len(val) {
+					t.Fatalf("Get(%d) after the failed checkpoints = %d bytes,%v; want %d", k, len(v), ok, len(val))
+				}
+			}
 		})
 	}
 }

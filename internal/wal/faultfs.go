@@ -34,7 +34,7 @@ type FaultFS struct {
 
 func (f FaultFS) base() FS {
 	if f.Base == nil {
-		return osFS{}
+		return OSFS{}
 	}
 	return f.Base
 }

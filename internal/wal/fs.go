@@ -38,24 +38,25 @@ type File interface {
 	Close() error
 }
 
-// osFS is the real filesystem (the default).
-type osFS struct{}
+// OSFS is the real filesystem: the default of Options.FS and
+// FaultFS.Base.
+type OSFS struct{}
 
-func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
+func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
-func (osFS) Create(name string) (File, error) {
+func (OSFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 }
 
-func (osFS) CreateTrunc(name string) (File, error) {
+func (OSFS) CreateTrunc(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 }
 
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
-func (osFS) Remove(name string) error { return os.Remove(name) }
+func (OSFS) Remove(name string) error { return os.Remove(name) }
 
-func (osFS) SyncDir(dir string) error {
+func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -148,7 +148,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	fs := opts.FS
 	if fs == nil {
-		fs = osFS{}
+		fs = OSFS{}
 	}
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err

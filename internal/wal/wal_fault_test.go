@@ -256,3 +256,28 @@ func TestCheckpointTmpWriteFailCleansUp(t *testing.T) {
 		t.Errorf("segment vanished after failed checkpoint: %v", err)
 	}
 }
+
+// TestCloseReturnsFinalFlushAndSyncErrors pins Close's promise that a
+// nil return means every appended record is durable: a failed final
+// flush and a failed fsync of the active segment both come back from
+// Close, not just from a later Sync that no one calls.
+func TestCloseReturnsFinalFlushAndSyncErrors(t *testing.T) {
+	for _, spec := range []string{"wal.write:nth=1:error", "wal.fsync:nth=1:error"} {
+		t.Run(spec, func(t *testing.T) {
+			reg, err := fault.Parse(1, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(t.TempDir(), faultOpts(reg))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if _, err := l.Append(KindPut, 1, []byte("v")); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			if err := l.Close(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("Close = %v, want the injected error", err)
+			}
+		})
+	}
+}
