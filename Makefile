@@ -214,11 +214,13 @@ ci: check race short bench-check net-smoke
 # park/complete handoff in internal/shardedkv; the shard lock's
 # uncontended acquire/release pair per class in internal/locks; a forced
 # GC over a loaded tree, an ascending load and overwrites in
-# internal/storage/btree. MICRO_COUNT repeats each row for benchstat.
+# internal/storage/btree; a forced GC over a loaded hash table, on the
+# hashkv workloads' two store shapes, in internal/storage/hashkv.
+# MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
 		./internal/kvserver ./internal/shardedkv ./internal/locks \
-		./internal/storage/btree
+		./internal/storage/btree ./internal/storage/hashkv
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

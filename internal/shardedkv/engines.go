@@ -97,7 +97,8 @@ func (e *hashEngine) BatchRange(reqs []RangeReq, emit func(req int, k uint64, v 
 	}
 }
 
-// btreeEngine wraps the B+tree, which copies values into its leaf arenas.
+// btreeEngine wraps the B+tree, which copies values into its leaf arenas
+// and keeps its nodes in pointer-free slabs: one GC object per leaf.
 type btreeEngine struct{ t *btree.Tree }
 
 // NewBTreeEngine returns a B+tree engine.

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -212,7 +214,7 @@ func TestHandedOutValuesNeverChange(t *testing.T) {
 		tr.Put(k, val(k, 0))
 		keys = append(keys, k)
 	}
-	leaf := tr.leaf(0)
+	leaf := tr.leaves.at(tr.leaf(0))
 	type held struct {
 		k         uint64
 		got, want []byte
@@ -224,9 +226,9 @@ func TestHandedOutValuesNeverChange(t *testing.T) {
 		}
 		hs = append(hs, held{k, v, append([]byte(nil), v...)})
 	}
-	compactions, arena := 0, unsafe.SliceData(leaf.data)
+	compactions, arena := 0, unsafe.SliceData(tr.data[0])
 	next := uint64(1)
-	for round := 1; round <= 100 && (compactions < 2 || leaf.next == nil); round++ {
+	for round := 1; round <= 100 && (compactions < 2 || leaf.next == 0); round++ {
 		for _, k := range keys {
 			v, _ := tr.Get(k)
 			hold(k, v)
@@ -237,7 +239,7 @@ func TestHandedOutValuesNeverChange(t *testing.T) {
 		})
 		for _, k := range keys {
 			tr.Put(k, val(k, round))
-			if a := unsafe.SliceData(leaf.data); a != arena {
+			if a := unsafe.SliceData(tr.data[0]); a != arena {
 				if arena != nil {
 					compactions++
 				}
@@ -261,7 +263,129 @@ func TestHandedOutValuesNeverChange(t *testing.T) {
 			}
 		}
 	}
-	if compactions < 2 || leaf.next == nil {
-		t.Fatalf("leaf compacted %d times, split %v: the test did not reach the cases it pins", compactions, leaf.next != nil)
+	if compactions < 2 || leaf.next == 0 {
+		t.Fatalf("leaf compacted %d times, split %v: the test did not reach the cases it pins", compactions, leaf.next != 0)
+	}
+}
+
+// TestTreeIsOneObjectPerLeaf pins what a live tree costs a GC cycle:
+// one heap object per leaf (its arena) plus a few slab chunks and
+// tables. Nodes that held their keys or spans in allocations of their
+// own would more than double the count.
+func TestTreeIsOneObjectPerLeaf(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := New()
+	for k := range uint64(1 << 16) {
+		tr.Put(k, make([]byte, 64))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	objs := int64(after.HeapObjects) - int64(before.HeapObjects)
+	leaves := int64(tr.leaves.n)
+	runtime.KeepAlive(tr)
+	t.Logf("%d leaves, %d live heap objects", leaves, objs)
+	if limit := leaves*11/10 + 64; objs > limit {
+		t.Fatalf("a tree of %d leaves is %d live heap objects, want at most %d", leaves, objs, limit)
+	}
+}
+
+// TestMixedValueSizesVsMap checks the tree against a map with values
+// on both sides of maxInline: inline values live in the leaf arenas,
+// larger ones in the side table, which must hold exactly the live
+// large keys after every step.
+func TestMixedValueSizesVsMap(t *testing.T) {
+	sizes := []int{0, 1, maxInline, maxInline + 1, 4 << 10}
+	tr := New()
+	ref := map[uint64][]byte{}
+	step := 0
+	val := func(k uint64, size int) []byte {
+		v := make([]byte, size)
+		for i := range v {
+			v[i] = byte(k) ^ byte(step) ^ byte(i>>3)
+		}
+		return v
+	}
+	check := func(what string) {
+		t.Helper()
+		if tr.Len() != len(ref) {
+			t.Fatalf("step %d (%s): Len = %d, want %d", step, what, tr.Len(), len(ref))
+		}
+		large := 0
+		for k, want := range ref {
+			got, ok := tr.Get(k)
+			if !ok || !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("step %d (%s): Get(%d) = %d bytes (cap %d), %v; want %d bytes", step, what, k, len(got), cap(got), ok, len(want))
+			}
+			if len(want) > maxInline {
+				large++
+				if _, ok := tr.large[k]; !ok {
+					t.Fatalf("step %d (%s): large key %d is missing from the side table", step, what, k)
+				}
+			}
+		}
+		if len(tr.large) != large {
+			t.Fatalf("step %d (%s): side table holds %d keys, want the %d live large keys", step, what, len(tr.large), large)
+		}
+		keys := make([]uint64, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		i := 0
+		tr.Range(0, ^uint64(0), func(k uint64, v []byte) bool {
+			if i >= len(keys) || k != keys[i] || !bytes.Equal(v, ref[k]) || cap(v) != len(v) {
+				t.Fatalf("step %d (%s): Range pair %d is key %d with %d bytes", step, what, i, k, len(v))
+			}
+			i++
+			return true
+		})
+		if i != len(keys) {
+			t.Fatalf("step %d (%s): Range visited %d keys, want %d", step, what, i, len(keys))
+		}
+	}
+	put := func(k uint64, size int) {
+		step++
+		v := val(k, size)
+		tr.Put(k, v)
+		ref[k] = v
+		check(fmt.Sprintf("put %d, %d bytes", k, size))
+	}
+	del := func(k uint64) {
+		step++
+		_, want := ref[k]
+		if got := tr.Delete(k); got != want {
+			t.Fatalf("step %d: Delete(%d) = %v, want %v", step, k, got, want)
+		}
+		delete(ref, k)
+		check(fmt.Sprintf("delete %d", k))
+	}
+
+	// One key going large, inline, large again, then deleted.
+	for _, size := range []int{maxInline + 1, 1, 4 << 10, maxInline, 0, maxInline + 1} {
+		put(7, size)
+	}
+	del(7)
+
+	// A leaf splits while it holds large values.
+	leaves := tr.leaves.n
+	for k := uint64(100); k < 100+2*degree; k++ {
+		put(k, sizes[3+k%2])
+	}
+	if tr.leaves.n == leaves {
+		t.Fatal("filling a leaf with large values did not split it")
+	}
+
+	// Random puts and deletes over a small key space, so keys change
+	// size class in place and leaves split around mixed values.
+	rng := prng.NewXoshiro256(33)
+	for range 3000 {
+		k := prng.Uint64n(rng, 256)
+		if prng.Uint64n(rng, 4) == 0 {
+			del(k)
+			continue
+		}
+		put(k, sizes[prng.Uint64n(rng, uint64(len(sizes)))])
 	}
 }
