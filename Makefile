@@ -129,42 +129,44 @@ net-smoke:
 	echo "net-smoke: clean shutdown"
 
 # wal-smoke proves the durability story with the REAL binaries and a
-# REAL kill -9: serve with -wal, fill a deterministic keyset through
-# cmd/kvcheck (interactive-class puts ack only after group commit),
-# SIGKILL the loaded server, restart it on the same log directory, and
-# verify every sync-acked key came back (bulk-class keys may legally be
-# lost — kvcheck exits 1 only on a broken durability promise). Runs as
-# a non-gating CI job next to net-smoke.
+# REAL kill -9, once per engine: lsm recovers through its snapshot
+# capability, hashkv (the default engine) through the one-by-one replay
+# Puts and the full-dump checkpoint over Range. Each leg serves with
+# -wal, fills a deterministic keyset through cmd/kvcheck
+# (interactive-class puts ack only after group commit), SIGKILLs the
+# loaded server, restarts it on the same log directory, and verifies
+# every sync-acked key came back (bulk-class keys may legally be lost —
+# kvcheck exits 1 only on a broken durability promise). Runs as a
+# non-gating CI job next to net-smoke.
 wal-smoke:
 	@set -e; \
-	tmp=$$(mktemp -d); \
+	tmp=$$(mktemp -d); pid=""; \
+	fail() { echo "wal-smoke: $$1"; cat $$tmp/server.log; kill $$pid 2>/dev/null || true; rm -rf $$tmp; exit 1; }; \
+	serve() { \
+		$$tmp/kvserver -addr 127.0.0.1:0 -engine $$1 -wal $$tmp/wal-$$1 2>$$tmp/server.log & pid=$$!; \
+		addr=""; \
+		for i in $$(seq 1 100); do \
+			addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server.log | head -1); \
+			[ -n "$$addr" ] && break; \
+			sleep 0.1; \
+		done; \
+		[ -n "$$addr" ] || fail "$$1: server never reported its address"; \
+	}; \
 	$(GO) build -o $$tmp/kvserver ./cmd/kvserver; \
 	$(GO) build -o $$tmp/kvcheck ./cmd/kvcheck; \
-	$$tmp/kvserver -addr 127.0.0.1:0 -engine lsm -wal $$tmp/wal 2>$$tmp/server1.log & pid=$$!; \
-	addr=""; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server1.log | head -1); \
-		[ -n "$$addr" ] && break; \
-		sleep 0.1; \
+	for engine in lsm hashkv; do \
+		serve $$engine; \
+		$$tmp/kvcheck -addr $$addr -n 2000 -mode fill || fail "$$engine: fill failed"; \
+		kill -9 $$pid; \
+		wait $$pid 2>/dev/null || true; \
+		serve $$engine; \
+		$$tmp/kvcheck -addr $$addr -n 2000 -mode verify || fail "$$engine: verify failed after kill -9"; \
+		kill -TERM $$pid; \
+		wait $$pid || fail "$$engine: restarted server exited non-zero after SIGTERM"; \
+		cat $$tmp/server.log; \
+		echo "wal-smoke: $$engine: durability held across kill -9"; \
 	done; \
-	[ -n "$$addr" ] || { echo "wal-smoke: server never reported its address"; cat $$tmp/server1.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	$$tmp/kvcheck -addr $$addr -n 2000 -mode fill || { cat $$tmp/server1.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	kill -9 $$pid; \
-	wait $$pid 2>/dev/null || true; \
-	$$tmp/kvserver -addr 127.0.0.1:0 -engine lsm -wal $$tmp/wal 2>$$tmp/server2.log & pid=$$!; \
-	addr=""; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server2.log | head -1); \
-		[ -n "$$addr" ] && break; \
-		sleep 0.1; \
-	done; \
-	[ -n "$$addr" ] || { echo "wal-smoke: restarted server never reported its address"; cat $$tmp/server2.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	$$tmp/kvcheck -addr $$addr -n 2000 -mode verify || { cat $$tmp/server2.log; kill $$pid 2>/dev/null; rm -rf $$tmp; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	cat $$tmp/server2.log; \
-	rm -rf $$tmp; \
-	echo "wal-smoke: durability held across kill -9"
+	rm -rf $$tmp
 
 # soak is the chaos harness: cmd/kvsoak serves the REAL kvserver
 # binary with fault injection armed on alternate incarnations, drives
@@ -215,7 +217,8 @@ ci: check race short bench-check net-smoke
 # uncontended acquire/release pair per class in internal/locks; a forced
 # GC over a loaded tree, an ascending load and overwrites in
 # internal/storage/btree; a forced GC over a loaded hash table, on the
-# hashkv workloads' two store shapes, in internal/storage/hashkv.
+# hashkv workloads' two store shapes, a 1<<18-key load into an empty
+# table and overwrites of a loaded one, in internal/storage/hashkv.
 # MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \

@@ -25,7 +25,7 @@ func (s *SplitMix64) Uint64() uint64 {
 }
 
 // Mix64 is SplitMix64's output finalizer: a strong invertible 64-bit
-// mix. Hash partitioners (shard and slot maps) use it directly so
+// mix. Hash partitioners (shard and bucket maps) use it directly so
 // adjacent keys spread uniformly.
 func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -12,12 +12,12 @@ import (
 
 // This file adapts the four storage substrates to the Engine
 // interface. Each adapter assumes the shard lock serialises access,
-// matching the substrates' own contracts ("the caller must hold the
-// slot lock" etc.).
+// matching the substrates' own contracts ("the caller holds the
+// shard lock" etc.).
 
-// hashEngine wraps the Kyoto-style chained hash table. The table's own
-// slot partitioning is collapsed to a single slot: partitioning is the
-// Store's job here, and one shard = one independently locked region.
+// hashEngine wraps the Kyoto-style chained hash table, one table per
+// shard: partitioning is the Store's job, and one shard = one
+// independently locked region.
 type hashEngine struct{ t *hashkv.Table }
 
 // NewHashEngine returns a hash-table engine with the given initial
@@ -27,7 +27,7 @@ func NewHashEngine(buckets int) Engine {
 	if buckets <= 0 {
 		buckets = 256
 	}
-	return &hashEngine{t: hashkv.NewGrowing(1, buckets)}
+	return &hashEngine{t: hashkv.New(buckets)}
 }
 
 func (e *hashEngine) Get(k uint64) ([]byte, bool) { return e.t.Get(k) }
@@ -36,65 +36,22 @@ func (e *hashEngine) Delete(k uint64) bool        { return e.t.Delete(k) }
 func (e *hashEngine) Len() int                    { return e.t.Len() }
 
 // Range is ordered even though the table is not: the substrate
-// collects matching chain entries and sorts them under the shard lock.
+// collects the matching pairs and sorts them under the shard lock.
 func (e *hashEngine) Range(lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	e.t.Range(lo, hi, fn)
 }
 
-// Scan walks every pair in chain order — no sort. No store path calls
+// Scan walks every pair unordered, with no sort. No store path calls
 // it; it stays because benchmark/wrappers.go forwards it and pins the
 // hash engine's capability set.
 func (e *hashEngine) Scan(fn func(k uint64, v []byte) bool) {
 	e.t.Scan(fn)
 }
 
-// BatchRange serves a whole request batch in ONE chain walk: the
-// table's Range costs a full O(n) walk regardless of span, so running
-// it per request would multiply that walk (and its sort) by the batch
-// size while the shard lock is held. Requests are merged into disjoint
-// segments, each walked entry is matched against them by binary
-// search, and the single sorted match list is sliced per request.
+// BatchRange serves a whole request batch in one walk of the table
+// (hashkv.Table.BatchRange), not one full walk per request.
 func (e *hashEngine) BatchRange(reqs []RangeReq, emit func(req int, k uint64, v []byte)) {
-	segs := make([]RangeReq, 0, len(reqs))
-	for _, r := range reqs {
-		if r.Lo <= r.Hi {
-			segs = append(segs, r)
-		}
-	}
-	if len(segs) == 0 {
-		return
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Lo < segs[j].Lo })
-	merged := segs[:1]
-	for _, sg := range segs[1:] {
-		if last := &merged[len(merged)-1]; sg.Lo <= last.Hi {
-			if sg.Hi > last.Hi {
-				last.Hi = sg.Hi
-			}
-		} else {
-			merged = append(merged, sg)
-		}
-	}
-	type kv struct {
-		k uint64
-		v []byte
-	}
-	var matched []kv
-	e.t.Scan(func(k uint64, v []byte) bool {
-		// Disjoint segments sorted by Lo are sorted by Hi too.
-		i := sort.Search(len(merged), func(i int) bool { return merged[i].Hi >= k })
-		if i < len(merged) && merged[i].Lo <= k {
-			matched = append(matched, kv{k, v})
-		}
-		return true
-	})
-	sort.Slice(matched, func(i, j int) bool { return matched[i].k < matched[j].k })
-	for ri, r := range reqs {
-		i := sort.Search(len(matched), func(i int) bool { return matched[i].k >= r.Lo })
-		for ; i < len(matched) && matched[i].k <= r.Hi; i++ {
-			emit(ri, matched[i].k, matched[i].v)
-		}
-	}
+	e.t.BatchRange(len(reqs), func(i int) (uint64, uint64) { return reqs[i].Lo, reqs[i].Hi }, emit)
 }
 
 // btreeEngine wraps the B+tree, which copies values into its leaf arenas

@@ -1,200 +1,220 @@
-// Package hashkv is a chained hash table partitioned into fixed slots,
-// laid out like Kyoto Cabinet's hash DB (paper Table 1: a slot-level
-// lock per partition): the storage substrate of shardedkv's hashkv
-// engine, which uses one growing slot per shard. The table itself is
-// unsynchronised; the caller locks the slot that owns a key.
+// Package hashkv is a chained hash table laid out like Kyoto Cabinet's
+// hash DB (paper Table 1): the storage substrate of shardedkv's hashkv
+// engine, one table per shard. Its chains hold no pointers. Bucket
+// heads are int32 indices into a dense cell array whose cells link to
+// each other by index, and values sit in a parallel dense slice, so a
+// live table is one heap object per value plus a few arrays. Values
+// are retained by reference. The table is unsynchronised; the caller
+// holds the shard lock.
 package hashkv
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/prng"
 )
 
-// entry is one chained key/value pair.
-type entry struct {
-	key  uint64
-	val  []byte
-	next *entry
-}
-
 // maxLoad is the average chain length that triggers bucket doubling:
 // past it, lookups pay chain walks instead of hash spread.
 const maxLoad = 4
 
-// Slot is one independently lockable partition. On growable tables
-// (NewGrowing) its bucket array doubles when the load factor passes
-// maxLoad, so chains stay O(1) on average however many keys the slot
-// absorbs.
-type Slot struct {
-	buckets []*entry
-	size    int
+// cell is one key of the dense cell array. next is the index of the
+// following cell in its chain, 0 for none: cells[0] is a sentinel that
+// no chain names.
+type cell struct {
+	key  uint64
+	next int32
 }
 
-// grow doubles the bucket array and rehashes every chained entry. The
-// caller holds the slot lock (the same contract as Put), so the relink
-// is private to this slot; entry nodes are reused, not reallocated.
-func (s *Slot) grow() {
-	old := s.buckets
-	s.buckets = make([]*entry, 2*len(old))
-	for _, e := range old {
-		for e != nil {
-			next := e.next
-			b := bucketIndex(e.key, len(s.buckets))
-			e.next = s.buckets[b]
-			s.buckets[b] = e
-			e = next
-		}
-	}
-}
-
-// Table is a fixed-slot hash KV store.
+// Table is a growing chained hash KV store. cells[1:] and vals[1:] are
+// the live pairs, densely packed in no particular order; both arrays
+// have room for maxLoad keys per bucket, so they are reallocated only
+// when the bucket array doubles. int32 links cap a table at 2^31-1
+// keys.
 type Table struct {
-	slots    []Slot
-	growable bool
+	heads []int32 // bucket → first cell of its chain, 0 for none
+	cells []cell
+	vals  [][]byte // vals[i] is cells[i]'s value
 }
 
-// New builds a table with the given slot count and per-slot bucket
-// count. Kyoto Cabinet's hash DB similarly divides its bucket array
-// into lockable regions; like Kyoto's, the bucket count is fixed for
-// life. Use NewGrowing where chains must stay bounded.
-func New(slots, bucketsPerSlot int) *Table {
-	t := &Table{slots: make([]Slot, slots)}
-	for i := range t.slots {
-		t.slots[i].buckets = make([]*entry, bucketsPerSlot)
+// New builds a table with at least the given number of buckets (rounded
+// up to a power of two). The bucket array doubles once the average
+// chain length passes maxLoad, so chains stay O(1) on average however
+// many keys the table absorbs.
+func New(buckets int) *Table {
+	n := 1
+	for n < buckets {
+		n <<= 1
 	}
+	t := &Table{}
+	t.resize(n)
 	return t
 }
 
-// NewGrowing builds a table whose slots double their bucket arrays
-// once average chain length passes maxLoad (the serving-layer choice:
-// bounded chains at the price of an occasional in-lock rehash).
-func NewGrowing(slots, bucketsPerSlot int) *Table {
-	t := New(slots, bucketsPerSlot)
-	t.growable = true
-	return t
+// resize gives the table n buckets and dense arrays with room for
+// maxLoad×n keys, then relinks every live cell into its new chain: one
+// O(n) step with no per-key allocation. Put calls it only when the
+// arrays are full, so append never moves them elsewhere, and no link
+// into them may be held across a resize.
+func (t *Table) resize(n int) {
+	cells := make([]cell, max(len(t.cells), 1), maxLoad*n+1)
+	copy(cells, t.cells)
+	vals := make([][]byte, len(cells), cap(cells))
+	copy(vals, t.vals)
+	t.heads, t.cells, t.vals = make([]int32, n), cells, vals
+	for i := 1; i < len(cells); i++ {
+		b := t.bucket(cells[i].key)
+		cells[i].next = t.heads[b]
+		t.heads[b] = int32(i)
+	}
 }
 
-// NumSlots returns the slot count.
-func (t *Table) NumSlots() int { return len(t.slots) }
-
-// SlotOf maps a key to its slot index; the engine locks this slot.
-func (t *Table) SlotOf(k uint64) int {
-	return int(mix(k) % uint64(len(t.slots)))
+// bucket maps a key to its chain. The key is salted before mixing so
+// the bucket is independent of shardedkv's Mix64(k) % shards routing.
+func (t *Table) bucket(k uint64) int {
+	return int(prng.Mix64(k^0xabcdef) & uint64(len(t.heads)-1))
 }
 
-// mix is a strong 64-bit finalizer (splitmix64's, shared via prng) so
-// adjacent keys spread across slots.
-func mix(x uint64) uint64 { return prng.Mix64(x) }
-
-// bucketIndex maps a key into an n-bucket array (growth recomputes it
-// with the new n).
-func bucketIndex(k uint64, n int) int {
-	return int(mix(k^0xabcdef) % uint64(n))
-}
-
-func (t *Table) slotAndBucket(k uint64) (*Slot, int) {
-	s := &t.slots[t.SlotOf(k)]
-	return s, bucketIndex(k, len(s.buckets))
-}
-
-// Put stores k=v. The caller must hold k's slot lock. Returns true on
-// insert, false on replace.
+// Put stores k=v, retaining v by reference. Returns true on insert,
+// false on replace.
 func (t *Table) Put(k uint64, v []byte) bool {
-	s, b := t.slotAndBucket(k)
-	for e := s.buckets[b]; e != nil; e = e.next {
-		if e.key == k {
-			e.val = v
+	b := t.bucket(k)
+	for i := t.heads[b]; i != 0; i = t.cells[i].next {
+		if t.cells[i].key == k {
+			t.vals[i] = v
 			return false
 		}
 	}
-	s.buckets[b] = &entry{key: k, val: v, next: s.buckets[b]}
-	s.size++
-	if t.growable && s.size > maxLoad*len(s.buckets) {
-		s.grow()
+	if len(t.cells) == cap(t.cells) {
+		t.resize(2 * len(t.heads))
+		b = t.bucket(k)
 	}
+	t.cells = append(t.cells, cell{key: k, next: t.heads[b]})
+	t.vals = append(t.vals, v)
+	t.heads[b] = int32(len(t.cells) - 1)
 	return true
 }
 
-// Get reads k. The caller must hold k's slot lock.
+// Get reads k.
 func (t *Table) Get(k uint64) ([]byte, bool) {
-	s, b := t.slotAndBucket(k)
-	for e := s.buckets[b]; e != nil; e = e.next {
-		if e.key == k {
-			return e.val, true
+	for i := t.heads[t.bucket(k)]; i != 0; i = t.cells[i].next {
+		if t.cells[i].key == k {
+			return t.vals[i], true
 		}
 	}
 	return nil, false
 }
 
-// Delete removes k. The caller must hold k's slot lock.
+// Delete removes k. The last cell moves into the hole, and the one link
+// that named it is repointed, so the arrays stay dense.
 func (t *Table) Delete(k uint64) bool {
-	s, b := t.slotAndBucket(k)
-	for p := &s.buckets[b]; *p != nil; p = &(*p).next {
-		if (*p).key == k {
-			*p = (*p).next
-			s.size--
-			return true
+	p := &t.heads[t.bucket(k)]
+	for *p != 0 && t.cells[*p].key != k {
+		p = &t.cells[*p].next
+	}
+	i := *p
+	if i == 0 {
+		return false
+	}
+	*p = t.cells[i].next
+	last := int32(len(t.cells) - 1)
+	if i != last {
+		q := &t.heads[t.bucket(t.cells[last].key)]
+		for *q != last {
+			q = &t.cells[*q].next
+		}
+		*q = i
+		t.cells[i], t.vals[i] = t.cells[last], t.vals[last]
+	}
+	t.vals[last] = nil
+	t.cells, t.vals = t.cells[:last], t.vals[:last]
+	return true
+}
+
+// hit is one matching cell of a Range or BatchRange walk.
+type hit struct {
+	key uint64
+	i   int32
+}
+
+// sortedHits walks the dense cells and returns those whose key in
+// accepts, in ascending key order.
+func (t *Table) sortedHits(in func(k uint64) bool) []hit {
+	var hits []hit
+	for i := 1; i < len(t.cells); i++ {
+		if k := t.cells[i].key; in(k) {
+			hits = append(hits, hit{k, int32(i)})
 		}
 	}
-	return false
+	slices.SortFunc(hits, func(a, b hit) int { return cmp.Compare(a.key, b.key) })
+	return hits
 }
 
 // Range calls fn for each key in [lo, hi] in ascending order until fn
-// returns false. The table is unordered, so Range collects the
-// matching pairs from every chain and sorts them — O(n) walk plus
-// O(m log m) in the match count m. Callers must hold all slot locks,
-// as with Len.
+// returns false. The table is unordered, so Range collects the matching
+// cells and sorts them: an O(n) walk plus O(m log m) in the match
+// count m.
 func (t *Table) Range(lo, hi uint64, fn func(k uint64, v []byte) bool) {
-	type kv struct {
-		k uint64
-		v []byte
-	}
-	var out []kv
-	for si := range t.slots {
-		s := &t.slots[si]
-		for _, e := range s.buckets {
-			for ; e != nil; e = e.next {
-				if e.key >= lo && e.key <= hi {
-					out = append(out, kv{e.key, e.val})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	for _, p := range out {
-		if !fn(p.k, p.v) {
+	for _, h := range t.sortedHits(func(k uint64) bool { return k >= lo && k <= hi }) {
+		if !fn(h.key, t.vals[h.i]) {
 			return
 		}
 	}
 }
 
-// Scan visits every entry in chain order — unordered — until fn
-// returns false: the raw single walk batched range serving builds on
-// (Range is the ordered flavour). Callers must hold all slot locks.
-func (t *Table) Scan(fn func(k uint64, v []byte) bool) {
-	for si := range t.slots {
-		s := &t.slots[si]
-		for _, e := range s.buckets {
-			for ; e != nil; e = e.next {
-				if !fn(e.key, e.val) {
-					return
-				}
-			}
+// BatchRange serves n range requests in ONE walk of the dense cells:
+// Range costs a full walk regardless of span, so running it per request
+// would multiply that walk (and its sort) by the batch size. span(i)
+// returns request i's bounds. Requests are merged into disjoint
+// segments, each cell is matched against them by binary search, and
+// the one sorted match list is sliced per request: emit receives each
+// request's pairs in ascending key order.
+func (t *Table) BatchRange(n int, span func(req int) (lo, hi uint64), emit func(req int, k uint64, v []byte)) {
+	type seg struct{ lo, hi uint64 }
+	segs := make([]seg, 0, n)
+	for i := range n {
+		if lo, hi := span(i); lo <= hi {
+			segs = append(segs, seg{lo, hi})
+		}
+	}
+	if len(segs) == 0 {
+		return
+	}
+	slices.SortFunc(segs, func(a, b seg) int { return cmp.Compare(a.lo, b.lo) })
+	merged := segs[:1]
+	for _, s := range segs[1:] {
+		if last := &merged[len(merged)-1]; s.lo <= last.hi {
+			last.hi = max(last.hi, s.hi)
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	hits := t.sortedHits(func(k uint64) bool {
+		// Disjoint segments sorted by lo are sorted by hi too.
+		j := sort.Search(len(merged), func(j int) bool { return merged[j].hi >= k })
+		return j < len(merged) && merged[j].lo <= k
+	})
+	for ri := range n {
+		lo, hi := span(ri)
+		j := sort.Search(len(hits), func(j int) bool { return hits[j].key >= lo })
+		for ; j < len(hits) && hits[j].key <= hi; j++ {
+			emit(ri, hits[j].key, t.vals[hits[j].i])
 		}
 	}
 }
 
-// NumBuckets returns slot i's current bucket count (dynamic once
-// growth kicks in; tests assert on it).
-func (t *Table) NumBuckets(slot int) int { return len(t.slots[slot].buckets) }
-
-// Len sums all slot sizes; callers must hold all slot locks (or accept
-// an approximate answer), as with Kyoto's count method.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.slots {
-		n += t.slots[i].size
+// Scan visits every pair in dense-array order (unordered) until fn
+// returns false: the raw single walk, where Range is the ordered
+// flavour.
+func (t *Table) Scan(fn func(k uint64, v []byte) bool) {
+	for i := 1; i < len(t.cells); i++ {
+		if !fn(t.cells[i].key, t.vals[i]) {
+			return
+		}
 	}
-	return n
 }
+
+// Len returns the number of live keys.
+func (t *Table) Len() int { return len(t.cells) - 1 }
