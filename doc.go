@@ -67,19 +67,20 @@
 // the before/after procedure for a performance claim. cmd/kvbench is
 // the in-process engine × mix × lock grid the benchmark cannot run
 // (internal/workload mixes; cmd/kvbench/README.md has its flags).
-// .github/workflows/ci.yml gates every push on `make ci`: vet, the
-// repolint contract checkers, gofmt, build, tests, the race detector
-// over RACE_PKGS, the -short smoke paths, the benchmark module's own
-// vet/test/build, and net-smoke (a real server filled and read back
+// .github/workflows/ci.yml gates every push on `make ci`: vet, gofmt,
+// build, tests, the race detector over RACE_PKGS, the -short smoke
+// paths, the benchmark module's own vet/test/build, and net-smoke
+// (kvserver's startup errors, then a real server filled and read back
 // by cmd/kvcheck and shut down by SIGTERM).
 //
-// internal/analysis + cmd/repolint machine-check the lock contracts
-// the layers above rely on: no callbacks or fsync under a shard lock,
-// and the lock order (shard locks never nest). `make lint` runs the
-// suite as a `go vet -vettool`;
-// ARCHITECTURE.md ("Enforced invariants") maps each pass to its prose
-// rule. The wire enums' append-only rule is a test
-// (internal/kvserver's TestProtocolDocMatchesCode).
+// The lock contracts the layers above rely on are checked where the
+// locks are taken: internal/shardedkv's shard-lock guard panics when a
+// worker holding a shard lock takes another (shard locks never nest)
+// or reaches an fsync-issuing log call, and a source test keeps every
+// shard-lock take and every such call behind the guard. ARCHITECTURE.md
+// ("Enforced invariants") says what the guard covers and what it does
+// not. The wire enums' append-only rule is a test (internal/kvserver's
+// TestProtocolDocMatchesCode).
 package repro
 
 // Version identifies this reproduction build.

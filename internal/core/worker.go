@@ -80,6 +80,9 @@ type Worker struct {
 	cur       int // current epoch id, -1 when outside any epoch
 	stack     []int
 	maxWindow int64
+	// held is the index of the shard lock the worker holds, -1 when it
+	// holds none: internal/shardedkv's lock guard reads and writes it.
+	held int
 }
 
 // NewWorker returns a worker with the given configuration.
@@ -98,6 +101,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		epochs:    make([]epochState, cfg.MaxEpochs),
 		cur:       -1,
 		maxWindow: aimd.MaxWindow,
+		held:      -1,
 	}
 	return w
 }
@@ -111,6 +115,15 @@ func (w *Worker) Class() Class { return w.class }
 
 // BaseClass returns the worker's class; it is the same as Class.
 func (w *Worker) BaseClass() Class { return w.class }
+
+// HeldShard returns the index of the shard lock w holds, or -1 when it
+// holds none. A worker holds at most one shard lock at a time;
+// internal/shardedkv's lock guard keeps this record and checks it.
+func (w *Worker) HeldShard() int { return w.held }
+
+// SetHeldShard records the shard lock w holds, -1 for none. Only the
+// guard's acquire and release paths call it.
+func (w *Worker) SetHeldShard(i int) { w.held = i }
 
 // Now returns the worker's clock reading (exposed for harness use).
 func (w *Worker) Now() int64 { return w.clock() }

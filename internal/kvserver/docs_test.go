@@ -154,64 +154,19 @@ func wireFamily(name string) string {
 	return ""
 }
 
-// repolintAnalyzers returns the analyzers cmd/repolint registers, read
-// from its Analyzers list with go/parser: each entry is
-// <pass>.Analyzer, and every pass's package is named after its
-// analyzer. Adding or deleting a pass therefore cannot leave the
-// ARCHITECTURE.md check below stale.
-func repolintAnalyzers(t *testing.T) []string {
-	t.Helper()
-	path := filepath.Join("..", "..", "cmd", "repolint", "main.go")
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "Analyzers" || len(vs.Values) != 1 {
-			return true
-		}
-		lit, ok := vs.Values[0].(*ast.CompositeLit)
-		if !ok {
-			t.Fatalf("%s: Analyzers is not a composite literal", path)
-		}
-		for _, e := range lit.Elts {
-			sel, ok := e.(*ast.SelectorExpr)
-			var pkg *ast.Ident
-			if ok {
-				pkg, ok = sel.X.(*ast.Ident)
-			}
-			if !ok || sel.Sel.Name != "Analyzer" {
-				t.Fatalf("%s: Analyzers entry %T is not <pass>.Analyzer", path, e)
-			}
-			names = append(names, pkg.Name)
-		}
-		return false
-	})
-	if len(names) == 0 {
-		t.Fatalf("%s registers no Analyzers", path)
-	}
-	return names
-}
-
 // TestArchitectureDocCoversServingPath keeps ARCHITECTURE.md honest
 // about the layers it promises to explain.
 func TestArchitectureDocCoversServingPath(t *testing.T) {
 	doc := repoFile(t, "ARCHITECTURE.md")
-	// Every registered analyzer has a row in the invariants table.
-	for _, name := range repolintAnalyzers(t) {
-		if row := "| `" + name + "` |"; !strings.Contains(doc, row) {
-			t.Errorf("ARCHITECTURE.md's analyzer table has no %q row", row)
-		}
-	}
 	for _, want := range []string{
 		"kvclient", "kvserver", "admission", "placement", "ASL",
 		"combiner", "docs/protocol.md", "one worker per class",
-		// The machine-checked invariants section.
-		"Enforced invariants", "repolint", "Lock ordering",
+		// The enforced-invariants section: the guard, the lock order and
+		// what the guard does not check.
+		"Enforced invariants", "shard-lock guard", "Lock ordering",
+		"What the guard does not check",
 		// The contributor-guide sections.
-		"add an engine", "add a lock", "add a mix", "add an analyzer",
+		"add an engine", "add a lock", "add a mix",
 		// The durability layer (§8) and its load-bearing names.
 		"Durability", "internal/wal", "group commit", "ops_per_fsync",
 		"CURRENT", "shardedkv.KV", "Snapshotter", "Compactor",

@@ -167,9 +167,9 @@ func TestDrainChargesKeys(t *testing.T) {
 	total := 0
 	for takes := 0; total < len(kvs); takes++ {
 		var pend []*request
-		q.sh.lock.Acquire(w)
+		q.sh.acquire(w)
 		n := a.drain(w, q, &pend)
-		q.sh.lock.Release(w)
+		q.sh.release(w)
 		if n >= bound+batchKeyCap || (total+n < len(kvs) && n < bound) {
 			t.Fatalf("drain %d applied %d keys: bound %d, key cap %d", takes, n, bound, batchKeyCap)
 		}

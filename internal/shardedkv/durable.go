@@ -330,6 +330,7 @@ func (s *Store) checkpointAll() error {
 // internal mutex; concurrent writers are never blocked beyond the
 // ordinary shard-lock hold.
 func (s *Store) Checkpoint(w *core.Worker) error {
+	lockFree(w, "wal.Log.WriteCheckpoint")
 	if s.dur == nil {
 		return nil
 	}
@@ -337,14 +338,13 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 	defer s.dur.ckptMu.Unlock()
 
 	type task struct {
-		lg       *wal.Log
+		sh       *shard
 		boundary uint64
 		snap     storage.Snapshot
 		dump     []Pair
 	}
 	var tasks []task
 	var lockErr error
-	//lint:ignore lockorder ckptMu is an outer coordination mutex, not an engine-internal lock: it is only ever taken lock-free at the top of Checkpoint (never under a shard lock), so ckptMu → shard lock cannot form a cycle with the canonical shard → engine-internal order.
 	s.forEachShard(w, func(sh *shard) {
 		if sh.wal == nil || lockErr != nil {
 			return
@@ -354,7 +354,7 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 			lockErr = err
 			return
 		}
-		t := task{lg: sh.wal, boundary: boundary}
+		t := task{sh: sh, boundary: boundary}
 		if c, ok := sh.eng.(storage.Compactor); ok {
 			c.Compact()
 		}
@@ -371,7 +371,7 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 
 	var err error
 	for _, t := range tasks {
-		werr := t.lg.WriteCheckpoint(t.boundary, func(emit func(k uint64, v []byte) error) error {
+		werr := t.sh.wal.WriteCheckpoint(t.boundary, func(emit func(k uint64, v []byte) error) error {
 			var ierr error
 			if t.snap != nil {
 				t.snap.Range(func(k uint64, v []byte) bool {
@@ -407,13 +407,14 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 // reported here — this is where those writes' fsync errors surface.
 // Without Config.Durability it is a no-op.
 func (s *Store) Flush(w *core.Worker) error {
-	return s.syncLogs()
+	return s.syncLogs(w)
 }
 
 // syncLogs fsyncs every shard log, degrading the shard behind any log
-// whose sync fails, and returns the first failure. Never called under
-// a shard lock.
-func (s *Store) syncLogs() error {
+// whose sync fails, and returns the first failure. w may hold no shard
+// lock.
+func (s *Store) syncLogs(w *core.Worker) error {
+	lockFree(w, "wal.Log.Sync")
 	if s.dur == nil {
 		return nil
 	}
@@ -434,6 +435,7 @@ func (s *Store) syncLogs() error {
 // and Flush — Close itself is best-effort, matching the KV interface
 // shape.
 func (s *Store) Close(w *core.Worker) {
+	lockFree(w, "wal.Log.Close")
 	if s.dur == nil {
 		return
 	}

@@ -141,7 +141,10 @@ func (r *request) weight() int {
 
 // complete publishes the result and wakes a parked owner. This is the
 // completer's LAST touch of r: the owner may recycle it immediately
-// after observing done.
+// after observing done. A combiner calls it with the shard lock held
+// (finishOrDefer). That is safe: the swap to done succeeds once per
+// use of r, so at most one token is ever sent on the buffered(1) wake
+// channel, and the send cannot block.
 func (r *request) complete() {
 	if r.state.Swap(futDone) == futParked {
 		r.wake <- struct{}{}
@@ -437,7 +440,10 @@ func (a *AsyncStore) putReq(r *request) {
 
 // finishOrDefer completes r, or parks it on pend when its future must
 // wait for group commit. Called with the executing shard's lock held;
-// the deferral is what keeps wal.Commit off the locked path.
+// the deferral is what keeps wal.Commit off the locked path. Every
+// other future completes here, under the lock, on purpose: the wake
+// cannot block (see complete), and the owner goes on as soon as its op
+// is applied instead of waiting for the whole drain.
 func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
 	if r.syncWait && r.mark.lsn != 0 {
 		*pend = append(*pend, r)
@@ -454,10 +460,10 @@ func (a *AsyncStore) finishOrDefer(r *request, pend *[]*request) {
 // shard and publishes the typed error on every covered future — the
 // whole held-back batch was promised the same fsync, so none of it
 // may falsely ack.
-func (s *Store) completePending(pend []*request) {
+func (s *Store) completePending(w *core.Worker, pend []*request) {
 	for _, r := range pend {
 		if r.err == nil {
-			r.err = s.commit(r.mark)
+			r.err = s.commit(w, r.mark)
 		}
 		r.complete()
 	}
@@ -600,7 +606,7 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	if q.ring.Empty() {
 		return false
 	}
-	if !q.sh.lock.TryAcquire(w) {
+	if !q.sh.tryAcquire(w) {
 		return false
 	}
 	// Count the take only when it drains something: empty takes must
@@ -610,8 +616,8 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	if n > 0 {
 		q.noteTake(w)
 	}
-	q.sh.lock.Release(w)
-	a.st.completePending(pend)
+	q.sh.release(w)
+	a.st.completePending(w, pend)
 	return n > 0
 }
 
@@ -637,15 +643,15 @@ func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
 	}
 	var pend []*request
 	sh := q.sh
-	sh.lock.Acquire(w)
+	sh.acquire(w)
 	q.noteTake(w)
 	q.direct.Add(1)
 	q.combined.Add(uint64(r.weight()))
 	a.exec(w, sh, r)
 	a.drain(w, q, &pend)
-	sh.lock.Release(w)
+	sh.release(w)
 	a.finishOrDefer(r, &pend)
-	a.st.completePending(pend)
+	a.st.completePending(w, pend)
 }
 
 // awaitAll drives the waiting side of every request in reqs (each
@@ -968,7 +974,7 @@ func (a *AsyncStore) Close(w *core.Worker) {
 	// Executed writes are applied but possibly only buffered in the
 	// logs; sync them so Close is a durability point. The logs stay
 	// open — the Store owns their lifecycle (Store.Close).
-	a.st.syncLogs()
+	a.st.syncLogs(w)
 }
 
 // CombineStats snapshots every ring's combining counters in shard

@@ -58,6 +58,7 @@ package shardedkv
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -176,6 +177,63 @@ func (sh *shard) stats() ShardStats {
 	}
 }
 
+// The shard-lock guard. Every shard lock in the program is taken and
+// dropped through acquire, tryAcquire and release, with the taking
+// worker recording the one shard lock it holds (core.Worker.HeldShard).
+// The guard checks the two contracts the store's callers rely on, on
+// every call, with no flag to turn it off:
+//
+//   - The lock order: shard locks never nest. A path that needs several
+//     shards visits them one at a time. Every other lock — engine,
+//     pipeline, server, wal.Log.mu and the lock algorithms' own — is
+//     innermost: it is taken and dropped without a shard lock being
+//     taken inside it. Store.Checkpoint's ckptMu is the one lock taken
+//     outside the shard locks, and it is only ever taken holding none.
+//   - Nothing blocks or re-enters under a shard lock: no Store or
+//     AsyncStore call, and no fsync-issuing wal.Log call (Commit, Sync,
+//     WriteCheckpoint, Close). Records are appended under the lock and
+//     committed after release.
+//
+// acquire and tryAcquire panic when the worker already holds a shard
+// lock, so a nested take — or a user callback run under the lock that
+// re-enters the store — fails at once instead of deadlocking. lockFree
+// panics at the fsync-issuing call sites when the worker holds one.
+// TestShardLockSourceContracts keeps these the only code that touches
+// sh.lock and the only callers of those log methods.
+
+// acquire takes sh's lock for w.
+func (sh *shard) acquire(w *core.Worker) {
+	lockFree(w, "shard lock taken")
+	sh.lock.Acquire(w)
+	w.SetHeldShard(sh.id)
+}
+
+// tryAcquire takes sh's lock for w if it is free. A losing try takes
+// nothing and records nothing; a try made while holding a shard lock
+// panics whatever its outcome would have been.
+func (sh *shard) tryAcquire(w *core.Worker) bool {
+	lockFree(w, "shard lock tried")
+	if !sh.lock.TryAcquire(w) {
+		return false
+	}
+	w.SetHeldShard(sh.id)
+	return true
+}
+
+// release drops sh's lock, which w holds.
+func (sh *shard) release(w *core.Worker) {
+	w.SetHeldShard(-1)
+	sh.lock.Release(w)
+}
+
+// lockFree panics when w holds a shard lock; op names what w was about
+// to do.
+func lockFree(w *core.Worker, op string) {
+	if held := w.HeldShard(); held >= 0 {
+		panic("shardedkv: " + op + " while holding shard " + strconv.Itoa(held) + "'s lock")
+	}
+}
+
 // Store is the sharded KV service layer.
 type Store struct {
 	// shards is fixed at Open: key k lives on shards[ShardOf(k)].
@@ -279,7 +337,7 @@ func (s *Store) shardFor(k uint64) *shard { return s.shards[s.ShardOf(k)] }
 // lockShard acquires and returns the shard owning k.
 func (s *Store) lockShard(w *core.Worker, k uint64) *shard {
 	sh := s.shardFor(k)
-	sh.lock.Acquire(w)
+	sh.acquire(w)
 	return sh
 }
 
@@ -295,7 +353,7 @@ func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
 	sh := s.lockShard(w, k)
 	v, ok := sh.eng.Get(k)
 	s.pad(w)
-	sh.lock.Release(w)
+	sh.release(w)
 	sh.gets.Add(1)
 	return v, ok
 }
@@ -313,15 +371,15 @@ func (s *Store) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 	sh := s.lockShard(w, k)
 	lsn, err := s.logWrite(sh, wal.KindPut, k, v)
 	if err != nil {
-		sh.lock.Release(w)
+		sh.release(w)
 		return false, err
 	}
 	inserted := sh.eng.Put(k, v)
 	s.pad(w)
-	sh.lock.Release(w)
+	sh.release(w)
 	sh.puts.Add(1)
 	if lsn != 0 && s.syncWaitFor(w) {
-		return inserted, s.commit(walMark{sh: sh, lsn: lsn})
+		return inserted, s.commit(w, walMark{sh: sh, lsn: lsn})
 	}
 	return inserted, nil
 }
@@ -352,15 +410,15 @@ func (s *Store) Delete(w *core.Worker, k uint64) (bool, error) {
 	sh := s.lockShard(w, k)
 	lsn, err := s.logWrite(sh, wal.KindDelete, k, nil)
 	if err != nil {
-		sh.lock.Release(w)
+		sh.release(w)
 		return false, err
 	}
 	present := sh.eng.Delete(k)
 	s.pad(w)
-	sh.lock.Release(w)
+	sh.release(w)
 	sh.deletes.Add(1)
 	if lsn != 0 && s.syncWaitFor(w) {
-		return present, s.commit(walMark{sh: sh, lsn: lsn})
+		return present, s.commit(w, walMark{sh: sh, lsn: lsn})
 	}
 	return present, nil
 }
@@ -561,10 +619,9 @@ func mergedPairs(runs [][]Pair) []Pair {
 // shard's lock held; it never holds two shard locks at once.
 func (s *Store) forEachShard(w *core.Worker, fn func(sh *shard)) {
 	for _, sh := range s.shards {
-		sh.lock.Acquire(w)
-		//lint:ignore lockheldcall fn is forEachShard's internal per-shard visitor and must run under the shard lock (that is the helper's contract); the public Range/MultiRange callers pass collect-only closures and emit after release.
+		sh.acquire(w)
 		fn(sh)
-		sh.lock.Release(w)
+		sh.release(w)
 	}
 }
 
@@ -586,10 +643,9 @@ func (s *Store) execGrouped(w *core.Worker, n int, key func(i int) uint64, exec 
 			continue
 		}
 		sh := s.shards[si]
-		sh.lock.Acquire(w)
-		//lint:ignore lockheldcall exec is execGrouped's internal per-shard visitor, not user code: MultiGet/MultiPut pass engine-only closures that collect into preallocated slices, and the public emit happens after this loop releases.
+		sh.acquire(w)
 		exec(sh, idx)
-		sh.lock.Release(w)
+		sh.release(w)
 	}
 }
 
@@ -640,8 +696,9 @@ type walMark struct {
 }
 
 // commit pays one mark — Commit on its log — and degrades the shard
-// when that fails. Commit fsyncs: no shard lock may be held.
-func (s *Store) commit(m walMark) error {
+// when that fails. Commit fsyncs: w may hold no shard lock.
+func (s *Store) commit(w *core.Worker, m walMark) error {
+	lockFree(w, "wal.Log.Commit")
 	if err := m.sh.wal.Commit(m.lsn); err != nil {
 		return s.degrade(m.sh, err)
 	}
@@ -650,10 +707,10 @@ func (s *Store) commit(m walMark) error {
 
 // commitMarks pays the marks, one Commit per log, and returns the
 // first failure.
-func (s *Store) commitMarks(marks []walMark) error {
+func (s *Store) commitMarks(w *core.Worker, marks []walMark) error {
 	var first error
 	for _, m := range marks {
-		if err := s.commit(m); err != nil && first == nil {
+		if err := s.commit(w, m); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -697,7 +754,7 @@ func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 		}
 	})
 	if len(marks) > 0 && s.syncWaitFor(w) {
-		if err := s.commitMarks(marks); err != nil && firstErr == nil {
+		if err := s.commitMarks(w, marks); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

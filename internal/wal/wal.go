@@ -20,9 +20,9 @@
 //
 // Lock order: Log.mu is innermost — nothing else is acquired while it
 // is held. The shard lock → Log.mu edge (Append during a drain) is
-// therefore safe, and the repolint lockheldcall pass machine-checks
-// that Commit/Sync (the fsync-issuing calls) never run under a shard
-// lock.
+// therefore safe. That Commit, Sync, WriteCheckpoint and Close (the
+// fsync-issuing calls) never run under a shard lock is checked where
+// internal/shardedkv makes them: its shard-lock guard panics otherwise.
 package wal
 
 import (
@@ -275,7 +275,7 @@ func (l *Log) fail(err error) {
 // durable. Concurrent committers elect one leader per round; the
 // leader flushes and fsyncs once, everyone covered piggybacks.
 // Commit issues fsync and must never be called with a shard lock
-// held (machine-checked by repolint's lockheldcall pass).
+// held (internal/shardedkv's shard-lock guard checks it).
 func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -284,7 +284,6 @@ func (l *Log) Commit(lsn uint64) error {
 			l.cond.Wait()
 			continue
 		}
-		//lint:ignore lockorder leadSyncLocked is a lock hand-off, not a re-acquisition: it enters holding l.mu, drops it around the fsync so appenders keep batching, and re-takes it before returning.
 		l.leadSyncLocked()
 	}
 	if l.err != nil {
