@@ -202,7 +202,8 @@ ci: check race short bench-check net-smoke
 # internal/kvserver; the store's scan and batch paths, the pipeline's
 # batch paths per caller class, the request ring and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
-# uncontended acquire/release pair per class in internal/locks; a forced
+# uncontended acquire/release pair per class, and the contended pair of
+# each serving lock choice, in internal/locks; a forced
 # GC over a loaded tree, an ascending load and overwrites in
 # internal/storage/btree; a forced GC over a loaded hash table, on the
 # hashkv workloads' two store shapes, a 1<<18-key load into an empty

@@ -1,8 +1,9 @@
 // Package repro's benchmark harness: one testing.B benchmark per table
 // and figure of the paper's evaluation, each regenerating its
 // experiment on the deterministic AMP simulator and reporting the
-// headline metrics via b.ReportMetric, plus real-lock micro-benchmarks
-// and the ablation benches at the end of the file.
+// headline metrics via b.ReportMetric, plus the ablation benches and
+// the epoch-overhead micro-benchmark at the end of the file. The real
+// locks' micro-benchmarks live beside them in internal/locks.
 //
 // Run everything:
 //
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/figures"
-	"repro/internal/locks"
 	"repro/internal/stats"
 )
 
@@ -150,16 +150,6 @@ func BenchmarkFig10SQLiteASL(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------
 
-func BenchmarkAblationBackoffExponential(b *testing.B) {
-	reportRun(b, figures.Bench1Config(figures.KindASL, 80_000))
-}
-
-func BenchmarkAblationBackoffFixedPoll(b *testing.B) {
-	cfg := figures.Bench1Config(figures.KindASL, 80_000)
-	cfg.ASLFixedPoll = true
-	reportRun(b, cfg)
-}
-
 func BenchmarkAblationControllerAIMD(b *testing.B) {
 	reportRun(b, figures.Bench1Config(figures.KindASL, 80_000))
 }
@@ -176,42 +166,11 @@ func BenchmarkAblationControllerMultiplicative(b *testing.B) {
 	reportRun(b, cfg)
 }
 
-func BenchmarkAblationBaseLockMCS(b *testing.B) {
-	reportRun(b, figures.Bench1Config(figures.KindASL, 80_000))
-}
-
-func BenchmarkAblationBaseLockTicket(b *testing.B) {
-	cfg := figures.Bench1Config(figures.KindASL, 80_000)
-	cfg.ASLBaseTicket = true
-	reportRun(b, cfg)
-}
-
 func BenchmarkAblationPercentileP90(b *testing.B) {
 	cfg := figures.Bench1Config(figures.KindASL, 80_000)
 	cfg.Controller = func() core.Controller { return core.NewAIMD(core.AIMDConfig{Percentile: 90}) }
 	reportRun(b, cfg)
 }
-
-// --- Real lock micro-benchmarks (host hardware) ----------------------
-
-func benchRealLock(b *testing.B, l interface {
-	Lock()
-	Unlock()
-}) {
-	b.Helper()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			l.Lock()
-			l.Unlock()
-		}
-	})
-}
-
-func BenchmarkRealLockTAS(b *testing.B)     { benchRealLock(b, new(locks.TAS)) }
-func BenchmarkRealLockTTAS(b *testing.B)    { benchRealLock(b, new(locks.TTAS)) }
-func BenchmarkRealLockTicket(b *testing.B)  { benchRealLock(b, new(locks.Ticket)) }
-func BenchmarkRealLockMCS(b *testing.B)     { benchRealLock(b, new(locks.MCS)) }
-func BenchmarkRealLockBarging(b *testing.B) { benchRealLock(b, new(locks.BargingMutex)) }
 
 func BenchmarkEpochOverhead(b *testing.B) {
 	// The paper reports ~93 cycles per epoch pair; this measures our

@@ -14,15 +14,17 @@
 // reorder-window controller (Algorithm 2), the epoch registry, and
 // the worker/core-class model — a worker's class is fixed at creation,
 // so a serving boundary that handles both classes keeps one worker per
-// class. internal/locks holds the real lock
-// algorithms (TAS/ticket/MCS/ShflLock-proportional baselines, the
-// reorderable lock, ASLMutex) behind the worker-aware WLock
-// interface, plus an observability wrapper: locks.ClassProbe records
-// the class each acquisition was observed under. internal/sim + internal/amp + internal/simlock form
-// the deterministic discrete-event AMP simulator that regenerates the
-// paper's figures; the internal/figures tests state the shape each
-// figure must reproduce, the internal/amp package doc what the model
-// substitutes for the paper's M1.
+// class. internal/locks holds the real locks a shard can run (ASLMutex
+// as the reorderable lock over Fissile, and the MCS, pthread-style and
+// sync.Mutex baselines) behind the worker-aware WLock interface, plus
+// an observability wrapper: locks.ClassProbe records the class each
+// acquisition was observed under. internal/sim + internal/amp +
+// internal/simlock form the deterministic discrete-event AMP simulator
+// that regenerates the paper's figures, with every baseline the paper
+// compares against (TAS, ticket, MCS, pthread, ShflLock-proportional);
+// the internal/figures tests state the shape each figure must
+// reproduce, the internal/amp package doc what the model substitutes
+// for the paper's M1.
 //
 // # Serving layer
 //

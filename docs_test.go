@@ -63,6 +63,32 @@ func eachDocLine(t *testing.T, fn func(path string, line int, text string)) {
 	}
 }
 
+// dangling reports whether target, mentioned in the file at path, names
+// no file — neither relative to the repository root nor to path's
+// directory. URLs and the docsSkip names, which need not exist in
+// every checkout, are never dangling.
+func dangling(path, target string) bool {
+	if strings.Contains(target, "://") || docsSkip[target] {
+		return false
+	}
+	_, atRoot := os.Stat(target)
+	_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))
+	return atRoot != nil && beside != nil
+}
+
+// TestDanglingPointer pins dangling's two sides: a missing .md is
+// dangling, and no docsSkip name ever is.
+func TestDanglingPointer(t *testing.T) {
+	if missing := "no-such-file" + ".md"; !dangling("docs_test.go", missing) {
+		t.Errorf("%s is not reported dangling", missing)
+	}
+	for name := range docsSkip {
+		if dangling("docs_test.go", name) {
+			t.Errorf("docsSkip name %s is reported dangling", name)
+		}
+	}
+}
+
 // TestDocPointersResolve fails on a pointer to a file that is not
 // there: a relative markdown link in a *.md file, or the name of a .md
 // file or of a .go file under internal/, cmd/ or benchmark/ mentioned
@@ -81,9 +107,7 @@ func TestDocPointersResolve(t *testing.T) {
 		targets = append(targets, mdMention.FindAllString(text, -1)...)
 		targets = append(targets, goMention.FindAllString(text, -1)...)
 		for _, target := range targets {
-			_, atRoot := os.Stat(target)
-			_, beside := os.Stat(filepath.Join(filepath.Dir(path), target))
-			if !strings.Contains(target, "://") && atRoot != nil && beside != nil {
+			if dangling(path, target) {
 				t.Errorf("%s:%d: %s does not exist", path, line, target)
 			}
 		}

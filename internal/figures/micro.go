@@ -82,8 +82,6 @@ type MicroConfig struct {
 	NCS            int64                  // non-critical gap between epochs (big-core ns)
 	SLO            int64                  // epoch SLO in ns; <0 = no epoch (LibASL-MAX / plain locks)
 	Sleeping       bool                   // blocking LibASL over the barging mutex (Bench-6)
-	ASLBaseTicket  bool                   // ablation: reorderable lock over ticket instead of MCS
-	ASLFixedPoll   bool                   // ablation: fixed-interval standby polling
 	Controller     func() core.Controller // override (LibASL-OPT, ablations); nil = paper AIMD
 	Duration       int64                  // virtual run length, ns
 	Warmup         int64                  // samples before this instant are dropped
@@ -180,20 +178,11 @@ func buildLocks(cfg *MicroConfig) []acquirer {
 		case KindSHFLPB:
 			out[i] = plainAcq{&simlock.SimProportional{N: cfg.PBn}}
 		case KindASL:
-			var fifo simlock.FIFO
-			switch {
-			case cfg.Sleeping:
+			var fifo simlock.FIFO = &simlock.SimMCS{}
+			if cfg.Sleeping {
 				fifo = &simlock.SimBarging{}
-			case cfg.ASLBaseTicket:
-				fifo = &simlock.SimTicket{}
-			default:
-				fifo = &simlock.SimMCS{}
 			}
-			out[i] = aslAcq{&simlock.SimReorderable{
-				Fifo:          fifo,
-				Sleeping:      cfg.Sleeping,
-				FixedInterval: cfg.ASLFixedPoll,
-			}}
+			out[i] = aslAcq{&simlock.SimReorderable{Fifo: fifo, Sleeping: cfg.Sleeping}}
 		default:
 			panic("figures: unknown lock kind")
 		}

@@ -6,12 +6,11 @@ import (
 	"repro/internal/core"
 )
 
-// WLock is a worker-aware lock: the acquire path may depend on the
-// worker's core class (ASLMutex, class-biased TAS, the proportional
-// lock), while plain locks ignore it. The sharded store and the lock
-// benchmarks are written against this interface so any lock of the
-// evaluation can be injected (paper §4.2 swaps the lock under five
-// databases).
+// WLock is a worker-aware lock: ASLMutex's acquire path depends on the
+// worker's core class, while the plain locks ignore it. The sharded
+// store and the lock benchmarks are written against this interface so
+// any serving lock can guard a shard (paper §4.2 swaps the lock under
+// five databases; kvserver's -lock swaps it under the store).
 type WLock interface {
 	Acquire(w *core.Worker)
 	Release(w *core.Worker)
@@ -45,33 +44,6 @@ func Wrap(l interface {
 	return plainW{l}
 }
 
-// tasW routes through TAS.LockClass so the emulated atomic-success
-// bias applies.
-type tasW struct{ t *TAS }
-
-func (a tasW) Acquire(w *core.Worker) { a.t.LockClass(w.Class()) }
-func (a tasW) Release(w *core.Worker) { a.t.Unlock() }
-
-// TryAcquire bypasses the affinity bias: a single CAS either wins or
-// does not, there is no emulated retry to weight.
-func (a tasW) TryAcquire(w *core.Worker) bool { return a.t.TryLock() }
-
-// WrapTAS adapts a TAS lock, honouring its affinity bias.
-func WrapTAS(t *TAS) WLock { return tasW{t} }
-
-// propW routes through Proportional.LockClass so the policy sees the
-// competitor's class.
-type propW struct{ p *Proportional }
-
-func (a propW) Acquire(w *core.Worker) { a.p.LockClass(w.Class()) }
-func (a propW) Release(w *core.Worker) { a.p.Unlock() }
-
-// TryAcquire acquires iff the lock is free with no queue.
-func (a propW) TryAcquire(w *core.Worker) bool { return a.p.TryLock() }
-
-// WrapProportional adapts the proportional lock.
-func WrapProportional(p *Proportional) WLock { return propW{p} }
-
 // aslW is the ASLMutex view.
 type aslW struct{ m *ASLMutex }
 
@@ -90,7 +62,9 @@ func WrapASL(m *ASLMutex) WLock { return aslW{m} }
 // once per shard.
 type Factory func() WLock
 
-// Named lock factories covering the evaluation's comparison set.
+// FactoryPthread returns BargingMutex locks, the pthread_mutex stand-in.
+// With FactoryASL, FactorySyncMutex and FactoryMCS it is one of the
+// serving lock choices kvserver's -lock names.
 func FactoryPthread() Factory { return func() WLock { return Wrap(new(BargingMutex)) } }
 
 // FactorySyncMutex returns Go's standard sync.Mutex, the class-
@@ -98,26 +72,8 @@ func FactoryPthread() Factory { return func() WLock { return Wrap(new(BargingMut
 // against.
 func FactorySyncMutex() Factory { return func() WLock { return Wrap(new(sync.Mutex)) } }
 
-// FactoryTAS returns TAS locks with the given emulated affinity
-// (factor < 2 disables the bias).
-func FactoryTAS(favoured core.Class, factor uint) Factory {
-	return func() WLock {
-		t := new(TAS)
-		t.SetAffinity(favoured, factor)
-		return WrapTAS(t)
-	}
-}
-
-// FactoryTicket returns ticket locks.
-func FactoryTicket() Factory { return func() WLock { return Wrap(new(Ticket)) } }
-
 // FactoryMCS returns MCS locks.
 func FactoryMCS() Factory { return func() WLock { return Wrap(new(MCS)) } }
-
-// FactoryProportional returns SHFL-PBn-style locks.
-func FactoryProportional(n int) Factory {
-	return func() WLock { return WrapProportional(&Proportional{N: n}) }
-}
 
 // FactoryASL returns the one ASL stack, NewASLMutexDefault. The
 // returned locks share nothing; each epoch's window lives in the

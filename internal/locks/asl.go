@@ -32,7 +32,7 @@ func NewASLMutexDefault() *ASLMutex {
 }
 
 // Reorderable exposes the underlying reorderable lock (for tests and
-// for configuring Clock/MaxWindow).
+// for configuring MaxWindow).
 func (m *ASLMutex) Reorderable() *Reorderable { return m.r }
 
 // Lock acquires the lock on behalf of worker w (Algorithm 3).

@@ -156,43 +156,6 @@ func TestReorderableStandbySleeps(t *testing.T) {
 	}
 }
 
-// stressIters scales the stress loops down on small hosts, where
-// spinning locks over-subscribe.
-func stressIters() int {
-	if runtime.NumCPU() < 4 {
-		return 2000
-	}
-	return 10000
-}
-
-// TestReorderableOverTicket: Reorderable works over any FIFO
-// substrate, not only the MCS the rest of this file uses.
-func TestReorderableOverTicket(t *testing.T) {
-	r := NewReorderable(new(Ticket))
-	var counter int64
-	var wg sync.WaitGroup
-	iters := stressIters() / 2
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if id%2 == 0 {
-					r.LockImmediately()
-				} else {
-					r.LockReorder(1000)
-				}
-				counter++
-				r.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if counter != int64(4*iters) {
-		t.Fatalf("lost updates: %d", counter)
-	}
-}
-
 func TestASLMutexBigUsesImmediatePath(t *testing.T) {
 	m := NewASLMutexDefault()
 	big := core.NewWorker(core.WorkerConfig{Class: core.Big})

@@ -17,7 +17,6 @@ func TestClassProbeObservesHint(t *testing.T) {
 		"mutex":   FactorySyncMutex(),
 		"mcs":     FactoryMCS(),
 		"pthread": FactoryPthread(),
-		"ticket":  FactoryTicket(),
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {

@@ -30,13 +30,9 @@ func harnessFamilies() []harnessFamily {
 	return []harnessFamily{
 		{"plain", FactorySyncMutex()},
 		{"pthread", FactoryPthread()},
-		{"tas", FactoryTAS(core.Big, 0)},
-		{"ttas", func() WLock { return Wrap(new(TTAS)) }},
-		{"ticket", FactoryTicket()},
 		{"mcs", FactoryMCS()},
 		{"mcspark", func() WLock { return Wrap(new(MCSPark)) }},
 		{"fissile", func() WLock { return Wrap(new(Fissile)) }},
-		{"proportional", FactoryProportional(2)},
 		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
 		{"asl", FactoryASL()},
 	}

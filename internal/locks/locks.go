@@ -1,18 +1,20 @@
-// Package locks implements the real (non-simulated) lock algorithms of
-// the paper and its baselines, all usable from ordinary Go code:
+// Package locks implements the real (non-simulated) locks a shard of
+// the store can run, all usable from ordinary Go code:
 //
-//   - TAS and TTAS test-and-set spinlocks
-//   - Ticket lock
+//   - ASLMutex, the paper's Algorithm 3 binding Reorderable to the
+//     epoch/SLO feedback in internal/core, and the default shard lock
+//   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
+//   - Fissile, a test-and-set word in front of the spin-then-park MCS
+//     queue (Dice & Kogan's Fissile Locks), the base ASLMutex runs on
 //   - MCS queue lock (spin) and MCS spin-then-park
 //   - BargingMutex, a futex-style unfair blocking mutex standing in for
 //     pthread_mutex_lock
-//   - Proportional, a two-queue lock equivalent to the paper's
-//     ShflLock with the proportional-based static policy (SHFL-PBn)
-//   - Fissile, a test-and-set word in front of the spin-then-park MCS
-//     queue (Dice & Kogan's Fissile Locks), the base ASLMutex runs on
-//   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
-//   - ASLMutex, the paper's Algorithm 3 binding Reorderable to the
-//     epoch/SLO feedback in internal/core
+//
+// ASLMutex, sync.Mutex, MCS and BargingMutex are the four serving
+// choices (FactoryASL, FactorySyncMutex, FactoryMCS, FactoryPthread).
+// The paper's other baselines (TAS, ticket, ShflLock-PB) are
+// reproduced in the simulator only (internal/simlock), which is where
+// the figures that compare against them run.
 //
 // The paper ships LibASL twice, spinning over MCS and blocking over
 // pthread_mutex; here ASLMutex is one stack for dedicated and
@@ -34,7 +36,7 @@ type Locker = sync.Locker
 
 // FIFOLock is a lock that admits waiters in arrival order and can
 // report whether it is currently free. The reorderable lock (Algorithm
-// 1) is built on this interface; MCS and Ticket implement it, and so
+// 1) is built on this interface; MCS and MCSPark implement it, and so
 // does Fissile, FIFO up to its bounded bypass.
 type FIFOLock interface {
 	Locker

@@ -11,8 +11,9 @@ import (
 
 // The shared mutual-exclusion / TryAcquire torture checker for every
 // family lives in harness_test.go; this file keeps the per-family
-// policy tests (FIFO order, barging, affinity, proportional grants)
-// and the plain-Locker IsFree conformance the WLock surface hides.
+// policy tests (FIFO order, barging), the plain-Locker IsFree
+// conformance the WLock surface hides, and the contended benchmark of
+// the serving lock choices.
 
 // full is the interface every plain lock in this package satisfies.
 type full interface {
@@ -24,14 +25,10 @@ type full interface {
 // allLocks enumerates every plain Locker implementation.
 func allLocks() map[string]func() full {
 	return map[string]func() full{
-		"tas":     func() full { return new(TAS) },
-		"ttas":    func() full { return new(TTAS) },
-		"ticket":  func() full { return new(Ticket) },
 		"mcs":     func() full { return new(MCS) },
 		"mcspark": func() full { return new(MCSPark) },
 		"fissile": func() full { return new(Fissile) },
 		"barging": func() full { return new(BargingMutex) },
-		"prop":    func() full { return new(Proportional) },
 		"reorder": func() full { return NewReorderable(new(MCS)) },
 	}
 }
@@ -69,7 +66,6 @@ func TestMCSFIFOOrder(t *testing.T) {
 	for name, mk := range map[string]func() FIFOLock{
 		"mcs":     func() FIFOLock { return new(MCS) },
 		"mcspark": func() FIFOLock { return new(MCSPark) },
-		"ticket":  func() FIFOLock { return new(Ticket) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := mk()
@@ -146,116 +142,31 @@ func TestBargingNoLostWakeup(t *testing.T) {
 	}
 }
 
-func TestTASAffinityBias(t *testing.T) {
-	// With a strong big-core bias, big-class workers should win far
-	// more acquisitions under contention.
-	var l TAS
-	l.SetAffinity(core.Big, 16)
-	var bigWins, littleWins atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+// BenchmarkWLockParallel is the contended acquire/release pair of each
+// serving lock choice (kvserver -lock) through WLock: every goroutine
+// of b.RunParallel owns one worker, big and little in turn, and all of
+// them take one lock around an empty critical section.
+func BenchmarkWLockParallel(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		f    Factory
+	}{
+		{"asl", FactoryASL()},
+		{"mutex", FactorySyncMutex()},
+		{"mcs", FactoryMCS()},
+		{"pthread", FactoryPthread()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l := c.f()
+			var workers atomic.Int32
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				w := core.NewWorker(core.WorkerConfig{Class: core.Class(workers.Add(1) % 2)})
+				for pb.Next() {
+					l.Acquire(w)
+					l.Release(w)
 				}
-				l.LockClass(core.Big)
-				bigWins.Add(1)
-				l.Unlock()
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				l.LockClass(core.Little)
-				littleWins.Add(1)
-				l.Unlock()
-			}
-		}()
-	}
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	b, lw := bigWins.Load(), littleWins.Load()
-	if b < lw {
-		t.Fatalf("big-biased TAS: big=%d little=%d, want big ahead", b, lw)
-	}
-}
-
-func TestTASAffinityDisabled(t *testing.T) {
-	var l TAS
-	l.SetAffinity(core.Big, 1) // factor < 2 disables
-	l.LockClass(core.Little)   // must not hang or bias-panic
-	l.Unlock()
-}
-
-func TestProportionalPolicy(t *testing.T) {
-	// Single-threaded policy check via the internal queues: with N=2,
-	// the release order of queued waiters must be B B L B B L ...
-	p := &Proportional{N: 2}
-	p.Lock() // hold
-
-	var order []core.Class
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	record := func(c core.Class) {
-		mu.Lock()
-		order = append(order, c)
-		mu.Unlock()
-	}
-	// Enqueue 4 bigs and 4 littles (waiting while we hold the lock).
-	for i := 0; i < 4; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			p.LockClass(core.Big)
-			record(core.Big)
-			time.Sleep(time.Millisecond)
-			p.Unlock()
-		}()
-		go func() {
-			defer wg.Done()
-			p.LockClass(core.Little)
-			record(core.Little)
-			time.Sleep(time.Millisecond)
-			p.Unlock()
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let everyone queue
-	p.Unlock()
-	wg.Wait()
-
-	bigs, littles := 0, 0
-	for _, c := range order {
-		if c == core.Big {
-			bigs++
-		} else {
-			littles++
-		}
-	}
-	if bigs != 4 || littles != 4 {
-		t.Fatalf("order incomplete: %v", order)
-	}
-	// The first three grants must contain at least two bigs (policy
-	// N=2 admits a little only after two bigs).
-	firstBigs := 0
-	for _, c := range order[:3] {
-		if c == core.Big {
-			firstBigs++
-		}
-	}
-	if firstBigs < 2 {
-		t.Fatalf("proportional policy violated: %v", order)
+			})
+		})
 	}
 }

@@ -26,27 +26,16 @@ type Reorderable struct {
 	// MaxWindow caps every reorder window, keeping the lock
 	// starvation-free (§3.2). Zero means core.DefaultMaxWindow.
 	MaxWindow int64
-	// Clock supplies nanosecond time; nil means a process-monotonic
-	// clock. Tests inject deterministic clocks here.
-	Clock core.Clock
+	// clock supplies the standby's nanosecond time.
+	clock core.Clock
 }
 
 // NewReorderable wraps the given FIFO lock: MCS in the paper, Fissile
 // under ASLMutex. The clock is installed here, not lazily on first
 // standby wait: two standby competitors racing to initialise it would
-// be a data race (callers may still replace Clock before sharing the
-// lock).
+// be a data race.
 func NewReorderable(fifo FIFOLock) *Reorderable {
-	return &Reorderable{fifo: fifo, Clock: core.NowFunc()}
-}
-
-func (r *Reorderable) clock() core.Clock {
-	if r.Clock == nil {
-		// Only reachable for a zero-value Reorderable that skipped the
-		// constructor and is not yet shared.
-		r.Clock = core.NowFunc()
-	}
-	return r.Clock
+	return &Reorderable{fifo: fifo, clock: core.NowFunc()}
 }
 
 func (r *Reorderable) maxWindow() int64 {
@@ -97,16 +86,15 @@ const (
 // off one; after that it sleeps in doubling slices, the paper's
 // blocking flavour (footnote 3), so a long window costs no CPU.
 func (r *Reorderable) standby(windowNs int64) {
-	clock := r.clock()
-	now := clock()
+	now := r.clock()
 	windowEnd, spinEnd := now+windowNs, now+min(windowNs, standbySpin)
-	for ; now < spinEnd; now = clock() {
+	for ; now < spinEnd; now = r.clock() {
 		if r.fifo.IsFree() {
 			return
 		}
 		runtime.Gosched()
 	}
-	for d := standbyMinSleep; now < windowEnd && !r.fifo.IsFree(); now = clock() {
+	for d := standbyMinSleep; now < windowEnd && !r.fifo.IsFree(); now = r.clock() {
 		time.Sleep(time.Duration(min(d, windowEnd-now)))
 		d = min(2*d, standbyMaxSleep)
 	}

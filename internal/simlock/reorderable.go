@@ -20,17 +20,10 @@ type SimReorderable struct {
 	// MaxWindow caps every reorder window (starvation freedom);
 	// zero means core.DefaultMaxWindow.
 	MaxWindow int64
-	// CheckBase is the first polling interval of the standby back-off;
-	// zero means 50 ns (roughly one spin-loop pass of Algorithm 1).
-	CheckBase int64
 	// Sleeping selects the blocking flavour: the standby competitor
 	// releases its CPU between checks (nanosleep), which matters only
 	// under core over-subscription.
 	Sleeping bool
-	// FixedInterval disables the binary-exponential back-off of the
-	// standby checks and polls every CheckBase instead (ablation: the
-	// paper's line 12 back-off vs naive polling).
-	FixedInterval bool
 }
 
 func (r *SimReorderable) maxWindow() int64 {
@@ -40,10 +33,8 @@ func (r *SimReorderable) maxWindow() int64 {
 	return r.MaxWindow
 }
 
+// checkBase is the first polling interval of the standby back-off.
 func (r *SimReorderable) checkBase() int64 {
-	if r.CheckBase > 0 {
-		return r.CheckBase
-	}
 	if r.Sleeping {
 		// The blocking standby waits with nanosleep, whose practical
 		// granularity (timer slack + wakeup) is tens of microseconds.
@@ -86,9 +77,7 @@ func (r *SimReorderable) LockReorder(t *amp.Thread, windowNs int64) {
 			if r.Fifo.IsFree() {
 				break
 			}
-			if !r.FixedInterval {
-				interval <<= 1 // binary exponential back-off of the checks
-			}
+			interval <<= 1 // binary exponential back-off of the checks
 		}
 	}
 	r.Fifo.Lock(t)

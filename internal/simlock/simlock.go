@@ -1,6 +1,8 @@
 // Package simlock implements the paper's locks inside the discrete-
-// event AMP model of internal/amp. Each lock mirrors its real
-// counterpart in internal/locks, but contention, arbitration and
+// event AMP model of internal/amp. SimMCS, SimMCSPark, SimBarging and
+// SimReorderable mirror their real counterparts in internal/locks;
+// SimTAS, SimTicket and SimProportional are the paper's other
+// baselines, which exist only here. Contention, arbitration and
 // handover are modelled explicitly, which is what lets the simulator
 // reproduce the collapse phenomena of §2.2 on symmetric host hardware:
 //

@@ -96,6 +96,66 @@ func TestSimLockAllComplete(t *testing.T) {
 	}
 }
 
+// immediate is a SimReorderable taken through its immediate path, so
+// the reorderable lock fits the FIFO table below.
+type immediate struct{ *SimReorderable }
+
+func (r immediate) Lock(t *amp.Thread) { r.LockImmediately(t) }
+
+// TestSimIsFreeConformance pins, on every simulated family, the IsFree
+// transitions SimReorderable's standby competitors poll: held ⇒ not
+// free, held with a waiter queued ⇒ not free, released ⇒ free. It
+// mirrors locks.TestIsFreeConformance for the real locks.
+func TestSimIsFreeConformance(t *testing.T) {
+	fams := map[string]func() FIFO{
+		"mcs":     func() FIFO { return &SimMCS{} },
+		"ticket":  func() FIFO { return &SimTicket{} },
+		"tas":     func() FIFO { return &SimTAS{Seed: 1} },
+		"barging": func() FIFO { return &SimBarging{} },
+		"mcspark": func() FIFO { return &SimMCSPark{} },
+		"prop":    func() FIFO { return &SimProportional{} },
+		"reorder": func() FIFO { return immediate{&SimReorderable{Fifo: &SimMCS{}}} },
+	}
+	for name, mk := range fams {
+		t.Run(name, func(t *testing.T) {
+			k, m := rig()
+			l := mk()
+			if !l.IsFree() {
+				t.Fatal("fresh lock must report free")
+			}
+			const hold = 10_000
+			heldFree, queuedFree := true, true
+			var waiterAt int64
+			m.NewThread("holder", 0, 0, func(th *amp.Thread) {
+				l.Lock(th)
+				heldFree = l.IsFree()
+				th.Compute(hold, amp.CS) // the waiter queues meanwhile
+				queuedFree = l.IsFree()
+				l.Unlock(th)
+			})
+			m.NewThread("waiter", 2, 100, func(th *amp.Thread) {
+				l.Lock(th)
+				waiterAt = th.Now()
+				l.Unlock(th)
+			})
+			k.RunAll()
+			k.Shutdown()
+			if waiterAt < hold {
+				t.Fatalf("waiter acquired at %d, before the holder released", waiterAt)
+			}
+			if heldFree {
+				t.Fatal("held lock must not report free")
+			}
+			if queuedFree {
+				t.Fatal("held lock with a queued waiter must not report free")
+			}
+			if !l.IsFree() {
+				t.Fatal("released lock must report free")
+			}
+		})
+	}
+}
+
 func TestSimMCSFIFO(t *testing.T) {
 	k, m := rig()
 	l := &SimMCS{}

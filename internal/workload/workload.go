@@ -1,9 +1,9 @@
-// Package workload provides the building blocks of the paper's
-// micro-benchmarks for the real (non-simulated) engine: contended
-// cache-line read-modify-write critical sections, calibrated NOP-style
-// delay loops, and the asymmetry shim that makes a symmetric host
-// behave like an AMP (little-class workers execute proportionally more
-// work per logical unit — see AsymmetryShim).
+// Package workload provides the building blocks of the KV benchmarks
+// on the real (non-simulated) stack: calibrated NOP-style delay loops
+// (the paper's critical-section and gap work), the asymmetry shim that
+// makes a symmetric host behave like an AMP (little-class workers
+// execute proportionally more work per logical unit — see
+// AsymmetryShim), operation mixes and key generators.
 package workload
 
 import (
@@ -12,48 +12,6 @@ import (
 
 	"repro/internal/core"
 )
-
-// CacheLine is one padded cache line of shared state.
-type CacheLine struct {
-	v atomic.Uint64
-	_ [120]byte
-}
-
-// SharedLines is the contended array the critical sections mutate,
-// mirroring the paper's "read-modify-write N shared cache lines".
-type SharedLines struct {
-	lines []CacheLine
-}
-
-// NewSharedLines allocates n shared lines.
-func NewSharedLines(n int) *SharedLines {
-	return &SharedLines{lines: make([]CacheLine, n)}
-}
-
-// Len returns the number of lines.
-func (s *SharedLines) Len() int { return len(s.lines) }
-
-// RMW read-modify-writes lines [0, n); callers must hold the protecting
-// lock — the operations are atomic only so the race detector stays
-// quiet if a test misuses the harness, not for correctness.
-func (s *SharedLines) RMW(n int) {
-	if n > len(s.lines) {
-		n = len(s.lines)
-	}
-	for i := 0; i < n; i++ {
-		s.lines[i].v.Store(s.lines[i].v.Load() + 1)
-	}
-}
-
-// Sum returns the sum of all lines (used by tests to check no lost
-// updates).
-func (s *SharedLines) Sum() uint64 {
-	var t uint64
-	for i := range s.lines {
-		t += s.lines[i].v.Load()
-	}
-	return t
-}
 
 // Spin burns approximately n units of calibrated CPU work (the paper's
 // NOP loops). The unit is one pass of a small arithmetic loop; use

@@ -8,23 +8,6 @@ import (
 	"repro/internal/prng"
 )
 
-func TestSharedLinesRMW(t *testing.T) {
-	s := NewSharedLines(8)
-	for i := 0; i < 10; i++ {
-		s.RMW(4)
-	}
-	if got := s.Sum(); got != 40 {
-		t.Fatalf("sum = %d, want 40 (4 lines x 10 rounds)", got)
-	}
-	s.RMW(100) // clamped to Len
-	if got := s.Sum(); got != 48 {
-		t.Fatalf("sum = %d, want 48", got)
-	}
-	if s.Len() != 8 {
-		t.Fatalf("len = %d", s.Len())
-	}
-}
-
 func TestCalibrate(t *testing.T) {
 	cal := Calibrate()
 	if cal.NsPerUnit <= 0 || cal.NsPerUnit > 1000 {
