@@ -6,10 +6,10 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Every package whose tests exercise goroutines or whose code runs
-# under shared locks: the root benchmarks, the lock algorithms and
-# their core feedback state, the sharded KV layer (including the
-# flat-combining pipeline), the storage engines the shard locks guard,
-# the workload/stats/harness plumbing the benches drive, and the
+# under shared locks: the root package's doc checks, the lock
+# algorithms and their core feedback state, the sharded KV layer
+# (including the flat-combining pipeline), the storage engines the
+# shard locks guard, the workload/stats/harness plumbing, and the
 # discrete-event kernel (goroutine-backed simulated threads) with the
 # AMP cost model that runs on it.
 RACE_PKGS = . \
@@ -203,16 +203,18 @@ ci: check race short bench-check net-smoke
 # batch paths per caller class, the request ring and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
 # uncontended acquire/release pair per class, and the contended pair of
-# each serving lock choice, in internal/locks; a forced
-# GC over a loaded tree, an ascending load and overwrites in
-# internal/storage/btree; a forced GC over a loaded hash table, on the
-# hashkv workloads' two store shapes, a 1<<18-key load into an empty
-# table and overwrites of a loaded one, in internal/storage/hashkv.
+# each serving lock choice, in internal/locks; one epoch start/end
+# pair (the paper's ~93-cycle epoch cost) in internal/core, which has
+# no other runner; a forced GC over a loaded tree, an ascending load
+# and overwrites in internal/storage/btree; a forced GC over a loaded
+# hash table, on the hashkv workloads' two store shapes, a 1<<18-key
+# load into an empty table and overwrites of a loaded one, in
+# internal/storage/hashkv.
 # MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
 		./internal/kvserver ./internal/shardedkv ./internal/locks \
-		./internal/storage/btree ./internal/storage/hashkv
+		./internal/core ./internal/storage/btree ./internal/storage/hashkv
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

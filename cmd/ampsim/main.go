@@ -49,7 +49,7 @@ func main() {
 	for _, tpl := range figures.AllDBTemplates() {
 		tpl := tpl
 		runners[tpl.Name+"-cmp"] = func() *harness.Figure { return figures.DBComparison(tpl) }
-		runners[tpl.Name+"-slos"] = func() *harness.Figure { return figures.DBSLOSweep(tpl, 11) }
+		runners[tpl.Name+"-slos"] = func() *harness.Figure { return figures.DBSLOSweep(tpl) }
 		runners[tpl.Name+"-cdf"] = func() *harness.Figure { return figures.DBCDF(tpl) }
 	}
 	runners["platforms"] = func() *harness.Figure {

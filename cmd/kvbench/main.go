@@ -11,7 +11,7 @@
 //
 //	kvbench                                  # engine × mix grid, asl vs mutex
 //	kvbench -engines hashkv,btree -mixes zipf -locks all
-//	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s -shardstats
+//	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s
 //	kvbench -pipeline -mixes zipfw           # ASL vs combining vs plain, one grid
 //
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
@@ -169,10 +169,9 @@ func preload(st *shardedkv.Store, cfg benchConfig) {
 // locking) and AsyncStore (flat-combining pipeline) both implement
 // it, so one worker loop serves both rows.
 
-// run executes one configuration and returns its summary row, the
-// store's per-shard counters, and (for pipe rows) the aggregate
-// combining stats.
-func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats) {
+// run executes one configuration and returns its summary row and (for
+// pipe rows) the aggregate combining stats.
+func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, *shardedkv.CombineStats) {
 	// The critical-section pad emulates the paper's AMP regime on a
 	// symmetric host: a little-class holder keeps the shard lock
 	// CSFactor times longer, exactly the condition under which FIFO
@@ -304,7 +303,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		c := async.AggregateCombineStats()
 		comb = &c
 	}
-	return merged.Summarize(name, cfg.dur), st.Stats(), comb
+	return merged.Summarize(name, cfg.dur), comb
 }
 
 // pick filters specs by a comma-separated name list ("all" keeps all).
@@ -332,10 +331,8 @@ func pick[T any](sel string, specs []T, name func(T) string) ([]T, error) {
 
 // runGrid runs every engine × mix × lock row, printing one summary
 // table per engine to out and per-row progress, with each pipe row's
-// combining counters, to progress. It returns the last row's per-shard
-// counters.
-func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec, lks []lockSpec, cfg benchConfig) []shardedkv.ShardStats {
-	var lastShards []shardedkv.ShardStats
+// combining counters, to progress.
+func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec, lks []lockSpec, cfg benchConfig) {
 	for _, eng := range engs {
 		var rows []stats.Summary
 		for _, mix := range mxs {
@@ -347,8 +344,7 @@ func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec
 					mixName = fmt.Sprintf("%s%d", mix.name, cfg.batch)
 				}
 				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
-				row, shardStats, comb := run(name, eng, mix, lk, cfg)
-				lastShards = shardStats
+				row, comb := run(name, eng, mix, lk, cfg)
 				rows = append(rows, row)
 				fmt.Fprintf(progress, "done: %s\n", name)
 				if comb != nil {
@@ -361,7 +357,6 @@ func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec
 		}
 		fmt.Fprint(out, stats.FormatSummaries(rows))
 	}
-	return lastShards
 }
 
 func main() {
@@ -382,7 +377,6 @@ func main() {
 	zipfS := flag.Float64("zipf", 0.99, "zipfian theta for the zipf mix")
 	ncsGap := flag.Duration("ncs", 500*time.Nanosecond, "big-core inter-op gap (littles scaled by the shim)")
 	csPad := flag.Duration("cs", 300*time.Nanosecond, "big-core critical-section pad (littles scaled by the shim); 0 disables")
-	shardstats := flag.Bool("shardstats", false, "dump per-shard op counts for the last configuration")
 	flag.Parse()
 
 	cfg := benchConfig{
@@ -426,12 +420,5 @@ func main() {
 		cfg.csUnits = cal.Units(*csPad)
 	}
 
-	lastShards := runGrid(os.Stdout, os.Stderr, engs, mxs, lks, cfg)
-	if *shardstats && lastShards != nil {
-		fmt.Println("per-shard counters (last configuration):")
-		for i, s := range lastShards {
-			fmt.Printf("shard %2d: gets=%d puts=%d deletes=%d scans=%d batchLocks=%d\n",
-				i, s.Gets, s.Puts, s.Deletes, s.Scans, s.BatchLocks)
-		}
-	}
+	runGrid(os.Stdout, os.Stderr, engs, mxs, lks, cfg)
 }

@@ -1,14 +1,15 @@
 // Command sloprof is the profiling tool described in §3.1 of the paper:
 // for applications without a clear latency SLO, it iterates SLO
 // settings inside a given range against a representative workload and
-// emits the latency-throughput graph from which a suitable SLO can be
-// picked. It profiles on the simulator by default (deterministic,
-// AMP-faithful) or a database template with -db.
+// prints the latency-throughput graph (figures.SLOSweep) from which a
+// suitable SLO can be picked: per-class epoch P99 and throughput at
+// each SLO. It profiles Bench-1 on the simulator by default
+// (deterministic, AMP-faithful) or a database template with -db.
 //
 // Usage:
 //
-//	sloprof -lo 0 -hi 100us -points 11
-//	sloprof -db upscaledb -hi 400us
+//	sloprof -lo 0 -hi 100us -points 11   # the sweep of ampsim -fig 8b
+//	sloprof -db upscaledb -hi 400us      # the sweep of ampsim -fig upscaledb-slos
 package main
 
 import (
@@ -17,9 +18,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/figures"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -29,23 +28,14 @@ func main() {
 	points := flag.Int("points", 11, "number of SLO settings")
 	flag.Parse()
 
-	var runOne func(slo int64) core.ProfileResult
-	if *db == "" {
-		runOne = func(slo int64) core.ProfileResult {
-			r := figures.RunBench1ASL(slo)
-			return core.ProfileResult{
-				Throughput: r.Throughput,
-				BigP99:     r.Epochs.ByClass(stats.Big).P99(),
-				LittleP99:  r.Epochs.ByClass(stats.Little).P99(),
-				OverallP99: r.Epochs.Overall().P99(),
-			}
-		}
-	} else {
-		var tpl figures.DBTemplate
+	name := "bench-1"
+	config := func(slo int64) figures.MicroConfig { return figures.Bench1Config(figures.KindASL, slo) }
+	if *db != "" {
 		found := false
 		for _, t := range figures.AllDBTemplates() {
 			if t.Name == *db {
-				tpl, found = t, true
+				name, found = t.Name, true
+				config = func(slo int64) figures.MicroConfig { return figures.DBConfig(t, figures.KindASL, slo, 91) }
 				break
 			}
 		}
@@ -53,18 +43,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sloprof: unknown database %q\n", *db)
 			os.Exit(2)
 		}
-		runOne = func(slo int64) core.ProfileResult {
-			r := figures.RunDBASL(tpl, slo)
-			return core.ProfileResult{
-				Throughput: r.Throughput,
-				BigP99:     r.Epochs.ByClass(stats.Big).P99(),
-				LittleP99:  r.Epochs.ByClass(stats.Little).P99(),
-				OverallP99: r.Epochs.Overall().P99(),
-			}
-		}
 	}
-
-	slos := core.SLORange(int64(*lo), int64(*hi), *points)
-	pts := core.ProfileSLOs(slos, runOne)
-	fmt.Print(core.FormatProfile(pts))
+	f := figures.SLOSweep("sloprof", name+": latency-throughput graph", config, int64(*lo), int64(*hi), *points)
+	fmt.Print(f.Render())
 }

@@ -24,7 +24,10 @@
 // compares against (TAS, ticket, MCS, pthread, ShflLock-proportional);
 // the internal/figures tests state the shape each figure must
 // reproduce, the internal/amp package doc what the model substitutes
-// for the paper's M1.
+// for the paper's M1. cmd/ampsim regenerates each figure; cmd/sloprof
+// is the §3.1 SLO profiling tool, the same sweep (figures.SLOSweep)
+// that draws Fig. 8b and the variant-SLOs panels of Figs. 9/10, over
+// any SLO range.
 //
 // # Serving layer
 //

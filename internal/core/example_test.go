@@ -39,9 +39,3 @@ func ExampleWorker_nested() {
 	// 1
 	// false
 }
-
-// ExampleSLORange builds the x-axis of a "variant SLOs" sweep.
-func ExampleSLORange() {
-	fmt.Println(core.SLORange(0, 100, 5))
-	// Output: [0 25 50 75 100]
-}

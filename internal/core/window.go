@@ -1,11 +1,10 @@
 // Package core implements the engine-independent parts of LibASL
 // (PPoPP 2022): the AIMD reorder-window controller driven by latency
 // SLOs (paper Algorithm 2), the epoch registry with nesting support,
-// the worker/core-class model, and the SLO profiling helper described
-// in §3.1 of the paper. Both the real lock library (internal/locks) and
-// the discrete-event simulator (internal/simlock) build on this package,
-// so the feedback behaviour being evaluated is literally the same code
-// in both engines.
+// and the worker/core-class model. Both the real lock library
+// (internal/locks) and the discrete-event simulator (internal/simlock)
+// build on this package, so the feedback behaviour being evaluated is
+// literally the same code in both engines.
 package core
 
 // All durations in this package are int64 nanoseconds, compatible with
@@ -40,8 +39,6 @@ type Controller interface {
 	// Observe feeds one epoch completion: the measured latency and the
 	// SLO that applied to it.
 	Observe(latencyNs, sloNs int64)
-	// Reset restores the initial state.
-	Reset()
 }
 
 // AIMDConfig parameterises the paper's controller.
@@ -128,87 +125,3 @@ func (s *Static) Window() int64 { return s.W }
 
 // Observe is a no-op.
 func (s *Static) Observe(latencyNs, sloNs int64) {}
-
-// Reset is a no-op.
-func (s *Static) Reset() {}
-
-// Additive is an ablation controller: linear growth and linear decrease
-// by the same unit. It reacts too slowly to bursts (see the ablation
-// benchmarks) which is why the paper pairs linear growth with
-// exponential reduction.
-type Additive struct {
-	cfg    AIMDConfig
-	window int64
-	unit   int64
-}
-
-// NewAdditive returns the additive-only ablation controller.
-func NewAdditive(cfg AIMDConfig) *Additive {
-	c := cfg.withDefaults()
-	a := &Additive{cfg: c}
-	a.Reset()
-	return a
-}
-
-// Window returns the current reorder window.
-func (a *Additive) Window() int64 { return a.window }
-
-// Observe grows or shrinks the window by one unit.
-func (a *Additive) Observe(latencyNs, sloNs int64) {
-	if latencyNs > sloNs {
-		a.window -= a.unit
-		if a.window < 0 {
-			a.window = 0
-		}
-	} else {
-		a.window += a.unit
-		if a.window > a.cfg.MaxWindow {
-			a.window = a.cfg.MaxWindow
-		}
-	}
-}
-
-// Reset restores the initial window.
-func (a *Additive) Reset() {
-	a.window = a.cfg.InitWindow
-	a.unit = a.window * int64(100-a.cfg.Percentile) / 100
-	if a.unit < a.cfg.MinUnit {
-		a.unit = a.cfg.MinUnit
-	}
-}
-
-// Multiplicative is an ablation controller: exponential growth and
-// exponential decrease. It oscillates around the SLO (violating far more
-// than 1-PCT of epochs), demonstrating why the paper's growth is linear.
-type Multiplicative struct {
-	cfg    AIMDConfig
-	window int64
-}
-
-// NewMultiplicative returns the multiplicative-only ablation controller.
-func NewMultiplicative(cfg AIMDConfig) *Multiplicative {
-	m := &Multiplicative{cfg: cfg.withDefaults()}
-	m.Reset()
-	return m
-}
-
-// Window returns the current reorder window.
-func (m *Multiplicative) Window() int64 { return m.window }
-
-// Observe doubles or halves the window.
-func (m *Multiplicative) Observe(latencyNs, sloNs int64) {
-	if latencyNs > sloNs {
-		m.window >>= 1
-	} else {
-		if m.window == 0 {
-			m.window = m.cfg.MinUnit
-		}
-		m.window <<= 1
-		if m.window > m.cfg.MaxWindow {
-			m.window = m.cfg.MaxWindow
-		}
-	}
-}
-
-// Reset restores the initial window.
-func (m *Multiplicative) Reset() { m.window = m.cfg.InitWindow }

@@ -133,56 +133,4 @@ func TestStaticController(t *testing.T) {
 	if s.Window() != 777 {
 		t.Fatal("static controller must never change")
 	}
-	s.Reset()
-	if s.Window() != 777 {
-		t.Fatal("static controller reset must be a no-op")
-	}
-}
-
-func TestAdditiveController(t *testing.T) {
-	a := NewAdditive(AIMDConfig{InitWindow: 1000, MinUnit: 100})
-	w0 := a.Window()
-	a.Observe(0, 1<<40)
-	grown := a.Window()
-	if grown <= w0 {
-		t.Fatal("additive controller must grow on compliance")
-	}
-	a.Observe(1<<40, 1)
-	if a.Window() != w0 {
-		t.Fatalf("additive decrease should step back by one unit: %d", a.Window())
-	}
-	// Never negative.
-	for i := 0; i < 100; i++ {
-		a.Observe(1<<40, 1)
-	}
-	if a.Window() < 0 {
-		t.Fatal("additive controller went negative")
-	}
-}
-
-func TestMultiplicativeController(t *testing.T) {
-	m := NewMultiplicative(AIMDConfig{InitWindow: 1000, MaxWindow: 1 << 20})
-	m.Observe(0, 1<<40)
-	if m.Window() != 2000 {
-		t.Fatalf("multiplicative growth = %d, want 2000", m.Window())
-	}
-	m.Observe(1<<40, 1)
-	if m.Window() != 1000 {
-		t.Fatalf("multiplicative decrease = %d, want 1000", m.Window())
-	}
-	// Recovers from zero.
-	for i := 0; i < 30; i++ {
-		m.Observe(1<<40, 1)
-	}
-	m.Observe(0, 1<<40)
-	if m.Window() <= 0 {
-		t.Fatal("multiplicative controller must recover from 0")
-	}
-	// Capped.
-	for i := 0; i < 100; i++ {
-		m.Observe(0, 1<<40)
-	}
-	if m.Window() != 1<<20 {
-		t.Fatalf("multiplicative cap = %d, want %d", m.Window(), 1<<20)
-	}
 }

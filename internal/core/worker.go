@@ -61,7 +61,7 @@ type WorkerConfig struct {
 	// the paper's defaults (PCT 99, 100 ms max window).
 	AIMD AIMDConfig
 	// NewController, if non-nil, overrides the controller constructor
-	// (used by the ablation benchmarks and LibASL-OPT).
+	// (LibASL-OPT's static window).
 	NewController func() Controller
 	// MaxEpochs bounds the number of distinct epoch ids (the paper's
 	// MAX_EPOCH). 0 means 64.
@@ -194,6 +194,3 @@ func (w *Worker) ReorderWindow() int64 {
 
 // EpochWindow exposes epoch id's current window (for tests and traces).
 func (w *Worker) EpochWindow(id int) int64 { return w.state(id).ctl.Window() }
-
-// ResetEpoch resets epoch id's controller to its initial state.
-func (w *Worker) ResetEpoch(id int) { w.state(id).ctl.Reset() }

@@ -149,19 +149,6 @@ func TestWorkerCustomController(t *testing.T) {
 	}
 }
 
-func TestWorkerResetEpoch(t *testing.T) {
-	fc := &fakeClock{}
-	w := newTestWorker(Little, fc)
-	init := w.EpochWindow(0)
-	w.EpochStart(0)
-	fc.now += 1 << 30
-	w.EpochEnd(0, 1)
-	w.ResetEpoch(0)
-	if got := w.EpochWindow(0); got != init {
-		t.Fatalf("reset window = %d, want %d", got, init)
-	}
-}
-
 func TestWorkerDistinctEpochWindows(t *testing.T) {
 	// Each epoch id keeps its own controller ("LibASL keeps individual
 	// reorder windows for each epoch").
@@ -172,33 +159,5 @@ func TestWorkerDistinctEpochWindows(t *testing.T) {
 	w.EpochEnd(1, 1) // violate epoch 1 only
 	if w.EpochWindow(1) >= w.EpochWindow(2) {
 		t.Fatal("epoch 1's violation must not affect epoch 2's window")
-	}
-}
-
-func TestSLORange(t *testing.T) {
-	got := SLORange(0, 100, 11)
-	if len(got) != 11 || got[0] != 0 || got[10] != 100 || got[5] != 50 {
-		t.Fatalf("SLORange = %v", got)
-	}
-	if one := SLORange(5, 5, 3); len(one) != 1 || one[0] != 5 {
-		t.Fatalf("degenerate range = %v", one)
-	}
-}
-
-func TestProfileSLOs(t *testing.T) {
-	calls := []int64{}
-	pts := ProfileSLOs([]int64{10, 20}, func(slo int64) ProfileResult {
-		calls = append(calls, slo)
-		return ProfileResult{Throughput: float64(slo) * 2, LittleP99: slo}
-	})
-	if len(calls) != 2 || calls[0] != 10 || calls[1] != 20 {
-		t.Fatalf("run calls = %v", calls)
-	}
-	if pts[1].Throughput != 40 || pts[1].SLO != 20 || pts[1].LittleP99 != 20 {
-		t.Fatalf("profile point = %+v", pts[1])
-	}
-	out := FormatProfile(pts)
-	if out == "" {
-		t.Fatal("FormatProfile returned empty")
 	}
 }

@@ -9,25 +9,6 @@ import (
 // cache lines, releases, and executes a fixed NOP interval. Threads
 // 1..4 land on big cores, 5..8 on little cores.
 func collapseConfig(threads int, csLines int64, kind LockKind) MicroConfig {
-	return CollapseConfig(threads, csLines, kind, false)
-}
-
-// CollapseConfig is the exported form used by the root benchmarks: the
-// Fig. 1/4 workload with the TAS affinity regime selected explicitly
-// (bigAffinity=false selects the little-affinity regime of Fig. 1).
-func CollapseConfig(threads int, csLines int64, kind LockKind, tasBigAffinity bool) MicroConfig {
-	cfg := baseCollapseConfig(threads, csLines, kind)
-	if kind == KindTAS {
-		if tasBigAffinity {
-			cfg.TASAff = bigAffinity
-		} else {
-			cfg.TASAff = littleAffinity
-		}
-	}
-	return cfg
-}
-
-func baseCollapseConfig(threads int, csLines int64, kind LockKind) MicroConfig {
 	return MicroConfig{
 		Machine:  m1(),
 		Threads:  threads,

@@ -89,25 +89,8 @@ func Fig8a() *harness.Figure {
 // 100 µs. The little-core P99 must hug the y=x SLO line while
 // throughput grows and then saturates.
 func Fig8b() *harness.Figure {
-	f := &harness.Figure{
-		ID:     "fig8b",
-		Title:  "Bench-1 under variant SLOs",
-		XLabel: "slo(us)",
-		YLabel: "p99(ns) / throughput(ops/s)",
-	}
-	big := harness.Series{Name: "big-p99"}
-	little := harness.Series{Name: "little-p99"}
-	overall := harness.Series{Name: "overall-p99"}
-	thr := harness.Series{Name: "throughput"}
-	for slo := int64(0); slo <= 100; slo += 10 {
-		r := RunMicro(Bench1Config(KindASL, slo*microsecond))
-		x := float64(slo)
-		big.Add(x, float64(r.Epochs.ByClass(stats.Big).P99()))
-		little.Add(x, float64(r.Epochs.ByClass(stats.Little).P99()))
-		overall.Add(x, float64(r.Epochs.Overall().P99()))
-		thr.Add(x, r.Throughput)
-	}
-	f.Series = append(f.Series, big, little, overall, thr)
+	bench1 := func(slo int64) MicroConfig { return Bench1Config(KindASL, slo) }
+	f := SLOSweep("fig8b", "Bench-1 under variant SLOs", bench1, 0, 100*microsecond, 11)
 	f.Note("little-p99 should track y=x (in ns: 1000*slo) once the SLO is achievable; throughput non-decreasing")
 	return f
 }

@@ -223,32 +223,11 @@ func DBComparisonScaled(t DBTemplate, scale int64) *harness.Figure {
 	return f
 }
 
-// DBSLOSweep reproduces the variant-SLOs figure (9b/9e/9h/10b/10e).
-func DBSLOSweep(t DBTemplate, points int) *harness.Figure {
-	f := &harness.Figure{
-		ID:     t.Name + "-slos",
-		Title:  t.Name + ": variant SLOs",
-		XLabel: "slo(us)",
-		YLabel: "p99(ns) / throughput(ops/s)",
-	}
-	big := harness.Series{Name: "big-p99"}
-	little := harness.Series{Name: "little-p99"}
-	overall := harness.Series{Name: "overall-p99"}
-	thr := harness.Series{Name: "throughput"}
-	if points < 2 {
-		points = 11
-	}
-	for i := 0; i < points; i++ {
-		slo := t.SweepMax * int64(i) / int64(points-1)
-		r := RunMicro(DBConfig(t, KindASL, slo, 91))
-		x := float64(slo) / 1000
-		big.Add(x, float64(r.Epochs.ByClass(stats.Big).P99()))
-		little.Add(x, float64(r.Epochs.ByClass(stats.Little).P99()))
-		overall.Add(x, float64(r.Epochs.Overall().P99()))
-		thr.Add(x, r.Throughput)
-	}
-	f.Series = append(f.Series, big, little, overall, thr)
-	return f
+// DBSLOSweep reproduces the variant-SLOs figure (9b/9e/9h/10b/10e):
+// 11 SLOs from 0 to the template's SweepMax.
+func DBSLOSweep(t DBTemplate) *harness.Figure {
+	db := func(slo int64) MicroConfig { return DBConfig(t, KindASL, slo, 91) }
+	return SLOSweep(t.Name+"-slos", t.Name+": variant SLOs", db, 0, t.SweepMax, 11)
 }
 
 // DBCDF reproduces the latency-CDF figure (9c/9f/9i/10c/10f) at the
@@ -278,15 +257,4 @@ func AllDBTemplates() []DBTemplate {
 		LevelDBTemplate(),
 		SQLiteTemplate(),
 	}
-}
-
-// RunBench1ASL runs Bench-1 under LibASL at the given SLO; the §3.1
-// profiling tool uses it as its default workload.
-func RunBench1ASL(sloNs int64) *MicroResult {
-	return RunMicro(Bench1Config(KindASL, sloNs))
-}
-
-// RunDBASL runs a database template under LibASL at the given SLO.
-func RunDBASL(t DBTemplate, sloNs int64) *MicroResult {
-	return RunMicro(DBConfig(t, KindASL, sloNs, 91))
 }

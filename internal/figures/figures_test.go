@@ -194,16 +194,13 @@ func TestFig8dAdaptivityPhases(t *testing.T) {
 }
 
 func TestFig8hOversubscription(t *testing.T) {
-	// -short runs a reduced smoke slice of the same figure; the full
-	// durations only sharpen the P99 estimates, not the orderings.
-	dur, warm := int64(600_000_000), int64(150_000_000)
-	if testing.Short() {
-		dur, warm = 200_000_000, 50_000_000
-	}
+	// A tenth of the figure's virtual duration, in -short and full runs
+	// alike: longer runs only sharpen the P99 estimates, not the
+	// orderings.
 	short := func(kind LockKind, slo int64) MicroConfig {
 		cfg := OversubConfig(kind, slo)
-		cfg.Duration = dur
-		cfg.Warmup = warm
+		cfg.Duration = 200_000_000
+		cfg.Warmup = 50_000_000
 		return cfg
 	}
 	pthread := RunMicro(short(KindPthread, -1)).Throughput

@@ -82,7 +82,7 @@ type MicroConfig struct {
 	NCS            int64                  // non-critical gap between epochs (big-core ns)
 	SLO            int64                  // epoch SLO in ns; <0 = no epoch (LibASL-MAX / plain locks)
 	Sleeping       bool                   // blocking LibASL over the barging mutex (Bench-6)
-	Controller     func() core.Controller // override (LibASL-OPT, ablations); nil = paper AIMD
+	Controller     func() core.Controller // override (LibASL-OPT); nil = paper AIMD
 	Duration       int64                  // virtual run length, ns
 	Warmup         int64                  // samples before this instant are dropped
 	Seed           uint64

@@ -1,12 +1,10 @@
-// Package harness provides the experiment machinery shared by the
-// simulator and real-engine benchmarks: result containers matching the
-// paper's figure types (comparison bars, x/y series, CDFs, traces),
-// aligned-text and CSV rendering, and small sweep helpers.
+// Package harness holds the result container the simulator's figure
+// reproductions return: the paper's figure types (comparison bars, x/y
+// series, CDFs) with aligned-text and CSV rendering.
 package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -107,44 +105,6 @@ func (f *Figure) FindSeries(name string) (Series, bool) {
 	return Series{}, false
 }
 
-// MaxY returns the maximum y value of the series.
-func (s Series) MaxY() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.Y > m {
-			m = p.Y
-		}
-	}
-	return m
-}
-
-// YAt returns the y value at the given x (exact match) and whether it
-// was found.
-func (s Series) YAt(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
-}
-
-// Monotone reports whether the series' y values are non-decreasing
-// within a relative tolerance tol (0.05 allows 5% dips from the running
-// maximum, absorbing sampling noise).
-func (s Series) Monotone(tol float64) bool {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Y < best*(1-tol) {
-			return false
-		}
-		if p.Y > best {
-			best = p.Y
-		}
-	}
-	return true
-}
-
 // CDFFigure renders a latency CDF (paper Figs. 9c/9f/9i/10c/10f) from
 // overall and little-core histograms.
 func CDFFigure(id, title string, sloNs int64, overall, little *stats.Histogram, maxPoints int) *Figure {
@@ -161,10 +121,4 @@ func CDFFigure(id, title string, sloNs int64, overall, little *stats.Histogram, 
 		toSeries("little", little.CDF(maxPoints)))
 	f.Note("SLO=%dns halfSLO=%dns", sloNs, sloNs/2)
 	return f
-}
-
-// SortRowsByName orders the figure's rows alphabetically (stable
-// output for goldens).
-func (f *Figure) SortRowsByName() {
-	sort.SliceStable(f.Rows, func(i, j int) bool { return f.Rows[i].Name < f.Rows[j].Name })
 }

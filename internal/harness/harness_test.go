@@ -7,37 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestSeriesHelpers(t *testing.T) {
-	s := Series{Name: "x"}
-	s.Add(1, 10)
-	s.Add(2, 20)
-	s.Add(3, 15)
-	if m := s.MaxY(); m != 20 {
-		t.Fatalf("MaxY = %v", m)
-	}
-	if y, ok := s.YAt(2); !ok || y != 20 {
-		t.Fatalf("YAt(2) = %v,%v", y, ok)
-	}
-	if _, ok := s.YAt(99); ok {
-		t.Fatal("YAt on missing x should report false")
-	}
-}
-
-func TestSeriesMonotone(t *testing.T) {
-	up := Series{Points: []Point{{1, 10}, {2, 20}, {3, 30}}}
-	if !up.Monotone(0) {
-		t.Fatal("strictly increasing series must be monotone")
-	}
-	noisy := Series{Points: []Point{{1, 100}, {2, 98}, {3, 120}}}
-	if !noisy.Monotone(0.05) {
-		t.Fatal("2% dip within 5% tolerance must pass")
-	}
-	falling := Series{Points: []Point{{1, 100}, {2, 50}}}
-	if falling.Monotone(0.05) {
-		t.Fatal("50% drop must fail monotonicity")
-	}
-}
-
 func TestFigureRenderAndCSV(t *testing.T) {
 	f := &Figure{ID: "figX", Title: "test figure", XLabel: "x", YLabel: "y"}
 	f.Series = append(f.Series, Series{Name: "a", Points: []Point{{1, 2}}})
@@ -87,14 +56,5 @@ func TestCDFFigure(t *testing.T) {
 	}
 	if _, ok := f.FindSeries("little"); !ok {
 		t.Fatal("missing little series")
-	}
-}
-
-func TestSortRowsByName(t *testing.T) {
-	f := &Figure{}
-	f.Rows = []stats.Summary{{Name: "z"}, {Name: "a"}, {Name: "m"}}
-	f.SortRowsByName()
-	if f.Rows[0].Name != "a" || f.Rows[2].Name != "z" {
-		t.Fatalf("rows not sorted: %v", f.Rows)
 	}
 }

@@ -100,15 +100,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("kvclient: server error: %s (%s)", kvserver.StatusText(e.Status), e.Message)
 }
 
-// IsAdmissionRejected reports whether err is StatusErrAdmission, a
-// bulk request shed at the admission gate. The server no longer sends
-// it (the gate makes bulk requests wait); the status stays because
-// wire constants are append-only.
-func IsAdmissionRejected(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Status == kvserver.StatusErrAdmission
-}
-
 // pending is one in-flight call's completion slot. Slots are pooled,
 // and with a RequestTimeout the slot carries the call's deadline timer
 // too: built on first use and Reset per call, so a timed client

@@ -45,9 +45,6 @@ func (p *ClassProbe) TryAcquire(w *core.Worker) bool {
 	return false
 }
 
-// Inner returns the wrapped lock.
-func (p *ClassProbe) Inner() WLock { return p.inner }
-
 // ClassProbeStats is a snapshot of a ClassProbe's counters.
 type ClassProbeStats struct {
 	// BigAcquires and LittleAcquires count successful lock entries
@@ -64,12 +61,4 @@ func (p *ClassProbe) Stats() ClassProbeStats {
 		LittleAcquires: p.acquires[core.Little].Load(),
 		TryFailed:      p.tryFailed.Load(),
 	}
-}
-
-// FactoryClassProbe wraps every lock f builds with a ClassProbe. The
-// probes are reachable through the WLock values themselves (type-assert
-// to *ClassProbe); callers that need them collected should capture
-// them in their own NewLock closure instead.
-func FactoryClassProbe(f Factory) Factory {
-	return func() WLock { return WithClassProbe(f()) }
 }

@@ -259,12 +259,5 @@ func (q *WaitQueue) Remove(p *Proc) bool {
 	return false
 }
 
-// PopAt removes and returns the i-th waiter without resuming it.
-func (q *WaitQueue) PopAt(i int) *Proc {
-	p := q.procs[i]
-	q.procs = append(q.procs[:i], q.procs[i+1:]...)
-	return p
-}
-
 // At returns the i-th waiter.
 func (q *WaitQueue) At(i int) *Proc { return q.procs[i] }

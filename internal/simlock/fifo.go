@@ -42,9 +42,6 @@ func (m *SimMCS) Unlock(t *amp.Thread) {
 // IsFree reports whether the lock is free with no waiters.
 func (m *SimMCS) IsFree() bool { return m.holder == nil && m.q.empty() }
 
-// QueueLen returns the number of waiting threads (for tests).
-func (m *SimMCS) QueueLen() int { return m.q.len() }
-
 // SimTicket models the ticket lock. Semantically it is FIFO like MCS,
 // but all waiters spin on the shared grant counter, so every handover
 // additionally pays a small per-waiter invalidation storm cost — the

@@ -174,11 +174,9 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return h.max
 }
 
-// P50, P90, P99 and P999 are shorthands for common percentiles.
-func (h *Histogram) P50() int64  { return h.Percentile(50) }
-func (h *Histogram) P90() int64  { return h.Percentile(90) }
-func (h *Histogram) P99() int64  { return h.Percentile(99) }
-func (h *Histogram) P999() int64 { return h.Percentile(99.9) }
+// P50 and P99 are shorthands for common percentiles.
+func (h *Histogram) P50() int64 { return h.Percentile(50) }
+func (h *Histogram) P99() int64 { return h.Percentile(99) }
 
 // Merge adds all observations of o into h. Both histograms must have the
 // same precision.

@@ -376,9 +376,6 @@ func (s *Store) Release(v *Version) {
 // Refs exposes the current version's pin count (tests).
 func (s *Store) Refs() int { return s.versions.refs }
 
-// MemLen returns the memtable key count (tests).
-func (s *Store) MemLen() int { return s.mem.Len() }
-
 // Runs returns the current run-stack depth (tests).
 func (s *Store) Runs() int { return len(s.versions.runs) }
 
