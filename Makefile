@@ -68,15 +68,17 @@ race:
 # net-smoke proves the network front end end to end with the REAL
 # binaries. Startup first: -wal naming a regular file must exit 1 with
 # a one-line "open store" error, and an unknown -engine must exit 2 with
-# a one-line "unknown -engine" error, neither with a panic. Then serve a volatile
-# cmd/kvserver, write a deterministic keyset through cmd/kvcheck
-# (1500 interactive + 500 bulk puts), read every key back (2000 gets),
-# then SIGTERM the server and assert the graceful-shutdown contract:
-# exit 0, "clean shutdown", and a final stats line with non-zero ops
-# and "errors":0 for both classes. The server binds port 0 and reports
-# the kernel-chosen address on stderr, so concurrent jobs on a shared
-# runner can never collide on (or accidentally smoke-test) each other's
-# listener.
+# a one-line "unknown -engine" error, neither with a panic. Then two
+# legs, a plain store and one served through the combining pipeline
+# (-pipeline, which also runs the shutdown path that closes it): serve
+# a volatile cmd/kvserver, write a deterministic keyset through
+# cmd/kvcheck (1500 interactive + 500 bulk puts), read every key back
+# (2000 gets), then SIGTERM the server and assert the graceful-shutdown
+# contract: exit 0, "clean shutdown", and a final stats line with
+# non-zero ops and "errors":0 for both classes. The server binds port 0
+# and reports the kernel-chosen address on stderr, so concurrent jobs on
+# a shared runner can never collide on (or accidentally smoke-test)
+# each other's listener.
 net-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
@@ -93,28 +95,33 @@ net-smoke:
 	[ $$rc -eq 2 ] || fail "-engine nosuch: exit $$rc, want 2"; \
 	grep -q '^kvserver: unknown -engine "nosuch"$$' $$tmp/server.log || fail "-engine nosuch: no unknown -engine error"; \
 	! grep -q 'panic:' $$tmp/server.log || fail "-engine nosuch panicked"; \
-	$$tmp/kvserver -addr 127.0.0.1:0 -engine hashkv -lock asl 2>$$tmp/server.log & pid=$$!; \
-	addr=""; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server.log | head -1); \
-		[ -n "$$addr" ] && break; \
-		sleep 0.1; \
+	for leg in plain pipeline; do \
+		case $$leg in pipeline) flags=-pipeline;; *) flags="";; esac; \
+		$$tmp/kvserver -addr 127.0.0.1:0 -engine hashkv -lock asl $$flags 2>$$tmp/server.log & pid=$$!; \
+		addr=""; \
+		for i in $$(seq 1 100); do \
+			addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server.log | head -1); \
+			[ -n "$$addr" ] && break; \
+			sleep 0.1; \
+		done; \
+		[ -n "$$addr" ] || fail "$$leg: server never reported its address"; \
+		want=false; [ -z "$$flags" ] || want=true; \
+		grep -q "pipeline=$$want) on " $$tmp/server.log || fail "$$leg: server does not report pipeline=$$want"; \
+		$$tmp/kvcheck -addr $$addr -n 2000 -mode fill || fail "$$leg: fill failed"; \
+		held=$$($$tmp/kvcheck -addr $$addr -n 2000 -mode verify) || fail "$$leg: verify failed"; \
+		echo "$$held"; \
+		case "$$held" in *"2000/2000 keys held"*) ;; *) fail "$$leg: a live server lost keys";; esac; \
+		kill -TERM $$pid; \
+		wait $$pid || fail "$$leg: server exited non-zero after SIGTERM"; \
+		grep -q 'kvserver: clean shutdown' $$tmp/server.log || fail "$$leg: no clean shutdown line"; \
+		stats=$$(grep 'kvserver: stats ' $$tmp/server.log | tail -1); \
+		for class in interactive bulk; do \
+			echo "$$stats" | grep -Eq "\"$$class\":\{\"ops\":[1-9][0-9]*,\"errors\":0," || fail "$$leg: final stats: $$class class has no ops, or errors"; \
+		done; \
+		cat $$tmp/server.log; \
+		echo "net-smoke: $$leg: clean shutdown"; \
 	done; \
-	[ -n "$$addr" ] || fail "server never reported its address"; \
-	$$tmp/kvcheck -addr $$addr -n 2000 -mode fill || fail "fill failed"; \
-	held=$$($$tmp/kvcheck -addr $$addr -n 2000 -mode verify) || fail "verify failed"; \
-	echo "$$held"; \
-	case "$$held" in *"2000/2000 keys held"*) ;; *) fail "a live server lost keys";; esac; \
-	kill -TERM $$pid; \
-	wait $$pid || fail "server exited non-zero after SIGTERM"; \
-	grep -q 'kvserver: clean shutdown' $$tmp/server.log || fail "no clean shutdown line"; \
-	stats=$$(grep 'kvserver: stats ' $$tmp/server.log | tail -1); \
-	for class in interactive bulk; do \
-		echo "$$stats" | grep -Eq "\"$$class\":\{\"ops\":[1-9][0-9]*,\"errors\":0," || fail "final stats: $$class class has no ops, or errors"; \
-	done; \
-	cat $$tmp/server.log; \
-	rm -rf $$tmp; \
-	echo "net-smoke: clean shutdown"
+	rm -rf $$tmp
 
 # wal-smoke proves the durability story with the REAL binaries and a
 # REAL kill -9, once per engine: lsm recovers through its snapshot
@@ -199,7 +206,8 @@ ci: check race short bench-check net-smoke
 
 # microbench runs the layer microbenchmarks (ROADMAP 1c) with
 # allocations reported: the wire codec and a served scan in
-# internal/kvserver; the store's scan and batch paths, the pipeline's
+# internal/kvserver; a served 64-byte Get and Put round trip over
+# loopback in internal/kvclient; the store's scan and batch paths, the pipeline's
 # batch paths per caller class, the request ring and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
 # uncontended acquire/release pair per class, and the contended pair of
@@ -213,7 +221,7 @@ ci: check race short bench-check net-smoke
 # MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
-		./internal/kvserver ./internal/shardedkv ./internal/locks \
+		./internal/kvserver ./internal/kvclient ./internal/shardedkv ./internal/locks \
 		./internal/core ./internal/storage/btree ./internal/storage/hashkv
 
 bench:

@@ -2,9 +2,16 @@
 // kvserver binary protocol (docs/protocol.md). One Client multiplexes
 // one TCP connection: any number of goroutines may issue requests
 // concurrently, each call blocks only its own goroutine, and requests
-// overlap on the wire (the response matcher pairs frames back to
-// callers by request id, so responses may be consumed out of order
-// even though today's server answers in order).
+// overlap on the wire. Responses are paired back to callers by request
+// id, so they may be consumed out of order even though today's server
+// answers in order.
+//
+// The Client runs no goroutine of its own: callers read their own
+// responses (leader/follower). A caller that finds the read side free
+// becomes the reader and reads frames until its own arrives, passing
+// other callers' frames to them on the way; it then hands the read side
+// to one still-pending caller. A lone caller therefore writes and reads
+// on its own goroutine, with no hand-off per response.
 //
 // Every operation takes the SLO class it should run under on the
 // server — kvserver.ClassInteractive maps to big-class lock admission,
@@ -29,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -78,8 +86,10 @@ func IsRetryable(err error) bool {
 
 // Options tunes a Client beyond the address.
 type Options struct {
-	// RequestTimeout bounds each round trip (write deadline on the
-	// send, response wait on the receive). A request that times out
+	// RequestTimeout bounds each round trip: a write deadline on the
+	// send, then a read deadline while the call holds the read side, or
+	// a timer while it waits for another caller to deliver its response
+	// or hand the read side on. A request that times out
 	// fails with a *RetryableError and tears the connection down — on
 	// a pipelined connection a stuck response stalls everything behind
 	// it, so the conn is not worth keeping. 0 means no deadline.
@@ -104,15 +114,21 @@ func (e *StatusError) Error() string {
 // and with a RequestTimeout the slot carries the call's deadline timer
 // too: built on first use and Reset per call, so a timed client
 // allocates no timer per round trip.
+//
+// A slot is in Client.pending exactly while nothing has been sent on
+// its channel: whoever sends (the reader delivering a response or
+// handing over the read side, a teardown failing it) removes it from
+// the map and sends under Client.mu, so each registration receives at
+// most one token and the buffered send never blocks.
 type pending struct {
 	ch    chan result
 	timer *time.Timer
 }
 
 type result struct {
-	resp  kvserver.Response
-	frame []byte // backing array of resp.Payload (owned by the receiver)
-	err   error
+	resp kvserver.Response // Payload aliases a frame the receiver owns
+	err  error
+	lead bool // no response: the receiver now owns the read side
 }
 
 // Client is a multiplexed connection to one kvserver. Safe for
@@ -120,11 +136,13 @@ type result struct {
 type Client struct {
 	timeout time.Duration
 
-	mu      sync.Mutex // guards conn writes, nextID, pending, closed
+	mu      sync.Mutex // guards conn writes, nextID, pending, reading, closed
 	conn    net.Conn
 	bw      *bufio.Writer
+	br      *bufio.Reader // used only by the caller that holds the read side
 	nextID  uint64
 	pending map[uint64]*pending
+	reading bool // a caller holds the read side
 	closed  bool
 	readErr error
 	wbuf    []byte
@@ -153,10 +171,17 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		timeout: opts.RequestTimeout,
 		conn:    conn,
 		bw:      bufio.NewWriterSize(conn, 64<<10),
+		// A buffer that holds a whole 39 KB scan response, unlike the
+		// server's small one (kvserver.Server.handle): read through 4 KiB,
+		// a response between 4 and 64 KiB takes two reads, the first
+		// leaving most of it in the socket, and scan-mixed then ran
+		// bimodal — 44 k to 69 k ops/s from run to run where this size
+		// holds 62 k to 66 k. The price is that a response over 64 KiB is
+		// copied twice.
+		br:      bufio.NewReaderSize(conn, 64<<10),
 		pending: make(map[uint64]*pending),
 	}
 	c.pool.New = func() any { return &pending{ch: make(chan result, 1)} }
-	go c.readLoop()
 	return c, nil
 }
 
@@ -205,11 +230,13 @@ func (c *Client) failAllLocked(err error) {
 
 // teardown poisons the client after a transport failure: every pending
 // call — and every future call — fails with a *RetryableError carrying
-// cause. No call is ever stranded: a pending slot either gets its
-// response from readLoop or a failure token here, never neither.
+// cause. No call is ever stranded: a pending slot gets its response, the
+// read side or a failure token here, never none; the caller holding the
+// read side is in no slot and gets the returned error instead.
 // Idempotent; an explicit Close that got there first wins (ErrClosed).
-func (c *Client) teardown(cause error) {
+func (c *Client) teardown(cause error) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !c.closed {
 		c.closed = true
 		c.readErr = &RetryableError{Err: cause}
@@ -219,27 +246,26 @@ func (c *Client) teardown(cause error) {
 		c.readErr = ErrClosed
 	}
 	c.failAllLocked(c.readErr)
-	c.mu.Unlock()
+	return c.readErr
 }
 
-// readLoop is the response matcher: it owns the read side, pairing
-// response frames to pending calls by id. Each frame is read into a
-// fresh buffer whose ownership passes to the completed call — the
-// decoded values the call returns alias it, so this must never become a
-// buffer the loop reuses.
-func (c *Client) readLoop() {
-	// A buffer that holds a whole 39 KB scan response, unlike the
-	// server's small one (kvserver.Server.handle): read through 4 KiB, a
-	// response between 4 and 64 KiB takes two reads, the first leaving
-	// most of it in the socket, and scan-mixed then ran bimodal — 44 k to
-	// 69 k ops/s from run to run where this size holds 62 k to 66 k. The
-	// price is that a response over 64 KiB is copied twice.
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+// read runs on the caller that holds the read side: it reads response
+// frames until the one for id arrives, completes every other pending
+// call whose frame comes first, then hands the read side on. Each frame
+// is read into a fresh buffer whose ownership passes to the call it
+// completes — the decoded values the call returns alias it, so this
+// must never become a buffer the reader reuses.
+func (c *Client) read(id uint64, deadline time.Time) result {
+	if c.timeout > 0 {
+		_ = c.conn.SetReadDeadline(deadline)
+	}
 	for {
-		frame, err := kvserver.ReadFrame(br, nil)
+		frame, err := kvserver.ReadFrame(c.br, nil)
 		if err != nil {
-			c.teardown(err)
-			return
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				err = fmt.Errorf("kvclient: request timed out after %v: %w", c.timeout, err)
+			}
+			return result{err: c.teardown(err)}
 		}
 		resp, err := kvserver.DecodeResponse(frame)
 		if err != nil {
@@ -247,21 +273,45 @@ func (c *Client) readLoop() {
 			// the connection is desynchronized beyond this response's
 			// caller alone. Fail everything rather than strand the one
 			// call whose frame was mangled.
-			c.teardown(err)
-			return
+			return result{err: c.teardown(err)}
 		}
 		c.mu.Lock()
-		p := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if p != nil {
-			p.ch <- result{resp: resp, frame: frame}
+		if resp.ID == id {
+			c.handOffLocked()
+			c.mu.Unlock()
+			return result{resp: resp}
 		}
+		if p := c.pending[resp.ID]; p != nil {
+			delete(c.pending, resp.ID)
+			p.ch <- result{resp: resp}
+		}
+		c.mu.Unlock()
 	}
 }
 
+// handOffLocked passes the read side to the oldest pending call — the
+// one today's in-order server answers next — or frees it when no call
+// is pending (c.mu held).
+func (c *Client) handOffLocked() {
+	var next *pending
+	var nextID uint64
+	for id, p := range c.pending {
+		if next == nil || id < nextID {
+			next, nextID = p, id
+		}
+	}
+	if next == nil {
+		c.reading = false
+		return
+	}
+	delete(c.pending, nextID)
+	next.ch <- result{lead: true}
+}
+
 // roundTrip encodes req (id assigned here), pipelines it onto the
-// connection, and blocks until its response arrives.
+// connection, and blocks until its response arrives: read by this
+// caller when the read side is free, else delivered by the caller
+// reading, until the read side is handed to this one.
 func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	p := c.pool.Get().(*pending)
 	c.mu.Lock()
@@ -284,11 +334,13 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	// Kept for the next request unless this one was oversized.
 	c.wbuf = kvserver.RetainBuf(buf)
 	c.pending[req.ID] = p
+	var deadline time.Time
 	if c.timeout > 0 {
 		// Bound the send too: bw.Flush runs under c.mu, so an unbounded
 		// block here (peer stopped reading, send buffer full) would
 		// freeze every other caller, not just this one.
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+		deadline = time.Now().Add(c.timeout)
+		_ = c.conn.SetWriteDeadline(deadline)
 	}
 	_, werr := c.bw.Write(buf)
 	if werr == nil {
@@ -297,6 +349,13 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 		// costs more than the write — and concurrent callers still
 		// overlap request and response on the wire.
 		werr = c.bw.Flush()
+	}
+	lead := werr == nil && !c.reading
+	if lead {
+		// The read side is free: take it, and leave the slot map — no
+		// one delivers to the reader.
+		c.reading = true
+		delete(c.pending, req.ID)
 	}
 	c.mu.Unlock()
 	if werr != nil {
@@ -310,39 +369,10 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	}
 
 	var res result
-	if c.timeout <= 0 {
-		res = <-p.ch
+	if lead {
+		res = c.read(req.ID, deadline)
 	} else {
-		if p.timer == nil {
-			p.timer = time.NewTimer(c.timeout)
-		} else {
-			// Every earlier use either stopped the timer or received its
-			// tick, and a Go 1.23+ timer channel holds no stale tick
-			// after Stop or Reset, so the slot's timer re-arms clean.
-			p.timer.Reset(c.timeout)
-		}
-		select {
-		case res = <-p.ch:
-			p.timer.Stop()
-		case <-p.timer.C:
-			c.mu.Lock()
-			if _, registered := c.pending[req.ID]; registered {
-				// Still ours: unregister so no late response or
-				// teardown can deliver a token, then abandon the conn —
-				// pipelined responses behind the stuck one are stuck
-				// too, and a retry on this conn would queue behind them.
-				delete(c.pending, req.ID)
-				c.mu.Unlock()
-				c.pool.Put(p)
-				err := &RetryableError{Err: fmt.Errorf("kvclient: request timed out after %v", c.timeout)}
-				c.teardown(err.Err)
-				return kvserver.Response{}, err
-			}
-			// Photo finish: a deliverer already unregistered the slot,
-			// so its token is on the channel (or about to be).
-			c.mu.Unlock()
-			res = <-p.ch
-		}
+		res = c.wait(p, req.ID, deadline)
 	}
 	c.pool.Put(p)
 	if res.err != nil {
@@ -352,6 +382,52 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 		return res.resp, &StatusError{Status: res.resp.Status, Message: string(res.resp.Payload)}
 	}
 	return res.resp, nil
+}
+
+// wait blocks a call that is not reading until its slot receives its
+// response, its failure, or the read side — then reads on.
+func (c *Client) wait(p *pending, id uint64, deadline time.Time) result {
+	var res result
+	if c.timeout <= 0 {
+		res = <-p.ch
+	} else {
+		if p.timer == nil {
+			p.timer = time.NewTimer(time.Until(deadline))
+		} else {
+			// Every earlier use either stopped the timer or received its
+			// tick, and a Go 1.23+ timer channel holds no stale tick
+			// after Stop or Reset, so the slot's timer re-arms clean.
+			p.timer.Reset(time.Until(deadline))
+		}
+		select {
+		case res = <-p.ch:
+			p.timer.Stop()
+		case <-p.timer.C:
+			c.mu.Lock()
+			if _, registered := c.pending[id]; registered {
+				// Still ours: unregister so no response, hand-off or
+				// teardown can deliver a token, then abandon the conn —
+				// pipelined responses behind the stuck one are stuck
+				// too, and a retry on this conn would queue behind them.
+				delete(c.pending, id)
+				c.mu.Unlock()
+				err := &RetryableError{Err: fmt.Errorf("kvclient: request timed out after %v", c.timeout)}
+				c.teardown(err.Err)
+				return result{err: err}
+			}
+			// Photo finish: the slot was unregistered under c.mu, so its
+			// token is already on the channel.
+			c.mu.Unlock()
+			res = <-p.ch
+		}
+	}
+	if res.lead {
+		// Handed the read side: its deadline is this call's, which may
+		// already have passed — then only frames already buffered can
+		// still complete it.
+		return c.read(id, deadline)
+	}
+	return res
 }
 
 // Get reads key k under class. The value aliases the response frame,

@@ -17,24 +17,36 @@ import (
 	"repro/internal/shardedkv"
 )
 
-// fakeServer is a scriptable single-connection peer: it accepts,
-// consumes the magic preamble, and hands each decoded request to
-// handle, which returns the raw response bytes to write (nil = write
-// nothing). Returning writeThenDie from handle makes the server write
-// the bytes and slam the connection.
+// fakeServer is a scriptable peer: it accepts, consumes the magic
+// preamble, and hands each decoded request to handle, which returns the
+// raw response bytes to write (nil = write nothing). Returning true as
+// the second result makes the server write the bytes and slam the
+// connection.
 type fakeServer struct {
 	ln     net.Listener
 	handle func(req kvserver.Request) ([]byte, bool)
+	inline bool // serve each connection on the accepting goroutine
 	wg     sync.WaitGroup
 }
 
 func newFakeServer(t *testing.T, handle func(req kvserver.Request) ([]byte, bool)) *fakeServer {
+	return listenFake(t, handle, false)
+}
+
+// newInlineServer is newFakeServer serving its connections one at a
+// time on the goroutine that accepts them, so a connection starts no
+// goroutine on the server's side.
+func newInlineServer(t *testing.T, handle func(req kvserver.Request) ([]byte, bool)) *fakeServer {
+	return listenFake(t, handle, true)
+}
+
+func listenFake(t *testing.T, handle func(req kvserver.Request) ([]byte, bool), inline bool) *fakeServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	fs := &fakeServer{ln: ln, handle: handle}
+	fs := &fakeServer{ln: ln, handle: handle, inline: inline}
 	fs.wg.Add(1)
 	go fs.serve()
 	t.Cleanup(func() { ln.Close(); fs.wg.Wait() })
@@ -50,35 +62,43 @@ func (fs *fakeServer) serve() {
 		if err != nil {
 			return
 		}
+		if fs.inline {
+			fs.serveConn(conn)
+			continue
+		}
 		fs.wg.Add(1)
 		go func() {
 			defer fs.wg.Done()
-			defer conn.Close()
-			var magic [4]byte
-			if _, err := io.ReadFull(conn, magic[:]); err != nil {
+			fs.serveConn(conn)
+		}()
+	}
+}
+
+func (fs *fakeServer) serveConn(conn net.Conn) {
+	defer conn.Close()
+	var magic [4]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return
+	}
+	br := bufio.NewReader(conn)
+	for {
+		frame, err := kvserver.ReadFrame(br, nil)
+		if err != nil {
+			return
+		}
+		req, err := kvserver.DecodeRequest(frame)
+		if err != nil {
+			return
+		}
+		out, die := fs.handle(req)
+		if len(out) > 0 {
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
-			br := bufio.NewReader(conn)
-			for {
-				frame, err := kvserver.ReadFrame(br, nil)
-				if err != nil {
-					return
-				}
-				req, err := kvserver.DecodeRequest(frame)
-				if err != nil {
-					return
-				}
-				out, die := fs.handle(req)
-				if len(out) > 0 {
-					if _, err := conn.Write(out); err != nil {
-						return
-					}
-				}
-				if die {
-					return
-				}
-			}
-		}()
+		}
+		if die {
+			return
+		}
 	}
 }
 
@@ -259,36 +279,36 @@ func TestIsRetryableClassification(t *testing.T) {
 	}
 }
 
-// echoServer answers Get, MultiGet and Range with values derived from
-// the request id, and everything else with a true bool.
-func echoServer(t *testing.T) *fakeServer {
-	return newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
-		val := bytes.Repeat([]byte{byte(req.ID)}, 32)
-		var out []byte
-		var err error
-		switch req.Op {
-		case kvserver.OpGet:
-			out, err = kvserver.AppendGetResponse(nil, req.ID, val, true)
-		case kvserver.OpMultiGet:
-			out, err = kvserver.AppendMultiGetResponse(nil, req.ID, [][]byte{val, val}, []bool{true, true})
-		case kvserver.OpRange:
-			out, err = kvserver.AppendRangeResponse(nil, req.ID, []shardedkv.Pair{{Key: 1, Value: val}, {Key: 2, Value: val}}, false)
-		default:
-			out = okBool(req.ID)
-		}
-		if err != nil {
-			panic(err)
-		}
-		return out, false
-	})
+// echo answers Get, MultiGet and Range with values derived from the
+// request id, and everything else with a true bool.
+func echo(req kvserver.Request) ([]byte, bool) {
+	val := bytes.Repeat([]byte{byte(req.ID)}, 32)
+	var out []byte
+	var err error
+	switch req.Op {
+	case kvserver.OpGet:
+		out, err = kvserver.AppendGetResponse(nil, req.ID, val, true)
+	case kvserver.OpMultiGet:
+		out, err = kvserver.AppendMultiGetResponse(nil, req.ID, [][]byte{val, val}, []bool{true, true})
+	case kvserver.OpRange:
+		out, err = kvserver.AppendRangeResponse(nil, req.ID, []shardedkv.Pair{{Key: 1, Value: val}, {Key: 2, Value: val}}, false)
+	default:
+		out = okBool(req.ID)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return out, false
 }
+
+func echoServer(t *testing.T) *fakeServer { return newFakeServer(t, echo) }
 
 // TestSuccessiveResponsesOwnTheirMemory: decoded values alias the frame
 // their response arrived in, so that frame must belong to its call
 // alone. Values a caller holds from one call stay intact through every
 // later call on the same Client, and scribbling over them reaches no
-// later result — which is what would break if readLoop ever read into a
-// buffer it reuses.
+// later result — which is what would break if the caller holding the
+// read side ever read frames into a buffer it reuses.
 func TestSuccessiveResponsesOwnTheirMemory(t *testing.T) {
 	c, err := Dial(echoServer(t).addr())
 	if err != nil {

@@ -227,16 +227,20 @@ func RetainBuf(b []byte) []byte {
 
 // ReadFrame reads one length-prefixed frame from br into buf (grown as
 // needed) and returns the frame bytes (length prefix stripped). io.EOF
-// is returned bare on a clean close before the prefix.
+// is returned bare on a clean close before the prefix. The prefix is
+// read in place from br's buffer: a local array handed to io.ReadFull
+// would escape through the io.Reader interface, one heap object per
+// frame on both ends of the wire.
 func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(br, lb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	lb, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(lb) > 0 {
 			return nil, wireErr("connection closed mid length prefix")
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lb[:])
+	n := binary.BigEndian.Uint32(lb)
+	_, _ = br.Discard(4) // cannot fail: Peek buffered these 4 bytes
 	if n < headerLen {
 		return nil, wireErr("frame length %d below header size %d", n, headerLen)
 	}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -239,6 +241,22 @@ func TestReadFrameLimits(t *testing.T) {
 		}
 		if name == "above MaxFrame" && !strings.Contains(err.Error(), "MaxFrame") {
 			t.Errorf("oversize error does not mention MaxFrame: %v", err)
+		}
+	}
+}
+
+// TestReadFramePrefixEOF: a close before the first prefix byte is a
+// clean end of stream, io.EOF bare; a close after one to three of its
+// four bytes is a torn frame.
+func TestReadFramePrefixEOF(t *testing.T) {
+	for n := 0; n < 4; n++ {
+		wire := []byte{0, 0, 0, 20}[:n]
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire)), nil)
+		switch {
+		case n == 0 && err != io.EOF:
+			t.Errorf("close before the prefix: %v, want io.EOF", err)
+		case n > 0 && (err == nil || errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "mid length prefix")):
+			t.Errorf("close after %d prefix bytes: %v, want a mid-length-prefix error", n, err)
 		}
 	}
 }

@@ -211,7 +211,8 @@ func (sc *serverConn) record(class core.Class, latencyNs int64, ops uint64) {
 // its frame with one copy, kernel to frame, where a 64 KiB buffer
 // slurped up to 64 KiB of every large body first and copied it a second
 // time. The price is one more read call for a request between 4 and
-// 64 KiB. The client does not make this trade (kvclient.readLoop).
+// 64 KiB. The client does not make this trade (its reader in
+// kvclient.DialOpts).
 const requestReadBuf = 4 << 10
 
 // handle runs one connection to completion.
