@@ -28,7 +28,7 @@ RACE_PKGS = . \
 	./internal/sim \
 	./internal/amp
 
-.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs microbench net-smoke wal-smoke soak
+.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff microbench net-smoke wal-smoke soak
 
 # The shard-lock contracts (ARCHITECTURE.md, "Enforced invariants") are
 # checked by test: a runtime guard in internal/shardedkv that panics on
@@ -70,15 +70,14 @@ race:
 # a one-line "open store" error, and an unknown -engine must exit 2 with
 # a one-line "unknown -engine" error, neither with a panic. Then two
 # legs, a plain store and one served through the combining pipeline
-# (-pipeline, which also runs the shutdown path that closes it): serve
-# a volatile cmd/kvserver, write a deterministic keyset through
-# cmd/kvcheck (1500 interactive + 500 bulk puts), read every key back
-# (2000 gets), then SIGTERM the server and assert the graceful-shutdown
-# contract: exit 0, "clean shutdown", and a final stats line with
-# non-zero ops and "errors":0 for both classes. The server binds port 0
-# and reports the kernel-chosen address on stderr, so concurrent jobs on
-# a shared runner can never collide on (or accidentally smoke-test)
-# each other's listener.
+# (-pipeline): serve a volatile cmd/kvserver, write a deterministic
+# keyset through cmd/kvcheck (1500 interactive + 500 bulk puts), read
+# every key back (2000 gets), then SIGTERM the server and assert the
+# graceful-shutdown contract: exit 0, "clean shutdown", and a final
+# stats line with non-zero ops and "errors":0 for both classes. The
+# server binds port 0 and reports the kernel-chosen address on stderr,
+# so concurrent jobs on a shared runner can never collide on (or
+# accidentally smoke-test) each other's listener.
 net-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); pid=""; \
@@ -197,6 +196,15 @@ bench-check:
 bench-pairs:
 	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10]"; exit 2; }
 	bash scripts/bench-pairs.sh $(W) $(or $(N),10)
+
+# fig-diff is the check of a refactor of the reproduction half:
+# `make fig-diff FIGS="1 8a 8h"` builds cmd/ampsim on the parent commit
+# and on this checkout, runs the figures once per side and fails on any
+# difference but the "regenerated in" timing lines (the Fig. 8d trace
+# CSV included). FIGS defaults to all, which takes minutes, so it is not
+# part of ci; BASE and PARENT_DIR work as for bench-pairs.
+fig-diff:
+	bash scripts/fig-diff.sh $(FIGS)
 
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
 # short smoke paths, the nested benchmark module's build and tests, and

@@ -170,9 +170,6 @@ func main() {
 		os.Exit(1)
 	}
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	if async != nil {
-		async.Close(w)
-	}
 	// Store.Close syncs and closes every shard log, so async-acked bulk
 	// writes are durable before the process exits.
 	st.Close(w)

@@ -156,14 +156,17 @@ func TestWakePreemption(t *testing.T) {
 }
 
 func TestSleepForReleasesCPU(t *testing.T) {
-	// While one thread nanosleeps, its co-thread must get the core.
+	// While one thread nanosleeps, its co-thread must get the core; the
+	// co-thread is gone when the sleeper wakes, so the sleeper takes the
+	// idle core at once.
 	cfg := testConfig()
 	cfg.CtxSwitch = 0
 	k := sim.NewKernel()
 	m := NewMachine(k, cfg)
-	var progress int64
+	var progress, woke int64
 	m.NewThread("sleeper", 0, 0, func(th *Thread) {
 		th.SleepFor(1_000_000)
+		woke = th.Now()
 	})
 	m.NewThread("worker", 0, 0, func(th *Thread) {
 		start := th.Now()
@@ -173,6 +176,9 @@ func TestSleepForReleasesCPU(t *testing.T) {
 	k.RunAll()
 	if progress > 600_000 {
 		t.Fatalf("worker took %d, should run while sleeper sleeps", progress)
+	}
+	if woke != 1_000_000 {
+		t.Fatalf("sleeper resumed at %d, want 1000000 on the idle core", woke)
 	}
 }
 

@@ -3,6 +3,7 @@ package figures
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -269,6 +270,25 @@ func TestDBCDFWellFormed(t *testing.T) {
 	for i := 1; i < len(overall.Points); i++ {
 		if overall.Points[i].Y < overall.Points[i-1].Y {
 			t.Fatal("CDF not monotone")
+		}
+	}
+}
+
+// TestControllerOverrideReachesLittleWorkers: the controller a config
+// names (LibASL-OPT's static window) is the one every little worker's
+// epoch runs, not the default AIMD.
+func TestControllerOverrideReachesLittleWorkers(t *testing.T) {
+	cfg := shortBench1(KindASL, 50_000)
+	cfg.Duration, cfg.Warmup = 5_000_000, 0
+	const w = 12_345
+	cfg.Controller = func() core.Controller { return &core.Static{W: w} }
+	res := RunMicro(cfg)
+	if len(res.FinalWindows) == 0 {
+		t.Fatal("no little worker reported a window")
+	}
+	for i, got := range res.FinalWindows {
+		if got != w {
+			t.Fatalf("little worker %d ended with window %d, want the static %d", i, got, w)
 		}
 	}
 }

@@ -31,10 +31,6 @@ func NewASLMutexDefault() *ASLMutex {
 	return NewASLMutex(new(Fissile))
 }
 
-// Reorderable exposes the underlying reorderable lock (for tests and
-// for configuring MaxWindow).
-func (m *ASLMutex) Reorderable() *Reorderable { return m.r }
-
 // Lock acquires the lock on behalf of worker w (Algorithm 3).
 func (m *ASLMutex) Lock(w *core.Worker) {
 	if w.Class() == core.Big {

@@ -20,6 +20,11 @@
 // pthread_mutex; here ASLMutex is one stack for dedicated and
 // over-subscribed cores alike: Reorderable over Fissile.
 //
+// Algorithm 1's standby loop is written once (Standby, over a Waiter)
+// in three flavours: StandbyServed, which Reorderable runs on the wall
+// clock, and the paper's StandbySpin and StandbySleep, which
+// internal/simlock's SimReorderable runs on virtual time.
+//
 // Locks here favour clarity and faithfulness to the published
 // algorithms over absolute peak performance, but all avoid allocation
 // on the hot path and pad contended words to cache lines.

@@ -12,9 +12,10 @@
 //   - SimBarging: futex-style unfair blocking mutex (pthread stand-in)
 //   - SimMCSPark: FIFO with parked waiters (MCS-STP)
 //   - SimProportional: ShflLock with the proportional static policy
-//   - SimReorderable / SimASL: the paper's Algorithms 1 and 3, reusing
-//     the very same feedback controller (internal/core) as the real
-//     library
+//   - SimReorderable: the paper's Algorithm 1, running the served
+//     lock's standby loop (locks.Standby) on virtual time; the figures
+//     pair it with the real library's feedback controller
+//     (internal/core) for Algorithm 3
 //
 // All lock state is mutated in kernel context only (the sim kernel runs
 // one goroutine at a time), so no atomics are needed; determinism comes

@@ -396,24 +396,34 @@ func TestSimReorderableFreeGrab(t *testing.T) {
 	}
 }
 
-func TestSimReorderableMaxWindowClamp(t *testing.T) {
+// TestSimReorderableWindowCap drives the shared standby loop past
+// core.DefaultMaxWindow: a standby asking for an unbounded window
+// enqueues once the cap has passed, so an immediate-path competitor
+// arriving after the cap queues behind it instead of overtaking it.
+func TestSimReorderableWindowCap(t *testing.T) {
 	k, m := rig()
-	r := &SimReorderable{Fifo: &SimMCS{}, MaxWindow: 10_000}
-	var at int64
+	r := &SimReorderable{Fifo: &SimMCS{}}
+	const hold = core.DefaultMaxWindow + 50_000_000
+	var order []string
 	m.NewThread("holder", 0, 0, func(th *amp.Thread) {
 		r.LockImmediately(th)
-		th.Compute(100_000, amp.CS)
+		th.Compute(hold, amp.CS)
 		r.Unlock(th)
 	})
 	m.NewThread("standby", 2, 10, func(th *amp.Thread) {
-		r.LockReorder(th, 1<<50) // clamped to 10µs: enqueues at ~10µs
-		at = th.Now()
+		r.LockReorder(th, 1<<50)
+		order = append(order, "standby")
+		r.Unlock(th)
+	})
+	m.NewThread("immediate", 1, core.DefaultMaxWindow+20_000_000, func(th *amp.Thread) {
+		r.LockImmediately(th)
+		order = append(order, "immediate")
 		r.Unlock(th)
 	})
 	k.RunAll()
 	k.Shutdown()
-	if at > 110_000 {
-		t.Fatalf("standby acquired at %d; max-window clamp failed", at)
+	if len(order) != 2 || order[0] != "standby" {
+		t.Fatalf("order = %v, want the standby first: its window was not capped at %d ns", order, core.DefaultMaxWindow)
 	}
 }
 
