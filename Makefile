@@ -74,8 +74,11 @@ race:
 # keyset through cmd/kvcheck (1500 interactive + 500 bulk puts), read
 # every key back (2000 gets), then SIGTERM the server and assert the
 # graceful-shutdown contract: exit 0, "clean shutdown", and a final
-# stats line with non-zero ops and "errors":0 for both classes. The
-# server binds port 0 and reports the kernel-chosen address on stderr,
+# stats line with non-zero ops and "errors":0 for both classes. A last
+# leg, faults, serves with -wal and an injected wal.fsync error: the
+# fault must show (the fill fails, or the final stats line counts
+# interactive errors), and SIGTERM must still exit 0 with a clean
+# shutdown and no panic. The server binds port 0 and reports the kernel-chosen address on stderr,
 # so concurrent jobs on a shared runner can never collide on (or
 # accidentally smoke-test) each other's listener.
 net-smoke:
@@ -120,6 +123,26 @@ net-smoke:
 		cat $$tmp/server.log; \
 		echo "net-smoke: $$leg: clean shutdown"; \
 	done; \
+	$$tmp/kvserver -addr 127.0.0.1:0 -wal $$tmp/wal -faults 'wal.fsync:nth=3:error' 2>$$tmp/server.log & pid=$$!; \
+	addr=""; \
+	for i in $$(seq 1 100); do \
+		addr=$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9][0-9]*\)$$/\1/p' $$tmp/server.log | head -1); \
+		[ -n "$$addr" ] && break; \
+		sleep 0.1; \
+	done; \
+	[ -n "$$addr" ] || fail "faults: server never reported its address"; \
+	grep -q 'kvserver: fault injection armed: wal.fsync:nth=3:error' $$tmp/server.log || fail "faults: no fault injection armed line"; \
+	filled=yes; $$tmp/kvcheck -addr $$addr -n 2000 -mode fill || filled=no; \
+	kill -TERM $$pid; \
+	wait $$pid || fail "faults: server exited non-zero after SIGTERM"; \
+	! grep -q 'panic:' $$tmp/server.log || fail "faults: server panicked"; \
+	grep -q 'kvserver: clean shutdown' $$tmp/server.log || fail "faults: no clean shutdown line"; \
+	stats=$$(grep 'kvserver: stats ' $$tmp/server.log | tail -1); \
+	if [ $$filled = yes ] && ! echo "$$stats" | grep -Eq '"interactive":\{"ops":[0-9]+,"errors":[1-9]'; then \
+		fail "faults: the injected wal.fsync error never showed: fill succeeded and no interactive errors"; \
+	fi; \
+	cat $$tmp/server.log; \
+	echo "net-smoke: faults: injected fsync error seen (fill ok: $$filled), clean shutdown"; \
 	rm -rf $$tmp
 
 # wal-smoke proves the durability story with the REAL binaries and a

@@ -59,8 +59,8 @@
 // admission gate — concurrency restriction
 // at the serving boundary, with interactive bypass. Bulk SLO epochs
 // feed the ASL window controllers from per-request latencies.
-// internal/kvclient is the concurrent pipelining client (one
-// multiplexed connection, calls matched by request id).
+// internal/kvclient is the client (one request in flight per
+// connection, concurrent calls take turns, response ids checked).
 // cmd/kvserver is the standalone binary (clean SIGTERM shutdown).
 //
 // # Benchmarks and CI

@@ -1,17 +1,16 @@
-// Package kvclient is the concurrent, pipelining client for the
-// kvserver binary protocol (docs/protocol.md). One Client multiplexes
-// one TCP connection: any number of goroutines may issue requests
-// concurrently, each call blocks only its own goroutine, and requests
-// overlap on the wire. Responses are paired back to callers by request
-// id, so they may be consumed out of order even though today's server
-// answers in order.
+// Package kvclient is the client for the kvserver binary protocol
+// (docs/protocol.md). One Client owns one TCP connection and keeps one
+// request in flight on it: a call holds the connection for its whole
+// round trip (encode, write, read its response, decode), so concurrent
+// callers on one Client take turns, and a queued call's wait is bounded
+// only by the deadline of the call ahead of it. Callers that want
+// requests to overlap open a Client each: the server runs one
+// connection's requests one after another, so a connection is one
+// competitor at the shard lock either way. Request ids are still
+// assigned per connection and checked on every response.
 //
-// The Client runs no goroutine of its own: callers read their own
-// responses (leader/follower). A caller that finds the read side free
-// becomes the reader and reads frames until its own arrives, passing
-// other callers' frames to them on the way; it then hands the read side
-// to one still-pending caller. A lone caller therefore writes and reads
-// on its own goroutine, with no hand-off per response.
+// The Client runs no goroutine of its own: each caller writes its
+// request and reads its own response.
 //
 // Every operation takes the SLO class it should run under on the
 // server — kvserver.ClassInteractive maps to big-class lock admission,
@@ -44,10 +43,10 @@ import (
 	"repro/internal/shardedkv"
 )
 
-// ErrClosed is returned by calls made after an explicit Close. It is
-// NOT retryable: the caller asked for the teardown. A connection that
-// failed underneath the client instead poisons it with a
-// *RetryableError carrying the transport cause.
+// ErrClosed is returned by the call in flight during an explicit Close
+// and by every call after it. It is NOT retryable: the caller asked for
+// the teardown. A connection that failed underneath the client instead
+// poisons it with a *RetryableError carrying the transport cause.
 var ErrClosed = errors.New("kvclient: client closed")
 
 // RetryableError marks a transport-level failure — broken or timed-out
@@ -86,13 +85,14 @@ func IsRetryable(err error) bool {
 
 // Options tunes a Client beyond the address.
 type Options struct {
-	// RequestTimeout bounds each round trip: a write deadline on the
-	// send, then a read deadline while the call holds the read side, or
-	// a timer while it waits for another caller to deliver its response
-	// or hand the read side on. A request that times out
-	// fails with a *RetryableError and tears the connection down — on
-	// a pipelined connection a stuck response stalls everything behind
-	// it, so the conn is not worth keeping. 0 means no deadline.
+	// RequestTimeout bounds each round trip: one deadline on the
+	// connection covers the call's write and its read. A request that
+	// times out fails with a *RetryableError whose cause wraps
+	// os.ErrDeadlineExceeded, and tears the connection down — its
+	// response may still arrive, and the next call would read it as its
+	// own. A call queued behind another waits for that call first, so
+	// its wait is bounded by the deadline of the call ahead of it and
+	// then by its own. 0 means no deadline.
 	RequestTimeout time.Duration
 	// WrapConn interposes on the dialed connection before any bytes
 	// move — the seam the chaos harness uses to inject read/write
@@ -110,44 +110,20 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("kvclient: server error: %s (%s)", kvserver.StatusText(e.Status), e.Message)
 }
 
-// pending is one in-flight call's completion slot. Slots are pooled,
-// and with a RequestTimeout the slot carries the call's deadline timer
-// too: built on first use and Reset per call, so a timed client
-// allocates no timer per round trip.
-//
-// A slot is in Client.pending exactly while nothing has been sent on
-// its channel: whoever sends (the reader delivering a response or
-// handing over the read side, a teardown failing it) removes it from
-// the map and sends under Client.mu, so each registration receives at
-// most one token and the buffered send never blocks.
-type pending struct {
-	ch    chan result
-	timer *time.Timer
-}
-
-type result struct {
-	resp kvserver.Response // Payload aliases a frame the receiver owns
-	err  error
-	lead bool // no response: the receiver now owns the read side
-}
-
-// Client is a multiplexed connection to one kvserver. Safe for
-// concurrent use; create with Dial, release with Close.
+// Client is one connection to a kvserver. Safe for concurrent use:
+// calls take turns on the connection. Create with Dial, release with
+// Close.
 type Client struct {
 	timeout time.Duration
-
-	mu      sync.Mutex // guards conn writes, nextID, pending, reading, closed
 	conn    net.Conn
-	bw      *bufio.Writer
-	br      *bufio.Reader // used only by the caller that holds the read side
-	nextID  uint64
-	pending map[uint64]*pending
-	reading bool // a caller holds the read side
-	closed  bool
-	readErr error
-	wbuf    []byte
 
-	pool sync.Pool // *pending
+	mu     sync.Mutex // held by one call for its whole round trip
+	br     *bufio.Reader
+	nextID uint64
+	wbuf   []byte
+
+	errMu sync.Mutex // guards err; Close takes it, never mu
+	err   error      // sticky: ErrClosed or the first transport failure
 }
 
 // Dial connects to a kvserver at addr and performs the protocol
@@ -167,10 +143,9 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		timeout: opts.RequestTimeout,
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
 		// A buffer that holds a whole 39 KB scan response, unlike the
 		// server's small one (kvserver.Server.handle): read through 4 KiB,
 		// a response between 4 and 64 KiB takes two reads, the first
@@ -178,11 +153,8 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		// bimodal — 44 k to 69 k ops/s from run to run where this size
 		// holds 62 k to 66 k. The price is that a response over 64 KiB is
 		// copied twice.
-		br:      bufio.NewReaderSize(conn, 64<<10),
-		pending: make(map[uint64]*pending),
-	}
-	c.pool.New = func() any { return &pending{ch: make(chan result, 1)} }
-	return c, nil
+		br: bufio.NewReaderSize(conn, 64<<10),
+	}, nil
 }
 
 // DialRetry dials addr, retrying on connection refusal until timeout —
@@ -206,228 +178,90 @@ func DialRetryOpts(addr string, timeout time.Duration, opts Options) (*Client, e
 	}
 }
 
-// Close tears the connection down; in-flight calls fail with ErrClosed.
+// Close tears the connection down: the call in flight and every call
+// queued behind it fail with ErrClosed. It does not wait for the call
+// in flight, whose read the closed connection ends.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	if c.err != nil {
 		return nil
 	}
-	c.closed = true
-	err := c.conn.Close()
-	c.failAllLocked(ErrClosed)
-	c.mu.Unlock()
-	return err
+	c.err = ErrClosed
+	return c.conn.Close()
 }
 
-// failAllLocked completes every pending call with err (c.mu held).
-func (c *Client) failAllLocked(err error) {
-	for id, p := range c.pending {
-		delete(c.pending, id)
-		p.ch <- result{err: err}
-	}
-}
-
-// teardown poisons the client after a transport failure: every pending
-// call — and every future call — fails with a *RetryableError carrying
-// cause. No call is ever stranded: a pending slot gets its response, the
-// read side or a failure token here, never none; the caller holding the
-// read side is in no slot and gets the returned error instead.
-// Idempotent; an explicit Close that got there first wins (ErrClosed).
-func (c *Client) teardown(cause error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		c.readErr = &RetryableError{Err: cause}
+// fail poisons the client after a transport failure: cause becomes the
+// sticky error, wrapped as a *RetryableError, and the connection is
+// closed. It returns the sticky error, which is an earlier failure's —
+// or ErrClosed after Close — if there was one.
+func (c *Client) fail(cause error) error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	if c.err == nil {
+		c.err = &RetryableError{Err: cause}
 		c.conn.Close()
 	}
-	if c.readErr == nil {
-		c.readErr = ErrClosed
-	}
-	c.failAllLocked(c.readErr)
-	return c.readErr
+	return c.err
 }
 
-// read runs on the caller that holds the read side: it reads response
-// frames until the one for id arrives, completes every other pending
-// call whose frame comes first, then hands the read side on. Each frame
-// is read into a fresh buffer whose ownership passes to the call it
-// completes — the decoded values the call returns alias it, so this
-// must never become a buffer the reader reuses.
-func (c *Client) read(id uint64, deadline time.Time) result {
-	if c.timeout > 0 {
-		_ = c.conn.SetReadDeadline(deadline)
-	}
-	for {
-		frame, err := kvserver.ReadFrame(c.br, nil)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = fmt.Errorf("kvclient: request timed out after %v: %w", c.timeout, err)
-			}
-			return result{err: c.teardown(err)}
-		}
-		resp, err := kvserver.DecodeResponse(frame)
-		if err != nil {
-			// The stream's framing survived but the payload did not:
-			// the connection is desynchronized beyond this response's
-			// caller alone. Fail everything rather than strand the one
-			// call whose frame was mangled.
-			return result{err: c.teardown(err)}
-		}
-		c.mu.Lock()
-		if resp.ID == id {
-			c.handOffLocked()
-			c.mu.Unlock()
-			return result{resp: resp}
-		}
-		if p := c.pending[resp.ID]; p != nil {
-			delete(c.pending, resp.ID)
-			p.ch <- result{resp: resp}
-		}
-		c.mu.Unlock()
-	}
-}
-
-// handOffLocked passes the read side to the oldest pending call — the
-// one today's in-order server answers next — or frees it when no call
-// is pending (c.mu held).
-func (c *Client) handOffLocked() {
-	var next *pending
-	var nextID uint64
-	for id, p := range c.pending {
-		if next == nil || id < nextID {
-			next, nextID = p, id
-		}
-	}
-	if next == nil {
-		c.reading = false
-		return
-	}
-	delete(c.pending, nextID)
-	next.ch <- result{lead: true}
-}
-
-// roundTrip encodes req (id assigned here), pipelines it onto the
-// connection, and blocks until its response arrives: read by this
-// caller when the read side is free, else delivered by the caller
-// reading, until the read side is handed to this one.
+// roundTrip sends req (id assigned here) and reads its response,
+// holding the connection throughout. A non-OK status is returned as a
+// *StatusError beside the response.
 func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
-	p := c.pool.Get().(*pending)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.pool.Put(p)
-		if c.readErr != nil {
-			return kvserver.Response{}, c.readErr
-		}
-		return kvserver.Response{}, ErrClosed
+	defer c.mu.Unlock()
+	c.errMu.Lock()
+	err := c.err
+	c.errMu.Unlock()
+	if err != nil {
+		return kvserver.Response{}, err
 	}
 	c.nextID++
 	req.ID = c.nextID
 	buf, err := kvserver.AppendRequest(c.wbuf[:0], req)
 	if err != nil {
-		c.mu.Unlock()
-		c.pool.Put(p)
 		return kvserver.Response{}, err
 	}
 	// Kept for the next request unless this one was oversized.
 	c.wbuf = kvserver.RetainBuf(buf)
-	c.pending[req.ID] = p
-	var deadline time.Time
-	if c.timeout > 0 {
-		// Bound the send too: bw.Flush runs under c.mu, so an unbounded
-		// block here (peer stopped reading, send buffer full) would
-		// freeze every other caller, not just this one.
-		deadline = time.Now().Add(c.timeout)
-		_ = c.conn.SetWriteDeadline(deadline)
+	resp, err := c.exchange(buf, req.ID)
+	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("kvclient: request timed out after %v: %w", c.timeout, err)
+		}
+		return kvserver.Response{}, c.fail(err)
 	}
-	_, werr := c.bw.Write(buf)
-	if werr == nil {
-		// Flush before releasing the lock: correct pipelining would
-		// only flush when no other writer is queued, but tracking that
-		// costs more than the write — and concurrent callers still
-		// overlap request and response on the wire.
-		werr = c.bw.Flush()
+	if resp.Status != kvserver.StatusOK {
+		return resp, &StatusError{Status: resp.Status, Message: string(resp.Payload)}
 	}
-	lead := werr == nil && !c.reading
-	if lead {
-		// The read side is free: take it, and leave the slot map — no
-		// one delivers to the reader.
-		c.reading = true
-		delete(c.pending, req.ID)
-	}
-	c.mu.Unlock()
-	if werr != nil {
-		// A write error poisons the whole connection, not just this
-		// call: the bufio stream may have emitted a partial frame, so
-		// anything written after it would be garbage to the server.
-		// teardown delivers exactly one failure token to every pending
-		// slot still registered — including ours, unless the response
-		// raced in first — so the receive below never blocks.
-		c.teardown(werr)
-	}
-
-	var res result
-	if lead {
-		res = c.read(req.ID, deadline)
-	} else {
-		res = c.wait(p, req.ID, deadline)
-	}
-	c.pool.Put(p)
-	if res.err != nil {
-		return kvserver.Response{}, res.err
-	}
-	if res.resp.Status != kvserver.StatusOK {
-		return res.resp, &StatusError{Status: res.resp.Status, Message: string(res.resp.Payload)}
-	}
-	return res.resp, nil
+	return resp, nil
 }
 
-// wait blocks a call that is not reading until its slot receives its
-// response, its failure, or the read side — then reads on.
-func (c *Client) wait(p *pending, id uint64, deadline time.Time) result {
-	var res result
-	if c.timeout <= 0 {
-		res = <-p.ch
-	} else {
-		if p.timer == nil {
-			p.timer = time.NewTimer(time.Until(deadline))
-		} else {
-			// Every earlier use either stopped the timer or received its
-			// tick, and a Go 1.23+ timer channel holds no stale tick
-			// after Stop or Reset, so the slot's timer re-arms clean.
-			p.timer.Reset(time.Until(deadline))
-		}
-		select {
-		case res = <-p.ch:
-			p.timer.Stop()
-		case <-p.timer.C:
-			c.mu.Lock()
-			if _, registered := c.pending[id]; registered {
-				// Still ours: unregister so no response, hand-off or
-				// teardown can deliver a token, then abandon the conn —
-				// pipelined responses behind the stuck one are stuck
-				// too, and a retry on this conn would queue behind them.
-				delete(c.pending, id)
-				c.mu.Unlock()
-				err := &RetryableError{Err: fmt.Errorf("kvclient: request timed out after %v", c.timeout)}
-				c.teardown(err.Err)
-				return result{err: err}
-			}
-			// Photo finish: the slot was unregistered under c.mu, so its
-			// token is already on the channel.
-			c.mu.Unlock()
-			res = <-p.ch
-		}
+// exchange writes one request frame and reads the response to id (c.mu
+// held). Every error it returns leaves the stream unusable: a partial
+// frame may have gone out, or the next frame in may be anyone's.
+func (c *Client) exchange(frame []byte, id uint64) (kvserver.Response, error) {
+	if c.timeout > 0 {
+		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	if res.lead {
-		// Handed the read side: its deadline is this call's, which may
-		// already have passed — then only frames already buffered can
-		// still complete it.
-		return c.read(id, deadline)
+	if _, err := c.conn.Write(frame); err != nil {
+		return kvserver.Response{}, err
 	}
-	return res
+	// A fresh buffer per frame: the decoded values the call returns
+	// alias it, so this must never become a buffer the client reuses.
+	in, err := kvserver.ReadFrame(c.br, nil)
+	if err != nil {
+		return kvserver.Response{}, err
+	}
+	resp, err := kvserver.DecodeResponse(in)
+	if err != nil {
+		return kvserver.Response{}, err
+	}
+	if resp.ID != id {
+		return kvserver.Response{}, fmt.Errorf("kvclient: response id %d to request %d: the stream is out of step", resp.ID, id)
+	}
+	return resp, nil
 }
 
 // Get reads key k under class. The value aliases the response frame,

@@ -21,12 +21,16 @@ import (
 // preamble, and hands each decoded request to handle, which returns the
 // raw response bytes to write (nil = write nothing). Returning true as
 // the second result makes the server write the bytes and slam the
-// connection.
+// connection. The test's cleanup closes every connection it accepted,
+// so a client that leaves its connection open fails its test instead of
+// hanging the cleanup.
 type fakeServer struct {
 	ln     net.Listener
 	handle func(req kvserver.Request) ([]byte, bool)
 	inline bool // serve each connection on the accepting goroutine
 	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  []net.Conn // every accepted connection
 }
 
 func newFakeServer(t *testing.T, handle func(req kvserver.Request) ([]byte, bool)) *fakeServer {
@@ -49,7 +53,15 @@ func listenFake(t *testing.T, handle func(req kvserver.Request) ([]byte, bool), 
 	fs := &fakeServer{ln: ln, handle: handle, inline: inline}
 	fs.wg.Add(1)
 	go fs.serve()
-	t.Cleanup(func() { ln.Close(); fs.wg.Wait() })
+	t.Cleanup(func() {
+		ln.Close()
+		fs.mu.Lock()
+		for _, c := range fs.conns {
+			c.Close()
+		}
+		fs.mu.Unlock()
+		fs.wg.Wait()
+	})
 	return fs
 }
 
@@ -62,6 +74,9 @@ func (fs *fakeServer) serve() {
 		if err != nil {
 			return
 		}
+		fs.mu.Lock()
+		fs.conns = append(fs.conns, conn)
+		fs.mu.Unlock()
 		if fs.inline {
 			fs.serveConn(conn)
 			continue
@@ -110,72 +125,46 @@ func okBool(id uint64) []byte {
 	return out
 }
 
-// TestMidFrameDropFailsAllPending is the regression test for the
-// stranded-caller bug: a server that dies mid response frame must fail
-// every in-flight call with a retryable error — none may block forever,
-// and the client must refuse (not hang) afterwards.
+// TestMidFrameDropFailsAllPending: the server dies mid response frame
+// while one call is in flight and seven more are queued behind it.
+// Every call fails with a retryable error, none is stranded, the queued
+// ones never reach the server, and the next call fails fast.
 func TestMidFrameDropFailsAllPending(t *testing.T) {
-	const inflight = 8
+	const callers = 8
 	var got atomic.Int32
 	release := make(chan struct{})
-	fs := newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
-		if int(got.Add(1)) < inflight {
-			return nil, false // hold the response: keep the call pending
-		}
+	fs := newFakeServer(t, func(kvserver.Request) ([]byte, bool) {
+		got.Add(1)
 		<-release
-		// Last request: emit a torn frame — a length prefix promising 20
-		// bytes, then 5 — and slam the connection under everyone.
+		// A length prefix promising 20 bytes, then 5, and a slammed
+		// connection.
 		torn := binary.BigEndian.AppendUint32(nil, 20)
-		torn = append(torn, 1, 2, 3, 4, 5)
-		return torn, true
+		return append(torn, 1, 2, 3, 4, 5), true
 	})
-
 	c, err := Dial(fs.addr())
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatal(err)
 	}
 	defer c.Close()
 
-	errs := make(chan error, inflight)
-	for i := 0; i < inflight; i++ {
-		go func(k uint64) {
-			_, err := c.Put(kvserver.ClassInteractive, k, []byte("v"))
-			errs <- err
-		}(uint64(i))
+	deadline := time.Now().Add(handOffDeadline)
+	calls := []<-chan error{goCall(getCall(c, 0))}
+	waitFor(t, &got, 1)
+	for k := 1; k < callers; k++ {
+		calls = append(calls, goCall(getCall(c, uint64(k))))
 	}
-	// Release the torn frame only once all requests reached the server,
-	// so every call is genuinely pending when the connection dies.
-	for int(got.Load()) < inflight {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, callers-1)
 	close(release)
-
-	for i := 0; i < inflight; i++ {
-		select {
-		case err := <-errs:
-			if err == nil {
-				t.Fatalf("call %d: nil error after torn frame", i)
-			}
-			if !IsRetryable(err) {
-				t.Fatalf("call %d: error not retryable: %v", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("call %d stranded: no completion after torn frame", i)
+	for k, ch := range calls {
+		if err := await(t, ch, deadline); err == nil || !IsRetryable(err) {
+			t.Errorf("call %d: %v, want a retryable error", k, err)
 		}
 	}
-	// The poisoned client fails fast, it does not hang.
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Put(kvserver.ClassInteractive, 99, []byte("v"))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !IsRetryable(err) {
-			t.Fatalf("post-teardown call: want retryable error, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("post-teardown call hung")
+	if err := await(t, goCall(getCall(c, 99)), deadline); err == nil || !IsRetryable(err) {
+		t.Fatalf("call after the drop: %v, want a retryable error", err)
+	}
+	if n := got.Load(); n != 1 {
+		t.Fatalf("the server saw %d requests, want 1: a call sent on a torn-down connection", n)
 	}
 }
 
@@ -355,9 +344,9 @@ func TestSuccessiveResponsesOwnTheirMemory(t *testing.T) {
 }
 
 // TestRequestTimeoutAllocatesNoTimer: a client with a RequestTimeout
-// keeps its deadline timer on the pooled pending slot, so a timed round
-// trip allocates what an untimed one does (a time.NewTimer per call
-// would show as three allocations more).
+// bounds a round trip with a deadline on the connection, so a timed
+// round trip allocates what an untimed one does (a time.NewTimer per
+// call would show as three allocations more).
 func TestRequestTimeoutAllocatesNoTimer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

@@ -2,13 +2,12 @@ package kvclient
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,10 +15,11 @@ import (
 	"repro/internal/kvserver"
 )
 
-// Tests of the read side's hand-off between callers. Every call runs on
-// a goroutine of its own and is awaited against a deadline: a lost
-// hand-off strands calls, and the deadline turns that hang into a
-// failure.
+// Tests of calls taking turns on one connection. Every call runs on a
+// goroutine of its own and is awaited against a deadline: each call
+// hands the connection on to the next when it returns, a call stranded
+// on the connection or behind another call would hang the test, and
+// the deadline turns that hang into a failure.
 
 const handOffDeadline = 10 * time.Second
 
@@ -53,7 +53,30 @@ func waitFor(t *testing.T, got *atomic.Int32, n int32) {
 	}
 }
 
-// keyValue is the value the hand-off servers answer a Get of k with, so
+// waitQueued waits until n calls are parked on a Client's call lock,
+// queued behind the call that holds the connection. It reads every
+// goroutine's stack: a queued call is one parked in sync.Mutex.Lock
+// under roundTrip.
+func waitQueued(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(handOffDeadline); ; time.Sleep(time.Millisecond) {
+		queued := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "kvclient.(*Client).roundTrip") {
+				queued++
+			}
+		}
+		if queued >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls queued behind the call in flight", queued, n)
+		}
+	}
+}
+
+// keyValue is the value the fake servers answer a Get of k with, so
 // each caller can tell its own response from a neighbour's.
 func keyValue(k uint64) []byte { return binary.BigEndian.AppendUint64([]byte("value of "), k) }
 
@@ -76,29 +99,48 @@ func getCall(c *Client, k uint64) func() error {
 	}
 }
 
-// byID orders held requests by id; the lowest is the caller that took
-// the read side, the first to register on an idle connection.
-func byID(a, b kvserver.Request) int { return cmp.Compare(a.ID, b.ID) }
+// TestConcurrentCallersReadTheirOwnValues: 8 goroutines share one
+// Client, 50 Gets each of keys no other goroutine asks for. Calls take
+// turns on the connection, and each must return its own key's value,
+// never a neighbour's.
+func TestConcurrentCallersReadTheirOwnValues(t *testing.T) {
+	const callers, calls = 8, 50
+	fs := newFakeServer(t, func(req kvserver.Request) ([]byte, bool) { return getResponse(nil, req), false })
+	c, err := Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-// TestHandOffUnderReverseOrder: 8 concurrent callers, answered only once
-// all 8 are pending, the reader's response first and the other seven
-// last to first. The reader finishes first, so the read side must pass
-// to a caller still waiting, which completes the rest. Three rounds on
-// one Client, each starting from an idle read side.
-func TestHandOffUnderReverseOrder(t *testing.T) {
-	const callers, rounds = 8, 3
-	var held []kvserver.Request // the server's connection goroutine only
+	deadline := time.Now().Add(handOffDeadline)
+	var done [callers]<-chan error
+	for i := range done {
+		done[i] = goCall(func() error {
+			for n := 0; n < calls; n++ {
+				if err := getCall(c, uint64(n*callers+i))(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	for i, ch := range done {
+		if err := await(t, ch, deadline); err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+}
+
+// TestResponseIDMismatchTearsDown: a response whose id is not the
+// call's means the stream is out of step, so the call fails retryably
+// and the connection is torn down. The error is sticky: the next call
+// fails with the same error without sending anything.
+func TestResponseIDMismatchTearsDown(t *testing.T) {
+	var got atomic.Int32
 	fs := newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
-		if held = append(held, req); len(held) < callers {
-			return nil, false
-		}
-		slices.SortFunc(held, byID)
-		out := getResponse(nil, held[0])
-		for i := len(held) - 1; i > 0; i-- {
-			out = getResponse(out, held[i])
-		}
-		held = held[:0]
-		return out, false
+		got.Add(1)
+		req.ID++ // answer as if to the next request
+		return getResponse(nil, req), false
 	})
 	c, err := Dial(fs.addr())
 	if err != nil {
@@ -107,75 +149,23 @@ func TestHandOffUnderReverseOrder(t *testing.T) {
 	defer c.Close()
 
 	deadline := time.Now().Add(handOffDeadline)
-	for round := 0; round < rounds; round++ {
-		var calls [callers]<-chan error
-		for i := range calls {
-			calls[i] = goCall(getCall(c, uint64(round*callers+i)))
-		}
-		for i, ch := range calls {
-			if err := await(t, ch, deadline); err != nil {
-				t.Fatalf("round %d, call %d: %v", round, i, err)
-			}
-		}
+	first := await(t, goCall(getCall(c, 1)), deadline)
+	if !IsRetryable(first) || !strings.Contains(first.Error(), "out of step") {
+		t.Fatalf("call answered with another id: %v, want a retryable out-of-step error", first)
 	}
-	c.mu.Lock()
-	reading, pending := c.reading, len(c.pending)
-	c.mu.Unlock()
-	if reading || pending != 0 {
-		t.Fatalf("after every call returned: read side held %v, %d slots pending", reading, pending)
+	next := await(t, goCall(getCall(c, 2)), deadline)
+	if next == nil || next.Error() != first.Error() {
+		t.Fatalf("call after the mismatch: %v, want the sticky %v", next, first)
+	}
+	if n := got.Load(); n != 1 {
+		t.Fatalf("the server saw %d requests, want 1: a torn-down client sent again", n)
 	}
 }
 
-// TestDropDuringHandOffStrandsNoCall: the reader's response arrives
-// whole, then a frame torn mid body, then the connection closes. The
-// reader returns its response and hands the read side on; the caller it
-// handed to finds the stream broken. Each of the other seven calls gets
-// exactly one retryable error, and the poisoned Client fails fast.
-func TestDropDuringHandOffStrandsNoCall(t *testing.T) {
-	const callers = 8
-	var held []kvserver.Request // the server's connection goroutine only
-	var readerKey atomic.Int64
-	fs := newFakeServer(t, func(req kvserver.Request) ([]byte, bool) {
-		if held = append(held, req); len(held) < callers {
-			return nil, false
-		}
-		first := slices.MinFunc(held, byID)
-		readerKey.Store(int64(first.Key))
-		out := getResponse(nil, first)
-		out = binary.BigEndian.AppendUint32(out, 20)
-		return append(out, 1, 2, 3, 4, 5), true
-	})
-	c, err := Dial(fs.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	deadline := time.Now().Add(handOffDeadline)
-	var calls [callers]<-chan error
-	for k := range calls {
-		calls[k] = goCall(getCall(c, uint64(k)))
-	}
-	for k, ch := range calls {
-		err := await(t, ch, deadline)
-		switch {
-		case int64(k) == readerKey.Load():
-			if err != nil {
-				t.Errorf("the reader's call (key %d): %v, want its response", k, err)
-			}
-		case err == nil || !IsRetryable(err):
-			t.Errorf("call for key %d: %v, want a retryable error", k, err)
-		}
-	}
-	if err := await(t, goCall(getCall(c, 99)), deadline); err == nil || !IsRetryable(err) {
-		t.Fatalf("call after the drop: %v, want a retryable error", err)
-	}
-}
-
-// TestReaderTimeoutFailsFollowers: the caller holding the read side
-// bounds its read by its own RequestTimeout. Seven followers start half
-// a timeout later, so the reader's read deadline passes well before any
-// follower's own timer; it must fail all of them, retryably, with the
+// TestReaderTimeoutFailsFollowers: the call in flight bounds its read by
+// its own RequestTimeout. Seven more calls start half a timeout later
+// and queue behind it, so its deadline passes well before any of theirs
+// could; its timeout must fail all of them, retryably, with the
 // deadline as the cause.
 func TestReaderTimeoutFailsFollowers(t *testing.T) {
 	const timeout = 600 * time.Millisecond
@@ -205,9 +195,10 @@ func TestReaderTimeoutFailsFollowers(t *testing.T) {
 	}
 }
 
-// TestCloseDuringReadFailsAllWithErrClosed: Close while a caller holds
-// the read side, blocked on the socket, and seven more wait behind it.
-// Every call, the reader's included, fails with ErrClosed.
+// TestCloseDuringReadFailsAllWithErrClosed: Close while one call is
+// blocked reading a response that never comes and seven more are
+// queued behind it. Every call, the one in flight included, fails with
+// ErrClosed.
 func TestCloseDuringReadFailsAllWithErrClosed(t *testing.T) {
 	const callers = 8
 	var got atomic.Int32
@@ -220,11 +211,12 @@ func TestCloseDuringReadFailsAllWithErrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(handOffDeadline)
-	var calls [callers]<-chan error
-	for k := range calls {
-		calls[k] = goCall(getCall(c, uint64(k)))
+	calls := []<-chan error{goCall(getCall(c, 0))}
+	waitFor(t, &got, 1)
+	for k := 1; k < callers; k++ {
+		calls = append(calls, goCall(getCall(c, uint64(k))))
 	}
-	waitFor(t, &got, callers)
+	waitQueued(t, callers-1)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,12 @@ type RetryConfig struct {
 // Retrying is a self-healing client: it owns at most one live Client,
 // replays retryable failures (IsRetryable) with exponential backoff and
 // jitter, and redials after transport errors — including a kill -9'd
-// and restarted server. Safe for concurrent use; each goroutine's
-// operation retries independently against the shared connection.
+// and restarted server. Safe for concurrent use: each goroutine's
+// operation retries independently against the shared connection, and
+// operations take turns on it as Client's calls do, one request in
+// flight, a queued operation waiting out the deadline of the one ahead
+// (see the package doc). Goroutines whose requests should overlap each
+// hold a Retrying of their own.
 //
 // Retrying writes is safe here because a transport failure leaves the
 // write's outcome unknown either way, and the store's writes are

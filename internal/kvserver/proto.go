@@ -15,9 +15,9 @@
 // every malformed input as an error (never a panic), so a hostile peer
 // can at worst get its own connection closed.
 //
-// internal/kvclient implements the matching concurrent, pipelining
-// client; cmd/kvserver is the standalone binary; benchmark/ measures
-// the served stack over loopback.
+// internal/kvclient implements the matching client, one request in
+// flight per connection; cmd/kvserver is the standalone binary;
+// benchmark/ measures the served stack over loopback.
 package kvserver
 
 import (

@@ -3,6 +3,7 @@
 package kvserver_test
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -156,6 +157,64 @@ func TestPipelinedServer(t *testing.T) {
 	comb := async.AggregateCombineStats()
 	if comb.Combined == 0 {
 		t.Fatal("pipeline server executed nothing through the combiner")
+	}
+}
+
+// TestServerAnswersPipelinedRequests: a peer may send several requests
+// before reading (docs/protocol.md, "Pipelining"). On a raw connection
+// 32 request frames go out in one write — 16 Puts, then a Get of each
+// key — and the 32 responses must come back in request order, each
+// echoing its request's id with status OK, the Gets reading the values
+// the Puts before them wrote. The read runs against a deadline, so a
+// server that never flushes fails the test instead of hanging it.
+func TestServerAnswersPipelinedRequests(t *testing.T) {
+	const keys = 16
+	_, addr := startServer(t, shardedkv.Config{Shards: 4}, nil)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	out := []byte(kvserver.Magic)
+	var reqs []kvserver.Request
+	for i := 0; i < 2*keys; i++ {
+		req := kvserver.Request{ID: uint64(100 + i), Op: kvserver.OpPut, Class: uint8(i % 2), Key: uint64(i), Value: []byte{byte(i)}}
+		if i >= keys {
+			req = kvserver.Request{ID: uint64(100 + i), Op: kvserver.OpGet, Class: uint8(i % 2), Key: uint64(i - keys)}
+		}
+		if out, err = kvserver.AppendRequest(out, &req); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	if _, err := raw.Write(out); err != nil {
+		t.Fatal(err)
+	}
+
+	br := bufio.NewReader(raw)
+	for i, req := range reqs {
+		frame, err := kvserver.ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i, len(reqs), err)
+		}
+		resp, err := kvserver.DecodeResponse(frame)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.ID != req.ID || resp.Status != kvserver.StatusOK {
+			t.Fatalf("response %d: id %d status %s, want id %d OK: answered out of request order", i, resp.ID, kvserver.StatusText(resp.Status), req.ID)
+		}
+		if req.Op != kvserver.OpGet {
+			continue
+		}
+		v, found, err := kvserver.DecodeGetPayload(resp.Payload)
+		if err != nil || !found || len(v) != 1 || v[0] != byte(req.Key) {
+			t.Fatalf("Get(%d) = %v, %v, %v: want the value the pipelined Put wrote", req.Key, v, found, err)
+		}
 	}
 }
 

@@ -113,7 +113,8 @@ func TestReorderableWindowExpiry(t *testing.T) {
 // TestReorderableStandbySleeps covers the standby's sleep leg: the
 // lock is held well past the served flavour's 20 µs yielding poll and
 // then released inside a long window, and the standby, now sleeping
-// between checks, must notice the free lock and take it.
+// between checks, must notice the free lock and take it well before its
+// capped window ends.
 func TestReorderableStandbySleeps(t *testing.T) {
 	r := NewReorderable(new(Fissile))
 	r.LockImmediately()
@@ -129,8 +130,10 @@ func TestReorderableStandbySleeps(t *testing.T) {
 	r.Unlock()
 	select {
 	case acquired := <-done:
-		if wait := acquired.Sub(released); wait > window/2 {
-			t.Fatalf("sleeping standby took %v after release, window %v", wait, window)
+		// Every window is capped at core.DefaultMaxWindow, so a standby
+		// that missed the release would enqueue only at the cap.
+		if wait, bound := acquired.Sub(released), time.Duration(core.DefaultMaxWindow/2); wait > bound {
+			t.Fatalf("sleeping standby took %v after release, want at most %v", wait, bound)
 		}
 	case <-time.After(window):
 		t.Fatal("sleeping standby never acquired")
@@ -156,6 +159,101 @@ func TestASLMutexLittleOutsideEpochUsesMaxWindow(t *testing.T) {
 	m.Unlock(little)
 	if e := time.Since(start); e > 100*time.Millisecond {
 		t.Fatalf("uncontended little acquisition took %v", e)
+	}
+}
+
+// watchedFissile is the Fissile base NewASLMutexDefault builds, with
+// its free-state reads counted: LockReorder reads it once before it
+// stands by, so a second read is a standby competitor's poll.
+type watchedFissile struct {
+	Fissile
+	freeReads atomic.Int32
+}
+
+func (f *watchedFissile) IsFree() bool {
+	f.freeReads.Add(1)
+	return f.Fissile.IsFree()
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestASLMutexHandsLittleWorkersTheirWindow checks the window Lock
+// hands a little worker's standby, both ways. Outside any epoch it is
+// the default maximum window: the little worker stands by on the held
+// lock, a big worker queues meanwhile, and on release the big worker
+// acquires first. Inside an epoch whose controller holds a zero window
+// the little worker queues at once, so it acquires ahead of a big worker
+// that queues after it. The test waits on the lock's own state, never
+// on a sleep.
+func TestASLMutexHandsLittleWorkersTheirWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		epoch bool // lock inside an epoch whose window is 0
+		first string
+	}{
+		{"outside-epoch", false, "big"},
+		{"zero-window-epoch", true, "little"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := new(watchedFissile)
+			m := NewASLMutex(f)
+			holder := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			big := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			little := core.NewWorker(core.WorkerConfig{
+				Class:         core.Little,
+				NewController: func() core.Controller { return &core.Static{W: 0} },
+			})
+			m.Lock(holder)
+
+			var order []string // guarded by m
+			done := make(chan struct{}, 2)
+			go func() {
+				if tc.epoch {
+					little.EpochStart(0)
+				}
+				m.Lock(little)
+				order = append(order, "little")
+				m.Unlock(little)
+				done <- struct{}{}
+			}()
+			waitUntil(t, "the little worker stands by or queues", func() bool {
+				return f.freeReads.Load() >= 2 || !f.queue.IsFree()
+			})
+			switch queued := !f.queue.IsFree(); {
+			case tc.epoch && !queued:
+				t.Fatal("a little worker in a zero-window epoch stands by instead of queueing")
+			case !tc.epoch && queued:
+				t.Fatal("a little worker outside any epoch queued at once: its window is not the default maximum")
+			}
+
+			tail := f.queue.tail.Load()
+			go func() {
+				m.Lock(big)
+				order = append(order, "big")
+				m.Unlock(big)
+				done <- struct{}{}
+			}()
+			waitUntil(t, "the big worker queues", func() bool { return f.queue.tail.Load() != tail })
+			m.Unlock(holder)
+			for range 2 {
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("a worker never acquired; order so far %v", order)
+				}
+			}
+			if order[0] != tc.first {
+				t.Fatalf("order = %v, want the %s worker first", order, tc.first)
+			}
+		})
 	}
 }
 
