@@ -215,3 +215,148 @@ func TestLockFamilyTableNamesExportedTypes(t *testing.T) {
 		t.Fatal("lock-family table names no type")
 	}
 }
+
+// testOnly are the exported names under internal/ that only tests call,
+// each with why it stays for now. TestNoTestOnlyExports fails when one
+// gains a caller, so the list only shrinks.
+var testOnly = map[string]string{
+	// Interface methods, which their interface's users call.
+	"fault.Error.Unwrap":             "errors.Unwrap",
+	"kvclient.RetryableError.Unwrap": "errors.Unwrap",
+	"shardedkv.DegradedError.Unwrap": "errors.Unwrap",
+	"sim.eventHeap.Less":             "heap.Interface",
+	// Test support: the model harness the store tests drive.
+	"kvmodel.Drive":  "test-support package",
+	"kvmodel.Verify": "test-support package",
+	// The wall-clock face of the generic MCSParkOn under Fissile; the
+	// lock tables test it as a FIFOLock, and item 12 decides its fate.
+	"locks.MCSPark": "item 12",
+	// ROADMAP item 16's list: each is to move into its tests or go.
+	"locks.WithClassProbe":       "item 16",
+	"shardedkv.IsDegraded":       "item 16",
+	"harness.Figure.FindRow":     "item 16",
+	"harness.Figure.FindSeries":  "item 16",
+	"prng.Exponential":           "item 16",
+	"prng.Shuffle":               "item 16",
+	"lsm.Store.Runs":             "item 16; goes with lsm if item 9 deletes it",
+	"lsm.Store.RunBytes":         "item 16; goes with lsm if item 9 deletes it",
+	"lsm.Store.RunEntries":       "item 16; goes with lsm if item 9 deletes it",
+	"lsm.Store.Refs":             "item 16; goes with lsm if item 9 deletes it",
+	"lsm.Version.Seq":            "item 16; goes with lsm if item 9 deletes it",
+	"stats.Histogram.Mean":       "item 16; read by stats tests only",
+	"wal.Log.Durable":            "item 16; read by wal and shardedkv tests only",
+	"shardedkv.Store.Checkpoint": "item 9: the served log is never checkpointed",
+}
+
+// TestNoTestOnlyExports keeps production code that only tests call out
+// of internal/: every exported top-level func, type and method declared
+// in a non-test file under internal/ must be named in some non-test .go
+// file of this module or of benchmark/, outside its own declaration.
+// The check is by name, so a method counts as used when any call names
+// it.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{} // qualified declaration → name
+	used := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bin", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator))
+		declare := func(name, qualified string) {
+			if internal && ast.IsExported(name) {
+				declared[qualified] = name
+			}
+		}
+		// own holds the declaring identifier and, inside a declaration,
+		// the uses of its own name, which do not count.
+		own := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				qualified := f.Name.Name + "." + decl.Name.Name
+				if decl.Recv != nil {
+					qualified = f.Name.Name + "." + recvType(decl.Recv.List[0].Type) + "." + decl.Name.Name
+				}
+				declare(decl.Name.Name, qualified)
+				markOwn(decl, decl.Name.Name, own)
+				if decl.Recv != nil {
+					// A method is part of its type's declaration.
+					markOwn(decl.Recv, recvType(decl.Recv.List[0].Type), own)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						declare(ts.Name.Name, f.Name.Name+"."+ts.Name.Name)
+						markOwn(ts, ts.Name.Name, own)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("no exported declaration found under internal/")
+	}
+	for qualified, name := range declared {
+		switch _, allowed := testOnly[qualified]; {
+		case !used[name] && !allowed:
+			t.Errorf("%s is named by no non-test file: move it into the tests that use it, or delete it", qualified)
+		case used[name] && allowed:
+			t.Errorf("%s now has a caller: drop it from testOnly", qualified)
+		}
+	}
+	for qualified := range testOnly {
+		if _, ok := declared[qualified]; !ok {
+			t.Errorf("testOnly names %s, which is not an exported declaration under internal/", qualified)
+		}
+	}
+}
+
+// recvType is the name of a method receiver's type.
+func recvType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return recvType(e.X)
+	case *ast.IndexExpr:
+		return recvType(e.X)
+	case *ast.IndexListExpr:
+		return recvType(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
+}
+
+// markOwn adds to own every identifier named name inside decl.
+func markOwn(decl ast.Node, name string, own map[*ast.Ident]bool) {
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+			own[id] = true
+		}
+		return true
+	})
+}

@@ -111,9 +111,6 @@ func NewMachine(k *sim.Kernel, cfg Config) *Machine {
 	return m
 }
 
-// Cores returns the machine's cores, big cores first.
-func (m *Machine) Cores() []*Core { return m.cores }
-
 // Core returns core i (big cores occupy the low indices).
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
@@ -217,6 +214,9 @@ type Thread struct {
 	// core's current occupant at its next preemption point (CFS wake-up
 	// preemption: a thread that slept carries vruntime credit).
 	wakePreempt bool
+	// parked is set while the thread waits in Park for an Unpark;
+	// permit keeps an Unpark that found it not parked.
+	parked, permit bool
 }
 
 // jittered perturbs a duration by the machine's configured noise.
@@ -321,19 +321,29 @@ func (t *Thread) yieldCPU() {
 	t.proc.Suspend()
 }
 
-// Park releases the CPU and suspends the thread until Unpark. The
-// caller must arrange the Unpark (lost wakeups are the caller's bug,
-// as with real futexes).
+// Park releases the CPU and suspends the thread until Unpark. An
+// Unpark that came first is kept as a permit: Park then consumes it and
+// returns at once, so no wake-up is lost.
 func (t *Thread) Park() {
+	if t.permit {
+		t.permit = false
+		return
+	}
+	t.parked = true
 	t.core.leaveCPU(t)
 	t.proc.Suspend()
 	// Unpark → ready → dispatch resumed us; we are current again.
 }
 
 // Unpark makes the parked thread target runnable after the machine's
-// wake latency. Call from any kernel context (another thread's body or
-// an event callback).
+// wake latency, or gives it a permit if it is not parked. Call from any
+// kernel context (another thread's body or an event callback).
 func Unpark(target *Thread) {
+	if !target.parked {
+		target.permit = true
+		return
+	}
+	target.parked = false
 	target.m.K.Schedule(target.m.cfg.WakeLatency, func() {
 		target.core.ready(target)
 	})

@@ -1,6 +1,7 @@
 package amp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -16,10 +17,10 @@ func testConfig() Config {
 func TestMachineLayout(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewMachine(k, testConfig())
-	if len(m.Cores()) != 4 {
-		t.Fatalf("cores = %d, want 4", len(m.Cores()))
+	if len(m.cores) != 4 {
+		t.Fatalf("cores = %d, want 4", len(m.cores))
 	}
-	for i, c := range m.Cores() {
+	for i, c := range m.cores {
 		wantClass := core.Big
 		if i >= 2 {
 			wantClass = core.Little
@@ -50,7 +51,7 @@ func TestComputeScaling(t *testing.T) {
 		th.Compute(1000, NCS)
 		littleNCS = th.Now() - start
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if bigCS != 1000 {
 		t.Errorf("big CS took %d, want 1000", bigCS)
 	}
@@ -79,7 +80,7 @@ func TestParkUnpark(t *testing.T) {
 		th.Compute(1000, NCS)
 		Unpark(sleeper)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	// Wake at 1000 + WakeLatency(100) + CtxSwitch(10).
 	if wokenAt != 1110 {
 		t.Fatalf("woken at %d, want 1110", wokenAt)
@@ -102,7 +103,7 @@ func TestOversubscriptionSharing(t *testing.T) {
 			done[i] = th.Now()
 		})
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	for i, d := range done {
 		if d < 9_000_000 || d > 10_100_000 {
 			t.Errorf("thread %d finished at %d, want ~10ms (fair sharing)", i, d)
@@ -119,7 +120,7 @@ func TestDedicatedCoreNoPreemption(t *testing.T) {
 		th.Compute(10_000_000, NCS)
 		finished = th.Now()
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if finished != 10_000_000 {
 		t.Fatalf("finished at %d, want exactly 10ms", finished)
 	}
@@ -148,7 +149,7 @@ func TestWakePreemption(t *testing.T) {
 		th.Compute(1_000_000, NCS)
 		Unpark(sleeper)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	// Wake issued at 1ms; +100ns wake latency; preemption within 2µs.
 	if wokenAt < 1_000_000 || wokenAt > 1_010_000 {
 		t.Fatalf("woken at %d, want within ~4µs of 1ms (wake preemption)", wokenAt)
@@ -173,7 +174,7 @@ func TestSleepForReleasesCPU(t *testing.T) {
 		th.Compute(500_000, NCS)
 		progress = th.Now() - start
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if progress > 600_000 {
 		t.Fatalf("worker took %d, should run while sleeper sleeps", progress)
 	}
@@ -196,7 +197,7 @@ func TestJitterBounds(t *testing.T) {
 			durations = append(durations, th.Now()-s)
 		}
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	varied := false
 	for _, d := range durations {
 		if d < 9_500 || d > 10_500 {
@@ -227,7 +228,7 @@ func TestYield(t *testing.T) {
 	m.NewThread("b", 0, 0, func(th *Thread) {
 		order = append(order, "b")
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if len(order) != 3 || order[0] != "a1" || order[1] != "b" || order[2] != "a2" {
 		t.Fatalf("order = %v, want [a1 b a2]", order)
 	}

@@ -184,43 +184,41 @@ func DBConfig(t DBTemplate, kind LockKind, slo int64, seed uint64) MicroConfig {
 
 // DBComparison reproduces the bar-comparison figure (9a/9d/9g/10a/10d)
 // for one database template.
-func DBComparison(t DBTemplate) *harness.Figure { return DBComparisonScaled(t, 1) }
-
-// DBComparisonScaled is DBComparison with the virtual duration divided
-// by scale (scale <= 1 runs the full figure). TestDBComparisonShapes
-// uses it: the figure's qualitative orderings are already stable at a
-// fraction of the published duration, since the simulator's virtual
-// time makes the reduced run deterministic too.
-func DBComparisonScaled(t DBTemplate, scale int64) *harness.Figure {
-	if scale < 1 {
-		scale = 1
-	}
+func DBComparison(t DBTemplate) *harness.Figure {
 	f := &harness.Figure{ID: t.Name + "-cmp", Title: t.Name + ": lock comparison"}
-	aff := littleAffinity
-	if t.TASBigAffinity {
-		aff = bigAffinity
+	for _, row := range dbComparisonRows(t) {
+		f.Rows = append(f.Rows, RunMicro(row.cfg).Summary(row.name))
 	}
-	run := func(name string, cfg MicroConfig) {
-		cfg.Duration /= scale
-		cfg.Warmup /= scale
-		r := RunMicro(cfg)
-		f.Rows = append(f.Rows, r.Summary(name))
-	}
-	run("pthread", DBConfig(t, KindPthread, -1, 91))
+	return f
+}
+
+// dbRow is one row of a lock comparison: its name and its run.
+type dbRow struct {
+	name string
+	cfg  MicroConfig
+}
+
+// dbComparisonRows are the rows of t's lock comparison, in figure order.
+func dbComparisonRows(t DBTemplate) []dbRow {
 	tas := DBConfig(t, KindTAS, -1, 91)
-	tas.TASAff = aff
-	run("tas", tas)
-	run("ticket", DBConfig(t, KindTicket, -1, 91))
+	tas.TASAff = littleAffinity
+	if t.TASBigAffinity {
+		tas.TASAff = bigAffinity
+	}
 	shfl := DBConfig(t, KindSHFLPB, -1, 91)
 	shfl.PBn = 10
-	run("shfl-pb10", shfl)
-	run("mcs", DBConfig(t, KindMCS, -1, 91))
-	run("libasl-0", DBConfig(t, KindASL, 0, 91))
-	for _, slo := range t.SLOs {
-		run(fmt.Sprintf("libasl-%dus", slo/microsecond), DBConfig(t, KindASL, slo, 91))
+	rows := []dbRow{
+		{"pthread", DBConfig(t, KindPthread, -1, 91)},
+		{"tas", tas},
+		{"ticket", DBConfig(t, KindTicket, -1, 91)},
+		{"shfl-pb10", shfl},
+		{"mcs", DBConfig(t, KindMCS, -1, 91)},
+		{"libasl-0", DBConfig(t, KindASL, 0, 91)},
 	}
-	run("libasl-max", DBConfig(t, KindASL, -1, 91))
-	return f
+	for _, slo := range t.SLOs {
+		rows = append(rows, dbRow{fmt.Sprintf("libasl-%dus", slo/microsecond), DBConfig(t, KindASL, slo, 91)})
+	}
+	return append(rows, dbRow{"libasl-max", DBConfig(t, KindASL, -1, 91)})
 }
 
 // DBSLOSweep reproduces the variant-SLOs figure (9b/9e/9h/10b/10e):
@@ -235,7 +233,8 @@ func DBSLOSweep(t DBTemplate) *harness.Figure {
 func DBCDF(t DBTemplate) *harness.Figure { return DBCDFScaled(t, 1) }
 
 // DBCDFScaled is DBCDF with the virtual duration divided by scale
-// (-short smoke path; see DBComparisonScaled).
+// (-short smoke path): the simulator's virtual time keeps the reduced
+// run deterministic too.
 func DBCDFScaled(t DBTemplate, scale int64) *harness.Figure {
 	if scale < 1 {
 		scale = 1

@@ -223,16 +223,25 @@ func TestFig8hOversubscription(t *testing.T) {
 }
 
 func TestDBComparisonShapes(t *testing.T) {
-	// Every template at a fifth of the published virtual duration, in
-	// -short and full runs alike: each checked ordering already holds
-	// there, and the simulator is deterministic, so the full duration
-	// would only sharpen numbers no assertion reads.
+	// Every template's rows that the checks read, at a tenth of the
+	// published virtual duration, in -short and full runs alike: each
+	// checked ordering already holds there, and the simulator is
+	// deterministic, so the full duration would only sharpen numbers no
+	// assertion reads.
 	for _, tpl := range AllDBTemplates() {
-		f := DBComparisonScaled(tpl, 5)
-		mcs, _ := f.FindRow("mcs")
-		asl0, _ := f.FindRow("libasl-0")
-		max, _ := f.FindRow("libasl-max")
-		pthread, _ := f.FindRow("pthread")
+		rows := map[string]stats.Summary{}
+		for _, row := range dbComparisonRows(tpl) {
+			switch row.name {
+			case "mcs", "libasl-0", "libasl-max", "pthread", "tas":
+				row.cfg.Duration /= 10
+				row.cfg.Warmup /= 10
+				rows[row.name] = RunMicro(row.cfg).Summary(row.name)
+			}
+		}
+		mcs := rows["mcs"]
+		asl0 := rows["libasl-0"]
+		max := rows["libasl-max"]
+		pthread := rows["pthread"]
 		if r := asl0.Throughput / mcs.Throughput; r < 0.9 || r > 1.1 {
 			t.Errorf("%s: libasl-0/mcs = %.2f, want ~1", tpl.Name, r)
 		}
@@ -242,7 +251,7 @@ func TestDBComparisonShapes(t *testing.T) {
 		if pthread.Throughput >= max.Throughput {
 			t.Errorf("%s: pthread (%.0f) must trail libasl-max (%.0f)", tpl.Name, pthread.Throughput, max.Throughput)
 		}
-		tas, _ := f.FindRow("tas")
+		tas := rows["tas"]
 		if tpl.TASBigAffinity {
 			if tas.Throughput <= mcs.Throughput {
 				t.Errorf("%s: big-affinity TAS should beat MCS", tpl.Name)

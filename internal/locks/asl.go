@@ -13,9 +13,7 @@ import (
 //
 // The paper redirects pthread_mutex_lock to this function with
 // weak-symbol replacement; Go has no symbol interposition, so the
-// application passes its core.Worker explicitly (or binds one with
-// Bind to obtain a plain sync.Locker, which is also how condition
-// variables are supported via sync.Cond).
+// application passes its core.Worker explicitly.
 type ASLMutex struct {
 	r *Reorderable
 }
@@ -47,16 +45,3 @@ func (m *ASLMutex) Unlock(w *core.Worker) { m.r.Unlock() }
 // TryLock acquires the lock iff it is free, without queueing or
 // standing by.
 func (m *ASLMutex) TryLock(w *core.Worker) bool { return m.r.TryLock() }
-
-// Bind returns a sync.Locker view of the mutex for the given worker,
-// for use with APIs that require a plain Locker (e.g. sync.Cond — the
-// paper supports condition variables the same way via litl).
-func (m *ASLMutex) Bind(w *core.Worker) Locker { return boundASL{m: m, w: w} }
-
-type boundASL struct {
-	m *ASLMutex
-	w *core.Worker
-}
-
-func (b boundASL) Lock()   { b.m.Lock(b.w) }
-func (b boundASL) Unlock() { b.m.Unlock(b.w) }

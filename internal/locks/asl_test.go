@@ -225,23 +225,23 @@ func TestASLMutexHandsLittleWorkersTheirWindow(t *testing.T) {
 				done <- struct{}{}
 			}()
 			waitUntil(t, "the little worker stands by or queues", func() bool {
-				return f.freeReads.Load() >= 2 || !f.queue.IsFree()
+				return f.freeReads.Load() >= 2 || !f.on.queue.IsFree()
 			})
-			switch queued := !f.queue.IsFree(); {
+			switch queued := !f.on.queue.IsFree(); {
 			case tc.epoch && !queued:
 				t.Fatal("a little worker in a zero-window epoch stands by instead of queueing")
 			case !tc.epoch && queued:
 				t.Fatal("a little worker outside any epoch queued at once: its window is not the default maximum")
 			}
 
-			tail := f.queue.tail.Load()
+			tail := f.on.queue.tail.Load()
 			go func() {
 				m.Lock(big)
 				order = append(order, "big")
 				m.Unlock(big)
 				done <- struct{}{}
 			}()
-			waitUntil(t, "the big worker queues", func() bool { return f.queue.tail.Load() != tail })
+			waitUntil(t, "the big worker queues", func() bool { return f.on.queue.tail.Load() != tail })
 			m.Unlock(holder)
 			for range 2 {
 				select {
@@ -286,32 +286,6 @@ func TestASLMutexMutualExclusionMixedClasses(t *testing.T) {
 	wg.Wait()
 	if counter != int64(8*iters) {
 		t.Fatalf("lost updates: %d", counter)
-	}
-}
-
-func TestASLMutexBindLocker(t *testing.T) {
-	m := NewASLMutexDefault()
-	w := core.NewWorker(core.WorkerConfig{Class: core.Little})
-	var l Locker = m.Bind(w)
-	l.Lock()
-	l.Unlock()
-	// Bind must work with sync.Cond (condition-variable support).
-	cond := sync.NewCond(m.Bind(w))
-	fired := make(chan struct{})
-	go func() {
-		cond.L.Lock()
-		cond.Wait()
-		cond.L.Unlock()
-		close(fired)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cond.L.Lock()
-	cond.Signal()
-	cond.L.Unlock()
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cond.Wait never woke")
 	}
 }
 

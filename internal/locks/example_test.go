@@ -92,17 +92,3 @@ func ExampleReorderable() {
 	fmt.Println(r.IsFree())
 	// Output: true
 }
-
-// ExampleASLMutex_bind shows the sync.Locker view used for APIs such
-// as sync.Cond.
-func ExampleASLMutex_bind() {
-	mu := locks.NewASLMutexDefault()
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-
-	l := mu.Bind(w) // plain sync.Locker
-	l.Lock()
-	l.Unlock()
-
-	fmt.Println("ok")
-	// Output: ok
-}

@@ -20,10 +20,14 @@
 // pthread_mutex; here ASLMutex is one stack for dedicated and
 // over-subscribed cores alike: Reorderable over Fissile.
 //
-// Algorithm 1's standby loop is written once (Standby, over a Waiter)
-// in three flavours: StandbyServed, which Reorderable runs on the wall
-// clock, and the paper's StandbySpin and StandbySleep, which
-// internal/simlock's SimReorderable runs on virtual time.
+// Every wait is written once over an environment, Env: a clock, a
+// yield, a spin step, a sleep, and park/unpark of one queued waiter.
+// Algorithm 1's standby loop (Standby) and the slow paths of Fissile and
+// MCSPark (the generic FissileOn and MCSParkOn) run on two clocks: the
+// served locks on the wall clock and the Go scheduler, and the same code
+// on a simulated thread's virtual time in internal/simlock. Standby has
+// three flavours: StandbyServed, which Reorderable runs, and the paper's
+// StandbySpin and StandbySleep, which SimReorderable runs.
 //
 // Locks here favour clarity and faithfulness to the published
 // algorithms over absolute peak performance, but all avoid allocation
@@ -62,29 +66,16 @@ type pad [128]byte
 // periodically.
 const yieldEvery = 64
 
-// Spinner is the busy-wait helper every spin loop in the repository
-// uses: short delays with periodic scheduler yields. The zero value is
-// ready; keep one per wait loop.
-type Spinner struct{ n uint }
+// Spinner is the busy-wait helper of the spin loops written outside
+// Env: one wall-clock spin step per call. The zero value is ready; keep
+// one per wait loop.
+type Spinner struct{ n int }
 
-// singleP caches whether the runtime has only one processor, in which
-// case busy-waiting can never make progress and every spin must yield.
+// singleP caches whether the runtime has only one processor.
 var singleP = runtime.GOMAXPROCS(0) == 1
 
 // Spin performs one wait iteration.
 func (s *Spinner) Spin() {
-	if singleP {
-		runtime.Gosched()
-		return
-	}
 	s.n++
-	if s.n%yieldEvery == 0 {
-		runtime.Gosched()
-		return
-	}
-	// A short arithmetic loop approximates a PAUSE-style delay without
-	// hammering the contended cache line.
-	for i := 0; i < 4; i++ {
-		_ = i
-	}
+	wall{}.Spin(s.n)
 }

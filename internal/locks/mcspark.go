@@ -7,85 +7,75 @@ import (
 
 // mcsParkNode extends the MCS node with parking state so waiters can
 // block instead of burning CPU.
-type mcsParkNode struct {
+type mcsParkNode[E Env[E]] struct {
 	_      pad
-	next   atomic.Pointer[mcsParkNode]
+	next   atomic.Pointer[mcsParkNode[E]]
 	locked atomic.Bool
 	parked atomic.Bool
-	wake   chan struct{}
+	waiter E // the handle a parked waiter is woken by (Env.Attach)
 	_      pad
 }
 
-// MCSPark is the spin-then-park MCS variant evaluated as "MCS-STP" in
-// Bench-6 (Fig. 8h): waiters spin briefly, then block; the FIFO
-// handover must then pay the full wake-up latency on the critical path,
-// which is why the paper finds it 96% worse than pthread_mutex under
-// core over-subscription.
-type MCSPark struct {
+// MCSParkOn is the spin-then-park MCS variant evaluated as "MCS-STP" in
+// Bench-6 (Fig. 8h), waiting in environment E: waiters spin briefly,
+// then block; the FIFO handover must then pay the full wake-up latency
+// on the critical path, which is why the paper finds it 96% worse than
+// pthread_mutex under core over-subscription. Fissile queues on it;
+// MCSPark is MCSParkOn the wall clock, and the tests also run it on
+// virtual time (simlock.Env). The zero value is an unlocked lock.
+type MCSParkOn[E Env[E]] struct {
 	_      pad
-	tail   atomic.Pointer[mcsParkNode]
+	tail   atomic.Pointer[mcsParkNode[E]]
 	_      pad
-	holder *mcsParkNode
+	holder *mcsParkNode[E]
 	pool   sync.Pool
 }
 
-// parkAfterSpins is how many spin iterations an MCSPark waiter burns
-// before parking. Under Fissile it is how long the waiter behind the
-// queue head stays runnable: long enough to catch a quick head
-// turnover, short enough that deeper waiters leave their CPUs.
+// parkAfterSpins is how many spin steps an MCSPark waiter takes before
+// parking. Under Fissile it is how long the waiter behind the queue head
+// stays runnable: long enough to catch a quick head turnover, short
+// enough that deeper waiters leave their CPUs.
 const parkAfterSpins = 128
 
-func (m *MCSPark) getNode() *mcsParkNode {
-	n, ok := m.pool.Get().(*mcsParkNode)
+func (m *MCSParkOn[E]) getNode() *mcsParkNode[E] {
+	n, ok := m.pool.Get().(*mcsParkNode[E])
 	if !ok {
-		// The wake channel lives as long as the node: a releaser from a
-		// previous life of a pooled node may still be sending into it
-		// after the node was recycled, so the slot must never be
-		// reassigned. Stale tokens are drained on reuse below; one that
-		// arrives after the drain only causes a spurious wake, which the
-		// park loop absorbs by re-checking locked.
-		n = &mcsParkNode{wake: make(chan struct{}, 1)}
+		return new(mcsParkNode[E])
 	}
 	n.next.Store(nil)
-	n.locked.Store(false)
 	n.parked.Store(false)
-	select {
-	case <-n.wake:
-	default:
-	}
 	return n
 }
 
 // Lock enqueues the caller, spins briefly, then parks until granted.
-func (m *MCSPark) Lock() {
+func (m *MCSParkOn[E]) Lock(e E) {
 	n := m.getNode()
 	n.locked.Store(true)
-	prev := m.tail.Swap(n)
-	if prev != nil {
+	if prev := m.tail.Swap(n); prev != nil {
 		prev.next.Store(n)
-		var s Spinner
-		for i := 0; i < parkAfterSpins; i++ {
-			if !n.locked.Load() {
-				m.holder = n
-				return
-			}
-			s.Spin()
-		}
-		// Park on the node's lifetime channel (created once in getNode
-		// and drained on reuse, so it is never reassigned while a slow
-		// releaser from an earlier life may still be sending into it).
-		// Re-checking locked inside the loop makes spurious tokens —
-		// a stale send that outran the drain — harmless.
-		n.parked.Store(true)
-		for n.locked.Load() {
-			<-n.wake
-		}
+		m.wait(e, n)
 	}
 	m.holder = n
 }
 
+// wait spins on n, then parks on it until Unlock grants it. Re-checking
+// locked around each Park makes a spurious wake harmless.
+func (m *MCSParkOn[E]) wait(e E, n *mcsParkNode[E]) {
+	for step := 1; step <= parkAfterSpins; step++ {
+		if !n.locked.Load() {
+			return
+		}
+		e.Spin(step)
+	}
+	e.Attach(&n.waiter)
+	n.parked.Store(true)
+	for n.locked.Load() {
+		n.waiter.Park()
+	}
+}
+
 // TryLock acquires the lock iff the queue is empty.
-func (m *MCSPark) TryLock() bool {
+func (m *MCSParkOn[E]) TryLock() bool {
 	n := m.getNode()
 	if m.tail.CompareAndSwap(nil, n) {
 		m.holder = n
@@ -96,10 +86,10 @@ func (m *MCSPark) TryLock() bool {
 }
 
 // IsFree reports whether the queue is empty.
-func (m *MCSPark) IsFree() bool { return m.tail.Load() == nil }
+func (m *MCSParkOn[E]) IsFree() bool { return m.tail.Load() == nil }
 
 // Unlock hands the lock to the successor, waking it if parked.
-func (m *MCSPark) Unlock() {
+func (m *MCSParkOn[E]) Unlock(e E) {
 	n := m.holder
 	m.holder = nil
 	next := n.next.Load()
@@ -108,22 +98,25 @@ func (m *MCSPark) Unlock() {
 			m.pool.Put(n)
 			return
 		}
-		var s Spinner
-		for {
+		for step := 1; ; step++ {
 			if next = n.next.Load(); next != nil {
 				break
 			}
-			s.Spin()
+			e.Spin(step)
 		}
 	}
 	next.locked.Store(false)
 	if next.parked.Load() {
-		// Non-blocking send into a one-slot buffer: if a token is
-		// already pending the waiter has a wakeup coming anyway.
-		select {
-		case next.wake <- struct{}{}:
-		default:
-		}
+		next.waiter.Unpark()
 	}
 	m.pool.Put(n)
 }
+
+// MCSPark is MCSParkOn the wall clock. The zero value is an unlocked
+// lock.
+type MCSPark struct{ on MCSParkOn[wall] }
+
+func (m *MCSPark) Lock()         { m.on.Lock(wall{}) }
+func (m *MCSPark) Unlock()       { m.on.Unlock(wall{}) }
+func (m *MCSPark) TryLock() bool { return m.on.TryLock() }
+func (m *MCSPark) IsFree() bool  { return m.on.IsFree() }

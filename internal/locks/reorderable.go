@@ -35,7 +35,7 @@ func (r *Reorderable) LockImmediately() { r.fifo.Lock() }
 // everyone else.
 func (r *Reorderable) LockReorder(windowNs int64) {
 	if !r.fifo.IsFree() {
-		Standby(wallWaiter{r.fifo}, StandbyServed, windowNs)
+		Standby(wall{}, r.fifo, StandbyServed, windowNs)
 	}
 	r.fifo.Lock()
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/core"
 )
 
-// fakeWaiter is a Waiter on a manual clock: Yield advances it by one
+// fakeEnv is an Env on a manual clock: Yield advances it by one
 // microsecond, Sleep by exactly the slice asked for, and the lock reads
 // free from freeAt on. It records every slice and counts the free
 // reads made once the lock is free. A standby that has not returned
 // after runaway yields and sleeps finds the clock at the end of time.
-type fakeWaiter struct {
+type fakeEnv struct {
 	now, freeAt int64
 	yields      int
 	sleeps      []int64
@@ -21,26 +21,32 @@ type fakeWaiter struct {
 
 const runaway = 10_000
 
-func (f *fakeWaiter) pass(ns int64) {
+func (f *fakeEnv) pass(ns int64) {
 	f.now += ns
 	if f.yields+len(f.sleeps) > runaway {
 		f.now = 1 << 62
 	}
 }
 
-func (f *fakeWaiter) Now() int64 { return f.now }
-func (f *fakeWaiter) IsFree() bool {
+func (f *fakeEnv) Now() int64 { return f.now }
+func (f *fakeEnv) IsFree() bool {
 	if f.now >= f.freeAt {
 		f.freeReads++
 		return true
 	}
 	return false
 }
-func (f *fakeWaiter) Yield() { f.yields++; f.pass(1_000) }
-func (f *fakeWaiter) Sleep(ns int64) {
+func (f *fakeEnv) Yield() { f.yields++; f.pass(1_000) }
+func (f *fakeEnv) Sleep(ns int64) {
 	f.sleeps = append(f.sleeps, ns)
 	f.pass(ns)
 }
+
+// The standby loop neither spins nor parks.
+func (f *fakeEnv) Spin(int)         { panic("standby spun") }
+func (f *fakeEnv) Attach(**fakeEnv) { panic("standby parked") }
+func (f *fakeEnv) Park()            { panic("standby parked") }
+func (f *fakeEnv) Unpark()          { panic("standby parked") }
 
 // TestStandbyServedSchedule pins the served flavour's schedule on a
 // fake clock: it yields until 20 µs, then sleeps in slices doubling
@@ -65,8 +71,8 @@ func TestStandbyServedSchedule(t *testing.T) {
 		{"window capped", 1 << 50, never, 20, nil, core.DefaultMaxWindow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &fakeWaiter{freeAt: tc.freeAt}
-			Standby(f, StandbyServed, tc.window)
+			f := &fakeEnv{freeAt: tc.freeAt}
+			Standby(f, f, StandbyServed, tc.window)
 			if f.yields != tc.yields {
 				t.Errorf("yields = %d, want %d (one per µs until 20 µs)", f.yields, tc.yields)
 			}
@@ -106,8 +112,8 @@ func TestStandbyPaperSchedules(t *testing.T) {
 		{StandbySpin, 1_000, []int64{50, 100, 200, 400, 250}},
 		{StandbySleep, 2_000_000, []int64{50_000, 100_000, 200_000, 400_000, 800_000, 450_000}},
 	} {
-		f := &fakeWaiter{freeAt: 1 << 62}
-		Standby(f, tc.f, tc.window)
+		f := &fakeEnv{freeAt: 1 << 62}
+		Standby(f, f, tc.f, tc.window)
 		if f.yields != 0 || !slices.Equal(f.sleeps, tc.sleeps) || f.now != tc.window {
 			t.Errorf("flavour %d: %d yields, sleeps %v, returned at %d; want 0, %v, %d",
 				tc.f, f.yields, f.sleeps, f.now, tc.sleeps, tc.window)

@@ -85,9 +85,6 @@ func (k *Kernel) Run(until int64) int64 {
 	return k.now
 }
 
-// RunAll executes events until the queue drains.
-func (k *Kernel) RunAll() int64 { return k.Run(int64(^uint64(0) >> 1)) }
-
 // Shutdown terminates all still-blocked processes (their goroutines
 // unwind via an internal panic that the process wrapper recovers).
 // Call after Run when abandoning a simulation early, so goroutines do
@@ -198,7 +195,7 @@ func (p *Proc) Sleep(d int64) {
 }
 
 // Suspend blocks the process until another process or event calls
-// Resume. Use WaitQueue for the common queueing patterns.
+// Resume.
 func (p *Proc) Suspend() { p.yieldToKernel() }
 
 // Resume schedules p to continue after delay. It must only be called
@@ -207,57 +204,3 @@ func (p *Proc) Suspend() { p.yieldToKernel() }
 func (p *Proc) Resume(delay int64) {
 	p.k.Schedule(delay, func() { p.k.handoff(p) })
 }
-
-// WaitQueue is a FIFO of suspended processes, the building block for
-// simulated locks and schedulers.
-type WaitQueue struct {
-	procs []*Proc
-}
-
-// Len returns the number of waiting processes.
-func (q *WaitQueue) Len() int { return len(q.procs) }
-
-// Empty reports whether no process waits.
-func (q *WaitQueue) Empty() bool { return len(q.procs) == 0 }
-
-// Wait appends p and suspends it. The caller resumes inside kernel
-// context once WakeOne/WakeAll (or Remove+Resume) releases it.
-func (q *WaitQueue) Wait(p *Proc) {
-	q.procs = append(q.procs, p)
-	p.Suspend()
-}
-
-// WakeOne resumes the process at the head of the queue after delay and
-// returns it, or nil if the queue is empty.
-func (q *WaitQueue) WakeOne(delay int64) *Proc {
-	if len(q.procs) == 0 {
-		return nil
-	}
-	p := q.procs[0]
-	q.procs = q.procs[1:]
-	p.Resume(delay)
-	return p
-}
-
-// WakeAll resumes every waiting process after delay.
-func (q *WaitQueue) WakeAll(delay int64) {
-	for _, p := range q.procs {
-		p.Resume(delay)
-	}
-	q.procs = nil
-}
-
-// Remove deletes p from the queue without resuming it; it returns
-// whether p was present. Used for timeout paths.
-func (q *WaitQueue) Remove(p *Proc) bool {
-	for i, x := range q.procs {
-		if x == p {
-			q.procs = append(q.procs[:i], q.procs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// At returns the i-th waiter.
-func (q *WaitQueue) At(i int) *Proc { return q.procs[i] }

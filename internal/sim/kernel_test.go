@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ func TestKernelEventOrder(t *testing.T) {
 	k.Schedule(30, func() { got = append(got, 3) })
 	k.Schedule(10, func() { got = append(got, 1) })
 	k.Schedule(20, func() { got = append(got, 2) })
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
 	}
@@ -26,7 +27,7 @@ func TestKernelTieBreakBySchedulingOrder(t *testing.T) {
 		i := i
 		k.Schedule(5, func() { got = append(got, i) })
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events must fire in scheduling order: %v", got)
@@ -71,7 +72,7 @@ func TestProcSleep(t *testing.T) {
 		p.Sleep(0) // zero-length sleep is a valid scheduling point
 		times = append(times, p.Now())
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if len(times) != 3 || times[0] != 0 || times[1] != 100 || times[2] != 100 {
 		t.Fatalf("times = %v", times)
 	}
@@ -92,7 +93,7 @@ func TestProcInterleaving(t *testing.T) {
 		p.Sleep(10)
 		order = append(order, "b15")
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	want := []string{"a0", "b5", "a10", "b15", "a30"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -106,73 +107,28 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestSuspendResume(t *testing.T) {
 	k := NewKernel()
-	var q WaitQueue
+	var waiter *Proc
 	var got []int64
 	k.Spawn("waiter", 0, func(p *Proc) {
-		q.Wait(p)
+		waiter = p
+		p.Suspend()
 		got = append(got, p.Now())
 	})
 	k.Spawn("waker", 0, func(p *Proc) {
 		p.Sleep(42)
-		q.WakeOne(8)
+		waiter.Resume(8)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if len(got) != 1 || got[0] != 50 {
 		t.Fatalf("waiter resumed at %v, want [50]", got)
 	}
 }
 
-func TestWaitQueueFIFO(t *testing.T) {
-	k := NewKernel()
-	var q WaitQueue
-	var order []string
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		k.Spawn(name, 0, func(p *Proc) {
-			q.Wait(p)
-			order = append(order, name)
-		})
-	}
-	k.Spawn("waker", 10, func(p *Proc) {
-		for q.Len() > 0 {
-			q.WakeOne(0)
-			p.Sleep(1)
-		}
-	})
-	k.RunAll()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("wake order = %v, want FIFO", order)
-	}
-}
-
-func TestWaitQueueWakeAllAndRemove(t *testing.T) {
-	k := NewKernel()
-	var q WaitQueue
-	woken := 0
-	for i := 0; i < 3; i++ {
-		k.Spawn("w", 0, func(p *Proc) {
-			q.Wait(p)
-			woken++
-		})
-	}
-	k.Spawn("waker", 10, func(p *Proc) {
-		if q.Len() != 3 {
-			t.Errorf("queue length = %d, want 3", q.Len())
-		}
-		q.WakeAll(0)
-	})
-	k.RunAll()
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
 func TestShutdownKillsBlockedProcs(t *testing.T) {
 	k := NewKernel()
-	var q WaitQueue
 	reached := false
 	k.Spawn("stuck", 0, func(p *Proc) {
-		q.Wait(p)
+		p.Suspend()
 		reached = true // must never run
 	})
 	k.Run(1000)
@@ -206,7 +162,7 @@ func TestDeterminism(t *testing.T) {
 				}
 			})
 		}
-		k.RunAll()
+		k.Run(math.MaxInt64)
 		return trace
 	}
 	a, b := run(), run()
@@ -233,7 +189,7 @@ func TestStaleResumeOnDeadProcIgnored(t *testing.T) {
 		victim.Resume(0)
 		victim.Resume(5) // fires after the victim has terminated
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	if k.Now() != 15 {
 		t.Fatalf("clock = %d, want 15 (stale resume event still advanced time)", k.Now())
 	}

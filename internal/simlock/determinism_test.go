@@ -1,6 +1,7 @@
 package simlock
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/amp"
@@ -28,7 +29,7 @@ func TestSimTASDeterministicTrace(t *testing.T) {
 				}
 			})
 		}
-		k.RunAll()
+		k.Run(math.MaxInt64)
 		k.Shutdown()
 		return grants
 	}

@@ -37,7 +37,7 @@ func (r *SimReorderable) LockReorder(t *amp.Thread, windowNs int64) {
 		if r.Sleeping {
 			f = locks.StandbySleep
 		}
-		locks.Standby(simWaiter{t, r.Fifo}, f, windowNs)
+		locks.Standby(Env{t}, r.Fifo, f, windowNs)
 	}
 	r.Fifo.Lock(t)
 }
@@ -47,15 +47,3 @@ func (r *SimReorderable) Unlock(t *amp.Thread) { r.Fifo.Unlock(t) }
 
 // IsFree reports whether the underlying lock is free.
 func (r *SimReorderable) IsFree() bool { return r.Fifo.IsFree() }
-
-// simWaiter is the simulated standby's seam: thread t's virtual clock,
-// its yield and its sleep.
-type simWaiter struct {
-	t    *amp.Thread
-	fifo FIFO
-}
-
-func (w simWaiter) Now() int64     { return w.t.Now() }
-func (w simWaiter) IsFree() bool   { return w.fifo.IsFree() }
-func (w simWaiter) Yield()         { w.t.Yield() }
-func (w simWaiter) Sleep(ns int64) { w.t.SleepFor(ns) }

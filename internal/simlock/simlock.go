@@ -1,6 +1,6 @@
 // Package simlock implements the paper's locks inside the discrete-
 // event AMP model of internal/amp. SimMCS, SimMCSPark, SimBarging and
-// SimReorderable mirror their real counterparts in internal/locks;
+// SimReorderable model their real counterparts in internal/locks;
 // SimTAS, SimTicket and SimProportional are the paper's other
 // baselines, which exist only here. Contention, arbitration and
 // handover are modelled explicitly, which is what lets the simulator
@@ -10,15 +10,19 @@
 //   - SimTAS: atomic-operation arbitration with a configurable
 //     class-weighted success rate (the paper's little-/big-affinity)
 //   - SimBarging: futex-style unfair blocking mutex (pthread stand-in)
-//   - SimMCSPark: FIFO with parked waiters (MCS-STP)
+//   - SimMCSPark: FIFO with parked waiters (MCS-STP), Fig. 8h's row
 //   - SimProportional: ShflLock with the proportional static policy
 //   - SimReorderable: the paper's Algorithm 1, running the served
 //     lock's standby loop (locks.Standby) on virtual time; the figures
 //     pair it with the real library's feedback controller
 //     (internal/core) for Algorithm 3
 //
+// In Env (locks.Env) the served locks' own code runs on virtual time:
+// SimReorderable's standby loop, and Fissile and MCSPark in the tests.
+//
 // All lock state is mutated in kernel context only (the sim kernel runs
-// one goroutine at a time), so no atomics are needed; determinism comes
+// one goroutine at a time), so the models need no atomics and the
+// shipped locks' atomics are sequentially consistent; determinism comes
 // from the kernel's total event order plus seeded PRNGs.
 package simlock
 

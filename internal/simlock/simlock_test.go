@@ -1,12 +1,22 @@
 package simlock
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/amp"
 	"repro/internal/core"
+	"repro/internal/locks"
 	"repro/internal/sim"
 )
+
+// mcsPark is the shipped spin-then-park MCS lock (locks.MCSParkOn) run
+// as a simulated lock. The zero value is an unlocked lock.
+type mcsPark struct{ l locks.MCSParkOn[Env] }
+
+func (m *mcsPark) Lock(t *amp.Thread)   { m.l.Lock(Env{t}) }
+func (m *mcsPark) Unlock(t *amp.Thread) { m.l.Unlock(Env{t}) }
+func (m *mcsPark) IsFree() bool         { return m.l.IsFree() }
 
 // rig builds a 2-big + 2-little machine with jitter disabled.
 func rig() (*sim.Kernel, *amp.Machine) {
@@ -42,7 +52,7 @@ func exercise(t *testing.T, l Lock, threads, iters int, csNs, ncsNs int64) {
 			}
 		})
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if violations != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations)
@@ -55,7 +65,8 @@ func allSimLocks() map[string]func() Lock {
 		"ticket":  func() Lock { return &SimTicket{} },
 		"tas":     func() Lock { return &SimTAS{Seed: 1} },
 		"barging": func() Lock { return &SimBarging{} },
-		"mcspark": func() Lock { return &SimMCSPark{} },
+		"mcspark": func() Lock { return &mcsPark{} },
+		"mcs-stp": func() Lock { return &SimMCSPark{} },
 		"prop":    func() Lock { return &SimProportional{} },
 	}
 }
@@ -87,7 +98,7 @@ func TestSimLockAllComplete(t *testing.T) {
 					done++
 				})
 			}
-			k.RunAll()
+			k.Run(math.MaxInt64)
 			k.Shutdown()
 			if done != 4 {
 				t.Fatalf("only %d/4 threads completed", done)
@@ -112,7 +123,8 @@ func TestSimIsFreeConformance(t *testing.T) {
 		"ticket":  func() FIFO { return &SimTicket{} },
 		"tas":     func() FIFO { return &SimTAS{Seed: 1} },
 		"barging": func() FIFO { return &SimBarging{} },
-		"mcspark": func() FIFO { return &SimMCSPark{} },
+		"mcspark": func() FIFO { return &mcsPark{} },
+		"mcs-stp": func() FIFO { return &SimMCSPark{} },
 		"prop":    func() FIFO { return &SimProportional{} },
 		"reorder": func() FIFO { return immediate{&SimReorderable{Fifo: &SimMCS{}}} },
 	}
@@ -138,7 +150,7 @@ func TestSimIsFreeConformance(t *testing.T) {
 				waiterAt = th.Now()
 				l.Unlock(th)
 			})
-			k.RunAll()
+			k.Run(math.MaxInt64)
 			k.Shutdown()
 			if waiterAt < hold {
 				t.Fatalf("waiter acquired at %d, before the holder released", waiterAt)
@@ -175,7 +187,7 @@ func TestSimMCSFIFO(t *testing.T) {
 			l.Unlock(th)
 		})
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("handover order = %v, want [1 2 3]", order)
@@ -259,7 +271,7 @@ func TestSimProportionalPolicy(t *testing.T) {
 			}
 		})
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if len(grants) != 9 {
 		t.Fatalf("grants = %d, want 9", len(grants))
@@ -292,10 +304,51 @@ func TestSimBargingWakesSleepers(t *testing.T) {
 			completions++
 		})
 	}
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if completions != 4 {
 		t.Fatalf("completions = %d, want 4 (lost wakeup?)", completions)
+	}
+}
+
+// TestMCSParkPaysWakeLatency runs the shipped MCSPark on virtual time.
+// A handover inside the waiter's spin phase reaches it within one spin
+// step. Past the spin phase the waiter has parked, and the handover pays
+// exactly the machine's wake-up latency and a context switch.
+func TestMCSParkPaysWakeLatency(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		hold, min, max int64 // the waiter acquires in [hold+min, hold+max]
+	}{
+		{"spinning", 5_000, 0, SpinStepNs},
+		{"parked", 100_000, 7_000, 7_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, m := rig()
+			if c := m.Config(); c.WakeLatency+c.CtxSwitch != 7_000 {
+				t.Fatalf("rig wakes in %d ns, the cases assume 7000", c.WakeLatency+c.CtxSwitch)
+			}
+			l := &mcsPark{}
+			acquiredAt := int64(-1)
+			m.NewThread("holder", 0, 0, func(th *amp.Thread) {
+				l.Lock(th)
+				th.Compute(tc.hold, amp.CS)
+				l.Unlock(th)
+			})
+			m.NewThread("waiter", 1, 100, func(th *amp.Thread) {
+				l.Lock(th)
+				acquiredAt = th.Now()
+				l.Unlock(th)
+			})
+			k.Run(math.MaxInt64)
+			k.Shutdown()
+			if acquiredAt < 0 {
+				t.Fatal("the waiter never acquired: its wake-up was lost")
+			}
+			if lag := acquiredAt - tc.hold; lag < tc.min || lag > tc.max {
+				t.Fatalf("the waiter acquired %d ns after the release, want %d to %d", lag, tc.min, tc.max)
+			}
+		})
 	}
 }
 
@@ -315,7 +368,7 @@ func TestSimMCSParkPaysWakeLatency(t *testing.T) {
 			acquiredAt = th.Now()
 			l.Unlock(th)
 		})
-		k.RunAll()
+		k.Run(math.MaxInt64)
 		k.Shutdown()
 		return acquiredAt
 	}
@@ -350,7 +403,7 @@ func TestSimReorderableImmediateVsStandby(t *testing.T) {
 		order = append(order, "imm")
 		r.Unlock(th)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if len(order) != 2 || order[0] != "imm" || order[1] != "standby" {
 		t.Fatalf("order = %v, want [imm standby]", order)
@@ -371,7 +424,7 @@ func TestSimReorderableWindowExpiryEnqueues(t *testing.T) {
 		standbyAt = th.Now()
 		r.Unlock(th)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	// The standby enqueued at window expiry and acquired right after
 	// the holder released at 500µs.
@@ -389,7 +442,7 @@ func TestSimReorderableFreeGrab(t *testing.T) {
 		at = th.Now()
 		r.Unlock(th)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if at != 0 {
 		t.Fatalf("free lock must be taken immediately, got t=%d", at)
@@ -420,7 +473,7 @@ func TestSimReorderableWindowCap(t *testing.T) {
 		order = append(order, "immediate")
 		r.Unlock(th)
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if len(order) != 2 || order[0] != "standby" {
 		t.Fatalf("order = %v, want the standby first: its window was not capped at %d ns", order, core.DefaultMaxWindow)
@@ -456,7 +509,7 @@ func TestUnlockByNonHolderPanics(t *testing.T) {
 		defer func() { recovered = recover() }()
 		l.Unlock(th) // not the holder
 	})
-	k.RunAll()
+	k.Run(math.MaxInt64)
 	k.Shutdown()
 	if recovered == nil {
 		t.Fatal("unlock by non-holder must panic")

@@ -11,7 +11,8 @@
 # deterministic), drops the one line that may differ, each figure's
 # "-- <id> regenerated in <duration> --" timing line, and diffs the rest,
 # and the Fig. 8d trace CSV when 8d is among the figures. It exits 1 on any
-# difference. The figures default to "all", which takes minutes.
+# difference, after one "fig-diff: <id> differs" line per figure whose
+# lines changed. The figures default to "all", which takes minutes.
 #
 # Environment (the conventions of scripts/bench-pairs.sh):
 #   BASE        the commit to compare against. Default: HEAD when the working
@@ -71,12 +72,21 @@ wait "$p" || failed=1
 wait "$c" || failed=1
 [ "$failed" -eq 0 ] || exit 1
 
+# tag <side>: each output line prefixed with its figure's ID and a tab.
+tag() {
+	awk '/^== /{id=$2; sub(/:$/, "", id)} {print id "\t" $0}' "$tmp/$1.txt"
+}
+
 same=0
 diff -u --label parent --label change "$tmp/parent.txt" "$tmp/change.txt" || same=1
 if [ -f "$tmp/parent/8d-trace.csv" ] || [ -f "$tmp/change/8d-trace.csv" ]; then
-	cmp "$tmp/parent/8d-trace.csv" "$tmp/change/8d-trace.csv" || same=1
+	cmp "$tmp/parent/8d-trace.csv" "$tmp/change/8d-trace.csv" || {
+		same=1
+		echo "fig-diff: fig8d trace differs" >&2
+	}
 fi
 if [ "$same" -ne 0 ]; then
+	diff <(tag parent) <(tag change) | sed -n 's/^[<>] \([^\t]*\)\t.*/fig-diff: \1 differs/p' | sort -u >&2 || true
 	echo "fig-diff: the figures differ" >&2
 	exit 1
 fi
