@@ -136,8 +136,8 @@ func expandLocks(lks []lockSpec, pipeline bool) []lockSpec {
 
 func allLocks() []lockSpec {
 	return []lockSpec{
-		// asl is the reorderable lock over Fissile, for dedicated and
-		// over-subscribed cores alike.
+		// asl is ASLMutex, for dedicated and over-subscribed cores
+		// alike.
 		{name: "asl", f: locks.FactoryASL(), slo: true},
 		{name: "mutex", f: locks.FactorySyncMutex()},
 		{name: "mcs", f: locks.FactoryMCS()},

@@ -14,11 +14,10 @@
 // reorder-window controller (Algorithm 2), the epoch registry, and
 // the worker/core-class model — a worker's class is fixed at creation,
 // so a serving boundary that handles both classes keeps one worker per
-// class. internal/locks holds the real locks a shard can run (ASLMutex
-// as the reorderable lock over Fissile, and the MCS, pthread-style and
-// sync.Mutex baselines) behind the worker-aware WLock interface, plus
-// an observability wrapper: locks.ClassProbe records the class each
-// acquisition was observed under. internal/sim + internal/amp +
+// class. internal/locks holds the real locks a shard can run behind
+// the worker-aware WLock interface: ASLMutex, LibASL written once as
+// the generic ASLOn and run on the wall clock, and the MCS,
+// pthread-style and sync.Mutex baselines. internal/sim + internal/amp +
 // internal/simlock form the deterministic discrete-event AMP simulator
 // that regenerates the paper's figures, with every baseline the paper
 // compares against (TAS, ticket, MCS, pthread, ShflLock-proportional);

@@ -225,25 +225,20 @@ var testOnly = map[string]string{
 	"kvclient.RetryableError.Unwrap": "errors.Unwrap",
 	"shardedkv.DegradedError.Unwrap": "errors.Unwrap",
 	"sim.eventHeap.Less":             "heap.Interface",
-	// Test support: the model harness the store tests drive.
-	"kvmodel.Drive":  "test-support package",
-	"kvmodel.Verify": "test-support package",
-	// The wall-clock face of the generic MCSParkOn under Fissile; the
-	// lock tables test it as a FIFOLock, and item 12 decides its fate.
-	"locks.MCSPark": "item 12",
+	// Test support: the model harness the store tests drive, and the
+	// class probe the lock, store and server tests wrap locks in.
+	"kvmodel.Drive":           "test-support package",
+	"kvmodel.Verify":          "test-support package",
+	"locktest.WithClassProbe": "test-support package",
 	// ROADMAP item 16's list: each is to move into its tests or go.
-	"locks.WithClassProbe":       "item 16",
 	"shardedkv.IsDegraded":       "item 16",
 	"harness.Figure.FindRow":     "item 16",
 	"harness.Figure.FindSeries":  "item 16",
-	"prng.Exponential":           "item 16",
-	"prng.Shuffle":               "item 16",
 	"lsm.Store.Runs":             "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.RunBytes":         "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.RunEntries":       "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.Refs":             "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Version.Seq":            "item 16; goes with lsm if item 9 deletes it",
-	"stats.Histogram.Mean":       "item 16; read by stats tests only",
 	"wal.Log.Durable":            "item 16; read by wal and shardedkv tests only",
 	"shardedkv.Store.Checkpoint": "item 9: the served log is never checkpointed",
 }

@@ -31,7 +31,7 @@ type Config struct {
 	// epochs for that class. Only SLOBulk steers the lock: bulk
 	// requests run little-class, so their epochs feed the reorder
 	// window ASL shard locks stand by for. Interactive requests run
-	// big-class, which never waits on a window (ASLMutex.Lock) and
+	// big-class, which never waits on a window (locks.ASLOn.Lock) and
 	// never feeds the controller (core.Worker.EpochEnd), so
 	// SLOInteractive changes no lock decision.
 	SLOInteractive, SLOBulk time.Duration

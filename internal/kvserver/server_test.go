@@ -15,6 +15,7 @@ import (
 	"repro/internal/kvclient"
 	"repro/internal/kvserver"
 	"repro/internal/locks"
+	"repro/internal/locks/locktest"
 	"repro/internal/prng"
 	"repro/internal/shardedkv"
 )
@@ -360,11 +361,11 @@ func TestClassMappingAtLock(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
-			var probes []*locks.ClassProbe
+			var probes []*locktest.ClassProbe
 			scfg := shardedkv.Config{
 				Shards: 4,
 				NewLock: func() locks.WLock {
-					p := locks.WithClassProbe(locks.FactoryASL()())
+					p := locktest.WithClassProbe(locks.FactoryASL()())
 					mu.Lock()
 					probes = append(probes, p)
 					mu.Unlock()
@@ -378,10 +379,10 @@ func TestClassMappingAtLock(t *testing.T) {
 			})
 			cl := dial(t, addr)
 
-			sum := func() locks.ClassProbeStats {
+			sum := func() locktest.ClassProbeStats {
 				mu.Lock()
 				defer mu.Unlock()
-				var s locks.ClassProbeStats
+				var s locktest.ClassProbeStats
 				for _, p := range probes {
 					st := p.Stats()
 					s.BigAcquires += st.BigAcquires

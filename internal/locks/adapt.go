@@ -44,20 +44,6 @@ func Wrap(l interface {
 	return plainW{l}
 }
 
-// aslW is the ASLMutex view.
-type aslW struct{ m *ASLMutex }
-
-func (a aslW) Acquire(w *core.Worker) { a.m.Lock(w) }
-func (a aslW) Release(w *core.Worker) { a.m.Unlock(w) }
-
-// TryAcquire tries the underlying FIFO lock directly (§3.3: trylock is
-// supported because the reorderable layer never modifies the base
-// lock). Class plays no role in a try: there is no wait to reorder.
-func (a aslW) TryAcquire(w *core.Worker) bool { return a.m.TryLock(w) }
-
-// WrapASL adapts an ASLMutex.
-func WrapASL(m *ASLMutex) WLock { return aslW{m} }
-
 // Factory builds one lock instance per call; the sharded store calls it
 // once per shard.
 type Factory func() WLock
@@ -75,9 +61,6 @@ func FactorySyncMutex() Factory { return func() WLock { return Wrap(new(sync.Mut
 // FactoryMCS returns MCS locks.
 func FactoryMCS() Factory { return func() WLock { return Wrap(new(MCS)) } }
 
-// FactoryASL returns the one ASL stack, NewASLMutexDefault. The
-// returned locks share nothing; each epoch's window lives in the
-// worker, exactly as in the paper.
-func FactoryASL() Factory {
-	return func() WLock { return WrapASL(NewASLMutexDefault()) }
-}
+// FactoryASL returns ASLMutex locks. The returned locks share nothing;
+// each epoch's window lives in the worker, exactly as in the paper.
+func FactoryASL() Factory { return func() WLock { return new(ASLMutex) } }

@@ -4,44 +4,49 @@ import (
 	"repro/internal/core"
 )
 
-// ASLMutex is LibASL's lock front end (paper Algorithm 3,
-// asl_mutex_lock): competitors on big cores take the immediate FIFO
-// path; competitors on little cores become standby competitors with the
-// reorder window chosen by their current epoch's feedback controller
-// (or the default maximum window outside any epoch, which guarantees
-// eventual acquisition).
-//
-// The paper redirects pthread_mutex_lock to this function with
-// weak-symbol replacement; Go has no symbol interposition, so the
-// application passes its core.Worker explicitly.
-type ASLMutex struct {
-	r *Reorderable
-}
-
-// NewASLMutex builds LibASL over the given FIFO lock.
-func NewASLMutex(fifo FIFOLock) *ASLMutex {
-	return &ASLMutex{r: NewReorderable(fifo)}
-}
-
-// NewASLMutexDefault builds the one ASL stack: the reorderable lock over
-// Fissile.
-func NewASLMutexDefault() *ASLMutex {
-	return NewASLMutex(new(Fissile))
-}
+// ASLOn is LibASL, waiting in environment E: the paper's Algorithm 3
+// over its reorderable lock (Algorithm 1) over one FIFO lock, FissileOn.
+// A competitor on a big core queues on the base at once. One on a little
+// core that finds the base held first stands by (Standby, in the
+// StandbyServed flavour) for the reorder window its current epoch's
+// feedback controller chose, or the default maximum window outside any
+// epoch, and then queues; big competitors that arrive meanwhile overtake
+// it, so reordering is bounded by the window. The base is not modified:
+// Unlock and TryLock are its own (§3.3: "Since the reorderable lock is
+// implemented atop of existing locks, both the trylock and the nested
+// locking are supported"). ASLMutex is ASLOn the wall clock; the tests
+// also run it on virtual time (simlock.Env). The zero value is an
+// unlocked lock.
+type ASLOn[E Env[E]] struct{ base FissileOn[E] }
 
 // Lock acquires the lock on behalf of worker w (Algorithm 3).
-func (m *ASLMutex) Lock(w *core.Worker) {
-	if w.Class() == core.Big {
-		m.r.LockImmediately()
-		return
+func (m *ASLOn[E]) Lock(e E, w *core.Worker) {
+	if w.Class() == core.Little && !m.base.IsFree() {
+		Standby(e, &m.base, StandbyServed, w.ReorderWindow())
 	}
-	m.r.LockReorder(w.ReorderWindow())
+	m.base.Lock(e)
 }
 
-// Unlock releases the lock. The worker is accepted for symmetry but the
-// release path is the unmodified FIFO unlock.
-func (m *ASLMutex) Unlock(w *core.Worker) { m.r.Unlock() }
+// Unlock releases the base lock.
+func (m *ASLOn[E]) Unlock() { m.base.Unlock() }
 
-// TryLock acquires the lock iff it is free, without queueing or
+// TryLock takes the base lock iff it is free. Class plays no role in a
+// try: there is no wait to reorder.
+func (m *ASLOn[E]) TryLock() bool { return m.base.TryLock() }
+
+// ASLMutex is ASLOn the wall clock: LibASL's lock for dedicated and
+// over-subscribed cores alike, and the default shard lock. The paper
+// redirects pthread_mutex_lock to asl_mutex_lock with weak-symbol
+// replacement; Go has no symbol interposition, so the caller passes its
+// core.Worker explicitly. The zero value is an unlocked lock.
+type ASLMutex struct{ on ASLOn[wall] }
+
+// Acquire acquires the lock on behalf of worker w.
+func (m *ASLMutex) Acquire(w *core.Worker) { m.on.Lock(wall{}, w) }
+
+// Release releases the lock; the release path ignores the worker.
+func (m *ASLMutex) Release(*core.Worker) { m.on.Unlock() }
+
+// TryAcquire acquires the lock iff it is free, without queueing or
 // standing by.
-func (m *ASLMutex) TryLock(w *core.Worker) bool { return m.r.TryLock() }
+func (m *ASLMutex) TryAcquire(*core.Worker) bool { return m.on.TryLock() }

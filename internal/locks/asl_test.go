@@ -11,254 +11,30 @@ import (
 	"repro/internal/core"
 )
 
-func TestReorderableImmediatePath(t *testing.T) {
-	r := NewReorderable(new(MCS))
-	r.LockImmediately()
-	if r.IsFree() {
-		t.Fatal("lock should be held")
-	}
-	r.Unlock()
-	if !r.IsFree() {
-		t.Fatal("lock should be free")
-	}
-}
-
-func TestReorderableFreeFastPath(t *testing.T) {
-	// A standby competitor takes a free lock immediately, regardless of
-	// window size (§3.4: "no additional overhead" when uncontended).
-	r := NewReorderable(new(MCS))
-	start := time.Now()
-	r.LockReorder(int64(time.Second))
-	if e := time.Since(start); e > 100*time.Millisecond {
-		t.Fatalf("free-lock reorder acquisition took %v", e)
-	}
-	r.Unlock()
-}
-
-// fifoBases are the FIFO locks the ordering tests run Reorderable over:
-// the paper's MCS and the Fissile base ASLMutex uses.
-var fifoBases = []struct {
-	name string
-	mk   func() FIFOLock
-}{
-	{"mcs", func() FIFOLock { return new(MCS) }},
-	{"fissile", func() FIFOLock { return new(Fissile) }},
-}
-
-func TestReorderableWindowDelaysStandby(t *testing.T) {
-	// While the lock is held, a standby competitor with a window waits
-	// (up to the window) before enqueueing; an immediate competitor
-	// that arrives during the window overtakes it.
-	for _, base := range fifoBases {
-		t.Run(base.name, func(t *testing.T) {
-			r := NewReorderable(base.mk())
-			r.LockImmediately()
-
-			var order []string
-			var mu sync.Mutex
-			record := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
-
-			var wg sync.WaitGroup
-			wg.Add(2)
-			standbyEntered := make(chan struct{})
-			go func() {
-				defer wg.Done()
-				close(standbyEntered)
-				r.LockReorder(int64(500 * time.Millisecond))
-				record("standby")
-				r.Unlock()
-			}()
-			<-standbyEntered
-			time.Sleep(20 * time.Millisecond) // the standby is now polling
-			go func() {
-				defer wg.Done()
-				r.LockImmediately()
-				record("immediate")
-				r.Unlock()
-			}()
-			time.Sleep(20 * time.Millisecond) // the immediate competitor is queued
-			r.Unlock()
-			wg.Wait()
-			if len(order) != 2 || order[0] != "immediate" || order[1] != "standby" {
-				t.Fatalf("order = %v, want immediate before standby (reordering)", order)
-			}
-		})
-	}
-}
-
-func TestReorderableWindowExpiry(t *testing.T) {
-	// Once the window expires the standby enqueues and acquires even if
-	// the holder keeps the lock until then (bounded reordering).
-	for _, base := range fifoBases {
-		t.Run(base.name, func(t *testing.T) {
-			r := NewReorderable(base.mk())
-			r.LockImmediately()
-			acquired := make(chan struct{})
-			go func() {
-				r.LockReorder(int64(30 * time.Millisecond))
-				close(acquired)
-				r.Unlock()
-			}()
-			time.Sleep(60 * time.Millisecond) // well past the window
-			r.Unlock()
-			select {
-			case <-acquired:
-			case <-time.After(5 * time.Second):
-				t.Fatal("standby competitor never acquired after window expiry")
-			}
-		})
-	}
-}
-
-// TestReorderableStandbySleeps covers the standby's sleep leg: the
-// lock is held well past the served flavour's 20 µs yielding poll and
-// then released inside a long window, and the standby, now sleeping
-// between checks, must notice the free lock and take it well before its
-// capped window ends.
-func TestReorderableStandbySleeps(t *testing.T) {
-	r := NewReorderable(new(Fissile))
-	r.LockImmediately()
-	const window = 10 * time.Second
-	done := make(chan time.Time)
-	go func() {
-		r.LockReorder(int64(window))
-		done <- time.Now()
-		r.Unlock()
-	}()
-	time.Sleep(2 * time.Millisecond)
-	released := time.Now()
-	r.Unlock()
-	select {
-	case acquired := <-done:
-		// Every window is capped at core.DefaultMaxWindow, so a standby
-		// that missed the release would enqueue only at the cap.
-		if wait, bound := acquired.Sub(released), time.Duration(core.DefaultMaxWindow/2); wait > bound {
-			t.Fatalf("sleeping standby took %v after release, want at most %v", wait, bound)
-		}
-	case <-time.After(window):
-		t.Fatal("sleeping standby never acquired")
-	}
-}
-
 func TestASLMutexBigUsesImmediatePath(t *testing.T) {
-	m := NewASLMutexDefault()
+	var m ASLMutex
 	big := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	m.Lock(big)
-	if m.TryLock(big) {
-		t.Fatal("TryLock must fail while held")
+	m.Acquire(big)
+	if m.TryAcquire(big) {
+		t.Fatal("TryAcquire must fail while held")
 	}
-	m.Unlock(big)
+	m.Release(big)
 }
 
 func TestASLMutexLittleOutsideEpochUsesMaxWindow(t *testing.T) {
-	m := NewASLMutexDefault()
+	var m ASLMutex
 	little := core.NewWorker(core.WorkerConfig{Class: core.Little})
 	// Lock is free: immediate acquisition even for standby competitors.
 	start := time.Now()
-	m.Lock(little)
-	m.Unlock(little)
+	m.Acquire(little)
+	m.Release(little)
 	if e := time.Since(start); e > 100*time.Millisecond {
 		t.Fatalf("uncontended little acquisition took %v", e)
 	}
 }
 
-// watchedFissile is the Fissile base NewASLMutexDefault builds, with
-// its free-state reads counted: LockReorder reads it once before it
-// stands by, so a second read is a standby competitor's poll.
-type watchedFissile struct {
-	Fissile
-	freeReads atomic.Int32
-}
-
-func (f *watchedFissile) IsFree() bool {
-	f.freeReads.Add(1)
-	return f.Fissile.IsFree()
-}
-
-// waitUntil polls cond until it holds, failing the test after 10 s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting until %s", what)
-		}
-	}
-}
-
-// TestASLMutexHandsLittleWorkersTheirWindow checks the window Lock
-// hands a little worker's standby, both ways. Outside any epoch it is
-// the default maximum window: the little worker stands by on the held
-// lock, a big worker queues meanwhile, and on release the big worker
-// acquires first. Inside an epoch whose controller holds a zero window
-// the little worker queues at once, so it acquires ahead of a big worker
-// that queues after it. The test waits on the lock's own state, never
-// on a sleep.
-func TestASLMutexHandsLittleWorkersTheirWindow(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		epoch bool // lock inside an epoch whose window is 0
-		first string
-	}{
-		{"outside-epoch", false, "big"},
-		{"zero-window-epoch", true, "little"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := new(watchedFissile)
-			m := NewASLMutex(f)
-			holder := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			big := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			little := core.NewWorker(core.WorkerConfig{
-				Class:         core.Little,
-				NewController: func() core.Controller { return &core.Static{W: 0} },
-			})
-			m.Lock(holder)
-
-			var order []string // guarded by m
-			done := make(chan struct{}, 2)
-			go func() {
-				if tc.epoch {
-					little.EpochStart(0)
-				}
-				m.Lock(little)
-				order = append(order, "little")
-				m.Unlock(little)
-				done <- struct{}{}
-			}()
-			waitUntil(t, "the little worker stands by or queues", func() bool {
-				return f.freeReads.Load() >= 2 || !f.on.queue.IsFree()
-			})
-			switch queued := !f.on.queue.IsFree(); {
-			case tc.epoch && !queued:
-				t.Fatal("a little worker in a zero-window epoch stands by instead of queueing")
-			case !tc.epoch && queued:
-				t.Fatal("a little worker outside any epoch queued at once: its window is not the default maximum")
-			}
-
-			tail := f.on.queue.tail.Load()
-			go func() {
-				m.Lock(big)
-				order = append(order, "big")
-				m.Unlock(big)
-				done <- struct{}{}
-			}()
-			waitUntil(t, "the big worker queues", func() bool { return f.on.queue.tail.Load() != tail })
-			m.Unlock(holder)
-			for range 2 {
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("a worker never acquired; order so far %v", order)
-				}
-			}
-			if order[0] != tc.first {
-				t.Fatalf("order = %v, want the %s worker first", order, tc.first)
-			}
-		})
-	}
-}
-
 func TestASLMutexMutualExclusionMixedClasses(t *testing.T) {
-	m := NewASLMutexDefault()
+	var m ASLMutex
 	var counter int64
 	var wg sync.WaitGroup
 	iters := 3000
@@ -276,9 +52,9 @@ func TestASLMutexMutualExclusionMixedClasses(t *testing.T) {
 			worker := core.NewWorker(core.WorkerConfig{Class: c})
 			for i := 0; i < iters; i++ {
 				worker.EpochStart(0)
-				m.Lock(worker)
+				m.Acquire(worker)
 				counter++
-				m.Unlock(worker)
+				m.Release(worker)
 				worker.EpochEnd(0, int64(time.Millisecond))
 			}
 		}(class)
@@ -293,7 +69,7 @@ func TestASLFeedbackConvergesUnderContention(t *testing.T) {
 	// With a tight SLO and heavy big-core pressure, the little worker's
 	// window must shrink from its initial value (violations) and the
 	// little worker must keep acquiring (no starvation).
-	m := NewASLMutexDefault()
+	var m ASLMutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -307,9 +83,9 @@ func TestASLFeedbackConvergesUnderContention(t *testing.T) {
 					return
 				default:
 				}
-				m.Lock(worker)
+				m.Acquire(worker)
 				busySpin(2000)
-				m.Unlock(worker)
+				m.Release(worker)
 			}
 		}()
 	}
@@ -323,9 +99,9 @@ func TestASLFeedbackConvergesUnderContention(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
 			little.EpochStart(0)
-			m.Lock(little)
+			m.Acquire(little)
 			acquired.Add(1)
-			m.Unlock(little)
+			m.Release(little)
 			// SLO 0: every epoch violates by construction, so the
 			// window must collapse regardless of host scheduling.
 			little.EpochEnd(0, 0)

@@ -1,9 +1,11 @@
-package locks
+package locks_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/locks"
+	"repro/internal/locks/locktest"
 )
 
 // TestClassProbeObservesHint drives one probe-wrapped lock of every
@@ -12,15 +14,15 @@ import (
 // probe saw each acquisition under its worker's class — the contract
 // the serving layer's class mapping rests on.
 func TestClassProbeObservesHint(t *testing.T) {
-	factories := map[string]Factory{
-		"asl":     FactoryASL(),
-		"mutex":   FactorySyncMutex(),
-		"mcs":     FactoryMCS(),
-		"pthread": FactoryPthread(),
+	factories := map[string]locks.Factory{
+		"asl":     locks.FactoryASL(),
+		"mutex":   locks.FactorySyncMutex(),
+		"mcs":     locks.FactoryMCS(),
+		"pthread": locks.FactoryPthread(),
 	}
 	for name, f := range factories {
 		t.Run(name, func(t *testing.T) {
-			l := WithClassProbe(f())
+			l := locktest.WithClassProbe(f())
 			ws := [2]*core.Worker{
 				core.Big:    core.NewWorker(core.WorkerConfig{Class: core.Big}),
 				core.Little: core.NewWorker(core.WorkerConfig{Class: core.Little}),
@@ -42,7 +44,7 @@ func TestClassProbeObservesHint(t *testing.T) {
 // fails the try (counted) and a free one succeeds under the observed
 // class.
 func TestClassProbeTryAcquire(t *testing.T) {
-	l := WithClassProbe(FactorySyncMutex()())
+	l := locktest.WithClassProbe(locks.FactorySyncMutex()())
 	wa := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	wb := core.NewWorker(core.WorkerConfig{Class: core.Little})
 

@@ -13,14 +13,14 @@ import (
 // worker, annotate the latency-critical region as an epoch, lock as
 // usual.
 func ExampleASLMutex() {
-	mu := locks.NewASLMutexDefault()
+	mu := new(locks.ASLMutex)
 	w := core.NewWorker(core.WorkerConfig{Class: core.Little})
 
 	counter := 0
 	w.EpochStart(5) // epoch id 5, as in the paper's example
-	mu.Lock(w)
+	mu.Acquire(w)
 	counter++
-	mu.Unlock(w)
+	mu.Release(w)
 	latency := w.EpochEnd(5, int64(time.Millisecond)) // SLO: 1 ms
 
 	fmt.Println(counter, latency >= 0)
@@ -34,19 +34,19 @@ func ExampleASLMutex() {
 func Example_requestHandler() {
 	const requestEpoch = 5 // the epoch id of the paper's Fig. 6
 	slo := int64(500 * time.Microsecond)
-	sessions := locks.NewASLMutexDefault() // lock_1: the session table
-	audit := locks.NewASLMutexDefault()    // lock_2: the audit log
+	sessions := new(locks.ASLMutex) // lock_1: the session table
+	audit := new(locks.ASLMutex)    // lock_2: the audit log
 	table := map[uint64]int{}
 	var log []uint64
 
 	serve := func(w *core.Worker, id uint64) {
-		sessions.Lock(w)
+		sessions.Acquire(w)
 		table[id]++
-		sessions.Unlock(w)
+		sessions.Release(w)
 		if id%4 == 0 { // only this code path takes lock_2
-			audit.Lock(w)
+			audit.Acquire(w)
 			log = append(log, id)
-			audit.Unlock(w)
+			audit.Release(w)
 		}
 	}
 
@@ -73,22 +73,4 @@ func Example_requestHandler() {
 
 	fmt.Println(len(table), "sessions,", len(log), "audit records")
 	// Output: 1024 sessions, 256 audit records
-}
-
-// ExampleReorderable demonstrates the two acquisition paths of the
-// reorderable lock (Algorithm 1).
-func ExampleReorderable() {
-	r := locks.NewReorderable(new(locks.MCS))
-
-	// Big cores enqueue immediately.
-	r.LockImmediately()
-	r.Unlock()
-
-	// Little cores stand by for up to a reorder window; on a free lock
-	// they acquire instantly.
-	r.LockReorder(int64(100 * time.Microsecond))
-	r.Unlock()
-
-	fmt.Println(r.IsFree())
-	// Output: true
 }

@@ -19,9 +19,8 @@ const patience = 50 * time.Microsecond
 // fast path until it holds the word, so bypass is bounded. Unlock frees
 // the word for whoever runs next rather than handing it to a waiter the
 // scheduler may not be running, which is what makes MCS collapse when
-// goroutines outnumber CPUs. Fissile is FissileOn the wall clock; the
-// tests also run it on virtual time (simlock.Env). The zero value is an
-// unlocked lock.
+// goroutines outnumber CPUs. It is ASLOn's base lock. The zero value is
+// an unlocked lock.
 type FissileOn[E Env[E]] struct {
 	_         pad
 	word      atomic.Uint32
@@ -60,12 +59,3 @@ func (f *FissileOn[E]) IsFree() bool { return f.word.Load() == 0 && f.queue.IsFr
 
 // Unlock frees the word.
 func (f *FissileOn[E]) Unlock() { f.word.Store(0) }
-
-// Fissile is FissileOn the wall clock, the base lock ASLMutex serves
-// with. The zero value is an unlocked lock.
-type Fissile struct{ on FissileOn[wall] }
-
-func (f *Fissile) Lock()         { f.on.Lock(wall{}) }
-func (f *Fissile) Unlock()       { f.on.Unlock() }
-func (f *Fissile) TryLock() bool { return f.on.TryLock() }
-func (f *Fissile) IsFree() bool  { return f.on.IsFree() }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/simlock"
 )
 
-// The shipped Fissile on virtual time (simlock.Env): two big cores of a
+// The shipped FissileOn on virtual time (simlock.Env): two big cores of a
 // simulated machine with no jitter, so every bound below is exact in
 // virtual nanoseconds. The alpha notices a change of the word at its
 // next spin step, simlock.SpinStepNs later at most.

@@ -31,9 +31,8 @@ func harnessFamilies() []harnessFamily {
 		{"plain", FactorySyncMutex()},
 		{"pthread", FactoryPthread()},
 		{"mcs", FactoryMCS()},
-		{"mcspark", func() WLock { return Wrap(new(MCSPark)) }},
-		{"fissile", func() WLock { return Wrap(new(Fissile)) }},
-		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
+		{"mcspark", func() WLock { return Wrap(new(wallMCSPark)) }},
+		{"fissile", func() WLock { return Wrap(new(wallFissile)) }},
 		{"asl", FactoryASL()},
 	}
 }

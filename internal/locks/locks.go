@@ -1,12 +1,12 @@
 // Package locks implements the real (non-simulated) locks a shard of
 // the store can run, all usable from ordinary Go code:
 //
-//   - ASLMutex, the paper's Algorithm 3 binding Reorderable to the
-//     epoch/SLO feedback in internal/core, and the default shard lock
-//   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock
-//   - Fissile, a test-and-set word in front of the spin-then-park MCS
-//     queue (Dice & Kogan's Fissile Locks), the base ASLMutex runs on
-//   - MCS queue lock (spin) and MCS spin-then-park
+//   - ASLMutex, LibASL and the default shard lock: the paper's
+//     Algorithm 3 over its reorderable lock (Algorithm 1), bound to the
+//     epoch/SLO feedback in internal/core, over FissileOn, a
+//     test-and-set word in front of the spin-then-park MCS queue
+//     MCSParkOn (Dice & Kogan's Fissile Locks)
+//   - MCS, the paper's spinning FIFO queue lock
 //   - BargingMutex, a futex-style unfair blocking mutex standing in for
 //     pthread_mutex_lock
 //
@@ -17,17 +17,17 @@
 // the figures that compare against them run.
 //
 // The paper ships LibASL twice, spinning over MCS and blocking over
-// pthread_mutex; here ASLMutex is one stack for dedicated and
-// over-subscribed cores alike: Reorderable over Fissile.
+// pthread_mutex; here it is one lock for dedicated and over-subscribed
+// cores alike, written once as ASLOn.
 //
 // Every wait is written once over an environment, Env: a clock, a
 // yield, a spin step, a sleep, and park/unpark of one queued waiter.
-// Algorithm 1's standby loop (Standby) and the slow paths of Fissile and
-// MCSPark (the generic FissileOn and MCSParkOn) run on two clocks: the
-// served locks on the wall clock and the Go scheduler, and the same code
-// on a simulated thread's virtual time in internal/simlock. Standby has
-// three flavours: StandbyServed, which Reorderable runs, and the paper's
-// StandbySpin and StandbySleep, which SimReorderable runs.
+// ASLOn, FissileOn, MCSParkOn and Algorithm 1's standby loop (Standby)
+// run on two clocks: ASLMutex is ASLOn on the wall clock and the Go
+// scheduler, and the tests run the same code on a simulated thread's
+// virtual time (internal/simlock's Env). Standby has three flavours:
+// StandbyServed, which ASLOn runs, and the paper's StandbySpin and
+// StandbySleep, which simlock's SimReorderable runs.
 //
 // Locks here favour clarity and faithfulness to the published
 // algorithms over absolute peak performance, but all avoid allocation
@@ -42,19 +42,6 @@ import (
 // Locker is the basic lock interface; identical to sync.Locker and
 // redeclared only so this package reads standalone.
 type Locker = sync.Locker
-
-// FIFOLock is a lock that admits waiters in arrival order and can
-// report whether it is currently free. The reorderable lock (Algorithm
-// 1) is built on this interface; MCS and MCSPark implement it, and so
-// does Fissile, FIFO up to its bounded bypass.
-type FIFOLock interface {
-	Locker
-	// TryLock acquires the lock iff it is free, without queueing.
-	TryLock() bool
-	// IsFree reports (approximately) whether the lock is free with no
-	// waiters; standby competitors poll this.
-	IsFree() bool
-}
 
 // pad is inserted between contended fields to avoid false sharing. 128
 // bytes covers adjacent-line prefetching on common x86 parts.

@@ -26,10 +26,9 @@ type full interface {
 func allLocks() map[string]func() full {
 	return map[string]func() full{
 		"mcs":     func() full { return new(MCS) },
-		"mcspark": func() full { return new(MCSPark) },
-		"fissile": func() full { return new(Fissile) },
+		"mcspark": func() full { return new(wallMCSPark) },
+		"fissile": func() full { return new(wallFissile) },
 		"barging": func() full { return new(BargingMutex) },
-		"reorder": func() full { return NewReorderable(new(MCS)) },
 	}
 }
 
@@ -63,9 +62,9 @@ func TestIsFreeConformance(t *testing.T) {
 // enqueues while the lock is held must acquire before one that
 // enqueues after it.
 func TestMCSFIFOOrder(t *testing.T) {
-	for name, mk := range map[string]func() FIFOLock{
-		"mcs":     func() FIFOLock { return new(MCS) },
-		"mcspark": func() FIFOLock { return new(MCSPark) },
+	for name, mk := range map[string]func() full{
+		"mcs":     func() full { return new(MCS) },
+		"mcspark": func() full { return new(wallMCSPark) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := mk()

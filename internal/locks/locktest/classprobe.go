@@ -1,20 +1,22 @@
-package locks
+// Package locktest is test support for code that takes locks.WLock
+// locks; no production package imports it.
+package locktest
 
 import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/locks"
 )
 
 // ClassProbe wraps a WLock and counts acquisitions by the class the
-// lock OBSERVES — w.Class() at Acquire/TryAcquire time. It exists for
-// the serving layer's class-mapping contract: a front end that tags
-// each request with an SLO class must be able to assert (in tests) and
-// report (in stats) that an interactive request really reached the
-// shard lock as big-class and a bulk request as little-class. Counters are atomic; the wrapper adds
-// two uncontended atomic adds per acquisition and nothing else.
+// lock OBSERVES — w.Class() at Acquire/TryAcquire time. It checks the
+// serving layer's class-mapping contract: a front end that tags each
+// request with an SLO class must reach the shard lock as big-class for
+// an interactive request and as little-class for a bulk one. Counters
+// are atomic, so the probe can wrap a lock shared by many workers.
 type ClassProbe struct {
-	inner WLock
+	inner locks.WLock
 	// acquires counts successful lock entries by observed class,
 	// indexed by core.Class (Big = 0, Little = 1). Failed TryAcquires
 	// are counted separately: they observe a class but never enter.
@@ -23,7 +25,7 @@ type ClassProbe struct {
 }
 
 // WithClassProbe wraps l with class-observation counters.
-func WithClassProbe(l WLock) *ClassProbe { return &ClassProbe{inner: l} }
+func WithClassProbe(l locks.WLock) *ClassProbe { return &ClassProbe{inner: l} }
 
 // Acquire acquires the inner lock and records the observed class.
 func (p *ClassProbe) Acquire(w *core.Worker) {

@@ -20,9 +20,9 @@ type mcsParkNode[E Env[E]] struct {
 // Bench-6 (Fig. 8h), waiting in environment E: waiters spin briefly,
 // then block; the FIFO handover must then pay the full wake-up latency
 // on the critical path, which is why the paper finds it 96% worse than
-// pthread_mutex under core over-subscription. Fissile queues on it;
-// MCSPark is MCSParkOn the wall clock, and the tests also run it on
-// virtual time (simlock.Env). The zero value is an unlocked lock.
+// pthread_mutex under core over-subscription. FissileOn queues on it;
+// the tests also run it alone, on both clocks. The zero value is an
+// unlocked lock.
 type MCSParkOn[E Env[E]] struct {
 	_      pad
 	tail   atomic.Pointer[mcsParkNode[E]]
@@ -31,8 +31,8 @@ type MCSParkOn[E Env[E]] struct {
 	pool   sync.Pool
 }
 
-// parkAfterSpins is how many spin steps an MCSPark waiter takes before
-// parking. Under Fissile it is how long the waiter behind the queue head
+// parkAfterSpins is how many spin steps an MCSParkOn waiter takes before
+// parking. Under FissileOn it is how long the waiter behind the queue head
 // stays runnable: long enough to catch a quick head turnover, short
 // enough that deeper waiters leave their CPUs.
 const parkAfterSpins = 128
@@ -111,12 +111,3 @@ func (m *MCSParkOn[E]) Unlock(e E) {
 	}
 	m.pool.Put(n)
 }
-
-// MCSPark is MCSParkOn the wall clock. The zero value is an unlocked
-// lock.
-type MCSPark struct{ on MCSParkOn[wall] }
-
-func (m *MCSPark) Lock()         { m.on.Lock(wall{}) }
-func (m *MCSPark) Unlock()       { m.on.Unlock(wall{}) }
-func (m *MCSPark) TryLock() bool { return m.on.TryLock() }
-func (m *MCSPark) IsFree() bool  { return m.on.IsFree() }

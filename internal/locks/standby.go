@@ -28,7 +28,7 @@ type Env[E any] interface {
 type StandbyFlavour uint8
 
 const (
-	// StandbyServed, Reorderable's, polls with yields for 20 µs, so a
+	// StandbyServed, ASLOn's, polls with yields for 20 µs, so a
 	// short critical section ends without a sleep and a standby never
 	// keeps the holder or a big competitor off a CPU when goroutines
 	// outnumber CPUs; then it sleeps in slices doubling from 10 µs to

@@ -4,8 +4,6 @@
 // the global math/rand source is never used.
 package prng
 
-import "math"
-
 // SplitMix64 is the SplitMix64 generator of Steele, Lea and Flood. It is
 // used both directly (for cheap per-thread streams) and to seed
 // Xoshiro256. The zero value is a valid generator seeded with 0.
@@ -114,23 +112,4 @@ func Float64(src Source) float64 {
 // Bool returns true with probability p.
 func Bool(src Source, p float64) bool {
 	return Float64(src) < p
-}
-
-// Shuffle permutes the first n elements using the Fisher-Yates
-// algorithm, calling swap(i, j) for each exchange.
-func Shuffle(src Source, n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := Intn(src, i+1)
-		swap(i, j)
-	}
-}
-
-// Exponential returns an exponentially distributed value with the given
-// mean. It is used to draw inter-arrival gaps in open-loop workloads.
-func Exponential(src Source, mean float64) float64 {
-	u := Float64(src)
-	if u >= 1 {
-		u = 0.9999999999999999
-	}
-	return -mean * math.Log(1-u)
 }

@@ -102,6 +102,25 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// Shuffle permutes the first n elements using the Fisher-Yates
+// algorithm, calling swap(i, j) for each exchange.
+func Shuffle(src Source, n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := Intn(src, i+1)
+		swap(i, j)
+	}
+}
+
+// Exponential returns an exponentially distributed value with the given
+// mean.
+func Exponential(src Source, mean float64) float64 {
+	u := Float64(src)
+	if u >= 1 {
+		u = 0.9999999999999999
+	}
+	return -mean * math.Log(1-u)
+}
+
 func TestExponentialMean(t *testing.T) {
 	rng := NewXoshiro256(11)
 	sum := 0.0

@@ -6,18 +6,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/locks"
+	"repro/internal/locks/locktest"
 )
 
 // probeStore builds a one-shard store whose lock is wrapped with a
 // ClassProbe, returning both. One shard means every op hits the probe.
-func probeStore(t *testing.T) (*Store, *locks.ClassProbe) {
+func probeStore(t *testing.T) (*Store, *locktest.ClassProbe) {
 	t.Helper()
 	var mu sync.Mutex
-	var probes []*locks.ClassProbe
+	var probes []*locktest.ClassProbe
 	st := New(Config{
 		Shards: 1,
 		NewLock: func() locks.WLock {
-			p := locks.WithClassProbe(locks.FactoryASL()())
+			p := locktest.WithClassProbe(locks.FactoryASL()())
 			mu.Lock()
 			probes = append(probes, p)
 			mu.Unlock()
@@ -44,7 +45,7 @@ func TestClassHintReachesShardLock(t *testing.T) {
 	for _, fe := range []struct {
 		name  string
 		kv    KV
-		probe *locks.ClassProbe
+		probe *locktest.ClassProbe
 	}{
 		{"store", st, sp},
 		{"async", NewAsync(ast, AsyncConfig{}), ap},

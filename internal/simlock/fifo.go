@@ -98,7 +98,7 @@ func (m *SimTicket) IsFree() bool { return m.holder == nil && m.q.empty() }
 // threads) on the critical path at every handover. The brief spinning
 // phase of the real lock is omitted: under over-subscription the
 // handover almost always outlives any reasonable spin budget, which is
-// exactly the regime Bench-6 evaluates. The shipped MCSPark, run in
+// exactly the regime Bench-6 evaluates. The shipped MCSParkOn, run in
 // Env, whose spin step yields an over-subscribed core, does not
 // collapse below pthread in Fig. 8h, so the figure keeps this model.
 type SimMCSPark struct {

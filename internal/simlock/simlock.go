@@ -1,8 +1,9 @@
 // Package simlock implements the paper's locks inside the discrete-
-// event AMP model of internal/amp. SimMCS, SimMCSPark, SimBarging and
-// SimReorderable model their real counterparts in internal/locks;
-// SimTAS, SimTicket and SimProportional are the paper's other
-// baselines, which exist only here. Contention, arbitration and
+// event AMP model of internal/amp. SimMCS, SimMCSPark and SimBarging
+// model their real counterparts in internal/locks (MCS, MCSParkOn and
+// BargingMutex), and SimReorderable models the Algorithm 1 half of
+// locks.ASLOn; SimTAS, SimTicket and SimProportional are the paper's
+// other baselines, which exist only here. Contention, arbitration and
 // handover are modelled explicitly, which is what lets the simulator
 // reproduce the collapse phenomena of §2.2 on symmetric host hardware:
 //
@@ -12,13 +13,14 @@
 //   - SimBarging: futex-style unfair blocking mutex (pthread stand-in)
 //   - SimMCSPark: FIFO with parked waiters (MCS-STP), Fig. 8h's row
 //   - SimProportional: ShflLock with the proportional static policy
-//   - SimReorderable: the paper's Algorithm 1, running the served
-//     lock's standby loop (locks.Standby) on virtual time; the figures
-//     pair it with the real library's feedback controller
-//     (internal/core) for Algorithm 3
+//   - SimReorderable: the paper's Algorithm 1 over any FIFO here,
+//     running the served lock's standby loop (locks.Standby) on virtual
+//     time; the figures pair it with the real library's feedback
+//     controller (internal/core) for Algorithm 3
 //
 // In Env (locks.Env) the served locks' own code runs on virtual time:
-// SimReorderable's standby loop, and Fissile and MCSPark in the tests.
+// SimReorderable's standby loop, and ASLOn, FissileOn and MCSParkOn in
+// the tests.
 //
 // All lock state is mutated in kernel context only (the sim kernel runs
 // one goroutine at a time), so the models need no atomics and the
@@ -40,8 +42,7 @@ type Lock interface {
 }
 
 // FIFO is a simulated lock with arrival-order admission that can report
-// whether it is free; the reorderable lock builds on it, mirroring
-// locks.FIFOLock.
+// whether it is free; SimReorderable builds on it.
 type FIFO interface {
 	Lock
 	IsFree() bool

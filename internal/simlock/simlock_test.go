@@ -29,6 +29,27 @@ func rig() (*sim.Kernel, *amp.Machine) {
 	return k, m
 }
 
+// TestEnvYieldAdvancesClock: a yield costs one spin step even on a core
+// with nothing else to run, so a poll of yields moves virtual time and
+// ends when its deadline passes.
+func TestEnvYieldAdvancesClock(t *testing.T) {
+	const yields = 10
+	k, m := rig()
+	var elapsed int64 = -1
+	m.NewThread("poller", 0, 0, func(th *amp.Thread) {
+		e := Env{th}
+		for range yields {
+			e.Yield()
+		}
+		elapsed = th.Now()
+	})
+	k.Run(1_000_000)
+	k.Shutdown()
+	if elapsed != yields*SpinStepNs {
+		t.Fatalf("%d yields took %d virtual ns, want %d", yields, elapsed, yields*SpinStepNs)
+	}
+}
+
 // exercise runs threads (one per core, big cores first) doing iters
 // lock/compute/unlock rounds and fails on any mutual-exclusion
 // violation.
@@ -311,7 +332,7 @@ func TestSimBargingWakesSleepers(t *testing.T) {
 	}
 }
 
-// TestMCSParkPaysWakeLatency runs the shipped MCSPark on virtual time.
+// TestMCSParkPaysWakeLatency runs the shipped MCSParkOn on virtual time.
 // A handover inside the waiter's spin phase reaches it within one spin
 // step. Past the spin phase the waiter has parked, and the handover pays
 // exactly the machine's wake-up latency and a context switch.

@@ -28,7 +28,6 @@ type Histogram struct {
 	total         uint64
 	min           int64
 	max           int64
-	sum           int64
 }
 
 // DefaultSubBucketBits gives ~0.8% worst-case relative error, more than
@@ -106,7 +105,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 	h.counts[h.bucketIndex(v)] += n
 	h.total += n
-	h.sum += v * int64(n)
 	if v < h.min {
 		h.min = v
 	}
@@ -128,14 +126,6 @@ func (h *Histogram) Min() int64 {
 
 // Max returns the largest recorded value, or 0 if empty.
 func (h *Histogram) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean of recorded values, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
 
 // Percentile returns the value at percentile p in [0, 100]. The answer
 // is exact for values in the linear region and within the configured
@@ -191,7 +181,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.counts[i] += c
 	}
 	h.total += o.total
-	h.sum += o.sum
 	if o.min < h.min {
 		h.min = o.min
 	}
@@ -206,7 +195,6 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.total = 0
-	h.sum = 0
 	h.max = 0
 	h.min = int64(^uint64(0) >> 1)
 }
