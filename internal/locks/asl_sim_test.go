@@ -78,10 +78,10 @@ func order(as []acquisition) []string {
 	return names
 }
 
-// TestASLOnFreeFastPath: a little worker takes a free lock the instant
+// TestReorderableFreeFastPath: a little worker takes a free lock the instant
 // it arrives, whatever its window (§3.4: "no additional overhead" when
 // uncontended).
-func TestASLOnFreeFastPath(t *testing.T) {
+func TestReorderableFreeFastPath(t *testing.T) {
 	got := runASL(t, 10_000_000,
 		competitor{"little", core.Little, outsideEpoch, 10_000, 10_000},
 		competitor{"little in an epoch", core.Little, 500_000, 30_000, 0},
@@ -93,48 +93,55 @@ func TestASLOnFreeFastPath(t *testing.T) {
 	}
 }
 
-// TestASLOnWindowDelaysStandby: a little worker that finds the lock held
-// stands by inside its epoch's 500 µs window, so a big worker that
-// queues meanwhile overtakes it; the little worker still acquires once
-// the big one releases, long before its window ends.
-func TestASLOnWindowDelaysStandby(t *testing.T) {
-	const window = 500_000
-	got := runASL(t, 10_000_000,
-		competitor{"holder", core.Big, outsideEpoch, 0, 100_000},
-		competitor{"little", core.Little, window, 10_000, 10_000},
-		competitor{"big", core.Big, outsideEpoch, 50_000, 10_000},
-	)
-	if o := order(got); !slices.Equal(o, []string{"holder", "big", "little"}) {
-		t.Fatalf("order %v, want the big worker to overtake the standby little one", o)
-	}
-	if at := got[2].at; at >= 10_000+window {
-		t.Fatalf("the little worker acquired at %d ns, past its window's end at %d", at, 10_000+window)
-	}
+// TestReorderableWindowDelaysStandby: a little worker that finds the
+// lock held stands by inside its epoch's 500 µs window, so a big worker
+// that queues meanwhile overtakes it; the little worker still acquires
+// once the big one releases, long before its window ends. The case is
+// named for the base ASLOn holds; Algorithm 1 over the paper's MCS is
+// simlock's TestSimReorderable*.
+func TestReorderableWindowDelaysStandby(t *testing.T) {
+	t.Run("fissile", func(t *testing.T) {
+		const window = 500_000
+		got := runASL(t, 10_000_000,
+			competitor{"holder", core.Big, outsideEpoch, 0, 100_000},
+			competitor{"little", core.Little, window, 10_000, 10_000},
+			competitor{"big", core.Big, outsideEpoch, 50_000, 10_000},
+		)
+		if o := order(got); !slices.Equal(o, []string{"holder", "big", "little"}) {
+			t.Fatalf("order %v, want the big worker to overtake the standby little one", o)
+		}
+		if at := got[2].at; at >= 10_000+window {
+			t.Fatalf("the little worker acquired at %d ns, past its window's end at %d", at, 10_000+window)
+		}
+	})
 }
 
-// TestASLOnWindowExpiry: once its 30 µs window ends the little worker
-// queues even though the lock is still held, so a big worker that
+// TestReorderableWindowExpiry: once its 30 µs window ends the little
+// worker queues even though the lock is still held, so a big worker that
 // queued inside the window goes before it and one that queues after the
-// window goes after it: reordering is bounded by the window.
-func TestASLOnWindowExpiry(t *testing.T) {
-	got := runASL(t, 10_000_000,
-		competitor{"holder", core.Big, outsideEpoch, 0, 200_000},
-		competitor{"little", core.Little, 30_000, 10_000, 10_000},
-		competitor{"big inside", core.Big, outsideEpoch, 20_000, 10_000},
-		competitor{"big after", core.Big, outsideEpoch, 100_000, 10_000},
-	)
-	if o := order(got); !slices.Equal(o, []string{"holder", "big inside", "little", "big after"}) {
-		t.Fatalf("order %v, want the little worker between the big worker that queued inside its window and the one that queued after it", o)
-	}
+// window goes after it: reordering is bounded by the window. The case is
+// named as in TestReorderableWindowDelaysStandby.
+func TestReorderableWindowExpiry(t *testing.T) {
+	t.Run("fissile", func(t *testing.T) {
+		got := runASL(t, 10_000_000,
+			competitor{"holder", core.Big, outsideEpoch, 0, 200_000},
+			competitor{"little", core.Little, 30_000, 10_000, 10_000},
+			competitor{"big inside", core.Big, outsideEpoch, 20_000, 10_000},
+			competitor{"big after", core.Big, outsideEpoch, 100_000, 10_000},
+		)
+		if o := order(got); !slices.Equal(o, []string{"holder", "big inside", "little", "big after"}) {
+			t.Fatalf("order %v, want the little worker between the big worker that queued inside its window and the one that queued after it", o)
+		}
+	})
 }
 
-// TestASLOnStandbySleeps covers the standby's sleep leg: the lock is
+// TestReorderableStandbySleeps covers the standby's sleep leg: the lock is
 // held for 2 ms, well past the served flavour's 20 µs yielding poll, so
 // the little worker, outside any epoch and so on the default maximum
 // window, is sleeping between checks when the lock is freed. It must
 // notice at its next check, at most one 1 ms sleep slice later, not
 // when its window ends.
-func TestASLOnStandbySleeps(t *testing.T) {
+func TestReorderableStandbySleeps(t *testing.T) {
 	const hold, slice = 2_000_000, 1_000_000
 	got := runASL(t, 2*core.DefaultMaxWindow,
 		competitor{"holder", core.Big, outsideEpoch, 0, hold},
