@@ -62,8 +62,11 @@ test:
 short:
 	$(GO) test -short ./...
 
+# The second line repeats the request queue's tests, so rare push/pop
+# interleavings get many tries.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=20 -run 'Queue|Ring' ./internal/shardedkv
 
 # net-smoke proves the network front end end to end with the REAL
 # binaries. Startup first: -wal naming a regular file must exit 1 with
@@ -239,7 +242,7 @@ ci: check race short bench-check net-smoke
 # allocations reported: the wire codec and a served scan in
 # internal/kvserver; a served 64-byte Get and Put round trip over
 # loopback in internal/kvclient; the store's scan and batch paths, the pipeline's
-# batch paths per caller class, the request ring and the future's
+# batch paths per caller class, the request queue and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
 # uncontended acquire/release pair per class, and the contended pair of
 # each serving lock choice, in internal/locks; one epoch start/end

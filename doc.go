@@ -41,7 +41,7 @@
 // the worker of its class.
 //
 // shardedkv.AsyncStore is the flat-combining front end: per-shard
-// lock-free MPSC rings, futures with class-aware spin/park waiting,
+// lock-free intrusive MPSC queues, futures with class-aware spin/park waiting,
 // combiner election via TryAcquire with big-class preference, and an
 // adaptive drain bound — weak cores enqueue, strong cores combine.
 // Every call returns once its requests have executed.

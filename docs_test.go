@@ -231,7 +231,6 @@ var testOnly = map[string]string{
 	"kvmodel.Verify":          "test-support package",
 	"locktest.WithClassProbe": "test-support package",
 	// ROADMAP item 16's list: each is to move into its tests or go.
-	"shardedkv.IsDegraded":       "item 16",
 	"harness.Figure.FindRow":     "item 16",
 	"harness.Figure.FindSeries":  "item 16",
 	"lsm.Store.Runs":             "item 16; goes with lsm if item 9 deletes it",

@@ -26,7 +26,7 @@ type AdmissionConfig struct {
 }
 
 // DefaultBulkPerShard is the default per-shard bulk in-flight bound.
-// Small on purpose: one combining drain already serves a whole ring,
+// Small on purpose: one combining drain already serves a whole queue,
 // so a handful of concurrent bulk entrants saturate a shard.
 const DefaultBulkPerShard = 4
 

@@ -173,7 +173,7 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 		"SyncWait", "SyncAsync", "wal-smoke", "kvcheck",
 		// The fault/degraded layer and its load-bearing names.
 		"Fault handling & degraded mode", "internal/fault",
-		"wal.FaultFS", "ErrInjected", "DegradedError", "IsDegraded",
+		"wal.FaultFS", "ErrInjected", "DegradedError",
 		"StatusErrUnavailable", "IsRetryable", "kvsoak", "make soak",
 	} {
 		if !strings.Contains(doc, want) {

@@ -24,14 +24,15 @@ type harnessFamily struct {
 	f    Factory
 }
 
-// harnessFamilies enumerates every family. Every family's TryAcquire
-// succeeds iff the lock was free.
+// harnessFamilies enumerates every family that can try. Every family's
+// TryAcquire succeeds iff the lock was free. MCSParkOn cannot try: it is
+// FissileOn's queue, so the fissile row contends on it, and it runs alone
+// in TestMCSFIFOOrder and on virtual time in internal/simlock.
 func harnessFamilies() []harnessFamily {
 	return []harnessFamily{
 		{"plain", FactorySyncMutex()},
 		{"pthread", FactoryPthread()},
 		{"mcs", FactoryMCS()},
-		{"mcspark", func() WLock { return Wrap(new(wallMCSPark)) }},
 		{"fissile", func() WLock { return Wrap(new(wallFissile)) }},
 		{"asl", FactoryASL()},
 	}

@@ -74,17 +74,6 @@ func (m *MCSParkOn[E]) wait(e E, n *mcsParkNode[E]) {
 	}
 }
 
-// TryLock acquires the lock iff the queue is empty.
-func (m *MCSParkOn[E]) TryLock() bool {
-	n := m.getNode()
-	if m.tail.CompareAndSwap(nil, n) {
-		m.holder = n
-		return true
-	}
-	m.pool.Put(n)
-	return false
-}
-
 // IsFree reports whether the queue is empty.
 func (m *MCSParkOn[E]) IsFree() bool { return m.tail.Load() == nil }
 

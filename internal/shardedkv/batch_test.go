@@ -14,7 +14,7 @@ import (
 // The grouped batch path, pinned: a MultiGet/MultiPut crosses the
 // pipeline as one request per touched shard (pipeline.go: batch, route,
 // execMany), and these tests hold down what that must not change —
-// batch order, degraded shards, ring overflow, group commit — and what
+// batch order, degraded shards, group commit — and what
 // it must: counters count keys, requests stay under the key cap,
 // grouping allocates nothing.
 
@@ -50,7 +50,7 @@ func TestAsyncMultiPutDuplicateKeysBatchOrder(t *testing.T) {
 	}
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
-			a := NewAsync(New(Config{Shards: 2, NewEngine: spec.New}), AsyncConfig{RingSize: 8})
+			a := NewAsync(New(Config{Shards: 2, NewEngine: spec.New}), AsyncConfig{})
 			var wg sync.WaitGroup
 			for wi := 0; wi < 2; wi++ {
 				wg.Add(1)
@@ -101,7 +101,7 @@ func TestAsyncMultiPutDuplicateKeysBatchOrder(t *testing.T) {
 
 // TestBatchRouteCapsRequests: however large the batch, no request
 // carries more than batchKeyCap keys, every position lands in exactly
-// one request, and the requests of one ring hold ascending positions in
+// one request, and the requests of one shard hold ascending positions in
 // creation order (FIFO then keeps batch order).
 func TestBatchRouteCapsRequests(t *testing.T) {
 	st := New(Config{Shards: 3})
@@ -124,10 +124,10 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 			}
 			seen[i] = true
 			if q := a.pipeOf(keys[i]); q != r.q {
-				t.Fatalf("position %d grouped on the wrong ring", i)
+				t.Fatalf("position %d grouped on the wrong shard", i)
 			}
 			if prev, ok := last[r.q]; ok && i < prev {
-				t.Fatalf("ring sees position %d after %d", i, prev)
+				t.Fatalf("shard sees position %d after %d", i, prev)
 			}
 			last[r.q] = i
 		}
@@ -138,7 +138,7 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 		}
 	}
 	if want := st.NumShards(); len(last) != want {
-		t.Fatalf("batch touched %d rings, want %d", len(last), want)
+		t.Fatalf("batch touched %d shards, want %d", len(last), want)
 	}
 	a.runBatch(w, b)
 	a.freeBatch(b)
@@ -146,12 +146,12 @@ func TestBatchRouteCapsRequests(t *testing.T) {
 
 // TestDrainChargesKeys: a drain counts a batch request's keys against
 // its bound, so it stops within one request of it, and Combined counts
-// the same keys while the executed cursor counts ring slots.
+// the same keys.
 func TestDrainChargesKeys(t *testing.T) {
 	const bound = 40
 	st := New(Config{Shards: 1})
 	a := NewAsync(st, AsyncConfig{})
-	a.rings[0].bound.Store(bound)
+	a.pipes[0].bound.Store(bound)
 	w := newTestWorker()
 	kvs := make([]Pair, 8*batchKeyCap)
 	for i := range kvs {
@@ -160,9 +160,7 @@ func TestDrainChargesKeys(t *testing.T) {
 	b := routed(a, nil, kvs)
 	q := b.reqs[0].q
 	for _, r := range b.reqs {
-		if !q.ring.enqueue(r) {
-			t.Fatal("ring full")
-		}
+		q.queue.push(r)
 	}
 	total := 0
 	for takes := 0; total < len(kvs); takes++ {
@@ -177,9 +175,6 @@ func TestDrainChargesKeys(t *testing.T) {
 	}
 	if got := q.combined.Load(); got != uint64(len(kvs)) {
 		t.Fatalf("combined = %d, want the %d keys", got, len(kvs))
-	}
-	if got := q.executed.Load(); got != uint64(len(b.reqs)) {
-		t.Fatalf("executed = %d, want the %d ring slots", got, len(b.reqs))
 	}
 	a.awaitAll(w, b.reqs, a.putReq)
 	a.freeBatch(b)
@@ -212,16 +207,13 @@ func TestBatchCountersCountKeys(t *testing.T) {
 	}
 }
 
-// TestBatchRingOverflowKeepsProgramOrder: one shard, a two-slot ring
-// and a batch of three capped requests whose last pair rewrites key 0.
-// The first two requests fill the ring and the third overflows into the
-// direct path, which must drive its queued predecessors first — or the
-// batch's earlier write to key 0 lands last. Once the caller has
-// returned, every ring's executed cursor has reached its tail: nothing
-// is left queued, which is what lets Flush and Close skip the rings.
+// TestBatchRingOverflowKeepsProgramOrder: one shard and a batch of
+// three capped requests whose last pair rewrites key 0. The requests
+// queue in batch order and execute in queue order, or the batch's
+// earlier write to key 0 lands last.
 func TestBatchRingOverflowKeepsProgramOrder(t *testing.T) {
 	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{RingSize: 2})
+	a := NewAsync(st, AsyncConfig{})
 	w := newTestWorker()
 	kvs := make([]Pair, 3*batchKeyCap)
 	for i := range kvs {
@@ -232,15 +224,7 @@ func TestBatchRingOverflowKeepsProgramOrder(t *testing.T) {
 		t.Fatalf("MultiPut = %d, %v; want %d new keys", ins, err, len(kvs)-1)
 	}
 	if v, _ := a.Get(w, 0); !bytes.Equal(v, verValue(0, 2)) {
-		t.Fatalf("key 0 = %x; the direct request overtook its queued predecessors", v)
-	}
-	if cs := a.AggregateCombineStats(); cs.Direct == 0 {
-		t.Fatal("a two-slot ring never overflowed into the direct path")
-	}
-	for i, q := range a.rings {
-		if ex, tail := q.executed.Load(), q.ring.tailPos(); ex != tail {
-			t.Fatalf("ring %d: executed %d, tail %d after every caller returned", i, ex, tail)
-		}
+		t.Fatalf("key 0 = %x; a later request overtook its queued predecessors", v)
 	}
 }
 
@@ -321,7 +305,7 @@ func TestBatchDegradedShardMidBatch(t *testing.T) {
 		w := newTestWorker()
 		v1, keys := kvsAt(1)
 		_, err := a.MultiPut(w, v1)
-		if !IsDegraded(err) || !errors.Is(err, fault.ErrInjected) || st.DegradedShards() != 1 {
+		if !isDegraded(err) || !errors.Is(err, fault.ErrInjected) || st.DegradedShards() != 1 {
 			t.Fatalf("MultiPut through a failing fsync: %v with %d shards degraded; want one typed failure", err, st.DegradedShards())
 		}
 		// Append-before-apply: every share reached memory, only the ack is withheld.

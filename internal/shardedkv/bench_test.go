@@ -146,15 +146,19 @@ func BenchmarkAsyncMultiPut16(b *testing.B) {
 	}
 }
 
-// BenchmarkRingEnqueueDequeue is one producer's slot claim and publish
-// plus the combiner's dequeue, uncontended.
-func BenchmarkRingEnqueueDequeue(b *testing.B) {
-	ring := newReqRing(256)
+// BenchmarkQueuePushPop is one producer's push plus the combiner's pop,
+// uncontended. With one request queued, pop hands it out only after
+// linking the stub behind it, so each pair also pays the stub's
+// re-link.
+func BenchmarkQueuePushPop(b *testing.B) {
+	var q reqQueue
+	q.init()
 	r := new(request)
 	b.ReportAllocs()
 	for b.Loop() {
-		if !ring.enqueue(r) || ring.dequeue() != r {
-			b.Fatal("ring lost a request")
+		q.push(r)
+		if q.pop() != r {
+			b.Fatal("queue lost a request")
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package shardedkv
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Degraded mode: when a shard's log fails (a failed append, group
 // commit, or Flush-time sync), the shard flips read-only instead of
@@ -12,7 +9,7 @@ import (
 //   - Reads (Get/MultiGet/Range/MultiRange) keep serving from the
 //     in-memory engine.
 //   - Writes on the degraded shard fail fast with *DegradedError
-//     (errors.Is/As-able; IsDegraded is the convenience check). A
+//     (errors.As-able). A
 //     write that was already applied but whose group commit failed
 //     returns the error too — the caller got no durability ack, so
 //     the write is indeterminate, never falsely acked.
@@ -39,13 +36,6 @@ func (e *DegradedError) Error() string {
 }
 
 func (e *DegradedError) Unwrap() error { return e.Cause }
-
-// IsDegraded reports whether err (anywhere in its chain) is a
-// degraded-shard failure.
-func IsDegraded(err error) bool {
-	var de *DegradedError
-	return errors.As(err, &de)
-}
 
 // degrade flips sh read-only, first cause wins. Safe with or without
 // the shard lock held (the flag is an atomic pointer), and safe to

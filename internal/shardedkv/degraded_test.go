@@ -15,6 +15,13 @@ import (
 // durable, reads keep serving — and a restart without the fault must
 // recover every write acked before the failure.
 
+// isDegraded reports whether err (anywhere in its chain) is a
+// degraded-shard failure.
+func isDegraded(err error) bool {
+	var de *DegradedError
+	return errors.As(err, &de)
+}
+
 // degCfg is durCfg with fault injection threaded into every shard log
 // through the wal.FS seam.
 func degCfg(dir string, reg *fault.Registry) Config {
@@ -57,8 +64,8 @@ func TestDegradedShardFailsWritesServesReads(t *testing.T) {
 		if !errors.As(err, &de) {
 			t.Fatalf("Put(%d): error is not *DegradedError: %v", k, err)
 		}
-		if !IsDegraded(err) {
-			t.Fatalf("IsDegraded(%v) = false", err)
+		if !isDegraded(err) {
+			t.Fatalf("isDegraded(%v) = false", err)
 		}
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("degraded cause lost the injected sentinel: %v", err)
@@ -83,7 +90,7 @@ func TestDegradedShardFailsWritesServesReads(t *testing.T) {
 	}
 	// A write routed to the degraded shard still fails (sticky), and
 	// Flush reports the shard too.
-	if err := st.Flush(w); !IsDegraded(err) {
+	if err := st.Flush(w); !isDegraded(err) {
 		t.Errorf("Flush on a degraded store = %v; want degraded", err)
 	}
 	st.CrashDrop()
@@ -109,14 +116,14 @@ func TestDegradedPipelineSyncWaiters(t *testing.T) {
 	reg := fault.New(1)
 	reg.MustAdd(fault.Rule{Point: "wal.fsync", Nth: 2, Act: fault.ActError})
 	st := New(degCfg(dir, reg))
-	a := NewAsync(st, AsyncConfig{RingSize: 32})
+	a := NewAsync(st, AsyncConfig{})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
 	failures := 0
 	for k := uint64(0); k < 300; k++ {
 		_, err := a.Put(w, k, verValue(k, 1))
 		if err != nil {
-			if !IsDegraded(err) {
+			if !isDegraded(err) {
 				t.Fatalf("pipeline Put(%d): want degraded error, got %v", k, err)
 			}
 			failures++
@@ -129,7 +136,7 @@ func TestDegradedPipelineSyncWaiters(t *testing.T) {
 	if _, ok := a.Get(w, 0); !ok {
 		t.Error("pipeline Get(0) lost a written key after degrade")
 	}
-	if err := a.Flush(w); !IsDegraded(err) {
+	if err := a.Flush(w); !isDegraded(err) {
 		t.Errorf("pipeline Flush = %v; want degraded", err)
 	}
 	a.Close(w)
@@ -153,7 +160,7 @@ func TestDegradedBulkSurfacesAtFlush(t *testing.T) {
 			t.Fatalf("async-policy Put(%d) failed inline: %v", k, err)
 		}
 	}
-	if err := st.Flush(w); !IsDegraded(err) {
+	if err := st.Flush(w); !isDegraded(err) {
 		t.Fatalf("Flush = %v; want the deferred fsync failure as a degraded error", err)
 	}
 	if st.DegradedShards() == 0 {

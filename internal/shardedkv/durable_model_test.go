@@ -81,7 +81,7 @@ func TestDurableAsyncPipelineRecovery(t *testing.T) {
 			cfg.Durability.Interactive = shardedkv.SyncDefault
 			cfg.Durability.Bulk = shardedkv.SyncDefault
 			st := shardedkv.New(cfg)
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{RingSize: 32})
+			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
 			final := kvmodel.Drive(t, a, workers, opsPer)
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			if err := a.Flush(w); err != nil {

@@ -5,10 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -250,52 +248,6 @@ func startsWithLockFree(fd *ast.FuncDecl) bool {
 	}
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "lockFree"
-}
-
-// TestAsyncDirectSyncWaitCommitsAfterRelease drives the ring-full
-// direct path with sync-wait writes: several interactive writers on one
-// shard behind a two-slot ring, so execDirect runs with held-back
-// futures to complete — after its release, or the guard panics in
-// commit. The critical section yields, so writers pile up behind the
-// lock holder and overflow the ring. Every write must ack, and the log
-// must end synced.
-func TestAsyncDirectSyncWaitCommitsAfterRelease(t *testing.T) {
-	const writers, perWriter = 6, 100
-	cfg := durCfg(t.TempDir(), nil)
-	cfg.Shards = 1
-	cfg.CSPad = func(*core.Worker) { runtime.Gosched() }
-	st := New(cfg)
-	defer st.CrashDrop()
-	a := NewAsync(st, AsyncConfig{RingSize: 2})
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			for i := 0; i < perWriter; i++ {
-				k := uint64(g*perWriter + i)
-				if _, err := a.Put(w, k, verValue(k, 1)); err != nil {
-					t.Errorf("Put(%d): %v", k, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if cs := a.AggregateCombineStats(); cs.Direct == 0 {
-		t.Fatalf("no ring-full direct execution in %d writes on a two-slot ring: %+v", writers*perWriter, cs)
-	}
-	lg := st.shards[0].wal
-	if got, want := lg.Stats().Appended, uint64(writers*perWriter); got != want {
-		t.Fatalf("appended %d records, want %d", got, want)
-	}
-	if got, want := lg.Durable(), lg.Stats().Appended; got != want {
-		t.Fatalf("durable LSN %d after every sync-wait write acked, want %d", got, want)
-	}
 }
 
 // TestCombineHandoffsCountWorkerChanges pins CombineStats.Handoffs on

@@ -32,9 +32,7 @@ func TestStoreVsModel(t *testing.T) {
 }
 
 // TestAsyncStoreVsModel runs the same model equivalence through the
-// combining pipeline, its ordered Range included. A small ring makes
-// wraps, elections and ring-full direct paths part of every run. Run
-// with -race.
+// combining pipeline, its ordered Range included. Run with -race.
 func TestAsyncStoreVsModel(t *testing.T) {
 	const workers = 6
 	opsPer := 3_000
@@ -44,7 +42,7 @@ func TestAsyncStoreVsModel(t *testing.T) {
 	for _, spec := range shardedkv.AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			st := shardedkv.New(shardedkv.Config{Shards: 4, NewEngine: spec.New})
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{RingSize: 32})
+			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
 			kvmodel.Drive(t, a, workers, opsPer)
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 			if err := a.Flush(w); err != nil {

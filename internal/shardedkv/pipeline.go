@@ -16,13 +16,13 @@ import (
 // Incze, Shavit and Tzafrir (the paper's reference [47]), specialised
 // for the asymmetric-core setting of the source paper.
 //
-// Every shard gets a lock-free MPSC request ring. Callers build a
-// request (Get/Put/Delete/Range plus a future), enqueue it, and wait
-// for completion — spinning or parking according to their core class.
-// A batch (MultiGet/MultiPut) delegates per shard, not per key: one
-// request carries a shard's whole share of the batch (see batch).
-// Whoever wins the shard lock's TryAcquire becomes the combiner and
-// drains the ring: up to the drain bound, queued operations execute
+// Every shard gets a lock-free MPSC request queue (see reqQueue).
+// Callers build a request (Get/Put/Delete/Range plus a future), push
+// it, and wait for completion — spinning or parking according to their
+// core class. A batch (MultiGet/MultiPut) delegates per shard, not per
+// key: one request carries a shard's whole share of the batch (see
+// batch). Whoever wins the shard lock's TryAcquire becomes the combiner
+// and drains the queue: up to the drain bound, queued operations execute
 // against the engine under ONE Acquire/Release, completing futures as
 // they go. Once a weak core has paid for the lock it amortises the
 // cost over the whole queue instead of forcing a handoff per op — the
@@ -44,17 +44,17 @@ import (
 //
 // The drain bound adapts per shard: it starts at 32 and doubles while
 // drains saturate it and the observed queue depth keeps up, decaying
-// back when the ring runs dry — so a zipf-hot shard's combiner drains
+// back when the queue runs dry — so a zipf-hot shard's combiner drains
 // deeper per lock take while cold shards stay latency-lean. Big-class
 // combiners use the full bound; little-class combiners cap at 32, the
 // drain-side mirror of the election bias (big cores do the deep
 // batches). A combiner on a hot shard also lingers a bounded few
-// microseconds when its ring runs momentarily dry, picking up in-flight
+// microseconds when its queue runs momentarily dry, picking up in-flight
 // producers instead of paying them a fresh lock take each.
 //
 // The bound and the linger are coupled, which is why the bound adapts
 // instead of being a constant. The linger is gated on hwRecent, the
-// decaying depth estimate, and a drain that runs the ring dry short of
+// decaying depth estimate, and a drain that runs the queue dry short of
 // its bound ages that estimate. So the gate stays open only while
 // lingering drains fill the bound. A constant the lingering drains
 // cannot fill (16 on a zipf-hot shard) ages hwRecent below
@@ -96,8 +96,8 @@ type request struct {
 
 	// A batch request (opMultiGet/opMultiPut) carries positions, not
 	// payload: idx lists the positions of bat's keys that routed to this
-	// ring, in batch order. idx keeps its capacity across recycling, so
-	// grouping a batch allocates nothing in steady state. q is the ring
+	// shard, in batch order. idx keeps its capacity across recycling, so
+	// grouping a batch allocates nothing in steady state. q is the shard
 	// the request is submitted to.
 	bat *batch
 	idx []int
@@ -125,6 +125,8 @@ type request struct {
 	state atomic.Uint32
 	wake  chan struct{} // buffered(1); one token per park/wake pair
 	timer *time.Timer   // lazily built; parks are timed for liveness
+
+	next atomic.Pointer[request] // the next newer request in its reqQueue
 }
 
 // isDone reports completion.
@@ -195,65 +197,48 @@ const (
 
 // Adaptive drain-bound tuning. The bound starts at adaptiveInitBatch,
 // doubles while drains saturate it (and the recent queue depth
-// justifies it), and halves when the ring runs dry. Little-class
+// justifies it), and halves when the queue runs dry. Little-class
 // combiners cap their drains at adaptiveLittleCap; deep batches belong
 // to big cores.
 const (
 	adaptiveInitBatch = 32
 	adaptiveMinBatch  = 8
-	adaptiveMaxBatch  = 1024
+	adaptiveMaxBatch  = 256
 	adaptiveLittleCap = 32
-	// lingerSpins bounds the combiner's dry-ring linger on a hot shard
+	// lingerSpins bounds the combiner's dry-queue linger on a hot shard
 	// (hwRecent >= lingerMinDepth): a few hundred spin units trade a
 	// hair of hold time for whole lock takes saved by the producers
 	// arriving meanwhile.
 	lingerSpins    = 384
 	lingerMinDepth = 4
 	// batchKeyCap bounds the keys one batch request carries. A shard's
-	// larger share of a batch becomes consecutive requests on its ring
+	// larger share of a batch becomes consecutive requests on its queue
 	// (FIFO keeps batch order), so however large the batch, a drain
 	// overshoots its bound by less than one request and no shard lock is
 	// held longer than a drain of point requests would hold it.
 	batchKeyCap = adaptiveInitBatch
 )
 
-// AsyncConfig configures an AsyncStore.
-type AsyncConfig struct {
-	// RingSize is the per-shard queue capacity, rounded up to a power
-	// of two; 0 means 256. A full ring falls back to direct execution
-	// under the shard lock, so enqueue never blocks on space.
-	RingSize int
-}
+// AsyncConfig configures an AsyncStore. It has no fields: the request
+// queue needs no capacity.
+type AsyncConfig struct{}
 
-// pipeShard is one shard's pipeline state: the request ring plus
+// pipeShard is one shard's pipeline state: the request queue plus
 // combining counters and the adaptive drain bound. NewAsync builds one
 // per shard.
 type pipeShard struct {
-	sh   *shard
-	ring *reqRing
+	sh    *shard
+	queue reqQueue
 	// bound is the adaptive drain bound in keys. Reaching it releases
 	// the lock (so big-core FIFO entrants and sync-path users get their
-	// turn) and re-elects if the ring is still non-empty.
+	// turn) and re-elects if the queue is still non-empty.
 	bound atomic.Int64
-	// hwRecent is a decaying queue-depth estimate (ring slots): raised
-	// like depthHW at enqueue, decayed by idle drains. The adaptive
-	// bound grows toward it, never past it.
-	hwRecent atomic.Uint64
-	// executed counts ring requests applied to the engine (and logged,
-	// under durability), i.e. the ring position up to which effects are
-	// real — per ring slot whatever a request weighs, because execDirect
-	// compares it with ring positions. It trails the ring's head cursor,
-	// which advances at dequeue time, so execDirect waits on executed,
-	// not head: a request a concurrent combiner has dequeued but not yet
-	// run has no effect yet. Every caller waits for its own requests, so
-	// once all callers have returned executed equals the ring's tail —
-	// what lets Flush and Close skip the rings. A sync-wait request's
-	// FUTURE may complete after the cursor covers it (the combiner
-	// commits post-release); only its owner waits on that.
-	executed  atomic.Uint64
+	// hwRecent is a decaying queue-depth estimate (requests): raised
+	// like depthHW at push, decayed by idle drains. The adaptive bound
+	// grows toward it, never past it.
+	hwRecent  atomic.Uint64
 	lockTakes atomic.Uint64
 	combined  atomic.Uint64
-	direct    atomic.Uint64
 	handoffs  atomic.Uint64
 	depthHW   atomic.Uint64
 	// takesBy counts lock takes per electing class, indexed by
@@ -275,7 +260,7 @@ func (q *pipeShard) noteTake(w *core.Worker) {
 // noteDepth folds the current queue depth into the high-water mark and
 // the decaying recent-depth estimate.
 func (q *pipeShard) noteDepth() {
-	d := q.ring.Len()
+	d := q.queue.Len()
 	for {
 		hw := q.depthHW.Load()
 		if d <= hw || q.depthHW.CompareAndSwap(hw, d) {
@@ -300,14 +285,14 @@ func (q *pipeShard) drainBound(w *core.Worker) int {
 }
 
 // adapt updates the adaptive bound after a drain of n ops ran with the
-// given bound. A drain that ran the ring dry ages the recent-depth
+// given bound. A drain that ran the queue dry ages the recent-depth
 // estimate (integer decay that reaches 0, so one burst does not read as
 // lasting depth); only full-bound (big-class) drains grow the shared
 // bound, and any dry drain decays it. Runs under the shard lock, so
 // updates are serialised; the plain stores racing a concurrent
 // noteDepth CAS are advisory-only.
 func (q *pipeShard) adapt(n, used int) {
-	if q.ring.Empty() && n < used {
+	if q.queue.Empty() && n < used {
 		q.hwRecent.Store(q.hwRecent.Load() * 3 / 4)
 	}
 	b := int(q.bound.Load())
@@ -315,13 +300,13 @@ func (q *pipeShard) adapt(n, used int) {
 		return
 	}
 	switch {
-	case n >= used && !q.ring.Empty():
+	case n >= used && !q.queue.Empty():
 		hw := q.hwRecent.Load()
-		nb := min(b*2, adaptiveMaxBatch, q.ring.Cap())
+		nb := min(b*2, adaptiveMaxBatch)
 		if nb > b && uint64(b) <= hw {
 			q.bound.Store(int64(nb))
 		}
-	case n*4 < b && q.ring.Empty():
+	case n*4 < b && q.queue.Empty():
 		if b > adaptiveMinBatch {
 			q.bound.Store(int64(max(b/2, adaptiveMinBatch)))
 		}
@@ -330,22 +315,23 @@ func (q *pipeShard) adapt(n, used int) {
 
 // CombineStats is a snapshot of one shard's combining counters.
 type CombineStats struct {
-	// LockTakes counts shard-lock acquisitions made on the async path
-	// (combiner elections won plus ring-full direct takes).
+	// LockTakes counts combiner elections won that drained work.
 	LockTakes uint64
 	// Combined counts operations executed on the async path, in keys: a
 	// batch request adds the keys it carries, not 1. Combined /
 	// LockTakes is the ops-per-lock-take the pipeline exists to raise
 	// above 1.
 	Combined uint64
-	// Direct counts ring-full fallbacks (executed solo under a
-	// blocking acquire; their ops and takes are included above).
+	// Direct is always 0: the request queue has no capacity to overflow,
+	// so every request is executed by a combiner's drain. It stays while
+	// the benchmark's shardedkv.combine_direct_pct reads it.
 	Direct uint64
 	// Handoffs counts lock takes won by a different worker than the
 	// previous combiner — combiner identity churn.
 	Handoffs uint64
-	// DepthHW is the queue-depth high-water mark observed at enqueue,
-	// in ring slots: a batch's whole share of the shard is one request.
+	// DepthHW is the queue-depth high-water mark observed at push, in
+	// requests: a batch's share of the shard is one request per
+	// batchKeyCap keys.
 	DepthHW uint64
 	// MaxBatchEff is the drain bound currently in effect, in keys: the
 	// adaptive bound the shard has grown/decayed to. A drain stops at
@@ -371,7 +357,6 @@ func (q *pipeShard) stats() CombineStats {
 	return CombineStats{
 		LockTakes:   q.lockTakes.Load(),
 		Combined:    q.combined.Load(),
-		Direct:      q.direct.Load(),
 		Handoffs:    q.handoffs.Load(),
 		DepthHW:     q.depthHW.Load(),
 		MaxBatchEff: uint64(q.bound.Load()),
@@ -386,29 +371,26 @@ func (q *pipeShard) stats() CombineStats {
 // All methods are safe for concurrent use; as everywhere in this
 // repository, each goroutine must own its *core.Worker.
 type AsyncStore struct {
-	st       *Store
-	ringSize int
-	// rings[i] is shard i's pipeline state, fixed at NewAsync.
-	rings   []*pipeShard
+	st *Store
+	// pipes[i] is shard i's pipeline state, fixed at NewAsync.
+	pipes   []*pipeShard
 	pool    sync.Pool // *request
 	batches sync.Pool // *batch
 	closed  atomic.Bool
 }
 
-// NewAsync builds a combining front end over st: one request ring per
+// NewAsync builds a combining front end over st: one request queue per
 // shard.
-func NewAsync(st *Store, cfg AsyncConfig) *AsyncStore {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	a := &AsyncStore{st: st, ringSize: cfg.RingSize}
+func NewAsync(st *Store, _ AsyncConfig) *AsyncStore {
+	a := &AsyncStore{st: st}
 	a.pool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
 	a.batches.New = func() any { return new(batch) }
-	a.rings = make([]*pipeShard, len(st.shards))
+	a.pipes = make([]*pipeShard, len(st.shards))
 	for i, sh := range st.shards {
-		q := &pipeShard{sh: sh, ring: newReqRing(cfg.RingSize)}
+		q := &pipeShard{sh: sh}
+		q.queue.init()
 		q.bound.Store(adaptiveInitBatch)
-		a.rings[i] = q
+		a.pipes[i] = q
 	}
 	return a
 }
@@ -477,7 +459,7 @@ func (a *AsyncStore) checkOpen() {
 
 // pipeOf returns the pipeShard owning key k.
 func (a *AsyncStore) pipeOf(k uint64) *pipeShard {
-	return a.rings[a.st.ShardOf(k)]
+	return a.pipes[a.st.ShardOf(k)]
 }
 
 // exec runs one request against the shard's engine; the caller holds
@@ -547,22 +529,10 @@ func (a *AsyncStore) execMany(w *core.Worker, sh *shard, r *request) {
 	}
 }
 
-// execDrained runs r, just dequeued from q's ring by the holder of q's
-// shard lock, hands it back and advances the executed cursor by its one
-// ring slot. Returns r's weight, read before the hand back: a completed
-// request belongs to its owner again.
-func (a *AsyncStore) execDrained(w *core.Worker, q *pipeShard, r *request, pend *[]*request) int {
-	n := r.weight()
-	a.exec(w, q.sh, r)
-	a.finishOrDefer(r, pend)
-	q.executed.Add(1)
-	return n
-}
-
 // drain executes queued requests until the operations they stand for
 // reach the drain bound (a batch request counts its keys, so the last
 // one may overshoot by less than batchKeyCap); the caller holds q's
-// shard lock. A combiner whose ring runs momentarily dry on a hot shard
+// shard lock. A combiner whose queue runs momentarily dry on a hot shard
 // lingers briefly for in-flight producers before giving the lock up.
 // Returns the number of operations executed. Sync-wait writes are
 // applied and logged here but their futures land on pend; the caller
@@ -572,7 +542,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 	n, linger := 0, 0
 	var s locks.Spinner
 	for n < bound {
-		r := q.ring.dequeue()
+		r := q.queue.pop()
 		if r == nil {
 			if n > 0 && linger < lingerSpins && q.hwRecent.Load() >= lingerMinDepth {
 				linger++
@@ -581,7 +551,11 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 			}
 			break
 		}
-		n += a.execDrained(w, q, r, pend)
+		// Read the weight first: a completed request belongs to its
+		// owner again.
+		n += r.weight()
+		a.exec(w, q.sh, r)
+		a.finishOrDefer(r, pend)
 	}
 	if n > 0 {
 		q.combined.Add(uint64(n))
@@ -594,7 +568,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 // most the bound's worth of queued ops under a single lock take.
 // Reports whether it actually drained work — callers spin-wait on
 // false, which also covers the won-but-empty case (a producer stalled
-// between its ring claim and its publish). A failed TryAcquire means
+// between its swap and its link). A failed TryAcquire means
 // whoever holds the lock is either a combiner (and is draining) or a
 // sync-path user of the shared lock (and will release soon) — the
 // caller keeps waiting on its own future either way. Bounding each
@@ -603,7 +577,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 // released, FIFO entrants and sync-path users get their turn, and the
 // ex-combiner re-checks its own future before volunteering again.
 func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
-	if q.ring.Empty() {
+	if q.queue.Empty() {
 		return false
 	}
 	if !q.sh.tryAcquire(w) {
@@ -621,43 +595,10 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	return n > 0
 }
 
-// execDirect is the ring-full fallback: execute r solo under a
-// blocking acquire of its shard, then drain whatever is queued there —
-// the ring was full a moment ago, so there is combining work to
-// amortise the take over.
-//
-// Before executing r, everything enqueued on q before the failed ring
-// claim is driven to execution. Without this, the direct path could
-// overtake an earlier request of the SAME batch still queued on this
-// ring — a shard's share larger than batchKeyCap is several
-// consecutive requests — and break batch order, so a duplicate key
-// would not apply last-wins (same-key ops always resolve to the same
-// ring, so this local guard is the whole FIFO story).
-func (a *AsyncStore) execDirect(w *core.Worker, q *pipeShard, r *request) {
-	target := q.ring.tailPos()
-	var sp locks.Spinner
-	for q.executed.Load() < target {
-		if !a.tryCombine(w, q) {
-			sp.Spin()
-		}
-	}
-	var pend []*request
-	sh := q.sh
-	sh.acquire(w)
-	q.noteTake(w)
-	q.direct.Add(1)
-	q.combined.Add(uint64(r.weight()))
-	a.exec(w, sh, r)
-	a.drain(w, q, &pend)
-	sh.release(w)
-	a.finishOrDefer(r, &pend)
-	a.st.completePending(w, pend)
-}
-
 // awaitAll drives the waiting side of every request in reqs (each
-// enqueued on its r.q) with ONE election cadence, however many there
+// pushed on its r.q) with ONE election cadence, however many there
 // are: every pass re-checks the oldest outstanding future, an election
-// pass tries every ring that still holds an outstanding request, when
+// pass tries every shard that still holds an outstanding request, when
 // patience runs out the owner parks on the oldest, and once the oldest
 // completes every completed request is handed to reap.
 // Parks are timed, so even a worst-case interleaving (combiner released
@@ -679,7 +620,7 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 		head := reqs[0]
 		for ; !head.isDone(); pass++ {
 			// Both classes sit out one cadence before their first try —
-			// a request enqueued while a combiner is active is usually
+			// a request pushed while a combiner is active is usually
 			// drained within a few passes, and electing before that just
 			// buys a singleton batch. Bigs re-try every few passes
 			// (strong cores combine); littles wait out a much longer
@@ -716,22 +657,18 @@ func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*reques
 	}
 }
 
-// submit enqueues r on q, or executes it directly when the ring is
-// full, without waiting for completion. Once published, r belongs to
-// whichever combiner executes it until it completes, so submit does
-// not touch it again.
-func (a *AsyncStore) submit(w *core.Worker, q *pipeShard, r *request) {
-	if !q.ring.enqueue(r) {
-		a.execDirect(w, q, r)
-		return
-	}
+// submit pushes r on q without waiting for completion. Once pushed, r
+// belongs to whichever combiner executes it until it completes, so
+// submit does not touch it again.
+func (a *AsyncStore) submit(q *pipeShard, r *request) {
+	q.queue.push(r)
 	q.noteDepth()
 }
 
 // run submits r on q and waits for it.
 func (a *AsyncStore) run(w *core.Worker, q *pipeShard, r *request) {
 	r.q = q
-	a.submit(w, q, r)
+	a.submit(q, r)
 	if !r.isDone() {
 		one := [1]*request{r}
 		a.awaitAll(w, one[:], func(*request) {})
@@ -793,9 +730,9 @@ type batch struct {
 	oks      []bool
 	kvs      []Pair // opMultiPut: the caller's pairs
 
-	// open[i] is the request ring i is being grouped into: its newest,
+	// open[i] is the request shard i is being grouped into: its newest,
 	// the only one not yet full. reqs lists every request in creation
-	// order, which for the requests of one ring is batch order.
+	// order, which for the requests of one shard is batch order.
 	open []*request
 	reqs []*request
 
@@ -804,11 +741,11 @@ type batch struct {
 }
 
 // newBatch checks a batch out of the pool, its grouping table sized
-// for one entry per ring.
+// for one entry per shard.
 func (a *AsyncStore) newBatch(kind opKind) *batch {
 	b := a.batches.Get().(*batch)
 	b.kind = kind
-	if n := len(a.rings); cap(b.open) < n {
+	if n := len(a.pipes); cap(b.open) < n {
 		b.open = make([]*request, n)
 	} else {
 		b.open = b.open[:n]
@@ -817,14 +754,14 @@ func (a *AsyncStore) newBatch(kind opKind) *batch {
 }
 
 // route adds position i, whose key is k, to the batch's open request
-// for the ring owning k, opening a new one when the ring has none yet
+// for the shard owning k, opening a new one when the shard has none yet
 // or its open one is full.
 func (a *AsyncStore) route(b *batch, k uint64, i int) {
 	si := a.st.ShardOf(k)
 	r := b.open[si]
 	if r == nil || len(r.idx) == batchKeyCap {
 		r = a.newReq(b.kind)
-		r.bat, r.q, r.syncWait = b, a.rings[si], b.syncWait
+		r.bat, r.q, r.syncWait = b, a.pipes[si], b.syncWait
 		b.open[si] = r
 		b.reqs = append(b.reqs, r)
 	}
@@ -836,7 +773,7 @@ func (a *AsyncStore) route(b *batch, k uint64, i int) {
 // recycles them.
 func (a *AsyncStore) runBatch(w *core.Worker, b *batch) {
 	for _, r := range b.reqs {
-		a.submit(w, r.q, r)
+		a.submit(r.q, r)
 	}
 	a.awaitAll(w, b.reqs, func(r *request) {
 		b.inserted += r.ins
@@ -856,7 +793,7 @@ func (a *AsyncStore) freeBatch(b *batch) {
 }
 
 // MultiGet reads all keys through the pipeline, one request per
-// touched shard: the batch positions are grouped by ring, each ring
+// touched shard: the batch positions are grouped by shard, each shard
 // gets its share as ONE request (consecutive requests of at most
 // batchKeyCap keys when the share is larger), and a combiner reads a
 // request's keys under a single lock take — combiners on different
@@ -879,8 +816,8 @@ func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok 
 // MultiPut writes all pairs through the pipeline, grouped by shard
 // like MultiGet; returns the number of newly inserted keys. Duplicate
 // keys within the batch apply in batch order (last wins, as in
-// Store.MultiPut): they share a ring, a ring's requests are enqueued in
-// batch order, and the ring is FIFO. With durability on and a sync-wait
+// Store.MultiPut): they share a shard, a shard's requests are pushed in
+// batch order, and its queue is FIFO. With durability on and a sync-wait
 // class, each touched shard's share rides one group commit. A non-nil
 // error means at least one shard refused its share (Store.MultiPut's
 // contract); shares on healthy shards still applied.
@@ -904,14 +841,14 @@ func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 // per-shard consistent, all spans seeing each shard at the same
 // instant.
 func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][][]Pair {
-	rs := make([]*request, len(a.rings))
-	for si, q := range a.rings {
+	rs := make([]*request, len(a.pipes))
+	for si, q := range a.pipes {
 		r := a.newReq(opRange)
 		r.rng = reqs
 		r.parts = make([][]Pair, len(reqs))
 		r.q = q
 		rs[si] = r
-		a.submit(w, r.q, r)
+		a.submit(q, r)
 	}
 	runs := make([][][]Pair, len(reqs))
 	for ri := range runs {
@@ -956,7 +893,7 @@ func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 }
 
 // Flush is the durability barrier: every AsyncStore call returns only
-// after its requests have executed, so nothing is left on the rings and
+// after its requests have executed, so nothing is left on the queues and
 // Flush is the store's own (see Store.Flush). A failed sync degrades
 // the shard and returns the typed error.
 func (a *AsyncStore) Flush(w *core.Worker) error {
@@ -977,11 +914,11 @@ func (a *AsyncStore) Close(w *core.Worker) {
 	a.st.syncLogs(w)
 }
 
-// CombineStats snapshots every ring's combining counters in shard
+// CombineStats snapshots every shard's combining counters in shard
 // index order.
 func (a *AsyncStore) CombineStats() []CombineStats {
-	out := make([]CombineStats, len(a.rings))
-	for i, q := range a.rings {
+	out := make([]CombineStats, len(a.pipes))
+	for i, q := range a.pipes {
 		out[i] = q.stats()
 	}
 	return out
@@ -994,7 +931,6 @@ func (a *AsyncStore) AggregateCombineStats() CombineStats {
 	for _, c := range a.CombineStats() {
 		agg.LockTakes += c.LockTakes
 		agg.Combined += c.Combined
-		agg.Direct += c.Direct
 		agg.Handoffs += c.Handoffs
 		if c.DepthHW > agg.DepthHW {
 			agg.DepthHW = c.DepthHW
@@ -1010,5 +946,5 @@ func (a *AsyncStore) AggregateCombineStats() CombineStats {
 
 // String summarises the pipeline layout.
 func (a *AsyncStore) String() string {
-	return fmt.Sprintf("shardedkv.AsyncStore{rings: %d, ringSize: %d}", len(a.rings), a.ringSize)
+	return fmt.Sprintf("shardedkv.AsyncStore{shards: %d}", len(a.pipes))
 }

@@ -29,7 +29,7 @@ func verValue(k, ver uint64) []byte {
 // value (get bytes + found, put inserted, delete present) is exactly
 // predictable — any combiner bug that drops, duplicates, reorders, or
 // cross-wires a queued request shows up as a mismatch. Workers share
-// shards and rings, so the combining machinery itself is fully
+// shards and queues, so the combining machinery itself is fully
 // concurrent. Run with -race.
 func TestAsyncLinearizableVsModel(t *testing.T) {
 	const workers = 8
@@ -38,9 +38,7 @@ func TestAsyncLinearizableVsModel(t *testing.T) {
 		opsPer = 800
 	}
 	st := New(Config{Shards: 4})
-	// Small ring: force wraps, elections, and ring-full direct
-	// fallbacks, not just the happy path.
-	a := NewAsync(st, AsyncConfig{RingSize: 32})
+	a := NewAsync(st, AsyncConfig{})
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -145,7 +143,7 @@ func TestAsyncSharedStress(t *testing.T) {
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {
 			st := New(Config{Shards: 8, NewEngine: spec.New})
-			a := NewAsync(st, AsyncConfig{RingSize: 64})
+			a := NewAsync(st, AsyncConfig{})
 			var inserts, deletes atomic.Int64
 			var wg sync.WaitGroup
 			const keyspace = 512
@@ -289,12 +287,12 @@ func TestAsyncCloseSemantics(t *testing.T) {
 // TestAsyncCombinerStarvationBound pins every op to ONE shard (the
 // zipf-hot regime taken to its limit) and checks that a single
 // little-class worker still completes a fixed op budget while six
-// big-class workers hammer the same ring: the FIFO request ring bounds
+// big-class workers hammer the same shard: the FIFO request queue bounds
 // how often a queued op can be overtaken, so combining must not buy
 // throughput with little-class starvation.
 func TestAsyncCombinerStarvationBound(t *testing.T) {
 	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{RingSize: 64})
+	a := NewAsync(st, AsyncConfig{})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for wi := 0; wi < 6; wi++ {
@@ -356,7 +354,7 @@ func TestAsyncCombiningBatches(t *testing.T) {
 		// form, as in the kvbench AMP emulation.
 		CSPad: func(w *core.Worker) { workload.Spin(2_000) },
 	})
-	a := NewAsync(st, AsyncConfig{RingSize: 128})
+	a := NewAsync(st, AsyncConfig{})
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -386,8 +384,8 @@ func TestAsyncCombiningBatches(t *testing.T) {
 	if agg.LockTakes == 0 {
 		t.Fatal("no lock takes recorded")
 	}
-	t.Logf("combining: %d ops / %d takes = %.2f ops/take, %d direct, %d handoffs, depthHW %d, big/little takes %d/%d",
-		agg.Combined, agg.LockTakes, agg.OpsPerLockTake(), agg.Direct, agg.Handoffs, agg.DepthHW,
+	t.Logf("combining: %d ops / %d takes = %.2f ops/take, %d handoffs, depthHW %d, big/little takes %d/%d",
+		agg.Combined, agg.LockTakes, agg.OpsPerLockTake(), agg.Handoffs, agg.DepthHW,
 		agg.BigTakes, agg.LittleTakes)
 	if runtime.GOMAXPROCS(0) >= 4 {
 		if r := agg.OpsPerLockTake(); r <= 1.1 {
@@ -441,7 +439,7 @@ func TestAdaptiveMaxBatch(t *testing.T) {
 		Shards: 1,
 		CSPad:  func(w *core.Worker) { workload.Spin(2_000) },
 	})
-	a := NewAsync(st, AsyncConfig{RingSize: 256})
+	a := NewAsync(st, AsyncConfig{})
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)

@@ -133,7 +133,7 @@ type ShardStats struct {
 	// BatchLocks counts the per-shard shares of batched operations
 	// executed here: one per (batch, touched shard), not one per key. On
 	// the plain store each is a lock acquisition of its own; on the
-	// pipeline a share is one ring request (two or more when it exceeds
+	// pipeline a share is one queued request (two or more when it exceeds
 	// the per-request key cap) and may share its combiner's lock take
 	// with other requests — CombineStats.LockTakes counts the takes.
 	BatchLocks uint64

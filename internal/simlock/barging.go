@@ -13,15 +13,15 @@ import (
 // makes pthread_mutex the only usable blocking baseline when cores are
 // over-subscribed (Bench-6, Fig. 8h).
 type SimBarging struct {
-	// WakeSyscall is the FUTEX_WAKE cost the unlocker pays when there
-	// are sleepers (the syscall runs on the releasing thread, slowing
-	// the holder's fast path — the reason glibc mutexes fall behind
-	// spinlocks under extreme contention). Zero means 600 ns.
-	WakeSyscall int64
-
 	held     bool
 	sleepers queue
 }
+
+// bargingWakeSyscall is the FUTEX_WAKE cost (ns) the unlocker pays when
+// there are sleepers. The syscall runs on the releasing thread, slowing
+// the holder's fast path — the reason glibc mutexes fall behind
+// spinlocks under extreme contention.
+const bargingWakeSyscall = 600
 
 // Lock acquires the mutex, sleeping (parked, CPU released) while held.
 func (m *SimBarging) Lock(t *amp.Thread) {
@@ -43,11 +43,7 @@ func (m *SimBarging) Unlock(t *amp.Thread) {
 	m.held = false
 	if !m.sleepers.empty() {
 		amp.Unpark(m.sleepers.pop())
-		syscall := m.WakeSyscall
-		if syscall == 0 {
-			syscall = 600
-		}
-		t.Compute(syscall, amp.NCS)
+		t.Compute(bargingWakeSyscall, amp.NCS)
 	}
 }
 

@@ -48,20 +48,13 @@ func (m *SimMCS) IsFree() bool { return m.holder == nil && m.q.empty() }
 // classic reason ticket locks trail MCS at high thread counts.
 type SimTicket struct {
 	// Xfer configures the handover costs.
-	Xfer xfer
-	// StormPerWaiter is the extra cost per spinning waiter; zero
-	// means 25.
-	StormPerWaiter int64
-	holder         *amp.Thread
-	q              queue
+	Xfer   xfer
+	holder *amp.Thread
+	q      queue
 }
 
-func (m *SimTicket) storm() int64 {
-	if m.StormPerWaiter == 0 {
-		return 25
-	}
-	return m.StormPerWaiter
-}
+// ticketStorm is the extra handover cost per spinning ticket waiter.
+const ticketStorm = 25
 
 // Lock acquires in FIFO order.
 func (m *SimTicket) Lock(t *amp.Thread) {
@@ -83,7 +76,7 @@ func (m *SimTicket) Unlock(t *amp.Thread) {
 		m.holder = nil
 		return
 	}
-	cost := m.storm() * int64(m.q.len())
+	cost := ticketStorm * int64(m.q.len())
 	next := m.q.pop()
 	m.holder = next
 	next.Proc().Resume(m.Xfer.cost(next.Class()) + cost)

@@ -66,8 +66,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Options struct {
 	// SegmentBytes is the rotation threshold for the active segment.
 	SegmentBytes int64
-	// BufBytes sizes the user-space append buffer.
-	BufBytes int
 	// FS overrides the filesystem the log writes through (nil = the
 	// real one). FaultFS is the fault-injection implementation.
 	FS FS
@@ -75,7 +73,9 @@ type Options struct {
 
 const (
 	defaultSegmentBytes = 4 << 20
-	defaultBufBytes     = 64 << 10
+	// bufBytes sizes the user-space append buffer and the checkpoint
+	// writer's and replay reader's buffers.
+	bufBytes = 64 << 10
 )
 
 // Stats is a point-in-time snapshot of a Log's counters.
@@ -143,9 +143,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	if opts.BufBytes <= 0 {
-		opts.BufBytes = defaultBufBytes
-	}
 	fs := opts.FS
 	if fs == nil {
 		fs = OSFS{}
@@ -184,7 +181,7 @@ func (l *Log) openSegmentLocked() error {
 	}
 	l.f = f
 	if l.w == nil {
-		l.w = bufio.NewWriterSize(f, l.opts.BufBytes)
+		l.w = bufio.NewWriterSize(f, bufBytes)
 	} else {
 		l.w.Reset(f)
 	}
@@ -376,7 +373,7 @@ func (l *Log) WriteCheckpoint(boundary uint64, dump func(emit func(key uint64, v
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, defaultBufBytes)
+	w := bufio.NewWriterSize(f, bufBytes)
 	emit := func(key uint64, val []byte) error {
 		return writeRecord(w, KindPut, key, val)
 	}
@@ -606,7 +603,7 @@ func replayFile(path string, fn func(kind Kind, key uint64, val []byte) error) (
 		return 0, false, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, defaultBufBytes)
+	r := bufio.NewReaderSize(f, bufBytes)
 	var hdr [recHeader]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
