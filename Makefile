@@ -28,7 +28,7 @@ RACE_PKGS = . \
 	./internal/sim \
 	./internal/amp
 
-.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff microbench net-smoke wal-smoke soak
+.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff microbench net-smoke wal-smoke soak fuzz-smoke
 
 # The shard-lock contracts (ARCHITECTURE.md, "Enforced invariants") are
 # checked by test: a runtime guard in internal/shardedkv that panics on
@@ -203,6 +203,18 @@ soak:
 	$$tmp/kvsoak -server $$tmp/kvserver -dur $${SOAK_DUR:-60s} -seed $${SOAK_SEED:-1} || { rm -rf $$tmp; exit 1; }; \
 	rm -rf $$tmp
 
+# fuzz-smoke runs each native fuzz target for FUZZ_TIME (10s by
+# default): the wire codec's request and response decoders, and the
+# fault-schedule parser behind -faults. Go writes a failing input under
+# the package's testdata/fuzz/; check it in as a seed together with its
+# fix, so the plain test run replays it from then on. Runs as a
+# non-gating CI job next to wal-smoke and soak-smoke.
+FUZZ_TIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZ_TIME) ./internal/kvserver
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponsePayloads$$' -fuzztime $(FUZZ_TIME) ./internal/kvserver
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/fault
+
 # bench-check keeps the repository's benchmark buildable: benchmark/ is
 # a module of its own (`replace repro => ../`), so the root
 # `go build ./... && go test ./...` never compiles it, and a program
@@ -234,8 +246,8 @@ fig-diff:
 
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
 # short smoke paths, the nested benchmark module's build and tests, and
-# the network smoke. wal-smoke and soak are separate non-gating jobs in
-# the workflow.
+# the network smoke. wal-smoke, soak and fuzz-smoke are separate
+# non-gating jobs in the workflow.
 ci: check race short bench-check net-smoke
 
 # microbench runs the layer microbenchmarks (ROADMAP 1c) with

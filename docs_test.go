@@ -231,14 +231,11 @@ var testOnly = map[string]string{
 	"kvmodel.Verify":          "test-support package",
 	"locktest.WithClassProbe": "test-support package",
 	// ROADMAP item 16's list: each is to move into its tests or go.
-	"harness.Figure.FindRow":     "item 16",
-	"harness.Figure.FindSeries":  "item 16",
 	"lsm.Store.Runs":             "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.RunBytes":         "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.RunEntries":       "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Store.Refs":             "item 16; goes with lsm if item 9 deletes it",
 	"lsm.Version.Seq":            "item 16; goes with lsm if item 9 deletes it",
-	"wal.Log.Durable":            "item 16; read by wal and shardedkv tests only",
 	"shardedkv.Store.Checkpoint": "item 9: the served log is never checkpointed",
 }
 

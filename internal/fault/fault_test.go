@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +148,44 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParse: any spec either fails to parse or yields a registry, and
+// Parse never panics; a spec it accepts parses to the same rules a
+// second time. The corpus is seeded with every schedule the repository
+// passes: the net-smoke faults leg's, the benchmark's modelled fsync,
+// kvsoak's, the doc example and TestParse's.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"",
+		"wal.fsync:nth=3:error",
+		"wal.fsync:always:delay=200us",
+		"wal.fsync:nth=123:error",
+		"wal.fsync:nth=3:error,conn.write:prob=0.01:drop",
+		"wal.fsync:nth=3:error, conn.write:prob=0.5:drop, wal.write:after=4096:short=3, conn.read:every=10:delay=2ms:count=5",
+		"conn.read:every=2:short",
+		"wal.fsync", "wal.fsync:nth=0:error", "wal.fsync:sometimes:error",
+		"wal.fsync:nth=1:explode", "p:prob=1.5:error", "p:nth=1:error:count=0",
+		"p:nth=1:error:extra=1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := Parse(1, spec)
+		if (g == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of a registry and an error", spec, g, err)
+		}
+		if err != nil {
+			return
+		}
+		again, err := Parse(1, spec)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted once, then failed: %v", spec, err)
+		}
+		if !reflect.DeepEqual(g.rules, again.rules) {
+			t.Fatalf("Parse(%q) parsed two different rule sets", spec)
+		}
+	})
 }
 
 func TestValidateRejectsAmbiguousTriggers(t *testing.T) {

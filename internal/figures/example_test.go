@@ -15,10 +15,13 @@ func ExampleSLOSweep() {
 		return cfg
 	}
 	f := figures.SLOSweep("sweep", "short Bench-1", bench1, 0, 100_000, 5)
-	thr, _ := f.FindSeries("throughput")
 	var slos []float64
-	for _, p := range thr.Points {
-		slos = append(slos, p.X)
+	for _, s := range f.Series {
+		if s.Name == "throughput" {
+			for _, p := range s.Points {
+				slos = append(slos, p.X)
+			}
+		}
 	}
 	fmt.Println(slos)
 	// Output: [0 25 50 75 100]

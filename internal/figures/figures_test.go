@@ -4,8 +4,29 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/stats"
 )
+
+// findSeries returns f's series with the given name.
+func findSeries(f *harness.Figure, name string) (harness.Series, bool) {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return harness.Series{}, false
+}
+
+// findRow returns f's summary row with the given name.
+func findRow(f *harness.Figure, name string) (stats.Summary, bool) {
+	for _, r := range f.Rows {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return stats.Summary{}, false
+}
 
 // These are the repository's headline integration tests: each checks
 // the qualitative shape targets of one paper figure against the
@@ -172,7 +193,7 @@ func TestFig8dAdaptivityPhases(t *testing.T) {
 	if trace.Len() == 0 {
 		t.Fatal("no trace samples")
 	}
-	s, ok := f.FindSeries("window-p99")
+	s, ok := findSeries(f, "window-p99")
 	if !ok {
 		t.Fatal("missing window-p99 series")
 	}
@@ -268,7 +289,7 @@ func TestDBCDFWellFormed(t *testing.T) {
 		scale = 4
 	}
 	f := DBCDFScaled(UpscaleTemplate(), scale)
-	overall, ok := f.FindSeries("overall")
+	overall, ok := findSeries(f, "overall")
 	if !ok || len(overall.Points) == 0 {
 		t.Fatal("missing overall CDF")
 	}
@@ -311,7 +332,7 @@ func TestOptControllerBeatsNothing(t *testing.T) {
 	if len(f.Rows) != 2 {
 		t.Fatalf("rows = %d", len(f.Rows))
 	}
-	if _, ok := f.FindRow("ticket"); !ok {
+	if _, ok := findRow(f, "ticket"); !ok {
 		t.Fatal("missing ticket row")
 	}
 }

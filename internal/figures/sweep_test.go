@@ -36,7 +36,7 @@ func TestSLOSweep(t *testing.T) {
 			{"overall-p99", float64(r.Epochs.Overall().P99())},
 			{"throughput", r.Throughput},
 		} {
-			s, ok := f.FindSeries(want.series)
+			s, ok := findSeries(f, want.series)
 			if !ok || len(s.Points) != 2 {
 				t.Fatalf("series %q: found %v, %d points; want 2", want.series, ok, len(s.Points))
 			}

@@ -85,26 +85,6 @@ func (f *Figure) CSV() string {
 	return b.String()
 }
 
-// FindRow returns the summary row with the given name.
-func (f *Figure) FindRow(name string) (stats.Summary, bool) {
-	for _, r := range f.Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return stats.Summary{}, false
-}
-
-// FindSeries returns the series with the given name.
-func (f *Figure) FindSeries(name string) (Series, bool) {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Series{}, false
-}
-
 // CDFFigure renders a latency CDF (paper Figs. 9c/9f/9i/10c/10f) from
 // overall and little-core histograms.
 func CDFFigure(id, title string, sloNs int64, overall, little *stats.Histogram, maxPoints int) *Figure {

@@ -7,6 +7,26 @@ import (
 	"repro/internal/stats"
 )
 
+// FindRow returns the summary row with the given name.
+func (f *Figure) FindRow(name string) (stats.Summary, bool) {
+	for _, r := range f.Rows {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return stats.Summary{}, false
+}
+
+// FindSeries returns the series with the given name.
+func (f *Figure) FindSeries(name string) (Series, bool) {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Series{}, false
+}
+
 func TestFigureRenderAndCSV(t *testing.T) {
 	f := &Figure{ID: "figX", Title: "test figure", XLabel: "x", YLabel: "y"}
 	f.Series = append(f.Series, Series{Name: "a", Points: []Point{{1, 2}}})

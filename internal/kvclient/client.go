@@ -18,14 +18,18 @@
 // the caller's latency contract rides on each request, not on any
 // connection-level state.
 //
-// Buffer ownership: every response frame is read into a buffer of its
-// own, and that buffer belongs to the call it completes. The values Get,
-// MultiGet and Range return are not copies — they alias that frame
-// (capacity clipped to length, so an append reallocates rather than
-// running into the neighbouring pair). They stay valid for as long as
-// the caller holds them and no later call touches them, but holding ONE
-// value keeps its whole frame reachable: a caller that retains a few
-// values out of a large scan should copy them. Request values (Put,
+// Buffer ownership: a response that returns bytes — Get, MultiGet and
+// Range — is read into a frame of its own, and that frame belongs to the
+// call it completes. The values those calls return are not copies: they
+// alias that frame (capacity clipped to length, so an append reallocates
+// rather than running into the neighbouring pair). They stay valid for
+// as long as the caller holds them and no later call touches them, but
+// holding ONE value keeps its whole frame reachable: a caller that
+// retains a few values out of a large scan should copy them. A response
+// that returns no bytes — Put, Delete, MultiPut, Flush, Stats — is read
+// into one buffer the Client reuses from call to call and decoded before
+// the call releases the connection. An error status's message is copied
+// into the error, so no error holds a frame. Request values (Put,
 // MultiPut) are only read, and not retained after the call returns.
 package kvclient
 
@@ -121,6 +125,9 @@ type Client struct {
 	br     *bufio.Reader
 	nextID uint64
 	wbuf   []byte
+	// rbuf is the reused response buffer of the calls whose decode
+	// keeps no byte of the frame (see the package doc).
+	rbuf []byte
 
 	errMu sync.Mutex // guards err; Close takes it, never mu
 	err   error      // sticky: ErrClosed or the first transport failure
@@ -205,54 +212,67 @@ func (c *Client) fail(cause error) error {
 	return c.err
 }
 
-// roundTrip sends req (id assigned here) and reads its response,
-// holding the connection throughout. A non-OK status is returned as a
-// *StatusError beside the response.
-func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
+// roundTrip sends req (id assigned here), reads its response and runs
+// decode on it, holding the connection throughout. reuse reads the
+// response into the client's reused buffer, which the next call
+// overwrites: only a decode that keeps no byte of the payload may ask
+// for it. Otherwise the frame is fresh, and the decoded values may alias
+// it. A non-OK status is returned as a *StatusError, and decode is not
+// run.
+func (c *Client) roundTrip(req *kvserver.Request, reuse bool, decode func(kvserver.Response) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.errMu.Lock()
 	err := c.err
 	c.errMu.Unlock()
 	if err != nil {
-		return kvserver.Response{}, err
+		return err
 	}
 	c.nextID++
 	req.ID = c.nextID
 	buf, err := kvserver.AppendRequest(c.wbuf[:0], req)
 	if err != nil {
-		return kvserver.Response{}, err
+		return err
 	}
 	// Kept for the next request unless this one was oversized.
 	c.wbuf = kvserver.RetainBuf(buf)
-	resp, err := c.exchange(buf, req.ID)
+	resp, err := c.exchange(buf, req.ID, reuse)
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = fmt.Errorf("kvclient: request timed out after %v: %w", c.timeout, err)
 		}
-		return kvserver.Response{}, c.fail(err)
+		return c.fail(err)
 	}
 	if resp.Status != kvserver.StatusOK {
-		return resp, &StatusError{Status: resp.Status, Message: string(resp.Payload)}
+		return &StatusError{Status: resp.Status, Message: string(resp.Payload)}
 	}
-	return resp, nil
+	return decode(resp)
 }
 
 // exchange writes one request frame and reads the response to id (c.mu
-// held). Every error it returns leaves the stream unusable: a partial
-// frame may have gone out, or the next frame in may be anyone's.
-func (c *Client) exchange(frame []byte, id uint64) (kvserver.Response, error) {
+// held), into c.rbuf when reuse is set. Every error it returns leaves
+// the stream unusable: a partial frame may have gone out, or the next
+// frame in may be anyone's.
+func (c *Client) exchange(frame []byte, id uint64, reuse bool) (kvserver.Response, error) {
 	if c.timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
 	if _, err := c.conn.Write(frame); err != nil {
 		return kvserver.Response{}, err
 	}
-	// A fresh buffer per frame: the decoded values the call returns
-	// alias it, so this must never become a buffer the client reuses.
-	in, err := kvserver.ReadFrame(c.br, nil)
+	// Without reuse, a fresh buffer per frame: the decoded values the
+	// call returns alias it, so it must never become a buffer the
+	// client reuses.
+	var into []byte
+	if reuse {
+		into = c.rbuf
+	}
+	in, err := kvserver.ReadFrame(c.br, into)
 	if err != nil {
 		return kvserver.Response{}, err
+	}
+	if reuse {
+		c.rbuf = kvserver.RetainBuf(in)
 	}
 	resp, err := kvserver.DecodeResponse(in)
 	if err != nil {
@@ -266,51 +286,51 @@ func (c *Client) exchange(frame []byte, id uint64) (kvserver.Response, error) {
 
 // Get reads key k under class. The value aliases the response frame,
 // which this call owns (see the package doc).
-func (c *Client) Get(class uint8, k uint64) ([]byte, bool, error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpGet, Class: class, Key: k})
-	if err != nil {
-		return nil, false, err
-	}
-	return kvserver.DecodeGetPayload(resp.Payload)
+func (c *Client) Get(class uint8, k uint64) (v []byte, ok bool, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpGet, Class: class, Key: k}, false, func(resp kvserver.Response) (err error) {
+		v, ok, err = kvserver.DecodeGetPayload(resp.Payload)
+		return err
+	})
+	return v, ok, err
 }
 
 // Put stores k=v under class; reports insert-vs-replace. v is not
 // retained after the call returns.
-func (c *Client) Put(class uint8, k uint64, v []byte) (bool, error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpPut, Class: class, Key: k, Value: v})
-	if err != nil {
-		return false, err
-	}
-	return kvserver.DecodeBoolPayload(resp.Payload)
+func (c *Client) Put(class uint8, k uint64, v []byte) (inserted bool, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpPut, Class: class, Key: k, Value: v}, true, func(resp kvserver.Response) (err error) {
+		inserted, err = kvserver.DecodeBoolPayload(resp.Payload)
+		return err
+	})
+	return inserted, err
 }
 
 // Delete removes k under class; reports presence.
-func (c *Client) Delete(class uint8, k uint64) (bool, error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpDelete, Class: class, Key: k})
-	if err != nil {
-		return false, err
-	}
-	return kvserver.DecodeBoolPayload(resp.Payload)
+func (c *Client) Delete(class uint8, k uint64) (present bool, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpDelete, Class: class, Key: k}, true, func(resp kvserver.Response) (err error) {
+		present, err = kvserver.DecodeBoolPayload(resp.Payload)
+		return err
+	})
+	return present, err
 }
 
 // MultiGet reads all keys in one request under class. The values alias
 // the one response frame: retaining any of them retains all of it.
-func (c *Client) MultiGet(class uint8, keys []uint64) ([][]byte, []bool, error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiGet, Class: class, Keys: keys})
-	if err != nil {
-		return nil, nil, err
-	}
-	return kvserver.DecodeMultiGetPayload(resp.Payload)
+func (c *Client) MultiGet(class uint8, keys []uint64) (vals [][]byte, found []bool, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiGet, Class: class, Keys: keys}, false, func(resp kvserver.Response) (err error) {
+		vals, found, err = kvserver.DecodeMultiGetPayload(resp.Payload)
+		return err
+	})
+	return vals, found, err
 }
 
 // MultiPut writes all pairs in one request under class; returns the
 // number newly inserted.
-func (c *Client) MultiPut(class uint8, kvs []shardedkv.Pair) (int, error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiPut, Class: class, KVs: kvs})
-	if err != nil {
-		return 0, err
-	}
-	return kvserver.DecodeMultiPutPayload(resp.Payload)
+func (c *Client) MultiPut(class uint8, kvs []shardedkv.Pair) (inserted int, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiPut, Class: class, KVs: kvs}, true, func(resp kvserver.Response) (err error) {
+		inserted, err = kvserver.DecodeMultiPutPayload(resp.Payload)
+		return err
+	})
+	return inserted, err
 }
 
 // Range returns pairs in [lo, hi] in ascending key order, at most
@@ -318,31 +338,28 @@ func (c *Client) MultiPut(class uint8, kvs []shardedkv.Pair) (int, error) {
 // truncated emission — continue from kvs[len(kvs)-1].Key+1. The values
 // alias the one response frame: retaining any of them retains all of it.
 func (c *Client) Range(class uint8, lo, hi uint64, limit int) (kvs []shardedkv.Pair, more bool, err error) {
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpRange, Class: class, Lo: lo, Hi: hi, Limit: uint32(limit)})
-	if err != nil {
-		return nil, false, err
-	}
-	kvs, err = kvserver.DecodeRangePayload(resp.Payload)
-	return kvs, resp.Flags&kvserver.FlagMore != 0, err
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpRange, Class: class, Lo: lo, Hi: hi, Limit: uint32(limit)}, false, func(resp kvserver.Response) (err error) {
+		kvs, err = kvserver.DecodeRangePayload(resp.Payload)
+		more = resp.Flags&kvserver.FlagMore != 0
+		return err
+	})
+	return kvs, more, err
 }
 
 // Flush drives the server-side durability barrier (meaningful when the
 // server runs with a write-ahead log): bulk writes acked before it are
 // durable once it returns nil.
 func (c *Client) Flush(class uint8) error {
-	_, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpFlush, Class: class})
-	return err
+	return c.roundTrip(&kvserver.Request{Op: kvserver.OpFlush, Class: class}, true, func(kvserver.Response) error { return nil })
 }
 
 // Stats fetches the server's aggregate stats.
-func (c *Client) Stats() (kvserver.ServerStats, error) {
-	var st kvserver.ServerStats
-	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpStats, Class: kvserver.ClassInteractive})
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(resp.Payload, &st); err != nil {
-		return st, fmt.Errorf("kvclient: stats payload: %w", err)
-	}
-	return st, nil
+func (c *Client) Stats() (st kvserver.ServerStats, err error) {
+	err = c.roundTrip(&kvserver.Request{Op: kvserver.OpStats, Class: kvserver.ClassInteractive}, true, func(resp kvserver.Response) error {
+		if err := json.Unmarshal(resp.Payload, &st); err != nil {
+			return fmt.Errorf("kvclient: stats payload: %w", err)
+		}
+		return nil
+	})
+	return st, err
 }

@@ -82,15 +82,15 @@ func newExecFixture(t testing.TB, keys int, val []byte) (*Server, *serverConn) {
 	return s, sc
 }
 
-// TestExecuteAllocs pins what serving one request allocates, the buffer
-// it encodes into being warm. A point Get allocates nothing and a Put
-// only the server's copy of its value (the btree then copies it into
-// its leaf arena, whose growth amortises below one allocation per
-// Put, and never rewrites bytes it has handed out): Range's streaming
-// callback lives in appendRange so that execute's out stays off the heap
-// (written inline in execute, the closure costs every request one
-// allocation). A 513-pair Range allocates the callback's state, the
-// store's collect closure and shard worklist, and nothing per pair.
+// TestExecuteAllocs pins what serving one request allocates on the
+// btree, the buffer it encodes into being warm: nothing. A Put hands the
+// store the value as decoded, and the btree copies it into its leaf
+// arena, whose growth amortises below one allocation per Put. Range's
+// streaming callback lives in appendRange so that execute's out stays
+// off the heap (written inline in execute, the closure costs every
+// request one allocation), its frame and bound callback live on the
+// connection, and the store's collect callback on its pooled scratch:
+// a 513-pair Range allocates nothing at all.
 func TestExecuteAllocs(t *testing.T) {
 	s, sc := newExecFixture(t, 1024, bytes.Repeat([]byte{7}, 64))
 	out := make([]byte, 0, 64<<10)
@@ -108,8 +108,8 @@ func TestExecuteAllocs(t *testing.T) {
 		req  Request
 	}{
 		{"Get", 0, Request{ID: 1, Op: OpGet, Class: ClassInteractive, Key: 5}},
-		{"Put", 1, Request{ID: 2, Op: OpPut, Class: ClassInteractive, Key: 5, Value: bytes.Repeat([]byte{9}, 64)}},
-		{"Range of 513", 4, Request{ID: 3, Op: OpRange, Class: ClassBulk, Lo: 100, Hi: 612}},
+		{"Put", 0, Request{ID: 2, Op: OpPut, Class: ClassInteractive, Key: 5, Value: bytes.Repeat([]byte{9}, 64)}},
+		{"Range of 513", 0, Request{ID: 3, Op: OpRange, Class: ClassBulk, Lo: 100, Hi: 612}},
 	} {
 		if got := allocsPerRun(t, run(c.req)); got > c.max {
 			t.Errorf("%s: %v allocations per request, want at most %v", c.name, got, c.max)
@@ -165,8 +165,8 @@ func TestReadFrameAllocs(t *testing.T) {
 
 // TestServeOneAllocs pins a warm connection's whole request cycle —
 // frame read, decode, execute, response write — where TestExecuteAllocs
-// starts after the frame is read: a Get allocates nothing and a Put only
-// its value copy.
+// starts after the frame is read: on the btree neither a Get nor a Put
+// allocates.
 func TestServeOneAllocs(t *testing.T) {
 	s, sc := newExecFixture(t, 1024, bytes.Repeat([]byte{7}, 64))
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
@@ -176,7 +176,7 @@ func TestServeOneAllocs(t *testing.T) {
 		req  Request
 	}{
 		{"Get", 0, Request{ID: 1, Op: OpGet, Class: ClassInteractive, Key: 5}},
-		{"Put", 1, Request{ID: 2, Op: OpPut, Class: ClassInteractive, Key: 5, Value: bytes.Repeat([]byte{9}, 64)}},
+		{"Put", 0, Request{ID: 2, Op: OpPut, Class: ClassInteractive, Key: 5, Value: bytes.Repeat([]byte{9}, 64)}},
 	} {
 		br := replayed(t, c.req)
 		got := allocsPerRun(t, func() {
@@ -215,7 +215,7 @@ func TestAppendRangeMatchesAppendRangeResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := Request{ID: 9, Op: OpRange, Class: ClassBulk, Lo: c.lo, Hi: c.hi, Limit: c.limit}
-		got, pairs, err := s.appendRange(sc.ws[core.Little], &req, []byte("prefix"))
+		got, pairs, err := s.appendRange(sc, sc.ws[core.Little], &req, []byte("prefix"))
 		if err != nil || pairs != c.pairs || !bytes.Equal(got, want) {
 			t.Errorf("Range [%d,%d] limit %d: %d pairs, err %v, frame differs: %v", c.lo, c.hi, c.limit, pairs, err, !bytes.Equal(got, want))
 		}
@@ -234,7 +234,7 @@ func TestAppendRangeStopsAtMaxFrame(t *testing.T) {
 	fits := (MaxFrame - headerLen - 4) / (12 + MaxValueLen)
 
 	req := Request{ID: 4, Op: OpRange, Class: ClassBulk, Lo: 0, Hi: keys}
-	out, pairs, err := s.appendRange(sc.ws[core.Little], &req, []byte("prefix"))
+	out, pairs, err := s.appendRange(sc, sc.ws[core.Little], &req, []byte("prefix"))
 	if err == nil || string(out) != "prefix" || pairs != fits {
 		t.Fatalf("over-large scan: %d pairs (want %d), out reset to %d bytes, err %v", pairs, fits, len(out), err)
 	}
@@ -376,4 +376,42 @@ func TestConnBuffersDropHighWaterMark(t *testing.T) {
 			t.Fatalf("steady 64 KiB request %d reallocated a connection buffer", i)
 		}
 	})
+}
+
+// TestServedWritesSurviveFrameReuse: the server hands the store each
+// written value as decoded, aliasing the connection's frame buffer,
+// which the next request overwrites. On every engine the values read
+// back are the ones written, so whatever an engine keeps is its own.
+func TestServedWritesSurviveFrameReuse(t *testing.T) {
+	val := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k)}, 40) }
+	for _, spec := range shardedkv.AllEngines() {
+		t.Run(spec.Name, func(t *testing.T) {
+			s, err := New(Config{Store: shardedkv.New(shardedkv.Config{Shards: 2, NewEngine: spec.New})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newServerConn(nil)
+			var reqs []Request
+			for k := uint64(1); k <= 4; k++ {
+				reqs = append(reqs, Request{ID: k, Op: OpPut, Class: ClassInteractive, Key: k, Value: val(k)})
+			}
+			kvs := []shardedkv.Pair{{Key: 5, Value: val(5)}, {Key: 6, Value: val(6)}}
+			reqs = append(reqs, Request{ID: 5, Op: OpMultiPut, Class: ClassBulk, KVs: kvs})
+			for k := uint64(1); k <= 6; k++ {
+				reqs = append(reqs, Request{ID: 10 + k, Op: OpGet, Class: ClassInteractive, Key: k})
+			}
+			serveFrames(t, s, sc, reqs, func(i int, resp Response) {
+				if resp.Status != StatusOK {
+					t.Fatalf("request %d: status %d", i, resp.Status)
+				}
+				if reqs[i].Op != OpGet {
+					return
+				}
+				k := reqs[i].Key
+				if v, ok, err := DecodeGetPayload(resp.Payload); err != nil || !ok || !bytes.Equal(v, val(k)) {
+					t.Fatalf("Get(%d) = %x, %v, %v after the frame buffer was reused", k, v, ok, err)
+				}
+			})
+		})
+	}
 }

@@ -183,8 +183,8 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 }
 
 // TestDocsCarryBufferOwnershipTable pins the buffer-ownership table in
-// both documents that state it: who owns the request frame, the
-// response frame and a stored value, and what aliases each. The codec's
+// both documents that state it: who owns the request frame, each kind
+// of response frame and a stored value, and what aliases each. The codec's
 // no-copy decoders are only safe under exactly these rules.
 func TestDocsCarryBufferOwnershipTable(t *testing.T) {
 	for _, rel := range []string{"docs/protocol.md", "ARCHITECTURE.md"} {
@@ -192,11 +192,13 @@ func TestDocsCarryBufferOwnershipTable(t *testing.T) {
 		for _, want := range []string{
 			"| buffer | owner | rule |",
 			"| request frame | connection-owned, reused |",
-			"values are copied before the store retains them",
-			"| response frame | caller-owned |",
+			"the store borrows them for the call",
+			"| response frame of Get, MultiGet, Range | caller-owned |",
 			"decoded values alias it",
 			"retaining one value retains the frame",
+			"| response frame of any other op | client-owned, reused |",
 			"| store values | immutable once stored |",
+			"a private copy the front end makes before the shard lock",
 			"aliased by scans after the lock drops",
 			"MaxFrame",
 		} {

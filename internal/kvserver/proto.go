@@ -554,9 +554,11 @@ func DecodeResponse(frame []byte) (Response, error) {
 // the corresponding op. Decoded values are NOT copied: they alias p
 // (capacity clipped to length), so they live exactly as long as the
 // frame does and retaining one value retains the whole frame. kvclient
-// reads every response into a buffer of its own that passes to the
-// completed call, so its callers may keep what they get; a caller that
-// decodes out of a buffer it reuses must copy what it keeps.
+// reads every response that returns bytes into a buffer of its own that
+// passes to the completed call, so its callers may keep what they get;
+// a caller that decodes out of a buffer it reuses must copy what it
+// keeps, as kvclient does with the responses it reads into its one
+// reused buffer.
 
 // DecodeGetPayload returns (value, found); value aliases p.
 func DecodeGetPayload(p []byte) ([]byte, bool, error) {

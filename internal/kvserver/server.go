@@ -182,12 +182,18 @@ type serverConn struct {
 	// ws holds the connection's workers, one per lock class, indexed
 	// by core.Class (handler-only, no lock).
 	ws [2]*core.Worker
+	// rf is the Range response under construction and addPair its add
+	// method, bound once here: built per request, the frame and the
+	// method value the store calls would be two heap objects per scan
+	// (handler-only, no lock).
+	rf      rangeFrame
+	addPair func(k uint64, v []byte) bool
 }
 
 // newServerConn returns the state of connection c with its two
 // workers.
 func newServerConn(c net.Conn) *serverConn {
-	return &serverConn{
+	sc := &serverConn{
 		c:   c,
 		rec: stats.NewClassedRecorder(),
 		ws: [2]*core.Worker{
@@ -195,6 +201,8 @@ func newServerConn(c net.Conn) *serverConn {
 			core.Little: core.NewWorker(core.WorkerConfig{Class: core.Little}),
 		},
 	}
+	sc.addPair = sc.rf.add
+	return sc
 }
 
 func (sc *serverConn) record(class core.Class, latencyNs int64, ops uint64) {
@@ -347,10 +355,10 @@ func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, erro
 		out, encErr = AppendGetResponse(out, req.ID, v, ok)
 	case OpPut:
 		// The decoded value aliases the connection's frame buffer,
-		// which the next ReadFrame reuses; the store retains values by
-		// reference, so copy before storing.
-		v := append([]byte(nil), req.Value...)
-		ok, werr := s.kv.Put(w, req.Key, v)
+		// which the next ReadFrame reuses. The store borrows values for
+		// the call and copies what its engine keeps, so the value goes
+		// in as decoded.
+		ok, werr := s.kv.Put(w, req.Key, req.Value)
 		if werr != nil {
 			kvErr = werr
 		} else {
@@ -368,12 +376,9 @@ func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, erro
 		ops = uint64(len(req.Keys))
 		out, encErr = AppendMultiGetResponse(out, req.ID, vals, found)
 	case OpMultiPut:
-		kvs := make([]shardedkv.Pair, len(req.KVs))
-		for i, kv := range req.KVs {
-			kvs[i] = shardedkv.Pair{Key: kv.Key, Value: append([]byte(nil), kv.Value...)}
-		}
-		inserted, werr := s.kv.MultiPut(w, kvs)
-		ops = uint64(len(kvs))
+		// Borrowed for the call, as Put's value is.
+		inserted, werr := s.kv.MultiPut(w, req.KVs)
+		ops = uint64(len(req.KVs))
 		if werr != nil {
 			kvErr = werr
 		} else {
@@ -381,7 +386,7 @@ func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, erro
 		}
 	case OpRange:
 		var pairs int
-		out, pairs, encErr = s.appendRange(w, req, out)
+		out, pairs, encErr = s.appendRange(sc, w, req, out)
 		ops = uint64(max(pairs, 1))
 	case OpFlush:
 		// KV.Flush is the durability barrier: on either front end it
@@ -461,28 +466,34 @@ func (f *rangeFrame) add(k uint64, v []byte) bool {
 // copies are not lock hold time. It is a method of its own so that the
 // callback's captured state stays out of execute: a closure over
 // execute's out would move that variable to the heap on every request,
-// point ops included. A scan whose encoding would exceed MaxFrame
-// returns out as it was given, plus the error execute answers with
-// StatusErrTooLarge.
-func (s *Server) appendRange(w *core.Worker, req *Request, out []byte) ([]byte, int, error) {
-	f := rangeFrame{limit: int(req.Limit)}
+// point ops included. The frame and its bound add live on the
+// connection (serverConn.rf, addPair), so a scan allocates neither. A
+// scan whose encoding would exceed MaxFrame returns out as it was given,
+// plus the error execute answers with StatusErrTooLarge.
+func (s *Server) appendRange(sc *serverConn, w *core.Worker, req *Request, out []byte) ([]byte, int, error) {
+	f := &sc.rf
+	*f = rangeFrame{limit: int(req.Limit)}
 	if f.limit <= 0 || f.limit > MaxRangePairs {
 		f.limit = MaxRangePairs
 	}
 	f.out, f.start = beginFrame(out, req.ID, StatusOK, 0)
 	count := len(f.out)
 	f.out = append(f.out, 0, 0, 0, 0)
-	s.kv.Range(w, req.Lo, req.Hi, f.add)
+	s.kv.Range(w, req.Lo, req.Hi, sc.addPair)
+	res, pairs := f.out, f.pairs
+	// The buffer is the caller's from here on; the connection keeps no
+	// second reference to it.
+	f.out = nil
 	if f.tooLarge {
-		return f.out[:f.start], f.pairs, wireErr("range response exceeds MaxFrame %d after %d pairs", MaxFrame, f.pairs)
+		return res[:f.start], pairs, wireErr("range response exceeds MaxFrame %d after %d pairs", MaxFrame, pairs)
 	}
 	if f.more {
 		s.truncates.Add(1)
-		f.out[f.start+4+headerLen-1] |= FlagMore
+		res[f.start+4+headerLen-1] |= FlagMore
 	}
-	binary.BigEndian.PutUint32(f.out[count:], uint32(f.pairs))
-	res, err := endFrame(f.out, f.start)
-	return res, f.pairs, err
+	binary.BigEndian.PutUint32(res[count:], uint32(pairs))
+	res, err := endFrame(res, f.start)
+	return res, pairs, err
 }
 
 // ClassServerStats is one SLO class's server-side view.

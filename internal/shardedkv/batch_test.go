@@ -319,26 +319,47 @@ func TestBatchDegradedShardMidBatch(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocs: grouping, the requests, their index
-// slices and the wait allocate nothing once the pools are warm —
-// MultiGet pays for the two slices it returns, MultiPut for nothing.
+// slices and the wait allocate nothing once the pools are warm, on both
+// front ends — MultiGet pays for the two slices it returns, and MultiPut
+// on the btree, which copies values into its leaf arenas, at most one
+// object of overhead. The store is first loaded with 3 KiB values, so
+// every leaf arena has room for all the measured overwrites and no
+// compaction lands in the count. On hashkv, which keeps the slice it is
+// given, MultiPut pays for exactly its 16 value copies, made before any
+// shard lock, plus at most that one.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	a := NewAsync(New(Config{Shards: 16}), AsyncConfig{})
-	for _, class := range []core.Class{core.Big, core.Little} {
-		w := core.NewWorker(core.WorkerConfig{Class: class})
-		kvs := make([]Pair, 16)
-		keys := make([]uint64, len(kvs))
-		for i := range kvs {
-			keys[i] = uint64(i) * 31
-			kvs[i] = Pair{Key: keys[i], Value: verValue(keys[i], 1)}
-		}
-		if got := testing.AllocsPerRun(200, func() { a.MultiGet(w, keys) }); got != 2 {
-			t.Errorf("%v MultiGet of 16: %v allocations per call, want 2 (vals, ok)", class, got)
-		}
-		if got := testing.AllocsPerRun(200, func() { a.MultiPut(w, kvs) }); got > 1 {
-			t.Errorf("%v MultiPut of 16: %v allocations per call, want at most 1", class, got)
+	for _, e := range []struct {
+		name   string
+		engine func(int) Engine
+		copies float64
+	}{
+		{"btree", func(int) Engine { return NewBTreeEngine() }, 0},
+		{"hashkv", func(int) Engine { return NewHashEngine(256) }, 16},
+	} {
+		for name, kv := range frontEnds(t, Config{Shards: 16, NewEngine: e.engine}) {
+			for _, class := range []core.Class{core.Big, core.Little} {
+				w := core.NewWorker(core.WorkerConfig{Class: class})
+				for k := uint64(0); k < 512; k++ {
+					kv.Put(w, k, make([]byte, 3<<10))
+				}
+				kvs := make([]Pair, 16)
+				keys := make([]uint64, len(kvs))
+				for i := range kvs {
+					keys[i] = uint64(i) * 31
+					kvs[i] = Pair{Key: keys[i], Value: verValue(keys[i], 1)}
+				}
+				if got := testing.AllocsPerRun(200, func() { kv.MultiGet(w, keys) }); got != 2 {
+					t.Errorf("%s %s %v MultiGet of 16: %v allocations per call, want 2 (vals, ok)", e.name, name, class, got)
+				}
+				got := testing.AllocsPerRun(200, func() { kv.MultiPut(w, kvs) })
+				if got < e.copies || got > e.copies+1 {
+					t.Errorf("%s %s %v MultiPut of 16: %v allocations per call, want %v value copies plus at most 1",
+						e.name, name, class, got, e.copies)
+				}
+			}
 		}
 	}
 }

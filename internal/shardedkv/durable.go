@@ -283,7 +283,8 @@ func (s *Store) replayGeneration(gen string) error {
 			if kind == wal.KindDelete {
 				sh.eng.Delete(key)
 			} else {
-				sh.eng.Put(key, append([]byte(nil), val...))
+				// val is borrowed for the call, as a Put's value is.
+				sh.eng.Put(key, s.owned(val))
 			}
 			return nil
 		})

@@ -58,6 +58,10 @@ func (e *hashEngine) BatchRange(reqs []RangeReq, emit func(req int, k uint64, v 
 // and keeps its nodes in pointer-free slabs: one GC object per leaf.
 type btreeEngine struct{ t *btree.Tree }
 
+// copiesValues marks the btree as a valueCopier: Put copies the value
+// into a leaf arena, so the front ends hand it the caller's slice as is.
+func (e *btreeEngine) copiesValues() {}
+
 // NewBTreeEngine returns a B+tree engine.
 func NewBTreeEngine() Engine { return &btreeEngine{t: btree.New()} }
 
@@ -91,8 +95,9 @@ func (e *skiplistEngine) Range(lo, hi uint64, fn func(k uint64, v []byte) bool) 
 // lsmEngine wraps the LSM store. The substrate now has first-class
 // tombstone deletes, insert-vs-replace reporting, a live-key count,
 // and a merged Range iterator, so the adapter is a thin delegation:
-// values pass through by reference (no tag-byte copy) and there is no
-// shadow key set to keep in sync.
+// values pass through by reference (no tag-byte copy; the Store hands
+// Put a private copy, as it does for hashkv and the skiplist) and there
+// is no shadow key set to keep in sync.
 type lsmEngine struct{ s *lsm.Store }
 
 // NewLSMEngine returns an LSM engine. FlushBytes 0 keeps the

@@ -15,8 +15,11 @@ import "repro/internal/core"
 //
 //   - Every method takes the calling goroutine's own *core.Worker;
 //     workers are not shareable.
-//   - Put/MultiPut retain value slices by reference until applied (and,
-//     under durability, until logged) — callers must not reuse buffers.
+//   - Put/MultiPut borrow value slices for the call: the store copies
+//     what it keeps, so a caller may reuse its buffer as soon as the
+//     call returns. The copy is made on the caller's goroutine before
+//     the shard lock is taken, and only for engines that keep the slice
+//     they are given (the btree copies into its leaf arenas itself).
 //   - Range/MultiRange results are ascending-key and per-shard
 //     consistent; fn never runs under a shard lock.
 //   - Writes return an error exactly when their durability promise

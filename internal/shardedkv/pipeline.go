@@ -91,7 +91,7 @@ const (
 type request struct {
 	kind opKind
 	key  uint64     // Get/Put/Delete key
-	val  []byte     // Put value (retained by reference, as in Store.Put)
+	val  []byte     // Put value: what the engine may keep (Store.owned)
 	rng  []RangeReq // opRange: spans to collect on one shard
 
 	// A batch request (opMultiGet/opMultiPut) carries positions, not
@@ -687,16 +687,18 @@ func (a *AsyncStore) Get(w *core.Worker, k uint64) ([]byte, bool) {
 }
 
 // Put stores k=v through the pipeline; reports insert-vs-replace. As
-// with Store.Put, v is retained by reference until the op executes.
-// With durability on and a sync-wait class, the call returns only
-// after the record is fsynced — riding whichever group commit the
+// with Store.Put, v is borrowed for the call: an engine that keeps its
+// argument is handed a copy made here, on the caller's goroutine, before
+// the request is queued, so the combiner never copies. With durability
+// on and a sync-wait class, the call returns only after the record is
+// fsynced — riding whichever group commit the
 // executing combiner's batch leads or joins. A log failure surfaces
 // here as Store.Put's typed error: the executing combiner records it
 // on the future (degrading the shard) and the owner reads it back.
 func (a *AsyncStore) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
 	a.checkOpen()
 	r := a.newReq(opPut)
-	r.key, r.val = k, v
+	r.key, r.val = k, a.st.owned(v)
 	r.syncWait = a.st.syncWaitFor(w)
 	a.run(w, a.pipeOf(k), r)
 	ok, err := r.rok, r.err
@@ -728,7 +730,8 @@ type batch struct {
 	keys     []uint64 // opMultiGet: the caller's keys
 	vals     [][]byte // opMultiGet: results, written by position
 	oks      []bool
-	kvs      []Pair // opMultiPut: the caller's pairs
+	kvs      []Pair // opMultiPut: the pairs to apply (Store.ownedPairs)
+	own      []Pair // the copies kvs points into when the engines keep values
 
 	// open[i] is the request shard i is being grouped into: its newest,
 	// the only one not yet full. reqs lists every request in creation
@@ -788,7 +791,8 @@ func (a *AsyncStore) runBatch(w *core.Worker, b *batch) {
 func (a *AsyncStore) freeBatch(b *batch) {
 	clear(b.open)
 	clear(b.reqs)
-	*b = batch{open: b.open[:0], reqs: b.reqs[:0]}
+	clear(b.own)
+	*b = batch{open: b.open[:0], reqs: b.reqs[:0], own: b.own[:0]}
 	a.batches.Put(b)
 }
 
@@ -820,11 +824,13 @@ func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok 
 // batch order, and its queue is FIFO. With durability on and a sync-wait
 // class, each touched shard's share rides one group commit. A non-nil
 // error means at least one shard refused its share (Store.MultiPut's
-// contract); shares on healthy shards still applied.
+// contract); shares on healthy shards still applied. The values are
+// borrowed for the call, as in Put: any copies are made here, before the
+// first request is queued.
 func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	a.checkOpen()
 	b := a.newBatch(opMultiPut)
-	b.kvs, b.syncWait = kvs, a.st.syncWaitFor(w)
+	b.kvs, b.syncWait = a.st.ownedPairs(kvs, &b.own), a.st.syncWaitFor(w)
 	for i := range kvs {
 		a.route(b, kvs[i].Key, i)
 	}

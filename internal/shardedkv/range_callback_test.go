@@ -188,7 +188,7 @@ func TestRangeReentryEarlyStopEmptySpan(t *testing.T) {
 // TestScanScratchReleasePinsNothing: a pooled scratch holds no value
 // reference, and one grown past the retained bound is dropped.
 func TestScanScratchReleasePinsNothing(t *testing.T) {
-	sc := new(scanScratch)
+	sc := newScanScratch()
 	for k := uint64(0); k < 100; k++ {
 		sc.pairs = append(sc.pairs, Pair{Key: k, Value: stressValue(k)})
 	}
@@ -204,7 +204,8 @@ func TestScanScratchReleasePinsNothing(t *testing.T) {
 		}
 	}
 
-	big := &scanScratch{pairs: make([]Pair, scanScratchMaxPairs+1)}
+	big := newScanScratch()
+	big.pairs = make([]Pair, scanScratchMaxPairs+1)
 	big.pairs[0].Value = stressValue(1)
 	big.release()
 	if big.pairs[0].Value == nil {

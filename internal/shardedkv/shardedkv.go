@@ -50,13 +50,19 @@
 // worker must own its *core.Worker (they are per-goroutine, like the
 // paper's __thread state).
 //
-// Value ownership follows the embedded-KV convention: Put retains the
-// value slice by reference, so the caller must not modify it after
-// the call (pass a copy to reuse a buffer), and Get returns the
-// stored slice, which the caller must treat as read-only.
+// Values written are borrowed for the call: Put and MultiPut read the
+// caller's slices and keep none of them, so a caller may reuse its
+// buffer as soon as the call returns. The one copy a stored value needs
+// is made once. An engine that copies into memory of its own (the
+// btree's leaf arenas) gets the caller's slice as is; every other engine
+// gets a private copy, made on the caller's goroutine before the shard
+// lock is taken or the request is queued, so no copy runs under a shard
+// lock or in a combiner. Get returns the stored slice, which the caller
+// must treat as read-only.
 package shardedkv
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -76,8 +82,9 @@ type Engine interface {
 	// for the caller.
 	Get(k uint64) ([]byte, bool)
 	// Put stores k=v and reports whether a new key was inserted
-	// (false = an existing key was replaced). v is retained by
-	// reference; the caller must not modify it afterwards.
+	// (false = an existing key was replaced). An engine may keep v
+	// itself: the Store hands it a slice nothing writes to afterwards,
+	// a private copy unless the engine is a valueCopier.
 	Put(k uint64, v []byte) bool
 	// Delete removes k and reports whether it was present.
 	Delete(k uint64) bool
@@ -90,6 +97,12 @@ type Engine interface {
 	// runs with newest-wins shadowing.
 	Range(lo, hi uint64, fn func(k uint64, v []byte) bool)
 }
+
+// valueCopier is implemented by engines whose Put copies the value
+// into memory the engine owns (the btree). The Store finds it by type
+// assertion at Open; for any other engine the front ends copy each
+// written value before the shard lock (Store.owned).
+type valueCopier interface{ copiesValues() }
 
 // KV is one key/value pair of a batched put.
 type Pair struct {
@@ -239,6 +252,9 @@ type Store struct {
 	// shards is fixed at Open: key k lives on shards[ShardOf(k)].
 	shards []*shard
 	csPad  func(w *core.Worker)
+	// keeps is set when some shard's engine keeps the slice Put hands
+	// it (is not a valueCopier): writes then copy every value first.
+	keeps bool
 	// dur is the durability state when Config.Durability is set
 	// (durable.go); nil otherwise.
 	dur *durability
@@ -292,6 +308,9 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		s.shards[i] = sh
+		if _, ok := sh.eng.(valueCopier); !ok {
+			s.keeps = true
+		}
 	}
 	if cfg.Durability != nil {
 		if err := openDurable(s, cfg.Durability); err != nil {
@@ -341,6 +360,33 @@ func (s *Store) lockShard(w *core.Worker, k uint64) *shard {
 	return sh
 }
 
+// owned returns the value to hand the engines for v: v itself when
+// every engine copies what it stores, else a private copy. Write paths
+// call it on the caller's goroutine, before the shard lock is taken, so
+// the copy is never lock hold time.
+func (s *Store) owned(v []byte) []byte {
+	if !s.keeps {
+		return v
+	}
+	return bytes.Clone(v)
+}
+
+// ownedPairs is owned for a batch: kvs itself when every engine copies
+// what it stores, else a copy of kvs staged in *buf whose values are
+// private copies. The caller clears *buf before reusing it elsewhere, so
+// a pooled buffer keeps no stored value reachable.
+func (s *Store) ownedPairs(kvs []Pair, buf *[]Pair) []Pair {
+	if !s.keeps {
+		return kvs
+	}
+	own := (*buf)[:0]
+	for _, p := range kvs {
+		own = append(own, Pair{Key: p.Key, Value: bytes.Clone(p.Value)})
+	}
+	*buf = own
+	return own
+}
+
 // pad runs the configured critical-section padding, if any.
 func (s *Store) pad(w *core.Worker) {
 	if s.csPad != nil {
@@ -366,8 +412,10 @@ func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
 // this writer either piggybacks on an in-flight group sync or leads
 // one for every append since the last. A log failure degrades the
 // shard (degraded.go) and returns the typed error; a non-nil error
-// means no durability ack, whatever the bool says.
+// means no durability ack, whatever the bool says. v is borrowed for
+// the call (see owned).
 func (s *Store) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
+	v = s.owned(v)
 	sh := s.lockShard(w, k)
 	lsn, err := s.logWrite(sh, wal.KindPut, k, v)
 	if err != nil {
@@ -444,12 +492,8 @@ func (s *Store) Len(w *core.Worker) int {
 // checks out a scratch of its own.
 func (s *Store) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	sc := scanPool.Get().(*scanScratch)
-	collect := func(k uint64, v []byte) bool {
-		sc.pairs = append(sc.pairs, Pair{Key: k, Value: v})
-		return true
-	}
 	s.forEachShard(w, func(sh *shard) {
-		sh.eng.Range(lo, hi, collect)
+		sh.eng.Range(lo, hi, sc.collect)
 		s.pad(w)
 		sh.scans.Add(1)
 		sc.ends = append(sc.ends, len(sc.pairs))
@@ -472,6 +516,15 @@ type scanScratch struct {
 	pairs []Pair
 	ends  []int
 	runs  [][]Pair // pairs cut at ends: mergeRuns' input
+	// collect is sc.add, bound once by newScanScratch: a method value
+	// made per scan would be one heap object per Range.
+	collect func(k uint64, v []byte) bool
+}
+
+// add appends one engine emission to pairs.
+func (sc *scanScratch) add(k uint64, v []byte) bool {
+	sc.pairs = append(sc.pairs, Pair{Key: k, Value: v})
+	return true
 }
 
 // scanScratchMaxPairs bounds the buffer the pool keeps (256 KiB of
@@ -479,7 +532,14 @@ type scanScratch struct {
 // of the process.
 const scanScratchMaxPairs = 8192
 
-var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+var scanPool = sync.Pool{New: func() any { return newScanScratch() }}
+
+// newScanScratch returns an empty scratch with collect bound.
+func newScanScratch() *scanScratch {
+	sc := new(scanScratch)
+	sc.collect = sc.add
+	return sc
+}
 
 // release returns sc to the pool with every Pair zeroed — a pooled
 // scratch must not keep stored values reachable — or drops it when it
@@ -625,28 +685,79 @@ func (s *Store) forEachShard(w *core.Worker, fn func(sh *shard)) {
 	}
 }
 
-// execGrouped groups batch indices by the shard owning key(i) and runs
-// exec once per touched shard with its lock held, in shard index
+// grouping is one batch's scratch on the plain store, pooled: the
+// positions sorted by shard, each shard's end in that order, and the
+// batch's owned pairs (ownedPairs). In steady state a batch allocates
+// none of it.
+type grouping struct {
+	order []int
+	ends  []int
+	own   []Pair
+}
+
+// groupingMaxKeys bounds the batch size whose scratch the pool keeps:
+// one huge batch must not pin its high-water mark.
+const groupingMaxKeys = 8192
+
+var groupPool = sync.Pool{New: func() any { return new(grouping) }}
+
+// release returns g to the pool holding no caller memory, or drops it
+// when it grew past groupingMaxKeys.
+func (g *grouping) release() {
+	if cap(g.order) > groupingMaxKeys {
+		return
+	}
+	clear(g.own)
+	g.own = g.own[:0]
+	groupPool.Put(g)
+}
+
+// execGrouped groups batch positions by the shard owning key(i) and
+// runs exec once per touched shard with its lock held, in shard index
 // order; within a group batch order is preserved, so later puts of a
-// duplicate key win as in sequential semantics.
-func (s *Store) execGrouped(w *core.Worker, n int, key func(i int) uint64, exec func(sh *shard, idx []int)) {
+// duplicate key win as in sequential semantics. The grouping is a
+// counting sort into g: count per shard, prefix sums, then a stable
+// scatter of the positions.
+func (s *Store) execGrouped(w *core.Worker, g *grouping, n int, key func(i int) uint64, exec func(sh *shard, idx []int)) {
 	if n == 0 {
 		return
 	}
-	groups := make([][]int, len(s.shards))
+	g.order = resize(g.order, n)
+	g.ends = resize(g.ends, len(s.shards))
+	clear(g.ends)
+	for i := 0; i < n; i++ {
+		g.ends[s.ShardOf(key(i))]++
+	}
+	start := 0
+	for si, c := range g.ends {
+		g.ends[si] = start
+		start += c
+	}
 	for i := 0; i < n; i++ {
 		si := s.ShardOf(key(i))
-		groups[si] = append(groups[si], i)
+		g.order[g.ends[si]] = i
+		g.ends[si]++
 	}
-	for si, idx := range groups {
-		if len(idx) == 0 {
+	start = 0
+	for si, end := range g.ends {
+		if end == start {
 			continue
 		}
 		sh := s.shards[si]
 		sh.acquire(w)
-		exec(sh, idx)
+		exec(sh, g.order[start:end])
 		sh.release(w)
+		start = end
 	}
+}
+
+// resize returns b with length n, reallocated only when it lacks the
+// capacity.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // getMany reads keys[i] for every position i of idx from sh's engine
@@ -722,9 +833,11 @@ func (s *Store) commitMarks(w *core.Worker, marks []walMark) error {
 func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
 	vals = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
-	s.execGrouped(w, len(keys), func(i int) uint64 { return keys[i] }, func(sh *shard, idx []int) {
+	g := groupPool.Get().(*grouping)
+	s.execGrouped(w, g, len(keys), func(i int) uint64 { return keys[i] }, func(sh *shard, idx []int) {
 		s.getMany(w, sh, keys, idx, vals, ok)
 	})
+	g.release()
 	return vals, ok
 }
 
@@ -738,12 +851,14 @@ func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []boo
 // shard, after every lock is released. A non-nil error means at least
 // one shard degraded: its pairs (and for a sync-wait class, every
 // pair) carry no durability ack; pairs on healthy shards still
-// applied.
+// applied. The values are borrowed for the call, as in Put.
 func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	inserted := 0
 	var firstErr error
 	var marks []walMark
-	s.execGrouped(w, len(kvs), func(i int) uint64 { return kvs[i].Key }, func(sh *shard, idx []int) {
+	g := groupPool.Get().(*grouping)
+	kvs = s.ownedPairs(kvs, &g.own)
+	s.execGrouped(w, g, len(kvs), func(i int) uint64 { return kvs[i].Key }, func(sh *shard, idx []int) {
 		ins, lsn, err := s.putMany(w, sh, kvs, idx)
 		inserted += ins
 		if err != nil && firstErr == nil {
@@ -753,6 +868,7 @@ func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 			marks = append(marks, walMark{sh: sh, lsn: lsn})
 		}
 	})
+	g.release()
 	if len(marks) > 0 && s.syncWaitFor(w) {
 		if err := s.commitMarks(w, marks); err != nil && firstErr == nil {
 			firstErr = err

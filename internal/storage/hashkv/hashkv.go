@@ -4,8 +4,11 @@
 // heads are int32 indices into a dense cell array whose cells link to
 // each other by index, and values sit in a parallel dense slice, so a
 // live table is one heap object per value plus a few arrays. Values
-// are retained by reference. The table is unsynchronised; the caller
-// holds the shard lock.
+// are retained by reference: the table never copies, so the copy a
+// stored value needs is made by the caller before it takes the shard
+// lock (shardedkv's front ends do, on the writer's goroutine), and a
+// copy here would be serialised lock hold time. The table is
+// unsynchronised; the caller holds the shard lock.
 package hashkv
 
 import (
@@ -77,8 +80,9 @@ func (t *Table) bucket(k uint64) int {
 	return int(prng.Mix64(k^0xabcdef) & uint64(len(t.heads)-1))
 }
 
-// Put stores k=v, retaining v by reference. Returns true on insert,
-// false on replace.
+// Put stores k=v, retaining v by reference: the caller hands over a
+// slice nothing writes to afterwards. Returns true on insert, false on
+// replace.
 func (t *Table) Put(k uint64, v []byte) bool {
 	b := t.bucket(k)
 	for i := t.heads[b]; i != 0; i = t.cells[i].next {

@@ -346,13 +346,6 @@ func (l *Log) leadSyncLocked() {
 	l.cond.Broadcast()
 }
 
-// Durable reports the highest LSN known durable.
-func (l *Log) Durable() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
-}
-
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

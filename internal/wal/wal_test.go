@@ -6,8 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// Durable reports the highest LSN known durable.
+func (l *Log) Durable() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.synced
+}
 
 type rec struct {
 	kind Kind
@@ -399,5 +407,67 @@ func TestOpsPerFsync(t *testing.T) {
 	}
 	if (Stats{}).OpsPerFsync() != 0 {
 		t.Fatal("zero stats must not divide by zero")
+	}
+}
+
+// handleFS is the real filesystem, counting the file handles it has
+// handed out that are not yet closed.
+type handleFS struct {
+	OSFS
+	open atomic.Int64
+}
+
+func (fs *handleFS) Create(name string) (File, error) { return fs.track(fs.OSFS.Create(name)) }
+
+func (fs *handleFS) CreateTrunc(name string) (File, error) {
+	return fs.track(fs.OSFS.CreateTrunc(name))
+}
+
+func (fs *handleFS) track(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	fs.open.Add(1)
+	return &handleFile{File: f, fs: fs}, nil
+}
+
+type handleFile struct {
+	File
+	fs     *handleFS
+	closed bool
+}
+
+func (f *handleFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.fs.open.Add(-1)
+	}
+	return f.File.Close()
+}
+
+// TestCrashDropClosesEveryHandle: CrashDrop drops the buffered records
+// but, as a killed process's descriptors do, closes every segment handle
+// the log holds — the sealed ones and the active one.
+func TestCrashDropClosesEveryHandle(t *testing.T) {
+	fs := &handleFS{}
+	l, err := Open(t.TempDir(), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(KindPut, 1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(KindPut, 2, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.open.Load(); n < 1 {
+		t.Fatalf("%d segment handles open before the crash, want at least the active one", n)
+	}
+	l.CrashDrop()
+	if n := fs.open.Load(); n != 0 {
+		t.Fatalf("%d segment handles still open after CrashDrop, want 0", n)
 	}
 }
