@@ -253,8 +253,8 @@ ci: check race short bench-check net-smoke
 # microbench runs the layer microbenchmarks (ROADMAP 1c) with
 # allocations reported: the wire codec and a served scan in
 # internal/kvserver; a served 64-byte Get and Put round trip over
-# loopback in internal/kvclient; the store's scan and batch paths, the pipeline's
-# batch paths per caller class, the request queue and the future's
+# loopback in internal/kvclient; the store's scan path, its batch paths
+# per caller class, the request queue and the future's
 # park/complete handoff in internal/shardedkv; the shard lock's
 # uncontended acquire/release pair per class, and the contended pair of
 # each serving lock choice, in internal/locks; one epoch start/end

@@ -114,8 +114,9 @@ type lockSpec struct {
 	f    locks.Factory
 	// slo enables epoch/SLO annotation (only meaningful for asl).
 	slo bool
-	// pipe routes operations through the flat-combining AsyncStore
-	// front end over the same shard locks.
+	// pipe sends point operations through the flat-combining
+	// AsyncStore front end over the same shard locks; batches and scans
+	// take the store's own path either way.
 	pipe bool
 }
 
@@ -363,7 +364,7 @@ func main() {
 	engines := flag.String("engines", "all", "comma list of hashkv|btree|skiplist|lsm, or all")
 	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
 	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|mutex|mcs|pthread, or all")
-	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
+	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: point ops routed through the flat-combining AsyncStore")
 	shards := flag.Int("shards", 16, "shard count")
 	threads := flag.Int("threads", 8, "total workers (first -bigs are big-class)")
 	bigs := flag.Int("bigs", 4, "big-class workers")

@@ -11,7 +11,7 @@
 //
 //	kvserver                                   # hashkv engine, ASL shard locks, :7877
 //	kvserver -addr :7900 -engine lsm -lock asl -shards 32
-//	kvserver -pipeline                         # ops routed through the combining AsyncStore
+//	kvserver -pipeline                         # point ops through the combining AsyncStore
 //	kvserver -slo-interactive 100us -slo-bulk 2ms -bulk-inflight 4
 //	kvserver -cs 1us                           # AMP critical-section emulation (benchmarks)
 //	kvserver -wal /var/lib/kv/wal              # durable: replay on start, per-class group commit
@@ -59,7 +59,7 @@ func main() {
 	engine := flag.String("engine", "hashkv", "storage engine: hashkv|btree|skiplist|lsm")
 	lock := flag.String("lock", "asl", "shard lock: asl|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
-	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
+	pipeline := flag.Bool("pipeline", false, "send point operations through the flat-combining AsyncStore")
 	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class. Changes no lock decision: interactive requests run big-class, which never waits on or feeds a reorder window")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
 	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard; more wait for a slot, none is rejected (0 = default, negative disables the gate)")

@@ -40,11 +40,13 @@
 // server does per connection: one worker per class, each operation on
 // the worker of its class.
 //
-// shardedkv.AsyncStore is the flat-combining front end: per-shard
-// lock-free intrusive MPSC queues, futures with class-aware spin/park waiting,
-// combiner election via TryAcquire with big-class preference, and an
-// adaptive drain bound — weak cores enqueue, strong cores combine.
-// Every call returns once its requests have executed.
+// shardedkv.AsyncStore is the flat-combining front end for point ops:
+// per-shard lock-free intrusive MPSC queues, futures with class-aware
+// spin/park waiting, combiner election via TryAcquire with big-class
+// preference, and an adaptive drain bound — weak cores enqueue, strong
+// cores combine. Every call returns once its request has executed. Its
+// batches and scans are the Store's own calls, which already take each
+// shard lock once.
 //
 // # Network front end
 //

@@ -21,9 +21,11 @@ import (
 type Config struct {
 	// Store is the served store (required).
 	Store *shardedkv.Store
-	// Async, if non-nil, routes operations through the combining
-	// pipeline instead of per-op locking: interactive requests elect
-	// and combine, bulk requests enqueue and park. It must wrap Store.
+	// Async, if non-nil, sends point operations (Get, Put, Delete)
+	// through the combining pipeline instead of per-op locking:
+	// interactive requests elect and combine, bulk requests enqueue and
+	// park. Batches and scans take Store's path either way, one lock
+	// take per touched shard. It must wrap Store.
 	Async *shardedkv.AsyncStore
 	// SLOInteractive and SLOBulk are the per-class latency SLOs. A
 	// positive value wraps each request of that class in an SLO epoch

@@ -593,8 +593,8 @@ func TestBadHandshakeAndOversizeFrame(t *testing.T) {
 }
 
 // TestOversizeRangeOverWire: a scan whose encoding would pass MaxFrame
-// is refused in-stream with StatusErrTooLarge — on the plain store and
-// through the pipeline — and the connection goes on serving, the same
+// is refused in-stream with StatusErrTooLarge — with and without the
+// pipeline — and the connection goes on serving, the same
 // scan under a limit that fits included.
 func TestOversizeRangeOverWire(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
@@ -627,8 +627,8 @@ func TestOversizeRangeOverWire(t *testing.T) {
 
 // TestOversizeMultiGetOverWire: a MultiGet whose values sum past
 // MaxFrame is refused in-stream with StatusErrTooLarge before the
-// response is assembled — on the plain store and through the pipeline —
-// and the connection goes on serving, the same keys in two halves
+// response is assembled — with and without the pipeline — and the
+// connection goes on serving, the same keys in two halves
 // included.
 func TestOversizeMultiGetOverWire(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {

@@ -11,38 +11,17 @@ import (
 	"repro/internal/prng"
 )
 
-// The grouped batch path, pinned: a MultiGet/MultiPut crosses the
-// pipeline as one request per touched shard (pipeline.go: batch, route,
-// execMany), and these tests hold down what that must not change —
-// batch order, degraded shards, group commit — and what
-// it must: counters count keys, requests stay under the key cap,
-// grouping allocates nothing.
-
-// routed groups kvs (or keys, when kvs is nil) without submitting: the
-// requests exactly as MultiPut/MultiGet would enqueue them.
-func routed(a *AsyncStore, keys []uint64, kvs []Pair) *batch {
-	if kvs != nil {
-		b := a.newBatch(opMultiPut)
-		b.kvs = kvs
-		for i := range kvs {
-			a.route(b, kvs[i].Key, i)
-		}
-		return b
-	}
-	b := a.newBatch(opMultiGet)
-	b.keys, b.vals, b.oks = keys, make([][]byte, len(keys)), make([]bool, len(keys))
-	for i, k := range keys {
-		a.route(b, k, i)
-	}
-	return b
-}
+// The grouped batch path, pinned: a MultiGet/MultiPut groups its
+// positions by shard and takes each touched shard lock once, on both
+// front ends (the AsyncStore's batches are the Store's own calls). These
+// tests hold down batch order, degraded shards, group commit, the
+// counters and grouping's allocations.
 
 // TestAsyncMultiPutDuplicateKeysBatchOrder model-checks batch order on
-// all four engines: batches drawn from a small key space (duplicates in
-// most of them) and long enough that one shard's share spans several
-// capped requests must leave every key at its LAST value in the batch
-// and report exactly the model's insert count, while a second worker
-// keeps the combiners busy on keys of its own.
+// all four engines: batches of up to 200 pairs drawn from a small key
+// space (duplicates in most of them) must leave every key at its LAST
+// value in the batch and report exactly the model's insert count, while
+// a second worker writes keys of its own on the same shards.
 func TestAsyncMultiPutDuplicateKeysBatchOrder(t *testing.T) {
 	rounds := 120
 	if testing.Short() {
@@ -99,132 +78,33 @@ func TestAsyncMultiPutDuplicateKeysBatchOrder(t *testing.T) {
 	}
 }
 
-// TestBatchRouteCapsRequests: however large the batch, no request
-// carries more than batchKeyCap keys, every position lands in exactly
-// one request, and the requests of one shard hold ascending positions in
-// creation order (FIFO then keeps batch order).
-func TestBatchRouteCapsRequests(t *testing.T) {
-	st := New(Config{Shards: 3})
-	a := NewAsync(st, AsyncConfig{})
-	w := newTestWorker()
-	keys := make([]uint64, 4096)
-	for i := range keys {
-		keys[i] = uint64(i) * 7
-	}
-	b := routed(a, keys, nil)
-	seen := make([]bool, len(keys))
-	last := map[*pipeShard]int{}
-	for _, r := range b.reqs {
-		if len(r.idx) == 0 || len(r.idx) > batchKeyCap {
-			t.Fatalf("request carries %d keys, cap %d", len(r.idx), batchKeyCap)
-		}
-		for _, i := range r.idx {
-			if seen[i] {
-				t.Fatalf("position %d routed twice", i)
-			}
-			seen[i] = true
-			if q := a.pipeOf(keys[i]); q != r.q {
-				t.Fatalf("position %d grouped on the wrong shard", i)
-			}
-			if prev, ok := last[r.q]; ok && i < prev {
-				t.Fatalf("shard sees position %d after %d", i, prev)
-			}
-			last[r.q] = i
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("position %d not routed", i)
-		}
-	}
-	if want := st.NumShards(); len(last) != want {
-		t.Fatalf("batch touched %d shards, want %d", len(last), want)
-	}
-	a.runBatch(w, b)
-	a.freeBatch(b)
-}
-
-// TestDrainChargesKeys: a drain counts a batch request's keys against
-// its bound, so it stops within one request of it, and Combined counts
-// the same keys.
-func TestDrainChargesKeys(t *testing.T) {
-	const bound = 40
-	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{})
-	a.pipes[0].bound.Store(bound)
-	w := newTestWorker()
-	kvs := make([]Pair, 8*batchKeyCap)
-	for i := range kvs {
-		kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), 1)}
-	}
-	b := routed(a, nil, kvs)
-	q := b.reqs[0].q
-	for _, r := range b.reqs {
-		q.queue.push(r)
-	}
-	total := 0
-	for takes := 0; total < len(kvs); takes++ {
-		var pend []*request
-		q.sh.acquire(w)
-		n := a.drain(w, q, &pend)
-		q.sh.release(w)
-		if n >= bound+batchKeyCap || (total+n < len(kvs) && n < bound) {
-			t.Fatalf("drain %d applied %d keys: bound %d, key cap %d", takes, n, bound, batchKeyCap)
-		}
-		total += n
-	}
-	if got := q.combined.Load(); got != uint64(len(kvs)) {
-		t.Fatalf("combined = %d, want the %d keys", got, len(kvs))
-	}
-	a.awaitAll(w, b.reqs, a.putReq)
-	a.freeBatch(b)
-}
-
-// TestBatchCountersCountKeys: CombineStats.Combined and ShardStats
-// Gets/Puts count keys, BatchLocks and LockTakes at most one per
-// request.
+// TestBatchCountersCountKeys: a 64-key MultiPut and MultiGet over 4
+// shards count 64 Puts, 64 Gets and one BatchLocks per batch and touched
+// shard, 8, on both front ends; on the AsyncStore neither batch enters
+// the queues, so the combining counters stay at 0.
 func TestBatchCountersCountKeys(t *testing.T) {
-	st := New(Config{Shards: 4})
-	a := NewAsync(st, AsyncConfig{})
-	w := newTestWorker()
-	kvs := make([]Pair, 64)
-	keys := make([]uint64, len(kvs))
-	for i := range kvs {
-		keys[i] = uint64(i)
-		kvs[i] = Pair{Key: keys[i], Value: verValue(keys[i], 1)}
-	}
-	if ins, err := a.MultiPut(w, kvs); ins != len(kvs) || err != nil {
-		t.Fatalf("MultiPut = %d, %v", ins, err)
-	}
-	a.MultiGet(w, keys)
-	ss, cs := st.AggregateStats(), a.AggregateCombineStats()
-	if ss.Puts != 64 || ss.Gets != 64 || cs.Combined != 128 {
-		t.Fatalf("Puts %d, Gets %d, Combined %d; want 64, 64, 128", ss.Puts, ss.Gets, cs.Combined)
-	}
-	// 16 keys per shard: one request per shard and batch.
-	if ss.BatchLocks != 8 || cs.LockTakes == 0 || cs.LockTakes > 8 {
-		t.Fatalf("BatchLocks %d, LockTakes %d; want 8 and at most 8", ss.BatchLocks, cs.LockTakes)
-	}
-}
-
-// TestBatchRingOverflowKeepsProgramOrder: one shard and a batch of
-// three capped requests whose last pair rewrites key 0. The requests
-// queue in batch order and execute in queue order, or the batch's
-// earlier write to key 0 lands last.
-func TestBatchRingOverflowKeepsProgramOrder(t *testing.T) {
-	st := New(Config{Shards: 1})
-	a := NewAsync(st, AsyncConfig{})
-	w := newTestWorker()
-	kvs := make([]Pair, 3*batchKeyCap)
-	for i := range kvs {
-		kvs[i] = Pair{Key: uint64(i), Value: verValue(uint64(i), 1)}
-	}
-	kvs[len(kvs)-1] = Pair{Key: 0, Value: verValue(0, 2)}
-	if ins, err := a.MultiPut(w, kvs); ins != len(kvs)-1 || err != nil {
-		t.Fatalf("MultiPut = %d, %v; want %d new keys", ins, err, len(kvs)-1)
-	}
-	if v, _ := a.Get(w, 0); !bytes.Equal(v, verValue(0, 2)) {
-		t.Fatalf("key 0 = %x; a later request overtook its queued predecessors", v)
+	for name, kv := range frontEnds(t, Config{Shards: 4}) {
+		w := newTestWorker()
+		kvs := make([]Pair, 64)
+		keys := make([]uint64, len(kvs))
+		for i := range kvs {
+			keys[i] = uint64(i)
+			kvs[i] = Pair{Key: keys[i], Value: verValue(keys[i], 1)}
+		}
+		if ins, err := kv.MultiPut(w, kvs); ins != len(kvs) || err != nil {
+			t.Fatalf("%s: MultiPut = %d, %v", name, ins, err)
+		}
+		kv.MultiGet(w, keys)
+		st, _ := kv.(*Store)
+		if a, ok := kv.(*AsyncStore); ok {
+			st = a.Store()
+			if cs := a.AggregateCombineStats(); cs.LockTakes != 0 || cs.Combined != 0 {
+				t.Errorf("%s: LockTakes %d, Combined %d; batches must not enter the queues", name, cs.LockTakes, cs.Combined)
+			}
+		}
+		if ss := st.AggregateStats(); ss.Puts != 64 || ss.Gets != 64 || ss.BatchLocks != 8 {
+			t.Errorf("%s: Puts %d, Gets %d, BatchLocks %d; want 64, 64, 8", name, ss.Puts, ss.Gets, ss.BatchLocks)
+		}
 	}
 }
 
@@ -318,9 +198,8 @@ func TestBatchDegradedShardMidBatch(t *testing.T) {
 	})
 }
 
-// TestBatchSteadyStateAllocs: grouping, the requests, their index
-// slices and the wait allocate nothing once the pools are warm, on both
-// front ends — MultiGet pays for the two slices it returns, and MultiPut
+// TestBatchSteadyStateAllocs: grouping allocates nothing once its pool
+// is warm, on both front ends — MultiGet pays for the two slices it returns, and MultiPut
 // on the btree, which copies values into its leaf arenas, at most one
 // object of overhead. The store is first loaded with 3 KiB values, so
 // every leaf arena has room for all the measured overwrites and no

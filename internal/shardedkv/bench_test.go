@@ -10,9 +10,9 @@ import (
 )
 
 // Layer microbenchmarks for the store's batched paths (ROADMAP 1c). The
-// Store rows run on scan-mixed's configuration (two btree shards, 64-byte
-// values), the AsyncStore rows on batch-large's (hashkv, 16 shards, 4 KiB
-// values, 16 384 keys). Run with `make microbench`.
+// Range row runs on scan-mixed's configuration (two btree shards, 64-byte
+// values), the batch rows per caller class on batch-large's (hashkv, 16
+// shards, 4 KiB values, 16 384 keys). Run with `make microbench`.
 
 func benchStore(b *testing.B, keys uint64) (*Store, *core.Worker) {
 	st := New(Config{Shards: 2, NewEngine: func(int) Engine { return NewBTreeEngine() }})
@@ -42,44 +42,27 @@ func BenchmarkStoreRange513(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreMultiGet16(b *testing.B) {
-	st, w := benchStore(b, 4096)
-	keys := make([]uint64, 16)
-	b.ReportAllocs()
-	next := uint64(0)
-	for b.Loop() {
-		for i := range keys {
-			keys[i] = next % 4096
-			next += 257
-		}
-		vals, ok := st.MultiGet(w, keys)
-		if len(vals) != 16 || !ok[15] {
-			b.Fatal("MultiGet missed a preloaded key")
-		}
-	}
-}
-
-// benchAsync builds batch-large's served store: the pipeline over 16
-// hashkv shards, every key preloaded with a 4 KiB value.
-func benchAsync(b *testing.B) *AsyncStore {
+// benchBatchStore builds batch-large's served store: 16 hashkv shards,
+// every key preloaded with a 4 KiB value.
+func benchBatchStore(b *testing.B) *Store {
 	const keys = 1 << 14
-	a := NewAsync(New(Config{Shards: 16}), AsyncConfig{})
+	st := New(Config{Shards: 16})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	kvs := make([]Pair, 256)
 	for k := uint64(0); k < keys; k += uint64(len(kvs)) {
 		for i := range kvs {
 			kvs[i] = Pair{Key: k + uint64(i), Value: make([]byte, 4096)}
 		}
-		if _, err := a.MultiPut(w, kvs); err != nil {
+		if _, err := st.MultiPut(w, kvs); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return a
+	return st
 }
 
 // batchLoop is one closed-loop caller of 16-key batches; put selects
 // MultiPut (replacing preloaded keys with a shared value) over MultiGet.
-func batchLoop(b *testing.B, a *AsyncStore, class core.Class, put bool, n int, seed uint64) {
+func batchLoop(b *testing.B, st *Store, class core.Class, put bool, n int, seed uint64) {
 	w := core.NewWorker(core.WorkerConfig{Class: class})
 	keys := make([]uint64, 16)
 	kvs := make([]Pair, 16)
@@ -92,11 +75,11 @@ func batchLoop(b *testing.B, a *AsyncStore, class core.Class, put bool, n int, s
 			next += 257
 		}
 		if put {
-			if ins, err := a.MultiPut(w, kvs); ins != 0 || err != nil {
+			if ins, err := st.MultiPut(w, kvs); ins != 0 || err != nil {
 				b.Errorf("MultiPut over preloaded keys = %d, %v", ins, err)
 				return
 			}
-		} else if vals, ok := a.MultiGet(w, keys); !ok[15] || len(vals[0]) != 4096 {
+		} else if vals, ok := st.MultiGet(w, keys); !ok[15] || len(vals[0]) != 4096 {
 			b.Error("MultiGet missed a preloaded key")
 			return
 		}
@@ -108,19 +91,20 @@ var classRows = []struct {
 	class core.Class
 }{{"big", core.Big}, {"little", core.Little}}
 
-func BenchmarkAsyncMultiGet16(b *testing.B) {
+// batchRows runs batchLoop for one caller of each class, then for one
+// big and one little caller side by side, as batch-large's two
+// connections are: there ns/op is per call of either.
+func batchRows(b *testing.B, put bool) {
 	for _, row := range classRows {
 		b.Run(row.name, func(b *testing.B) {
-			a := benchAsync(b)
+			st := benchBatchStore(b)
 			b.ReportAllocs()
 			b.ResetTimer()
-			batchLoop(b, a, row.class, false, b.N, 0)
+			batchLoop(b, st, row.class, put, b.N, 0)
 		})
 	}
-	// One big and one little caller side by side, as batch-large's two
-	// connections are: ns/op is per call of either.
 	b.Run("big+little", func(b *testing.B) {
-		a := benchAsync(b)
+		st := benchBatchStore(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var wg sync.WaitGroup
@@ -128,23 +112,16 @@ func BenchmarkAsyncMultiGet16(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				batchLoop(b, a, row.class, false, (b.N+i)/2, uint64(i)*8191)
+				batchLoop(b, st, row.class, put, (b.N+i)/2, uint64(i)*8191)
 			}()
 		}
 		wg.Wait()
 	})
 }
 
-func BenchmarkAsyncMultiPut16(b *testing.B) {
-	for _, row := range classRows {
-		b.Run(row.name, func(b *testing.B) {
-			a := benchAsync(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			batchLoop(b, a, row.class, true, b.N, 0)
-		})
-	}
-}
+func BenchmarkStoreMultiGet16(b *testing.B) { batchRows(b, false) }
+
+func BenchmarkStoreMultiPut16(b *testing.B) { batchRows(b, true) }
 
 // BenchmarkQueuePushPop is one producer's push plus the combiner's pop,
 // uncontended. With one request queued, pop hands it out only after

@@ -233,10 +233,10 @@ func TestDurableCrashMidRecovery(t *testing.T) {
 }
 
 // TestDurableBatchCrash kills the store right after sync-waited
-// MultiPuts through the pipeline, each shard's share riding one group
+// MultiPuts on an AsyncStore, each shard's share riding one group
 // commit. With no Flush and no clean Close, recovery must still return
-// every acked pair at its last acked value — a share whose commit the
-// pipeline skipped would be lost here.
+// every acked pair at its last acked value — a share whose commit was
+// skipped would be lost here.
 func TestDurableBatchCrash(t *testing.T) {
 	for _, spec := range AllEngines() {
 		t.Run(spec.Name, func(t *testing.T) {

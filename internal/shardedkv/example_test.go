@@ -56,8 +56,9 @@ func ExampleStore_classOverride() {
 	// classes = big, little
 }
 
-// ExampleAsyncStore shows the combining pipeline: point ops, a batch
-// delegated per shard, and combining stats counting every key.
+// ExampleAsyncStore shows the combining pipeline: point ops run
+// through the combiner, a batch takes the Store's own path, and the
+// combining stats count the point ops.
 func ExampleAsyncStore() {
 	st := shardedkv.New(shardedkv.Config{Shards: 2})
 	async := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
@@ -77,5 +78,5 @@ func ExampleAsyncStore() {
 	async.Close(w)
 	// Output:
 	// get 2 = batched
-	// ops through the combiner = 4
+	// ops through the combiner = 2
 }

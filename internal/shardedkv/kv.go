@@ -31,6 +31,9 @@ import "repro/internal/core"
 //     durability barrier: with durability configured, every write
 //     that returned before it is fsynced once it returns nil. The
 //     fsync failures of bulk-policy (SyncAsync) acks surface here.
+//   - MultiGet/MultiPut/Range/MultiRange take each touched shard lock
+//     once, on either front end: an AsyncStore combines only point
+//     ops, and its batches and scans are its Store's own calls.
 //   - Close makes the handle (and for an AsyncStore, the pipeline)
 //     unusable; it does NOT imply the underlying engines are gone — an
 //     AsyncStore shares its Store, and closing it leaves the Store open.

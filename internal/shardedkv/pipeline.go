@@ -17,11 +17,12 @@ import (
 // for the asymmetric-core setting of the source paper.
 //
 // Every shard gets a lock-free MPSC request queue (see reqQueue).
-// Callers build a request (Get/Put/Delete/Range plus a future), push
-// it, and wait for completion — spinning or parking according to their
-// core class. A batch (MultiGet/MultiPut) delegates per shard, not per
-// key: one request carries a shard's whole share of the batch (see
-// batch). Whoever wins the shard lock's TryAcquire becomes the combiner
+// Callers build a request (Get/Put/Delete plus a future), push it, and
+// wait for completion — spinning or parking according to their core
+// class. Batches and scans (MultiGet/MultiPut/Range/MultiRange) do not
+// enter the queues: they are the wrapped Store's own calls, which take
+// each touched shard lock once, so delegating them would restrict
+// nothing. Whoever wins the shard lock's TryAcquire becomes the combiner
 // and drains the queue: up to the drain bound, queued operations execute
 // against the engine under ONE Acquire/Release, completing futures as
 // they go. Once a weak core has paid for the lock it amortises the
@@ -61,8 +62,8 @@ import (
 // lingerMinDepth and shuts the linger, and the little class's p99
 // leaves its SLO; a constant low enough to be filled (8) keeps the
 // linger but caps the drains of batched traffic, whose little-class
-// p99 then loses. The adaptive bound decays to what drains do fill and
-// grows with the queue.
+// p99 then loses (measured while batches still crossed the queues). The
+// adaptive bound decays to what drains do fill and grows with the queue.
 
 // opKind is a pipeline request type.
 type opKind uint8
@@ -71,9 +72,6 @@ const (
 	opGet opKind = iota
 	opPut
 	opDelete
-	opRange
-	opMultiGet // one shard's share of a MultiGet: bat.keys at idx
-	opMultiPut // one shard's share of a MultiPut: bat.kvs at idx
 )
 
 // Future states. A request starts pending, is flipped to done by
@@ -90,18 +88,8 @@ const (
 // which the owner is free to read the results and recycle it.
 type request struct {
 	kind opKind
-	key  uint64     // Get/Put/Delete key
-	val  []byte     // Put value: what the engine may keep (Store.owned)
-	rng  []RangeReq // opRange: spans to collect on one shard
-
-	// A batch request (opMultiGet/opMultiPut) carries positions, not
-	// payload: idx lists the positions of bat's keys that routed to this
-	// shard, in batch order. idx keeps its capacity across recycling, so
-	// grouping a batch allocates nothing in steady state. q is the shard
-	// the request is submitted to.
-	bat *batch
-	idx []int
-	q   *pipeShard
+	key  uint64
+	val  []byte // Put value: what the engine may keep (Store.owned)
 
 	// syncWait marks a waited write whose class demands group commit:
 	// the executor appends to the shard's log as usual but the drain
@@ -112,11 +100,9 @@ type request struct {
 	syncWait bool
 
 	// Results, written by the executor before complete().
-	rval  []byte   // Get: stored value
-	rok   bool     // Get: found / Put: inserted / Delete: was present
-	parts [][]Pair // opRange: parts[i] is rng[i]'s slice of this shard
-	ins   int      // opMultiPut: keys newly inserted
-	err   error    // write failure (degraded shard / log error)
+	rval []byte // Get: stored value
+	rok  bool   // Get: found / Put: inserted / Delete: was present
+	err  error  // write failure (degraded shard / log error)
 	// mark is the group commit a logged write is owed: the executing
 	// shard's log up to the request's last record. lsn 0 (no record)
 	// without durability and for reads.
@@ -131,15 +117,6 @@ type request struct {
 
 // isDone reports completion.
 func (r *request) isDone() bool { return r.state.Load() == futDone }
-
-// weight is the number of operations r stands for: a batch request's
-// positions, 1 otherwise. Drains charge it against their bound.
-func (r *request) weight() int {
-	if r.bat != nil {
-		return len(r.idx)
-	}
-	return 1
-}
 
 // complete publishes the result and wakes a parked owner. This is the
 // completer's LAST touch of r: the owner may recycle it immediately
@@ -211,12 +188,6 @@ const (
 	// arriving meanwhile.
 	lingerSpins    = 384
 	lingerMinDepth = 4
-	// batchKeyCap bounds the keys one batch request carries. A shard's
-	// larger share of a batch becomes consecutive requests on its queue
-	// (FIFO keeps batch order), so however large the batch, a drain
-	// overshoots its bound by less than one request and no shard lock is
-	// held longer than a drain of point requests would hold it.
-	batchKeyCap = adaptiveInitBatch
 )
 
 // AsyncConfig configures an AsyncStore. It has no fields: the request
@@ -229,7 +200,7 @@ type AsyncConfig struct{}
 type pipeShard struct {
 	sh    *shard
 	queue reqQueue
-	// bound is the adaptive drain bound in keys. Reaching it releases
+	// bound is the adaptive drain bound in requests. Reaching it releases
 	// the lock (so big-core FIFO entrants and sync-path users get their
 	// turn) and re-elects if the queue is still non-empty.
 	bound atomic.Int64
@@ -317,10 +288,9 @@ func (q *pipeShard) adapt(n, used int) {
 type CombineStats struct {
 	// LockTakes counts combiner elections won that drained work.
 	LockTakes uint64
-	// Combined counts operations executed on the async path, in keys: a
-	// batch request adds the keys it carries, not 1. Combined /
-	// LockTakes is the ops-per-lock-take the pipeline exists to raise
-	// above 1.
+	// Combined counts operations executed on the async path: one per
+	// queued Get, Put or Delete. Combined / LockTakes is the
+	// ops-per-lock-take the pipeline exists to raise above 1.
 	Combined uint64
 	// Direct is always 0: the request queue has no capacity to overflow,
 	// so every request is executed by a combiner's drain. It stays while
@@ -329,14 +299,10 @@ type CombineStats struct {
 	// Handoffs counts lock takes won by a different worker than the
 	// previous combiner — combiner identity churn.
 	Handoffs uint64
-	// DepthHW is the queue-depth high-water mark observed at push, in
-	// requests: a batch's share of the shard is one request per
-	// batchKeyCap keys.
+	// DepthHW is the queue-depth high-water mark observed at push.
 	DepthHW uint64
-	// MaxBatchEff is the drain bound currently in effect, in keys: the
-	// adaptive bound the shard has grown/decayed to. A drain stops at
-	// the first request that reaches it, so it overshoots by less than
-	// batchKeyCap.
+	// MaxBatchEff is the drain bound currently in effect: the adaptive
+	// bound the shard has grown/decayed to, in operations.
 	MaxBatchEff uint64
 	// BigTakes and LittleTakes split LockTakes by the elector's class;
 	// under mixed traffic the election bias should keep BigTakes well
@@ -367,16 +333,16 @@ func (q *pipeShard) stats() CombineStats {
 
 // AsyncStore is the combining front end. It wraps a Store and shares
 // its shard locks, so async and plain synchronous calls on the same
-// Store interleave safely (sync holders simply delay the combiner).
+// Store interleave safely (sync holders simply delay the combiner). Its
+// batches and scans are the Store's own calls.
 // All methods are safe for concurrent use; as everywhere in this
 // repository, each goroutine must own its *core.Worker.
 type AsyncStore struct {
 	st *Store
 	// pipes[i] is shard i's pipeline state, fixed at NewAsync.
-	pipes   []*pipeShard
-	pool    sync.Pool // *request
-	batches sync.Pool // *batch
-	closed  atomic.Bool
+	pipes  []*pipeShard
+	pool   sync.Pool // *request
+	closed atomic.Bool
 }
 
 // NewAsync builds a combining front end over st: one request queue per
@@ -384,7 +350,6 @@ type AsyncStore struct {
 func NewAsync(st *Store, _ AsyncConfig) *AsyncStore {
 	a := &AsyncStore{st: st}
 	a.pool.New = func() any { return &request{wake: make(chan struct{}, 1)} }
-	a.batches.New = func() any { return new(batch) }
 	a.pipes = make([]*pipeShard, len(st.shards))
 	for i, sh := range st.shards {
 		q := &pipeShard{sh: sh}
@@ -413,10 +378,9 @@ func (a *AsyncStore) newReq(kind opKind) *request {
 // putReq recycles r. Result slices escape to callers, so every
 // reference is dropped here.
 func (a *AsyncStore) putReq(r *request) {
-	r.val, r.rval, r.rng, r.parts = nil, nil, nil, nil
+	r.val, r.rval = nil, nil
 	r.rok, r.syncWait = false, false
-	r.bat, r.idx, r.q = nil, r.idx[:0], nil
-	r.ins, r.err, r.mark = 0, nil, walMark{}
+	r.err, r.mark = nil, walMark{}
 	a.pool.Put(r)
 }
 
@@ -487,14 +451,6 @@ func (a *AsyncStore) exec(w *core.Worker, sh *shard, r *request) {
 		r.rok = sh.eng.Delete(r.key)
 		a.st.pad(w)
 		sh.deletes.Add(1)
-	case opRange:
-		// Collect under the lock, complete the future, and let the
-		// OWNER run its callback after release — a combiner must never
-		// execute user code while it holds the shard lock (the same
-		// collect-then-emit contract as Store.Range).
-		a.st.collectShardRanges(w, sh, r.rng, r.parts)
-	case opMultiGet, opMultiPut:
-		a.execMany(w, sh, r)
 	}
 }
 
@@ -513,28 +469,10 @@ func (a *AsyncStore) logPoint(sh *shard, r *request, kind wal.Kind) bool {
 	return true
 }
 
-// execMany runs batch request r's positions against sh through the
-// store's per-shard sub-batch helpers, the whole of r.idx under the
-// combiner's one lock take. The caller holds sh's lock.
-func (a *AsyncStore) execMany(w *core.Worker, sh *shard, r *request) {
-	b := r.bat
-	if r.kind == opMultiGet {
-		a.st.getMany(w, sh, b.keys, r.idx, b.vals, b.oks)
-		return
-	}
-	ins, lsn, err := a.st.putMany(w, sh, b.kvs, r.idx)
-	r.ins, r.err = ins, err
-	if lsn != 0 {
-		r.mark = walMark{sh: sh, lsn: lsn}
-	}
-}
-
-// drain executes queued requests until the operations they stand for
-// reach the drain bound (a batch request counts its keys, so the last
-// one may overshoot by less than batchKeyCap); the caller holds q's
-// shard lock. A combiner whose queue runs momentarily dry on a hot shard
-// lingers briefly for in-flight producers before giving the lock up.
-// Returns the number of operations executed. Sync-wait writes are
+// drain executes up to the drain bound's worth of queued requests; the
+// caller holds q's shard lock. A combiner whose queue runs momentarily
+// dry on a hot shard lingers briefly for in-flight producers before
+// giving the lock up. Returns the number executed. Sync-wait writes are
 // applied and logged here but their futures land on pend; the caller
 // completes them after release (see completePending).
 func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
@@ -551,9 +489,7 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 			}
 			break
 		}
-		// Read the weight first: a completed request belongs to its
-		// owner again.
-		n += r.weight()
+		n++
 		a.exec(w, q.sh, r)
 		a.finishOrDefer(r, pend)
 	}
@@ -595,83 +531,37 @@ func (a *AsyncStore) tryCombine(w *core.Worker, q *pipeShard) bool {
 	return n > 0
 }
 
-// awaitAll drives the waiting side of every request in reqs (each
-// pushed on its r.q) with ONE election cadence, however many there
-// are: every pass re-checks the oldest outstanding future, an election
-// pass tries every shard that still holds an outstanding request, when
-// patience runs out the owner parks on the oldest, and once the oldest
-// completes every completed request is handed to reap.
-// Parks are timed, so even a worst-case interleaving (combiner released
-// just before we parked, nobody else awake) only costs one park slice,
-// not liveness. reqs is compacted in place as futures complete.
-func (a *AsyncStore) awaitAll(w *core.Worker, reqs []*request, reap func(*request)) {
+// run pushes r on q and waits for it with the class's election
+// cadence: both classes sit out one cadence before their first try — a
+// request pushed while a combiner is active is usually drained within a
+// few passes, and electing before that just buys a singleton batch. Bigs
+// re-try every few passes (strong cores combine); littles wait out a
+// much longer cadence, giving any big-core waiter the win before serving
+// themselves. When patience runs out the owner parks. Parks are timed,
+// so even a worst-case interleaving (combiner released just before we
+// parked, nobody else awake) only costs one park slice, not liveness.
+// Once pushed, r belongs to whichever combiner executes it until it
+// completes.
+func (a *AsyncStore) run(w *core.Worker, q *pipeShard, r *request) {
+	q.queue.push(r)
+	q.noteDepth()
 	elect, parkAfter := littleElect, littleParkAfter
 	if w.Class() == core.Big {
 		elect, parkAfter = bigElect, bigParkAfter
 	}
 	slice := minParkSlice
 	var s locks.Spinner
-	pass := 0
-	for len(reqs) > 0 {
-		// The wait cannot end before the oldest request completes, so a
-		// pass looks at that one future only — the stand-back is counted
-		// in passes, and a pass costs what it did when every wait was for
-		// one request.
-		head := reqs[0]
-		for ; !head.isDone(); pass++ {
-			// Both classes sit out one cadence before their first try —
-			// a request pushed while a combiner is active is usually
-			// drained within a few passes, and electing before that just
-			// buys a singleton batch. Bigs re-try every few passes
-			// (strong cores combine); littles wait out a much longer
-			// cadence, giving any big-core waiter the win before serving
-			// themselves.
-			if pass%elect == elect-1 {
-				drained := false
-				for _, r := range reqs {
-					if !r.isDone() && a.tryCombine(w, r.q) {
-						drained = true
-					}
-				}
-				if drained {
-					continue
-				}
-			}
-			if pass >= parkAfter {
-				if !head.parkWait(slice) && slice < maxParkSlice {
-					slice *= 2
-				}
-				continue
-			}
-			s.Spin()
+	for pass := 0; !r.isDone(); pass++ {
+		if pass%elect == elect-1 && a.tryCombine(w, q) {
+			continue
 		}
-		out := reqs[:0]
-		for _, r := range reqs {
-			if r.isDone() {
-				reap(r)
-			} else {
-				out = append(out, r)
+		if pass >= parkAfter {
+			if !r.parkWait(slice) && slice < maxParkSlice {
+				slice *= 2
 			}
+			continue
 		}
-		reqs = out
-	}
-}
-
-// submit pushes r on q without waiting for completion. Once pushed, r
-// belongs to whichever combiner executes it until it completes, so
-// submit does not touch it again.
-func (a *AsyncStore) submit(q *pipeShard, r *request) {
-	q.queue.push(r)
-	q.noteDepth()
-}
-
-// run submits r on q and waits for it.
-func (a *AsyncStore) run(w *core.Worker, q *pipeShard, r *request) {
-	r.q = q
-	a.submit(q, r)
-	if !r.isDone() {
-		one := [1]*request{r}
-		a.awaitAll(w, one[:], func(*request) {})
+		s.Spin()
 	}
 }
 
@@ -719,183 +609,30 @@ func (a *AsyncStore) Delete(w *core.Worker, k uint64) (bool, error) {
 	return ok, err
 }
 
-// batch is one MultiGet or MultiPut in flight: the caller's payload,
-// which the batch's requests address by position, plus the grouping
-// scratch. Pooled; the owner frees it after reaping its last request,
-// so an executor may read the payload through request.bat for as long
-// as it holds an uncompleted request.
-type batch struct {
-	kind     opKind
-	syncWait bool
-	keys     []uint64 // opMultiGet: the caller's keys
-	vals     [][]byte // opMultiGet: results, written by position
-	oks      []bool
-	kvs      []Pair // opMultiPut: the pairs to apply (Store.ownedPairs)
-	own      []Pair // the copies kvs points into when the engines keep values
-
-	// open[i] is the request shard i is being grouped into: its newest,
-	// the only one not yet full. reqs lists every request in creation
-	// order, which for the requests of one shard is batch order.
-	open []*request
-	reqs []*request
-
-	inserted int
-	err      error
-}
-
-// newBatch checks a batch out of the pool, its grouping table sized
-// for one entry per shard.
-func (a *AsyncStore) newBatch(kind opKind) *batch {
-	b := a.batches.Get().(*batch)
-	b.kind = kind
-	if n := len(a.pipes); cap(b.open) < n {
-		b.open = make([]*request, n)
-	} else {
-		b.open = b.open[:n]
-	}
-	return b
-}
-
-// route adds position i, whose key is k, to the batch's open request
-// for the shard owning k, opening a new one when the shard has none yet
-// or its open one is full.
-func (a *AsyncStore) route(b *batch, k uint64, i int) {
-	si := a.st.ShardOf(k)
-	r := b.open[si]
-	if r == nil || len(r.idx) == batchKeyCap {
-		r = a.newReq(b.kind)
-		r.bat, r.q, r.syncWait = b, a.pipes[si], b.syncWait
-		b.open[si] = r
-		b.reqs = append(b.reqs, r)
-	}
-	r.idx = append(r.idx, i)
-}
-
-// runBatch submits the grouped requests in creation order, waits for
-// them under one election cadence, folds their results into b, and
-// recycles them.
-func (a *AsyncStore) runBatch(w *core.Worker, b *batch) {
-	for _, r := range b.reqs {
-		a.submit(r.q, r)
-	}
-	a.awaitAll(w, b.reqs, func(r *request) {
-		b.inserted += r.ins
-		if r.err != nil && b.err == nil {
-			b.err = r.err
-		}
-		a.putReq(r)
-	})
-}
-
-// freeBatch returns b to the pool holding no caller memory.
-func (a *AsyncStore) freeBatch(b *batch) {
-	clear(b.open)
-	clear(b.reqs)
-	clear(b.own)
-	*b = batch{open: b.open[:0], reqs: b.reqs[:0], own: b.own[:0]}
-	a.batches.Put(b)
-}
-
-// MultiGet reads all keys through the pipeline, one request per
-// touched shard: the batch positions are grouped by shard, each shard
-// gets its share as ONE request (consecutive requests of at most
-// batchKeyCap keys when the share is larger), and a combiner reads a
-// request's keys under a single lock take — combiners on different
-// shards working in parallel — while the caller waits for all of them
-// under one election cadence. vals[i] and ok[i] correspond to keys[i].
-func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []bool) {
+// MultiGet is the wrapped Store's MultiGet: a batch takes each touched
+// shard lock once on its own, so the queues would restrict nothing.
+func (a *AsyncStore) MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool) {
 	a.checkOpen()
-	vals = make([][]byte, len(keys))
-	ok = make([]bool, len(keys))
-	b := a.newBatch(opMultiGet)
-	b.keys, b.vals, b.oks = keys, vals, ok
-	for i, k := range keys {
-		a.route(b, k, i)
-	}
-	a.runBatch(w, b)
-	a.freeBatch(b)
-	return vals, ok
+	return a.st.MultiGet(w, keys)
 }
 
-// MultiPut writes all pairs through the pipeline, grouped by shard
-// like MultiGet; returns the number of newly inserted keys. Duplicate
-// keys within the batch apply in batch order (last wins, as in
-// Store.MultiPut): they share a shard, a shard's requests are pushed in
-// batch order, and its queue is FIFO. With durability on and a sync-wait
-// class, each touched shard's share rides one group commit. A non-nil
-// error means at least one shard refused its share (Store.MultiPut's
-// contract); shares on healthy shards still applied. The values are
-// borrowed for the call, as in Put: any copies are made here, before the
-// first request is queued.
+// MultiPut is the wrapped Store's MultiPut, for the reason MultiGet is.
 func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	a.checkOpen()
-	b := a.newBatch(opMultiPut)
-	b.kvs, b.syncWait = a.st.ownedPairs(kvs, &b.own), a.st.syncWaitFor(w)
-	for i := range kvs {
-		a.route(b, kvs[i].Key, i)
-	}
-	a.runBatch(w, b)
-	inserted, err := b.inserted, b.err
-	a.freeBatch(b)
-	return inserted, err
+	return a.st.MultiPut(w, kvs)
 }
 
-// collectRanges pushes one opRange request per shard (each
-// carrying the whole span set) and awaits them all under one election
-// cadence. runs[i] holds reqs[i]'s per-shard slices, each in ascending
-// key order, ready for mergeRuns. The view matches Store.MultiRange:
-// per-shard consistent, all spans seeing each shard at the same
-// instant.
-func (a *AsyncStore) collectRanges(w *core.Worker, reqs []RangeReq) [][][]Pair {
-	rs := make([]*request, len(a.pipes))
-	for si, q := range a.pipes {
-		r := a.newReq(opRange)
-		r.rng = reqs
-		r.parts = make([][]Pair, len(reqs))
-		r.q = q
-		rs[si] = r
-		a.submit(q, r)
-	}
-	runs := make([][][]Pair, len(reqs))
-	for ri := range runs {
-		runs[ri] = make([][]Pair, len(rs))
-	}
-	// Completion order is as good as shard order: mergeRuns orders by
-	// key, and no two shards hold the same one.
-	done := 0
-	a.awaitAll(w, rs, func(r *request) {
-		for ri := range reqs {
-			runs[ri][done] = r.parts[ri]
-		}
-		done++
-		a.putReq(r)
-	})
-	return runs
-}
-
-// Range calls fn for every key in [lo, hi] in ascending key order.
-// Collection runs through the pipeline (one combiner-executed request
-// per shard, so shards are collected in parallel when combiners are
-// active); the per-shard runs merge straight into fn, which runs in the
-// CALLER, strictly after every shard lock has been released — a
-// combiner never executes user callbacks.
+// Range is the wrapped Store's Range: a scan takes each shard lock once
+// and runs fn after the last release.
 func (a *AsyncStore) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	a.checkOpen()
-	mergeRuns(a.collectRanges(w, []RangeReq{{Lo: lo, Hi: hi}})[0], fn)
+	a.st.Range(w, lo, hi, fn)
 }
 
-// MultiRange executes all range requests through the pipeline; out[i]
-// is request i's result in ascending key order.
+// MultiRange is the wrapped Store's MultiRange, for the reason Range is.
 func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 	a.checkOpen()
-	out := make([][]Pair, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	for ri, runs := range a.collectRanges(w, reqs) {
-		out[ri] = mergedPairs(runs)
-	}
-	return out
+	return a.st.MultiRange(w, reqs)
 }
 
 // Flush is the durability barrier: every AsyncStore call returns only
@@ -906,7 +643,7 @@ func (a *AsyncStore) Flush(w *core.Worker) error {
 	return a.st.Flush(w)
 }
 
-// Close marks the pipeline closed: subsequent pipeline calls panic.
+// Close marks the pipeline closed: subsequent AsyncStore calls panic.
 // Callers must have quiesced (a submitter racing Close keeps its own
 // liveness — owners always self-serve — but its op may execute after
 // Close returns). The underlying Store stays usable.

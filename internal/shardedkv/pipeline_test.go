@@ -192,8 +192,6 @@ func TestAsyncSharedStress(t *testing.T) {
 							if rng.Uint64()&1 == 0 {
 								kvs := make([]Pair, n)
 								for j := range kvs {
-									// Distinct keys: the pipeline does not
-									// order duplicate keys within a batch.
 									bk := (rng.Uint64() + uint64(j)) % keyspace
 									kvs[j] = Pair{Key: bk, Value: stressValue(bk)}
 								}
@@ -253,8 +251,10 @@ func TestAsyncMultiPutInsertCount(t *testing.T) {
 	}
 }
 
-// TestAsyncCloseSemantics: Close is idempotent, makes further
-// pipeline use panic, and leaves the wrapped Store usable.
+// TestAsyncCloseSemantics: Close is idempotent, makes every further
+// AsyncStore call panic — the batches and scans it forwards to the
+// Store as well as the queued point ops — and leaves the wrapped Store
+// usable.
 func TestAsyncCloseSemantics(t *testing.T) {
 	st := New(Config{Shards: 4})
 	a := NewAsync(st, AsyncConfig{})
@@ -264,14 +264,22 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	}
 	a.Close(w)
 	a.Close(w) // idempotent
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Get after Close must panic")
-			}
+	for name, call := range map[string]func(){
+		"Get":        func() { a.Get(w, 1) },
+		"MultiGet":   func() { a.MultiGet(w, []uint64{1, 2}) },
+		"MultiPut":   func() { a.MultiPut(w, []Pair{{Key: 1, Value: stressValue(1)}}) },
+		"Range":      func() { a.Range(w, 0, 10, func(uint64, []byte) bool { return true }) },
+		"MultiRange": func() { a.MultiRange(w, []RangeReq{{Lo: 0, Hi: 10}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Close must panic", name)
+				}
+			}()
+			call()
 		}()
-		a.Get(w, 1)
-	}()
+	}
 	// The synchronous store is unaffected, and holds everything the
 	// pipeline wrote.
 	if got := st.Len(w); got != 128 {

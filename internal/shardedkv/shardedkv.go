@@ -144,11 +144,8 @@ type ShardStats struct {
 	// apart from the point counters (and excluded from Ops).
 	Scans uint64
 	// BatchLocks counts the per-shard shares of batched operations
-	// executed here: one per (batch, touched shard), not one per key. On
-	// the plain store each is a lock acquisition of its own; on the
-	// pipeline a share is one queued request (two or more when it exceeds
-	// the per-request key cap) and may share its combiner's lock take
-	// with other requests — CombineStats.LockTakes counts the takes.
+	// executed here: one per (batch, touched shard), not one per key,
+	// each a lock acquisition of its own on either front end.
 	BatchLocks uint64
 }
 
@@ -656,9 +653,8 @@ func mergeRuns(runs [][]Pair, fn func(k uint64, v []byte) bool) {
 	}
 }
 
-// mergedPairs is mergeRuns into one exactly-sized slice, for the
-// callers that must return a []Pair (both front ends' MultiRange). nil
-// when the runs are empty.
+// mergedPairs is mergeRuns into one exactly-sized slice, for
+// MultiRange, which must return a []Pair. nil when the runs are empty.
 func mergedPairs(runs [][]Pair) []Pair {
 	total := 0
 	for _, r := range runs {
@@ -760,46 +756,6 @@ func resize[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// getMany reads keys[i] for every position i of idx from sh's engine
-// into vals[i], ok[i]: one shard's share of a batched read. The caller
-// holds sh's lock. Store.MultiGet's visitor and the pipeline's exec
-// both run it, so there is one copy of the loop; it tallies one
-// BatchLocks per call.
-func (s *Store) getMany(w *core.Worker, sh *shard, keys []uint64, idx []int, vals [][]byte, ok []bool) {
-	for _, i := range idx {
-		vals[i], ok[i] = sh.eng.Get(keys[i])
-		s.pad(w)
-	}
-	sh.gets.Add(uint64(len(idx)))
-	sh.batches.Add(1)
-}
-
-// putMany writes kvs[i] for every position i of idx to sh, in idx
-// order, each record logged before it is applied: one shard's share of
-// a batched write, shared like getMany. The caller holds sh's lock. It
-// stops at the first log failure, so memory equals the appended prefix.
-// lsn is the last record appended (0 when nothing was logged) — what a
-// sync-wait caller commits once the lock is released.
-func (s *Store) putMany(w *core.Worker, sh *shard, kvs []Pair, idx []int) (inserted int, lsn uint64, err error) {
-	applied := 0
-	for _, i := range idx {
-		l, lerr := s.logWrite(sh, wal.KindPut, kvs[i].Key, kvs[i].Value)
-		if lerr != nil {
-			err = lerr
-			break
-		}
-		lsn = l
-		if sh.eng.Put(kvs[i].Key, kvs[i].Value) {
-			inserted++
-		}
-		s.pad(w)
-		applied++
-	}
-	sh.puts.Add(uint64(applied))
-	sh.batches.Add(1)
-	return inserted, lsn, err
-}
-
 // walMark is a group commit owed: everything up to lsn in sh's log.
 type walMark struct {
 	sh  *shard
@@ -835,7 +791,12 @@ func (s *Store) MultiGet(w *core.Worker, keys []uint64) (vals [][]byte, ok []boo
 	ok = make([]bool, len(keys))
 	g := groupPool.Get().(*grouping)
 	s.execGrouped(w, g, len(keys), func(i int) uint64 { return keys[i] }, func(sh *shard, idx []int) {
-		s.getMany(w, sh, keys, idx, vals, ok)
+		for _, i := range idx {
+			vals[i], ok[i] = sh.eng.Get(keys[i])
+			s.pad(w)
+		}
+		sh.gets.Add(uint64(len(idx)))
+		sh.batches.Add(1)
 	})
 	g.release()
 	return vals, ok
@@ -859,11 +820,24 @@ func (s *Store) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 	g := groupPool.Get().(*grouping)
 	kvs = s.ownedPairs(kvs, &g.own)
 	s.execGrouped(w, g, len(kvs), func(i int) uint64 { return kvs[i].Key }, func(sh *shard, idx []int) {
-		ins, lsn, err := s.putMany(w, sh, kvs, idx)
-		inserted += ins
-		if err != nil && firstErr == nil {
-			firstErr = err
+		applied, lsn := 0, uint64(0)
+		for _, i := range idx {
+			l, err := s.logWrite(sh, wal.KindPut, kvs[i].Key, kvs[i].Value)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				break
+			}
+			lsn = l
+			if sh.eng.Put(kvs[i].Key, kvs[i].Value) {
+				inserted++
+			}
+			s.pad(w)
+			applied++
 		}
+		sh.puts.Add(uint64(applied))
+		sh.batches.Add(1)
 		if lsn != 0 {
 			marks = append(marks, walMark{sh: sh, lsn: lsn})
 		}
