@@ -28,7 +28,7 @@ RACE_PKGS = . \
 	./internal/sim \
 	./internal/amp
 
-.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff microbench net-smoke wal-smoke soak fuzz-smoke
+.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff pipe-grid microbench net-smoke wal-smoke soak fuzz-smoke
 
 # The shard-lock contracts (ARCHITECTURE.md, "Enforced invariants") are
 # checked by test: a runtime guard in internal/shardedkv that panics on
@@ -63,10 +63,11 @@ short:
 	$(GO) test -short ./...
 
 # The second line repeats the request queue's tests, so rare push/pop
-# interleavings get many tries.
+# interleavings get many tries, and the drain tests, which check the
+# combiner's bound and its aging of the recent-depth estimate.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=20 -run 'Queue|Ring' ./internal/shardedkv
+	$(GO) test -race -count=20 -run 'Queue|Ring|Drain' ./internal/shardedkv
 
 # net-smoke proves the network front end end to end with the REAL
 # binaries. Startup first: -wal naming a regular file must exit 1 with
@@ -243,6 +244,20 @@ bench-pairs:
 # part of ci; BASE and PARENT_DIR work as for bench-pairs.
 fig-diff:
 	bash scripts/fig-diff.sh $(FIGS)
+
+# pipe-grid is the in-process pipeline cell: cmd/kvbench on hashkv,
+# the zipf and zipfw mixes, the asl lock beside its pipe-asl row, 4
+# shards, half the workers big, at 8 and then 32 threads, 1 s per row.
+# Each invocation prints one table plus the combining counters on
+# stderr. Rows are single runs, so a decision repeats the target (5
+# alternating runs per side at least) and compares medians. Not part
+# of ci.
+pipe-grid:
+	@for t in 8 32; do \
+		echo "pipe-grid: -threads $$t -bigs $$((t / 2))"; \
+		$(GO) run ./cmd/kvbench -engines hashkv -mixes zipf,zipfw -locks asl -pipeline \
+			-shards 4 -threads $$t -bigs $$((t / 2)) -dur 1s || exit 1; \
+	done
 
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
 # short smoke paths, the nested benchmark module's build and tests, and

@@ -350,9 +350,9 @@ func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec
 				fmt.Fprintf(progress, "done: %s\n", name)
 				if comb != nil {
 					fmt.Fprintf(progress,
-						"  combining: %d ops / %d takes = %.2f ops/take (handoffs %d, depthHW %d, maxbatch %d, big/little takes %d/%d)\n",
+						"  combining: %d ops / %d takes = %.2f ops/take (handoffs %d, depthHW %d, big/little takes %d/%d)\n",
 						comb.Combined, comb.LockTakes, comb.OpsPerLockTake(),
-						comb.Handoffs, comb.DepthHW, comb.MaxBatchEff, comb.BigTakes, comb.LittleTakes)
+						comb.Handoffs, comb.DepthHW, comb.BigTakes, comb.LittleTakes)
 				}
 			}
 		}

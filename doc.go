@@ -43,10 +43,10 @@
 // shardedkv.AsyncStore is the flat-combining front end for point ops:
 // per-shard lock-free intrusive MPSC queues, futures with class-aware
 // spin/park waiting, combiner election via TryAcquire with big-class
-// preference, and an adaptive drain bound — weak cores enqueue, strong
-// cores combine. Every call returns once its request has executed. Its
-// batches and scans are the Store's own calls, which already take each
-// shard lock once.
+// preference, and a drain of at most 8 requests per lock take — weak
+// cores enqueue, strong cores combine. Every call returns once its
+// request has executed. Its batches and scans are the Store's own
+// calls, which already take each shard lock once.
 //
 // # Network front end
 //

@@ -17,7 +17,7 @@ import (
 // This file wires the per-shard write-ahead log (internal/wal) into
 // the store. The shape follows the combining pipeline's asymmetry
 // argument one layer down: the combiner already batches up to
-// MaxBatchEff ops under one lock take, so durability rides the same
+// maxDrain ops under one lock take, so durability rides the same
 // batch — records are appended (buffered, no fsync) while the shard
 // lock is held and ONE group-commit fsync runs after release, with
 // every waiter of the batch piggybacking on it. The plain Store gets

@@ -23,7 +23,7 @@ import (
 // enter the queues: they are the wrapped Store's own calls, which take
 // each touched shard lock once, so delegating them would restrict
 // nothing. Whoever wins the shard lock's TryAcquire becomes the combiner
-// and drains the queue: up to the drain bound, queued operations execute
+// and drains the queue: up to maxDrain, queued operations execute
 // against the engine under ONE Acquire/Release, completing futures as
 // they go. Once a weak core has paid for the lock it amortises the
 // cost over the whole queue instead of forcing a handoff per op — the
@@ -43,27 +43,26 @@ import (
 // little workers still elect (and always serve themselves eventually),
 // so the pipeline is live with no big cores at all.
 //
-// The drain bound adapts per shard: it starts at 32 and doubles while
-// drains saturate it and the observed queue depth keeps up, decaying
-// back when the queue runs dry — so a zipf-hot shard's combiner drains
-// deeper per lock take while cold shards stay latency-lean. Big-class
-// combiners use the full bound; little-class combiners cap at 32, the
-// drain-side mirror of the election bias (big cores do the deep
-// batches). A combiner on a hot shard also lingers a bounded few
-// microseconds when its queue runs momentarily dry, picking up in-flight
-// producers instead of paying them a fresh lock take each.
+// A combiner drains at most maxDrain = 8 requests per lock take, for
+// either class. A combiner on a hot shard also lingers a bounded few
+// microseconds when its queue runs momentarily dry, picking up
+// in-flight producers instead of paying them a fresh lock take each.
+// The linger is gated on hwRecent, a decaying depth estimate raised at
+// push; a drain that runs the queue dry short of maxDrain ages it by
+// 3/4, so one burst does not hold the gate open.
 //
-// The bound and the linger are coupled, which is why the bound adapts
-// instead of being a constant. The linger is gated on hwRecent, the
-// decaying depth estimate, and a drain that runs the queue dry short of
-// its bound ages that estimate. So the gate stays open only while
-// lingering drains fill the bound. A constant the lingering drains
-// cannot fill (16 on a zipf-hot shard) ages hwRecent below
-// lingerMinDepth and shuts the linger, and the little class's p99
-// leaves its SLO; a constant low enough to be filled (8) keeps the
-// linger but caps the drains of batched traffic, whose little-class
-// p99 then loses (measured while batches still crossed the queues). The
-// adaptive bound decays to what drains do fill and grows with the queue.
+// Both were decided on point traffic with `make pipe-grid` (hashkv,
+// zipf and zipfw, 4 shards, half the workers big, a 2-CPU host; the
+// pipe-asl rows of 10 alternating runs per side). At 8 threads an
+// earlier bound that adapted per shard between 8 and 256 sat at 8 and
+// matched the constant: little p99 ~64 µs, inside the 100 µs SLO. At
+// 32 threads it grew to 32, and the constant cut the median big p99
+// from ~295 to ~142 µs and the little p99 from ~170 to ~135 µs: short
+// drains hand the lock on sooner, Dice & Kogan's small fixed active set
+// rather than a growing one. The linger is the load-bearing part. At 8
+// threads, deleting it, gating it on the drain's own count instead of
+// hwRecent, or pairing it with a constant bound of 32 each put the
+// median little p99 at 230-330 µs.
 
 // opKind is a pipeline request type.
 type opKind uint8
@@ -172,16 +171,11 @@ const (
 	maxParkSlice    = time.Millisecond
 )
 
-// Adaptive drain-bound tuning. The bound starts at adaptiveInitBatch,
-// doubles while drains saturate it (and the recent queue depth
-// justifies it), and halves when the queue runs dry. Little-class
-// combiners cap their drains at adaptiveLittleCap; deep batches belong
-// to big cores.
+// Drain tuning. maxDrain bounds one drain, for either class: reaching
+// it releases the lock (so big-core FIFO entrants and sync-path users
+// get their turn) and re-elects if the queue is still non-empty.
 const (
-	adaptiveInitBatch = 32
-	adaptiveMinBatch  = 8
-	adaptiveMaxBatch  = 256
-	adaptiveLittleCap = 32
+	maxDrain = 8
 	// lingerSpins bounds the combiner's dry-queue linger on a hot shard
 	// (hwRecent >= lingerMinDepth): a few hundred spin units trade a
 	// hair of hold time for whole lock takes saved by the producers
@@ -195,18 +189,12 @@ const (
 type AsyncConfig struct{}
 
 // pipeShard is one shard's pipeline state: the request queue plus
-// combining counters and the adaptive drain bound. NewAsync builds one
-// per shard.
+// combining counters. NewAsync builds one per shard.
 type pipeShard struct {
 	sh    *shard
 	queue reqQueue
-	// bound is the adaptive drain bound in requests. Reaching it releases
-	// the lock (so big-core FIFO entrants and sync-path users get their
-	// turn) and re-elects if the queue is still non-empty.
-	bound atomic.Int64
 	// hwRecent is a decaying queue-depth estimate (requests): raised
-	// like depthHW at push, decayed by idle drains. The adaptive bound
-	// grows toward it, never past it.
+	// like depthHW at push, decayed by dry drains. It gates the linger.
 	hwRecent  atomic.Uint64
 	lockTakes atomic.Uint64
 	combined  atomic.Uint64
@@ -246,44 +234,6 @@ func (q *pipeShard) noteDepth() {
 	}
 }
 
-// drainBound returns the bound this combiner's drain should use.
-func (q *pipeShard) drainBound(w *core.Worker) int {
-	b := int(q.bound.Load())
-	if w.Class() == core.Little && b > adaptiveLittleCap {
-		b = adaptiveLittleCap
-	}
-	return b
-}
-
-// adapt updates the adaptive bound after a drain of n ops ran with the
-// given bound. A drain that ran the queue dry ages the recent-depth
-// estimate (integer decay that reaches 0, so one burst does not read as
-// lasting depth); only full-bound (big-class) drains grow the shared
-// bound, and any dry drain decays it. Runs under the shard lock, so
-// updates are serialised; the plain stores racing a concurrent
-// noteDepth CAS are advisory-only.
-func (q *pipeShard) adapt(n, used int) {
-	if q.queue.Empty() && n < used {
-		q.hwRecent.Store(q.hwRecent.Load() * 3 / 4)
-	}
-	b := int(q.bound.Load())
-	if used != b {
-		return
-	}
-	switch {
-	case n >= used && !q.queue.Empty():
-		hw := q.hwRecent.Load()
-		nb := min(b*2, adaptiveMaxBatch)
-		if nb > b && uint64(b) <= hw {
-			q.bound.Store(int64(nb))
-		}
-	case n*4 < b && q.queue.Empty():
-		if b > adaptiveMinBatch {
-			q.bound.Store(int64(max(b/2, adaptiveMinBatch)))
-		}
-	}
-}
-
 // CombineStats is a snapshot of one shard's combining counters.
 type CombineStats struct {
 	// LockTakes counts combiner elections won that drained work.
@@ -301,9 +251,6 @@ type CombineStats struct {
 	Handoffs uint64
 	// DepthHW is the queue-depth high-water mark observed at push.
 	DepthHW uint64
-	// MaxBatchEff is the drain bound currently in effect: the adaptive
-	// bound the shard has grown/decayed to, in operations.
-	MaxBatchEff uint64
 	// BigTakes and LittleTakes split LockTakes by the elector's class;
 	// under mixed traffic the election bias should keep BigTakes well
 	// ahead.
@@ -325,7 +272,6 @@ func (q *pipeShard) stats() CombineStats {
 		Combined:    q.combined.Load(),
 		Handoffs:    q.handoffs.Load(),
 		DepthHW:     q.depthHW.Load(),
-		MaxBatchEff: uint64(q.bound.Load()),
 		BigTakes:    q.takesBy[core.Big].Load(),
 		LittleTakes: q.takesBy[core.Little].Load(),
 	}
@@ -354,7 +300,6 @@ func NewAsync(st *Store, _ AsyncConfig) *AsyncStore {
 	for i, sh := range st.shards {
 		q := &pipeShard{sh: sh}
 		q.queue.init()
-		q.bound.Store(adaptiveInitBatch)
 		a.pipes[i] = q
 	}
 	return a
@@ -469,17 +414,16 @@ func (a *AsyncStore) logPoint(sh *shard, r *request, kind wal.Kind) bool {
 	return true
 }
 
-// drain executes up to the drain bound's worth of queued requests; the
-// caller holds q's shard lock. A combiner whose queue runs momentarily
-// dry on a hot shard lingers briefly for in-flight producers before
-// giving the lock up. Returns the number executed. Sync-wait writes are
-// applied and logged here but their futures land on pend; the caller
-// completes them after release (see completePending).
+// drain executes up to maxDrain queued requests; the caller holds q's
+// shard lock. A combiner whose queue runs momentarily dry on a hot shard
+// lingers briefly for in-flight producers before giving the lock up.
+// Returns the number executed. Sync-wait writes are applied and logged
+// here but their futures land on pend; the caller completes them after
+// release (see completePending).
 func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
-	bound := q.drainBound(w)
 	n, linger := 0, 0
 	var s locks.Spinner
-	for n < bound {
+	for n < maxDrain {
 		r := q.queue.pop()
 		if r == nil {
 			if n > 0 && linger < lingerSpins && q.hwRecent.Load() >= lingerMinDepth {
@@ -496,12 +440,18 @@ func (a *AsyncStore) drain(w *core.Worker, q *pipeShard, pend *[]*request) int {
 	if n > 0 {
 		q.combined.Add(uint64(n))
 	}
-	q.adapt(n, bound)
+	// A drain that ran the queue dry ages the recent-depth estimate
+	// (integer decay that reaches 0, so one burst does not read as
+	// lasting depth). The plain store racing a concurrent noteDepth CAS
+	// is advisory only.
+	if n < maxDrain && q.queue.Empty() {
+		q.hwRecent.Store(q.hwRecent.Load() * 3 / 4)
+	}
 	return n
 }
 
 // tryCombine runs ONE combiner election on q's shard; a win drains at
-// most the bound's worth of queued ops under a single lock take.
+// most maxDrain queued ops under a single lock take.
 // Reports whether it actually drained work — callers spin-wait on
 // false, which also covers the won-but-empty case (a producer stalled
 // between its swap and its link). A failed TryAcquire means
@@ -667,8 +617,8 @@ func (a *AsyncStore) CombineStats() []CombineStats {
 	return out
 }
 
-// AggregateCombineStats sums CombineStats across shards (DepthHW and
-// MaxBatchEff take the max).
+// AggregateCombineStats sums CombineStats across shards (DepthHW takes
+// the max).
 func (a *AsyncStore) AggregateCombineStats() CombineStats {
 	var agg CombineStats
 	for _, c := range a.CombineStats() {
@@ -677,9 +627,6 @@ func (a *AsyncStore) AggregateCombineStats() CombineStats {
 		agg.Handoffs += c.Handoffs
 		if c.DepthHW > agg.DepthHW {
 			agg.DepthHW = c.DepthHW
-		}
-		if c.MaxBatchEff > agg.MaxBatchEff {
-			agg.MaxBatchEff = c.MaxBatchEff
 		}
 		agg.BigTakes += c.BigTakes
 		agg.LittleTakes += c.LittleTakes

@@ -433,54 +433,57 @@ func TestAsyncRangeCallbackLockFree(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMaxBatch drives one hot shard with an adaptive pipeline
-// and checks the bound machinery: the effective bound is exposed, and
-// under real parallelism with deep queues it grows past the old fixed
-// default on the hot shard while drains keep every op accounted.
-func TestAdaptiveMaxBatch(t *testing.T) {
-	const workers = 8
-	opsPer := 2_000
-	if testing.Short() {
-		opsPer = 500
-	}
-	st := New(Config{
-		Shards: 1,
-		CSPad:  func(w *core.Worker) { workload.Spin(2_000) },
-	})
+// TestDrainStopsAtBound pushes maxDrain+3 requests on one shard and
+// runs one combiner election: the drain must execute exactly maxDrain of
+// them under its one lock take and leave the rest queued.
+func TestDrainStopsAtBound(t *testing.T) {
+	st := New(Config{Shards: 1})
 	a := NewAsync(st, AsyncConfig{})
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// All big: the little cap must not hide the growth.
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			rng := prng.NewSplitMix64(uint64(wi)*3 + 1)
-			for op := 0; op < opsPer; op++ {
-				k := rng.Uint64() % 1024
-				if rng.Uint64()&1 == 0 {
-					a.Put(w, k, stressValue(k))
-				} else {
-					a.Get(w, k)
-				}
-			}
-		}(wi)
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	q := a.pipes[0]
+	reqs := make([]*request, maxDrain+3)
+	for i := range reqs {
+		r := a.newReq(opPut)
+		r.key, r.val = uint64(i), stressValue(uint64(i))
+		q.queue.push(r)
+		reqs[i] = r
 	}
-	wg.Wait()
-	agg := a.AggregateCombineStats()
-	if want := uint64(workers * opsPer); agg.Combined != want {
-		t.Fatalf("Combined = %d, want exactly %d", agg.Combined, want)
+	if !a.tryCombine(w, q) {
+		t.Fatal("tryCombine drained nothing")
 	}
-	if agg.MaxBatchEff == 0 {
-		t.Fatal("MaxBatchEff not exposed")
+	if c := a.AggregateCombineStats(); c.Combined != maxDrain || c.LockTakes != 1 {
+		t.Fatalf("one drain: Combined %d over %d takes, want %d over 1", c.Combined, c.LockTakes, maxDrain)
 	}
-	t.Logf("adaptive: %d ops / %d takes = %.2f ops/take, depthHW %d, effective bound %d",
-		agg.Combined, agg.LockTakes, agg.OpsPerLockTake(), agg.DepthHW, agg.MaxBatchEff)
-	// Growth needs queues deeper than the initial bound, which needs
-	// real parallelism; only assert where the scheduler can provide it.
-	if runtime.GOMAXPROCS(0) >= 4 && agg.DepthHW >= 2*adaptiveInitBatch {
-		if agg.MaxBatchEff <= adaptiveInitBatch {
-			t.Errorf("bound stayed at %d despite depthHW %d", agg.MaxBatchEff, agg.DepthHW)
+	if n := q.queue.Len(); n != 3 {
+		t.Fatalf("queue holds %d after one drain, want 3", n)
+	}
+	for i, r := range reqs {
+		if want := i < maxDrain; r.isDone() != want {
+			t.Fatalf("request %d: done %v, want %v", i, r.isDone(), want)
 		}
+	}
+	// Serve the rest, so every test-owned request completes.
+	if !a.tryCombine(w, q) || !q.queue.Empty() || !reqs[len(reqs)-1].isDone() {
+		t.Fatal("second drain left requests queued")
+	}
+}
+
+// TestDryDrainAgesRecentDepth runs one request through a shard whose
+// recent-depth estimate reads 8: the drain ends dry short of its bound,
+// so the estimate ages by 3/4, to 6.
+func TestDryDrainAgesRecentDepth(t *testing.T) {
+	st := New(Config{Shards: 1})
+	a := NewAsync(st, AsyncConfig{})
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	q := a.pipes[0]
+	q.hwRecent.Store(8)
+	if _, ok := a.Get(w, 1); ok {
+		t.Fatal("Get on an empty store found a value")
+	}
+	if c := a.AggregateCombineStats(); c.Combined != 1 {
+		t.Fatalf("Combined = %d, want 1", c.Combined)
+	}
+	if got := q.hwRecent.Load(); got != 6 {
+		t.Fatalf("hwRecent = %d after a dry drain from 8, want 6", got)
 	}
 }
