@@ -28,7 +28,7 @@ RACE_PKGS = . \
 	./internal/sim \
 	./internal/amp
 
-.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff pipe-grid microbench net-smoke wal-smoke soak fuzz-smoke
+.PHONY: check build vet fmt-check sh-check test short race ci bench bench-check bench-pairs fig-diff pipe-grid lock-grid microbench net-smoke wal-smoke soak fuzz-smoke
 
 # The shard-lock contracts (ARCHITECTURE.md, "Enforced invariants") are
 # checked by test: a runtime guard in internal/shardedkv that panics on
@@ -259,6 +259,19 @@ pipe-grid:
 			-shards 4 -threads $$t -bigs $$((t / 2)) -dur 1s || exit 1; \
 	done
 
+# lock-grid is item 12's regime: cmd/kvbench on hashkv, the zipf and
+# zipfw mixes, every -lock choice (asl, mutex, mcs, pthread), 4
+# shards, half the workers big, at 2, 8 and 32 threads, 1 s per row.
+# It decides whether a lock choice separates from asl and mutex; rows
+# are single runs, so a decision repeats the target (3 runs at least)
+# and compares medians and ranges. Not part of ci.
+lock-grid:
+	@for t in 2 8 32; do \
+		echo "lock-grid: -threads $$t -bigs $$((t / 2))"; \
+		$(GO) run ./cmd/kvbench -engines hashkv -mixes zipf,zipfw -locks all \
+			-shards 4 -threads $$t -bigs $$((t / 2)) -dur 1s || exit 1; \
+	done
+
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
 # short smoke paths, the nested benchmark module's build and tests, and
 # the network smoke. wal-smoke, soak and fuzz-smoke are separate
@@ -278,12 +291,14 @@ ci: check race short bench-check net-smoke
 # and overwrites in internal/storage/btree; a forced GC over a loaded
 # hash table, on the hashkv workloads' two store shapes, a 1<<18-key
 # load into an empty table and overwrites of a loaded one, in
-# internal/storage/hashkv.
+# internal/storage/hashkv; one 64-byte put appended to a shard log in
+# internal/wal.
 # MICRO_COUNT repeats each row for benchstat.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $${MICRO_COUNT:-1} \
 		./internal/kvserver ./internal/kvclient ./internal/shardedkv ./internal/locks \
-		./internal/core ./internal/storage/btree ./internal/storage/hashkv
+		./internal/core ./internal/storage/btree ./internal/storage/hashkv \
+		./internal/wal
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms

@@ -17,9 +17,8 @@
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
 // zipfian keys), zipfw (write-heavy 80% put over zipfian keys — the
 // hot-shard regime combining targets), batch
-// (MultiGet/MultiPut, keys sorted by shard), scan (YCSB-E 95% range
-// scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
-// -batch ranges per request grouped by shard).
+// (MultiGet/MultiPut, keys sorted by shard), and scan (YCSB-E 95%
+// range scan / 5% put over -span-wide windows).
 // Locks: asl (one stack for dedicated and over-subscribed cores),
 // mutex, mcs, pthread. -pipeline adds a sibling row per lock (pipe-*)
 // so handoff policy and combining answer the same contention in one
@@ -105,7 +104,6 @@ func allMixes() []mixSpec {
 		{name: "zipfw", mix: workload.WriteHeavy(), zipf: true},
 		{name: "batch", mix: workload.ReadHeavy(), batched: true},
 		{name: "scan", mix: workload.ScanHeavy()},
-		{name: "scanbatch", mix: workload.ScanHeavy(), batched: true},
 	}
 }
 
@@ -223,7 +221,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 			ncs := shim.NCSUnits(cfg.ncsUnits, class)
 			kvs := make([]shardedkv.Pair, cfg.batch)
 			keys := make([]uint64, cfg.batch)
-			reqs := make([]shardedkv.RangeReq, cfg.batch)
 			// doOp returns the number of point operations the request
 			// covered — batch size for batched ops, keys visited for
 			// scans — so every row reports ops/s in the same per-key
@@ -231,23 +228,12 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 			doOp := func() uint64 {
 				kind := mix.mix.Draw(rng.Uint64())
 				if mix.batched {
-					switch kind {
-					case workload.OpScan:
-						for j := range reqs {
-							lo := keygen.Draw(rng)
-							reqs[j] = shardedkv.RangeReq{Lo: lo, Hi: spanHi(lo, cfg.span)}
-						}
-						visited := uint64(0)
-						for _, res := range api.MultiRange(w, reqs) {
-							visited += uint64(len(res))
-						}
-						return max(visited, 1)
-					case workload.OpGet:
+					if kind == workload.OpGet {
 						for j := range keys {
 							keys[j] = keygen.Draw(rng)
 						}
 						api.MultiGet(w, keys)
-					default:
+					} else {
 						for j := range kvs {
 							kvs[j] = shardedkv.Pair{Key: keygen.Draw(rng), Value: val}
 						}
@@ -362,7 +348,7 @@ func runGrid(out, progress io.Writer, engs []shardedkv.EngineSpec, mxs []mixSpec
 
 func main() {
 	engines := flag.String("engines", "all", "comma list of hashkv|btree|skiplist|lsm, or all")
-	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
+	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan, or all")
 	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|mutex|mcs|pthread, or all")
 	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: point ops routed through the flat-combining AsyncStore")
 	shards := flag.Int("shards", 16, "shard count")
@@ -373,7 +359,7 @@ func main() {
 	slo := flag.Duration("slo", 100*time.Microsecond, "epoch SLO for asl locks; negative disables epochs")
 	keys := flag.Uint64("keys", 1<<16, "keyspace size")
 	vsize := flag.Int("vsize", 64, "value size in bytes")
-	batch := flag.Int("batch", 16, "keys (or ranges) per batched operation")
+	batch := flag.Int("batch", 16, "keys per batched operation")
 	span := flag.Uint64("span", 256, "key width of each range for the scan mixes")
 	zipfS := flag.Float64("zipf", 0.99, "zipfian theta for the zipf mix")
 	ncsGap := flag.Duration("ncs", 500*time.Nanosecond, "big-core inter-op gap (littles scaled by the shim)")

@@ -267,56 +267,6 @@ func TestRangeConsistencyAfterDeletes(t *testing.T) {
 	}
 }
 
-// TestMultiRangeMatchesSingleRanges pins MultiRange semantics on both
-// front ends: each request's result equals the equivalent standalone
-// Range, and the plain store's batch takes each shard lock once.
-func TestMultiRangeMatchesSingleRanges(t *testing.T) {
-	for _, spec := range AllEngines() {
-		t.Run(spec.Name, func(t *testing.T) {
-			st := New(Config{Shards: 4, NewEngine: spec.New})
-			w := newTestWorker()
-			for k := uint64(0); k < 512; k += 3 {
-				st.Put(w, k, value(k, 1))
-			}
-			reqs := []RangeReq{
-				{Lo: 0, Hi: 100},
-				{Lo: 50, Hi: 200},   // overlapping
-				{Lo: 400, Hi: 380},  // inverted: empty
-				{Lo: 900, Hi: 1000}, // beyond data: empty
-			}
-			before := st.AggregateStats()
-			got := st.MultiRange(w, reqs)
-			after := st.AggregateStats()
-			if after.BatchLocks-before.BatchLocks != uint64(st.NumShards()) {
-				t.Fatalf("MultiRange took %d batch locks, want one per shard (%d)",
-					after.BatchLocks-before.BatchLocks, st.NumShards())
-			}
-			if after.Scans-before.Scans != uint64(st.NumShards()*len(reqs)) {
-				t.Fatalf("MultiRange counted %d scans, want %d",
-					after.Scans-before.Scans, st.NumShards()*len(reqs))
-			}
-			if len(got) != len(reqs) {
-				t.Fatalf("MultiRange returned %d results for %d requests", len(got), len(reqs))
-			}
-			for i, r := range reqs {
-				want := collectRange(t, st, w, r.Lo, r.Hi)
-				if !sameKVs(got[i], want) {
-					t.Fatalf("request %d [%d,%d]: MultiRange and Range disagree (%d vs %d pairs)",
-						i, r.Lo, r.Hi, len(got[i]), len(want))
-				}
-			}
-			if len(got[2]) != 0 || len(got[3]) != 0 {
-				t.Fatalf("empty-span requests returned %d and %d pairs", len(got[2]), len(got[3]))
-			}
-			for i, res := range NewAsync(st, AsyncConfig{}).MultiRange(w, reqs) {
-				if !sameKVs(res, got[i]) {
-					t.Fatalf("request %d: AsyncStore.MultiRange and Store.MultiRange disagree (%d vs %d pairs)", i, len(res), len(got[i]))
-				}
-			}
-		})
-	}
-}
-
 // TestBatchEdgeSemantics pins the edge cases of the batched ops:
 // duplicate keys within one MultiGet, and empty batches of every kind.
 func TestBatchEdgeSemantics(t *testing.T) {
@@ -345,13 +295,9 @@ func TestBatchEdgeSemantics(t *testing.T) {
 			if ins, _ := st.MultiPut(w, nil); ins != 0 {
 				t.Fatalf("empty MultiPut inserted %d", ins)
 			}
-			if out := st.MultiRange(w, nil); len(out) != 0 {
-				t.Fatal("empty MultiRange must return an empty result set")
-			}
 			before := st.AggregateStats()
 			st.MultiGet(w, []uint64{})
 			st.MultiPut(w, []Pair{})
-			st.MultiRange(w, []RangeReq{})
 			after := st.AggregateStats()
 			if after.BatchLocks != before.BatchLocks {
 				t.Fatalf("empty batches took %d shard locks", after.BatchLocks-before.BatchLocks)

@@ -6,8 +6,8 @@ import "fmt"
 // commit, or Flush-time sync), the shard flips read-only instead of
 // panicking or silently dropping durability. The rules:
 //
-//   - Reads (Get/MultiGet/Range/MultiRange) keep serving from the
-//     in-memory engine.
+//   - Reads (Get/MultiGet/Range) keep serving from the in-memory
+//     engine.
 //   - Writes on the degraded shard fail fast with *DegradedError
 //     (errors.As-able). A
 //     write that was already applied but whose group commit failed

@@ -271,7 +271,7 @@ func (s *Store) replayGeneration(gen string) error {
 					ckpt[sh] = b
 				}
 				b.keys = append(b.keys, key)
-				b.vals = append(b.vals, append([]byte(nil), val...))
+				b.vals = append(b.vals, val) // Replay's val is ours to keep
 				return nil
 			}
 			if !flushed {
@@ -283,8 +283,7 @@ func (s *Store) replayGeneration(gen string) error {
 			if kind == wal.KindDelete {
 				sh.eng.Delete(key)
 			} else {
-				// val is borrowed for the call, as a Put's value is.
-				sh.eng.Put(key, s.owned(val))
+				sh.eng.Put(key, val) // Replay's val is ours to keep
 			}
 			return nil
 		})

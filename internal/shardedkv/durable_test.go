@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -366,5 +367,56 @@ func TestCheckpointSurfacesWriteFault(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveryCopiesEachValueOnce pins recovery at about one heap
+// object per replayed record: wal.Replay reads each value into a slice
+// of its own, and replayGeneration hands that slice to the engine as
+// is, for checkpoint and segment records alike. Half the 10 000 records
+// come from a checkpoint and half from segments, so a second copy of
+// either kind adds 0.5 objects per record.
+func TestRecoveryCopiesEachValueOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const half = 5000
+	cfg := Config{
+		Shards:    4,
+		NewEngine: func(int) Engine { return NewHashEngine(0) },
+		Durability: &DurabilityConfig{
+			Dir:         t.TempDir(),
+			Interactive: SyncAsync,
+		},
+	}
+	w := newTestWorker()
+	val := bytes.Repeat([]byte{7}, 64)
+	// The second open checkpoints the first half into a new generation,
+	// whose segments then take the second half.
+	for _, lo := range []uint64{0, half} {
+		st, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := lo; k < lo+half; k++ {
+			st.Put(w, k, val)
+		}
+		st.Close(w)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := Open(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close(w)
+	if n := st.Len(w); n != 2*half {
+		t.Fatalf("recovered %d keys, want %d", n, 2*half)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / (2 * half)
+	t.Logf("recovery: %.3f objects per record", per)
+	if per > 1.1 {
+		t.Fatalf("recovery allocated %.2f objects per record, want at most 1.1", per)
 	}
 }

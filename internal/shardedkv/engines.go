@@ -48,8 +48,13 @@ func (e *hashEngine) Scan(fn func(k uint64, v []byte) bool) {
 	e.t.Scan(fn)
 }
 
+// RangeReq is one [Lo, Hi] span of a hashEngine.BatchRange request.
+type RangeReq struct{ Lo, Hi uint64 }
+
 // BatchRange serves a whole request batch in one walk of the table
-// (hashkv.Table.BatchRange), not one full walk per request.
+// (hashkv.Table.BatchRange), not one full walk per request. No store
+// path calls it; like Scan, it stays because benchmark/wrappers.go
+// forwards it and pins the hash engine's capability set.
 func (e *hashEngine) BatchRange(reqs []RangeReq, emit func(req int, k uint64, v []byte)) {
 	e.t.BatchRange(len(reqs), func(i int) (uint64, uint64) { return reqs[i].Lo, reqs[i].Hi }, emit)
 }

@@ -20,8 +20,8 @@ import "repro/internal/core"
 //     call returns. The copy is made on the caller's goroutine before
 //     the shard lock is taken, and only for engines that keep the slice
 //     they are given (the btree copies into its leaf arenas itself).
-//   - Range/MultiRange results are ascending-key and per-shard
-//     consistent; fn never runs under a shard lock.
+//   - Range emits in ascending key order, per-shard consistent; fn
+//     never runs under a shard lock.
 //   - Writes return an error exactly when their durability promise
 //     failed: nil without durability configured, *DegradedError once
 //     the owning shard's log has failed (degraded.go). A non-nil
@@ -31,9 +31,9 @@ import "repro/internal/core"
 //     durability barrier: with durability configured, every write
 //     that returned before it is fsynced once it returns nil. The
 //     fsync failures of bulk-policy (SyncAsync) acks surface here.
-//   - MultiGet/MultiPut/Range/MultiRange take each touched shard lock
-//     once, on either front end: an AsyncStore combines only point
-//     ops, and its batches and scans are its Store's own calls.
+//   - MultiGet/MultiPut/Range take each touched shard lock once, on
+//     either front end: an AsyncStore combines only point ops, and its
+//     batches and scans are its Store's own calls.
 //   - Close makes the handle (and for an AsyncStore, the pipeline)
 //     unusable; it does NOT imply the underlying engines are gone — an
 //     AsyncStore shares its Store, and closing it leaves the Store open.
@@ -46,7 +46,6 @@ type KV interface {
 	MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool)
 	MultiPut(w *core.Worker, kvs []Pair) (int, error)
 	Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool)
-	MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair
 	Flush(w *core.Worker) error
 	Close(w *core.Worker)
 	Stats() []ShardStats

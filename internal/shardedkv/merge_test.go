@@ -58,8 +58,8 @@ func samePairs(a, b []Pair) bool {
 	})
 }
 
-// TestMergeRunsMatchesReference checks mergeRuns and mergedPairs against
-// mergeKV on random runs — no runs, empty runs, one run, many — and that
+// TestMergeRunsMatchesReference checks mergeRuns against mergeKV on
+// random runs — no runs, empty runs, one run, many — and that
 // an early false stops the emission exactly there.
 func TestMergeRunsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -74,11 +74,6 @@ func TestMergeRunsMatchesReference(t *testing.T) {
 		})
 		if !samePairs(got, want) {
 			t.Fatalf("trial %d: mergeRuns emitted %v, reference %v", trial, got, want)
-		}
-
-		mp := mergedPairs(cloneRuns(runs))
-		if !samePairs(mp, want) || (want == nil) != (mp == nil) || cap(mp) != len(want) {
-			t.Fatalf("trial %d: mergedPairs %v (cap %d), reference %v", trial, mp, cap(mp), want)
 		}
 
 		if len(want) > 0 {

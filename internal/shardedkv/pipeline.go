@@ -19,10 +19,10 @@ import (
 // Every shard gets a lock-free MPSC request queue (see reqQueue).
 // Callers build a request (Get/Put/Delete plus a future), push it, and
 // wait for completion — spinning or parking according to their core
-// class. Batches and scans (MultiGet/MultiPut/Range/MultiRange) do not
-// enter the queues: they are the wrapped Store's own calls, which take
-// each touched shard lock once, so delegating them would restrict
-// nothing. Whoever wins the shard lock's TryAcquire becomes the combiner
+// class. Batches and scans (MultiGet/MultiPut/Range) do not enter the
+// queues: they are the wrapped Store's own calls, which take each
+// touched shard lock once, so delegating them would restrict nothing.
+// Whoever wins the shard lock's TryAcquire becomes the combiner
 // and drains the queue: up to maxDrain, queued operations execute
 // against the engine under ONE Acquire/Release, completing futures as
 // they go. Once a weak core has paid for the lock it amortises the
@@ -577,12 +577,6 @@ func (a *AsyncStore) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
 func (a *AsyncStore) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
 	a.checkOpen()
 	a.st.Range(w, lo, hi, fn)
-}
-
-// MultiRange is the wrapped Store's MultiRange, for the reason Range is.
-func (a *AsyncStore) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
-	a.checkOpen()
-	return a.st.MultiRange(w, reqs)
 }
 
 // Flush is the durability barrier: every AsyncStore call returns only

@@ -188,28 +188,13 @@ func TestAsyncSharedStress(t *testing.T) {
 								return true
 							})
 						default:
-							n := int(rng.Uint64()%6) + 2
-							if rng.Uint64()&1 == 0 {
-								kvs := make([]Pair, n)
-								for j := range kvs {
-									bk := (rng.Uint64() + uint64(j)) % keyspace
-									kvs[j] = Pair{Key: bk, Value: stressValue(bk)}
-								}
-								n, _ := a.MultiPut(w, kvs)
-								inserts.Add(int64(n))
-							} else {
-								for _, res := range a.MultiRange(w, []RangeReq{
-									{Lo: k, Hi: k + 32},
-									{Lo: k + 128, Hi: k + 160},
-								}) {
-									for i, kv := range res {
-										if i > 0 && kv.Key <= res[i-1].Key {
-											t.Errorf("MultiRange emitted %d after %d", kv.Key, res[i-1].Key)
-										}
-										checkStressValue(t, kv.Key, kv.Value)
-									}
-								}
+							kvs := make([]Pair, int(rng.Uint64()%6)+2)
+							for j := range kvs {
+								bk := (rng.Uint64() + uint64(j)) % keyspace
+								kvs[j] = Pair{Key: bk, Value: stressValue(bk)}
 							}
+							n, _ := a.MultiPut(w, kvs)
+							inserts.Add(int64(n))
 						}
 					}
 				}(wi)
@@ -265,11 +250,10 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	a.Close(w)
 	a.Close(w) // idempotent
 	for name, call := range map[string]func(){
-		"Get":        func() { a.Get(w, 1) },
-		"MultiGet":   func() { a.MultiGet(w, []uint64{1, 2}) },
-		"MultiPut":   func() { a.MultiPut(w, []Pair{{Key: 1, Value: stressValue(1)}}) },
-		"Range":      func() { a.Range(w, 0, 10, func(uint64, []byte) bool { return true }) },
-		"MultiRange": func() { a.MultiRange(w, []RangeReq{{Lo: 0, Hi: 10}}) },
+		"Get":      func() { a.Get(w, 1) },
+		"MultiGet": func() { a.MultiGet(w, []uint64{1, 2}) },
+		"MultiPut": func() { a.MultiPut(w, []Pair{{Key: 1, Value: stressValue(1)}}) },
+		"Range":    func() { a.Range(w, 0, 10, func(uint64, []byte) bool { return true }) },
 	} {
 		func() {
 			defer func() {

@@ -12,11 +12,10 @@ import (
 
 // These are regression tests for the collect-then-emit lock contract:
 // Store.Range must hold each shard lock only while that shard's slice
-// is COLLECTED and invoke the user callback strictly after release
-// (MultiRange likewise must return with every lock released, on both
-// its batchRanger and fallback paths). The shard locks are not
-// reentrant, so a violation self-deadlocks instead of silently
-// passing: the callbacks below re-enter the store on every shard.
+// is COLLECTED and invoke the user callback strictly after release.
+// The shard locks are not reentrant, so a violation self-deadlocks
+// instead of silently passing: the callbacks below re-enter the store
+// on every shard.
 
 // TestStoreRangeCallbackLockFree re-enters the store from within the
 // Range callback on each engine (hashkv exercises the collect-and-sort
@@ -210,30 +209,5 @@ func TestScanScratchReleasePinsNothing(t *testing.T) {
 	big.release()
 	if big.pairs[0].Value == nil {
 		t.Fatal("a scratch past the retained bound was reset for reuse instead of dropped")
-	}
-}
-
-// TestStoreMultiRangeReleasesLocks runs MultiRange (batchRanger path
-// on hashkv, fallback path elsewhere) and immediately re-enters the
-// store, proving no shard lock leaks out of the call.
-func TestStoreMultiRangeReleasesLocks(t *testing.T) {
-	for _, spec := range AllEngines() {
-		t.Run(spec.Name, func(t *testing.T) {
-			st := New(Config{Shards: 4, NewEngine: spec.New})
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			for k := uint64(0); k < 128; k++ {
-				st.Put(w, k, stressValue(k))
-			}
-			res := st.MultiRange(w, []RangeReq{{Lo: 0, Hi: 31}, {Lo: 16, Hi: 63}})
-			if len(res[0]) != 32 || len(res[1]) != 48 {
-				t.Fatalf("MultiRange sizes = %d,%d; want 32,48", len(res[0]), len(res[1]))
-			}
-			for _, kv := range res[0] {
-				st.Get(w, kv.Key) // every shard lock must be free again
-			}
-			if got := st.Len(w); got != 128 {
-				t.Fatalf("Len = %d, want 128", got)
-			}
-		})
 	}
 }

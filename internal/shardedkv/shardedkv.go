@@ -6,7 +6,7 @@
 //
 //	Store            — key → shard routing (Mix64(k) % Shards),
 //	                   batched MultiGet/MultiPut, ordered
-//	                   Range/MultiRange scans merged across shards
+//	                   Range scans merged across shards
 //	locks.WLock      — one lock per shard; ASLMutex by default, so
 //	                   big-core workers take the FIFO fast path and
 //	                   little-core workers stand by within their
@@ -40,11 +40,10 @@
 // hash-distributed, so every shard holds an interleaved slice of any
 // key range. Store.Range visits one shard at a time (lock taken once
 // per shard, held only while that shard's slice is collected) and
-// merges the per-shard results into one ascending emission;
-// MultiRange batches several ranges through a single pass, each shard
-// lock taken once for the whole request set. Scans are the first op
-// class here whose critical-section length is data-dependent — the
-// long-holder case the ASL reorder window is designed to absorb.
+// merges the per-shard results into one ascending emission. Scans are
+// the first op class here whose critical-section length is
+// data-dependent — the long-holder case the ASL reorder window is
+// designed to absorb.
 //
 // Store is safe for concurrent use by any number of workers; each
 // worker must own its *core.Worker (they are per-goroutine, like the
@@ -139,9 +138,9 @@ type Config struct {
 type ShardStats struct {
 	Gets, Puts, Deletes uint64
 	// Scans counts engine range invocations on this shard: one per
-	// (Range, shard) and one per (MultiRange request, shard). Scans
-	// are the data-dependent-length op class, so they are tallied
-	// apart from the point counters (and excluded from Ops).
+	// (Range, shard). Scans are the data-dependent-length op class, so
+	// they are tallied apart from the point counters (and excluded
+	// from Ops).
 	Scans uint64
 	// BatchLocks counts the per-shard shares of batched operations
 	// executed here: one per (batch, touched shard), not one per key,
@@ -550,71 +549,6 @@ func (sc *scanScratch) release() {
 	scanPool.Put(sc)
 }
 
-// RangeReq is one [Lo, Hi] scan of a batched MultiRange.
-type RangeReq struct{ Lo, Hi uint64 }
-
-// batchRanger is an optional Engine extension for engines whose Range
-// pays a full-structure walk regardless of span (the hash table):
-// MultiRange hands them the whole request batch so one walk — not one
-// per request — runs under each shard lock. BatchRange must emit each
-// request's in-range pairs in ascending key order.
-type batchRanger interface {
-	BatchRange(reqs []RangeReq, emit func(req int, k uint64, v []byte))
-}
-
-// collectShardRanges collects every request's slice of one shard's
-// engine into parts (parts[i] extends with request i's in-range pairs,
-// in ascending key order). Caller holds the shard lock; one pad per
-// engine walk, exactly as the point ops pay one pad per operation.
-func (s *Store) collectShardRanges(w *core.Worker, sh *shard, reqs []RangeReq, parts [][]Pair) {
-	if br, ok := sh.eng.(batchRanger); ok {
-		// One engine walk serves the whole batch: one pad, one
-		// engine operation.
-		br.BatchRange(reqs, func(ri int, k uint64, v []byte) {
-			parts[ri] = append(parts[ri], Pair{Key: k, Value: v})
-		})
-		s.pad(w)
-	} else {
-		for ri, r := range reqs {
-			sh.eng.Range(r.Lo, r.Hi, func(k uint64, v []byte) bool {
-				parts[ri] = append(parts[ri], Pair{Key: k, Value: v})
-				return true
-			})
-			s.pad(w)
-		}
-	}
-	sh.scans.Add(uint64(len(reqs)))
-}
-
-// MultiRange executes all range requests in one pass over the shards,
-// grouped by shard like MultiGet: each shard's lock is taken exactly
-// once, and while it is held every request collects that shard's slice
-// of its range. out[i] is request i's result in ascending key order.
-// Requests see the same per-shard-consistent view as Range, and all
-// requests see each shard at the same instant (they share the lock
-// take).
-func (s *Store) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
-	out := make([][]Pair, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	var perShard [][][]Pair // per visited shard: parts per request
-	s.forEachShard(w, func(sh *shard) {
-		parts := make([][]Pair, len(reqs))
-		s.collectShardRanges(w, sh, reqs, parts)
-		sh.batches.Add(1)
-		perShard = append(perShard, parts)
-	})
-	lists := make([][]Pair, len(perShard))
-	for ri := range reqs {
-		for si, parts := range perShard {
-			lists[si] = parts[ri]
-		}
-		out[ri] = mergedPairs(lists)
-	}
-	return out
-}
-
 // mergeRuns emits the ascending merge of the sorted runs to fn until fn
 // returns false — the one merge behind every scan, so no caller
 // materialises a merged slice it does not have to return. Equal keys
@@ -651,24 +585,6 @@ func mergeRuns(runs [][]Pair, fn func(k uint64, v []byte) bool) {
 			}
 		}
 	}
-}
-
-// mergedPairs is mergeRuns into one exactly-sized slice, for
-// MultiRange, which must return a []Pair. nil when the runs are empty.
-func mergedPairs(runs [][]Pair) []Pair {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Pair, 0, total)
-	mergeRuns(runs, func(k uint64, v []byte) bool {
-		out = append(out, Pair{Key: k, Value: v})
-		return true
-	})
-	return out
 }
 
 // forEachShard visits every shard in index order, running fn with the

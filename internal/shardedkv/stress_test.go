@@ -139,7 +139,7 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestConcurrentScanStress dedicates half the pool to long scans
-// (Range and MultiRange over wide windows) while the other half churns
+// (Range over wide windows) while the other half churns
 // point writes — the data-dependent-length critical sections the
 // reorder window targets. Run with -race; every observed pair must be
 // internally consistent even though the scan is only per-shard atomic.
@@ -178,29 +178,15 @@ func TestConcurrentScanStress(t *testing.T) {
 							}
 							continue
 						}
-						if rng.Uint64()&1 == 0 {
-							prev, first := uint64(0), true
-							st.Range(w, k, k+256, func(sk uint64, sv []byte) bool {
-								if !first && sk <= prev {
-									t.Errorf("Range emitted %d after %d", sk, prev)
-								}
-								prev, first = sk, false
-								checkStressValue(t, sk, sv)
-								return true
-							})
-						} else {
-							for _, res := range st.MultiRange(w, []RangeReq{
-								{Lo: k, Hi: k + 64},
-								{Lo: k + 512, Hi: k + 640},
-							}) {
-								for i, kv := range res {
-									if i > 0 && kv.Key <= res[i-1].Key {
-										t.Errorf("MultiRange emitted %d after %d", kv.Key, res[i-1].Key)
-									}
-									checkStressValue(t, kv.Key, kv.Value)
-								}
+						prev, first := uint64(0), true
+						st.Range(w, k, k+256, func(sk uint64, sv []byte) bool {
+							if !first && sk <= prev {
+								t.Errorf("Range emitted %d after %d", sk, prev)
 							}
-						}
+							prev, first = sk, false
+							checkStressValue(t, sk, sv)
+							return true
+						})
 					}
 				}(wi)
 			}

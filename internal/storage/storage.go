@@ -15,9 +15,6 @@
 //     shard lock instead.
 //   - Compactor: fold storage to its minimal footprint before a
 //     checkpoint dump (the LSM's major compaction).
-//
-// shardedkv's own batch capability (batchRanger) follows the same
-// pattern but lives next to its single caller.
 package storage
 
 // Snapshot is a stable, point-in-time view of an engine's live

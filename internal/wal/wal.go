@@ -411,13 +411,19 @@ func (l *Log) WriteCheckpoint(boundary uint64, dump func(emit func(key uint64, v
 }
 
 // writeRecord frames one record onto w (shared by Append and
-// checkpoint emission).
+// checkpoint emission). The header is built in w's free space: a local
+// array would escape through Write, one heap object per record.
 func writeRecord(w *bufio.Writer, kind Kind, key uint64, val []byte) error {
 	payloadLen := 1 + 8
 	if kind == KindPut {
 		payloadLen += len(val)
 	}
-	var hdr [recHeader + 9]byte
+	if w.Available() < recHeader+9 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := w.AvailableBuffer()[:recHeader+9]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
 	hdr[8] = byte(kind)
 	binary.LittleEndian.PutUint64(hdr[9:17], key)
@@ -426,7 +432,7 @@ func writeRecord(w *bufio.Writer, kind Kind, key uint64, val []byte) error {
 		crc = crc32.Update(crc, castagnoli, val)
 	}
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if kind == KindPut {
@@ -548,7 +554,8 @@ type ReplayInfo struct {
 // replay of that shard stops: records past a hole must not be applied
 // or per-key ordering breaks. A missing or empty dir replays nothing.
 // Corruption inside a checkpoint file is reported as an error since
-// checkpoints are complete by construction.
+// checkpoints are complete by construction. Each record's val is a
+// fresh slice of its own, so fn may keep it.
 func Replay(dir string, fn func(kind Kind, key uint64, val []byte, fromCkpt bool) error) (ReplayInfo, error) {
 	var info ReplayInfo
 	segs, ckpts, err := listDir(dir)
@@ -597,9 +604,11 @@ func replayFile(path string, fn func(kind Kind, key uint64, val []byte) error) (
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, bufBytes)
-	var hdr [recHeader]byte
+	// hdr holds the frame and the payload's kind and key: one array per
+	// file. Each value is read into a slice of its own, which fn keeps.
+	hdr := new([recHeader + 9]byte)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:recHeader]); err != nil {
 			if err == io.EOF {
 				return n, false, nil
 			}
@@ -611,21 +620,23 @@ func replayFile(path string, fn func(kind Kind, key uint64, val []byte) error) (
 		if payloadLen < 9 || payloadLen > maxPayload {
 			return n, true, nil
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if _, err := io.ReadFull(r, hdr[recHeader:]); err != nil {
 			return n, true, nil // torn payload
 		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
+		val := make([]byte, payloadLen-9)
+		if _, err := io.ReadFull(r, val); err != nil {
+			return n, true, nil // torn payload
+		}
+		if crc32.Update(crc32.Update(0, castagnoli, hdr[recHeader:]), castagnoli, val) != wantCRC {
 			return n, true, nil
 		}
-		kind := Kind(payload[0])
+		kind := Kind(hdr[recHeader])
 		if kind != KindPut && kind != KindDelete {
 			return n, true, nil
 		}
-		key := binary.LittleEndian.Uint64(payload[1:9])
-		var val []byte
-		if kind == KindPut {
-			val = payload[9:]
+		key := binary.LittleEndian.Uint64(hdr[recHeader+1:])
+		if kind == KindDelete {
+			val = nil
 		}
 		if err := fn(kind, key, val); err != nil {
 			return n, false, err
