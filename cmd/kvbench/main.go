@@ -2,7 +2,7 @@
 // (internal/shardedkv) in process with the repository's workload mixes
 // and reports throughput and tail latency per (engine, mix, lock)
 // configuration, comparing ASL shard locks against class-oblivious
-// baselines such as plain sync.Mutex. The served path (TCP, admission,
+// baselines such as plain sync.Mutex. The served path (TCP, codec,
 // WAL) is measured by the repository's benchmark, benchmark/; this
 // grid covers what that cannot: every engine, every lock family and the
 // combining pipeline side by side.

@@ -2,17 +2,18 @@
 // TCP with the binary protocol of docs/protocol.md. Every request
 // carries an SLO class byte: interactive requests run big-class at the
 // shard lock (ASL fast path; elect/combine/spin under -pipeline), bulk
-// requests run little-class (reorder standby; enqueue/park) and pass a
-// per-shard admission gate that bounds how many run at once and makes
-// the rest wait, never rejecting one — the paper's asymmetry-aware
-// admission applied per request at the serving boundary.
+// requests run little-class (reorder standby; enqueue/park) — the
+// paper's asymmetry-aware lock admission applied per request. There is
+// no admission gate in front of the store: each connection has one
+// request in flight, and the shard lock is the one place that
+// restricts concurrency.
 //
 // Usage:
 //
 //	kvserver                                   # hashkv engine, ASL shard locks, :7877
 //	kvserver -addr :7900 -engine lsm -lock asl -shards 32
 //	kvserver -pipeline                         # point ops through the combining AsyncStore
-//	kvserver -slo-interactive 100us -slo-bulk 2ms -bulk-inflight 4
+//	kvserver -slo-bulk 2ms                     # bulk-class epoch SLO: steers the reorder window
 //	kvserver -cs 1us                           # AMP critical-section emulation (benchmarks)
 //	kvserver -wal /var/lib/kv/wal              # durable: replay on start, per-class group commit
 //
@@ -60,9 +61,7 @@ func main() {
 	lock := flag.String("lock", "asl", "shard lock: asl|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
 	pipeline := flag.Bool("pipeline", false, "send point operations through the flat-combining AsyncStore")
-	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class. Changes no lock decision: interactive requests run big-class, which never waits on or feeds a reorder window")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
-	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard; more wait for a slot, none is rejected (0 = default, negative disables the gate)")
 	csPad := flag.Duration("cs", 0, "AMP emulation: big-core critical-section pad, littles scaled by the shim; 0 disables (production)")
 	walDir := flag.String("wal", "", "write-ahead-log root directory; enables durability (recovery on start, group commit while serving)")
 	walSegment := flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes; 0 = default")
@@ -136,11 +135,9 @@ func main() {
 	}
 
 	srv, err := kvserver.New(kvserver.Config{
-		Store:          st,
-		Async:          async,
-		SLOInteractive: *sloInteractive,
-		SLOBulk:        *sloBulk,
-		Admission:      kvserver.AdmissionConfig{BulkPerShard: *bulkInflight},
+		Store:   st,
+		Async:   async,
+		SLOBulk: *sloBulk,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)

@@ -56,10 +56,10 @@
 // to the lock class, running the operation on the connection's worker
 // of that class: interactive requests run big-class (ASL fast path;
 // elect/combine/spin on the pipeline), bulk requests run little-class
-// (reorder standby; enqueue/park) and pass a bounded per-shard
-// admission gate — concurrency restriction
-// at the serving boundary, with interactive bypass. Bulk SLO epochs
-// feed the ASL window controllers from per-request latencies.
+// (reorder standby; enqueue/park). Both classes go straight to the
+// store: the shard lock is the one place that restricts concurrency.
+// Bulk SLO epochs feed the ASL window controllers from per-request
+// latencies.
 // internal/kvclient is the client (one request in flight per
 // connection, concurrent calls take turns, response ids checked).
 // cmd/kvserver is the standalone binary (clean SIGTERM shutdown).

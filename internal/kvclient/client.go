@@ -14,7 +14,7 @@
 //
 // Every operation takes the SLO class it should run under on the
 // server — kvserver.ClassInteractive maps to big-class lock admission,
-// kvserver.ClassBulk to little-class plus the bulk admission gate — so
+// kvserver.ClassBulk to little-class (the reorder window) — so
 // the caller's latency contract rides on each request, not on any
 // connection-level state.
 //

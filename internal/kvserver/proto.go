@@ -6,9 +6,8 @@
 // elect and spin), bulk requests run little-class (reorder/standby at
 // the lock; under the pipeline they enqueue and park) — per-request
 // admission at the serving boundary, replacing per-goroutine class
-// assignment. A class-aware admission gate additionally bounds
-// in-flight bulk operations per shard (interactive traffic bypasses
-// it), in the spirit of Dice & Kogan's concurrency restriction.
+// assignment. Both classes go straight to the store: the shard lock is
+// the one place that restricts concurrency.
 //
 // The wire format is specified normatively in docs/protocol.md; this
 // file is the codec. Frames are length-prefixed; the decoder treats
@@ -72,11 +71,11 @@ const (
 const (
 	// ClassInteractive marks latency-sensitive requests: big-class at
 	// the shard lock (immediate FIFO admission; elect/combine/spin on
-	// the pipeline), admission-gate bypass.
+	// the pipeline).
 	ClassInteractive uint8 = 0x00
 	// ClassBulk marks throughput/batch requests: little-class at the
 	// shard lock (reorder window standby; enqueue/park on the
-	// pipeline), bounded per-shard in-flight admission.
+	// pipeline).
 	ClassBulk uint8 = 0x01
 )
 
@@ -86,8 +85,8 @@ const (
 	StatusOK           uint8 = 0x00
 	StatusErrMalformed uint8 = 0x01
 	StatusErrUnknownOp uint8 = 0x02
-	// StatusErrAdmission is no longer sent: the admission gate makes
-	// bulk requests wait instead of shedding them. Wire constants are
+	// StatusErrAdmission is no longer sent: the server has no
+	// admission gate and sheds nothing. Wire constants are
 	// append-only, so the value stays reserved.
 	StatusErrAdmission uint8 = 0x03
 	StatusErrTooLarge  uint8 = 0x04

@@ -37,10 +37,6 @@ type Config struct {
 	// never feeds the controller (core.Worker.EpochEnd), so
 	// SLOInteractive changes no lock decision.
 	SLOInteractive, SLOBulk time.Duration
-	// Admission bounds in-flight bulk operations (see AdmissionConfig;
-	// the zero value enables the gate with defaults, BulkPerShard < 0
-	// disables it).
-	Admission AdmissionConfig
 }
 
 // Server serves the binary protocol over TCP. One goroutine per
@@ -51,15 +47,14 @@ type Config struct {
 // one connection may interleave interactive and bulk operations and
 // each still reaches the shard lock under its own class.
 type Server struct {
-	// st answers placement queries (ShardOf, NumShards); kv
-	// is the operation surface — the plain store, or the combining
-	// pipeline when Config.Async is set. Every request path goes
-	// through kv, so the server is front-end-agnostic past New.
+	// st is the served store (Stats reads its shard count); kv is the
+	// operation surface — the plain store, or the combining pipeline
+	// when Config.Async is set. Every request path goes through kv, so
+	// the server is front-end-agnostic past New.
 	st *shardedkv.Store
 	kv shardedkv.KV
 	// slo is the epoch SLO per lock class (0: no epoch).
 	slo [2]int64
-	adm *admission
 
 	ln     net.Listener
 	closed atomic.Bool
@@ -90,7 +85,6 @@ func New(cfg Config) (*Server, error) {
 		st:      cfg.Store,
 		kv:      kv,
 		slo:     [2]int64{core.Big: int64(cfg.SLOInteractive), core.Little: int64(cfg.SLOBulk)},
-		adm:     newAdmission(cfg.Admission, cfg.Store.NumShards()),
 		conns:   make(map[*serverConn]struct{}),
 		retired: stats.NewClassedRecorder(),
 	}, nil
@@ -317,24 +311,13 @@ func (s *Server) execute(sc *serverConn, req *Request, out []byte) ([]byte, erro
 	}
 	lc := lockClassOf(req.Class)
 
-	// Stats is an admin op: no class mapping, no gate, no recording.
+	// Stats is an admin op: no class mapping, no recording.
 	if req.Op == OpStats {
 		body, err := json.Marshal(s.Stats())
 		if err != nil {
 			return AppendErrorResponse(out, req.ID, StatusErrMalformed, err.Error())
 		}
 		return AppendStatsResponse(out, req.ID, body)
-	}
-
-	// Class-aware admission: bulk ops pass the bounded gate,
-	// interactive ops bypass it.
-	if s.adm != nil && req.Class == ClassBulk {
-		gi := s.adm.global()
-		switch req.Op {
-		case OpGet, OpPut, OpDelete:
-			gi = s.st.ShardOf(req.Key)
-		}
-		defer s.adm.exit(s.adm.enter(gi))
 	}
 
 	// The request runs on its lock class's worker, whose class steers
@@ -517,11 +500,9 @@ type ClassServerStats struct {
 type ServerStats struct {
 	Interactive ClassServerStats `json:"interactive"`
 	Bulk        ClassServerStats `json:"bulk"`
-	// BulkInFlight is the admission gate's current depth; BulkWaited
-	// counts bulk ops that blocked for a slot. BulkRejected is always
-	// 0: the gate no longer sheds (the field stays for readers of the
-	// stats body).
-	BulkInFlight int64  `json:"bulk_inflight"`
+	// BulkWaited and BulkRejected are always 0: the server has no
+	// admission gate, so no bulk op waits for a slot or is shed (the
+	// fields stay for readers of the stats body).
 	BulkWaited   uint64 `json:"bulk_waited"`
 	BulkRejected uint64 `json:"bulk_rejected"`
 	// Conns is the live connection count; Accepted the lifetime total;
@@ -537,8 +518,8 @@ type ServerStats struct {
 }
 
 // Stats snapshots the server's counters: per-class ops and latency
-// percentiles merged across live and closed connections, admission
-// depths and outcomes, and the store's shard layout.
+// percentiles merged across live and closed connections, connection
+// counts, and the store's shard layout.
 func (s *Server) Stats() ServerStats {
 	merged := stats.NewClassedRecorder()
 	s.mu.Lock()
@@ -551,7 +532,7 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.mu.Unlock()
 
-	st := ServerStats{
+	return ServerStats{
 		Interactive: ClassServerStats{
 			Ops:    merged.Ops(core.Big),
 			Errors: s.errs[core.Big].Load(),
@@ -570,10 +551,4 @@ func (s *Server) Stats() ServerStats {
 		RangeTruncations: s.truncates.Load(),
 		Shards:           s.st.NumShards(),
 	}
-	if s.adm != nil {
-		a := s.adm.stats()
-		st.BulkInFlight = a.InFlight
-		st.BulkWaited = a.Waited
-	}
-	return st
 }

@@ -341,7 +341,8 @@ func (s *Store) MapEpoch() uint64 { return 0 }
 // ShardOf returns the index of the shard owning k: Mix64(k) %
 // NumShards() (splitmix64's finalizer, so adjacent keys spread across
 // shards). Placement is fixed for the store's life, so the index is a
-// stable handle — the serving layer's admission gate is indexed by it.
+// stable handle: WAL recovery and the benchmark's per-shard counters
+// rely on it.
 func (s *Store) ShardOf(k uint64) int {
 	return int(prng.Mix64(k) % uint64(len(s.shards)))
 }

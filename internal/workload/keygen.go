@@ -9,7 +9,7 @@ import (
 // This file provides key generators for the KV-service benchmarks:
 // uniform keys and the YCSB-style bounded zipfian distribution used to
 // model skewed key popularity (a few shards hot, the rest cold —
-// the regime where per-shard admission control earns its keep).
+// the regime where per-shard lock contention sets the tail).
 
 // KeyGen draws keys in [0, N) using the caller's PRNG.
 type KeyGen interface {
